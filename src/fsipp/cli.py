@@ -8,7 +8,7 @@ package): ``classify`` prints the solver route for the instance,
 objectives list.  Reports are canonical JSON (sorted keys, two-space
 indent, trailing newline) so that byte-identical round-trips hold; trace
 rows and image grids can additionally be exported as CSV.  Exit status is
-0 for the CERTIFIED, INCONCLUSIVE and INFEASIBLE verdicts and 2 for
+0 for the CERTIFIED and INCONCLUSIVE verdicts, 1 for INFEASIBLE and 2 for
 ERROR (bad files, bad arguments, failed runs).
 """
 

@@ -86,13 +86,6 @@ class PsdHandle:
     def entry(self, i: int, j: int, coef: float = 1.0) -> LinExpr:
         return LinExpr.term(self.entry_index(i, j), coef)
 
-    def value(self, prob: SdpProblem, x: np.ndarray) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(i + 1):
-                m[i, j] = m[j, i] = x[self.entry_index(i, j)]
-        return m
-
 
 class VecHandle:
     """Addresses the entries of one Nonneg or Free block."""

@@ -15,10 +15,15 @@ homogeneous self-dual model with variables (x, lam, z, tau, kappa):
 
 Search directions are Newton steps on the complementarity conditions in
 scaled form (dX + sym(Z^-1 dZ X) = rhs), i.e. the HKM direction, driven by
-a Mehrotra predictor-corrector.  Kept deliberately dense: the Schur
-complement M = A W A^T is assembled per block with batched matrix products
-and solved by Cholesky.  Everything is deterministic -- repeated runs
-produce bit-identical iterates.
+a Mehrotra predictor-corrector.  The Schur complement M = A W A^T is a
+dense p x p matrix, assembled per PSD block over only the constraint rows
+that touch the block (Fujisawa-Kojima-Nakata 1997): each block keeps its
+constraint matrices for those rows, forms Z^-1 A_j X for them with batched
+matrix products and adds their r x r product into M, so blocks touched by
+few rows cost little.  M is factored in place by LAPACK's Cholesky, and
+every solve with M reuses that Fortran-ordered factor through the same
+LAPACK.  Everything is deterministic -- repeated runs produce bit-identical
+iterates.
 
 Near a degenerate optimum (no strict complementarity, as in the exact
 Case1 moment SDPs) W and M grow very ill-conditioned.  Three safeguards
@@ -58,23 +63,42 @@ _REFINE_FRAC = 0.1    # refine while A dx - b dtau = -r_p is missed by more
                       # than this fraction of |r_p|
 _BACKTRACK = 0.5      # step shrink factor while a trial point leaves the cone
 _MIN_STEP = 1e-12     # below this, no step into the cone interior was found
+_PANEL = 64           # rows per panel when symmetrizing the Schur matrix
 
 
 class _PsdData:
-    """Static per-PSD-block data in internal (svec) coordinates."""
+    """Static per-PSD-block data in internal (svec) coordinates.
 
-    __slots__ = ("sl", "dim", "ti", "tj", "w", "T", "Asp")
+    Only the ``rows`` whose constraints touch the block enter its part of the
+    Schur complement: ``Asp`` and the symmetric constraint matrices ``T``
+    are kept for those rows alone.  ``runs`` splits the rows into maximal
+    ranges of consecutive indices, (lo, hi, position of lo in ``rows``), and
+    ``rix`` indexes the rows in M (a slice when the block touches them all).
+    """
+
+    __slots__ = ("sl", "dim", "ti", "tj", "w", "fij", "fji", "rows", "rix",
+                 "runs", "T", "Asp")
 
     def __init__(self, sl, dim, A_int):
         self.sl = sl
         self.dim = dim
         self.ti, self.tj = tri_indices(dim)
         self.w = np.where(self.ti == self.tj, 1.0, _SQRT2)
-        self.Asp = A_int[:, sl].tocsr()
-        cols = self.Asp.toarray()  # (p, nsv)
-        p = cols.shape[0]
-        T = np.zeros((p, dim, dim))
-        vals = cols / self.w
+        # flat positions of (ti, tj) and (tj, ti) in a row-major dim x dim
+        self.fij = self.ti * dim + self.tj
+        self.fji = self.tj * dim + self.ti
+        Asp = A_int[:, sl].tocsr()
+        rows = np.flatnonzero(np.diff(Asp.indptr))
+        r = rows.size
+        starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
+        ends = np.append(starts[1:], r)
+        self.rows = rows
+        self.rix = slice(None) if r == Asp.shape[0] else rows
+        self.runs = [(int(rows[a]), int(rows[e - 1]) + 1, int(a))
+                     for a, e in zip(starts, ends)]
+        self.Asp = Asp[rows]
+        vals = self.Asp.toarray() / self.w  # (r, nsv)
+        T = np.zeros((r, dim, dim))
         T[:, self.ti, self.tj] = vals
         T[:, self.tj, self.ti] = vals
         self.T = T
@@ -98,25 +122,32 @@ def _chol(mat: np.ndarray) -> np.ndarray | None:
 
 
 def _chol_jitter(mat: np.ndarray) -> np.ndarray | None:
-    """Cholesky with escalating diagonal jitter; None if hopeless.
+    """Cholesky factor of a symmetric Fortran-ordered matrix, computed in
+    place by LAPACK with escalating diagonal jitter; None if hopeless.
 
+    The factor overwrites the lower triangle of ``mat`` and is returned for
+    ``cho_solve((L, True), ...)``.  The strict upper triangle is left alone,
+    so a failed attempt restores the matrix from it and the saved diagonal.
     Used for the Schur matrix only, where refinement absorbs the shift.
     Cone blocks are factored by plain :func:`_chol`, which doubles as the
     membership test for the open cone.
     """
-    L = _chol(mat)
-    if L is not None:
-        return L
     n = mat.shape[0]
-    base = float(np.trace(mat)) / max(n, 1)
+    diag = mat.diagonal().copy()
+    base = float(diag.sum()) / max(n, 1)
     if base <= 0.0 or not np.isfinite(base):
         base = 1.0
     jit = 1e-14 * base
-    for _ in range(6):
-        L = _chol(mat + jit * np.eye(n))
-        if L is not None:
+    for attempt in range(7):
+        if attempt:
+            upper = np.triu(mat, 1)
+            mat[...] = upper + upper.T
+            np.fill_diagonal(mat, diag + jit)
+            jit *= 100.0
+        L, info = sla.lapack.dpotrf(mat, lower=True, clean=False,
+                                    overwrite_a=True)
+        if info == 0:
             return L
-        jit *= 100.0
     return None
 
 
@@ -224,6 +255,37 @@ class _Internal:
         return lam
 
 
+def _schur(ii: _Internal, blk_state, d_lp: np.ndarray) -> np.ndarray:
+    """Schur complement M = A W A^T, symmetrized, as a Fortran-ordered array.
+
+    ``blk_state`` holds (X, Z^-1, ...) per PSD block, where W maps V to
+    sym(Z^-1 V X); ``d_lp`` is x / z on the nonnegative coordinates.  Each
+    PSD block adds its r x r product over the r rows that touch it, in block
+    order, so every entry is the same sum as over all p rows.  The product
+    is added one run of consecutive columns at a time: a slice on one axis
+    of M is much cheaper than an index array on both.
+    """
+    p = ii.p
+    M = np.zeros((p, p))
+    for blk, (X, Zinv, *_) in zip(ii.psd, blk_state):
+        G = np.matmul(np.matmul(Zinv, blk.T), X).reshape(-1, blk.dim ** 2)
+        rows_sv = 0.5 * (G.take(blk.fij, 1) + G.take(blk.fji, 1)) * blk.w
+        B = blk.Asp @ rows_sv.T
+        for lo, hi, at in blk.runs:
+            M[blk.rix, lo:hi] += B[:, at:at + hi - lo]
+    if ii.lp.size:
+        lp = (ii.A_lp.multiply(d_lp[None, :]) @ ii.A_lp.T).tocoo()
+        M[lp.row, lp.col] += lp.data  # canonical: no (row, col) twice
+    # M <- (M + M^T) / 2, a panel of rows and its mirrored columns at a time:
+    # a whole transpose would read M a full row apart
+    for a in range(0, p, _PANEL):
+        S = M[a:a + _PANEL, a:] + M[a:, a:a + _PANEL].T
+        S *= 0.5
+        M[a:a + _PANEL, a:] = S
+        M[a:, a:a + _PANEL] = S.T
+    return M.T  # equal to M, and Fortran-ordered for LAPACK
+
+
 def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSolution:
     """Solve an :class:`SdpProblem`; see the module docstring for the method."""
     ii = _Internal(prob)
@@ -324,26 +386,15 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         elif mu < 1e-14 * mu0 and tau < 1e-8:
             return finish("NumericalTrouble", it - 1, res)
 
-        # Schur complement M = A W A^T (W: HKM scaling at the iterate)
-        M = np.zeros((p, p))
-        for blk, (X, Zinv, _, _) in zip(ii.psd, blk_state):
-            ZA = np.matmul(Zinv, blk.T)
-            G = np.matmul(ZA, X)
-            G = 0.5 * (G + G.transpose(0, 2, 1))
-            rows_sv = G[:, blk.ti, blk.tj] * blk.w  # (p, nsv)
-            M += blk.Asp @ rows_sv.T
-        if ii.lp.size:
-            d = x[ii.lp] / z[ii.lp]
-            M += (ii.A_lp.multiply(d[None, :]) @ ii.A_lp.T).toarray()
-        M = 0.5 * (M + M.T)
-        LM = _chol_jitter(M) if p else None
+        d_lp = x[ii.lp] / z[ii.lp]
+        LM = _chol_jitter(_schur(ii, blk_state, d_lp)) if p else None
         if p and LM is None:
             return finish("NumericalTrouble", it - 1, res)
 
         def m_solve(r):
             if p == 0:
                 return r
-            return sla.cho_solve((LM, True), r)
+            return sla.cho_solve((LM, True), r, check_finite=False)
 
         def w_apply(v):
             out = np.zeros_like(v)
@@ -351,8 +402,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
                 V = blk.mat(v[blk.sl])
                 G = Zinv @ V @ X
                 out[blk.sl] = blk.svec(0.5 * (G + G.T))
-            if ii.lp.size:
-                out[ii.lp] = (x[ii.lp] / z[ii.lp]) * v[ii.lp]
+            out[ii.lp] = d_lp * v[ii.lp]
             return out
 
         # Eliminate (dx, dz, dkap), then dlam = v + h dtau with h = g + y,

@@ -7,7 +7,8 @@ import pytest
 
 from fsipp import instances
 from fsipp.multiobj import scalarize
-from fsipp.relax import RelaxOptions, build_dual_sdp, classify_case
+from fsipp.relax import (RelaxOptions, build_dual_sdp, build_primal_sdp,
+                         classify_case)
 from fsipp.sdp import (LinExpr, NonnegBlock, PsdBlock, SdpBuilder, SdpProblem,
                        check_solution, read_sdpa, solve, tri_index, write_sdpa)
 from fsipp.sdp import solver
@@ -272,6 +273,90 @@ def test_cholesky_cone_test_alone_keeps_iterates_inside(monkeypatch):
         assert sol.status == "Optimal"
         assert check_solution(prob, sol)["primal_cone"] == 0.0
         assert set(jittered) == {prob.A.shape[0]}
+
+
+def test_quarter_circle_order_four_iterations_and_values():
+    # Both sides of one mid-sized order: a change to the IPM's linear algebra
+    # that costs iterations or accuracy shows here before the deep orders.
+    prob, opts = instances.quarter_circle_problem()
+    run = replace(opts, k=4)
+    tag = classify_case(prob, opts.case_override)
+    sols = [solve(build(prob, run, tag)[0], tol=opts.sdp_tol)
+            for build in (build_dual_sdp, build_primal_sdp)]
+    assert [(s.status, s.iterations) for s in sols] == [("Optimal", 12)] * 2
+    moment, gram = sols
+    assert abs(moment.primal_value - (-gram.primal_value)) <= 1e-7
+
+
+def schur_test_problem():
+    """150 equalities over a PSD block in every row, a PSD block in four
+    runs of rows, a PSD block in no row, a nonnegative and a free block."""
+    rng = np.random.default_rng(11)
+    b = SdpBuilder()
+    X, Y, W = b.psd_block(5), b.psd_block(3), b.psd_block(2)
+    v, f = b.nonneg_block(3), b.free_block(2)
+    y_rows = set(range(10, 40)) | {70, 71, 100} | set(range(120, 150))
+    obj = W.entry(0, 0) + W.entry(1, 1)
+    for i in range(5):
+        obj += X.entry(i, i)
+    b.set_objective(obj)
+    for r in range(150):
+        i, j = sorted(rng.integers(0, 5, size=2))
+        row = X.entry(j, i, float(rng.normal())) + X.entry(r % 5, r % 5)
+        if r in y_rows:
+            i, j = sorted(rng.integers(0, 3, size=2))
+            row += Y.entry(j, i, float(rng.normal()))
+        if r % 7 == 0:
+            row += v.entry(r % 3, float(rng.normal()))
+        if r % 11 == 0:
+            row += f.entry(r % 2, float(rng.normal()))
+        b.add_equality(row, float(rng.normal()))
+    return b.build()
+
+
+def full_row_schur(ii, blk_state, d_lp):
+    """Reference: M = A W A^T with every PSD block over all p rows."""
+    M = np.zeros((ii.p, ii.p))
+    for blk, (X, Zinv) in zip(ii.psd, blk_state):
+        Asp = ii.A[:, blk.sl].tocsr()
+        vals = Asp.toarray() / blk.w
+        T = np.zeros((ii.p, blk.dim, blk.dim))
+        T[:, blk.ti, blk.tj] = vals
+        T[:, blk.tj, blk.ti] = vals
+        G = np.matmul(np.matmul(Zinv, T), X)
+        G = 0.5 * (G + G.transpose(0, 2, 1))
+        M += Asp @ (G[:, blk.ti, blk.tj] * blk.w).T
+    M += (ii.A_lp.multiply(d_lp[None, :]) @ ii.A_lp.T).toarray()
+    return 0.5 * (M + M.T)
+
+
+def test_schur_over_touched_rows_equals_the_full_row_formula():
+    ii = solver._Internal(schur_test_problem())
+    touched = [blk.rows.size for blk in ii.psd]
+    assert touched == [ii.p, 63, 0] and ii.p == 150
+    assert len(ii.psd[1].runs) == 4
+    rng = np.random.default_rng(5)
+    blk_state = []
+    for blk in ii.psd:
+        R, S = rng.normal(size=(2, blk.dim, blk.dim))
+        X = R @ R.T + np.eye(blk.dim)
+        Zinv = np.linalg.inv(S @ S.T + np.eye(blk.dim))
+        blk_state.append((X, Zinv))
+    d_lp = rng.uniform(0.1, 10.0, size=ii.lp.size)
+    M = solver._schur(ii, blk_state, d_lp)
+    assert M.flags.f_contiguous
+    assert np.array_equal(M, full_row_schur(ii, blk_state, d_lp))
+
+
+def test_schur_cholesky_retries_rebuild_the_matrix_it_overwrote():
+    # LAPACK factors M in place, so each jittered retry must first rebuild M
+    # from the strict upper triangle and the saved diagonal.
+    V = np.random.default_rng(3).normal(size=(6, 3))
+    A = V @ V.T
+    A -= 1e-12 * np.trace(A) / 6 * np.eye(6)  # indefinite by a hair
+    L = np.tril(solver._chol_jitter(np.asfortranarray(A)))
+    assert np.allclose(L @ L.T, A, rtol=0.0, atol=1e-8 * np.trace(A))
+    assert solver._chol_jitter(np.asfortranarray(-np.eye(3))) is None
 
 
 def test_iter_limit_status():
