@@ -27,7 +27,7 @@ print("tag:", tag.value)
 
 trace = solve_hierarchy(prob, opts)
 row = trace.rows[0]
-print(f"solved one SDP pair at order {row.k}:")
+print(f"solved one SDP at order {row.k}:")
 print(f"  r_primal = {row.r_primal:.6f}")
 print(f"  r_dual   = {row.r_dual:.6f}")
 print("  minimizer:", np.round(trace.candidate, 4))

@@ -21,6 +21,7 @@ import json
 import re
 import sys
 import time
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -317,8 +318,8 @@ def _trace_doc(trace) -> dict:
         "stop_reason": trace.stop_reason,
         "solver": {
             "orders_solved": len(trace.rows),
-            "total_iterations": sum(r.dual_iterations + r.primal_iterations
-                                    for r in trace.rows),
+            # one IPM solve per order; primal_iterations repeats its count
+            "total_iterations": sum(r.dual_iterations for r in trace.rows),
         },
     }
 
@@ -363,10 +364,8 @@ def _resolved_options(parsed: ParsedProblem, prob: FsippProblem):
     if tag in (CaseTag.CASE1, CaseTag.CASE2):
         return opts
     R, g_star = choose_R_gstar(prob, parsed.hints)
-    return RelaxOptions(R=R, g_star=opts.g_star if opts.g_star is not None
-                        else g_star, k=opts.k,
-                        case_override=opts.case_override, tau=opts.tau,
-                        rank_tol=opts.rank_tol, sdp_tol=opts.sdp_tol)
+    return replace(opts, R=R, g_star=opts.g_star if opts.g_star is not None
+                   else g_star)
 
 
 def run_solve(args) -> int:

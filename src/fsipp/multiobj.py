@@ -20,7 +20,7 @@ dominates the candidate componentwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .certify import feasibility_check
 from .errors import NumericalTroubleError
 from .poly import BivariatePoly, Polynomial
 from .relax import (CaseTag, FsippProblem, IndexSetDesc, Interval, QuadraticSet,
-                    RelaxOptions, classify_case, solve_hierarchy)
+                    RelaxOptions, check_tag, solve_hierarchy)
 
 
 @dataclass(frozen=True)
@@ -136,13 +136,12 @@ def epsilon_constraint_solve(mprob: MultiFsippProblem, u0, opts: RelaxOptions,
         try:
             sub = scalarize(mprob, i, u_prev, tau=opts.tau,
                             check_feasible=(i > 1))
-            try:
-                classify_case(sub, opts.case_override)
-                stage_opts = opts
-            except ValueError:  # override does not fit this stage's shape
-                stage_opts = RelaxOptions(R=opts.R, g_star=opts.g_star, k=opts.k,
-                                          tau=opts.tau, rank_tol=opts.rank_tol,
-                                          sdp_tol=opts.sdp_tol)
+            stage_opts = opts
+            if opts.case_override is not None:
+                try:
+                    check_tag(sub, opts.case_override)
+                except ValueError:  # override does not fit this stage's shape
+                    stage_opts = replace(opts, case_override=None)
             trace = solve_hierarchy(sub, stage_opts, k_range)
             if trace.candidate is None:
                 statuses = [(row.k, row.dual_status, row.error)

@@ -13,7 +13,10 @@ over functionals L with L(g) = 1, L(psi_j) <= 0, L in the dual of C[x],
 and  y -> -L(p(., y))  in C[y].  This module holds the instance model,
 the taxonomy that picks the cones, and the compilers producing the two
 semidefinite programs for a given relaxation order, plus the driver that
-walks orders until a certificate is found.
+walks orders until a certificate is found.  The two programs are conic
+duals, so the driver solves only the moment SDP and reads rho from its
+multipliers; the certificate-side compiler is an independent check of
+that value.
 
 Cone choices by tag: with d = max(deg f, deg g, deg psi_j, deg_x p),
 
@@ -34,7 +37,7 @@ Cone choices by tag: with d = max(deg f, deg g, deg psi_j, deg_x p),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -455,8 +458,7 @@ def _aux_min(prob: FsippProblem, numerator: Polynomial, bound) -> float:
     k0 = max(_ceil_half(aux.d), 1)
     best = -np.inf
     for k in (k0, k0 + 1):
-        sdp, vm = build_dual_sdp(aux, RelaxOptions(R=opts.R, g_star=opts.g_star,
-                                                   k=k), tag)
+        sdp, vm = build_dual_sdp(aux, replace(opts, k=k), tag)
         sol = solve(sdp)
         if sol.status == "Optimal":
             best = max(best, float(sol.primal_value))
@@ -617,18 +619,6 @@ class PrimalSdpMap:
     y_localizers: list = field(default_factory=list)
     x_membership: dict = field(default_factory=dict)
 
-    def rho_value(self, sol) -> float:
-        return -float(sol.primal_value)
-
-    def eta_values(self, sdp: SdpProblem, sol) -> np.ndarray:
-        if self.eta is None:
-            return np.zeros(0)
-        x = sdp.scalarize(sol.primal_point)
-        return np.array([x[self.eta.index(i)] for i in range(self.eta.dim)])
-
-    def h_functional(self, sdp: SdpProblem, sol) -> MomentFunctional:
-        return self.h_moments.read_solution(sdp, sol)
-
 
 def build_primal_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
     """Compile  max rho : f - rho*g + H(p) + sum eta_j psi_j in C[x],
@@ -689,8 +679,6 @@ class HierarchyRow:
     r_primal: float = float("-inf")
     r_dual: float = float("inf")
     dual_functional: MomentFunctional | None = None
-    eta: np.ndarray | None = None
-    y_moments: MomentFunctional | None = None
     dual_status: str = ""
     primal_status: str = ""
     dual_iterations: int = 0
@@ -723,36 +711,32 @@ class HierarchyTrace:
         return max(vals) if vals else float("-inf")
 
 
+# the certificate SDP is the conic dual of the moment SDP, so each side's
+# infeasibility certificate is the other side's unboundedness
+_CONIC_DUAL_STATUS = {"PrimalInfeasible": "DualInfeasible",
+                      "DualInfeasible": "PrimalInfeasible"}
+
+
 def _solve_order(prob, opts, tag, k):
-    """Build and solve both SDPs at one order; never raises."""
+    """Build and solve the moment SDP at one order; never raises.
+
+    The certificate side is the conic dual of the moment SDP, so one
+    primal-dual interior-point solve gives both values: r_dual = L(f) from
+    the moment point, r_primal = rho = b.lambda from its multipliers.
+    """
     row = HierarchyRow(k=k)
-    run = RelaxOptions(R=opts.R, g_star=opts.g_star, k=k,
-                       case_override=opts.case_override, tau=opts.tau,
-                       rank_tol=opts.rank_tol, sdp_tol=opts.sdp_tol)
     try:
-        sdp_d, vmap_d = build_dual_sdp(prob, run, tag)
-        sol_d = solve(sdp_d, tol=opts.sdp_tol)
-        row.dual_status = sol_d.status
-        row.dual_iterations = sol_d.iterations
-        if sol_d.status == "Optimal":
-            row.r_dual = float(sol_d.primal_value)
-            row.dual_functional = vmap_d.functional(sdp_d, sol_d)
+        sdp, vmap = build_dual_sdp(prob, replace(opts, k=k), tag)
+        sol = solve(sdp, tol=opts.sdp_tol)
+        row.dual_status = sol.status
+        row.primal_status = _CONIC_DUAL_STATUS.get(sol.status, sol.status)
+        row.dual_iterations = row.primal_iterations = sol.iterations
+        if sol.status == "Optimal":
+            row.r_dual = float(sol.primal_value)
+            row.r_primal = float(sol.dual_value)
+            row.dual_functional = vmap.functional(sdp, sol)
     except Exception as exc:  # noqa: BLE001 - recorded, not fatal
         row.error = f"moment side: {exc}"
-    try:
-        sdp_p, vmap_p = build_primal_sdp(prob, run, tag)
-        sol_p = solve(sdp_p, tol=opts.sdp_tol)
-        row.primal_status = sol_p.status
-        row.primal_iterations = sol_p.iterations
-        if sol_p.status == "Optimal":
-            row.r_primal = vmap_p.rho_value(sol_p)
-            row.eta = vmap_p.eta_values(sdp_p, sol_p)
-            row.y_moments = vmap_p.h_functional(sdp_p, sol_p)
-        elif sol_p.status == "PrimalInfeasible":
-            row.r_primal = float("-inf")
-    except Exception as exc:  # noqa: BLE001
-        note = f"certificate side: {exc}"
-        row.error = f"{row.error}; {note}" if row.error else note
     return row
 
 
@@ -767,7 +751,8 @@ def solve_hierarchy(prob: FsippProblem, opts: RelaxOptions,
 
     Case1/Case2 need a single solve (their cones are order-free).  For the
     iterated tags, each order k in ``k_range`` (inclusive; default from
-    ceil(d/2) to opts.k) is compiled and solved on both sides; the walk
+    ceil(d/2) to opts.k) is compiled and solved once, on the moment side,
+    whose multipliers also give the certificate-side value; the walk
     stops once the moment matrix passes the rank test (Case3/Case4 and
     General) or the recovered point passes feasibility plus stationarity
     (General).  Per-order failures are recorded in the row and the walk

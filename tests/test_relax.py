@@ -1,17 +1,20 @@
 """Tests for problem records, route classification, parameter selection and
 the relaxation hierarchy driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from fsipp import instances
+from fsipp import instances, relax
 from fsipp.certify import feasibility_check
 from fsipp.errors import MissingHintError, OptimumKnownSignal
 from fsipp.poly import BivariatePoly, Polynomial
 from fsipp.relax import (CaseTag, FsippProblem, Interval, QuadraticSet,
-                         RelaxOptions, Semialgebraic, check_tag,
-                         choose_R_gstar, classify_case, convexity_findings,
-                         solve_hierarchy)
+                         RelaxOptions, Semialgebraic, build_primal_sdp,
+                         check_tag, choose_R_gstar, classify_case,
+                         convexity_findings, solve_hierarchy)
+from fsipp.sdp import solve
 
 
 def _toy(f, g, psis=(), joint=None, index_set=None, n_y=1):
@@ -198,4 +201,45 @@ def test_infeasible_constraint_family_is_reported_not_raised():
     assert trace.candidate is None
     assert trace.stop_reason == "exhausted"
     assert all(row.dual_status == "PrimalInfeasible" for row in trace.rows)
+    # the certificate side, its conic dual, is unbounded: rho -> infinity
+    # is not certified, and no finite value is reported
+    assert all(row.primal_status == "DualInfeasible" for row in trace.rows)
+    assert all(row.r_primal == float("-inf") for row in trace.rows)
     assert trace.r_dual == float("inf")
+
+
+# ------------------------------------------------- one solve per order
+
+@pytest.mark.parametrize("make, k_range", [(instances.case1_problem, None),
+                                           (instances.quarter_circle_problem,
+                                            (4, 4))])
+def test_hierarchy_solves_one_sdp_per_order(monkeypatch, make, k_range):
+    calls = []
+
+    def counted(sdp, *args, **kwargs):
+        calls.append(sdp)
+        return real_solve(sdp, *args, **kwargs)
+
+    real_solve = relax.solve
+    monkeypatch.setattr(relax, "solve", counted)
+    prob, opts = make()
+    trace = solve_hierarchy(prob, opts, k_range)
+    assert len(trace.rows) == 1
+    assert len(calls) == len(trace.rows)
+    row = trace.rows[0]
+    assert row.primal_iterations == row.dual_iterations > 0
+
+
+@pytest.mark.parametrize("run", ["case1_run", "case2_run", "case3_run",
+                                 "case4_run", "quarter_run"])
+def test_multiplier_value_matches_the_certificate_sdp(request, run):
+    # r_primal is read from the moment SDP's multipliers; the separately
+    # compiled certificate SDP must reach the same rho
+    prob, opts, trace = request.getfixturevalue(run)
+    for row in trace.rows:
+        assert row.primal_status == row.dual_status == "Optimal"
+        sdp, _ = build_primal_sdp(prob, replace(opts, k=row.k), trace.tag)
+        sol = solve(sdp, tol=opts.sdp_tol)
+        assert sol.status == "Optimal"
+        assert row.r_primal == pytest.approx(-sol.primal_value, abs=1e-7)
+        assert row.r_primal <= row.r_dual + 1e-7
