@@ -1,6 +1,6 @@
 """Candidate certification: lower-level solves over the index set, active
-sets, nonnegative least-squares KKT residuals, feasibility margins, a
-Slater probe, and the s.o.s-convexity test.
+sets, nonnegative least-squares KKT residuals, feasibility margins and
+the s.o.s-convexity test.
 
 The lower-level engine minimizes a polynomial over a semialgebraic set by
 the moment hierarchy (moment matrix plus localizing blocks, normalized
@@ -11,7 +11,7 @@ locally refined candidate and ``certified=False``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,10 +91,10 @@ def minimize_on_semialgebraic(h: Polynomial, gens, k: int,
     """
     builder = SdpBuilder()
     mv = MomentVarMap(builder, h.nvars, k)
-    for i, q in enumerate(gens):
-        mv.add_localizing(q, f"loc{i}")
+    for q in gens:
+        mv.add_localizing(q)
     one = (0,) * h.nvars
-    builder.add_equality(mv.lin(one), 1.0, "mass")
+    builder.add_equality(mv.lin(one), 1.0)
     builder.set_objective(mv.lin_poly(h))
     prob_sdp = builder.build()
     sol = solve(prob_sdp, tol=sdp_tol)
@@ -233,12 +233,6 @@ def feasibility_check(u, prob, tau: float = 1e-3, lower=None):
     return margin <= tau, float(margin)
 
 
-def slater_probe(prob, candidate):
-    """(strict, slack): does the candidate satisfy every constraint strictly?"""
-    _, slack = feasibility_check(candidate, prob, tau=0.0)
-    return slack < 0.0, slack
-
-
 # --------------------------------------------------------------------------
 # s.o.s-convexity
 # --------------------------------------------------------------------------
@@ -276,8 +270,8 @@ def sos_convexity_check(h: Polynomial, tol: float = 1e-8,
     basis = [xm + tuple(1 if t == i else 0 for t in range(m))
              for i in range(m) for xm in xmonos]
     builder = SdpBuilder()
-    G = builder.psd_block(len(basis), "hessgram")
-    t = builder.free_block(1, "margin")
+    G = builder.psd_block(len(basis))
+    t = builder.free_block(1)
     rows: dict[tuple, LinExpr] = {}
     for i1 in range(len(basis)):
         for i2 in range(i1, len(basis)):

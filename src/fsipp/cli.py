@@ -355,62 +355,75 @@ def run_classify(args) -> int:
     return 0
 
 
-def _resolved_options(parsed: ParsedProblem, prob: FsippProblem):
-    """Fill R/g_star from the hint recipes when the route needs them."""
-    opts = parsed.opts
-    if opts.R is not None or "bound" not in parsed.hints:
-        return opts
-    tag = classify_case(prob, opts.case_override)
-    if tag in (CaseTag.CASE1, CaseTag.CASE2):
+def _run(args) -> int:
+    """Load the problem file, run the command's body and write its report.
+
+    The body returns the command's report fields and an optional export,
+    called with ``args.out`` once the report is written.  Any failure
+    before that becomes an ERROR report; a :class:`CliError` also prints
+    its lines to stderr.
+    """
+    started = time.perf_counter()
+    doc = None
+    try:
+        doc = _load(args.problem)
+        fields, export = args.body(ParsedProblem(doc, args), args)
+    except Exception as exc:  # noqa: BLE001 - surfaced as ERROR verdict
+        if isinstance(exc, CliError):
+            print(exc, file=sys.stderr)
+            message = str(exc)
+        else:
+            message = f"{type(exc).__name__}: {exc}"
+        return _finish(_error_report(args.command, doc, message, started),
+                       args.out)
+    report = {"command": args.command, "problem_sha256": problem_sha256(doc),
+              **fields, "timing_seconds": time.perf_counter() - started}
+    code = _finish(report, args.out)
+    if args.out and export is not None:
+        export(args.out)
+    return code
+
+
+def _resolved_options(parsed: ParsedProblem, prob: FsippProblem,
+                      tag: CaseTag) -> RelaxOptions:
+    """Pin the route to ``tag`` and fill R/g_star from the hint recipes
+    when the route needs them."""
+    opts = replace(parsed.opts, case_override=tag)
+    if (opts.R is not None or "bound" not in parsed.hints
+            or tag in (CaseTag.CASE1, CaseTag.CASE2)):
         return opts
     R, g_star = choose_R_gstar(prob, parsed.hints)
     return replace(opts, R=R, g_star=opts.g_star if opts.g_star is not None
                    else g_star)
 
 
-def run_solve(args) -> int:
-    started = time.perf_counter()
+def _write_rows_csv(out: str, rows) -> None:
+    _write_csv(_csv_path(out),
+               ["k", "r_primal", "r_dual", "dual_status", "primal_status",
+                "dual_iterations", "primal_iterations", "error"],
+               [[r.k,
+                 repr(r.r_primal) if np.isfinite(r.r_primal) else "",
+                 repr(r.r_dual) if np.isfinite(r.r_dual) else "",
+                 r.dual_status, r.primal_status, r.dual_iterations,
+                 r.primal_iterations, r.error or ""]
+                for r in rows])
+
+
+def run_solve(parsed: ParsedProblem, args):
+    prob = parsed.require_single("solve")
+    tag = classify_case(prob, parsed.opts.case_override)
     try:
-        doc = _load(args.problem)
-        parsed = ParsedProblem(doc, args)
-        prob = parsed.require_single("solve")
-        try:
-            opts = _resolved_options(parsed, prob)
-            trace = solve_hierarchy(prob, opts, parsed.k_range)
-        except OptimumKnownSignal as sig:
-            report = {"command": "solve", "problem_sha256": problem_sha256(doc),
-                      "tag": classify_case(prob, parsed.opts.case_override).value,
-                      "rows": [], "r_dual": sig.r_star, "r_primal": sig.r_star,
-                      "candidate": sig.point, "atoms": None,
-                      "certificate": None, "kkt": None, "hessian_pd": None,
-                      "stop_reason": "known-optimum",
-                      "solver": {"orders_solved": 0, "total_iterations": 0},
-                      "verdict": "CERTIFIED",
-                      "timing_seconds": time.perf_counter() - started}
-            return _finish(report, args.out)
-    except CliError as exc:
-        print(exc, file=sys.stderr)
-        return _finish(_error_report("solve", locals().get("doc"),
-                                     str(exc), started), args.out)
-    except Exception as exc:  # noqa: BLE001 - surfaced as ERROR verdict
-        return _finish(_error_report("solve", locals().get("doc"),
-                                     f"{type(exc).__name__}: {exc}", started),
-                       args.out)
-    report = {"command": "solve", "problem_sha256": problem_sha256(doc),
-              **_trace_doc(trace), "verdict": _solve_verdict(trace),
-              "timing_seconds": time.perf_counter() - started}
-    code = _finish(report, args.out)
-    if args.out:
-        _write_csv(_csv_path(args.out),
-                   ["k", "r_primal", "r_dual", "dual_status", "primal_status",
-                    "dual_iterations", "primal_iterations", "error"],
-                   [[r.k,
-                     repr(r.r_primal) if np.isfinite(r.r_primal) else "",
-                     repr(r.r_dual) if np.isfinite(r.r_dual) else "",
-                     r.dual_status, r.primal_status, r.dual_iterations,
-                     r.primal_iterations, r.error or ""]
-                    for r in trace.rows])
-    return code
+        trace = solve_hierarchy(prob, _resolved_options(parsed, prob, tag),
+                                parsed.k_range)
+    except OptimumKnownSignal as sig:
+        return {"tag": tag.value, "rows": [], "r_dual": sig.r_star,
+                "r_primal": sig.r_star, "candidate": sig.point,
+                "atoms": None, "certificate": None, "kkt": None,
+                "hessian_pd": None, "stop_reason": "known-optimum",
+                "solver": {"orders_solved": 0, "total_iterations": 0},
+                "verdict": "CERTIFIED"}, None
+    return ({**_trace_doc(trace), "verdict": _solve_verdict(trace)},
+            lambda out: _write_rows_csv(out, trace.rows))
 
 
 def _parse_point(text: str, m: int, what: str) -> np.ndarray:
@@ -423,28 +436,13 @@ def _parse_point(text: str, m: int, what: str) -> np.ndarray:
     return np.array(values)
 
 
-def run_certify(args) -> int:
-    started = time.perf_counter()
-    try:
-        doc = _load(args.problem)
-        parsed = ParsedProblem(doc, args)
-        prob = parsed.require_single("certify")
-        point = _parse_point(args.point, prob.m, "point")
-        kkt = certify_point(point, prob, tau=parsed.opts.tau,
-                            sdp_tol=parsed.opts.sdp_tol)
-    except CliError as exc:
-        print(exc, file=sys.stderr)
-        return _finish(_error_report("certify", locals().get("doc"),
-                                     str(exc), started), args.out)
-    except Exception as exc:  # noqa: BLE001
-        return _finish(_error_report("certify", locals().get("doc"),
-                                     f"{type(exc).__name__}: {exc}", started),
-                       args.out)
-    report = {"command": "certify", "problem_sha256": problem_sha256(doc),
-              "point": point, "kkt": kkt.as_dict(),
-              "verdict": "CERTIFIED" if kkt.passes else "INCONCLUSIVE",
-              "timing_seconds": time.perf_counter() - started}
-    return _finish(report, args.out)
+def run_certify(parsed: ParsedProblem, args):
+    prob = parsed.require_single("certify")
+    point = _parse_point(args.point, prob.m, "point")
+    kkt = certify_point(point, prob, tau=parsed.opts.tau,
+                        sdp_tol=parsed.opts.sdp_tol)
+    return {"point": point, "kkt": kkt.as_dict(),
+            "verdict": "CERTIFIED" if kkt.passes else "INCONCLUSIVE"}, None
 
 
 def _parse_box(text: str, m: int) -> list[tuple[float, float]]:
@@ -461,39 +459,37 @@ def _parse_box(text: str, m: int) -> list[tuple[float, float]]:
     return box
 
 
-def run_pareto(args) -> int:
-    started = time.perf_counter()
-    try:
-        doc = _load(args.problem)
-        parsed = ParsedProblem(doc, args)
-        mprob = parsed.require_multi("pareto")
-        if args.u0 is not None:
-            u0 = _parse_point(args.u0, mprob.m, "u0")
-        elif "feasible_point" in parsed.hints:
-            u0 = np.asarray(parsed.hints["feasible_point"], dtype=float)
-        else:
-            raise CliError("pareto needs an initial point: pass u0 on the "
-                           "command line or hints.feasible_point in the file")
-        ok, margin = feasibility_check(u0, mprob.base_problem(1),
-                                       tau=parsed.opts.tau)
-        if not ok:
-            raise CliError(f"initial point infeasible: constraint margin "
-                           f"{margin:.3e} > {parsed.opts.tau}")
-        result = epsilon_constraint_solve(mprob, u0, parsed.opts,
-                                          parsed.k_range)
-    except CliError as exc:
-        print(exc, file=sys.stderr)
-        return _finish(_error_report("pareto", locals().get("doc"),
-                                     str(exc), started), args.out)
-    except Exception as exc:  # noqa: BLE001
-        return _finish(_error_report("pareto", locals().get("doc"),
-                                     f"{type(exc).__name__}: {exc}", started),
-                       args.out)
+def _write_grid_csv(out: str, mprob: MultiFsippProblem, box_text: str,
+                    grid: int) -> None:
+    box = _parse_box(box_text, mprob.m)
+    pts, feas, vals = image_grid(mprob, box, grid_size=grid)
+    header = ([f"x{i + 1}" for i in range(mprob.m)] + ["feasible"]
+              + [f"objective{i + 1}" for i in range(mprob.t)])
+    rows = [[repr(float(c)) for c in pts[n]] + [int(feas[n])]
+            + [repr(float(v)) for v in vals[n]]
+            for n in range(len(pts))]
+    _write_csv(_csv_path(out), header, rows)
+
+
+def run_pareto(parsed: ParsedProblem, args):
+    mprob = parsed.require_multi("pareto")
+    if args.u0 is not None:
+        u0 = _parse_point(args.u0, mprob.m, "u0")
+    elif "feasible_point" in parsed.hints:
+        u0 = np.asarray(parsed.hints["feasible_point"], dtype=float)
+    else:
+        raise CliError("pareto needs an initial point: pass u0 on the "
+                       "command line or hints.feasible_point in the file")
+    ok, margin = feasibility_check(u0, mprob.base_problem(1),
+                                   tau=parsed.opts.tau)
+    if not ok:
+        raise CliError(f"initial point infeasible: constraint margin "
+                       f"{margin:.3e} > {parsed.opts.tau}")
+    result = epsilon_constraint_solve(mprob, u0, parsed.opts, parsed.k_range)
     certified = (result.stopped_by == "Uniqueness"
                  or all(t.stop_reason in ("single", "rank", "kkt")
                         for t in result.traces))
-    report = {
-        "command": "pareto", "problem_sha256": problem_sha256(doc),
+    fields = {
         "stages": [{"stage": i, "point": u,
                     "value": r if np.isfinite(r) else None,
                     "tag": result.traces[i - 1].tag.value,
@@ -503,19 +499,10 @@ def run_pareto(args) -> int:
         "objective_vector": result.objective_vector,
         "stopped_by": result.stopped_by,
         "verdict": "CERTIFIED" if certified else "INCONCLUSIVE",
-        "timing_seconds": time.perf_counter() - started,
     }
-    code = _finish(report, args.out)
-    if args.out and args.box is not None:
-        box = _parse_box(args.box, mprob.m)
-        pts, feas, vals = image_grid(mprob, box, grid_size=args.grid)
-        header = ([f"x{i + 1}" for i in range(mprob.m)] + ["feasible"]
-                  + [f"objective{i + 1}" for i in range(mprob.t)])
-        rows = [[repr(float(c)) for c in pts[n]] + [int(feas[n])]
-                + [repr(float(v)) for v in vals[n]]
-                for n in range(len(pts))]
-        _write_csv(_csv_path(args.out), header, rows)
-    return code
+    if args.box is None:
+        return fields, None
+    return fields, lambda out: _write_grid_csv(out, mprob, args.box, args.grid)
 
 
 # --------------------------------------------------------------------------
@@ -549,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run the relaxation hierarchy")
     common(p)
-    p.set_defaults(handler=run_solve)
+    p.set_defaults(handler=_run, body=run_solve)
 
     # let coordinate literals such as "-0.5,-0.5" parse as positional values
     point_matcher = re.compile(r"^-\d+(?:\.\d+)?(?:,-?\d+(?:\.\d+)?)*$")
@@ -559,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p._negative_number_matcher = point_matcher
     common(p)
     p.add_argument("point", help="comma-separated coordinates, e.g. 0.7,0.6")
-    p.set_defaults(handler=run_certify)
+    p.set_defaults(handler=_run, body=run_certify)
 
     p = sub.add_parser("pareto",
                        help="sequential efficient-point scheme for files "
@@ -573,7 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="image-grid resolution per axis for the CSV export")
     p.add_argument("--box", default=None,
                    help="bounding box as lo,hi pairs, e.g. -1,1,-1,1")
-    p.set_defaults(handler=run_pareto)
+    p.set_defaults(handler=_run, body=run_pareto)
     return parser
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Polynomial, count_monomials, monomials_up_to
+from .poly import Polynomial, monomials_up_to
 from .sdp import LinExpr, SdpBuilder
 
 # --------------------------------------------------------------------------
@@ -81,10 +81,6 @@ class MomentFunctional:
                 acc += term
             vals[mono] = acc
         return cls(nvars, order, vals)
-
-    @classmethod
-    def from_point(cls, nvars: int, order: int, point) -> "MomentFunctional":
-        return cls.from_atoms(nvars, order, [(tuple(point), 1.0)])
 
     def value(self, mono: tuple) -> float:
         return self.values.get(tuple(mono), 0.0)
@@ -272,8 +268,7 @@ def _as_affine(target, nvars: int) -> dict:
 
 
 def sos_membership_blocks(builder: SdpBuilder, target, cone: ConeSpec,
-                          nvars: int, label: str = "",
-                          margin: LinExpr | None = None) -> dict:
+                          nvars: int, margin: LinExpr | None = None) -> dict:
     """Emit blocks and rows forcing ``target`` into ``cone``.
 
     ``target`` is a Polynomial or a map monomial -> LinExpr (affine in other
@@ -293,7 +288,7 @@ def sos_membership_blocks(builder: SdpBuilder, target, cone: ConeSpec,
     gram_handles = []
     for gi, (gen, gdeg) in enumerate(cone.gram_structure(nvars)):
         basis = monomials_up_to(nvars, gdeg)
-        h = builder.psd_block(len(basis), f"{label}gram{gi}")
+        h = builder.psd_block(len(basis))
         gram_handles.append(h)
         for j, bj in enumerate(basis):
             for i in range(j, len(basis)):
@@ -311,7 +306,7 @@ def sos_membership_blocks(builder: SdpBuilder, target, cone: ConeSpec,
     lam_handle = None
     mults = cone.scalar_multipliers(nvars)
     if mults:
-        lam_handle = builder.nonneg_block(len(mults), f"{label}lam")
+        lam_handle = builder.nonneg_block(len(mults))
         for li, mult in enumerate(mults):
             for dexp, dcoef in mult.terms.items():
                 rows[dexp].add_term(lam_handle.index(li), dcoef)
@@ -319,7 +314,7 @@ def sos_membership_blocks(builder: SdpBuilder, target, cone: ConeSpec,
     for mono in monomials_up_to(nvars, bound):
         expr = rows[mono] - aff.get(mono, LinExpr())
         if not expr.is_zero():
-            builder.add_equality(expr, 0.0, f"{label}match{mono}")
+            builder.add_equality(expr, 0.0)
     return {"gram": gram_handles, "lam": lam_handle}
 
 
@@ -337,7 +332,7 @@ def membership_margin(target: Polynomial, cone: ConeSpec,
     if scale > 0:
         target = target.scale(1.0 / scale)
     builder = SdpBuilder()
-    t = builder.free_block(1, "margin")
+    t = builder.free_block(1)
     sos_membership_blocks(builder, target, cone, target.nvars,
                           margin=t.entry(0))
     builder.set_objective(t.entry(0, -1.0))  # maximize t
@@ -375,13 +370,12 @@ class MomentVarMap:
     aliases are tied to it with equality rows at construction.
     """
 
-    def __init__(self, builder: SdpBuilder, nvars: int, order: int,
-                 label: str = "L"):
+    def __init__(self, builder: SdpBuilder, nvars: int, order: int):
         self.builder = builder
         self.nvars = nvars
         self.order = order
         self.basis = MonomialBasis(nvars, order)
-        self.block = builder.psd_block(self.basis.size, f"{label}moment")
+        self.block = builder.psd_block(self.basis.size)
         self.canon: dict[tuple, tuple[int, int]] = {}
         mons = self.basis.monomials
         for j in range(len(mons)):
@@ -391,8 +385,7 @@ class MomentVarMap:
                     ci, cj = self.canon[mono]
                     if (ci, cj) != (i, j):
                         builder.add_equality(
-                            self.block.entry(i, j) - self.block.entry(ci, cj),
-                            0.0, f"{label}alias{mono}")
+                            self.block.entry(i, j) - self.block.entry(ci, cj))
                 else:
                     self.canon[mono] = (i, j)
 
@@ -409,12 +402,12 @@ class MomentVarMap:
             expr.add_term(self.block.entry_index(i, j), c)
         return expr
 
-    def add_localizing(self, q: Polynomial, label: str = "loc"):
+    def add_localizing(self, q: Polynomial):
         """A PSD block pinned to the localizing matrix of q, rows
         N^m_{order - ceil(deg q / 2)}."""
         half = (int(q.degree) + 1) // 2
         rows = MonomialBasis(self.nvars, self.order - half)
-        h = self.builder.psd_block(rows.size, label)
+        h = self.builder.psd_block(rows.size)
         for j, bj in enumerate(rows.monomials):
             for i in range(j, rows.size):
                 prod = _add(rows.monomials[i], bj)
@@ -422,7 +415,7 @@ class MomentVarMap:
                 for dexp, dcoef in q.terms.items():
                     ci, cj = self.canon[_add(prod, dexp)]
                     expr.add_term(self.block.entry_index(ci, cj), -dcoef)
-                self.builder.add_equality(expr, 0.0, f"{label}({i},{j})")
+                self.builder.add_equality(expr)
         return h
 
     def read(self, x: np.ndarray) -> MomentFunctional:
@@ -436,31 +429,13 @@ class MomentVarMap:
         return self.read(prob.scalarize(sol.primal_point))
 
 
-def dual_cone_blocks(builder: SdpBuilder, momvar: MomentVarMap,
-                     cone: ConeSpec, label: str = "loc") -> list:
+def dual_cone_blocks(momvar: MomentVarMap, cone: ConeSpec) -> list:
     """Localizing blocks realizing  (momvar functional) in (cone)*."""
     if cone.dual_order() != momvar.order:
         raise ValueError(
             f"moment variable order {momvar.order} != cone dual order {cone.dual_order()}")
-    return [momvar.add_localizing(q, f"{label}{i}")
-            for i, q in enumerate(cone.dual_generators(momvar.nvars))]
-
-
-def dual_cone_matrices(L: MomentFunctional, cone: ConeSpec) -> list[np.ndarray]:
-    """Numeric moment + localizing matrices whose PSD-ness states L in (cone)*."""
-    k = cone.dual_order()
-    mats = [moment_matrix(L, k)]
-    for q in cone.dual_generators(L.nvars):
-        mats.append(localizing_matrix(L, q, k))
-    return mats
-
-
-def poly_image_in_y(L: MomentFunctional, p) -> Polynomial:
-    """Apply L to the x-slices: the polynomial y -> L(p(., y))."""
-    terms = {}
-    for ymono, slice_x in p.slices.items():
-        terms[ymono] = L.apply(slice_x)
-    return Polynomial(p.n_y, terms)
+    return [momvar.add_localizing(q)
+            for q in cone.dual_generators(momvar.nvars)]
 
 
 def poly_image_in_y_sym(momvar: MomentVarMap, p) -> dict:

@@ -1,4 +1,4 @@
-"""Sparse multivariate polynomial arithmetic, calculus and norms.
+"""Sparse multivariate polynomial arithmetic and calculus.
 
 Polynomials are stored as exponent-vector -> float coefficient maps and are
 immutable after construction.  Monomials compare under graded lexicographic
@@ -10,7 +10,6 @@ relies on this order being deterministic.
 from __future__ import annotations
 
 import math
-from math import factorial
 
 
 #: Degree reported for the zero polynomial.  A distinct sentinel (never an int).
@@ -47,15 +46,6 @@ def count_monomials(nvars: int, degree: int) -> int:
     if degree < 0:
         return 0
     return math.comb(nvars + degree, degree)
-
-
-def multinomial(alpha: tuple[int, ...]) -> int:
-    """Multinomial coefficient |alpha|! / (alpha_1! ... alpha_m!)."""
-    total = sum(alpha)
-    value = factorial(total)
-    for a in alpha:
-        value //= factorial(a)
-    return value
 
 
 class Polynomial:
@@ -280,16 +270,6 @@ class Polynomial:
         return np.array([[H[i][j].eval(point) for j in range(self.nvars)]
                          for i in range(self.nvars)])
 
-    # -- norms ---------------------------------------------------------------
-
-    def coeff_norm(self) -> float:
-        """max_alpha |c_alpha| / multinomial(|alpha|; alpha); 0 for the zero
-        polynomial."""
-        best = 0.0
-        for expo, coef in self.terms.items():
-            best = max(best, abs(coef) / multinomial(expo))
-        return best
-
     # -- serialization -------------------------------------------------------
 
     def to_pairs(self) -> list[list]:
@@ -372,11 +352,6 @@ class BivariatePoly:
         return cls(n_x, n_y,
                    {yexp: Polynomial(n_x, terms) for yexp, terms in buckets.items()})
 
-    @classmethod
-    def from_x_only(cls, px: Polynomial, n_y: int) -> "BivariatePoly":
-        """Lift a polynomial in x alone (constant in y)."""
-        return cls(px.nvars, n_y, {(0,) * n_y: px})
-
     def substitute_y(self, ypoint) -> Polynomial:
         """p(., y) for a fixed y; a Polynomial in x."""
         if len(ypoint) != self.n_y:
@@ -408,9 +383,6 @@ class BivariatePoly:
             for xexp, coef in px.terms.items():
                 terms[xexp + yexp] = terms.get(xexp + yexp, 0.0) + coef
         return Polynomial(self.n_x + self.n_y, terms)
-
-    def is_constant_in_y(self) -> bool:
-        return all(sum(e) == 0 for e in self.slices)
 
     def __repr__(self) -> str:
         return (f"BivariatePoly(n_x={self.n_x}, n_y={self.n_y}, "

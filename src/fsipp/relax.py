@@ -444,27 +444,21 @@ def _aux_min(prob: FsippProblem, numerator: Polynomial, bound) -> float:
     aux = FsippProblem(numerator, one, prob.psis, prob.p, prob.index_set)
     tag = classify_case(aux)
     if tag in (CaseTag.CASE1, CaseTag.CASE2):
-        opts = RelaxOptions()
-        sdp, vm = build_dual_sdp(aux, opts, tag)
-        sol = solve(sdp)
-        if sol.status != "Optimal":
-            raise NumericalTroubleError(
-                f"auxiliary minimization ended with status {sol.status}")
-        return float(sol.primal_value)
-    if bound is None:
+        opts, orders = RelaxOptions(), (aux.d,)  # order-free cones
+    elif bound is None:
         raise MissingHintError(
             "a bound on the feasible region is needed for the auxiliary solve")
-    opts = RelaxOptions(R=1.5 * float(bound), g_star=0.5)
-    k0 = max(_ceil_half(aux.d), 1)
-    best = -np.inf
-    for k in (k0, k0 + 1):
-        sdp, vm = build_dual_sdp(aux, replace(opts, k=k), tag)
-        sol = solve(sdp)
-        if sol.status == "Optimal":
-            best = max(best, float(sol.primal_value))
-    if not np.isfinite(best):
-        raise NumericalTroubleError("auxiliary minimization did not converge")
-    return best
+    else:
+        opts = RelaxOptions(R=1.5 * float(bound), g_star=0.5)
+        k0 = max(_ceil_half(aux.d), 1)
+        orders = (k0, k0 + 1)
+    rows = [_solve_order(aux, opts, tag, k) for k in orders]
+    values = [row.r_dual for row in rows if row.dual_status == "Optimal"]
+    if not values:
+        raise NumericalTroubleError(
+            "auxiliary minimization did not converge: " + "; ".join(
+                f"k={row.k}: {row.error or row.dual_status}" for row in rows))
+    return max(values)
 
 
 def choose_R_gstar(prob: FsippProblem, hints: dict | None = None):
@@ -591,20 +585,18 @@ def build_dual_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
     korder = cone_x.dual_order()
 
     builder = SdpBuilder()
-    mv = MomentVarMap(builder, prob.m, korder, "L")
+    mv = MomentVarMap(builder, prob.m, korder)
     vmap = DualSdpMap(moment=mv, order=korder)
-    for i, q in enumerate(cone_x.dual_generators(prob.m)):
-        vmap.localizers.append(mv.add_localizing(q, f"Lloc{i}"))
-    builder.add_equality(mv.lin_poly(prob.g), 1.0, "normalize")
+    vmap.localizers = dual_cone_blocks(mv, cone_x)
+    builder.add_equality(mv.lin_poly(prob.g), 1.0)
     if prob.psis:
-        vmap.slack = builder.nonneg_block(prob.s, "psislack")
+        vmap.slack = builder.nonneg_block(prob.s)
         for j, psi in enumerate(prob.psis):
-            builder.add_equality(mv.lin_poly(psi) + vmap.slack.entry(j),
-                                 0.0, f"psi{j}")
+            builder.add_equality(mv.lin_poly(psi) + vmap.slack.entry(j))
     image = poly_image_in_y_sym(mv, prob.p)
     negated = {mono: expr.scaled(-1.0) for mono, expr in image.items()}
     vmap.y_membership = sos_membership_blocks(builder, negated, cone_y,
-                                              prob.p.n_y, label="py")
+                                              prob.p.n_y)
     builder.set_objective(mv.lin_poly(prob.f))
     return builder.build(), vmap
 
@@ -632,11 +624,11 @@ def build_primal_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
     cone_y = _y_cone(prob, opts, tag)
 
     builder = SdpBuilder()
-    rho = builder.free_block(1, "rho")
-    eta = builder.nonneg_block(prob.s, "eta") if prob.psis else None
-    hm = MomentVarMap(builder, prob.p.n_y, cone_y.dual_order(), "H")
+    rho = builder.free_block(1)
+    eta = builder.nonneg_block(prob.s) if prob.psis else None
+    hm = MomentVarMap(builder, prob.p.n_y, cone_y.dual_order())
     vmap = PrimalSdpMap(rho=rho, h_moments=hm, eta=eta)
-    vmap.y_localizers = dual_cone_blocks(builder, hm, cone_y, "Hloc")
+    vmap.y_localizers = dual_cone_blocks(hm, cone_y)
 
     target: dict[tuple, LinExpr] = {}
 
@@ -661,7 +653,7 @@ def build_primal_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
         raise ValueError(f"degree overflow: certificate target has degree {top}, "
                          f"above the cone bound {cone_x.member_degree_bound()}")
     vmap.x_membership = sos_membership_blocks(builder, target, cone_x,
-                                              prob.m, label="lx")
+                                              prob.m)
     builder.set_objective(rho.entry(0, -1.0))
     return builder.build(), vmap
 
@@ -758,7 +750,11 @@ def solve_hierarchy(prob: FsippProblem, opts: RelaxOptions,
     (General).  Per-order failures are recorded in the row and the walk
     continues.
     """
-    tag = classify_case(prob, opts.case_override)
+    tag = opts.case_override
+    if tag is None:
+        tag = classify_case(prob)
+    else:
+        check_tag(prob, tag)
     trace = HierarchyTrace(tag=tag)
     d_half = max(_ceil_half(prob.d), 1)
     if tag in (CaseTag.CASE1, CaseTag.CASE2):

@@ -1,14 +1,12 @@
-"""Equality-form semidefinite programming: model, builder, solver, SDPA I/O."""
+"""Equality-form semidefinite programming: model, builder, solver."""
 
 from .build import LinExpr, PsdHandle, SdpBuilder, VecHandle
 from .model import (FreeBlock, NonnegBlock, PsdBlock, SdpProblem, SdpSolution,
                     check_solution, tri_index, tri_indices)
-from .sdpa import read_sdpa, write_sdpa
 from .solver import solve
 
 __all__ = [
     "FreeBlock", "LinExpr", "NonnegBlock", "PsdBlock", "PsdHandle",
     "SdpBuilder", "SdpProblem", "SdpSolution", "VecHandle",
-    "check_solution", "read_sdpa", "solve", "tri_index", "tri_indices",
-    "write_sdpa",
+    "check_solution", "solve", "tri_index", "tri_indices",
 ]

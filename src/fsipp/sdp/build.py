@@ -71,12 +71,11 @@ class LinExpr:
 class PsdHandle:
     """Addresses the entries of one PSD block."""
 
-    __slots__ = ("offset", "dim", "label")
+    __slots__ = ("offset", "dim")
 
-    def __init__(self, offset: int, dim: int, label: str):
+    def __init__(self, offset: int, dim: int):
         self.offset = offset
         self.dim = dim
-        self.label = label
 
     def entry_index(self, i: int, j: int) -> int:
         if not (0 <= i < self.dim and 0 <= j < self.dim):
@@ -90,12 +89,11 @@ class PsdHandle:
 class VecHandle:
     """Addresses the entries of one Nonneg or Free block."""
 
-    __slots__ = ("offset", "dim", "label")
+    __slots__ = ("offset", "dim")
 
-    def __init__(self, offset: int, dim: int, label: str):
+    def __init__(self, offset: int, dim: int):
         self.offset = offset
         self.dim = dim
-        self.label = label
 
     def index(self, i: int = 0) -> int:
         if not 0 <= i < self.dim:
@@ -109,61 +107,48 @@ class VecHandle:
 class SdpBuilder:
     def __init__(self):
         self.blocks = []
-        self.handles = []
         self._offset = 0
         self.rows: list[dict[int, float]] = []
         self.rhs: list[float] = []
-        self.row_labels: list[str] = []
-        self._objective = LinExpr()
+        self._objective: dict[int, float] = {}
 
     # -- variables --------------------------------------------------------
 
-    def psd_block(self, dim: int, label: str = "") -> PsdHandle:
-        h = PsdHandle(self._offset, dim, label)
+    def psd_block(self, dim: int) -> PsdHandle:
+        h = PsdHandle(self._offset, dim)
         self.blocks.append(PsdBlock(dim))
-        self.handles.append(h)
         self._offset += dim * (dim + 1) // 2
         return h
 
-    def nonneg_block(self, dim: int, label: str = "") -> VecHandle:
-        h = VecHandle(self._offset, dim, label)
+    def nonneg_block(self, dim: int) -> VecHandle:
+        h = VecHandle(self._offset, dim)
         self.blocks.append(NonnegBlock(dim))
-        self.handles.append(h)
         self._offset += dim
         return h
 
-    def free_block(self, dim: int, label: str = "") -> VecHandle:
-        h = VecHandle(self._offset, dim, label)
+    def free_block(self, dim: int) -> VecHandle:
+        h = VecHandle(self._offset, dim)
         self.blocks.append(FreeBlock(dim))
-        self.handles.append(h)
         self._offset += dim
         return h
 
     # -- rows and objective -------------------------------------------------
 
-    def add_equality(self, expr: LinExpr, rhs: float = 0.0, label: str = "") -> None:
+    def add_equality(self, expr: LinExpr, rhs: float = 0.0) -> None:
         """Impose  expr == rhs  (the expression's constant moves to the rhs)."""
         self.rows.append(dict(expr.coeffs))
         self.rhs.append(float(rhs) - expr.const)
-        self.row_labels.append(label)
 
     def set_objective(self, expr: LinExpr) -> None:
         """Minimize the expression (its constant is dropped from the model)."""
-        self._objective = LinExpr(expr.coeffs, expr.const)
-
-    @property
-    def objective_offset(self) -> float:
-        return self._objective.const
-
-    def num_rows(self) -> int:
-        return len(self.rows)
+        self._objective = dict(expr.coeffs)
 
     # -- assembly -----------------------------------------------------------
 
     def build(self) -> SdpProblem:
         n = self._offset
         c = np.zeros(n)
-        for k, v in self._objective.coeffs.items():
+        for k, v in self._objective.items():
             c[k] = v
         data, indices, indptr = [], [], [0]
         for row in self.rows:

@@ -162,7 +162,6 @@ class SdpSolution:
     dual_value: float
     primal_point: list = field(default_factory=list)  # per-block values
     dual_point: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    dual_slack: list = field(default_factory=list)  # per-block values
     iterations: int = 0
     residuals: dict = field(default_factory=dict)  # primal / dual / gap
 

@@ -54,8 +54,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .model import (FreeBlock, NonnegBlock, PsdBlock, SdpProblem, SdpSolution,
-                    tri_indices)
+from .model import NonnegBlock, PsdBlock, SdpProblem, SdpSolution, tri_indices
 
 _SQRT2 = float(np.sqrt(2.0))
 _REFINE_PASSES = 3    # refinement passes per Newton direction, at most
@@ -295,7 +294,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     if n == 0:
         status = "Optimal" if (p == 0 or np.max(np.abs(b)) <= tol) else "PrimalInfeasible"
         return SdpSolution(status, 0.0, 0.0, prob.unscalarize(np.zeros(prob.num_scalars)),
-                           np.zeros(ii.total_rows), [], 0,
+                           np.zeros(ii.total_rows), 0,
                            {"primal": 0.0, "dual": 0.0, "gap": 0.0})
 
     x = np.zeros(n)
@@ -334,9 +333,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             xm = np.zeros(prob.num_scalars)
             lm = np.zeros(ii.total_rows)
             pv = dv = float("nan")
-        slack = prob.objective - prob.A.T @ lm
-        return SdpSolution(status, pv, dv, prob.unscalarize(xm), lm,
-                           prob.functional_as_matrices(slack), iters, res)
+        return SdpSolution(status, pv, dv, prob.unscalarize(xm), lm, iters, res)
 
     def cone_factors(xv, zv):
         """(X, plain Cholesky of X and of Z) per PSD block; None if any fails."""

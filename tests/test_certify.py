@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fsipp import instances
 from fsipp.certify import (active_sets, certify_point, feasibility_check,
                            kkt_residual, lower_level_solve, nnls,
-                           slater_probe, sos_convexity_check)
+                           sos_convexity_check)
 from fsipp.moment import MomentFunctional
 from fsipp.poly import Polynomial
 
@@ -92,7 +92,8 @@ def test_feasibility_and_slater():
     assert ok and margin <= 1e-3
     bad, bad_margin = feasibility_check(np.array([2.0, 2.0]), prob, tau=1e-3)
     assert not bad and bad_margin > 1.0
-    strict, slack = slater_probe(prob, np.array([0.4, 0.4]))
+    # a Slater point: every constraint holds strictly
+    strict, slack = feasibility_check(np.array([0.4, 0.4]), prob, tau=0.0)
     assert strict and slack < 0.0
 
 

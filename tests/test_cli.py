@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from jsonschema import Draft7Validator
 
-from fsipp import instances
+from fsipp import instances, relax
 from fsipp.cli import (EXIT_BY_VERDICT, _schema, main, problem_sha256,
                        problem_to_doc, render_report, validate_document)
 
@@ -203,6 +203,25 @@ def test_solve_csv_suffix_does_not_clobber_the_report(files):
     run(["solve", files["case4"], "--out", str(out_path)])
     checked(out_path.read_text(encoding="utf-8"))  # report JSON lives here
     assert (files["dir"] / "case4_out.rows.csv").exists()
+
+
+def test_solve_classifies_the_problem_once(files, monkeypatch):
+    # the bound hint makes the route decide whether R is needed; that tag
+    # must then be the one the hierarchy runs with
+    doc = problem_to_doc(instances.case1_problem()[0], hints={"bound": 2})
+    path = _write(files["dir"], "case1_bound.json", doc)
+    calls = []
+    findings = relax.convexity_findings
+
+    def counted(prob):
+        calls.append(prob)
+        return findings(prob)
+
+    monkeypatch.setattr(relax, "convexity_findings", counted)
+    code, out, _ = run(["solve", path])
+    report = checked(out)
+    assert code == 0 and report["tag"] == "Case1"
+    assert len(calls) == 1
 
 
 def test_solve_rejects_multi_objective_files(files):

@@ -47,7 +47,7 @@ def test_flat_truncation_fails_when_rank_keeps_growing():
 
 
 def test_extract_atoms_requires_a_passing_certificate():
-    L = MomentFunctional.from_point(2, 2, (0.0, 0.0))
+    L = MomentFunctional.from_atoms(2, 2, [((0.0, 0.0), 1.0)])
     cert = RankCertificate(k_prime=2, rank_low=1, rank_high=2,
                            singular_values_low=np.ones(1),
                            singular_values_high=np.ones(2), passed=False)
@@ -57,7 +57,7 @@ def test_extract_atoms_requires_a_passing_certificate():
 
 def test_extract_single_dirac_is_exact():
     point = (0.123456789, -0.987654321)
-    L = MomentFunctional.from_point(2, 2, point)
+    L = MomentFunctional.from_atoms(2, 2, [(point, 1.0)])
     cert = flat_truncation_check(L, k=2, k0=1, d_half=1)
     atoms = extract_atoms(L, cert)
     assert len(atoms) == 1

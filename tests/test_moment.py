@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsipp.moment import (IntervalUnivariate, MomentFunctional, MomentVarMap,
-                          MonomialBasis, QModule, SLemma, SosBounded,
-                          dual_cone_matrices, is_member, localizing_matrix,
-                          membership_margin, moment_matrix, poly_image_in_y,
-                          sos_membership_blocks)
+                          MonomialBasis, QModule, SLemma, SosBounded, is_member,
+                          localizing_matrix, membership_margin, moment_matrix,
+                          poly_image_in_y_sym, sos_membership_blocks)
 from fsipp.poly import BivariatePoly, Polynomial
 from fsipp.sdp import SdpBuilder, solve
 
@@ -65,7 +64,7 @@ def test_functional_degree_guards():
 @settings(deadline=None, max_examples=25)
 @given(st.tuples(st.floats(-2, 2), st.floats(-2, 2)))
 def test_dirac_moment_matrix_is_rank_one(point):
-    L = MomentFunctional.from_point(2, 2, point)
+    L = MomentFunctional.from_atoms(2, 2, [(point, 1.0)])
     M = moment_matrix(L, 2)
     basis = MonomialBasis(2, 2)
     v = np.array([point[0] ** a * point[1] ** b for a, b in basis.monomials])
@@ -101,7 +100,7 @@ def test_localizing_matrix_against_direct_sum():
 
 def test_localizing_matrix_flags_outside_atom():
     q = Polynomial(1, {(0,): 1.0, (2,): -1.0})
-    L = MomentFunctional.from_point(1, 2, (2.0,))  # q(2) = -3 < 0
+    L = MomentFunctional.from_atoms(1, 2, [((2.0,), 1.0)])  # q(2) = -3 < 0
     assert np.linalg.eigvalsh(localizing_matrix(L, q, 2)).min() < -1e-6
 
 
@@ -156,6 +155,14 @@ def test_membership_degree_guard():
                               SosBounded(2), 1)
 
 
+def _moment_and_localizing(L, cone):
+    """Moment matrix and one localizing matrix per dual generator of the
+    cone: L lies in the dual cone iff all of them are PSD."""
+    k = cone.dual_order()
+    return [moment_matrix(L, k)] + [localizing_matrix(L, q, k)
+                                    for q in cone.dual_generators(L.nvars)]
+
+
 @settings(deadline=None, max_examples=20)
 @given(points)
 def test_dual_cone_matrices_psd_for_supported_measures(atom_pts):
@@ -163,14 +170,16 @@ def test_dual_cone_matrices_psd_for_supported_measures(atom_pts):
     cone = QModule((phi,), 2)
     atoms = [(p, 0.5) for p in atom_pts]  # all atoms satisfy phi >= 0
     L = MomentFunctional.from_atoms(2, 2, atoms)
-    for mat in dual_cone_matrices(L, cone):
+    mats = _moment_and_localizing(L, cone)
+    assert len(mats) == 2
+    for mat in mats:
         assert np.linalg.eigvalsh(mat).min() >= -1e-9
 
 
 def test_dual_cone_matrices_flag_unsupported_measure():
     phi = Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
-    L = MomentFunctional.from_point(2, 2, (2.0, 0.0))
-    mats = dual_cone_matrices(L, QModule((phi,), 2))
+    L = MomentFunctional.from_atoms(2, 2, [((2.0, 0.0), 1.0)])
+    mats = _moment_and_localizing(L, QModule((phi,), 2))
     assert min(np.linalg.eigvalsh(m).min() for m in mats) < -1e-6
 
 
@@ -180,8 +189,8 @@ def test_moment_var_map_round_trip_and_localizing():
     builder = SdpBuilder()
     mv = MomentVarMap(builder, 1, 2)
     gen = Polynomial(1, {(0,): 1.0, (2,): -1.0})
-    mv.add_localizing(gen, "ball")
-    builder.add_equality(mv.lin((0,)), 1.0, "mass")
+    mv.add_localizing(gen)
+    builder.add_equality(mv.lin((0,)), 1.0)
     builder.set_objective(mv.lin_poly(Polynomial(1, {(2,): -1.0})))
     prob = builder.build()
     sol = solve(prob, tol=1e-9)
@@ -197,7 +206,13 @@ def test_poly_image_in_y_matches_direct_evaluation():
     p = BivariatePoly.from_joint(joint, n_x=2, n_y=1)
     atoms = [((0.4, -0.2), 1.0), ((0.1, 0.9), 2.0)]
     L = MomentFunctional.from_atoms(2, 2, atoms)
-    img = poly_image_in_y(L, p)
+    builder = SdpBuilder()
+    mv = MomentVarMap(builder, 2, 2)
+    x = np.zeros(builder.build().num_scalars)
+    for mono, (i, j) in mv.canon.items():  # embed L in the moment block
+        x[mv.block.entry_index(i, j)] = L.value(mono)
+    img = Polynomial(1, {ymono: sum(c * x[k] for k, c in expr.coeffs.items())
+                         for ymono, expr in poly_image_in_y_sym(mv, p).items()})
     for y in (-0.7, 0.0, 1.3):
         direct = sum(w * joint((x1, x2, y)) for (x1, x2), w in atoms)
         assert img((y,)) == pytest.approx(direct, abs=1e-12)

@@ -1,4 +1,4 @@
-"""Tests for sparse polynomial arithmetic, calculus and norms."""
+"""Tests for sparse polynomial arithmetic and calculus."""
 
 import math
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fsipp.poly import (ZERO_DEGREE, BivariatePoly, Polynomial, count_monomials,
-                        grlex_key, monomials_up_to, multinomial)
+                        grlex_key, monomials_up_to)
 
 
 def P(nvars, *terms):
@@ -133,16 +133,6 @@ def test_hessian_examples():
     assert hc[0][0] == P(1, ((1,), 6.0))
 
 
-# ---------------------------------------------------------------- norms
-
-def test_coeff_norm_examples():
-    assert P(2, ((2, 1), 3.0)).coeff_norm() == 1.0  # multinomial(3; 2,1) = 3
-    assert Polynomial.constant(2, 5.0).coeff_norm() == 5.0
-    assert P(2, ((1, 0), 1.0), ((0, 1), 1.0)).coeff_norm() == 1.0
-    assert Polynomial.zero(2).coeff_norm() == 0.0
-    assert multinomial((2, 1)) == 3
-
-
 # ------------------------------------------------------- two-variable-group
 
 def case1_p():
@@ -166,8 +156,8 @@ def test_substitute_y_interval_endpoints():
 
 def test_substitute_y_constant_in_y():
     px = P(2, ((2, 0), 1.0), ((0, 0), -1.0))
-    p = BivariatePoly.from_x_only(px, n_y=2)
-    assert p.is_constant_in_y()
+    p = BivariatePoly(2, 2, {(0, 0): px})
+    assert p.d_y == 0
     for y in ([0.0, 0.0], [1.0, -1.0], [0.3, 0.4]):
         assert p.substitute_y(y) == px
 
@@ -273,10 +263,3 @@ def test_substitution_commutes(joint, xpt, ypt):
     direct = p.eval(xpt, ypt)
     assert abs(via_y - via_x) <= 1e-9 * max(1.0, abs(via_y))
     assert abs(via_y - direct) <= 1e-9 * max(1.0, abs(direct))
-
-
-@settings(max_examples=50, deadline=None)
-@given(poly_strategy(2), st.floats(-100, 100, allow_nan=False))
-def test_coeff_norm_homogeneous(f, lam):
-    assert f.scale(lam).coeff_norm() == pytest.approx(abs(lam) * f.coeff_norm(),
-                                                      rel=1e-12, abs=1e-300)

@@ -8,7 +8,8 @@ import pytest
 
 from fsipp import instances, relax
 from fsipp.certify import feasibility_check
-from fsipp.errors import MissingHintError, OptimumKnownSignal
+from fsipp.errors import (MissingHintError, NumericalTroubleError,
+                          OptimumKnownSignal)
 from fsipp.poly import BivariatePoly, Polynomial
 from fsipp.relax import (CaseTag, FsippProblem, Interval, QuadraticSet,
                          RelaxOptions, Semialgebraic, build_primal_sdp,
@@ -131,6 +132,17 @@ def test_choose_R_gstar_nonlinear_denominator_needs_a_point():
     assert 0.0 < g_star <= 3.0
     with pytest.raises(MissingHintError):
         choose_R_gstar(quarter, {})
+
+
+def test_failed_auxiliary_solve_raises_with_its_status(monkeypatch):
+    prob, _ = instances.case1_problem()  # g affine: one auxiliary Case1 solve
+    monkeypatch.setattr(relax, "solve",
+                        lambda sdp, tol: solve(sdp, tol=tol, max_iter=1))
+    with pytest.raises(NumericalTroubleError, match="IterLimit"):
+        choose_R_gstar(prob, {"bound": 2.0})
+    prob3, _ = instances.case3_problem()  # g affine, two General orders
+    with pytest.raises(NumericalTroubleError, match="k=3: IterLimit; k=4: IterLimit"):
+        choose_R_gstar(prob3, {"bound": 4.0 / 3.0})
 
 
 def test_choose_R_gstar_detects_a_zero_of_the_numerator():

@@ -1,4 +1,4 @@
-"""Tests for the SDP data model, builder, interior-point solver and SDPA I/O."""
+"""Tests for the SDP data model, builder and interior-point solver."""
 
 from dataclasses import replace
 
@@ -9,8 +9,8 @@ from fsipp import instances
 from fsipp.multiobj import scalarize
 from fsipp.relax import (RelaxOptions, build_dual_sdp, build_primal_sdp,
                          classify_case)
-from fsipp.sdp import (LinExpr, NonnegBlock, PsdBlock, SdpBuilder, SdpProblem,
-                       check_solution, read_sdpa, solve, tri_index, write_sdpa)
+from fsipp.sdp import (LinExpr, NonnegBlock, SdpBuilder, SdpProblem,
+                       check_solution, solve, tri_index)
 from fsipp.sdp import solver
 from fsipp.sdp.model import SdpSolution, tri_indices
 
@@ -364,41 +364,3 @@ def test_iter_limit_status():
     sol = solve(prob, max_iter=1)
     assert sol.status == "IterLimit"
     assert sol.iterations == 1
-
-
-# ---------------------------------------------------------------- SDPA I/O
-
-def test_sdpa_round_trip_bit_exact(tmp_path):
-    b = SdpBuilder()
-    X = b.psd_block(3)
-    v = b.nonneg_block(2)
-    b.set_objective(X.entry(0, 0, 1.25) + X.entry(2, 1, -0.375) + v.entry(1, 3.0))
-    b.add_equality(X.entry(0, 0) + X.entry(1, 1) + X.entry(2, 2), 1.0)
-    b.add_equality(X.entry(1, 0, 0.1) + v.entry(0, -2.0), 0.5)
-    prob = b.build()
-    path = tmp_path / "round.dat-s"
-    write_sdpa(prob, str(path))
-    back = read_sdpa(str(path))
-    assert [type(b1).__name__ for b1 in back.blocks] == \
-        [type(b0).__name__ for b0 in prob.blocks]
-    assert [b1.dim for b1 in back.blocks] == [b0.dim for b0 in prob.blocks]
-    assert np.array_equal(back.objective, prob.objective)
-    assert np.array_equal(back.b, prob.b)
-    assert np.array_equal(back.A.toarray(), prob.A.toarray())
-
-
-def test_sdpa_rejects_free_blocks(tmp_path):
-    b = SdpBuilder()
-    b.free_block(1)
-    b.set_objective(LinExpr.term(0))
-    b.add_equality(LinExpr.term(0), 1.0)
-    with pytest.raises(ValueError):
-        write_sdpa(b.build(), str(tmp_path / "x.dat-s"))
-
-
-def test_sdpa_solve_after_round_trip(tmp_path):
-    prob = diag_trace_problem()
-    path = tmp_path / "p.dat-s"
-    write_sdpa(prob, str(path))
-    sol = solve(read_sdpa(str(path)))
-    assert sol.primal_value == pytest.approx(1.0, abs=1e-6)
