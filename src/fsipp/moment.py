@@ -1,7 +1,7 @@
 """Moment and sum-of-squares machinery.
 
-Monomial bases, truncated moment functionals with their moment and
-localizing matrices, cone descriptions for the reformulations, and the
+Monomial bases, truncated moment functionals with their moment
+matrices, cone descriptions for the reformulations, and the
 compilers that turn cone membership (Gram side) or dual-cone membership
 (moment side) into blocks and equality rows of an SDP.
 
@@ -88,14 +88,6 @@ class MomentFunctional:
     def mass(self) -> float:
         return self.value((0,) * self.nvars)
 
-    def apply(self, poly: Polynomial) -> float:
-        if poly.nvars != self.nvars:
-            raise ValueError("variable count mismatch")
-        if poly.degree > 2 * self.order:
-            raise ValueError(
-                f"degree {poly.degree} exceeds functional order bound {2 * self.order}")
-        return sum(c * self.value(m) for m, c in poly.terms.items())
-
     def point(self) -> np.ndarray:
         """The normalized first-order vector (value on x_i over mass)."""
         m = self.mass()
@@ -115,26 +107,6 @@ def moment_matrix(L: MomentFunctional, k: int) -> np.ndarray:
     for i, a in enumerate(basis.monomials):
         for j in range(i + 1):
             v = L.value(_add(a, basis.monomials[j]))
-            M[i, j] = M[j, i] = v
-    return M
-
-
-def localizing_matrix(L: MomentFunctional, q: Polynomial, k: int) -> np.ndarray:
-    """Matrix with entry (alpha, beta) = L(q * x^(alpha+beta)).
-
-    Rows and columns are indexed by N^m_{k - ceil(deg q / 2)}.
-    """
-    if q.is_zero():
-        raise ValueError("localizing polynomial must be nonzero")
-    if k > L.order:
-        raise ValueError(f"localizing order {k} exceeds functional order {L.order}")
-    half = (int(q.degree) + 1) // 2
-    basis = MonomialBasis(L.nvars, k - half)
-    M = np.empty((basis.size, basis.size))
-    for i, a in enumerate(basis.monomials):
-        for j in range(i + 1):
-            prod = _add(a, basis.monomials[j])
-            v = sum(c * L.value(_add(prod, d)) for d, c in q.terms.items())
             M[i, j] = M[j, i] = v
     return M
 

@@ -9,8 +9,6 @@ relies on this order being deterministic.
 
 from __future__ import annotations
 
-import math
-
 
 #: Degree reported for the zero polynomial.  A distinct sentinel (never an int).
 ZERO_DEGREE = float("-inf")
@@ -39,13 +37,6 @@ def monomials_up_to(nvars: int, degree: int) -> list[tuple[int, ...]]:
     for total in range(degree + 1):
         rec([], total, 0)
     return out
-
-
-def count_monomials(nvars: int, degree: int) -> int:
-    """|N^m_k| = binom(m+k, k)."""
-    if degree < 0:
-        return 0
-    return math.comb(nvars + degree, degree)
 
 
 class Polynomial:

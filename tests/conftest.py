@@ -12,6 +12,7 @@ import pytest
 
 from fsipp import instances
 from fsipp.certify import certify_point
+from fsipp.moment import MonomialBasis
 from fsipp.multiobj import epsilon_constraint_solve, scalarize
 from fsipp.relax import solve_hierarchy
 
@@ -25,6 +26,31 @@ AUDIT_BOXES = {
 }
 
 PLANTED_SEEDS = tuple(range(20))
+
+
+# ---------------------------------------------------------------- oracles
+# Direct definitions, independent of the SDP compilers they check.
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def apply_functional(L, poly):
+    """L(poly) = sum of coefficient times moment over poly's terms."""
+    return sum(c * L.value(m) for m, c in poly.terms.items())
+
+
+def localizing_matrix(L, q, k):
+    """Matrix with entry (alpha, beta) = L(q * x^(alpha+beta)), rows and
+    columns indexed by N^m_{k - ceil(deg q / 2)}."""
+    basis = MonomialBasis(L.nvars, k - (int(q.degree) + 1) // 2)
+    M = np.empty((basis.size, basis.size))
+    for i, a in enumerate(basis.monomials):
+        for j in range(i + 1):
+            prod = _add(a, basis.monomials[j])
+            M[i, j] = M[j, i] = sum(c * L.value(_add(prod, d))
+                                    for d, c in q.terms.items())
+    return M
 
 
 @pytest.fixture(scope="session")

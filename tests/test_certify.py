@@ -14,6 +14,8 @@ from fsipp.certify import (active_sets, certify_point, feasibility_check,
 from fsipp.moment import MomentFunctional
 from fsipp.poly import Polynomial
 
+from conftest import apply_functional
+
 # ---------------------------------------------------------------- nnls
 
 def test_nnls_clips_negative_directions():
@@ -154,6 +156,6 @@ def test_jensen_inequality_for_sos_convex_polynomials(seed):
     atoms = [(rng.uniform(-1, 1, size=2), w)
              for w in rng.uniform(0.1, 1.0, size=int(rng.integers(1, 4)))]
     L = MomentFunctional.from_atoms(2, 2, atoms)
-    lhs = L.apply(h)
+    lhs = apply_functional(L, h)
     rhs = L.mass() * h(L.point())
     assert lhs >= rhs - 1e-9 * max(1.0, abs(rhs))

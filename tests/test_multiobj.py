@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fsipp import instances
+from fsipp import multiobj
 from fsipp.multiobj import (MultiFsippProblem, efficiency_audit,
                             epsilon_constraint_solve, image_grid, scalarize)
 from fsipp.poly import BivariatePoly, Polynomial
@@ -123,6 +124,30 @@ def test_audit_rejects_dominated_points():
     for probe in [(0.3, 0.3), (0.0, 0.5), (0.5, -0.2)]:
         assert efficiency_audit(mprob, np.array(probe), grid_size=120,
                                 box=box) is False
+
+
+def test_audit_matches_the_full_sweep_verdict(bio_runs):
+    """The audit sweeps y only over the scalar-feasible points dominating
+    u_star; its verdict must equal the one read from image_grid's mask,
+    which sweeps every point.  Probes are the walk's final point and every
+    97th grid point."""
+    sweep_decided = set()
+    for name, (mprob, _, _, report) in bio_runs.items():
+        box = AUDIT_BOXES[name]
+        pts, feas, vals = image_grid(mprob, box, grid_size=60)
+        scalar_ok, _ = multiobj._scalar_feasible(mprob, pts)
+        for u in [report.final_point, *pts[::97]]:
+            star = mprob.objective_vector(u)
+            dominates = (np.all(vals <= star + 1e-6, axis=1)
+                         & np.any(vals < star - 1e-6, axis=1))
+            expected = not np.any(feas & dominates)
+            assert efficiency_audit(mprob, u, grid_size=60,
+                                    box=box) is expected, (name, u)
+            if np.any(scalar_ok & dominates):
+                sweep_decided.add(expected)
+    # candidates survived the scalar checks, and the sweep both kept one
+    # (verdict False) and rejected them all (verdict True)
+    assert sweep_decided == {False, True}
 
 
 def test_image_grid_shapes_flags_and_determinism():
