@@ -242,13 +242,28 @@ def sos_convexity_check(h: Polynomial, tol: float = 1e-8,
                         threshold: float = 1e-7) -> bool:
     """Is the Hessian form z^T grad^2 h(x) z a sum of squares in (x, z)?
 
-    Decided by the sign of the maximal margin t with Gram - t*I still PSD
-    on the z-linear basis {x^alpha z_i}; the form is normalized by its
-    largest coefficient so the threshold is scale-free.
+    Decided by the sign of :func:`_sos_convexity_margin`: the form passes
+    when its margin is at least ``-threshold``.
+    """
+    return _sos_convexity_margin(h, tol) >= -threshold
+
+
+def _sos_convexity_margin(h: Polynomial, tol: float = 1e-8) -> float:
+    """The maximal margin t with Gram - t*I still PSD for the Hessian form
+    on the z-linear basis {x^alpha z_i}.  The form is normalized by its
+    largest coefficient, so the margin is scale-free; +inf when the SDP is
+    unbounded, -inf when it is infeasible.
+
+    A quadratic needs no SDP.  Its Hessian is constant, so the basis is
+    {z_1, ..., z_m} and each monomial z_i z_j of the form is met by the
+    Gram entries (i, j) and (j, i) alone: the equality rows fix every Gram
+    entry, G = H - t*I with H the normalized Hessian (the form's
+    coefficient of z_i z_j, i != j, is 2 H_ij).  The largest t keeping G
+    PSD is then exactly the smallest eigenvalue of H.
     """
     m = h.nvars
     if h.degree <= 1:
-        return True
+        return 0.0
     hess = h.hessian()
     terms: dict[tuple, float] = {}
     for i in range(m):
@@ -261,9 +276,16 @@ def sos_convexity_check(h: Polynomial, tol: float = 1e-8,
                 terms[joint] = terms.get(joint, 0.0) + c
     terms = {e: c for e, c in terms.items() if c != 0.0}
     if not terms:
-        return True
+        return 0.0
     scale = max(abs(c) for c in terms.values())
     terms = {e: c / scale for e, c in terms.items()}
+
+    if h.degree == 2:
+        H = np.zeros((m, m))
+        for exp, c in terms.items():
+            i, j = np.repeat(np.arange(m), exp[m:])
+            H[i, j] = H[j, i] = c if i == j else 0.5 * c
+        return float(np.linalg.eigvalsh(H)[0])
 
     dz = (int(h.degree) - 2 + 1) // 2  # ceil((deg h - 2)/2)
     xmonos = monomials_up_to(m, dz)
@@ -288,11 +310,11 @@ def sos_convexity_check(h: Polynomial, tol: float = 1e-8,
     builder.set_objective(t.entry(0, -1.0))
     sol = solve(builder.build(), tol=tol)
     if sol.status == "Optimal":
-        return -sol.primal_value >= -threshold
+        return -sol.primal_value
     if sol.status == "DualInfeasible":  # margin unbounded above: interior
-        return True
+        return float("inf")
     if sol.status == "PrimalInfeasible":
-        return False
+        return float("-inf")
     raise NumericalTroubleError(
         f"s.o.s-convexity SDP ended with status {sol.status}")
 

@@ -175,23 +175,24 @@ def _audit_y_points(index_set: IndexSetDesc) -> np.ndarray:
     if isinstance(index_set, Interval):
         return np.linspace(-1.0, 1.0, 2001).reshape(-1, 1)
     if isinstance(index_set, QuadraticSet) and index_set.n_y == 2:
+        # y0 and, along 2,000 directions d, four fractions of the distance
+        # t to the boundary: phi(y0 + t d) = a t^2 + b t + f0 is quadratic
+        # in t, so phi at y0 +- d gives a and b
         y0 = index_set.representative_point()
         angles = np.linspace(0.0, 2.0 * np.pi, 2000, endpoint=False)
         dirs = np.column_stack([np.cos(angles), np.sin(angles)])
         phi = index_set.phi
         f0 = phi(y0)
-        pts = [y0]
-        for d in dirs:
-            fp, fm = phi(y0 + d), phi(y0 - d)
-            a = 0.5 * (fp + fm) - f0
-            b = 0.5 * (fp - fm)
-            if a < -1e-12:
-                t_edge = (-b - np.sqrt(max(b * b - 4.0 * a * f0, 0.0))) / (2.0 * a)
-            else:
-                t_edge = 10.0
-            for frac in (0.5, 0.8, 0.95, 1.0):
-                pts.append(y0 + (frac * t_edge) * d)
-        return np.array(pts)
+        fp, fm = phi.eval_many(y0 + dirs), phi.eval_many(y0 - dirs)
+        a = 0.5 * (fp + fm) - f0
+        b = 0.5 * (fp - fm)
+        inward = a < -1e-12
+        root = np.sqrt(np.maximum(b * b - 4.0 * a * f0, 0.0))
+        t_edge = np.full(len(dirs), 10.0)
+        t_edge[inward] = (-b[inward] - root[inward]) / (2.0 * a[inward])
+        steps = np.array([0.5, 0.8, 0.95, 1.0])[None, :] * t_edge[:, None]
+        pts = y0 + steps[:, :, None] * dirs[:, None, :]
+        return np.vstack([y0, pts.reshape(-1, 2)])
     return index_set.sample_points(4096)
 
 

@@ -25,6 +25,19 @@ every solve with M reuses that Fortran-ordered factor through the same
 LAPACK.  Everything is deterministic -- repeated runs produce bit-identical
 iterates.
 
+Most SDPs fsipp solves are tiny, so the fixed cost of an iteration is kept
+small.  PSD blocks of equal dimension are stacked: reading them out of x
+or z, the Cholesky cone test, the W products and the corrector take one
+numpy call per dimension.  The step to the PSD boundary is -1 over the
+smallest eigenvalue of L^-1 dX L^-T (and of its Z counterpart), with L the
+accepted Cholesky factor; the inverse factors are formed once per
+iteration by LAPACK and serve the predictor and the corrector, and the
+eigenvalues come from one stacked ``eigvalsh`` per dimension.  Z^-1 and
+the solves with M call LAPACK directly.  The stop test reads its residuals
+off r_p and r_d (r_p / tau = A x / tau - b, -r_d / tau = A^T lam / tau +
+z / tau - c), and A, A^T and the rows each block touches are assembled
+once per solve by numpy.
+
 Near a degenerate optimum (no strict complementarity, as in the exact
 Case1 moment SDPs) W and M grow very ill-conditioned.  Three safeguards
 keep the iterates accurate there:
@@ -54,7 +67,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .model import NonnegBlock, PsdBlock, SdpProblem, SdpSolution, tri_indices
+from .model import FreeBlock, PsdBlock, SdpProblem, SdpSolution, tri_indices
 
 _SQRT2 = float(np.sqrt(2.0))
 _REFINE_PASSES = 3    # refinement passes per Newton direction, at most
@@ -78,7 +91,9 @@ class _PsdData:
     __slots__ = ("sl", "dim", "ti", "tj", "w", "fij", "fji", "rows", "rix",
                  "runs", "T", "Asp")
 
-    def __init__(self, sl, dim, A_int):
+    def __init__(self, sl, dim, p, rows, cols, vals):
+        """``rows``, ``cols``, ``vals``: the entries of the p-row internal
+        constraint matrix, in row-major order."""
         self.sl = sl
         self.dim = dim
         self.ti, self.tj = tri_indices(dim)
@@ -86,34 +101,67 @@ class _PsdData:
         # flat positions of (ti, tj) and (tj, ti) in a row-major dim x dim
         self.fij = self.ti * dim + self.tj
         self.fji = self.tj * dim + self.ti
-        Asp = A_int[:, sl].tocsr()
-        rows = np.flatnonzero(np.diff(Asp.indptr))
+        mine = (cols >= sl.start) & (cols < sl.stop)
+        c, v = cols[mine] - sl.start, vals[mine]
+        rows, at = np.unique(rows[mine], return_inverse=True)
         r = rows.size
         starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
         ends = np.append(starts[1:], r)
         self.rows = rows
-        self.rix = slice(None) if r == Asp.shape[0] else rows
+        self.rix = slice(None) if r == p else rows
         self.runs = [(int(rows[a]), int(rows[e - 1]) + 1, int(a))
                      for a, e in zip(starts, ends)]
-        self.Asp = Asp[rows]
-        vals = self.Asp.toarray() / self.w  # (r, nsv)
+        self.Asp = sp.csr_matrix((v, c, np.searchsorted(at, np.arange(r + 1))),
+                                 shape=(r, len(self.w)))
+        vw = v / self.w[c]
         T = np.zeros((r, dim, dim))
-        T[:, self.ti, self.tj] = vals
-        T[:, self.tj, self.ti] = vals
+        T[at, self.ti[c], self.tj[c]] = vw
+        T[at, self.tj[c], self.ti[c]] = vw
         self.T = T
 
-    def mat(self, seg: np.ndarray) -> np.ndarray:
-        m = np.zeros((self.dim, self.dim))
-        v = seg / self.w
-        m[self.ti, self.tj] = v
-        m[self.tj, self.ti] = v
-        return m
 
-    def svec(self, m: np.ndarray) -> np.ndarray:
-        return m[self.ti, self.tj] * self.w
+class _PsdGroup:
+    """The PSD blocks of one dimension, stacked.
+
+    ``mats`` reads the blocks' symmetric matrices out of internal vectors as
+    one (k, dim, dim) array per vector and ``put`` writes such a stack back,
+    so the per-iteration matrix work takes one numpy call per dimension, not
+    one per block.  ``members`` are the blocks' positions in ``_Internal.psd``.
+    """
+
+    __slots__ = ("dim", "members", "idx", "full", "wfull", "fij", "w", "eye")
+
+    def __init__(self, members, blocks):
+        b0 = blocks[0]
+        d = self.dim = b0.dim
+        nsv = d * (d + 1) // 2
+        self.members = members
+        self.idx = np.array([np.arange(b.sl.start, b.sl.stop) for b in blocks],
+                            dtype=np.intp).reshape(len(blocks), nsv)
+        # svec slot of each entry of a row-major dim x dim matrix
+        slot = np.empty(d * d, dtype=np.intp)
+        slot[b0.fij] = np.arange(nsv)
+        slot[b0.fji] = np.arange(nsv)
+        self.full = self.idx[:, slot]
+        self.wfull = b0.w[slot]
+        self.fij = b0.fij
+        self.w = b0.w
+        self.eye = np.eye(d)
+
+    def mats(self, *vecs: np.ndarray) -> np.ndarray:
+        """The blocks' matrices in each of ``vecs`` in turn, (len(vecs) * k,
+        dim, dim)."""
+        vals = np.concatenate([v[self.full] for v in vecs]) / self.wfull
+        return vals.reshape(-1, self.dim, self.dim)
+
+    def put(self, out: np.ndarray, mats: np.ndarray) -> None:
+        """Write a (k, dim, dim) stack of symmetric matrices into ``out``."""
+        out[self.idx] = mats.reshape(len(self.idx), -1)[:, self.fij] * self.w
 
 
 def _chol(mat: np.ndarray) -> np.ndarray | None:
+    """Plain Cholesky factors of a stack of matrices; None unless all are
+    positive definite."""
     try:
         return np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
@@ -125,7 +173,7 @@ def _chol_jitter(mat: np.ndarray) -> np.ndarray | None:
     place by LAPACK with escalating diagonal jitter; None if hopeless.
 
     The factor overwrites the lower triangle of ``mat`` and is returned for
-    ``cho_solve((L, True), ...)``.  The strict upper triangle is left alone,
+    LAPACK's ``dpotrs``.  The strict upper triangle is left alone,
     so a failed attempt restores the matrix from it and the saved diagonal.
     Used for the Schur matrix only, where refinement absorbs the shift.
     Cone blocks are factored by plain :func:`_chol`, which doubles as the
@@ -150,102 +198,112 @@ def _chol_jitter(mat: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _min_eig_ratio(L: np.ndarray, delta: np.ndarray) -> float:
-    """Smallest eigenvalue of L^-1 delta L^-T for Cholesky factor L."""
-    s = sla.solve_triangular(L, delta, lower=True)
-    s = sla.solve_triangular(L, s.T, lower=True)
-    return float(np.linalg.eigvalsh(0.5 * (s + s.T))[0])
+def _psd_step_limit(Linv: np.ndarray, delta: np.ndarray) -> float:
+    """Largest step a with L L^T + a delta still PSD for every pair in the
+    stacks, given the inverse Cholesky factors ``Linv``: -1 over the
+    smallest eigenvalue of any L^-1 delta L^-T, or inf (no bound) when all
+    of them are PSD."""
+    S = Linv @ delta @ Linv.transpose(0, 2, 1)
+    lmin = float(np.linalg.eigvalsh(0.5 * (S + S.transpose(0, 2, 1)))[:, 0].min())
+    return -1.0 / lmin if lmin < 0 else np.inf
+
+
+def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
+    """CSR matrix of entries given in row-major order."""
+    indptr = np.searchsorted(rows, np.arange(shape[0] + 1))
+    return sp.csr_matrix((vals, cols, indptr), shape=shape)
 
 
 class _Internal:
-    """Problem in internal coordinates: svec PSD entries, split free vars."""
+    """Problem in internal coordinates: svec PSD entries, split free vars.
+
+    Internal column j < ``num_scalars`` is model column j, divided by the
+    svec weight on PSD slots; each free column then gets a negated copy at
+    the end (u - v with u, v >= 0).  Numerically empty rows are dropped and
+    the others equilibrated.  Everything is assembled from the model's CSR
+    arrays by numpy, A and A^T once each.
+    """
 
     def __init__(self, prob: SdpProblem):
-        A = prob.A.tocsc()
-        parts, c_parts = [], []
-        psd_specs = []  # (internal offset, dim)
-        lp_idx = []
-        self.recover = []  # (kind, model_slice, internal_offset, size)
-        off = 0
-        free_cols = []
+        nm = prob.num_scalars
+        w = np.ones(nm)  # svec weight of each model column
+        is_lp = np.ones(nm, dtype=bool)
+        psd_specs, free = [], []  # (offset, dim); free model columns
         for bl, sl in zip(prob.blocks, prob.block_slices()):
-            nsv = bl.scalar_size
             if isinstance(bl, PsdBlock):
                 ti, tj = tri_indices(bl.dim)
-                w = np.where(ti == tj, 1.0, _SQRT2)
-                parts.append(A[:, sl].multiply(1.0 / w[None, :]))
-                c_parts.append(prob.objective[sl] / w)
-                psd_specs.append((off, bl.dim))
-                self.recover.append(("psd", sl, off, nsv))
-            elif isinstance(bl, NonnegBlock):
-                parts.append(A[:, sl])
-                c_parts.append(prob.objective[sl])
-                lp_idx.extend(range(off, off + nsv))
-                self.recover.append(("lp", sl, off, nsv))
-            else:  # FreeBlock: u - v with u, v >= 0; v columns appended later
-                parts.append(A[:, sl])
-                c_parts.append(prob.objective[sl])
-                lp_idx.extend(range(off, off + nsv))
-                free_cols.append((sl, off, nsv))
-                self.recover.append(("free", sl, off, nsv))
-            off += nsv
-        self.free_pairs = []
-        for sl, uoff, nsv in free_cols:
-            parts.append(-A[:, sl])
-            c_parts.append(-prob.objective[sl])
-            lp_idx.extend(range(off, off + nsv))
-            self.free_pairs.append((uoff, off, nsv))
-            off += nsv
-        self.n = off
-        self.c = (np.concatenate(c_parts) if c_parts else np.zeros(0))
-        A_int = (sp.hstack(parts).tocsr() if parts
-                 else sp.csr_matrix((A.shape[0], 0)))
+                w[sl] = np.where(ti == tj, 1.0, _SQRT2)
+                is_lp[sl] = False
+                psd_specs.append((sl.start, bl.dim))
+            elif isinstance(bl, FreeBlock):
+                free.append(np.arange(sl.start, sl.stop))
+        self.w = w
+        self.free = np.concatenate(free) if free else np.zeros(0, np.intp)
+        self.n = n = nm + self.free.size
+        self.c = np.concatenate([prob.objective / w, -prob.objective[self.free]])
+
+        A = prob.A
+        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+        cols = A.indices.astype(np.intp)
+        vals = A.data * (1.0 / w)[cols]
+        copy = np.full(nm, -1)
+        copy[self.free] = np.arange(nm, n)
+        dup = copy[cols] >= 0
+        live = np.concatenate([vals, vals[dup]]) != 0.0
+        rows = np.concatenate([rows, rows[dup]])[live]
+        cols = np.concatenate([cols, copy[cols[dup]]])[live]
+        vals = np.concatenate([vals, -vals[dup]])[live]
 
         # drop numerically empty rows (builder cancellations), remember map
-        row_max = np.zeros(A_int.shape[0])
-        if A_int.nnz:
-            absA = abs(A_int)
-            row_max = np.asarray(absA.max(axis=1).todense()).ravel()
+        row_max = np.zeros(A.shape[0])
+        np.maximum.at(row_max, rows, np.abs(vals))
         keep = (row_max > 0.0) | (np.abs(prob.b) > 0.0)
         self.kept_rows = np.flatnonzero(keep)
-        A_int = A_int[self.kept_rows]
-        b = prob.b[self.kept_rows]
+        self.total_rows = A.shape[0]
 
-        # row equilibration
-        scale = np.maximum(row_max[self.kept_rows], np.abs(b))
-        scale[scale == 0.0] = 1.0
+        # row equilibration; kept rows never scale by zero
+        scale = np.maximum(row_max[keep], np.abs(prob.b[keep]))
         self.row_scale = scale
-        D = sp.diags(1.0 / scale)
-        self.A = (D @ A_int).tocsr()
-        self.b = b / scale
-        self.p = self.A.shape[0]
-        self.total_rows = prob.A.shape[0]
+        self.b = prob.b[keep] / scale
+        self.p = p = scale.size
+        rows = (np.cumsum(keep) - 1)[rows]
+        vals = vals * (1.0 / scale)[rows]
+        order = np.lexsort((cols, rows))
+        rows, cols, vals = rows[order], cols[order], vals[order]
+        self.A = _csr(rows, cols, vals, (p, n))
+        order = np.lexsort((rows, cols))
+        self.AT = _csr(cols[order], rows[order], vals[order], (n, p))
 
-        self.psd = [_PsdData(slice(o, o + d * (d + 1) // 2), d, self.A)
+        self.psd = [_PsdData(slice(o, o + d * (d + 1) // 2), d, p, rows, cols, vals)
                     for o, d in psd_specs]
-        self.lp = np.array(lp_idx, dtype=np.int64)
-        self.A_lp = self.A[:, self.lp].tocsr() if self.lp.size else None
+        by_dim: dict[int, list[int]] = {}
+        for pos, blk in enumerate(self.psd):
+            by_dim.setdefault(blk.dim, []).append(pos)
+        self.groups = [_PsdGroup(members, [self.psd[m] for m in members])
+                       for members in by_dim.values()]
+        self.lp = np.flatnonzero(np.append(is_lp, np.ones(self.free.size, bool)))
+        self.A_lp = None
+        if self.lp.size:
+            lp_col = np.full(n, -1)
+            lp_col[self.lp] = np.arange(self.lp.size)
+            mine = lp_col[cols] >= 0
+            self.A_lp = _csr(rows[mine], lp_col[cols[mine]], vals[mine],
+                             (p, self.lp.size))
+            # per nonnegative coordinate, its rows (as positions in
+            # lp_rows, the rows any of them touches) and coefficients
+            C = self.A_lp.tocsc()
+            self.lp_rows = np.unique(C.indices)
+            self.lp_cols = [(np.searchsorted(self.lp_rows, C.indices[lo:hi]),
+                             C.data[lo:hi])
+                            for lo, hi in zip(C.indptr[:-1], C.indptr[1:])]
         self.nu = sum(d for _, d in psd_specs) + self.lp.size
 
     # -- mappings back to model space --------------------------------------
 
-    def model_x(self, prob: SdpProblem, x_int: np.ndarray) -> np.ndarray:
-        xm = np.zeros(prob.num_scalars)
-        for kind, sl, off, nsv in self.recover:
-            seg = x_int[off:off + nsv]
-            if kind == "psd":
-                dim = int((np.sqrt(8 * nsv + 1) - 1) / 2)
-                ti, tj = tri_indices(dim)
-                w = np.where(ti == tj, 1.0, _SQRT2)
-                xm[sl] = seg / w
-            else:
-                xm[sl] = seg
-        for uoff, voff, nsv in self.free_pairs:
-            # locate the matching model slice for the u-part
-            for kind, sl, off, n2 in self.recover:
-                if kind == "free" and off == uoff:
-                    xm[sl] -= x_int[voff:voff + nsv]
-                    break
+    def model_x(self, x_int: np.ndarray) -> np.ndarray:
+        nm = self.w.size
+        xm = x_int[:nm] / self.w
+        xm[self.free] -= x_int[nm:]
         return xm
 
     def model_lam(self, lam_int: np.ndarray) -> np.ndarray:
@@ -257,7 +315,7 @@ class _Internal:
 def _schur(ii: _Internal, blk_state, d_lp: np.ndarray) -> np.ndarray:
     """Schur complement M = A W A^T, symmetrized, as a Fortran-ordered array.
 
-    ``blk_state`` holds (X, Z^-1, ...) per PSD block, where W maps V to
+    ``blk_state`` holds (X, Z^-1) per PSD block, where W maps V to
     sym(Z^-1 V X); ``d_lp`` is x / z on the nonnegative coordinates.  Each
     PSD block adds its r x r product over the r rows that touch it, in block
     order, so every entry is the same sum as over all p rows.  The product
@@ -266,15 +324,19 @@ def _schur(ii: _Internal, blk_state, d_lp: np.ndarray) -> np.ndarray:
     """
     p = ii.p
     M = np.zeros((p, p))
-    for blk, (X, Zinv, *_) in zip(ii.psd, blk_state):
+    for blk, (X, Zinv) in zip(ii.psd, blk_state):
         G = np.matmul(np.matmul(Zinv, blk.T), X).reshape(-1, blk.dim ** 2)
         rows_sv = 0.5 * (G.take(blk.fij, 1) + G.take(blk.fji, 1)) * blk.w
         B = blk.Asp @ rows_sv.T
         for lo, hi, at in blk.runs:
             M[blk.rix, lo:hi] += B[:, at:at + hi - lo]
     if ii.lp.size:
-        lp = (ii.A_lp.multiply(d_lp[None, :]) @ ii.A_lp.T).tocoo()
-        M[lp.row, lp.col] += lp.data  # canonical: no (row, col) twice
+        # A_lp diag(d) A_lp^T over the rows it touches, one coordinate at a
+        # time in increasing order, the order of scipy's sparse product
+        L = np.zeros((ii.lp_rows.size, ii.lp_rows.size))
+        for k, (at, v) in enumerate(ii.lp_cols):
+            L[np.ix_(at, at)] += np.outer(v * d_lp[k], v)
+        M[np.ix_(ii.lp_rows, ii.lp_rows)] += L
     # M <- (M + M^T) / 2, a panel of rows and its mirrored columns at a time:
     # a whole transpose would read M a full row apart
     for a in range(0, p, _PANEL):
@@ -289,8 +351,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     """Solve an :class:`SdpProblem`; see the module docstring for the method."""
     ii = _Internal(prob)
     n, p = ii.n, ii.p
-    A, b, c = ii.A, ii.b, ii.c
-    AT = A.T.tocsr()
+    A, AT, b, c = ii.A, ii.AT, ii.b, ii.c
     if n == 0:
         status = "Optimal" if (p == 0 or np.max(np.abs(b)) <= tol) else "PrimalInfeasible"
         return SdpSolution(status, 0.0, 0.0, prob.unscalarize(np.zeros(prob.num_scalars)),
@@ -315,7 +376,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
 
     def finish(status: str, iters: int, res: dict) -> SdpSolution:
         if status in ("Optimal", "IterLimit", "NumericalTrouble") and tau > 1e-300:
-            xm = ii.model_x(prob, x / tau)
+            xm = ii.model_x(x / tau)
             lm = ii.model_lam(lam / tau)
             pv = float(prob.objective @ xm)
             dv = float(prob.b @ lm)
@@ -326,7 +387,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             pv = dv = float("nan")
         elif status == "DualInfeasible":
             s = -(c @ x)
-            xm = ii.model_x(prob, x / s if s > 0 else x)
+            xm = ii.model_x(x / s if s > 0 else x)
             lm = np.zeros(ii.total_rows)
             pv = dv = float("nan")
         else:
@@ -336,36 +397,46 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         return SdpSolution(status, pv, dv, prob.unscalarize(xm), lm, iters, res)
 
     def cone_factors(xv, zv):
-        """(X, plain Cholesky of X and of Z) per PSD block; None if any fails."""
+        """Per dimension group, the blocks' X and the plain Cholesky factors
+        of their X and then their Z, stacked; None if any fails."""
         out = []
-        for blk in ii.psd:
-            X = blk.mat(xv[blk.sl])
-            LX = _chol(X)
-            LZ = _chol(blk.mat(zv[blk.sl])) if LX is not None else None
-            if LZ is None:
+        for grp in ii.groups:
+            XZ = grp.mats(xv, zv)
+            L = _chol(XZ)
+            if L is None:
                 return None
-            out.append((X, LX, LZ))
+            out.append((XZ[:len(grp.members)], L))
         return out
 
     facs = cone_factors(x, z)
     res = {"primal": float("inf"), "dual": float("inf"), "gap": float("inf")}
     stalls = 0
     for it in range(1, max_iter + 1):
-        # scaling data at the current iterate, from the accepted factors
-        blk_state = []  # (Xmat, Zinv, cholX, cholZ)
-        for blk, (X, LX, LZ) in zip(ii.psd, facs):
-            Zinv = sla.cho_solve((LZ, True), np.eye(blk.dim))
-            blk_state.append((X, Zinv, LX, LZ))
+        # scaling data at the current iterate, from the accepted factors:
+        # per dimension group X, Z^-1 and the inverse factors of X and Z,
+        # which bound the predictor's and the corrector's steps
+        scal = []  # (X, Zinv, Linv) stacks
+        blk_state = [None] * len(ii.psd)  # (X, Zinv) per block, for _schur
+        for grp, (X, L) in zip(ii.groups, facs):
+            Zinv = np.array([sla.lapack.dpotrs(LZ, grp.eye, lower=1)[0]
+                             for LZ in L[len(grp.members):]])
+            Linv = np.array([sla.lapack.dtrtri(Lb, lower=1)[0] for Lb in L])
+            scal.append((X, Zinv, Linv))
+            for j, m in enumerate(grp.members):
+                blk_state[m] = (X[j], Zinv[j])
 
         r_p = A @ x - b * tau
         r_d = -(AT @ lam) + c * tau - z
         r_g = float(b @ lam - c @ x - kappa)
         mu = (x @ z + tau * kappa) / nu1
 
+        # r_p / tau = A (x / tau) - b and -r_d / tau = A^T (lam / tau)
+        # + z / tau - c: the stop test reads its residuals off them
+        norm_rp = float(np.linalg.norm(r_p))
         pv = float(c @ x / tau)
         dv = float(b @ lam / tau)
-        pres = float(np.linalg.norm(A @ (x / tau) - b)) / norm_b
-        dres = float(np.linalg.norm(AT @ (lam / tau) + z / tau - c)) / norm_c
+        pres = norm_rp / (tau * norm_b)
+        dres = float(np.linalg.norm(r_d)) / (tau * norm_c)
         gap = abs(pv - dv) / (1.0 + abs(pv) + abs(dv))
         res = {"primal": pres, "dual": dres, "gap": gap}
         if max(pres, dres, gap) <= tol:
@@ -391,14 +462,13 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         def m_solve(r):
             if p == 0:
                 return r
-            return sla.cho_solve((LM, True), r, check_finite=False)
+            return sla.lapack.dpotrs(LM, r, lower=1)[0]
 
         def w_apply(v):
             out = np.zeros_like(v)
-            for blk, (X, Zinv, _, _) in zip(ii.psd, blk_state):
-                V = blk.mat(v[blk.sl])
-                G = Zinv @ V @ X
-                out[blk.sl] = blk.svec(0.5 * (G + G.T))
+            for grp, (X, Zinv, _) in zip(ii.groups, scal):
+                G = Zinv @ grp.mats(v) @ X
+                grp.put(out, 0.5 * (G + G.transpose(0, 2, 1)))
             out[ii.lp] = d_lp * v[ii.lp]
             return out
 
@@ -431,8 +501,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
 
         # refine while the direction misses the primal row by more than a
         # fraction of |r_p|, or of the residual that the stop test accepts
-        refine_above = _REFINE_FRAC * max(float(np.linalg.norm(r_p)),
-                                          tol * tau * norm_b)
+        refine_above = _REFINE_FRAC * max(norm_rp, tol * tau * norm_b)
         zero = np.zeros(n)
 
         def newton(rc, r_tau):
@@ -461,11 +530,8 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
                     neg = dlt < 0
                     if np.any(neg):
                         a = min(a, float(np.min(-cur[neg] / dlt[neg])))
-            for blk, (X, Zinv, LX, LZ) in zip(ii.psd, blk_state):
-                for L, dlt in ((LX, blk.mat(dx[blk.sl])), (LZ, blk.mat(dz[blk.sl]))):
-                    lmin = _min_eig_ratio(L, dlt)
-                    if lmin < 0:
-                        a = min(a, -1.0 / lmin)
+            for grp, (_, _, Linv) in zip(ii.groups, scal):
+                a = min(a, _psd_step_limit(Linv, grp.mats(dx, dz)))
             return a
 
         # predictor (affine scaling direction)
@@ -479,12 +545,13 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
 
         # corrector (combined direction)
         rc = np.zeros(n)
-        for blk, (X, Zinv, _, _) in zip(ii.psd, blk_state):
-            dZ = blk.mat(dza[blk.sl])
-            dX = blk.mat(dxa[blk.sl])
+        for grp, (X, Zinv, _) in zip(ii.groups, scal):
+            k = len(grp.members)
+            dZX = grp.mats(dza, dxa)
+            dZ, dX = dZX[:k], dZX[k:]
             corr = Zinv @ dZ @ dX
-            tgt = sigma * mu * Zinv - X - 0.5 * (corr + corr.T)
-            rc[blk.sl] = blk.svec(0.5 * (tgt + tgt.T))
+            tgt = sigma * mu * Zinv - X - 0.5 * (corr + corr.transpose(0, 2, 1))
+            grp.put(rc, 0.5 * (tgt + tgt.transpose(0, 2, 1)))
         if ii.lp.size:
             xl, zl = x[ii.lp], z[ii.lp]
             rc[ii.lp] = (sigma * mu - xl * zl - dxa[ii.lp] * dza[ii.lp]) / zl

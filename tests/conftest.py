@@ -53,6 +53,29 @@ def localizing_matrix(L, q, k):
     return M
 
 
+def audit_y_points_on_quadratic_set(index_set):
+    """The y-sweep of the grid audit on a 2-D quadratic set, one direction
+    at a time with scalar evaluations of phi: y0, then per direction d the
+    points y0 + frac * t_edge * d, t_edge the step to the boundary."""
+    y0 = index_set.representative_point()
+    angles = np.linspace(0.0, 2.0 * np.pi, 2000, endpoint=False)
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+    phi = index_set.phi
+    f0 = phi(y0)
+    pts = [y0]
+    for d in dirs:
+        fp, fm = phi(y0 + d), phi(y0 - d)
+        a = 0.5 * (fp + fm) - f0
+        b = 0.5 * (fp - fm)
+        if a < -1e-12:
+            t_edge = (-b - np.sqrt(max(b * b - 4.0 * a * f0, 0.0))) / (2.0 * a)
+        else:
+            t_edge = 10.0
+        for frac in (0.5, 0.8, 0.95, 1.0):
+            pts.append(y0 + (frac * t_edge) * d)
+    return np.array(pts)
+
+
 @pytest.fixture(scope="session")
 def case1_run():
     prob, opts = instances.case1_problem()

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsipp import instances
+from fsipp import certify, instances
 from fsipp.certify import (active_sets, certify_point, feasibility_check,
                            kkt_residual, lower_level_solve, nnls,
                            sos_convexity_check)
-from fsipp.moment import MomentFunctional
+from fsipp.moment import MomentFunctional, SosBounded, membership_margin
 from fsipp.poly import Polynomial
 
 from conftest import apply_functional
@@ -139,6 +139,87 @@ def test_sos_convexity_rejects_concave_and_indefinite():
 
 def test_sos_convexity_rejects_the_bundled_convex_sextic():
     assert sos_convexity_check(instances.convex_sextic_poly()) is False
+
+
+def _packaged_quadratics():
+    """Every quadratic datum of the packaged and planted instances: f, -g,
+    the constraints and slices of p at sampled index points."""
+    singles = [make()[0] for make in (
+        instances.case1_problem, instances.case2_problem,
+        instances.case3_problem, instances.case4_problem,
+        instances.quarter_circle_problem)]
+    singles += [instances.planted_convex_quadratic(s)[0] for s in range(16)]
+    data = [(prob.f, prob.g, prob.psis, prob.p, prob.index_set)
+            for prob in singles]
+    for make in (instances.biobjective_case1, instances.biobjective_case2,
+                 instances.biobjective_case3, instances.biobjective_case4):
+        mprob = make()[0]
+        for f, g in mprob.objectives:
+            data.append((f, g, mprob.psis, mprob.p, mprob.index_set))
+    polys = []
+    for f, g, psis, p, index_set in data:
+        polys += [f, g.scale(-1.0), *psis]
+        polys += [p.substitute_y(y) for y in index_set.sample_points(3)]
+    return [h for h in polys if h.degree == 2]
+
+
+def _random_quadratics(count: int):
+    """Quadratics in 1-4 variables, half with a PSD Hessian and half
+    indefinite, each with its smallest normalized eigenvalue at least 0.05
+    away from zero."""
+    rng = np.random.default_rng(19)
+    out = []
+    while len(out) < count:
+        m = int(rng.integers(1, 5))
+        V = np.linalg.qr(rng.normal(size=(m, m)))[0]
+        lam = rng.uniform(0.1, 3.0, size=m) * 10.0 ** rng.integers(-2, 3)
+        if len(out) % 2:
+            lam[0] = -rng.uniform(0.1, 1.0) * lam.max()
+        H = V @ np.diag(lam) @ V.T
+        terms = {(0,) * m: float(rng.normal())}
+        for i in range(m):
+            e = [0] * m
+            e[i] = 1
+            terms[tuple(e)] = float(rng.normal())
+            for j in range(i, m):
+                e = [0] * m
+                e[i] += 1
+                e[j] += 1
+                terms[tuple(e)] = float(H[i, i] / 2 if i == j else H[i, j])
+        h = Polynomial(m, terms)
+        if abs(certify._sos_convexity_margin(h)) >= 0.05:
+            out.append(h)
+    return out
+
+
+def _hessian_form(h: Polynomial) -> Polynomial:
+    """z^T H z for the constant Hessian H of a quadratic, in z alone."""
+    H = h.hessian_at(np.zeros(h.nvars))
+    terms = {}
+    for i in range(h.nvars):
+        for j in range(h.nvars):
+            e = [0] * h.nvars
+            e[i] += 1
+            e[j] += 1
+            terms[tuple(e)] = terms.get(tuple(e), 0.0) + float(H[i, j])
+    return Polynomial(h.nvars, {e: c for e, c in terms.items() if c != 0.0})
+
+
+def test_quadratic_sos_convexity_margin_matches_the_membership_sdp():
+    # A quadratic's margin is read off the normalized Hessian without an
+    # SDP.  The moment-layer SDP for the Hessian form in SosBounded(2) has
+    # the same normalization, but its Gram basis also holds the constant
+    # monomial, whose diagonal entry is -t: its margin is min(t*, 0).
+    quads = _packaged_quadratics()
+    assert len(quads) >= 40
+    signs = set()
+    for h in quads + _random_quadratics(50):
+        margin = certify._sos_convexity_margin(h)
+        t_ref, _ = membership_margin(_hessian_form(h), SosBounded(2))
+        assert abs(min(margin, 0.0) - t_ref) <= 1e-6, h
+        assert sos_convexity_check(h) is bool(t_ref >= -1e-7)
+        signs.add(margin > 0)
+    assert signs == {False, True}
 
 
 @settings(deadline=None, max_examples=20)

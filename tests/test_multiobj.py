@@ -9,9 +9,9 @@ from fsipp import multiobj
 from fsipp.multiobj import (MultiFsippProblem, efficiency_audit,
                             epsilon_constraint_solve, image_grid, scalarize)
 from fsipp.poly import BivariatePoly, Polynomial
-from fsipp.relax import Interval, RelaxOptions
+from fsipp.relax import Interval, QuadraticSet, RelaxOptions
 
-from conftest import AUDIT_BOXES
+from conftest import AUDIT_BOXES, audit_y_points_on_quadratic_set
 
 
 def _identical_pair_problem():
@@ -148,6 +148,40 @@ def test_audit_matches_the_full_sweep_verdict(bio_runs):
     # candidates survived the scalar checks, and the sweep both kept one
     # (verdict False) and rejected them all (verdict True)
     assert sweep_decided == {False, True}
+
+
+def test_audit_y_points_match_the_scalar_sweep():
+    """The vectorized y-sweep on a quadratic set returns the scalar loop's
+    points: bit for bit on every packaged index set, and to the last few
+    bits on random ones, where CPython's float ** 2 (C pow) and numpy's
+    x * x can round phi differently."""
+    packaged = [make()[0].index_set for make in (
+        instances.biobjective_case2, instances.biobjective_case4,
+        instances.case2_problem, instances.case4_problem)]
+    for index_set in packaged:
+        assert isinstance(index_set, QuadraticSet)
+        assert np.array_equal(multiobj._audit_y_points(index_set),
+                              audit_y_points_on_quadratic_set(index_set))
+    rng = np.random.default_rng(8)
+    for trial in range(12):
+        c = rng.normal(size=2)
+        B = rng.normal(size=(2, 2))
+        Q = B @ B.T + 0.1 * np.eye(2)
+        if trial % 3 == 0:  # indefinite: some directions never leave Y
+            Q -= 1.2 * np.linalg.eigvalsh(Q)[0] * np.eye(2)
+            Q[1, 1] -= 3.0
+        r2 = rng.uniform(0.1, 4.0)
+        Qc = Q @ c
+        phi = Polynomial(2, {(2, 0): -Q[0, 0], (1, 1): -2.0 * Q[0, 1],
+                             (0, 2): -Q[1, 1], (1, 0): 2.0 * Qc[0],
+                             (0, 1): 2.0 * Qc[1], (0, 0): r2 - c @ Qc})
+        index_set = QuadraticSet(phi, tuple(c))
+        got = multiobj._audit_y_points(index_set)
+        want = audit_y_points_on_quadratic_set(index_set)
+        assert got.shape == want.shape == (8001, 2)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        unbounded = np.isclose(np.linalg.norm(want - c, axis=1), 10.0)
+        assert unbounded.any() == (trial % 3 == 0)
 
 
 def test_image_grid_shapes_flags_and_determinism():

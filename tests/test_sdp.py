@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from fsipp import instances
 from fsipp.multiobj import scalarize
@@ -258,21 +259,60 @@ def test_cholesky_cone_test_alone_keeps_iterates_inside(monkeypatch):
     # Cholesky cone test and its backtracking keep the steps inside the PSD
     # cone; jitter is for the Schur matrix (one row per constraint) alone.
     problems = [(diag_trace_problem(), TOL), identical_stage1_sdp()]
-    jittered = []
+    jittered, unbounded = [], []
     chol_jitter = solver._chol_jitter
 
     def spy(mat):
         jittered.append(mat.shape[0])
         return chol_jitter(mat)
 
+    def no_bound(Linv, delta):
+        unbounded.append(len(delta))
+        return np.inf
+
     monkeypatch.setattr(solver, "_chol_jitter", spy)
-    monkeypatch.setattr(solver, "_min_eig_ratio", lambda L, delta: 0.0)
+    monkeypatch.setattr(solver, "_psd_step_limit", no_bound)
     for prob, tol in problems:
         jittered.clear()
+        unbounded.clear()
         sol = solve(prob, tol=tol)
         assert sol.status == "Optimal"
         assert check_solution(prob, sol)["primal_cone"] == 0.0
         assert set(jittered) == {prob.A.shape[0]}
+        # the patched bound stood in for every PSD step bound
+        assert len(unbounded) >= 2 * sol.iterations
+
+
+def test_batched_step_bound_equals_the_per_block_eigenvalue():
+    # The step to the PSD boundary from X = L L^T along delta is -1/lambda
+    # for lambda the smallest eigenvalue of L^-1 delta L^-T, here computed
+    # block by block with triangular solves.
+    rng = np.random.default_rng(23)
+    for dim in (1, 2, 6, 28):
+        R = rng.normal(size=(4, dim, dim))
+        L = np.linalg.cholesky(R @ R.transpose(0, 2, 1) + 0.1 * np.eye(dim))
+        Linv = np.array([sla.lapack.dtrtri(f, lower=1)[0] for f in L])
+        S = rng.normal(size=(4, dim, dim))
+        deltas = S + S.transpose(0, 2, 1)
+        # smallest eigenvalue -1, the others of either sign
+        deltas -= (np.linalg.eigvalsh(deltas)[:, :1, None] + 1.0) * np.eye(dim)
+        deltas[0] = S[0] @ S[0].T  # PSD: no bound from this block
+        limits = []
+        for f, fi, delta in zip(L, Linv, deltas):
+            s = sla.solve_triangular(f, delta, lower=True)
+            s = sla.solve_triangular(f, s.T, lower=True)
+            lmin = np.linalg.eigvalsh(0.5 * (s + s.T))[0]
+            got = solver._psd_step_limit(fi[None], delta[None])
+            if lmin < 0:
+                assert -1.0 / got == pytest.approx(lmin, rel=1e-10)
+                limits.append(got)
+            else:
+                assert got == np.inf
+        assert len(limits) == 3
+        assert solver._psd_step_limit(Linv, deltas) == min(limits)
+        assert solver._psd_step_limit(Linv, deltas[:1]) == np.inf
+        psd = S @ S.transpose(0, 2, 1)
+        assert solver._psd_step_limit(Linv, psd) == np.inf
 
 
 def test_quarter_circle_order_four_iterations_and_values():
@@ -346,6 +386,33 @@ def test_schur_over_touched_rows_equals_the_full_row_formula():
     M = solver._schur(ii, blk_state, d_lp)
     assert M.flags.f_contiguous
     assert np.array_equal(M, full_row_schur(ii, blk_state, d_lp))
+
+
+def test_schur_sums_shared_nonnegative_columns_in_order():
+    # Rows sharing several nonnegative or free columns: the nonnegative part
+    # of M must be the same floating-point sum as scipy's sparse product,
+    # which adds a pair's terms in increasing column order.
+    rng = np.random.default_rng(29)
+    b = SdpBuilder()
+    X, v, f = b.psd_block(2), b.nonneg_block(9), b.free_block(3)
+    b.set_objective(X.entry(0, 0) + X.entry(1, 1))
+    for r in range(40):
+        row = X.entry(r % 2, r % 2)
+        for j in rng.choice(9, size=int(rng.integers(1, 8)), replace=False):
+            row += v.entry(int(j), float(rng.normal() * 10.0 ** rng.integers(-3, 4)))
+        if r % 3:
+            row += f.entry(r % 3, float(rng.normal()))
+        b.add_equality(row, float(rng.normal()))
+    ii = solver._Internal(b.build())
+    touches = (abs(ii.A_lp) > 0).astype(float)
+    shared = (touches @ touches.T).toarray()
+    np.fill_diagonal(shared, 0.0)
+    assert shared.max() >= 5  # pairs of rows with several shared terms
+    blk_state = [(np.eye(2), np.eye(2))]
+    for _ in range(5):
+        d_lp = 10.0 ** rng.uniform(-6, 6, size=ii.lp.size)
+        M = solver._schur(ii, blk_state, d_lp)
+        assert np.array_equal(M, full_row_schur(ii, blk_state, d_lp))
 
 
 def test_schur_cholesky_retries_rebuild_the_matrix_it_overwrote():
