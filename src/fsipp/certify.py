@@ -87,7 +87,10 @@ def minimize_on_semialgebraic(h: Polynomial, gens, k: int,
 
     Returns (bound, L, cert, atoms): the relaxation lower bound, the optimal
     functional, a flat-truncation certificate (or None), and extracted
-    atoms (or None).
+    atoms (or None).  The SDP is solved to a tenth of ``rank_tol`` when that
+    is tighter than ``sdp_tol``: the moment matrix's vanishing singular
+    values are of the size of the solver's residuals, so a rank threshold
+    no larger than the solver tolerance would rest on rounding luck.
     """
     builder = SdpBuilder()
     mv = MomentVarMap(builder, h.nvars, k)
@@ -97,7 +100,7 @@ def minimize_on_semialgebraic(h: Polynomial, gens, k: int,
     builder.add_equality(mv.lin(one), 1.0)
     builder.set_objective(mv.lin_poly(h))
     prob_sdp = builder.build()
-    sol = solve(prob_sdp, tol=sdp_tol)
+    sol = solve(prob_sdp, tol=min(sdp_tol, 0.1 * rank_tol))
     if sol.status == "PrimalInfeasible":
         raise NumericalTroubleError(
             f"moment relaxation infeasible at order {k}: empty index set?")

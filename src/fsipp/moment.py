@@ -5,11 +5,12 @@ matrices, cone descriptions for the reformulations, and the
 compilers that turn cone membership (Gram side) or dual-cone membership
 (moment side) into blocks and equality rows of an SDP.
 
-Moment-side variables use a *canonical entry* embedding: the values of a
-truncated functional live inside its own moment matrix block.  Each
-monomial of degree <= 2k owns one designated entry of the order-k moment
-matrix; every other entry that must carry the same value is tied to the
-designated one by an equality row.  This avoids free blocks entirely.
+On the moment side the truncated moment vector (L(x^a) for |a| <= 2k) is
+a vector of free SDP variables, as in Lasserre's formulation and
+GloptiPoly: the moment matrix and every localizing matrix are linear in
+it, so they are the diagonal blocks of one linear matrix inequality (an
+``LmiBlock``), and no equality row is spent on restating that a matrix
+entry is a moment.
 """
 
 from __future__ import annotations
@@ -335,66 +336,53 @@ def is_member(target: Polynomial, cone: ConeSpec, threshold: float = 1e-7) -> bo
 
 
 class MomentVarMap:
-    """A truncated moment functional embedded in SDP variables.
+    """A truncated moment functional as SDP variables.
 
-    The order-k moment matrix is one PSD block; entry (i, j) carries
-    L(b_i * b_j).  Each monomial of N^m_{2k} owns a canonical entry; all
-    aliases are tied to it with equality rows at construction.
+    The moments L(x^a), |a| <= 2k, are the free vector of one LMI block, in
+    graded-lex order of a.  Its first diagonal block is the order-k moment
+    matrix, entry (i, j) = L(b_i * b_j); :meth:`add_localizing` appends
+    localizing matrices.
     """
 
     def __init__(self, builder: SdpBuilder, nvars: int, order: int):
-        self.builder = builder
         self.nvars = nvars
         self.order = order
-        self.basis = MonomialBasis(nvars, order)
-        self.block = builder.psd_block(self.basis.size)
-        self.canon: dict[tuple, tuple[int, int]] = {}
-        mons = self.basis.monomials
-        for j in range(len(mons)):
-            for i in range(j, len(mons)):
-                mono = _add(mons[i], mons[j])
-                if mono in self.canon:
-                    ci, cj = self.canon[mono]
-                    if (ci, cj) != (i, j):
-                        builder.add_equality(
-                            self.block.entry(i, j) - self.block.entry(ci, cj))
-                else:
-                    self.canon[mono] = (i, j)
+        self.monomials = monomials_up_to(nvars, 2 * order)
+        self.position = {m: i for i, m in enumerate(self.monomials)}
+        self.block = builder.lmi_block(len(self.monomials))
+        self.add_localizing(Polynomial.constant(nvars, 1.0))
 
     def lin(self, mono: tuple) -> LinExpr:
         """The SDP variable carrying L(x^mono)."""
-        i, j = self.canon[tuple(mono)]
-        return self.block.entry(i, j)
+        return self.block.entry(self.position[tuple(mono)])
 
     def lin_poly(self, poly: Polynomial) -> LinExpr:
-        """Affine expression for L(poly)."""
+        """Linear expression for L(poly)."""
         expr = LinExpr()
         for m, c in poly.terms.items():
-            i, j = self.canon[m]
-            expr.add_term(self.block.entry_index(i, j), c)
+            expr.add_term(self.block.index(self.position[m]), c)
         return expr
 
-    def add_localizing(self, q: Polynomial):
-        """A PSD block pinned to the localizing matrix of q, rows
-        N^m_{order - ceil(deg q / 2)}."""
+    def add_localizing(self, q: Polynomial) -> int:
+        """Append the localizing matrix of q, entry (i, j) = L(q b_i b_j)
+        over N^m_{order - ceil(deg q / 2)}, to the LMI; returns its
+        position among the block's matrices."""
         half = (int(q.degree) + 1) // 2
-        rows = MonomialBasis(self.nvars, self.order - half)
-        h = self.builder.psd_block(rows.size)
-        for j, bj in enumerate(rows.monomials):
-            for i in range(j, rows.size):
-                prod = _add(rows.monomials[i], bj)
-                expr = h.entry(i, j)
-                for dexp, dcoef in q.terms.items():
-                    ci, cj = self.canon[_add(prod, dexp)]
-                    expr.add_term(self.block.entry_index(ci, cj), -dcoef)
-                self.builder.add_equality(expr)
-        return h
+        rows = MonomialBasis(self.nvars, self.order - half).monomials
+        entries = {}
+        for j, bj in enumerate(rows):
+            for i in range(j, len(rows)):
+                prod = _add(rows[i], bj)
+                expr = entries[i, j] = LinExpr()
+                for d, c in q.terms.items():
+                    expr.add_term(self.block.index(self.position[_add(prod, d)]), c)
+        return self.block.add_matrix(len(rows), entries)
 
     def read(self, x: np.ndarray) -> MomentFunctional:
         """Recover the functional from a scalarized solution vector."""
-        vals = {m: x[self.block.entry_index(i, j)]
-                for m, (i, j) in self.canon.items()}
-        return MomentFunctional(self.nvars, self.order, vals)
+        w = x[self.block.offset:self.block.offset + self.block.dim]
+        return MomentFunctional(self.nvars, self.order,
+                                dict(zip(self.monomials, w)))
 
     def read_solution(self, prob, sol) -> MomentFunctional:
         """Recover the functional from a solved problem's block values."""
@@ -411,6 +399,6 @@ def dual_cone_blocks(momvar: MomentVarMap, cone: ConeSpec) -> list:
 
 
 def poly_image_in_y_sym(momvar: MomentVarMap, p) -> dict:
-    """Symbolic version: map y-monomial -> LinExpr over momvar entries."""
+    """Map y-monomial -> LinExpr over the moments: y -> L(p(., y))."""
     return {ymono: momvar.lin_poly(slice_x)
             for ymono, slice_x in p.slices.items()}

@@ -3,7 +3,9 @@
 ``SdpBuilder`` hands out block handles whose entries are addressed by
 global scalar indices (see :mod:`.model` for the layout), collects sparse
 equality rows and an objective as ``LinExpr`` affine expressions, and
-finally assembles an :class:`~.model.SdpProblem`.
+finally assembles an :class:`~.model.SdpProblem`.  An LMI block's handle
+also collects the diagonal blocks of its matrix inequality, each entry a
+``LinExpr`` over the block's own variables.
 """
 
 from __future__ import annotations
@@ -11,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .model import FreeBlock, NonnegBlock, PsdBlock, SdpProblem, tri_index
+from .model import (FreeBlock, LmiBlock, NonnegBlock, PsdBlock, SdpProblem,
+                    tri_index)
 
 
 class LinExpr:
@@ -104,6 +107,37 @@ class VecHandle:
         return LinExpr.term(self.index(i), coef)
 
 
+class LmiHandle(VecHandle):
+    """Addresses the free vector w of one LMI block and collects the
+    diagonal blocks of its inequality S(w) >= 0."""
+
+    __slots__ = ("dims", "maps")
+
+    def __init__(self, offset: int, dim: int):
+        super().__init__(offset, dim)
+        self.dims: list[int] = []
+        self.maps: list[sp.csr_matrix] = []
+
+    def add_matrix(self, dim: int, entries: dict) -> int:
+        """Append a dim x dim diagonal block; ``entries`` maps (i, j),
+        i >= j, to a LinExpr over this block's entries (constant zero).
+        Returns the block's position."""
+        rows, cols, vals = [], [], []
+        for (i, j), expr in entries.items():
+            if expr.const != 0.0:
+                raise ValueError("LMI entries are linear in w (no constant)")
+            for k, v in expr.coeffs.items():
+                rows.append(tri_index(i, j))
+                cols.append(k - self.offset)
+                vals.append(v)
+        if cols and not 0 <= min(cols) <= max(cols) < self.dim:
+            raise IndexError("LMI entry refers to a variable outside its block")
+        self.dims.append(dim)
+        self.maps.append(sp.csr_matrix((vals, (rows, cols)),
+                                       shape=(dim * (dim + 1) // 2, self.dim)))
+        return len(self.dims) - 1
+
+
 class SdpBuilder:
     def __init__(self):
         self.blocks = []
@@ -130,6 +164,13 @@ class SdpBuilder:
         h = VecHandle(self._offset, dim)
         self.blocks.append(FreeBlock(dim))
         self._offset += dim
+        return h
+
+    def lmi_block(self, nvars: int) -> LmiHandle:
+        """A free vector whose matrix inequality is added on the handle."""
+        h = LmiHandle(self._offset, nvars)
+        self.blocks.append(h)  # becomes an LmiBlock in build()
+        self._offset += nvars
         return h
 
     # -- rows and objective -------------------------------------------------
@@ -161,4 +202,6 @@ class SdpBuilder:
              np.array(indptr, dtype=np.int64)),
             shape=(len(self.rows), n),
         )
-        return SdpProblem(self.blocks, c, A, np.array(self.rhs, dtype=float))
+        blocks = [LmiBlock(bl.dim, tuple(bl.dims), tuple(bl.maps))
+                  if isinstance(bl, LmiHandle) else bl for bl in self.blocks]
+        return SdpProblem(blocks, c, A, np.array(self.rhs, dtype=float))

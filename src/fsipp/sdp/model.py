@@ -15,8 +15,16 @@ product of cones:
   entries are a single variable).
 * ``NonnegBlock(r)`` -- a vector of r nonnegative scalars.
 * ``FreeBlock(t)``   -- a vector of t unconstrained scalars.
+* ``LmiBlock``       -- a vector w of unconstrained scalars subject to a
+  linear matrix inequality S(w) = sum_a w_a F_a >= 0, S block diagonal.
+  There is no constant term: moment and localizing matrices are linear in
+  the moments.  Each diagonal block is given by a sparse map from w to its
+  entries, in the PsdBlock scalarization (entry values, not functionals).
 
 Constraints and the objective are stored over this common scalar indexing.
+The conic dual of an LmiBlock is a PSD matrix Z_S per diagonal block, tied
+to the block's columns of the equality rows by  B^T lam + F*(Z_S) = c_w,
+with F*(Z)_a = <F_a, Z>.
 """
 
 from __future__ import annotations
@@ -54,7 +62,43 @@ class FreeBlock:
         return self.dim
 
 
-Block = PsdBlock | NonnegBlock | FreeBlock
+@dataclass(frozen=True, eq=False)
+class LmiBlock:
+    """Free vector w of length ``nvars`` with S(w) = sum_a w_a F_a >= 0.
+
+    ``dims`` are the sizes of S's diagonal blocks; ``maps[i]`` is a sparse
+    (dims[i] (dims[i] + 1) / 2, nvars) matrix taking w to the lower
+    triangle, row-major, of diagonal block i.
+    """
+
+    nvars: int
+    dims: tuple
+    maps: tuple
+
+    @property
+    def scalar_size(self) -> int:
+        return self.nvars
+
+    def matrices(self, w: np.ndarray) -> list[np.ndarray]:
+        """The diagonal blocks of S(w)."""
+        out = []
+        for d, F in zip(self.dims, self.maps):
+            m = np.zeros((d, d))
+            ti, tj = tri_indices(d)
+            m[ti, tj] = m[tj, ti] = F @ w
+            out.append(m)
+        return out
+
+    def adjoint(self, mats) -> np.ndarray:
+        """F*(Z): the vector <F_a, Z> over the diagonal blocks Z."""
+        out = np.zeros(self.nvars)
+        for d, F, Z in zip(self.dims, self.maps, mats):
+            ti, tj = tri_indices(d)
+            out += F.T @ (np.where(ti == tj, 1.0, 2.0) * np.asarray(Z)[ti, tj])
+        return out
+
+
+Block = PsdBlock | NonnegBlock | FreeBlock | LmiBlock
 
 
 def tri_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -164,49 +208,62 @@ class SdpSolution:
     dual_point: np.ndarray = field(default_factory=lambda: np.zeros(0))
     iterations: int = 0
     residuals: dict = field(default_factory=dict)  # primal / dual / gap
+    # per diagonal block of each LmiBlock, in block order: the slack S the
+    # solver kept inside the cone (S = F(w) up to the primal residual) and
+    # the dual matrix Z_S
+    lmi_slacks: list = field(default_factory=list)
+    lmi_duals: list = field(default_factory=list)
 
 
 def check_solution(prob: SdpProblem, sol: SdpSolution) -> dict:
     """Recompute residuals from the returned points, independent of the solver.
 
     Returns raw (unnormalized) measures:
-      primal      -- inf-norm of A x - b
-      dual        -- worst cone violation of the dual slack c - A^T lam
+      primal      -- inf-norm of A x - b, and of S - F(w) on each LmiBlock
+      dual        -- worst cone violation of the dual slack c - A^T lam; on
+                     an LmiBlock, of Z_S and the inf-norm residual of
+                     B^T lam + F*(Z_S) = c_w
       gap         -- |<c, x> - <b, lam>|
-      primal_cone -- worst cone violation of x
+      primal_cone -- worst cone violation of x; on an LmiBlock, of S
+                     (S = F(w) when the solution carries no slack)
     """
     x = prob.scalarize(sol.primal_point)
     lam = np.asarray(sol.dual_point, dtype=float)
     r_eq = prob.A @ x - prob.b
     primal = float(np.max(np.abs(r_eq))) if r_eq.size else 0.0
 
-    def cone_violation(coeffs: np.ndarray) -> float:
-        worst = 0.0
-        for bl, val in zip(prob.blocks, prob.functional_as_matrices(coeffs)):
-            if isinstance(bl, PsdBlock):
-                w = float(max(0.0, -np.linalg.eigvalsh(val)[0])) if bl.dim else 0.0
-            elif isinstance(bl, NonnegBlock):
-                w = float(max(0.0, -val.min())) if bl.dim else 0.0
-            else:  # FreeBlock: primal side unconstrained, dual slack must vanish
-                w = float(np.max(np.abs(val))) if bl.dim else 0.0
-            worst = max(worst, w)
-        return worst
-
-    # primal cone violation (Free blocks are unconstrained)
-    worst_x = 0.0
-    for bl, val in zip(prob.blocks, sol.primal_point):
-        if isinstance(bl, PsdBlock):
-            w = float(max(0.0, -np.linalg.eigvalsh(np.asarray(val))[0]))
-        elif isinstance(bl, NonnegBlock):
-            w = float(max(0.0, -np.min(val))) if bl.dim else 0.0
-        else:
-            w = 0.0
-        worst_x = max(worst_x, w)
+    def psd_violation(mats) -> float:
+        return max((max(0.0, -float(np.linalg.eigvalsh(m)[0]))
+                    for m in mats if len(m)), default=0.0)
 
     slack = prob.objective - prob.A.T @ lam
+    slacks, duals = iter(sol.lmi_slacks), iter(sol.lmi_duals)
+    worst_x = worst_z = 0.0
+    for bl, val, sv in zip(prob.blocks, sol.primal_point,
+                           prob.functional_as_matrices(slack)):
+        if not bl.scalar_size:
+            continue
+        if isinstance(bl, PsdBlock):
+            wx, wz = psd_violation([val]), psd_violation([sv])
+        elif isinstance(bl, NonnegBlock):
+            wx = max(0.0, -float(np.min(val)))
+            wz = max(0.0, -float(np.min(sv)))
+        elif isinstance(bl, FreeBlock):  # dual slack must vanish
+            wx, wz = 0.0, float(np.max(np.abs(sv)))
+        else:  # LmiBlock
+            F = bl.matrices(np.asarray(val, dtype=float))
+            S = [next(slacks) for _ in F] if sol.lmi_slacks else F
+            Z = [next(duals) for _ in F]
+            primal = max([primal] + [float(np.max(np.abs(s - f)))
+                                     for s, f in zip(S, F)])
+            wx = psd_violation(S)
+            wz = max(psd_violation(Z),
+                     float(np.max(np.abs(sv - bl.adjoint(Z)))))
+        worst_x, worst_z = max(worst_x, wx), max(worst_z, wz)
+
     return {
         "primal": primal,
-        "dual": cone_violation(slack),
+        "dual": worst_z,
         "gap": float(abs(prob.objective @ x - prob.b @ lam)),
         "primal_cone": worst_x,
     }

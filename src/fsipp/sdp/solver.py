@@ -2,16 +2,20 @@
 
 The problem
 
-    min <c, x>   s.t.  A x = b,  x in K
+    min <c, x>   s.t.  A x = b,  x in K,  S = F(w) >= 0
 
 (K a product of PSD cones and a nonnegative orthant; free variables are
-split into differences of nonnegative pairs) is embedded in the standard
-homogeneous self-dual model with variables (x, lam, z, tau, kappa):
+split into differences of nonnegative pairs; w the free vectors of the LMI
+blocks, which the rows may touch too) is embedded in the standard
+homogeneous self-dual model with variables (x, lam, z, tau, kappa), plus
+S and its dual Z_S for the LMI blocks:
 
-    A x - b tau                 = 0
-    -A^T lam + c tau - z        = 0
-    b.lam - c.x - kappa         = 0
-    x in K, z in K*, tau, kappa >= 0.
+    A x - b tau                         = 0
+    -A^T lam + c tau - z                = 0   (z = 0 on the w columns)
+    S - F(w)                            = 0
+    -B^T lam + c_w tau - F*(Z_S)        = 0   (B the rows' w columns)
+    b.lam - c.x - kappa                 = 0
+    x in K, z in K*, S, Z_S >= 0, tau, kappa >= 0.
 
 Search directions are Newton steps on the complementarity conditions in
 scaled form (dX + sym(Z^-1 dZ X) = rhs), i.e. the HKM direction, driven by
@@ -25,21 +29,38 @@ every solve with M reuses that Fortran-ordered factor through the same
 LAPACK.  Everything is deterministic -- repeated runs produce bit-identical
 iterates.
 
+An LMI block is linearized the way SDPA treats its dual slack (the dual
+HKM direction): dZ_S = rc_S - sym(Z_S dS S^-1) with dS = F(dw) + (F(w) -
+S), so the w rows read  H dw = F*(rc_S - sym(Z_S (F(w) - S) S^-1)) +
+(B^T dlam - c_w dtau - r_w)  with
+
+    H = sum_j F_j^T (Z_S (x) S^-1) F_j,   H_ab = <F_a, sym(S^-1 F_b Z_S)>,
+
+an N x N matrix (N the length of w) assembled per LMI diagonal block like
+M.  Then w enters the elimination as a column with W = H^-1, and only the
+reduced Schur matrix M = A_G W A_G^T + B H^-1 B^T over the p equality rows
+is factored; the LMI's own entries add no row.  Internally S and Z_S sit
+in slots after the columns the rows touch, with their roles swapped (Z_S
+in x, S in z): the dual HKM scaling of (S, Z_S) is the HKM scaling of
+(Z_S, S), so the stacking, the cone test, the step bound and the corrector
+treat the slots as PSD blocks.
+
 Most SDPs fsipp solves are tiny, so the fixed cost of an iteration is kept
 small.  PSD blocks of equal dimension are stacked: reading them out of x
 or z, the Cholesky cone test, the W products and the corrector take one
-numpy call per dimension.  The step to the PSD boundary is -1 over the
+numpy call per dimension (LMI slots stacked apart from ordinary blocks).
+The step to the PSD boundary is -1 over the
 smallest eigenvalue of L^-1 dX L^-T (and of its Z counterpart), with L the
 accepted Cholesky factor; the inverse factors are formed once per
 iteration by LAPACK and serve the predictor and the corrector, and the
 eigenvalues come from one stacked ``eigvalsh`` per dimension.  Z^-1 and
-the solves with M call LAPACK directly.  The stop test reads its residuals
-off r_p and r_d (r_p / tau = A x / tau - b, -r_d / tau = A^T lam / tau +
-z / tau - c), and A, A^T and the rows each block touches are assembled
-once per solve by numpy.
+the solves with M and H call LAPACK directly.  The stop test reads its
+residuals off r_p, S - F(w) and r_d (r_p / tau = A x / tau - b, -r_d /
+tau = A^T lam / tau + z / tau - c), and A, A^T, F and the rows each block
+touches are assembled once per solve by numpy.
 
 Near a degenerate optimum (no strict complementarity, as in the exact
-Case1 moment SDPs) W and M grow very ill-conditioned.  Three safeguards
+Case1 moment SDPs) W, H and M grow very ill-conditioned.  Three safeguards
 keep the iterates accurate there:
 
 * the elimination solves for M^-1 b apart from M^-1 A W c, and forms its
@@ -50,10 +71,11 @@ keep the iterates accurate there:
   linearised system, A dx - b dtau = -r_p, and refined with the factored M
   (a few passes at most) while it misses that row by more than a tenth of
   |r_p| or of the residual that the stop test accepts;
-* the step is shortened until every PSD block of the trial point passes a
-  plain Cholesky factorization, so every accepted iterate lies strictly
-  inside the cone; the accepted factors are reused at the next iteration.
-  Only M is ever factored with diagonal jitter.
+* the step is shortened until every PSD block of the trial point (X, Z,
+  S and Z_S) passes a plain Cholesky factorization, so every accepted
+  iterate lies strictly inside the cone; the accepted factors are reused
+  at the next iteration.  Only M and H are ever factored with diagonal
+  jitter, which a pivot test relative to each diagonal entry triggers.
 
 Internally symmetric matrix variables are scaled vectorizations (off
 diagonals carry sqrt(2)) so that inner products of packed vectors equal
@@ -67,7 +89,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .model import FreeBlock, PsdBlock, SdpProblem, SdpSolution, tri_indices
+from .model import FreeBlock, LmiBlock, PsdBlock, SdpProblem, SdpSolution, tri_indices
 
 _SQRT2 = float(np.sqrt(2.0))
 _REFINE_PASSES = 3    # refinement passes per Newton direction, at most
@@ -76,14 +98,18 @@ _REFINE_FRAC = 0.1    # refine while A dx - b dtau = -r_p is missed by more
 _BACKTRACK = 0.5      # step shrink factor while a trial point leaves the cone
 _MIN_STEP = 1e-12     # below this, no step into the cone interior was found
 _PANEL = 64           # rows per panel when symmetrizing the Schur matrix
+_EPS = float(np.finfo(float).eps)
 
 
 class _PsdData:
     """Static per-PSD-block data in internal (svec) coordinates.
 
-    Only the ``rows`` whose constraints touch the block enter its part of the
-    Schur complement: ``Asp`` and the symmetric constraint matrices ``T``
-    are kept for those rows alone.  ``runs`` splits the rows into maximal
+    A block is an ordinary PSD block, whose rows are equality rows, or a
+    diagonal block of an LMI, whose rows are the entries a of w and whose
+    constraint matrices are the F_a.  Only the ``rows`` that touch the
+    block enter its part of the Schur complement (M, or H for an LMI):
+    ``Asp`` and the symmetric constraint matrices ``T`` are kept for those
+    rows alone.  ``runs`` splits the rows into maximal
     ranges of consecutive indices, (lo, hi, position of lo in ``rows``), and
     ``rix`` indexes the rows in M (a slice when the block touches them all).
     """
@@ -121,12 +147,13 @@ class _PsdData:
 
 
 class _PsdGroup:
-    """The PSD blocks of one dimension, stacked.
+    """The PSD blocks of one dimension and kind, stacked.
 
     ``mats`` reads the blocks' symmetric matrices out of internal vectors as
     one (k, dim, dim) array per vector and ``put`` writes such a stack back,
     so the per-iteration matrix work takes one numpy call per dimension, not
-    one per block.  ``members`` are the blocks' positions in ``_Internal.psd``.
+    one per block.  ``members`` are the blocks' positions in ``_Internal.psd``
+    (or ``_Internal.lmi``).
     """
 
     __slots__ = ("dim", "members", "idx", "full", "wfull", "fij", "w", "eye")
@@ -172,12 +199,19 @@ def _chol_jitter(mat: np.ndarray) -> np.ndarray | None:
     """Cholesky factor of a symmetric Fortran-ordered matrix, computed in
     place by LAPACK with escalating diagonal jitter; None if hopeless.
 
-    The factor overwrites the lower triangle of ``mat`` and is returned for
-    LAPACK's ``dpotrs``.  The strict upper triangle is left alone,
-    so a failed attempt restores the matrix from it and the saved diagonal.
-    Used for the Schur matrix only, where refinement absorbs the shift.
-    Cone blocks are factored by plain :func:`_chol`, which doubles as the
-    membership test for the open cone.
+    A factor is accepted only when every pivot exceeds n * eps times the
+    diagonal entry it came from: below that, the pivot is what is left of
+    that entry after cancellation, rounding noise that merely came out
+    positive, and a solve with the factor is garbage.  The test is
+    invariant under diagonal scaling, so a graded matrix (moments of very
+    different sizes) that factors accurately is not jittered for the
+    spread of its pivots.  The factor overwrites the lower triangle of
+    ``mat`` and is returned for LAPACK's ``dpotrs``.  The strict upper
+    triangle is left alone, so a rejected attempt restores the matrix from
+    it and the saved diagonal.  Used for the Schur matrix and the LMI
+    matrix H only, where refinement absorbs the shift.  Cone blocks are
+    factored by plain :func:`_chol`, which doubles as the membership test
+    for the open cone.
     """
     n = mat.shape[0]
     diag = mat.diagonal().copy()
@@ -185,15 +219,17 @@ def _chol_jitter(mat: np.ndarray) -> np.ndarray | None:
     if base <= 0.0 or not np.isfinite(base):
         base = 1.0
     jit = 1e-14 * base
+    shifted = diag
     for attempt in range(7):
         if attempt:
             upper = np.triu(mat, 1)
             mat[...] = upper + upper.T
-            np.fill_diagonal(mat, diag + jit)
+            shifted = diag + jit
+            np.fill_diagonal(mat, shifted)
             jit *= 100.0
         L, info = sla.lapack.dpotrf(mat, lower=True, clean=False,
                                     overwrite_a=True)
-        if info == 0:
+        if info == 0 and np.all(np.square(L.diagonal()) > n * _EPS * shifted):
             return L
     return None
 
@@ -215,20 +251,24 @@ def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
 
 
 class _Internal:
-    """Problem in internal coordinates: svec PSD entries, split free vars.
+    """Problem in internal coordinates.
 
     Internal column j < ``num_scalars`` is model column j, divided by the
-    svec weight on PSD slots; each free column then gets a negated copy at
-    the end (u - v with u, v >= 0).  Numerically empty rows are dropped and
-    the others equilibrated.  Everything is assembled from the model's CSR
-    arrays by numpy, A and A^T once each.
+    svec weight on PSD slots; each free column then gets a negated copy
+    (u - v with u, v >= 0).  These n columns are the ones the equality rows
+    touch; an LMI block's vector w is among them, neither split nor signed.
+    After them come the LMI slots, one svec block per diagonal block of
+    each LMI, which hold Z_S in x and S in z (see the module docstring).
+    Numerically empty rows are dropped and the others equilibrated.
+    Everything is assembled from the model's CSR arrays by numpy, A and A^T
+    once each.
     """
 
     def __init__(self, prob: SdpProblem):
         nm = prob.num_scalars
         w = np.ones(nm)  # svec weight of each model column
         is_lp = np.ones(nm, dtype=bool)
-        psd_specs, free = [], []  # (offset, dim); free model columns
+        psd_specs, free, wcols, lmis = [], [], [], []
         for bl, sl in zip(prob.blocks, prob.block_slices()):
             if isinstance(bl, PsdBlock):
                 ti, tj = tri_indices(bl.dim)
@@ -237,10 +277,32 @@ class _Internal:
                 psd_specs.append((sl.start, bl.dim))
             elif isinstance(bl, FreeBlock):
                 free.append(np.arange(sl.start, sl.stop))
+            elif isinstance(bl, LmiBlock):
+                is_lp[sl] = False
+                wcols.append(np.arange(sl.start, sl.stop))
+                lmis.append(bl)
         self.w = w
         self.free = np.concatenate(free) if free else np.zeros(0, np.intp)
+        self.wcols = np.concatenate(wcols) if wcols else np.zeros(0, np.intp)
         self.n = n = nm + self.free.size
-        self.c = np.concatenate([prob.objective / w, -prob.objective[self.free]])
+
+        # LMI slots: F maps w to the slots' svec entries, F^T is its adjoint
+        lmi_specs, frows, fcols, fvals = [], [], [], []
+        off, woff = n, 0
+        for bl in lmis:
+            for d, Fm in zip(bl.dims, bl.maps):
+                coo = Fm.tocoo()
+                ti, tj = tri_indices(d)
+                frows.append(coo.col + woff)
+                fcols.append(coo.row + off)
+                fvals.append(coo.data * np.where(ti == tj, 1.0, _SQRT2)[coo.row])
+                lmi_specs.append((off, d))
+                off += d * (d + 1) // 2
+            woff += bl.nvars
+        self.ntot = ntot = off
+        self.slots = slice(n, ntot)
+        self.c = np.concatenate([prob.objective / w, -prob.objective[self.free],
+                                 np.zeros(ntot - n)])
 
         A = prob.A
         rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
@@ -270,21 +332,17 @@ class _Internal:
         vals = vals * (1.0 / scale)[rows]
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
-        self.A = _csr(rows, cols, vals, (p, n))
+        self.A = _csr(rows, cols, vals, (p, ntot))
         order = np.lexsort((rows, cols))
-        self.AT = _csr(cols[order], rows[order], vals[order], (n, p))
+        self.AT = _csr(cols[order], rows[order], vals[order], (ntot, p))
 
         self.psd = [_PsdData(slice(o, o + d * (d + 1) // 2), d, p, rows, cols, vals)
                     for o, d in psd_specs]
-        by_dim: dict[int, list[int]] = {}
-        for pos, blk in enumerate(self.psd):
-            by_dim.setdefault(blk.dim, []).append(pos)
-        self.groups = [_PsdGroup(members, [self.psd[m] for m in members])
-                       for members in by_dim.values()]
+        self.groups = _groups(self.psd)
         self.lp = np.flatnonzero(np.append(is_lp, np.ones(self.free.size, bool)))
         self.A_lp = None
         if self.lp.size:
-            lp_col = np.full(n, -1)
+            lp_col = np.full(ntot, -1)
             lp_col[self.lp] = np.arange(self.lp.size)
             mine = lp_col[cols] >= 0
             self.A_lp = _csr(rows[mine], lp_col[cols[mine]], vals[mine],
@@ -296,14 +354,33 @@ class _Internal:
             self.lp_cols = [(np.searchsorted(self.lp_rows, C.indices[lo:hi]),
                              C.data[lo:hi])
                             for lo, hi in zip(C.indptr[:-1], C.indptr[1:])]
-        self.nu = sum(d for _, d in psd_specs) + self.lp.size
+
+        self.lmi = []
+        if lmis:
+            nw, ns = self.wcols.size, ntot - n
+            # B^T, B the rows' w columns, for the reduced Schur matrix
+            wpos = np.full(ntot, -1)
+            wpos[self.wcols] = np.arange(nw)
+            on_w = wpos[cols] >= 0
+            self.BT = np.zeros((nw, p), order="F")
+            self.BT[wpos[cols[on_w]], rows[on_w]] = vals[on_w]
+            frows, fcols, fvals = (np.concatenate(v) for v in (frows, fcols, fvals))
+            order = np.lexsort((fcols, frows))
+            frows, fcols, fvals = frows[order], fcols[order], fvals[order]
+            self.F = np.zeros((ns, nw))  # dense: a few hundred columns at most
+            self.F[fcols - n, frows] = fvals
+            self.lmi = [_PsdData(slice(o, o + d * (d + 1) // 2), d, nw,
+                                 frows, fcols, fvals) for o, d in lmi_specs]
+        self.lmi_groups = _groups(self.lmi)
+        self.nu = (sum(d for _, d in psd_specs) + self.lp.size
+                   + sum(d for _, d in lmi_specs))
 
     # -- mappings back to model space --------------------------------------
 
     def model_x(self, x_int: np.ndarray) -> np.ndarray:
         nm = self.w.size
         xm = x_int[:nm] / self.w
-        xm[self.free] -= x_int[nm:]
+        xm[self.free] -= x_int[nm:self.n]
         return xm
 
     def model_lam(self, lam_int: np.ndarray) -> np.ndarray:
@@ -311,25 +388,67 @@ class _Internal:
         lam[self.kept_rows] = lam_int / self.row_scale
         return lam
 
+    def lmi_mats(self, v: np.ndarray) -> list[np.ndarray]:
+        """The LMI slots of an internal vector as matrices, one per LMI
+        diagonal block (Z_S from x, S from z)."""
+        out = []
+        for blk in self.lmi:
+            m = np.zeros((blk.dim, blk.dim))
+            m[blk.ti, blk.tj] = m[blk.tj, blk.ti] = v[blk.sl] / blk.w
+            out.append(m)
+        return out
 
-def _schur(ii: _Internal, blk_state, d_lp: np.ndarray) -> np.ndarray:
-    """Schur complement M = A W A^T, symmetrized, as a Fortran-ordered array.
 
-    ``blk_state`` holds (X, Z^-1) per PSD block, where W maps V to
-    sym(Z^-1 V X); ``d_lp`` is x / z on the nonnegative coordinates.  Each
-    PSD block adds its r x r product over the r rows that touch it, in block
-    order, so every entry is the same sum as over all p rows.  The product
-    is added one run of consecutive columns at a time: a slice on one axis
-    of M is much cheaper than an index array on both.
+def _groups(blocks: list[_PsdData]) -> list[_PsdGroup]:
+    """The blocks stacked by dimension."""
+    by_dim: dict[int, list[int]] = {}
+    for pos, blk in enumerate(blocks):
+        by_dim.setdefault(blk.dim, []).append(pos)
+    return [_PsdGroup(members, [blocks[m] for m in members])
+            for members in by_dim.values()]
+
+
+def _add_products(M: np.ndarray, blocks, blk_state) -> None:
+    """Add each block's A_j W_j A_j^T into M over the rows that touch it.
+
+    ``blk_state`` holds (X, Z^-1) per block, where W maps V to
+    sym(Z^-1 V X).  The blocks add in order, so every entry is the same sum
+    as over all rows.  The product is added one run of consecutive columns
+    at a time: a slice on one axis of M is much cheaper than an index array
+    on both.
     """
-    p = ii.p
-    M = np.zeros((p, p))
-    for blk, (X, Zinv) in zip(ii.psd, blk_state):
+    for blk, (X, Zinv) in zip(blocks, blk_state):
         G = np.matmul(np.matmul(Zinv, blk.T), X).reshape(-1, blk.dim ** 2)
         rows_sv = 0.5 * (G.take(blk.fij, 1) + G.take(blk.fji, 1)) * blk.w
         B = blk.Asp @ rows_sv.T
         for lo, hi, at in blk.runs:
             M[blk.rix, lo:hi] += B[:, at:at + hi - lo]
+
+
+def _symmetrize(M: np.ndarray) -> np.ndarray:
+    """(M + M^T) / 2 in place, as a Fortran-ordered array for LAPACK.
+
+    A panel of rows and its mirrored columns at a time: a whole transpose
+    would read M a full row apart.
+    """
+    for a in range(0, M.shape[0], _PANEL):
+        S = M[a:a + _PANEL, a:] + M[a:, a:a + _PANEL].T
+        S *= 0.5
+        M[a:a + _PANEL, a:] = S
+        M[a:, a:a + _PANEL] = S.T
+    return M.T  # equal to M, and Fortran-ordered
+
+
+def _schur(ii: _Internal, blk_state, d_lp: np.ndarray) -> np.ndarray:
+    """Schur complement M_G = A W A^T over the ordinary blocks, symmetrized,
+    as a Fortran-ordered array.
+
+    ``blk_state`` holds (X, Z^-1) per PSD block (see :func:`_add_products`);
+    ``d_lp`` is x / z on the nonnegative coordinates.
+    """
+    p = ii.p
+    M = np.zeros((p, p))
+    _add_products(M, ii.psd, blk_state)
     if ii.lp.size:
         # A_lp diag(d) A_lp^T over the rows it touches, one coordinate at a
         # time in increasing order, the order of scipy's sparse product
@@ -337,30 +456,33 @@ def _schur(ii: _Internal, blk_state, d_lp: np.ndarray) -> np.ndarray:
         for k, (at, v) in enumerate(ii.lp_cols):
             L[np.ix_(at, at)] += np.outer(v * d_lp[k], v)
         M[np.ix_(ii.lp_rows, ii.lp_rows)] += L
-    # M <- (M + M^T) / 2, a panel of rows and its mirrored columns at a time:
-    # a whole transpose would read M a full row apart
-    for a in range(0, p, _PANEL):
-        S = M[a:a + _PANEL, a:] + M[a:, a:a + _PANEL].T
-        S *= 0.5
-        M[a:a + _PANEL, a:] = S
-        M[a:, a:a + _PANEL] = S.T
-    return M.T  # equal to M, and Fortran-ordered for LAPACK
+    return _symmetrize(M)
+
+
+def _lmi_schur(ii: _Internal, lmi_state) -> np.ndarray:
+    """H = sum_j F_j^T (Z_S (x) S^-1) F_j, H_ab = <F_a, sym(S^-1 F_b Z_S)>,
+    over the LMI blocks, as a Fortran-ordered array.  ``lmi_state`` holds
+    (Z_S, S^-1) per LMI diagonal block."""
+    H = np.zeros((ii.wcols.size, ii.wcols.size))
+    _add_products(H, ii.lmi, lmi_state)
+    return _symmetrize(H)
 
 
 def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSolution:
     """Solve an :class:`SdpProblem`; see the module docstring for the method."""
     ii = _Internal(prob)
-    n, p = ii.n, ii.p
+    n, p, ntot = ii.n, ii.p, ii.ntot
     A, AT, b, c = ii.A, ii.AT, ii.b, ii.c
-    if n == 0:
+    wc, slots, nw = ii.wcols, ii.slots, ii.wcols.size
+    if ntot == 0:
         status = "Optimal" if (p == 0 or np.max(np.abs(b)) <= tol) else "PrimalInfeasible"
         return SdpSolution(status, 0.0, 0.0, prob.unscalarize(np.zeros(prob.num_scalars)),
                            np.zeros(ii.total_rows), 0,
                            {"primal": 0.0, "dual": 0.0, "gap": 0.0})
 
-    x = np.zeros(n)
-    z = np.zeros(n)
-    for blk in ii.psd:
+    x = np.zeros(ntot)
+    z = np.zeros(ntot)
+    for blk in ii.psd + ii.lmi:
         e = np.zeros(blk.sl.stop - blk.sl.start)
         e[blk.ti == blk.tj] = 1.0
         x[blk.sl] = e
@@ -373,20 +495,27 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     mu0 = (x @ z + tau * kappa) / nu1
     norm_b = 1.0 + np.linalg.norm(b)
     norm_c = 1.0 + np.linalg.norm(c)
+    cones = ii.groups + ii.lmi_groups  # ordinary blocks first, then LMI slots
+    n_ord = len(ii.groups)
 
     def finish(status: str, iters: int, res: dict) -> SdpSolution:
+        zero = np.zeros(ntot)
+        xs, zs = zero, zero  # vectors to read the LMI slots from
         if status in ("Optimal", "IterLimit", "NumericalTrouble") and tau > 1e-300:
-            xm = ii.model_x(x / tau)
+            xs, zs = x / tau, z / tau
+            xm = ii.model_x(xs)
             lm = ii.model_lam(lam / tau)
             pv = float(prob.objective @ xm)
             dv = float(prob.b @ lm)
         elif status == "PrimalInfeasible":
             s = b @ lam
+            xs = x / s if s > 0 else x
             lm = ii.model_lam(lam / s if s > 0 else lam)
             xm = np.zeros(prob.num_scalars)
             pv = dv = float("nan")
         elif status == "DualInfeasible":
             s = -(c @ x)
+            zs = z / s if s > 0 else z
             xm = ii.model_x(x / s if s > 0 else x)
             lm = np.zeros(ii.total_rows)
             pv = dv = float("nan")
@@ -394,13 +523,14 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             xm = np.zeros(prob.num_scalars)
             lm = np.zeros(ii.total_rows)
             pv = dv = float("nan")
-        return SdpSolution(status, pv, dv, prob.unscalarize(xm), lm, iters, res)
+        return SdpSolution(status, pv, dv, prob.unscalarize(xm), lm, iters, res,
+                           ii.lmi_mats(zs), ii.lmi_mats(xs))
 
     def cone_factors(xv, zv):
         """Per dimension group, the blocks' X and the plain Cholesky factors
         of their X and then their Z, stacked; None if any fails."""
         out = []
-        for grp in ii.groups:
+        for grp in cones:
             XZ = grp.mats(xv, zv)
             L = _chol(XZ)
             if L is None:
@@ -408,35 +538,53 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             out.append((XZ[:len(grp.members)], L))
         return out
 
+    def sym_products(groups, scal_part, v, out):
+        """out <- sym(Z^-1 V X) block by block, for the blocks in groups."""
+        for grp, (X, Zinv, _) in zip(groups, scal_part):
+            G = Zinv @ grp.mats(v) @ X
+            grp.put(out, 0.5 * (G + G.transpose(0, 2, 1)))
+
     facs = cone_factors(x, z)
     res = {"primal": float("inf"), "dual": float("inf"), "gap": float("inf")}
     stalls = 0
     for it in range(1, max_iter + 1):
         # scaling data at the current iterate, from the accepted factors:
         # per dimension group X, Z^-1 and the inverse factors of X and Z,
-        # which bound the predictor's and the corrector's steps
+        # which bound the predictor's and the corrector's steps (for the
+        # LMI slots X is Z_S and Z^-1 is S^-1)
         scal = []  # (X, Zinv, Linv) stacks
         blk_state = [None] * len(ii.psd)  # (X, Zinv) per block, for _schur
-        for grp, (X, L) in zip(ii.groups, facs):
+        lmi_state = [None] * len(ii.lmi)
+        for gi, (grp, (X, L)) in enumerate(zip(cones, facs)):
             Zinv = np.array([sla.lapack.dpotrs(LZ, grp.eye, lower=1)[0]
                              for LZ in L[len(grp.members):]])
             Linv = np.array([sla.lapack.dtrtri(Lb, lower=1)[0] for Lb in L])
             scal.append((X, Zinv, Linv))
+            state = blk_state if gi < n_ord else lmi_state
             for j, m in enumerate(grp.members):
-                blk_state[m] = (X[j], Zinv[j])
+                state[m] = (X[j], Zinv[j])
 
         r_p = A @ x - b * tau
         r_d = -(AT @ lam) + c * tau - z
+        if nw:
+            # the LMI rows S - F(w) = 0 and the w rows c_w tau - B^T lam
+            # - F*(Z_S) = 0; the slots have no row of their own in r_d
+            zw = x[slots] @ ii.F
+            r_s = ii.F @ x[wc] - z[slots]  # F(w) - S
+            r_d[slots] = 0.0
+            r_d[wc] -= zw
         r_g = float(b @ lam - c @ x - kappa)
         mu = (x @ z + tau * kappa) / nu1
 
         # r_p / tau = A (x / tau) - b and -r_d / tau = A^T (lam / tau)
         # + z / tau - c: the stop test reads its residuals off them
         norm_rp = float(np.linalg.norm(r_p))
+        norm_pr = float(np.hypot(norm_rp, np.linalg.norm(r_s))) if nw else norm_rp
         pv = float(c @ x / tau)
         dv = float(b @ lam / tau)
-        pres = norm_rp / (tau * norm_b)
-        dres = float(np.linalg.norm(r_d)) / (tau * norm_c)
+        norm_rd = float(np.linalg.norm(r_d))
+        pres = norm_pr / (tau * norm_b)
+        dres = norm_rd / (tau * norm_c)
         gap = abs(pv - dv) / (1.0 + abs(pv) + abs(dv))
         res = {"primal": pres, "dual": dres, "gap": gap}
         if max(pres, dres, gap) <= tol:
@@ -445,32 +593,92 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         if kappa > 1e4 * tau:  # likely ray: judge certificate quality
             blam = float(b @ lam)
             cx = float(c @ x)
-            if blam > 0 and float(np.linalg.norm(AT @ lam + z)) <= 1e-7 * blam:
-                return finish("PrimalInfeasible", it - 1, res)
-            if cx < 0 and float(np.linalg.norm(A @ x)) <= 1e-7 * (-cx):
-                return finish("DualInfeasible", it - 1, res)
+            if blam > 0:
+                ray = AT @ lam + z
+                if nw:
+                    ray[slots] = 0.0
+                    ray[wc] += zw
+                if float(np.linalg.norm(ray)) <= 1e-7 * blam:
+                    return finish("PrimalInfeasible", it - 1, res)
+            if cx < 0:
+                ax = float(np.linalg.norm(A @ x))
+                if nw:
+                    ax = float(np.hypot(ax, np.linalg.norm(r_s)))
+                if ax <= 1e-7 * (-cx):
+                    return finish("DualInfeasible", it - 1, res)
             if mu < 1e-12 * mu0:
                 return finish("NumericalTrouble", it - 1, res)
         elif mu < 1e-14 * mu0 and tau < 1e-8:
             return finish("NumericalTrouble", it - 1, res)
 
+        # H over the LMI blocks, then the reduced Schur matrix
+        # M = A_G W A_G^T + B H^-1 B^T over the equality rows
+        LH = None
+        if nw:
+            H = _lmi_schur(ii, lmi_state)
+            Hw = H.copy()  # H itself is factored in place
+            LH = _chol_jitter(H)
+            if LH is None:
+                return finish("NumericalTrouble", it - 1, res)
         d_lp = x[ii.lp] / z[ii.lp]
-        LM = _chol_jitter(_schur(ii, blk_state, d_lp)) if p else None
-        if p and LM is None:
-            return finish("NumericalTrouble", it - 1, res)
+        LM = None
+        if p:
+            M = _schur(ii, blk_state, d_lp)
+            if nw:
+                U = sla.lapack.dtrtrs(LH, ii.BT, lower=1)[0]
+                K = U.T @ U
+                M += 0.5 * (K + K.T)
+            LM = _chol_jitter(M)
+            if LM is None:
+                return finish("NumericalTrouble", it - 1, res)
 
         def m_solve(r):
             if p == 0:
                 return r
             return sla.lapack.dpotrs(LM, r, lower=1)[0]
 
+        def h_solve(r):
+            return sla.lapack.dpotrs(LH, r, lower=1)[0]
+
         def w_apply(v):
             out = np.zeros_like(v)
-            for grp, (X, Zinv, _) in zip(ii.groups, scal):
-                G = Zinv @ grp.mats(v) @ X
-                grp.put(out, 0.5 * (G + G.transpose(0, 2, 1)))
+            sym_products(ii.groups, scal, v, out)
             out[ii.lp] = d_lp * v[ii.lp]
+            if nw:
+                out[wc] = h_solve(v[wc])
             return out
+
+        def lmi_apply(v_slots):
+            """E(V) = sym(Z_S V S^-1) on the LMI slots."""
+            full = np.zeros(ntot)
+            full[slots] = v_slots
+            out = np.zeros(ntot)
+            sym_products(ii.lmi_groups, scal[n_ord:], full, out)
+            return out[slots]
+
+        # An LMI slot's Newton rows: dS = F(dw) + r_s and dZ_S = rc_S - E(dS).
+        # The w rows then read  H dw = g_w + (B^T dlam - c_w dtau - r_w)
+        # with g_w = F*(rc_S - E(r_s)),  so w enters the elimination below as
+        # a column with W = H^-1 and rc_w = H^-1 g_w.  E(dS) is applied to dS
+        # itself: summing dw_a E(F_a) would cancel, each E(F_a) carrying S^-1.
+        if nw:
+            Er_s = lmi_apply(r_s)
+
+        def with_lmi(rc):
+            """rc with its w part set; g_w (empty without LMI blocks)."""
+            g_w = (rc[slots] - Er_s) @ ii.F if nw else np.zeros(0)
+            if nw:
+                rc[wc] = h_solve(g_w)
+            return rc, g_w
+
+        def lmi_slots(d, rc):
+            """Fill in the slots' (dZ_S, dS) from dw; w has no dual slack."""
+            dx, _, dz, _, _ = d
+            dS = ii.F @ dx[wc] + r_s
+            dz[slots] = dS
+            dz[wc] = 0.0
+            dx[slots] = rc[slots] - lmi_apply(dS)
+            return d
 
         # Eliminate (dx, dz, dkap), then dlam = v + h dtau with h = g + y,
         # g = M^-1 b and y = M^-1 A W c.  Near a degenerate optimum A W c,
@@ -500,24 +708,34 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             return dx, dlam, dz, dtau, dkap
 
         # refine while the direction misses the primal row by more than a
-        # fraction of |r_p|, or of the residual that the stop test accepts
+        # fraction of |r_p|, or the w rows by more than a fraction of |r_d|,
+        # or of the residual that the stop test accepts
         refine_above = _REFINE_FRAC * max(norm_rp, tol * tau * norm_b)
-        zero = np.zeros(n)
+        refine_w = _REFINE_FRAC * max(norm_rd, tol * tau * norm_c)
+        zero = np.zeros(ntot)
 
-        def newton(rc, r_tau):
+        def newton(rc_g, r_tau):
+            rc, g_w = rc_g
             d = lin_solve(r_p, r_g, rc, r_tau, r_d, WRd)
-            # Iterative refinement with the factored M: the dual, scaling and
-            # tau-kappa rows hold by construction, the primal and gap rows
-            # carry the Schur solve's error.
+            # Iterative refinement with the factored M (and H): the dual,
+            # scaling and tau-kappa rows hold by construction, the primal and
+            # gap rows carry the Schur solve's error, and the w rows
+            # (H dw + dz_w = g_w) H's.
             for _ in range(_REFINE_PASSES):
-                dx, dlam, _, dtau, dkap = d
+                dx, dlam, dz, dtau, dkap = d
                 e_p = -r_p - (A @ dx - b * dtau)
-                if float(np.linalg.norm(e_p)) <= refine_above:
+                e_w = g_w - Hw @ dx[wc] - dz[wc] if nw else g_w
+                if (float(np.linalg.norm(e_p)) <= refine_above
+                        and float(np.linalg.norm(e_w)) <= refine_w):
                     break
                 e_g = -r_g - (float(b @ dlam) - float(c @ dx) - dkap)
-                fix = lin_solve(-e_p, -e_g, zero, 0.0, zero, zero)
+                rc_fix = zero
+                if nw:
+                    rc_fix = np.zeros(ntot)
+                    rc_fix[wc] = h_solve(e_w)
+                fix = lin_solve(-e_p, -e_g, rc_fix, 0.0, zero, zero)
                 d = tuple(u + v for u, v in zip(d, fix))
-            return d
+            return lmi_slots(d, rc) if nw else d
 
         def step_bound(dx, dz, dtau, dkap):
             a = 1e10
@@ -530,12 +748,12 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
                     neg = dlt < 0
                     if np.any(neg):
                         a = min(a, float(np.min(-cur[neg] / dlt[neg])))
-            for grp, (_, _, Linv) in zip(ii.groups, scal):
+            for grp, (_, _, Linv) in zip(cones, scal):
                 a = min(a, _psd_step_limit(Linv, grp.mats(dx, dz)))
             return a
 
         # predictor (affine scaling direction)
-        rc_aff = -x
+        rc_aff = with_lmi(-x)
         dxa, dla, dza, dta, dka = newton(rc_aff, -tau * kappa)
         a_aff = min(1.0, step_bound(dxa, dza, dta, dka))
         mu_aff = ((x + a_aff * dxa) @ (z + a_aff * dza)
@@ -544,8 +762,8 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         sigma = min(max(sigma, 1e-8), 1.0 - 1e-8)
 
         # corrector (combined direction)
-        rc = np.zeros(n)
-        for grp, (X, Zinv, _) in zip(ii.groups, scal):
+        rc = np.zeros(ntot)
+        for grp, (X, Zinv, _) in zip(cones, scal):
             k = len(grp.members)
             dZX = grp.mats(dza, dxa)
             dZ, dX = dZX[:k], dZX[k:]
@@ -557,7 +775,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             rc[ii.lp] = (sigma * mu - xl * zl - dxa[ii.lp] * dza[ii.lp]) / zl
         r_tau = sigma * mu - tau * kappa - dta * dka
 
-        dx, dlam, dz, dtau, dkap = newton(rc, r_tau)
+        dx, dlam, dz, dtau, dkap = newton(with_lmi(rc), r_tau)
         alpha = min(1.0, 0.99 * step_bound(dx, dz, dtau, dkap))
         # backtrack until every PSD block of the trial point factors
         new_facs = None

@@ -190,16 +190,43 @@ def test_moment_var_map_round_trip_and_localizing():
     builder = SdpBuilder()
     mv = MomentVarMap(builder, 1, 2)
     gen = Polynomial(1, {(0,): 1.0, (2,): -1.0})
-    mv.add_localizing(gen)
+    assert mv.add_localizing(gen) == 1  # after the moment matrix
     builder.add_equality(mv.lin((0,)), 1.0)
     builder.set_objective(mv.lin_poly(Polynomial(1, {(2,): -1.0})))
     prob = builder.build()
+    # the moments are the only variables and no row ties them together
+    (lmi,) = prob.blocks
+    assert (lmi.nvars, lmi.dims) == (5, (3, 2)) and prob.A.shape[0] == 1
     sol = solve(prob, tol=1e-9)
     assert sol.status == "Optimal"
     L = mv.read_solution(prob, sol)
+    np.testing.assert_array_equal([L.value(m) for m in mv.monomials],
+                                  sol.primal_point[0])
     # max L(y^2) subject to support in [-1, 1] is 1
     assert L.value((2,)) == pytest.approx(1.0, abs=1e-6)
     assert L.mass() == pytest.approx(1.0, abs=1e-8)
+    # the LMI's blocks are the moment and localizing matrices of L
+    S_mom, S_loc = lmi.matrices(sol.primal_point[0])
+    np.testing.assert_allclose(S_mom, moment_matrix(L, 2), atol=1e-12)
+    np.testing.assert_allclose(S_loc, localizing_matrix(L, gen, 2), atol=1e-12)
+
+
+def test_moment_vector_carries_the_moment_and_localizing_matrices():
+    # Writing the moments of an atomic measure into the moment vector gives
+    # exactly its moment and localizing matrices, and read() returns them.
+    phi = Polynomial(2, {(0, 0): 2.0, (2, 0): -1.0, (0, 2): -1.0, (1, 1): 0.5})
+    L = MomentFunctional.from_atoms(2, 3, [((0.4, -0.2), 1.0), ((0.1, 0.9), 2.0)])
+    builder = SdpBuilder()
+    mv = MomentVarMap(builder, 2, 3)
+    mv.add_localizing(phi)
+    prob = builder.build()
+    x = np.zeros(prob.num_scalars)
+    for mono in mv.monomials:
+        x[mv.lin(mono).coeffs.popitem()[0]] = L.value(mono)
+    assert mv.read(x).values == L.values
+    S_mom, S_loc = prob.blocks[0].matrices(x)
+    np.testing.assert_array_equal(S_mom, moment_matrix(L, 3))
+    np.testing.assert_allclose(S_loc, localizing_matrix(L, phi, 3), atol=1e-14)
 
 
 def test_poly_image_in_y_matches_direct_evaluation():
@@ -209,9 +236,7 @@ def test_poly_image_in_y_matches_direct_evaluation():
     L = MomentFunctional.from_atoms(2, 2, atoms)
     builder = SdpBuilder()
     mv = MomentVarMap(builder, 2, 2)
-    x = np.zeros(builder.build().num_scalars)
-    for mono, (i, j) in mv.canon.items():  # embed L in the moment block
-        x[mv.block.entry_index(i, j)] = L.value(mono)
+    x = np.array([L.value(m) for m in mv.monomials])  # the moment vector
     img = Polynomial(1, {ymono: sum(c * x[k] for k, c in expr.coeffs.items())
                          for ymono, expr in poly_image_in_y_sym(mv, p).items()})
     for y in (-0.7, 0.0, 1.3):

@@ -1,6 +1,7 @@
 """Tests for problem records, route classification, parameter selection and
 the relaxation hierarchy driver."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -15,7 +16,7 @@ from fsipp.relax import (CaseTag, FsippProblem, Interval, QuadraticSet,
                          RelaxOptions, Semialgebraic, build_primal_sdp,
                          check_tag, choose_R_gstar, classify_case,
                          convexity_findings, solve_hierarchy)
-from fsipp.sdp import solve
+from fsipp.sdp import LmiBlock, solve
 
 
 def _toy(f, g, psis=(), joint=None, index_set=None, n_y=1):
@@ -240,6 +241,42 @@ def test_hierarchy_solves_one_sdp_per_order(monkeypatch, make, k_range):
     assert len(calls) == len(trace.rows)
     row = trace.rows[0]
     assert row.primal_iterations == row.dual_iterations > 0
+
+
+# ------------------------------------------------- moments as free variables
+
+@pytest.mark.parametrize("k, rows", [(4, 47), (5, 68), (6, 93), (7, 122)])
+def test_quarter_circle_moment_sdp_has_only_coefficient_rows(k, rows):
+    # The moments are the free vector of one LMI block whose diagonal blocks
+    # are the moment matrix and the localizers, so the rows are L(g) = 1 and
+    # the y-side coefficient rows: no row ties a matrix entry to a moment.
+    prob, opts = instances.quarter_circle_problem()
+    tag = classify_case(prob, opts.case_override)
+    sdp, vmap = relax.build_dual_sdp(prob, replace(opts, k=k), tag)
+    assert sdp.A.shape[0] == rows
+    (lmi,) = [bl for bl in sdp.blocks if isinstance(bl, LmiBlock)]
+    assert lmi.nvars == math.comb(prob.m + 2 * k, prob.m)
+    assert len(lmi.dims) == 1 + len(relax._x_cone(prob, replace(opts, k=k),
+                                                   tag).generators)
+    assert lmi.dims[0] == math.comb(prob.m + k, prob.m)
+    # only the normalization L(g) = 1 lives on the moments alone
+    offset = vmap.moment.block.offset
+    on_moments = [(row.indices >= offset) & (row.indices < offset + lmi.nvars)
+                  for row in sdp.A]
+    assert sum(bool(m.all()) for m in on_moments) == 1
+
+
+@pytest.mark.parametrize("k, r_dual", [(5, 0.027350345809), (6, 0.027350339903)])
+def test_quarter_circle_orders_five_and_six_keep_value_and_certificate(k, r_dual):
+    # r_dual as the canonical-entry formulation (one equality row per
+    # moment-matrix alias and localizer entry) computed it
+    prob, opts = instances.quarter_circle_problem()
+    trace = solve_hierarchy(prob, opts, k_range=(k, k))
+    (row,) = trace.rows
+    assert row.dual_status == "Optimal"
+    assert abs(row.r_dual - r_dual) <= 1e-7
+    assert trace.stop_reason == "rank" and trace.certificate.passed
+    assert len(trace.atoms) == 1
 
 
 @pytest.mark.parametrize("run", ["case1_run", "case2_run", "case3_run",

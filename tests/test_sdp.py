@@ -10,7 +10,7 @@ from fsipp import instances
 from fsipp.multiobj import scalarize
 from fsipp.relax import (RelaxOptions, build_dual_sdp, build_primal_sdp,
                          classify_case)
-from fsipp.sdp import (LinExpr, NonnegBlock, SdpBuilder, SdpProblem,
+from fsipp.sdp import (LinExpr, LmiBlock, NonnegBlock, SdpBuilder, SdpProblem,
                        check_solution, solve, tri_index)
 from fsipp.sdp import solver
 from fsipp.sdp.model import SdpSolution, tri_indices
@@ -188,15 +188,16 @@ def test_weak_duality_and_residual_invariants_on_battery():
 
 
 def test_reproducibility_bitwise():
-    prob = diag_trace_problem()
-    s1 = solve(prob)
-    s2 = solve(prob)
-    assert s1.iterations == s2.iterations
-    assert s1.primal_value == s2.primal_value
-    assert s1.dual_value == s2.dual_value
-    for a, b in zip(s1.primal_point, s2.primal_point):
-        assert np.array_equal(a, b)
-    assert np.array_equal(s1.dual_point, s2.dual_point)
+    for prob in (diag_trace_problem(), lmi_problem()):
+        s1 = solve(prob)
+        s2 = solve(prob)
+        assert s1.iterations == s2.iterations
+        assert s1.primal_value == s2.primal_value
+        assert s1.dual_value == s2.dual_value
+        for a, b in zip(s1.primal_point + s1.lmi_slacks + s1.lmi_duals,
+                        s2.primal_point + s2.lmi_slacks + s2.lmi_duals):
+            assert np.array_equal(a, b)
+        assert np.array_equal(s1.dual_point, s2.dual_point)
 
 
 def test_fifty_random_diagonal_sdps_reach_analytic_optimum():
@@ -257,7 +258,9 @@ def test_degenerate_case1_moment_sdps_converge_past_the_default_tolerance():
 def test_cholesky_cone_test_alone_keeps_iterates_inside(monkeypatch):
     # With the eigenvalue step-to-boundary switched off, only the plain
     # Cholesky cone test and its backtracking keep the steps inside the PSD
-    # cone; jitter is for the Schur matrix (one row per constraint) alone.
+    # cone (X, Z, and an LMI's S and Z_S); jitter is for the reduced Schur
+    # matrix (one row per constraint) and the LMI matrix H (one row per
+    # moment) alone.
     problems = [(diag_trace_problem(), TOL), identical_stage1_sdp()]
     jittered, unbounded = [], []
     chol_jitter = solver._chol_jitter
@@ -278,7 +281,8 @@ def test_cholesky_cone_test_alone_keeps_iterates_inside(monkeypatch):
         sol = solve(prob, tol=tol)
         assert sol.status == "Optimal"
         assert check_solution(prob, sol)["primal_cone"] == 0.0
-        assert set(jittered) == {prob.A.shape[0]}
+        moments = sum(bl.nvars for bl in prob.blocks if isinstance(bl, LmiBlock))
+        assert set(jittered) == {prob.A.shape[0]} | ({moments} if moments else set())
         # the patched bound stood in for every PSD step bound
         assert len(unbounded) >= 2 * sol.iterations
 
@@ -323,7 +327,8 @@ def test_quarter_circle_order_four_iterations_and_values():
     tag = classify_case(prob, opts.case_override)
     sols = [solve(build(prob, run, tag)[0], tol=opts.sdp_tol)
             for build in (build_dual_sdp, build_primal_sdp)]
-    assert [(s.status, s.iterations) for s in sols] == [("Optimal", 12)] * 2
+    assert [(s.status, s.iterations) for s in sols] == [("Optimal", 13),
+                                                        ("Optimal", 12)]
     moment, gram = sols
     assert abs(moment.primal_value - (-gram.primal_value)) <= 1e-7
 
@@ -424,6 +429,86 @@ def test_schur_cholesky_retries_rebuild_the_matrix_it_overwrote():
     L = np.tril(solver._chol_jitter(np.asfortranarray(A)))
     assert np.allclose(L @ L.T, A, rtol=0.0, atol=1e-8 * np.trace(A))
     assert solver._chol_jitter(np.asfortranarray(-np.eye(3))) is None
+
+
+def test_schur_cholesky_jitters_a_pivot_that_is_rounding_noise():
+    # [[1, v], [v, v^2 + 1]] is positive definite (det 1) and plain dpotrf
+    # factors it, but its last pivot is 1 against a diagonal of 2^52 + 1:
+    # all the entry had was cancelled away, so the factor is rejected and
+    # jitter added.  The test is invariant under diagonal scaling, and a
+    # graded but well-conditioned matrix keeps its plain factor.
+    v = 2.0 ** 26
+    A = np.array([[1.0, v], [v, v * v + 1.0]])
+    for D in (np.ones(2), np.array([2.0 ** -17, 2.0 ** 17])):
+        M = A * np.outer(D, D)
+        L, info = sla.lapack.dpotrf(np.asfortranarray(M), lower=True, clean=True)
+        assert info == 0 and L[1, 1] ** 2 <= 2 * np.finfo(float).eps * M[1, 1]
+        Lj = np.tril(solver._chol_jitter(np.asfortranarray(M)))
+        shift = Lj @ Lj.T - M
+        assert np.all(np.diag(shift) > 0) and abs(shift[1, 0]) <= 1e-12 * M[1, 0]
+    graded = np.diag([1e-20, 1e20])
+    graded[0, 1] = graded[1, 0] = 0.5
+    plain = sla.lapack.dpotrf(graded, lower=True, clean=True)[0]
+    Lg = np.tril(solver._chol_jitter(np.asfortranarray(graded.copy())))
+    np.testing.assert_array_equal(Lg, plain)
+
+
+# ---------------------------------------------------------------- LMI blocks
+
+def lmi_problem():
+    """min w1  s.t.  w0 = 1, w2 = 1, [[w0, w1], [w1, w2]] >= 0: optimum -1
+    at w = (1, -1, 1); the dual Z_S = [[1, 1], [1, 1]] / 2 with
+    lam = (-1/2, -1/2) meets B^T lam + F*(Z_S) = c_w = (0, 1, 0)."""
+    b = SdpBuilder()
+    w = b.lmi_block(3)
+    w.add_matrix(2, {(0, 0): w.entry(0), (1, 0): w.entry(1), (1, 1): w.entry(2)})
+    b.add_equality(w.entry(0), 1.0)
+    b.add_equality(w.entry(2), 1.0)
+    b.set_objective(w.entry(1))
+    return b.build()
+
+
+def test_solve_lmi_block():
+    prob = lmi_problem()
+    sol = solve(prob, tol=TOL)
+    assert sol.status == "Optimal"
+    assert sol.primal_value == pytest.approx(-1.0, abs=1e-7)
+    assert sol.dual_value == pytest.approx(-1.0, abs=1e-7)
+    np.testing.assert_allclose(sol.primal_point[0], [1.0, -1.0, 1.0], atol=1e-6)
+    np.testing.assert_allclose(sol.lmi_duals[0], np.full((2, 2), 0.5), atol=1e-6)
+    chk = check_solution(prob, sol)
+    assert chk["primal_cone"] == 0.0  # the iterate S stays inside the cone
+    assert max(chk.values()) <= 10 * TOL
+
+
+def test_check_solution_reports_each_lmi_violation():
+    prob = lmi_problem()
+    good = dict(status="Optimal", primal_value=-1.0, dual_value=-1.0,
+                primal_point=[np.array([1.0, -1.0, 1.0])],
+                dual_point=np.array([-0.5, -0.5]),
+                lmi_duals=[np.full((2, 2), 0.5)])
+    rep = check_solution(prob, SdpSolution(**good))
+    assert max(rep.values()) <= 1e-15
+
+    def report(**change):
+        return check_solution(prob, SdpSolution(**{**good, **change}))
+
+    # S = F(w) outside the cone: eigenvalues 1 -+ 1.5
+    rep = report(primal_point=[np.array([1.0, -1.5, 1.0])])
+    assert rep["primal_cone"] == pytest.approx(0.5) and rep["dual"] <= 1e-15
+    # Z_S outside the cone (eigenvalue -0.1); the dual row still holds
+    rep = report(lmi_duals=[np.array([[0.4, 0.5], [0.5, 0.4]])],
+                 dual_point=np.array([-0.4, -0.4]))
+    assert rep["dual"] == pytest.approx(0.1) and rep["primal_cone"] == 0.0
+    # B^T lam + F*(Z_S) = c_w missed by 0.03 in its first entry
+    rep = report(dual_point=np.array([-0.53, -0.5]))
+    assert rep["dual"] == pytest.approx(0.03) and rep["primal_cone"] == 0.0
+    # a returned slack S is checked for the cone and against F(w)
+    S = np.array([[1.0, -1.0], [-1.0, 1.02]])
+    rep = report(lmi_slacks=[S])
+    assert rep["primal"] == pytest.approx(0.02) and rep["primal_cone"] == 0.0
+    rep = report(lmi_slacks=[S - 0.05 * np.eye(2)])
+    assert rep["primal_cone"] > 0.0
 
 
 def test_iter_limit_status():
