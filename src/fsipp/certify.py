@@ -114,7 +114,7 @@ def minimize_on_semialgebraic(h: Polynomial, gens, k: int,
     atoms = None
     if cert is not None:
         try:
-            atoms = extract_atoms(L, cert)
+            atoms = extract_atoms(L, cert, gens=gens)
         except NumericalTroubleError:
             cert = None
     return float(sol.primal_value), L, cert, atoms

@@ -110,12 +110,18 @@ def _column_echelon(V: np.ndarray, piv_tol: float):
 
 
 def extract_atoms(L: MomentFunctional, cert: RankCertificate,
-                  recon_tol: float = 1e-6):
+                  recon_tol: float = 1e-6, gens=()):
     """Recover the atoms of a flat functional as [(point, weight), ...].
 
+    ``gens`` are the polynomials q >= 0 of the localizing matrices L was
+    constrained by; every atom must satisfy them, to ``recon_tol`` relative
+    to the size of q's terms at the atom.
+
     Raises NumericalTrouble when the pivot structure, the joint
-    eigendecomposition, the weights, or the moment reconstruction do not
-    behave like an r-atomic measure.
+    eigendecomposition, the weights, the localizers, or the moment
+    reconstruction do not behave like an r-atomic measure on that set.  An
+    atom of nearly zero weight fits the moments wherever it lies, so only
+    the localizers reject one that a rank test passed on noise.
     """
     if not cert.passed:
         raise ValueError("rank certificate did not pass")
@@ -172,6 +178,13 @@ def extract_atoms(L: MomentFunctional, cert: RankCertificate,
     weights, *_ = np.linalg.lstsq(A, bvec, rcond=None)
     if np.min(weights) < -1e-7:
         raise NumericalTroubleError(f"negative atomic weight {np.min(weights)}")
+    for pt in points:
+        big = max(1.0, float(np.max(np.abs(pt))))
+        for q in gens:
+            size = sum(abs(c) * big ** sum(mono) for mono, c in q.terms.items())
+            if q(pt) < -recon_tol * max(1.0, size):
+                raise NumericalTroubleError(
+                    f"atom {pt} violates a localizer by {-q(pt):g}")
 
     check_monos = monomials_up_to(m, 2 * (k_prime - cert.k0))
     scale = max(1.0, max(abs(L.value(mo)) for mo in check_monos))

@@ -363,10 +363,9 @@ class MomentVarMap:
             expr.add_term(self.block.index(self.position[m]), c)
         return expr
 
-    def add_localizing(self, q: Polynomial) -> int:
+    def add_localizing(self, q: Polynomial) -> None:
         """Append the localizing matrix of q, entry (i, j) = L(q b_i b_j)
-        over N^m_{order - ceil(deg q / 2)}, to the LMI; returns its
-        position among the block's matrices."""
+        over N^m_{order - ceil(deg q / 2)}, to the LMI."""
         half = (int(q.degree) + 1) // 2
         rows = MonomialBasis(self.nvars, self.order - half).monomials
         entries = {}
@@ -376,7 +375,7 @@ class MomentVarMap:
                 expr = entries[i, j] = LinExpr()
                 for d, c in q.terms.items():
                     expr.add_term(self.block.index(self.position[_add(prod, d)]), c)
-        return self.block.add_matrix(len(rows), entries)
+        self.block.add_matrix(len(rows), entries)
 
     def read(self, x: np.ndarray) -> MomentFunctional:
         """Recover the functional from a scalarized solution vector."""
@@ -389,13 +388,13 @@ class MomentVarMap:
         return self.read(prob.scalarize(sol.primal_point))
 
 
-def dual_cone_blocks(momvar: MomentVarMap, cone: ConeSpec) -> list:
+def dual_cone_blocks(momvar: MomentVarMap, cone: ConeSpec) -> None:
     """Localizing blocks realizing  (momvar functional) in (cone)*."""
     if cone.dual_order() != momvar.order:
         raise ValueError(
             f"moment variable order {momvar.order} != cone dual order {cone.dual_order()}")
-    return [momvar.add_localizing(q)
-            for q in cone.dual_generators(momvar.nvars)]
+    for q in cone.dual_generators(momvar.nvars):
+        momvar.add_localizing(q)
 
 
 def poly_image_in_y_sym(momvar: MomentVarMap, p) -> dict:

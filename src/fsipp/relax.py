@@ -563,7 +563,6 @@ class DualSdpMap:
     moment: MomentVarMap
     order: int
     slack: object = None
-    localizers: list = field(default_factory=list)
     y_membership: dict = field(default_factory=dict)
 
     def functional(self, sdp: SdpProblem, sol) -> MomentFunctional:
@@ -587,7 +586,7 @@ def build_dual_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
     builder = SdpBuilder()
     mv = MomentVarMap(builder, prob.m, korder)
     vmap = DualSdpMap(moment=mv, order=korder)
-    vmap.localizers = dual_cone_blocks(mv, cone_x)
+    dual_cone_blocks(mv, cone_x)
     builder.add_equality(mv.lin_poly(prob.g), 1.0)
     if prob.psis:
         vmap.slack = builder.nonneg_block(prob.s)
@@ -608,7 +607,6 @@ class PrimalSdpMap:
     rho: object
     h_moments: MomentVarMap
     eta: object = None
-    y_localizers: list = field(default_factory=list)
     x_membership: dict = field(default_factory=dict)
 
 
@@ -628,7 +626,7 @@ def build_primal_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
     eta = builder.nonneg_block(prob.s) if prob.psis else None
     hm = MomentVarMap(builder, prob.p.n_y, cone_y.dual_order())
     vmap = PrimalSdpMap(rho=rho, h_moments=hm, eta=eta)
-    vmap.y_localizers = dual_cone_blocks(hm, cone_y)
+    dual_cone_blocks(hm, cone_y)
 
     target: dict[tuple, LinExpr] = {}
 

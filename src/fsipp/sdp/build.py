@@ -118,10 +118,9 @@ class LmiHandle(VecHandle):
         self.dims: list[int] = []
         self.maps: list[sp.csr_matrix] = []
 
-    def add_matrix(self, dim: int, entries: dict) -> int:
+    def add_matrix(self, dim: int, entries: dict) -> None:
         """Append a dim x dim diagonal block; ``entries`` maps (i, j),
-        i >= j, to a LinExpr over this block's entries (constant zero).
-        Returns the block's position."""
+        i >= j, to a LinExpr over this block's entries (constant zero)."""
         rows, cols, vals = [], [], []
         for (i, j), expr in entries.items():
             if expr.const != 0.0:
@@ -135,7 +134,6 @@ class LmiHandle(VecHandle):
         self.dims.append(dim)
         self.maps.append(sp.csr_matrix((vals, (rows, cols)),
                                        shape=(dim * (dim + 1) // 2, self.dim)))
-        return len(self.dims) - 1
 
 
 class SdpBuilder:

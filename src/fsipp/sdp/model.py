@@ -30,6 +30,7 @@ with F*(Z)_a = <F_a, Z>.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -66,7 +67,7 @@ class FreeBlock:
 class LmiBlock:
     """Free vector w of length ``nvars`` with S(w) = sum_a w_a F_a >= 0.
 
-    ``dims`` are the sizes of S's diagonal blocks; ``maps[i]`` is a sparse
+    ``dims`` are the sizes of S's diagonal blocks; ``maps[i]`` is a CSR
     (dims[i] (dims[i] + 1) / 2, nvars) matrix taking w to the lower
     triangle, row-major, of diagonal block i.
     """
@@ -101,10 +102,13 @@ class LmiBlock:
 Block = PsdBlock | NonnegBlock | FreeBlock | LmiBlock
 
 
+@lru_cache(maxsize=None)
 def tri_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column index arrays of the lower triangle in row-major order."""
+    """Row/column index arrays of the lower triangle in row-major order,
+    cached per dimension and read-only."""
     i, j = np.tril_indices(dim)
     # np.tril_indices is already row-major over rows: (0,0),(1,0),(1,1),...
+    i.flags.writeable = j.flags.writeable = False
     return i, j
 
 
@@ -209,8 +213,8 @@ class SdpSolution:
     iterations: int = 0
     residuals: dict = field(default_factory=dict)  # primal / dual / gap
     # per diagonal block of each LmiBlock, in block order: the slack S the
-    # solver kept inside the cone (S = F(w) up to the primal residual) and
-    # the dual matrix Z_S
+    # solver kept inside the cone (S = F(w) up to the primal residual, so
+    # F(w) may leave the cone by that much) and the dual matrix Z_S
     lmi_slacks: list = field(default_factory=list)
     lmi_duals: list = field(default_factory=list)
 
@@ -219,13 +223,14 @@ def check_solution(prob: SdpProblem, sol: SdpSolution) -> dict:
     """Recompute residuals from the returned points, independent of the solver.
 
     Returns raw (unnormalized) measures:
-      primal      -- inf-norm of A x - b, and of S - F(w) on each LmiBlock
+      primal      -- inf-norm of A x - b, and, when the solution carries the
+                     solver's LMI slacks S, of S - F(w)
       dual        -- worst cone violation of the dual slack c - A^T lam; on
                      an LmiBlock, of Z_S and the inf-norm residual of
                      B^T lam + F*(Z_S) = c_w
       gap         -- |<c, x> - <b, lam>|
-      primal_cone -- worst cone violation of x; on an LmiBlock, of S
-                     (S = F(w) when the solution carries no slack)
+      primal_cone -- worst cone violation of x; on an LmiBlock, of F(w)
+                     built from the returned w
     """
     x = prob.scalarize(sol.primal_point)
     lam = np.asarray(sol.dual_point, dtype=float)
@@ -252,11 +257,11 @@ def check_solution(prob: SdpProblem, sol: SdpSolution) -> dict:
             wx, wz = 0.0, float(np.max(np.abs(sv)))
         else:  # LmiBlock
             F = bl.matrices(np.asarray(val, dtype=float))
-            S = [next(slacks) for _ in F] if sol.lmi_slacks else F
             Z = [next(duals) for _ in F]
-            primal = max([primal] + [float(np.max(np.abs(s - f)))
-                                     for s, f in zip(S, F)])
-            wx = psd_violation(S)
+            if sol.lmi_slacks:
+                primal = max([primal] + [float(np.max(np.abs(next(slacks) - f)))
+                                         for f in F])
+            wx = psd_violation(F)
             wz = max(psd_violation(Z),
                      float(np.max(np.abs(sv - bl.adjoint(Z)))))
         worst_x, worst_z = max(worst_x, wx), max(worst_z, wz)

@@ -291,11 +291,11 @@ class _Internal:
         off, woff = n, 0
         for bl in lmis:
             for d, Fm in zip(bl.dims, bl.maps):
-                coo = Fm.tocoo()
+                slot = np.repeat(np.arange(Fm.shape[0]), np.diff(Fm.indptr))
                 ti, tj = tri_indices(d)
-                frows.append(coo.col + woff)
-                fcols.append(coo.row + off)
-                fvals.append(coo.data * np.where(ti == tj, 1.0, _SQRT2)[coo.row])
+                frows.append(Fm.indices + woff)
+                fcols.append(slot + off)
+                fvals.append(Fm.data * np.where(ti == tj, 1.0, _SQRT2)[slot])
                 lmi_specs.append((off, d))
                 off += d * (d + 1) // 2
             woff += bl.nvars

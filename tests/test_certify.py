@@ -66,6 +66,25 @@ def test_lower_level_constant_objective_short_circuits():
     assert len(Lambda) == 1
 
 
+def test_lower_level_minimizers_lie_on_the_index_set(monkeypatch):
+    # Atom extraction is checked against the index set's generators, so a
+    # certified minimizer is a point of the quarter arc.
+    prob, _ = instances.quarter_circle_problem()
+    gens = prob.index_set.as_generators()
+    seen = []
+    extract = certify.extract_atoms
+
+    def spy(L, cert, **kw):
+        seen.append(kw.get("gens"))
+        return extract(L, cert, **kw)
+
+    monkeypatch.setattr(certify, "extract_atoms", spy)
+    p_star, Lambda, certified = lower_level_solve(np.array([0.7377, 0.6033]), prob)
+    assert certified and seen and all(list(g) == list(gens) for g in seen)
+    for y in Lambda:
+        assert min(y) >= -1e-6 and abs(float(np.hypot(*y)) - 1.0) <= 1e-6
+
+
 def test_lower_level_is_a_lower_bound_on_grids():
     prob, _ = instances.quarter_circle_problem()
     # the index set is the quarter arc {y >= 0, |y| = 1}: grid it directly

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsipp.errors import DegenerateMassError
+from fsipp.errors import DegenerateMassError, NumericalTroubleError
 from fsipp.extract import (RankCertificate, extract_atoms,
                            flat_truncation_check, numeric_rank,
                            point_from_functional)
 from fsipp.moment import MomentFunctional
+from fsipp.poly import Polynomial
 
 
 def test_numeric_rank_thresholds_relative_to_top_singular_value():
@@ -81,6 +82,25 @@ def test_extract_empty_functional_when_rank_zero():
                            singular_values_low=np.zeros(0),
                            singular_values_high=np.zeros(0), passed=True)
     assert extract_atoms(L, cert) == []
+
+
+def test_extract_rejects_an_atom_off_the_localized_set():
+    # The quarter circle {y >= 0, |y| = 1}.  A tiny-weight atom inside the
+    # disk fits the moments as well as any, so only the localizers see that
+    # the functional is not a measure on the arc.
+    circle = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
+    gens = (Polynomial(2, {(1, 0): 1.0}), Polynomial(2, {(0, 1): 1.0}),
+            circle, circle.scale(-1.0))
+    on_arc = (np.cos(0.7), np.sin(0.7))
+    L = MomentFunctional.from_atoms(2, 3, [(on_arc, 1.0), ((0.8235, 0.298), 1e-4)])
+    cert = flat_truncation_check(L, k=3, k0=1, d_half=1)
+    assert cert is not None and cert.rank_high == 2
+    assert len(extract_atoms(L, cert)) == 2  # a valid 2-atomic measure on R^2
+    with pytest.raises(NumericalTroubleError, match="localizer"):
+        extract_atoms(L, cert, gens=gens)
+    L = MomentFunctional.from_atoms(2, 3, [(on_arc, 1.0), ((0.6, 0.8), 1e-4)])
+    cert = flat_truncation_check(L, k=3, k0=1, d_half=1)
+    assert len(extract_atoms(L, cert, gens=gens)) == 2
 
 
 @settings(deadline=None, max_examples=12)
