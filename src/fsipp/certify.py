@@ -1,6 +1,7 @@
 """Candidate certification: lower-level solves over the index set, active
 sets, nonnegative least-squares KKT residuals, feasibility margins and
-the s.o.s-convexity test.
+the s.o.s-convexity test (one Hessian-form helper and one margin SDP,
+compiled by ``moment.sos_membership_blocks`` on the z-linear Gram basis).
 
 The lower-level engine minimizes a polynomial over a semialgebraic set by
 the moment hierarchy (moment matrix plus localizing blocks, normalized
@@ -17,9 +18,9 @@ import numpy as np
 
 from .errors import NumericalTroubleError
 from .extract import extract_atoms, flat_truncation_check, point_from_functional
-from .moment import MomentVarMap
-from .poly import Polynomial, monomials_up_to
-from .sdp import LinExpr, SdpBuilder, solve
+from .moment import MomentVarMap, ZLinearQModule, membership_margin
+from .poly import Polynomial
+from .sdp import SdpBuilder, solve
 
 
 # --------------------------------------------------------------------------
@@ -251,11 +252,59 @@ def sos_convexity_check(h: Polynomial, tol: float = 1e-8,
     return _sos_convexity_margin(h, tol) >= -threshold
 
 
+def hessian_form(p: Polynomial, m: int) -> Polynomial:
+    """z^T (d^2 p / dx^2) z, x the first m of p's variables, as a
+    polynomial in p's variables followed by z_1, ..., z_m."""
+    terms: dict[tuple, float] = {}
+    for i in range(m):
+        row = p.partial(i)
+        for j in range(i, m):
+            w = 1.0 if i == j else 2.0
+            z = tuple(int(t == i) + int(t == j) for t in range(m))
+            for exp, c in row.partial(j).terms.items():
+                terms[exp + z] = terms.get(exp + z, 0.0) + w * c
+    return Polynomial(p.nvars + m, terms)
+
+
+def hessian_form_margin(form: Polynomial, m: int, gens=(),
+                        tol: float = 1e-8) -> float:
+    """The membership margin (:func:`moment.membership_margin`) of a
+    Hessian form in the quadratic module of ``gens`` (polynomials in the
+    form's variables that do not involve its last m, the z), restricted to
+    squares linear in z: :class:`moment.ZLinearQModule` at the order
+    ceil(deg form / 2).  +inf when the margin is unbounded, -inf when the
+    form is outside the cone; any other solver outcome raises
+    :class:`NumericalTroubleError`.
+
+    When the restriction is exact.  A pass is always a certificate, since
+    the restricted cone lies inside the full module.  The converse holds
+    whenever Y = {y : gens >= 0} has nonempty interior.  Write each square
+    of a full-module certificate sigma_0 + sum_i q_i sigma_i as
+    (s_0 + s_1 + ... + s_D)^2, with s_d homogeneous of degree d in z.  The
+    certificate's z-degree-0 part is the sum of the q_i s_0^2 (q_0 = 1):
+    each term is nonnegative on Y, and together they equal the form's
+    z-degree-0 part, which is zero.  So each term vanishes on int Y, hence
+    identically, and every s_0 = 0.  The same argument on the top
+    z-degree 2D, when 2D > 2, gives s_D = 0.  Hence every square is linear
+    in z, with coefficients of degree <= order - ceil(deg q_i / 2) - 1,
+    which is a certificate in this cone.  Interval and QuadraticSet index
+    sets have interior by construction.  On a Semialgebraic set without
+    interior the restriction can only turn a pass into a refusal, never
+    the reverse, so one path serves every index set.
+    """
+    cone = ZLinearQModule(tuple(gens), order=(int(form.degree) + 1) // 2, nz=m)
+    t_star, sol = membership_margin(form, cone, tol=tol)
+    if np.isnan(t_star):
+        raise NumericalTroubleError(
+            f"s.o.s-convexity SDP ended with status {sol.status}")
+    return t_star
+
+
 def _sos_convexity_margin(h: Polynomial, tol: float = 1e-8) -> float:
-    """The maximal margin t with Gram - t*I still PSD for the Hessian form
-    on the z-linear basis {x^alpha z_i}.  The form is normalized by its
-    largest coefficient, so the margin is scale-free; +inf when the SDP is
-    unbounded, -inf when it is infeasible.
+    """The margin of the Hessian form in the z-linear cone
+    (:func:`hessian_form_margin` with no generators): the maximal t with
+    Gram - t*I still PSD on the basis {x^alpha z_i}.  The form is
+    normalized by its largest coefficient, so the margin is scale-free.
 
     A quadratic needs no SDP.  Its Hessian is constant, so the basis is
     {z_1, ..., z_m} and each monomial z_i z_j of the form is met by the
@@ -267,59 +316,17 @@ def _sos_convexity_margin(h: Polynomial, tol: float = 1e-8) -> float:
     m = h.nvars
     if h.degree <= 1:
         return 0.0
-    hess = h.hessian()
-    terms: dict[tuple, float] = {}
-    for i in range(m):
-        for j in range(m):
-            for exp, c in hess[i][j].terms.items():
-                zpart = [0] * m
-                zpart[i] += 1
-                zpart[j] += 1
-                joint = exp + tuple(zpart)
-                terms[joint] = terms.get(joint, 0.0) + c
-    terms = {e: c for e, c in terms.items() if c != 0.0}
-    if not terms:
+    form = hessian_form(h, m)
+    if form.is_zero():
         return 0.0
-    scale = max(abs(c) for c in terms.values())
-    terms = {e: c / scale for e, c in terms.items()}
-
-    if h.degree == 2:
-        H = np.zeros((m, m))
-        for exp, c in terms.items():
-            i, j = np.repeat(np.arange(m), exp[m:])
-            H[i, j] = H[j, i] = c if i == j else 0.5 * c
-        return float(np.linalg.eigvalsh(H)[0])
-
-    dz = (int(h.degree) - 2 + 1) // 2  # ceil((deg h - 2)/2)
-    xmonos = monomials_up_to(m, dz)
-    basis = [xm + tuple(1 if t == i else 0 for t in range(m))
-             for i in range(m) for xm in xmonos]
-    builder = SdpBuilder()
-    G = builder.psd_block(len(basis))
-    t = builder.free_block(1)
-    rows: dict[tuple, LinExpr] = {}
-    for i1 in range(len(basis)):
-        for i2 in range(i1, len(basis)):
-            prod = tuple(a + b for a, b in zip(basis[i1], basis[i2]))
-            w = 1.0 if i1 == i2 else 2.0
-            rows.setdefault(prod, LinExpr()).add_term(
-                G.entry_index(i2, i1), w)
-    for bmono in basis:
-        sq = tuple(2 * e for e in bmono)
-        rows.setdefault(sq, LinExpr()).add_term(t.index(0), 1.0)
-    for mono in set(rows) | set(terms):
-        expr = rows.get(mono, LinExpr()) - LinExpr.constant(terms.get(mono, 0.0))
-        builder.add_equality(expr, 0.0)
-    builder.set_objective(t.entry(0, -1.0))
-    sol = solve(builder.build(), tol=tol)
-    if sol.status == "Optimal":
-        return -sol.primal_value
-    if sol.status == "DualInfeasible":  # margin unbounded above: interior
-        return float("inf")
-    if sol.status == "PrimalInfeasible":
-        return float("-inf")
-    raise NumericalTroubleError(
-        f"s.o.s-convexity SDP ended with status {sol.status}")
+    if h.degree > 2:
+        return hessian_form_margin(form, m, tol=tol)
+    scale = max(abs(c) for c in form.terms.values())
+    H = np.zeros((m, m))
+    for exp, c in form.terms.items():
+        i, j = np.repeat(np.arange(m), exp[m:])
+        H[i, j] = H[j, i] = c / scale if i == j else 0.5 * c / scale
+    return float(np.linalg.eigvalsh(H)[0])
 
 
 # --------------------------------------------------------------------------

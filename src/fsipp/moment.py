@@ -5,6 +5,13 @@ matrices, cone descriptions for the reformulations, and the
 compilers that turn cone membership (Gram side) or dual-cone membership
 (moment side) into blocks and equality rows of an SDP.
 
+On the Gram side every cone names, per generator q, the monomial basis of
+its Gram matrix (``gram_structure`` yields (q, basis) pairs), and
+:func:`sos_membership_blocks` is the one writer of Gram blocks: the full
+bases of the truncated cones and the z-linear bases of
+:class:`ZLinearQModule`, which the s.o.s-convexity tests use, go through
+the same loop.
+
 On the moment side the truncated moment vector (L(x^a) for |a| <= 2k) is
 a vector of free SDP variables, as in Lasserre's formulation and
 GloptiPoly: the moment matrix and every localizing matrix are linear in
@@ -127,7 +134,8 @@ class SosBounded:
         return self.degree
 
     def gram_structure(self, nvars: int):
-        return [(Polynomial.constant(nvars, 1.0), self.degree // 2)]
+        return [(Polynomial.constant(nvars, 1.0),
+                 monomials_up_to(nvars, self.degree // 2))]
 
     def scalar_multipliers(self, nvars: int):
         return []
@@ -158,9 +166,9 @@ class IntervalUnivariate:
     def gram_structure(self, nvars: int):
         if nvars != 1:
             raise ValueError("interval cone is univariate")
-        out = [(Polynomial.constant(1, 1.0), self.cap // 2)]
+        out = [(Polynomial.constant(1, 1.0), monomials_up_to(1, self.cap // 2))]
         if self.cap >= 2:
-            out.append((self._weight(), (self.cap - 2) // 2))
+            out.append((self._weight(), monomials_up_to(1, (self.cap - 2) // 2)))
         return out
 
     def scalar_multipliers(self, nvars: int):
@@ -183,7 +191,7 @@ class SLemma:
         return 2
 
     def gram_structure(self, nvars: int):
-        return [(Polynomial.constant(nvars, 1.0), 1)]
+        return [(Polynomial.constant(nvars, 1.0), monomials_up_to(nvars, 1))]
 
     def scalar_multipliers(self, nvars: int):
         return [self.phi]
@@ -206,12 +214,9 @@ class QModule:
         return 2 * self.order
 
     def gram_structure(self, nvars: int):
-        out = [(Polynomial.constant(nvars, 1.0), self.order)]
-        for q in self.generators:
-            half = (int(q.degree) + 1) // 2
-            if self.order - half >= 0:
-                out.append((q, self.order - half))
-        return out
+        return [(q, monomials_up_to(nvars, self.order - half))
+                for q, half in _weighted(self.generators, nvars)
+                if self.order - half >= 0]
 
     def scalar_multipliers(self, nvars: int):
         return []
@@ -223,7 +228,45 @@ class QModule:
         return list(self.generators)
 
 
-ConeSpec = SosBounded | IntervalUnivariate | SLemma | QModule
+@dataclass(frozen=True)
+class ZLinearQModule:
+    """The members of QModule(generators, order) whose squares are linear in
+    z, the last ``nz`` variables: sigma_q's Gram basis is the monomials in
+    the other variables of degree <= order - ceil(deg q / 2) - 1, times
+    each z_i (and sigma_0's, with q = 1, of degree <= order - 1).
+
+    This is the cone of a Hessian form z^T grad^2 p z when no generator
+    involves z, and it is never larger than the full module, so membership
+    here is a certificate of membership there.  Gram-side only.
+    """
+
+    generators: tuple
+    order: int
+    nz: int
+
+    def member_degree_bound(self) -> int:
+        return 2 * self.order
+
+    def gram_structure(self, nvars: int):
+        out = []
+        for q, half in _weighted(self.generators, nvars):
+            rest = monomials_up_to(nvars - self.nz, self.order - half - 1)
+            if rest:
+                out.append((q, [mono + tuple(int(t == i) for t in range(self.nz))
+                                for i in range(self.nz) for mono in rest]))
+        return out
+
+    def scalar_multipliers(self, nvars: int):
+        return []
+
+
+def _weighted(generators, nvars: int):
+    """(q, ceil(deg q / 2)) for q = 1 and then each generator."""
+    return [(Polynomial.constant(nvars, 1.0), 0)] + [
+        (q, (int(q.degree) + 1) // 2) for q in generators]
+
+
+ConeSpec = SosBounded | IntervalUnivariate | SLemma | QModule | ZLinearQModule
 
 
 # --------------------------------------------------------------------------
@@ -256,11 +299,13 @@ def sos_membership_blocks(builder: SdpBuilder, target, cone: ConeSpec,
         if sum(mono) > bound:
             raise ValueError(
                 f"target degree {sum(mono)} exceeds cone bound {bound}")
-    rows: dict[tuple, LinExpr] = {m: LinExpr() for m in monomials_up_to(nvars, bound)}
+    rows: dict[tuple, LinExpr] = {}
+
+    def row(mono: tuple) -> LinExpr:
+        return rows.setdefault(mono, LinExpr())
 
     gram_handles = []
-    for gi, (gen, gdeg) in enumerate(cone.gram_structure(nvars)):
-        basis = monomials_up_to(nvars, gdeg)
+    for gi, (gen, basis) in enumerate(cone.gram_structure(nvars)):
         h = builder.psd_block(len(basis))
         gram_handles.append(h)
         for j, bj in enumerate(basis):
@@ -269,12 +314,12 @@ def sos_membership_blocks(builder: SdpBuilder, target, cone: ConeSpec,
                 w = 1.0 if i == j else 2.0
                 idx = h.entry_index(i, j)
                 for dexp, dcoef in gen.terms.items():
-                    rows[_add(prod, dexp)].add_term(idx, w * dcoef)
+                    row(_add(prod, dexp)).add_term(idx, w * dcoef)
         if gi == 0 and margin is not None:
             for bmono in basis:
                 sq = _add(bmono, bmono)
                 for k, v in margin.coeffs.items():
-                    rows[sq].add_term(k, v)
+                    row(sq).add_term(k, v)
 
     lam_handle = None
     mults = cone.scalar_multipliers(nvars)
@@ -282,12 +327,14 @@ def sos_membership_blocks(builder: SdpBuilder, target, cone: ConeSpec,
         lam_handle = builder.nonneg_block(len(mults))
         for li, mult in enumerate(mults):
             for dexp, dcoef in mult.terms.items():
-                rows[dexp].add_term(lam_handle.index(li), dcoef)
+                row(dexp).add_term(lam_handle.index(li), dcoef)
 
+    # one row per monomial that either side touches, in graded-lex order
     for mono in monomials_up_to(nvars, bound):
-        expr = rows[mono] - aff.get(mono, LinExpr())
-        if not expr.is_zero():
-            builder.add_equality(expr, 0.0)
+        if mono in rows or mono in aff:
+            expr = rows.get(mono, LinExpr()) - aff.get(mono, LinExpr())
+            if not expr.is_zero():
+                builder.add_equality(expr, 0.0)
     return {"gram": gram_handles, "lam": lam_handle}
 
 
@@ -297,7 +344,8 @@ def membership_margin(target: Polynomial, cone: ConeSpec,
 
     Returns (t_star, solution).  The target is normalized by its largest
     coefficient magnitude first, so t_star is scale-free; membership holds
-    iff t_star >= 0 up to solver accuracy.
+    iff t_star >= 0 up to solver accuracy.  t_star is -inf when the SDP is
+    infeasible, +inf when t is unbounded and nan on any other status.
     """
     from .sdp import solve
 
@@ -312,8 +360,10 @@ def membership_margin(target: Polynomial, cone: ConeSpec,
     sol = solve(builder.build(), tol=tol, max_iter=max_iter)
     if sol.status == "Optimal":
         return -sol.primal_value, sol
-    if sol.status == "PrimalInfeasible":  # cannot happen for genuine targets
+    if sol.status == "PrimalInfeasible":  # the target is outside the cone
         return float("-inf"), sol
+    if sol.status == "DualInfeasible":
+        return float("inf"), sol
     return float("nan"), sol
 
 

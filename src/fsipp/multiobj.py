@@ -29,7 +29,8 @@ from .certify import feasibility_check
 from .errors import NumericalTroubleError
 from .poly import BivariatePoly, Polynomial
 from .relax import (CaseTag, FsippProblem, IndexSetDesc, Interval, QuadraticSet,
-                    RelaxOptions, check_tag, solve_hierarchy)
+                    RelaxOptions, check_tag, classify_by,
+                    convexity_findings, solve_hierarchy)
 
 
 @dataclass(frozen=True)
@@ -125,25 +126,40 @@ def epsilon_constraint_solve(mprob: MultiFsippProblem, u0, opts: RelaxOptions,
     minimizer is verified unique (rank-one certificate plus positive
     definite numerator Hessian under a Case3/Case4 tag), or after all t
     stages.  Failures carry the stage index.
+
+    Stages differ only in f_i, g_i and the cross-constraints, so each
+    stage's route is decided by its own eigenvalue checks, but the
+    s.o.s-convexity of the family p, the one SDP of classification, is
+    decided once per walk.
     """
     u_prev = np.asarray(u0, dtype=float)
     ok, margin = feasibility_check(u_prev, mprob.base_problem(1), tau=opts.tau)
     if not ok:
         raise ValueError(
             f"initial point infeasible: constraint margin {margin:.3e} > {opts.tau}")
+    override = opts.case_override
+    if override is not None:
+        try:  # the shape check reads only p and the index set
+            check_tag(mprob.base_problem(1), override)
+        except ValueError:  # override does not fit this walk's shape
+            override = None
+    family = None  # p's s.o.s-convexity verdict: p and Y are every stage's
+
+    def findings(sub):
+        nonlocal family
+        out = convexity_findings(sub, family)
+        family = out[-1][1]
+        return out
+
     path, traces = [], []
     stopped_by = "Exhausted_t"
     for i in range(1, mprob.t + 1):
         try:
             sub = scalarize(mprob, i, u_prev, tau=opts.tau,
                             check_feasible=(i > 1))
-            stage_opts = opts
-            if opts.case_override is not None:
-                try:
-                    check_tag(sub, opts.case_override)
-                except ValueError:  # override does not fit this stage's shape
-                    stage_opts = replace(opts, case_override=None)
-            trace = solve_hierarchy(sub, stage_opts, k_range)
+            tag = override if override is not None else classify_by(sub, findings)
+            trace = solve_hierarchy(sub, replace(opts, case_override=tag),
+                                    k_range)
             if trace.candidate is None:
                 statuses = [(row.k, row.dual_status, row.error)
                             for row in trace.rows]

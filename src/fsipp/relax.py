@@ -42,13 +42,14 @@ from enum import Enum
 
 import numpy as np
 
-from .certify import KktReport, certify_point, sos_convexity_check
+from .certify import (KktReport, certify_point, hessian_form,
+                      hessian_form_margin, sos_convexity_check)
 from .errors import MissingHintError, NumericalTroubleError, OptimumKnownSignal
 from .extract import (RankCertificate, extract_atoms, flat_truncation_check,
                       point_from_functional)
 from .moment import (IntervalUnivariate, MomentFunctional, MomentVarMap, QModule,
-                     SLemma, SosBounded, dual_cone_blocks, membership_margin,
-                     poly_image_in_y_sym, sos_membership_blocks)
+                     SLemma, SosBounded, dual_cone_blocks, poly_image_in_y_sym,
+                     sos_membership_blocks)
 from .poly import BivariatePoly, Polynomial
 from .sdp import LinExpr, SdpBuilder, SdpProblem, solve
 
@@ -334,54 +335,34 @@ def _embed(poly: Polynomial, total: int, offset: int) -> Polynomial:
     return Polynomial(total, terms)
 
 
-def _hessian_form_terms(prob: FsippProblem) -> dict:
-    """Terms of z^T (d^2 p / dx^2) z in variables (x, y, z)."""
-    joint = prob.p.to_joint()
-    m, n = prob.m, prob.p.n_y
-    total = m + n + m
-    terms: dict[tuple, float] = {}
-    for i in range(m):
-        row = joint.partial(i)
-        for j in range(i, m):
-            entry = row.partial(j)
-            w = 1.0 if i == j else 2.0
-            for exp, c in entry.terms.items():
-                zpart = [0] * m
-                zpart[i] += 1
-                zpart[j] += 1
-                wide = exp + tuple(zpart)
-                terms[wide] = terms.get(wide, 0.0) + w * c
-    return {e: c for e, c in terms.items() if c != 0.0}
-
-
 def _p_sos_convex(prob: FsippProblem) -> bool:
     """Is p(., y) s.o.s-convex in x for every y in the index set?
 
-    Sound path first: the Hessian form is tested as a member of the
-    quadratic module generated by the index-set constraints (a certificate
-    valid uniformly in y).  If that is inconclusive, fall back to checking
-    25 sampled slices; any failure is treated as a refusal.
+    Sound path first: the Hessian form z^T grad_x^2 p(x, y) z is tested as
+    a member of the quadratic module generated by the index-set
+    constraints, on the Gram bases of squares linear in z
+    (:func:`certify.hessian_form_margin`, whose docstring shows that this
+    restriction loses nothing when the index set has interior).  A pass
+    is a certificate valid uniformly in y.  If it is refused, or the SDP
+    ends in numerical trouble, fall back to checking 25 sampled slices;
+    any failure there is treated as a refusal.
     """
     m, n = prob.m, prob.p.n_y
-    terms = _hessian_form_terms(prob)
-    if not terms:
+    form = hessian_form(prob.p.to_joint(), m)
+    if form.is_zero():
         return True
-    if all(all(e == 0 for e in exp[m:m + n]) for exp in terms):
+    if all(not any(exp[m:m + n]) for exp in form.terms):
         # Hessian does not involve y: one slice decides
         rep = prob.index_set.representative_point()
         if rep is None:
             rep = np.zeros(n)
         return sos_convexity_check(prob.p.substitute_y(rep))
 
-    total = m + n + m
-    target = Polynomial(total, terms)
-    gens = tuple(_embed(q, total, m) for q in prob.index_set.as_generators())
-    cone = QModule(gens, order=_ceil_half(int(target.degree)))
+    gens = [_embed(q, form.nvars, m) for q in prob.index_set.as_generators()]
     try:
-        t_star, _ = membership_margin(target, cone)
-        if np.isfinite(t_star) and t_star >= -1e-7:
+        if hessian_form_margin(form, m, gens) >= -1e-7:
             return True
-    except Exception:
+    except NumericalTroubleError:
         pass
     samples = prob.index_set.sample_points(25)
     if len(samples) == 0:
@@ -392,15 +373,17 @@ def _p_sos_convex(prob: FsippProblem) -> bool:
         return False
 
 
-def convexity_findings(prob: FsippProblem) -> list[tuple[str, bool]]:
+def convexity_findings(prob: FsippProblem,
+                       family: bool | None = None) -> list[tuple[str, bool]]:
     """Sum-of-squares-convexity verdict for each datum, in report order:
     f, -g, each constraint, then the family p (uniformly over the index
-    set)."""
+    set).  ``family``, when given, is that last verdict, already decided
+    for the same p and index set."""
     out = [("f", sos_convexity_check(prob.f)),
            ("-g", sos_convexity_check(prob.g.scale(-1.0)))]
     for j, psi in enumerate(prob.psis):
         out.append((f"psi[{j}]", sos_convexity_check(psi)))
-    out.append(("p", _p_sos_convex(prob)))
+    out.append(("p", _p_sos_convex(prob) if family is None else family))
     return out
 
 
@@ -415,13 +398,20 @@ def classify_case(prob: FsippProblem,
     if case_override is not None:
         check_tag(prob, case_override)
         return case_override
+    return classify_by(prob, convexity_findings)
+
+
+def classify_by(prob: FsippProblem, findings) -> CaseTag:
+    """:func:`classify_case` without an override, with ``findings(prob)``
+    standing in for :func:`convexity_findings`; it is called only when the
+    index set has the shape of Case1 or Case2."""
     if isinstance(prob.index_set, Interval):
         shape = CaseTag.CASE1
     elif isinstance(prob.index_set, QuadraticSet) and prob.p.d_y <= 2:
         shape = CaseTag.CASE2
     else:
         return CaseTag.GENERAL
-    if all(ok for _, ok in convexity_findings(prob)):
+    if all(ok for _, ok in findings(prob)):
         return shape
     return CaseTag.GENERAL
 

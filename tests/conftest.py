@@ -12,9 +12,11 @@ import pytest
 
 from fsipp import instances
 from fsipp.certify import certify_point
-from fsipp.moment import MonomialBasis
+from fsipp.moment import MonomialBasis, QModule, membership_margin
 from fsipp.multiobj import epsilon_constraint_solve, scalarize
+from fsipp.poly import Polynomial, monomials_up_to
 from fsipp.relax import solve_hierarchy
+from fsipp.sdp import LinExpr, SdpBuilder, solve
 
 # bounding boxes (per coordinate) that contain each biobjective feasible set,
 # used for grid audits and image exports
@@ -74,6 +76,71 @@ def audit_y_points_on_quadratic_set(index_set):
         for frac in (0.5, 0.8, 0.95, 1.0):
             pts.append(y0 + (frac * t_edge) * d)
     return np.array(pts)
+
+
+def full_hessian_form(prob):
+    """z^T (d^2 p / dx^2) z in the variables (x, y, z), from the partial
+    derivatives of the joint polynomial, summed over both orders (i, j)."""
+    joint = prob.p.to_joint()
+    m = prob.m
+    terms = {}
+    for i in range(m):
+        for j in range(m):
+            for exp, c in joint.partial(i).partial(j).terms.items():
+                wide = exp + tuple(int(t == i) + int(t == j) for t in range(m))
+                terms[wide] = terms.get(wide, 0.0) + c
+    return Polynomial(joint.nvars + m, terms)
+
+
+def full_basis_family_margin(prob):
+    """Membership margin of the Hessian form of p in the quadratic module
+    of the index-set generators over all monomials in (x, y, z) of degree
+    <= ceil(deg / 2): the family test as it stood before its Gram bases
+    were restricted to squares linear in z."""
+    form = full_hessian_form(prob)
+    m, n = prob.m, prob.p.n_y
+    gens = tuple(Polynomial(form.nvars, {(0,) * m + e + (0,) * m: c
+                                         for e, c in q.terms.items()})
+                 for q in prob.index_set.as_generators())
+    t_star, _ = membership_margin(form, QModule(gens, (int(form.degree) + 1) // 2))
+    return t_star
+
+
+def zlinear_gram_margin(h):
+    """The s.o.s-convexity margin of a polynomial of degree >= 3 by a Gram
+    matrix on {x^alpha z_i} written entry by entry: maximal t with the
+    Hessian form (normalized by its largest coefficient) equal to the
+    Gram form of G + t*I, G PSD."""
+    m = h.nvars
+    terms = {}
+    for i in range(m):
+        for j in range(m):
+            for exp, c in h.partial(i).partial(j).terms.items():
+                key = exp + tuple(int(t == i) + int(t == j) for t in range(m))
+                terms[key] = terms.get(key, 0.0) + c
+    scale = max(abs(c) for c in terms.values())
+    terms = {e: c / scale for e, c in terms.items() if c != 0.0}
+    dz = (int(h.degree) - 1) // 2
+    basis = [xm + tuple(int(t == i) for t in range(m))
+             for i in range(m) for xm in monomials_up_to(m, dz)]
+    builder = SdpBuilder()
+    G = builder.psd_block(len(basis))
+    t = builder.free_block(1)
+    rows = {}
+    for i1 in range(len(basis)):
+        for i2 in range(i1, len(basis)):
+            prod = _add(basis[i1], basis[i2])
+            rows.setdefault(prod, LinExpr()).add_term(
+                G.entry_index(i2, i1), 1.0 if i1 == i2 else 2.0)
+    for b in basis:
+        rows.setdefault(_add(b, b), LinExpr()).add_term(t.index(0), 1.0)
+    for mono in set(rows) | set(terms):
+        builder.add_equality(rows.get(mono, LinExpr())
+                             - LinExpr.constant(terms.get(mono, 0.0)), 0.0)
+    builder.set_objective(t.entry(0, -1.0))
+    sol = solve(builder.build())
+    assert sol.status == "Optimal", sol.status
+    return -sol.primal_value
 
 
 @pytest.fixture(scope="session")
