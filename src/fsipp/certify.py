@@ -1,7 +1,6 @@
 """Candidate certification: lower-level solves over the index set, active
 sets, nonnegative least-squares KKT residuals, feasibility margins and
-the s.o.s-convexity test (one Hessian-form helper and one margin SDP,
-compiled by ``moment.sos_membership_blocks`` on the z-linear Gram basis).
+the s.o.s-convexity test of a Hessian form on z-linear Gram bases.
 
 The lower-level engine minimizes a polynomial over a semialgebraic set by
 the moment hierarchy (moment matrix plus localizing blocks, normalized
@@ -18,7 +17,7 @@ import numpy as np
 
 from .errors import NumericalTroubleError
 from .extract import extract_atoms, flat_truncation_check, point_from_functional
-from .moment import MomentVarMap, ZLinearQModule, membership_margin
+from .moment import MomentVarMap, QModule, membership_margin
 from .poly import Polynomial
 from .sdp import SdpBuilder, solve
 
@@ -268,31 +267,24 @@ def hessian_form(p: Polynomial, m: int) -> Polynomial:
 
 def hessian_form_margin(form: Polynomial, m: int, gens=(),
                         tol: float = 1e-8) -> float:
-    """The membership margin (:func:`moment.membership_margin`) of a
-    Hessian form in the quadratic module of ``gens`` (polynomials in the
-    form's variables that do not involve its last m, the z), restricted to
-    squares linear in z: :class:`moment.ZLinearQModule` at the order
-    ceil(deg form / 2).  +inf when the margin is unbounded, -inf when the
-    form is outside the cone; any other solver outcome raises
-    :class:`NumericalTroubleError`.
+    """The membership margin (``moment.membership_margin``) of a Hessian
+    form, whose last m variables are z, in the quadratic module of
+    ``gens`` (which do not involve z) at order ceil(deg form / 2),
+    restricted to squares linear in z.  +inf when the margin is unbounded,
+    -inf when the form is outside the cone; any other solver outcome
+    raises :class:`NumericalTroubleError`.
 
-    When the restriction is exact.  A pass is always a certificate, since
-    the restricted cone lies inside the full module.  The converse holds
-    whenever Y = {y : gens >= 0} has nonempty interior.  Write each square
-    of a full-module certificate sigma_0 + sum_i q_i sigma_i as
-    (s_0 + s_1 + ... + s_D)^2, with s_d homogeneous of degree d in z.  The
-    certificate's z-degree-0 part is the sum of the q_i s_0^2 (q_0 = 1):
-    each term is nonnegative on Y, and together they equal the form's
-    z-degree-0 part, which is zero.  So each term vanishes on int Y, hence
-    identically, and every s_0 = 0.  The same argument on the top
-    z-degree 2D, when 2D > 2, gives s_D = 0.  Hence every square is linear
-    in z, with coefficients of degree <= order - ceil(deg q_i / 2) - 1,
-    which is a certificate in this cone.  Interval and QuadraticSet index
-    sets have interior by construction.  On a Semialgebraic set without
-    interior the restriction can only turn a pass into a refusal, never
-    the reverse, so one path serves every index set.
+    A pass is always a certificate: the restricted cone lies inside the
+    full module.  It is exact when Y = {gens >= 0} has interior.  Split
+    each square of a full-module certificate sum_i q_i sigma_i (q_0 = 1)
+    by z-degree, (s_0 + ... + s_D)^2.  The z-degree-0 part, sum q_i s_0^2,
+    is nonnegative on Y and equals the form's, zero, so each term vanishes
+    on int Y, hence identically: s_0 = 0.  Likewise s_D = 0 while 2D > 2.
+    So every square is linear in z.  Interval and QuadraticSet have
+    interior; on a Semialgebraic Y without it the restriction can only
+    turn a pass into a refusal, so one path serves every index set.
     """
-    cone = ZLinearQModule(tuple(gens), order=(int(form.degree) + 1) // 2, nz=m)
+    cone = QModule(tuple(gens), order=(int(form.degree) + 1) // 2, nz=m)
     t_star, sol = membership_margin(form, cone, tol=tol)
     if np.isnan(t_star):
         raise NumericalTroubleError(
@@ -306,16 +298,12 @@ def _sos_convexity_margin(h: Polynomial, tol: float = 1e-8) -> float:
     Gram - t*I still PSD on the basis {x^alpha z_i}.  The form is
     normalized by its largest coefficient, so the margin is scale-free.
 
-    A quadratic needs no SDP.  Its Hessian is constant, so the basis is
-    {z_1, ..., z_m} and each monomial z_i z_j of the form is met by the
-    Gram entries (i, j) and (j, i) alone: the equality rows fix every Gram
-    entry, G = H - t*I with H the normalized Hessian (the form's
-    coefficient of z_i z_j, i != j, is 2 H_ij).  The largest t keeping G
-    PSD is then exactly the smallest eigenvalue of H.
+    A quadratic needs no SDP.  Its basis is {z_1, ..., z_m}, and the rows
+    fix every Gram entry: G = H - t*I with H the normalized Hessian (the
+    form's coefficient of z_i z_j, i != j, is 2 H_ij).  The largest t
+    keeping G PSD is the smallest eigenvalue of H.
     """
     m = h.nvars
-    if h.degree <= 1:
-        return 0.0
     form = hessian_form(h, m)
     if form.is_zero():
         return 0.0

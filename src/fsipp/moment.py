@@ -5,12 +5,8 @@ matrices, cone descriptions for the reformulations, and the
 compilers that turn cone membership (Gram side) or dual-cone membership
 (moment side) into blocks and equality rows of an SDP.
 
-On the Gram side every cone names, per generator q, the monomial basis of
-its Gram matrix (``gram_structure`` yields (q, basis) pairs), and
-:func:`sos_membership_blocks` is the one writer of Gram blocks: the full
-bases of the truncated cones and the z-linear bases of
-:class:`ZLinearQModule`, which the s.o.s-convexity tests use, go through
-the same loop.
+Each cone names the Gram basis of every generator (``gram_structure``),
+and :func:`sos_membership_blocks` alone writes Gram blocks from them.
 
 On the moment side the truncated moment vector (L(x^a) for |a| <= 2k) is
 a vector of free SDP variables, as in Lasserre's formulation and
@@ -26,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalTroubleError
 from .poly import Polynomial, monomials_up_to
-from .sdp import LinExpr, SdpBuilder
+from .sdp import LinExpr, SdpBuilder, solve
 
 # --------------------------------------------------------------------------
 # bases and functionals
@@ -205,18 +202,31 @@ class SLemma:
 
 @dataclass(frozen=True)
 class QModule:
-    """Truncated quadratic module: sigma_0 + sum_i sigma_i q_i, degree <= 2k."""
+    """Truncated quadratic module: sigma_0 + sum_i sigma_i q_i, degree <= 2k.
+
+    With ``nz`` > 0 only squares linear in the last nz variables z enter:
+    q's Gram basis is each z_i times the monomials in the other variables
+    of degree <= k - ceil(deg q / 2) - 1 (see certify.hessian_form_margin).
+    """
 
     generators: tuple
     order: int  # k
+    nz: int = 0
 
     def member_degree_bound(self) -> int:
         return 2 * self.order
 
     def gram_structure(self, nvars: int):
-        return [(q, monomials_up_to(nvars, self.order - half))
-                for q, half in _weighted(self.generators, nvars)
-                if self.order - half >= 0]
+        out = []
+        for q in (Polynomial.constant(nvars, 1.0), *self.generators):
+            rest = self.order - (int(q.degree) + 1) // 2
+            basis = monomials_up_to(nvars, rest) if not self.nz else [
+                mono + tuple(int(t == i) for t in range(self.nz))
+                for i in range(self.nz)
+                for mono in monomials_up_to(nvars - self.nz, rest - 1)]
+            if basis:
+                out.append((q, basis))
+        return out
 
     def scalar_multipliers(self, nvars: int):
         return []
@@ -228,45 +238,7 @@ class QModule:
         return list(self.generators)
 
 
-@dataclass(frozen=True)
-class ZLinearQModule:
-    """The members of QModule(generators, order) whose squares are linear in
-    z, the last ``nz`` variables: sigma_q's Gram basis is the monomials in
-    the other variables of degree <= order - ceil(deg q / 2) - 1, times
-    each z_i (and sigma_0's, with q = 1, of degree <= order - 1).
-
-    This is the cone of a Hessian form z^T grad^2 p z when no generator
-    involves z, and it is never larger than the full module, so membership
-    here is a certificate of membership there.  Gram-side only.
-    """
-
-    generators: tuple
-    order: int
-    nz: int
-
-    def member_degree_bound(self) -> int:
-        return 2 * self.order
-
-    def gram_structure(self, nvars: int):
-        out = []
-        for q, half in _weighted(self.generators, nvars):
-            rest = monomials_up_to(nvars - self.nz, self.order - half - 1)
-            if rest:
-                out.append((q, [mono + tuple(int(t == i) for t in range(self.nz))
-                                for i in range(self.nz) for mono in rest]))
-        return out
-
-    def scalar_multipliers(self, nvars: int):
-        return []
-
-
-def _weighted(generators, nvars: int):
-    """(q, ceil(deg q / 2)) for q = 1 and then each generator."""
-    return [(Polynomial.constant(nvars, 1.0), 0)] + [
-        (q, (int(q.degree) + 1) // 2) for q in generators]
-
-
-ConeSpec = SosBounded | IntervalUnivariate | SLemma | QModule | ZLinearQModule
+ConeSpec = SosBounded | IntervalUnivariate | SLemma | QModule
 
 
 # --------------------------------------------------------------------------
@@ -299,10 +271,7 @@ def sos_membership_blocks(builder: SdpBuilder, target, cone: ConeSpec,
         if sum(mono) > bound:
             raise ValueError(
                 f"target degree {sum(mono)} exceeds cone bound {bound}")
-    rows: dict[tuple, LinExpr] = {}
-
-    def row(mono: tuple) -> LinExpr:
-        return rows.setdefault(mono, LinExpr())
+    rows: dict[tuple, LinExpr] = {m: LinExpr() for m in monomials_up_to(nvars, bound)}
 
     gram_handles = []
     for gi, (gen, basis) in enumerate(cone.gram_structure(nvars)):
@@ -314,12 +283,12 @@ def sos_membership_blocks(builder: SdpBuilder, target, cone: ConeSpec,
                 w = 1.0 if i == j else 2.0
                 idx = h.entry_index(i, j)
                 for dexp, dcoef in gen.terms.items():
-                    row(_add(prod, dexp)).add_term(idx, w * dcoef)
+                    rows[_add(prod, dexp)].add_term(idx, w * dcoef)
         if gi == 0 and margin is not None:
             for bmono in basis:
                 sq = _add(bmono, bmono)
                 for k, v in margin.coeffs.items():
-                    row(sq).add_term(k, v)
+                    rows[sq].add_term(k, v)
 
     lam_handle = None
     mults = cone.scalar_multipliers(nvars)
@@ -327,14 +296,12 @@ def sos_membership_blocks(builder: SdpBuilder, target, cone: ConeSpec,
         lam_handle = builder.nonneg_block(len(mults))
         for li, mult in enumerate(mults):
             for dexp, dcoef in mult.terms.items():
-                row(dexp).add_term(lam_handle.index(li), dcoef)
+                rows[dexp].add_term(lam_handle.index(li), dcoef)
 
-    # one row per monomial that either side touches, in graded-lex order
     for mono in monomials_up_to(nvars, bound):
-        if mono in rows or mono in aff:
-            expr = rows.get(mono, LinExpr()) - aff.get(mono, LinExpr())
-            if not expr.is_zero():
-                builder.add_equality(expr, 0.0)
+        expr = rows[mono] - aff.get(mono, LinExpr())
+        if not expr.is_zero():
+            builder.add_equality(expr, 0.0)
     return {"gram": gram_handles, "lam": lam_handle}
 
 
@@ -344,11 +311,9 @@ def membership_margin(target: Polynomial, cone: ConeSpec,
 
     Returns (t_star, solution).  The target is normalized by its largest
     coefficient magnitude first, so t_star is scale-free; membership holds
-    iff t_star >= 0 up to solver accuracy.  t_star is -inf when the SDP is
-    infeasible, +inf when t is unbounded and nan on any other status.
+    iff t_star >= 0 up to solver accuracy (-inf: infeasible, +inf:
+    unbounded, nan: any other status).
     """
-    from .sdp import solve
-
     scale = max((abs(c) for c in target.terms.values()), default=0.0)
     if scale > 0:
         target = target.scale(1.0 / scale)
@@ -360,21 +325,14 @@ def membership_margin(target: Polynomial, cone: ConeSpec,
     sol = solve(builder.build(), tol=tol, max_iter=max_iter)
     if sol.status == "Optimal":
         return -sol.primal_value, sol
-    if sol.status == "PrimalInfeasible":  # the target is outside the cone
-        return float("-inf"), sol
-    if sol.status == "DualInfeasible":
-        return float("inf"), sol
-    return float("nan"), sol
+    return {"PrimalInfeasible": float("-inf"),  # the target is outside the cone
+            "DualInfeasible": float("inf")}.get(sol.status, float("nan")), sol
 
 
 def is_member(target: Polynomial, cone: ConeSpec, threshold: float = 1e-7) -> bool:
     """Decide cone membership by the sign of the feasibility margin."""
     t_star, sol = membership_margin(target, cone)
-    if not np.isfinite(t_star):
-        from .errors import NumericalTroubleError
-
-        if t_star == float("-inf"):
-            return False
+    if np.isnan(t_star):
         raise NumericalTroubleError(
             f"membership solve ended with status {sol.status}")
     return t_star >= -threshold

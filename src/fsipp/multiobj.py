@@ -127,10 +127,8 @@ def epsilon_constraint_solve(mprob: MultiFsippProblem, u0, opts: RelaxOptions,
     definite numerator Hessian under a Case3/Case4 tag), or after all t
     stages.  Failures carry the stage index.
 
-    Stages differ only in f_i, g_i and the cross-constraints, so each
-    stage's route is decided by its own eigenvalue checks, but the
-    s.o.s-convexity of the family p, the one SDP of classification, is
-    decided once per walk.
+    Stages share p and the index set, so the s.o.s-convexity of p, the
+    one SDP of classification, is decided once per walk.
     """
     u_prev = np.asarray(u0, dtype=float)
     ok, margin = feasibility_check(u_prev, mprob.base_problem(1), tau=opts.tau)

@@ -325,27 +325,15 @@ def check_tag(prob: FsippProblem, tag: CaseTag) -> None:
 # --------------------------------------------------------------------------
 
 
-def _embed(poly: Polynomial, total: int, offset: int) -> Polynomial:
-    """Re-index a polynomial into a wider variable tuple at the given slot."""
-    terms = {}
-    for exp, c in poly.terms.items():
-        wide = [0] * total
-        wide[offset:offset + poly.nvars] = exp
-        terms[tuple(wide)] = c
-    return Polynomial(total, terms)
-
-
 def _p_sos_convex(prob: FsippProblem) -> bool:
     """Is p(., y) s.o.s-convex in x for every y in the index set?
 
-    Sound path first: the Hessian form z^T grad_x^2 p(x, y) z is tested as
-    a member of the quadratic module generated by the index-set
-    constraints, on the Gram bases of squares linear in z
-    (:func:`certify.hessian_form_margin`, whose docstring shows that this
-    restriction loses nothing when the index set has interior).  A pass
-    is a certificate valid uniformly in y.  If it is refused, or the SDP
-    ends in numerical trouble, fall back to checking 25 sampled slices;
-    any failure there is treated as a refusal.
+    Sound path first: the Hessian form is tested as a member of the
+    quadratic module generated by the index-set constraints, on squares
+    linear in z (``certify.hessian_form_margin`` says when that is exact);
+    a pass is a certificate valid uniformly in y.  On a refusal or
+    numerical trouble, fall back to checking 25 sampled slices; any
+    failure there is treated as a refusal.
     """
     m, n = prob.m, prob.p.n_y
     form = hessian_form(prob.p.to_joint(), m)
@@ -358,7 +346,9 @@ def _p_sos_convex(prob: FsippProblem) -> bool:
             rep = np.zeros(n)
         return sos_convexity_check(prob.p.substitute_y(rep))
 
-    gens = [_embed(q, form.nvars, m) for q in prob.index_set.as_generators()]
+    gens = [Polynomial(form.nvars, {(0,) * m + e + (0,) * m: c
+                                    for e, c in q.terms.items()})
+            for q in prob.index_set.as_generators()]  # in (x, y, z)
     try:
         if hessian_form_margin(form, m, gens) >= -1e-7:
             return True
@@ -402,9 +392,8 @@ def classify_case(prob: FsippProblem,
 
 
 def classify_by(prob: FsippProblem, findings) -> CaseTag:
-    """:func:`classify_case` without an override, with ``findings(prob)``
-    standing in for :func:`convexity_findings`; it is called only when the
-    index set has the shape of Case1 or Case2."""
+    """:func:`classify_case` without an override, ``findings(prob)`` standing
+    in for :func:`convexity_findings` (called only on a Case1/Case2 shape)."""
     if isinstance(prob.index_set, Interval):
         shape = CaseTag.CASE1
     elif isinstance(prob.index_set, QuadraticSet) and prob.p.d_y <= 2:
