@@ -141,7 +141,7 @@ def epsilon_constraint_solve(mprob: MultiFsippProblem, u0, opts: RelaxOptions,
             check_tag(mprob.base_problem(1), override)
         except ValueError:  # override does not fit this walk's shape
             override = None
-    family = None  # p's s.o.s-convexity verdict: p and Y are every stage's
+    family = None  # p's s.o.s-convexity verdict, shared by every stage
 
     def findings(sub):
         nonlocal family
