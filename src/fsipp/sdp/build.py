@@ -11,10 +11,9 @@ also collects the diagonal blocks of its matrix inequality, each entry a
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import (FreeBlock, LmiBlock, NonnegBlock, PsdBlock, SdpProblem,
-                    tri_index)
+                    SparseRows, tri_index)
 
 
 class LinExpr:
@@ -116,7 +115,7 @@ class LmiHandle(VecHandle):
     def __init__(self, offset: int, dim: int):
         super().__init__(offset, dim)
         self.dims: list[int] = []
-        self.maps: list[sp.csr_matrix] = []
+        self.maps: list[SparseRows] = []
 
     def add_matrix(self, dim: int, entries: dict) -> None:
         """Append a dim x dim diagonal block; ``entries`` maps (i, j),
@@ -131,9 +130,12 @@ class LmiHandle(VecHandle):
                 vals.append(v)
         if cols and not 0 <= min(cols) <= max(cols) < self.dim:
             raise IndexError("LMI entry refers to a variable outside its block")
+        order = np.lexsort((cols, rows))
         self.dims.append(dim)
-        self.maps.append(sp.csr_matrix((vals, (rows, cols)),
-                                       shape=(dim * (dim + 1) // 2, self.dim)))
+        self.maps.append(SparseRows(np.array(rows, dtype=np.intp)[order],
+                                    np.array(cols, dtype=np.intp)[order],
+                                    np.array(vals, dtype=float)[order],
+                                    (dim * (dim + 1) // 2, self.dim)))
 
 
 class SdpBuilder:
@@ -189,17 +191,14 @@ class SdpBuilder:
         c = np.zeros(n)
         for k, v in self._objective.items():
             c[k] = v
-        data, indices, indptr = [], [], [0]
-        for row in self.rows:
+        rows, cols, vals = [], [], []
+        for r, row in enumerate(self.rows):
             for k in sorted(row):
-                indices.append(k)
-                data.append(row[k])
-            indptr.append(len(indices))
-        A = sp.csr_matrix(
-            (np.array(data, dtype=float), np.array(indices, dtype=np.int64),
-             np.array(indptr, dtype=np.int64)),
-            shape=(len(self.rows), n),
-        )
+                rows.append(r)
+                cols.append(k)
+                vals.append(row[k])
+        A = SparseRows(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                       np.array(vals, dtype=float), (len(self.rows), n))
         blocks = [LmiBlock(bl.dim, tuple(bl.dims), tuple(bl.maps))
                   if isinstance(bl, LmiHandle) else bl for bl in self.blocks]
         return SdpProblem(blocks, c, A, np.array(self.rhs, dtype=float))

@@ -21,6 +21,9 @@ product of cones:
   the moments.  Each diagonal block is given by a sparse map from w to its
   entries, in the PsdBlock scalarization (entry values, not functionals).
 
+Sparse matrices (the equality rows, the LMI maps) are :class:`SparseRows`:
+their nonzeros as numpy arrays in row-major order.
+
 Constraints and the objective are stored over this common scalar indexing.
 The conic dual of an LmiBlock is a PSD matrix Z_S per diagonal block, tied
 to the block's columns of the equality rows by  B^T lam + F*(Z_S) = c_w,
@@ -33,7 +36,46 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
+
+
+@dataclass(frozen=True, eq=False)
+class SparseRows:
+    """A sparse matrix as its nonzeros in row-major order: ``rows``
+    nondecreasing, ``cols`` increasing within a row, no zero stored twice.
+
+    ``A @ x`` adds each row's terms in column order and ``A.T @ y`` each
+    column's in row order, starting from zero: the same floating-point sums
+    as a CSR matrix-vector product with A and with its transpose.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    shape: tuple
+
+    @classmethod
+    def from_dense(cls, a) -> "SparseRows":
+        a = np.atleast_2d(np.asarray(a, dtype=float))
+        rows, cols = np.nonzero(a)
+        return cls(rows, cols, a[rows, cols], a.shape)
+
+    @property
+    def nnz(self) -> int:
+        return self.vals.size
+
+    @property
+    def T(self) -> "SparseRows":
+        """The transpose; its entries stay in this matrix's order, so a
+        product with it sums each output entry in that order."""
+        return SparseRows(self.cols, self.rows, self.vals, self.shape[::-1])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows, self.vals * x[self.cols], self.shape[0])
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self.rows, self.cols] = self.vals
+        return out
 
 
 @dataclass(frozen=True)
@@ -67,9 +109,9 @@ class FreeBlock:
 class LmiBlock:
     """Free vector w of length ``nvars`` with S(w) = sum_a w_a F_a >= 0.
 
-    ``dims`` are the sizes of S's diagonal blocks; ``maps[i]`` is a CSR
-    (dims[i] (dims[i] + 1) / 2, nvars) matrix taking w to the lower
-    triangle, row-major, of diagonal block i.
+    ``dims`` are the sizes of S's diagonal blocks; ``maps[i]`` is a
+    (dims[i] (dims[i] + 1) / 2, nvars) :class:`SparseRows` taking w to the
+    lower triangle, row-major, of diagonal block i.
     """
 
     nvars: int
@@ -131,10 +173,8 @@ class SdpProblem:
                 f"objective length {c.size} != scalar count {self.num_scalars}"
             )
         self.objective = c
-        if sp.issparse(a_rows):
-            A = a_rows.tocsr().astype(float)
-        else:
-            A = sp.csr_matrix(np.atleast_2d(np.asarray(a_rows, dtype=float)))
+        A = (a_rows if isinstance(a_rows, SparseRows)
+             else SparseRows.from_dense(a_rows))
         if A.shape[1] != self.num_scalars and A.shape[0] > 0:
             raise ValueError(
                 f"constraint width {A.shape[1]} != scalar count {self.num_scalars}"

@@ -87,9 +87,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 
-from .model import FreeBlock, LmiBlock, PsdBlock, SdpProblem, SdpSolution, tri_indices
+from .model import (FreeBlock, LmiBlock, PsdBlock, SdpProblem, SdpSolution,
+                    SparseRows, tri_indices)
 
 _SQRT2 = float(np.sqrt(2.0))
 _REFINE_PASSES = 3    # refinement passes per Newton direction, at most
@@ -112,10 +112,12 @@ class _PsdData:
     rows alone.  ``runs`` splits the rows into maximal
     ranges of consecutive indices, (lo, hi, position of lo in ``rows``), and
     ``rix`` indexes the rows in M (a slice when the block touches them all).
+    ``passes`` holds the block's constraint entries as (row position,
+    column, value) arrays, the k-th nonzero of each row in pass k.
     """
 
     __slots__ = ("sl", "dim", "ti", "tj", "w", "fij", "fji", "rows", "rix",
-                 "runs", "T", "Asp")
+                 "runs", "T", "passes")
 
     def __init__(self, sl, dim, p, rows, cols, vals):
         """``rows``, ``cols``, ``vals``: the entries of the p-row internal
@@ -137,8 +139,10 @@ class _PsdData:
         self.rix = slice(None) if r == p else rows
         self.runs = [(int(rows[a]), int(rows[e - 1]) + 1, int(a))
                      for a, e in zip(starts, ends)]
-        self.Asp = sp.csr_matrix((v, c, np.searchsorted(at, np.arange(r + 1))),
-                                 shape=(r, len(self.w)))
+        # the k-th nonzero of every row that has one, for k = 0, 1, ...
+        kth = np.arange(at.size) - np.searchsorted(at, at)
+        self.passes = [(at[kth == k], c[kth == k], v[kth == k])
+                       for k in range(int(kth.max(initial=-1)) + 1)]
         vw = v / self.w[c]
         T = np.zeros((r, dim, dim))
         T[at, self.ti[c], self.tj[c]] = vw
@@ -244,12 +248,6 @@ def _psd_step_limit(Linv: np.ndarray, delta: np.ndarray) -> float:
     return -1.0 / lmin if lmin < 0 else np.inf
 
 
-def _csr(rows, cols, vals, shape) -> sp.csr_matrix:
-    """CSR matrix of entries given in row-major order."""
-    indptr = np.searchsorted(rows, np.arange(shape[0] + 1))
-    return sp.csr_matrix((vals, cols, indptr), shape=shape)
-
-
 class _Internal:
     """Problem in internal coordinates.
 
@@ -291,11 +289,10 @@ class _Internal:
         off, woff = n, 0
         for bl in lmis:
             for d, Fm in zip(bl.dims, bl.maps):
-                slot = np.repeat(np.arange(Fm.shape[0]), np.diff(Fm.indptr))
                 ti, tj = tri_indices(d)
-                frows.append(Fm.indices + woff)
-                fcols.append(slot + off)
-                fvals.append(Fm.data * np.where(ti == tj, 1.0, _SQRT2)[slot])
+                frows.append(Fm.cols + woff)
+                fcols.append(Fm.rows + off)
+                fvals.append(Fm.vals * np.where(ti == tj, 1.0, _SQRT2)[Fm.rows])
                 lmi_specs.append((off, d))
                 off += d * (d + 1) // 2
             woff += bl.nvars
@@ -305,9 +302,8 @@ class _Internal:
                                  np.zeros(ntot - n)])
 
         A = prob.A
-        rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
-        cols = A.indices.astype(np.intp)
-        vals = A.data * (1.0 / w)[cols]
+        rows, cols = A.rows, A.cols
+        vals = A.vals * (1.0 / w)[cols]
         copy = np.full(nm, -1)
         copy[self.free] = np.arange(nm, n)
         dup = copy[cols] >= 0
@@ -332,28 +328,22 @@ class _Internal:
         vals = vals * (1.0 / scale)[rows]
         order = np.lexsort((cols, rows))
         rows, cols, vals = rows[order], cols[order], vals[order]
-        self.A = _csr(rows, cols, vals, (p, ntot))
-        order = np.lexsort((rows, cols))
-        self.AT = _csr(cols[order], rows[order], vals[order], (ntot, p))
+        self.A = SparseRows(rows, cols, vals, (p, ntot))
 
         self.psd = [_PsdData(slice(o, o + d * (d + 1) // 2), d, p, rows, cols, vals)
                     for o, d in psd_specs]
         self.groups = _groups(self.psd)
         self.lp = np.flatnonzero(np.append(is_lp, np.ones(self.free.size, bool)))
-        self.A_lp = None
         if self.lp.size:
+            # per nonnegative coordinate, its rows (as positions in
+            # lp_rows, the rows any of them touches) and coefficients
             lp_col = np.full(ntot, -1)
             lp_col[self.lp] = np.arange(self.lp.size)
             mine = lp_col[cols] >= 0
-            self.A_lp = _csr(rows[mine], lp_col[cols[mine]], vals[mine],
-                             (p, self.lp.size))
-            # per nonnegative coordinate, its rows (as positions in
-            # lp_rows, the rows any of them touches) and coefficients
-            C = self.A_lp.tocsc()
-            self.lp_rows = np.unique(C.indices)
-            self.lp_cols = [(np.searchsorted(self.lp_rows, C.indices[lo:hi]),
-                             C.data[lo:hi])
-                            for lo, hi in zip(C.indptr[:-1], C.indptr[1:])]
+            self.lp_rows = np.unique(rows[mine])
+            at = np.searchsorted(self.lp_rows, rows[mine])
+            lc, lv = lp_col[cols[mine]], vals[mine]
+            self.lp_cols = [(at[lc == k], lv[lc == k]) for k in range(self.lp.size)]
 
         self.lmi = []
         if lmis:
@@ -420,7 +410,11 @@ def _add_products(M: np.ndarray, blocks, blk_state) -> None:
     for blk, (X, Zinv) in zip(blocks, blk_state):
         G = np.matmul(np.matmul(Zinv, blk.T), X).reshape(-1, blk.dim ** 2)
         rows_sv = 0.5 * (G.take(blk.fij, 1) + G.take(blk.fji, 1)) * blk.w
-        B = blk.Asp @ rows_sv.T
+        # B = A_j rows_sv^T, one nonzero of each row per pass, so that each
+        # entry is summed in column order like a CSR product
+        B = np.zeros((len(G), len(G)))
+        for at, col, val in blk.passes:
+            B[at] += val[:, None] * rows_sv[:, col].T
         for lo, hi, at in blk.runs:
             M[blk.rix, lo:hi] += B[:, at:at + hi - lo]
 
@@ -451,7 +445,7 @@ def _schur(ii: _Internal, blk_state, d_lp: np.ndarray) -> np.ndarray:
     _add_products(M, ii.psd, blk_state)
     if ii.lp.size:
         # A_lp diag(d) A_lp^T over the rows it touches, one coordinate at a
-        # time in increasing order, the order of scipy's sparse product
+        # time in increasing order, the order of a CSR sparse product
         L = np.zeros((ii.lp_rows.size, ii.lp_rows.size))
         for k, (at, v) in enumerate(ii.lp_cols):
             L[np.ix_(at, at)] += np.outer(v * d_lp[k], v)
@@ -472,7 +466,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     """Solve an :class:`SdpProblem`; see the module docstring for the method."""
     ii = _Internal(prob)
     n, p, ntot = ii.n, ii.p, ii.ntot
-    A, AT, b, c = ii.A, ii.AT, ii.b, ii.c
+    A, AT, b, c = ii.A, ii.A.T, ii.b, ii.c
     wc, slots, nw = ii.wcols, ii.slots, ii.wcols.size
     if ntot == 0:
         status = "Optimal" if (p == 0 or np.max(np.abs(b)) <= tol) else "PrimalInfeasible"

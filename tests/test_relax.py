@@ -261,9 +261,10 @@ def test_quarter_circle_moment_sdp_has_only_coefficient_rows(k, rows):
     assert lmi.dims[0] == math.comb(prob.m + k, prob.m)
     # only the normalization L(g) = 1 lives on the moments alone
     offset = vmap.moment.block.offset
-    on_moments = [(row.indices >= offset) & (row.indices < offset + lmi.nvars)
-                  for row in sdp.A]
-    assert sum(bool(m.all()) for m in on_moments) == 1
+    A = sdp.A
+    on_moments = (A.cols >= offset) & (A.cols < offset + lmi.nvars)
+    only = [bool(on_moments[A.rows == r].all()) for r in range(rows)]
+    assert sum(only) == 1
 
 
 @pytest.mark.parametrize("k, r_dual", [(5, 0.027350345809), (6, 0.027350339903)])

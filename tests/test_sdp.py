@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from fsipp import instances
 from fsipp.multiobj import scalarize
@@ -364,11 +365,19 @@ def schur_test_problem():
     return b.build()
 
 
+def scipy_rows(A):
+    """The solver's sparse rows as a scipy CSR matrix, for the oracles."""
+    return sp.csr_matrix((A.vals, (A.rows, A.cols)), shape=A.shape)
+
+
 def full_row_schur(ii, blk_state, d_lp):
-    """Reference: M = A W A^T with every PSD block over all p rows."""
+    """Reference: M = A W A^T with every PSD block over all p rows, by
+    scipy's sparse products."""
+    A = scipy_rows(ii.A)
+    A_lp = A[:, ii.lp]
     M = np.zeros((ii.p, ii.p))
     for blk, (X, Zinv) in zip(ii.psd, blk_state):
-        Asp = ii.A[:, blk.sl].tocsr()
+        Asp = A[:, blk.sl].tocsr()
         vals = Asp.toarray() / blk.w
         T = np.zeros((ii.p, blk.dim, blk.dim))
         T[:, blk.ti, blk.tj] = vals
@@ -376,7 +385,7 @@ def full_row_schur(ii, blk_state, d_lp):
         G = np.matmul(np.matmul(Zinv, T), X)
         G = 0.5 * (G + G.transpose(0, 2, 1))
         M += Asp @ (G[:, blk.ti, blk.tj] * blk.w).T
-    M += (ii.A_lp.multiply(d_lp[None, :]) @ ii.A_lp.T).toarray()
+    M += (A_lp.multiply(d_lp[None, :]) @ A_lp.T).toarray()
     return 0.5 * (M + M.T)
 
 
@@ -414,7 +423,7 @@ def test_schur_sums_shared_nonnegative_columns_in_order():
             row += f.entry(r % 3, float(rng.normal()))
         b.add_equality(row, float(rng.normal()))
     ii = solver._Internal(b.build())
-    touches = (abs(ii.A_lp) > 0).astype(float)
+    touches = (abs(scipy_rows(ii.A)[:, ii.lp]) > 0).astype(float)
     shared = (touches @ touches.T).toarray()
     np.fill_diagonal(shared, 0.0)
     assert shared.max() >= 5  # pairs of rows with several shared terms
