@@ -86,7 +86,6 @@ converted on the way in and out.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from .model import (FreeBlock, LmiBlock, PsdBlock, SdpProblem, SdpSolution,
                     SparseRows, tri_indices)
@@ -160,7 +159,7 @@ class _PsdGroup:
     (or ``_Internal.lmi``).
     """
 
-    __slots__ = ("dim", "members", "idx", "full", "wfull", "fij", "w", "eye")
+    __slots__ = ("dim", "members", "idx", "full", "wfull", "fij", "w")
 
     def __init__(self, members, blocks):
         b0 = blocks[0]
@@ -177,7 +176,6 @@ class _PsdGroup:
         self.wfull = b0.w[slot]
         self.fij = b0.fij
         self.w = b0.w
-        self.eye = np.eye(d)
 
     def mats(self, *vecs: np.ndarray) -> np.ndarray:
         """The blocks' matrices in each of ``vecs`` in turn, (len(vecs) * k,
@@ -200,8 +198,8 @@ def _chol(mat: np.ndarray) -> np.ndarray | None:
 
 
 def _chol_jitter(mat: np.ndarray) -> np.ndarray | None:
-    """Cholesky factor of a symmetric Fortran-ordered matrix, computed in
-    place by LAPACK with escalating diagonal jitter; None if hopeless.
+    """Lower Cholesky factor of a symmetric matrix with escalating diagonal
+    jitter; None if hopeless.
 
     A factor is accepted only when every pivot exceeds n * eps times the
     diagonal entry it came from: below that, the pivot is what is left of
@@ -209,33 +207,34 @@ def _chol_jitter(mat: np.ndarray) -> np.ndarray | None:
     positive, and a solve with the factor is garbage.  The test is
     invariant under diagonal scaling, so a graded matrix (moments of very
     different sizes) that factors accurately is not jittered for the
-    spread of its pivots.  The factor overwrites the lower triangle of
-    ``mat`` and is returned for LAPACK's ``dpotrs``.  The strict upper
-    triangle is left alone, so a rejected attempt restores the matrix from
-    it and the saved diagonal.  Used for the Schur matrix and the LMI
-    matrix H only, where refinement absorbs the shift.  Cone blocks are
-    factored by plain :func:`_chol`, which doubles as the membership test
-    for the open cone.
+    spread of its pivots.  ``mat`` itself is left alone.  Used for the
+    Schur matrix and the LMI matrix H only, where refinement absorbs the
+    shift.  Cone blocks are factored by plain :func:`_chol`, which doubles
+    as the membership test for the open cone.
     """
     n = mat.shape[0]
-    diag = mat.diagonal().copy()
+    diag = mat.diagonal()
     base = float(diag.sum()) / max(n, 1)
     if base <= 0.0 or not np.isfinite(base):
         base = 1.0
     jit = 1e-14 * base
-    shifted = diag
-    for attempt in range(7):
-        if attempt:
-            upper = np.triu(mat, 1)
-            mat[...] = upper + upper.T
-            shifted = diag + jit
-            np.fill_diagonal(mat, shifted)
-            jit *= 100.0
-        L, info = sla.lapack.dpotrf(mat, lower=True, clean=False,
-                                    overwrite_a=True)
-        if info == 0 and np.all(np.square(L.diagonal()) > n * _EPS * shifted):
+    shifted, work = diag, mat
+    for _ in range(7):
+        L = _chol(work)
+        if L is not None and np.all(np.square(L.diagonal()) > n * _EPS * shifted):
             return L
+        shifted = diag + jit
+        work = mat + np.diag(np.full(n, jit))
+        jit *= 100.0
     return None
+
+
+def _tri_inv(L: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of lower triangular factors.  The LU
+    factorization behind ``np.linalg.inv`` never pivots an upper triangular
+    matrix (each column has one candidate) and its multipliers are zero, so
+    inverting L^T is a true triangular inverse."""
+    return np.linalg.inv(L.swapaxes(-1, -2)).swapaxes(-1, -2)
 
 
 def _psd_step_limit(Linv: np.ndarray, delta: np.ndarray) -> float:
@@ -246,6 +245,39 @@ def _psd_step_limit(Linv: np.ndarray, delta: np.ndarray) -> float:
     S = Linv @ delta @ Linv.transpose(0, 2, 1)
     lmin = float(np.linalg.eigvalsh(0.5 * (S + S.transpose(0, 2, 1)))[:, 0].min())
     return -1.0 / lmin if lmin < 0 else np.inf
+
+
+def _gmres(correct, e: np.ndarray, passes: int):
+    """GMRES for the correction that removes residual ``e``, preconditioned
+    by the factored solve (GMRES-IR, Carson-Higham 2018).
+
+    ``correct(v)`` returns the direction the factored solve makes for
+    residual v and the residual that direction removes.  Near a degenerate
+    optimum the factored solve misses some directions by more than their
+    size, so plain refinement (adding ``correct(e)`` while a residual is
+    left) can grow the residual; GMRES combines the corrections it has made
+    so as to leave the least residual.  Stops after ``passes`` corrections
+    or once the residual left has norm at most 1.  Returns the combination
+    coefficients and the corrections.
+    """
+    beta = float(np.linalg.norm(e))
+    basis, fixes = [e / beta], []
+    hess = np.zeros((passes + 1, passes))
+    for k in range(passes):
+        fix, w = correct(basis[k])
+        fixes.append(fix)
+        for i, v in enumerate(basis):  # modified Gram-Schmidt
+            hess[i, k] = w @ v
+            w = w - hess[i, k] * v
+        hess[k + 1, k] = float(np.linalg.norm(w))
+        rhs = np.zeros(k + 2)
+        rhs[0] = beta
+        coef = np.linalg.lstsq(hess[:k + 2, :k + 1], rhs, rcond=None)[0]
+        left = float(np.linalg.norm(rhs - hess[:k + 2, :k + 1] @ coef))
+        if left <= 1.0 or hess[k + 1, k] <= _EPS * beta:
+            break
+        basis.append(w / hess[k + 1, k])
+    return coef, fixes
 
 
 class _Internal:
@@ -352,7 +384,7 @@ class _Internal:
             wpos = np.full(ntot, -1)
             wpos[self.wcols] = np.arange(nw)
             on_w = wpos[cols] >= 0
-            self.BT = np.zeros((nw, p), order="F")
+            self.BT = np.zeros((nw, p))
             self.BT[wpos[cols[on_w]], rows[on_w]] = vals[on_w]
             frows, fcols, fvals = (np.concatenate(v) for v in (frows, fcols, fvals))
             order = np.lexsort((fcols, frows))
@@ -420,7 +452,7 @@ def _add_products(M: np.ndarray, blocks, blk_state) -> None:
 
 
 def _symmetrize(M: np.ndarray) -> np.ndarray:
-    """(M + M^T) / 2 in place, as a Fortran-ordered array for LAPACK.
+    """(M + M^T) / 2 in place.
 
     A panel of rows and its mirrored columns at a time: a whole transpose
     would read M a full row apart.
@@ -430,12 +462,11 @@ def _symmetrize(M: np.ndarray) -> np.ndarray:
         S *= 0.5
         M[a:a + _PANEL, a:] = S
         M[a:, a:a + _PANEL] = S.T
-    return M.T  # equal to M, and Fortran-ordered
+    return M
 
 
 def _schur(ii: _Internal, blk_state, d_lp: np.ndarray) -> np.ndarray:
-    """Schur complement M_G = A W A^T over the ordinary blocks, symmetrized,
-    as a Fortran-ordered array.
+    """Schur complement M_G = A W A^T over the ordinary blocks, symmetrized.
 
     ``blk_state`` holds (X, Z^-1) per PSD block (see :func:`_add_products`);
     ``d_lp`` is x / z on the nonnegative coordinates.
@@ -455,7 +486,7 @@ def _schur(ii: _Internal, blk_state, d_lp: np.ndarray) -> np.ndarray:
 
 def _lmi_schur(ii: _Internal, lmi_state) -> np.ndarray:
     """H = sum_j F_j^T (Z_S (x) S^-1) F_j, H_ab = <F_a, sym(S^-1 F_b Z_S)>,
-    over the LMI blocks, as a Fortran-ordered array.  ``lmi_state`` holds
+    over the LMI blocks.  ``lmi_state`` holds
     (Z_S, S^-1) per LMI diagonal block."""
     H = np.zeros((ii.wcols.size, ii.wcols.size))
     _add_products(H, ii.lmi, lmi_state)
@@ -474,15 +505,15 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
                            np.zeros(ii.total_rows), 0,
                            {"primal": 0.0, "dual": 0.0, "gap": 0.0})
 
+    # start from xi times the identity of every cone in both x and z; xi
+    # = max(1, |c| / sqrt(nu)) makes |z| match a large objective, so that
+    # the first dual residual c - z is not the objective alone
+    xi = max(1.0, float(np.linalg.norm(c)) / np.sqrt(max(ii.nu, 1)))
     x = np.zeros(ntot)
-    z = np.zeros(ntot)
     for blk in ii.psd + ii.lmi:
-        e = np.zeros(blk.sl.stop - blk.sl.start)
-        e[blk.ti == blk.tj] = 1.0
-        x[blk.sl] = e
-        z[blk.sl] = e
-    x[ii.lp] = 1.0
-    z[ii.lp] = 1.0
+        x[blk.sl] = np.where(blk.ti == blk.tj, xi, 0.0)
+    x[ii.lp] = xi
+    z = x.copy()
     lam = np.zeros(p)
     tau = kappa = 1.0
     nu1 = ii.nu + 1.0
@@ -550,9 +581,9 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         blk_state = [None] * len(ii.psd)  # (X, Zinv) per block, for _schur
         lmi_state = [None] * len(ii.lmi)
         for gi, (grp, (X, L)) in enumerate(zip(cones, facs)):
-            Zinv = np.array([sla.lapack.dpotrs(LZ, grp.eye, lower=1)[0]
-                             for LZ in L[len(grp.members):]])
-            Linv = np.array([sla.lapack.dtrtri(Lb, lower=1)[0] for Lb in L])
+            Linv = _tri_inv(L)
+            LZinv = Linv[len(grp.members):]
+            Zinv = LZinv.transpose(0, 2, 1) @ LZinv
             scal.append((X, Zinv, Linv))
             state = blk_state if gi < n_ord else lmi_state
             for j, m in enumerate(grp.members):
@@ -607,32 +638,33 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
 
         # H over the LMI blocks, then the reduced Schur matrix
         # M = A_G W A_G^T + B H^-1 B^T over the equality rows
-        LH = None
+        # (solves go through the inverse factors L^-1: two triangular
+        # matrix products per solve)
         if nw:
-            H = _lmi_schur(ii, lmi_state)
-            Hw = H.copy()  # H itself is factored in place
-            LH = _chol_jitter(H)
+            Hw = _lmi_schur(ii, lmi_state)
+            LH = _chol_jitter(Hw)
             if LH is None:
                 return finish("NumericalTrouble", it - 1, res)
+            LHinv = _tri_inv(LH)
         d_lp = x[ii.lp] / z[ii.lp]
-        LM = None
         if p:
             M = _schur(ii, blk_state, d_lp)
             if nw:
-                U = sla.lapack.dtrtrs(LH, ii.BT, lower=1)[0]
+                U = LHinv @ ii.BT
                 K = U.T @ U
                 M += 0.5 * (K + K.T)
             LM = _chol_jitter(M)
             if LM is None:
                 return finish("NumericalTrouble", it - 1, res)
+            LMinv = _tri_inv(LM)
 
         def m_solve(r):
             if p == 0:
                 return r
-            return sla.lapack.dpotrs(LM, r, lower=1)[0]
+            return LMinv.T @ (LMinv @ r)
 
         def h_solve(r):
-            return sla.lapack.dpotrs(LH, r, lower=1)[0]
+            return LHinv.T @ (LHinv @ r)
 
         def w_apply(v):
             out = np.zeros_like(v)
@@ -703,32 +735,48 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
 
         # refine while the direction misses the primal row by more than a
         # fraction of |r_p|, or the w rows by more than a fraction of |r_d|,
-        # or of the residual that the stop test accepts
+        # or of the residual that the stop test accepts; rows are weighted
+        # by these thresholds, so a weighted residual of norm 1 meets both
         refine_above = _REFINE_FRAC * max(norm_rp, tol * tau * norm_b)
         refine_w = _REFINE_FRAC * max(norm_rd, tol * tau * norm_c)
+        weight = np.concatenate([np.full(p + 1, 1.0 / refine_above),
+                                 np.full(nw, 1.0 / refine_w)])
+        H_ext = Hw.astype(np.longdouble) if nw else None
         zero = np.zeros(ntot)
+
+        def rows(d):
+            """The weighted primal, gap and w rows (A dx - b dtau, b.dlam -
+            c.dx - dkap, H dw + dz_w) of a direction.  H dw is summed in
+            extended precision: near a degenerate optimum |H| |dw| exceeds
+            the residual sought by more than 1 / eps."""
+            dx, dlam, dz, dtau, dkap = d
+            parts = [A @ dx - b * dtau, [float(b @ dlam) - float(c @ dx) - dkap]]
+            if nw:
+                parts.append((H_ext @ dx[wc] + dz[wc]).astype(float))
+            return weight * np.concatenate(parts)
+
+        def correct(e):
+            """The factored solve's direction for weighted residual rows e,
+            and its weighted rows."""
+            u = e / weight
+            rc_fix = zero
+            if nw:
+                rc_fix = np.zeros(ntot)
+                rc_fix[wc] = h_solve(u[p + 1:])
+            fix = lin_solve(-u[:p], -u[p], rc_fix, 0.0, zero, zero)
+            return fix, rows(fix)
 
         def newton(rc_g, r_tau):
             rc, g_w = rc_g
             d = lin_solve(r_p, r_g, rc, r_tau, r_d, WRd)
-            # Iterative refinement with the factored M (and H): the dual,
-            # scaling and tau-kappa rows hold by construction, the primal and
-            # gap rows carry the Schur solve's error, and the w rows
-            # (H dw + dz_w = g_w) H's.
-            for _ in range(_REFINE_PASSES):
-                dx, dlam, dz, dtau, dkap = d
-                e_p = -r_p - (A @ dx - b * dtau)
-                e_w = g_w - Hw @ dx[wc] - dz[wc] if nw else g_w
-                if (float(np.linalg.norm(e_p)) <= refine_above
-                        and float(np.linalg.norm(e_w)) <= refine_w):
-                    break
-                e_g = -r_g - (float(b @ dlam) - float(c @ dx) - dkap)
-                rc_fix = zero
-                if nw:
-                    rc_fix = np.zeros(ntot)
-                    rc_fix[wc] = h_solve(e_w)
-                fix = lin_solve(-e_p, -e_g, rc_fix, 0.0, zero, zero)
-                d = tuple(u + v for u, v in zip(d, fix))
+            # The dual, scaling and tau-kappa rows hold by construction; the
+            # primal and gap rows carry the Schur solve's error and the w
+            # rows (H dw + dz_w = g_w) H's.  Those are refined by GMRES.
+            e = weight * np.concatenate([-r_p, [-r_g], g_w]) - rows(d)
+            if max(np.linalg.norm(e[:p]), np.linalg.norm(e[p + 1:])) > 1.0:
+                coef, fixes = _gmres(correct, e, _REFINE_PASSES)
+                d = tuple(u + sum(a * f[i] for a, f in zip(coef, fixes))
+                          for i, u in enumerate(d))
             return lmi_slots(d, rc) if nw else d
 
         def step_bound(dx, dz, dtau, dkap):

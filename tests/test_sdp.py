@@ -403,7 +403,6 @@ def test_schur_over_touched_rows_equals_the_full_row_formula():
         blk_state.append((X, Zinv))
     d_lp = rng.uniform(0.1, 10.0, size=ii.lp.size)
     M = solver._schur(ii, blk_state, d_lp)
-    assert M.flags.f_contiguous
     assert np.array_equal(M, full_row_schur(ii, blk_state, d_lp))
 
 
@@ -434,19 +433,22 @@ def test_schur_sums_shared_nonnegative_columns_in_order():
         assert np.array_equal(M, full_row_schur(ii, blk_state, d_lp))
 
 
-def test_schur_cholesky_retries_rebuild_the_matrix_it_overwrote():
-    # LAPACK factors M in place, so each jittered retry must first rebuild M
-    # from the strict upper triangle and the saved diagonal.
+def test_schur_cholesky_retries_factor_the_shifted_matrix():
+    # Each jittered retry factors the matrix plus a diagonal shift, and the
+    # matrix passed in is left as it was.
     V = np.random.default_rng(3).normal(size=(6, 3))
     A = V @ V.T
     A -= 1e-12 * np.trace(A) / 6 * np.eye(6)  # indefinite by a hair
-    L = np.tril(solver._chol_jitter(np.asfortranarray(A)))
+    before = A.copy()
+    L = solver._chol_jitter(A)
+    np.testing.assert_array_equal(A, before)
+    np.testing.assert_array_equal(L, np.tril(L))
     assert np.allclose(L @ L.T, A, rtol=0.0, atol=1e-8 * np.trace(A))
-    assert solver._chol_jitter(np.asfortranarray(-np.eye(3))) is None
+    assert solver._chol_jitter(-np.eye(3)) is None
 
 
 def test_schur_cholesky_jitters_a_pivot_that_is_rounding_noise():
-    # [[1, v], [v, v^2 + 1]] is positive definite (det 1) and plain dpotrf
+    # [[1, v], [v, v^2 + 1]] is positive definite (det 1) and plain Cholesky
     # factors it, but its last pivot is 1 against a diagonal of 2^52 + 1:
     # all the entry had was cancelled away, so the factor is rejected and
     # jitter added.  The test is invariant under diagonal scaling, and a
@@ -455,16 +457,15 @@ def test_schur_cholesky_jitters_a_pivot_that_is_rounding_noise():
     A = np.array([[1.0, v], [v, v * v + 1.0]])
     for D in (np.ones(2), np.array([2.0 ** -17, 2.0 ** 17])):
         M = A * np.outer(D, D)
-        L, info = sla.lapack.dpotrf(np.asfortranarray(M), lower=True, clean=True)
-        assert info == 0 and L[1, 1] ** 2 <= 2 * np.finfo(float).eps * M[1, 1]
-        Lj = np.tril(solver._chol_jitter(np.asfortranarray(M)))
+        L = sla.cholesky(M, lower=True)
+        assert L[1, 1] ** 2 <= 2 * np.finfo(float).eps * M[1, 1]
+        Lj = solver._chol_jitter(M)
         shift = Lj @ Lj.T - M
         assert np.all(np.diag(shift) > 0) and abs(shift[1, 0]) <= 1e-12 * M[1, 0]
     graded = np.diag([1e-20, 1e20])
     graded[0, 1] = graded[1, 0] = 0.5
-    plain = sla.lapack.dpotrf(graded, lower=True, clean=True)[0]
-    Lg = np.tril(solver._chol_jitter(np.asfortranarray(graded.copy())))
-    np.testing.assert_array_equal(Lg, plain)
+    plain = sla.cholesky(graded, lower=True)
+    np.testing.assert_array_equal(solver._chol_jitter(graded), plain)
 
 
 # ---------------------------------------------------------------- LMI blocks
