@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DegenerateMassError, NumericalTroubleError
 from .moment import MomentFunctional, MonomialBasis, moment_matrix
@@ -157,11 +156,13 @@ def extract_atoms(L: MomentFunctional, cert: RankCertificate,
     coeffs = rng.random(m)
     coeffs /= coeffs.sum()
     N = sum(c * Ni for c, Ni in zip(coeffs, mult))
-    T, Q = sla.schur(N, output="real")
-    sub = np.diag(T, -1) if r > 1 else np.zeros(0)
-    if sub.size and np.max(np.abs(sub)) > 1e-6 * (1.0 + np.max(np.abs(T))):
+    # an orthonormal Schur basis of N: N V = V diag(lam) and V = Q R give
+    # N Q = Q (R diag(lam) R^-1), upper triangular
+    lam, V = np.linalg.eig(N)
+    if np.max(np.abs(lam.imag)) > 1e-6 * (1.0 + np.max(np.abs(lam))):
         raise NumericalTroubleError(
             "joint eigenproblem has complex pairs; operators do not commute")
+    Q = np.linalg.qr(V.real)[0]
 
     points = []
     for j in range(r):
