@@ -97,6 +97,7 @@ _REFINE_FRAC = 0.1    # refine while A dx - b dtau = -r_p is missed by more
 _BACKTRACK = 0.5      # step shrink factor while a trial point leaves the cone
 _MIN_STEP = 1e-12     # below this, no step into the cone interior was found
 _PANEL = 64           # rows per panel when symmetrizing the Schur matrix
+_TRI_LEAF = 32        # triangular factors up to this size are inverted whole
 _EPS = float(np.finfo(float).eps)
 
 
@@ -111,12 +112,13 @@ class _PsdData:
     rows alone.  ``runs`` splits the rows into maximal
     ranges of consecutive indices, (lo, hi, position of lo in ``rows``), and
     ``rix`` indexes the rows in M (a slice when the block touches them all).
-    ``passes`` holds the block's constraint entries as (row position,
-    column, value) arrays, the k-th nonzero of each row in pass k.
+    ``cols`` and ``vals`` hold the block's constraint entries pass by
+    pass, the k-th nonzero of each row in pass k and the rows of a pass in
+    ``rank`` order; ``passes`` counts the entries of each pass.
     """
 
     __slots__ = ("sl", "dim", "ti", "tj", "w", "fij", "fji", "rows", "rix",
-                 "runs", "T", "passes")
+                 "runs", "T", "rank", "cols", "vals", "passes")
 
     def __init__(self, sl, dim, p, rows, cols, vals):
         """``rows``, ``cols``, ``vals``: the entries of the p-row internal
@@ -138,10 +140,16 @@ class _PsdData:
         self.rix = slice(None) if r == p else rows
         self.runs = [(int(rows[a]), int(rows[e - 1]) + 1, int(a))
                      for a, e in zip(starts, ends)]
-        # the k-th nonzero of every row that has one, for k = 0, 1, ...
+        # the k-th nonzero of every row that has one, for k = 0, 1, ...,
+        # with the rows ranked by falling nonzero count, so that the rows
+        # of pass k are the first ones in rank order
         kth = np.arange(at.size) - np.searchsorted(at, at)
-        self.passes = [(at[kth == k], c[kth == k], v[kth == k])
-                       for k in range(int(kth.max(initial=-1)) + 1)]
+        self.rank = np.empty(r, dtype=np.intp)
+        self.rank[np.argsort(-np.bincount(at, minlength=r), kind="stable")] = \
+            np.arange(r)
+        order = np.lexsort((self.rank[at], kth))
+        self.cols, self.vals = c[order], v[order]
+        self.passes = np.bincount(kth).tolist()
         vw = v / self.w[c]
         T = np.zeros((r, dim, dim))
         T[at, self.ti[c], self.tj[c]] = vw
@@ -230,11 +238,26 @@ def _chol_jitter(mat: np.ndarray) -> np.ndarray | None:
 
 
 def _tri_inv(L: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of lower triangular factors.  The LU
-    factorization behind ``np.linalg.inv`` never pivots an upper triangular
-    matrix (each column has one candidate) and its multipliers are zero, so
-    inverting L^T is a true triangular inverse."""
-    return np.linalg.inv(L.swapaxes(-1, -2)).swapaxes(-1, -2)
+    """Inverses of lower triangular factors (one, or a stack).
+
+    Above ``_TRI_LEAF`` rows the inverse is assembled from the inverses
+    A^-1, D^-1 of the diagonal blocks, the lower left block being
+    -D^-1 C A^-1, as LAPACK's blocked triangular inverse does.  A leaf is
+    inverted by ``np.linalg.inv`` of L^T: the LU factorization behind it
+    never pivots an upper triangular matrix (each column has one
+    candidate) and its multipliers are zero, so that is a true triangular
+    inverse.
+    """
+    n = L.shape[-1]
+    if n <= _TRI_LEAF:
+        return np.linalg.inv(L.swapaxes(-1, -2)).swapaxes(-1, -2)
+    h = n // 2
+    Ai, Di = _tri_inv(L[..., :h, :h]), _tri_inv(L[..., h:, h:])
+    out = np.zeros_like(L)
+    out[..., :h, :h] = Ai
+    out[..., h:, h:] = Di
+    out[..., h:, :h] = -(Di @ (L[..., h:, :h] @ Ai))
+    return out
 
 
 def _psd_step_limit(Linv: np.ndarray, delta: np.ndarray) -> float:
@@ -443,10 +466,16 @@ def _add_products(M: np.ndarray, blocks, blk_state) -> None:
         G = np.matmul(np.matmul(Zinv, blk.T), X).reshape(-1, blk.dim ** 2)
         rows_sv = 0.5 * (G.take(blk.fij, 1) + G.take(blk.fji, 1)) * blk.w
         # B = A_j rows_sv^T, one nonzero of each row per pass, so that each
-        # entry is summed in column order like a CSR product
+        # entry is summed in column order like a CSR product; the rows are
+        # in rank order until the last line
+        terms = rows_sv.T.take(blk.cols, 0)
+        terms *= blk.vals[:, None]
         B = np.zeros((len(G), len(G)))
-        for at, col, val in blk.passes:
-            B[at] += val[:, None] * rows_sv[:, col].T
+        at = 0
+        for m in blk.passes:
+            B[:m] += terms[at:at + m]
+            at += m
+        B = B[blk.rank]
         for lo, hi, at in blk.runs:
             M[blk.rix, lo:hi] += B[:, at:at + hi - lo]
 
