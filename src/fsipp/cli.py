@@ -34,7 +34,8 @@ from .multiobj import MultiFsippProblem, epsilon_constraint_solve, image_grid
 from .poly import BivariatePoly, Polynomial
 from .relax import (CaseTag, FsippProblem, Interval, QuadraticSet,
                     RelaxOptions, Semialgebraic, choose_R_gstar,
-                    classify_case, convexity_findings, solve_hierarchy)
+                    classify_by, classify_case, convexity_findings,
+                    solve_hierarchy)
 
 _SCHEMAS: dict[str, dict] = {}
 
@@ -338,18 +339,22 @@ def run_classify(args) -> int:
     if parsed.multi is not None:
         lines.append(f"classifying objective 1 of {parsed.multi.t}")
     override = parsed.opts.case_override
+    findings = None
     if override is not None:
         lines.append(f"override: {override.value}")
     elif isinstance(prob.index_set, Interval) or (
             isinstance(prob.index_set, QuadraticSet) and prob.p.d_y <= 2):
-        for name, ok in convexity_findings(prob):
+        findings = convexity_findings(prob)
+        for name, ok in findings:
             lines.append(
                 f"{name}: {'sos-convex' if ok else 'not sos-convex'}")
     elif isinstance(prob.index_set, Semialgebraic):
         hint = prob.index_set.archimedean_hint
         lines.append("index set: semialgebraic, archimedean hint "
                      + (f"M={hint}" if hint is not None else "not declared"))
-    tag = classify_case(prob, override)
+    # the listed findings decide the tag; they are not computed twice
+    tag = (classify_case(prob, override) if findings is None
+           else classify_by(prob, lambda _: findings))
     lines.append(tag.value)
     _write_out("\n".join(lines) + "\n", args.out)
     return 0

@@ -129,6 +129,26 @@ def test_classify_prints_findings_then_tag(files):
     assert "p: sos-convex" in lines
 
 
+def test_classify_solves_the_family_sdp_once(tmp_path, monkeypatch):
+    # The listing's findings decide the tag: the case2 family's
+    # s.o.s-convexity SDP is solved once, not again for the tag.
+    from fsipp import certify
+    calls = []
+    real = certify.membership_margin
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "membership_margin", counted)
+    prob, _ = instances.case2_problem()
+    path = _write(tmp_path, "case2.json", problem_to_doc(prob))
+    code, out, _ = run(["classify", path])
+    assert code == 0 and out.strip().splitlines()[-1] == "Case2"
+    assert "p: sos-convex" in out
+    assert len(calls) == 1
+
+
 def test_classify_override_and_hint_notes(files):
     code, out, _ = run(["classify", files["case4"]])
     lines = out.strip().splitlines()
