@@ -328,12 +328,12 @@ def check_tag(prob: FsippProblem, tag: CaseTag) -> None:
 def _p_sos_convex(prob: FsippProblem) -> bool:
     """Is p(., y) s.o.s-convex in x for every y in the index set?
 
-    Sound path first: the Hessian form is tested as a member of the
-    quadratic module generated by the index-set constraints, on squares
-    linear in z (``certify.hessian_form_margin`` says when that is exact);
-    a pass is a certificate valid uniformly in y.  On a refusal or
-    numerical trouble, fall back to checking 25 sampled slices; any
-    failure there is treated as a refusal.
+    The Hessian form is tested as a member of the quadratic module
+    generated by the index-set constraints, on squares linear in z
+    (``certify.hessian_form_margin`` says when that is exact); a pass is a
+    certificate valid uniformly in y.  A refusal or numerical trouble is a
+    refusal: slices sampled from the index set cannot stand in for it,
+    since a family may fail between the samples.
     """
     m, n = prob.m, prob.p.n_y
     form = hessian_form(prob.p.to_joint(), m)
@@ -350,15 +350,7 @@ def _p_sos_convex(prob: FsippProblem) -> bool:
                                     for e, c in q.terms.items()})
             for q in prob.index_set.as_generators()]  # in (x, y, z)
     try:
-        if hessian_form_margin(form, m, gens) >= -1e-7:
-            return True
-    except NumericalTroubleError:
-        pass
-    samples = prob.index_set.sample_points(25)
-    if len(samples) == 0:
-        return False
-    try:
-        return all(sos_convexity_check(prob.p.substitute_y(y)) for y in samples)
+        return hessian_form_margin(form, m, gens) >= -1e-7
     except NumericalTroubleError:
         return False
 

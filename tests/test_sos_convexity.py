@@ -260,10 +260,29 @@ def test_compiler_errors_propagate_from_the_family_test(monkeypatch):
         relax._p_sos_convex(instances.case2_problem()[0])
 
 
-def test_numerical_trouble_falls_back_to_sampled_slices(monkeypatch):
+def test_numerical_trouble_is_a_refusal(monkeypatch):
+    # No sampled slices stand in for a family SDP that fails: case2's
+    # family is s.o.s-convex, but without a certificate it is not passed.
     def trouble(*args, **kwargs):
         raise NumericalTroubleError("stalled")
 
     monkeypatch.setattr(relax, "hessian_form_margin", trouble)
-    # case2's slices are quadratic: 25 eigenvalue checks, all passing
-    assert relax._p_sos_convex(instances.case2_problem()[0]) is True
+    prob = instances.case2_problem()[0]
+    assert relax._p_sos_convex(prob) is False
+    assert classify_case(prob) is relax.CaseTag.GENERAL
+
+
+def test_family_failing_between_sample_points_is_general():
+    # p = x1^2 ((y - c)^2 - 0.001) + x2^2 - 1 has x1-curvature -0.002 at
+    # y = c, halfway between two of 25 evenly spaced points of [-1, 1];
+    # every one of those slices is convex, the family is not.
+    c = -1.0 + 1.0 / 24.0
+    joint = Polynomial(3, {(2, 0, 2): 1.0, (2, 0, 1): -2.0 * c,
+                           (2, 0, 0): c * c - 0.001, (0, 2, 0): 1.0,
+                           (0, 0, 0): -1.0})
+    prob = _on(BivariatePoly.from_joint(joint, 2, 1), Interval())
+    slices = [prob.p.substitute_y(y) for y in np.linspace(-1.0, 1.0, 25)[:, None]]
+    assert all(certify.sos_convexity_check(s) for s in slices)
+    assert not certify.sos_convexity_check(prob.p.substitute_y(np.array([c])))
+    assert relax._p_sos_convex(prob) is False
+    assert classify_case(prob) is relax.CaseTag.GENERAL
