@@ -1,0 +1,51 @@
+"""Results must not depend on the BLAS kernel.
+
+``OPENBLAS_CORETYPE`` makes OpenBLAS run another of its kernels for the
+same wheels, which sums and blocks differently.  The acceptance module and
+the general-route demo (whose lower-level moment SDP runs to 1e-9) are run
+in subprocesses under kernels other than the one OpenBLAS picks on a
+recent x86-64 CPU.  The README gives the command for the whole suite.
+"""
+
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# kernel -> the CPU flag its instructions need
+KERNELS = {"Haswell": "avx2", "Sandybridge": "avx"}
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        text = Path("/proc/cpuinfo").read_text(encoding="utf-8")
+    except OSError:
+        return set()
+    for line in text.splitlines():
+        if line.startswith("flags"):
+            return set(line.split(":", 1)[1].split())
+    return set()
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OpenBLAS x86-64 kernels")
+@pytest.mark.parametrize("kernel", sorted(KERNELS))
+def test_acceptance_and_general_route_under_kernel(kernel, tmp_path):
+    if KERNELS[kernel] not in _cpu_flags():
+        pytest.skip(f"the CPU lacks {KERNELS[kernel]}")
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, TMPDIR=str(tmp_path))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
+                               else []))
+    runs = [[sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             str(ROOT / "tests" / "test_acceptance.py")],
+            [sys.executable, str(ROOT / "demos" / "03_general_route.py")]]
+    for cmd in runs:
+        done = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
