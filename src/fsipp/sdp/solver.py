@@ -19,14 +19,17 @@ S and its dual Z_S for the LMI blocks:
 
 Search directions are Newton steps on the complementarity conditions in
 scaled form (dX + sym(Z^-1 dZ X) = rhs), i.e. the HKM direction, driven by
-a Mehrotra predictor-corrector.  The Schur complement M = A W A^T is a
+a Mehrotra predictor-corrector from x = z = xi I (the identity of every
+cone, tau = kappa = 1), where xi = max(1, |c| / sqrt(nu)) gives z the size
+of a large objective.  The Schur complement M = A W A^T is a
 dense p x p matrix, assembled per PSD block over only the constraint rows
 that touch the block (Fujisawa-Kojima-Nakata 1997): each block keeps its
 constraint matrices for those rows, forms Z^-1 A_j X for them with batched
 matrix products and adds their r x r product into M, so blocks touched by
-few rows cost little.  M is factored in place by LAPACK's Cholesky, and
-every solve with M reuses that Fortran-ordered factor through the same
-LAPACK.  Everything is deterministic -- repeated runs produce bit-identical
+few rows cost little.  M is factored by numpy's Cholesky, M = L L^T, and
+every solve with M is two products with the inverse factor L^-1, formed
+once per iteration (see :func:`_tri_inv`).  The linear algebra is numpy's
+alone.  Everything is deterministic -- repeated runs produce bit-identical
 iterates.
 
 An LMI block is linearized the way SDPA treats its dual slack (the dual
@@ -52,25 +55,31 @@ numpy call per dimension (LMI slots stacked apart from ordinary blocks).
 The step to the PSD boundary is -1 over the
 smallest eigenvalue of L^-1 dX L^-T (and of its Z counterpart), with L the
 accepted Cholesky factor; the inverse factors are formed once per
-iteration by LAPACK and serve the predictor and the corrector, and the
-eigenvalues come from one stacked ``eigvalsh`` per dimension.  Z^-1 and
-the solves with M and H call LAPACK directly.  The stop test reads its
-residuals off r_p, S - F(w) and r_d (r_p / tau = A x / tau - b, -r_d /
-tau = A^T lam / tau + z / tau - c), and A, A^T, F and the rows each block
-touches are assembled once per solve by numpy.
+iteration, one stacked call per dimension, and serve Z^-1 = L_Z^-T L_Z^-1,
+the predictor and the corrector; the eigenvalues come from one stacked
+``eigvalsh`` per dimension.  The stop test reads its residuals off r_p,
+S - F(w) and r_d (r_p / tau = A x / tau - b, -r_d / tau = A^T lam / tau +
+z / tau - c), and A, F and the rows each block touches are assembled once
+per solve.
 
 Near a degenerate optimum (no strict complementarity, as in the exact
-Case1 moment SDPs) W, H and M grow very ill-conditioned.  Three safeguards
-keep the iterates accurate there:
+Case1 moment SDPs and the lower-level moment SDPs) W, H and M grow very
+ill-conditioned.  Three safeguards keep the iterates accurate there:
 
 * the elimination solves for M^-1 b apart from M^-1 A W c, and forms its
   tau pivot from b.M^-1 b and the W-norm of the projected objective
   c - A^T M^-1 A W c, two nonnegative terms, instead of differences of
   terms of size |W|;
-* each Newton direction is checked against the primal row of the
-  linearised system, A dx - b dtau = -r_p, and refined with the factored M
-  (a few passes at most) while it misses that row by more than a tenth of
-  |r_p| or of the residual that the stop test accepts;
+* each Newton direction is checked against the primal and w rows of the
+  linearised system, A dx - b dtau = -r_p and H dw + dz_w = g_w, and
+  refined while it misses them by more than a tenth of |r_p| (|r_d| for
+  the w rows) or of the residual that the stop test accepts.  The
+  refinement is GMRES preconditioned by the factored solve (GMRES-IR,
+  Carson-Higham 2018), a few corrections at most, with H dw summed in
+  long double: plain refinement grew the w rows' residual whenever H's
+  factored solve missed some direction by more than its size, so the dual
+  residual of a 1e-9 lower-level solve stalled or not depending on the
+  BLAS kernel;
 * the step is shortened until every PSD block of the trial point (X, Z,
   S and Z_S) passes a plain Cholesky factorization, so every accepted
   iterate lies strictly inside the cone; the accepted factors are reused
