@@ -72,11 +72,6 @@ class SparseRows:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return np.bincount(self.rows, self.vals * x[self.cols], self.shape[0])
 
-    def toarray(self) -> np.ndarray:
-        out = np.zeros(self.shape)
-        out[self.rows, self.cols] = self.vals
-        return out
-
 
 @dataclass(frozen=True)
 class PsdBlock:

@@ -100,7 +100,7 @@ from .model import (FreeBlock, LmiBlock, PsdBlock, SdpProblem, SdpSolution,
                     SparseRows, tri_indices)
 
 _SQRT2 = float(np.sqrt(2.0))
-_REFINE_PASSES = 3    # refinement passes per Newton direction, at most
+_REFINE_PASSES = 3    # GMRES corrections per Newton direction, at most
 _REFINE_FRAC = 0.1    # refine while A dx - b dtau = -r_p is missed by more
                       # than this fraction of |r_p|
 _BACKTRACK = 0.5      # step shrink factor while a trial point leaves the cone
@@ -479,9 +479,9 @@ def _add_products(M: np.ndarray, blocks, blk_state) -> None:
         # in rank order until the last line
         terms = rows_sv.T.take(blk.cols, 0)
         terms *= blk.vals[:, None]
-        B = np.zeros((len(G), len(G)))
-        at = 0
-        for m in blk.passes:
+        B = terms[:len(G)]  # pass 0: every row the block touches
+        at = len(G)
+        for m in blk.passes[1:]:
             B[:m] += terms[at:at + m]
             at += m
         B = B[blk.rank]
