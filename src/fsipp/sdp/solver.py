@@ -473,7 +473,8 @@ def _add_products(M: np.ndarray, blocks, blk_state) -> None:
     """
     for blk, (X, Zinv) in zip(blocks, blk_state):
         G = np.matmul(np.matmul(Zinv, blk.T), X).reshape(-1, blk.dim ** 2)
-        rows_sv = 0.5 * (G.take(blk.fij, 1) + G.take(blk.fji, 1)) * blk.w
+        # (a + b) (w / 2) is 0.5 (a + b) w to the bit: halving is exact
+        rows_sv = (G.take(blk.fij, 1) + G.take(blk.fji, 1)) * (0.5 * blk.w)
         # B = A_j rows_sv^T, one nonzero of each row per pass, so that each
         # entry is summed in column order like a CSR product; the rows are
         # in rank order until the last line
