@@ -241,7 +241,7 @@ def _chol_jitter(mat: np.ndarray) -> np.ndarray | None:
         if L is not None and np.all(np.square(L.diagonal()) > n * _EPS * shifted):
             return L
         shifted = diag + jit
-        work = mat + np.diag(np.full(n, jit))
+        work = mat + jit * np.eye(n)
         jit *= 100.0
     return None
 
@@ -476,8 +476,8 @@ def _add_products(M: np.ndarray, blocks, blk_state) -> None:
         # (a + b) (w / 2) is 0.5 (a + b) w to the bit: halving is exact
         rows_sv = (G.take(blk.fij, 1) + G.take(blk.fji, 1)) * (0.5 * blk.w)
         # B = A_j rows_sv^T, one nonzero of each row per pass, so that each
-        # entry is summed in column order like a CSR product; the rows are
-        # in rank order until the last line
+        # entry is summed in column order like a CSR product; B's rows are
+        # in rank order until B[blk.rank] puts them back
         terms = rows_sv.T.take(blk.cols, 0)
         terms *= blk.vals[:, None]
         B = terms[:len(G)]  # pass 0: every row the block touches
@@ -676,9 +676,8 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             return finish("NumericalTrouble", it - 1, res)
 
         # H over the LMI blocks, then the reduced Schur matrix
-        # M = A_G W A_G^T + B H^-1 B^T over the equality rows
-        # (solves go through the inverse factors L^-1: two triangular
-        # matrix products per solve)
+        # M = A_G W A_G^T + B H^-1 B^T over the equality rows; a solve with
+        # either is two products with the inverse of its Cholesky factor
         if nw:
             Hw = _lmi_schur(ii, lmi_state)
             LH = _chol_jitter(Hw)
