@@ -40,12 +40,14 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class SparseRows:
-    """A sparse matrix as its nonzeros in row-major order: ``rows``
-    nondecreasing, ``cols`` increasing within a row, no zero stored twice.
+    """A sparse matrix as the rows, columns and values of its nonzeros,
+    each (row, column) pair once.
 
-    ``A @ x`` adds each row's terms in column order and ``A.T @ y`` each
-    column's in row order, starting from zero: the same floating-point sums
-    as a CSR matrix-vector product with A and with its transpose.
+    A product adds the terms of each output entry in the order the
+    nonzeros are stored, starting from zero.  The builder and the solver
+    store them in row-major order, so ``A @ x`` and ``A.T @ y`` are the
+    same floating-point sums as CSR matrix-vector products with A and with
+    its transpose.
     """
 
     rows: np.ndarray
