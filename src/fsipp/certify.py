@@ -18,7 +18,7 @@ import numpy as np
 from .errors import NumericalTroubleError
 from .extract import extract_atoms, flat_truncation_check, point_from_functional
 from .moment import MomentVarMap, QModule, membership_margin
-from .poly import Polynomial
+from .poly import Polynomial, ceil_half
 from .sdp import SdpBuilder, solve
 
 
@@ -108,8 +108,8 @@ def minimize_on_semialgebraic(h: Polynomial, gens, k: int,
         raise NumericalTroubleError(
             f"lower-level SDP ended with status {sol.status} at order {k}")
     L = mv.read_solution(prob_sdp, sol)
-    k0 = max([(int(q.degree) + 1) // 2 for q in gens], default=1) or 1
-    d_half = max((int(h.degree) + 1) // 2, 1) if not h.is_zero() else 1
+    k0 = max([ceil_half(q.degree) for q in gens], default=1) or 1
+    d_half = max(ceil_half(h.degree), 1) if not h.is_zero() else 1
     cert = flat_truncation_check(L, k=k, k0=k0, d_half=d_half, rel_tol=rank_tol)
     atoms = None
     if cert is not None:
@@ -137,8 +137,8 @@ def _local_refine(h: Polynomial, gens, y0: np.ndarray) -> np.ndarray:
     return np.asarray(y0, dtype=float)
 
 
-def lower_level_solve(u, prob, k_range=None, tau: float = 1e-3,
-                      sdp_tol: float = 1e-8, rank_tol: float = 1e-8):
+def lower_level_solve(u, prob, k_range=None, sdp_tol: float = 1e-8,
+                      rank_tol: float = 1e-8):
     """Globally minimize  -p(u, y)  over the index set.
 
     Returns (p_star, Lambda, certified): the optimal value (always a valid
@@ -159,8 +159,8 @@ def lower_level_solve(u, prob, k_range=None, tau: float = 1e-3,
             rep = np.zeros(prob.p.n_y)
         return float(h.coefficient((0,) * h.nvars)), [np.asarray(rep, dtype=float)], True
 
-    k0 = max([(int(q.degree) + 1) // 2 for q in gens], default=1) or 1
-    k_min = max((int(h.degree) + 1) // 2, k0, 1)
+    k0 = max([ceil_half(q.degree) for q in gens], default=1) or 1
+    k_min = max(ceil_half(h.degree), k0, 1)
     if k_range is None:
         k_range = (k_min, k_min + 1)
     best = -np.inf
@@ -189,7 +189,7 @@ def lower_level_solve(u, prob, k_range=None, tau: float = 1e-3,
 def active_sets(u, prob, tau: float = 1e-3, lower=None):
     """(Lambda, J): active index points and active constraint indices."""
     if lower is None:
-        lower = lower_level_solve(u, prob, tau=tau)
+        lower = lower_level_solve(u, prob)
     p_star, Lambda, _ = lower
     lam = list(Lambda) if p_star <= tau else []
     J = [j for j, psi in enumerate(prob.psis) if abs(psi(u)) <= tau]
@@ -229,7 +229,7 @@ def kkt_residual(u, prob, Lambda, J):
 def feasibility_check(u, prob, tau: float = 1e-3, lower=None):
     """(feasible, margin): margin = max(-p_star, psi_j(u))."""
     if lower is None:
-        lower = lower_level_solve(u, prob, tau=tau)
+        lower = lower_level_solve(u, prob)
     p_star, _, _ = lower
     vals = [-p_star] + [float(psi(u)) for psi in prob.psis]
     margin = max(vals)
@@ -284,7 +284,7 @@ def hessian_form_margin(form: Polynomial, m: int, gens=(),
     interior; on a Semialgebraic Y without it the restriction can only
     turn a pass into a refusal, so one path serves every index set.
     """
-    cone = QModule(tuple(gens), order=(int(form.degree) + 1) // 2, nz=m)
+    cone = QModule(tuple(gens), order=ceil_half(form.degree), nz=m)
     t_star, sol = membership_margin(form, cone, tol=tol)
     if np.isnan(t_star):
         raise NumericalTroubleError(
@@ -364,8 +364,8 @@ class KktReport:
 def certify_point(u, prob, tau: float = 1e-3, k_range=None,
                   sdp_tol: float = 1e-8, rank_tol: float = 1e-8) -> KktReport:
     """Run the full stop criterion at a candidate point."""
-    lower = lower_level_solve(u, prob, k_range=k_range, tau=tau,
-                              sdp_tol=sdp_tol, rank_tol=rank_tol)
+    lower = lower_level_solve(u, prob, k_range=k_range, sdp_tol=sdp_tol,
+                              rank_tol=rank_tol)
     p_star, _, certified = lower
     feasible, margin = feasibility_check(u, prob, tau=tau, lower=lower)
     Lambda, J = active_sets(u, prob, tau=tau, lower=lower)

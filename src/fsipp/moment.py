@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalTroubleError
-from .poly import Polynomial, monomials_up_to
+from .poly import Polynomial, ceil_half, monomials_up_to
 from .sdp import LinExpr, SdpBuilder, solve
 
 # --------------------------------------------------------------------------
@@ -219,7 +219,7 @@ class QModule:
     def gram_structure(self, nvars: int):
         out = []
         for q in (Polynomial.constant(nvars, 1.0), *self.generators):
-            rest = self.order - (int(q.degree) + 1) // 2
+            rest = self.order - ceil_half(q.degree)
             basis = monomials_up_to(nvars, rest) if not self.nz else [
                 mono + tuple(int(t == i) for t in range(self.nz))
                 for i in range(self.nz)
@@ -374,7 +374,7 @@ class MomentVarMap:
     def add_localizing(self, q: Polynomial) -> None:
         """Append the localizing matrix of q, entry (i, j) = L(q b_i b_j)
         over N^m_{order - ceil(deg q / 2)}, to the LMI."""
-        half = (int(q.degree) + 1) // 2
+        half = ceil_half(q.degree)
         rows = MonomialBasis(self.nvars, self.order - half).monomials
         entries = {}
         for j, bj in enumerate(rows):

@@ -20,6 +20,11 @@ def grlex_key(exponents: tuple[int, ...]) -> tuple:
     return (sum(exponents), tuple(-e for e in exponents))
 
 
+def ceil_half(deg) -> int:
+    """ceil(deg / 2) of a polynomial's (nonnegative) degree."""
+    return (int(deg) + 1) // 2
+
+
 def monomials_up_to(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent vectors in ``nvars`` variables of total degree <= degree,
     in graded lex order."""
@@ -91,10 +96,6 @@ class Polynomial:
         expo = [0] * nvars
         expo[i] = 1
         return cls(nvars, {tuple(expo): 1.0})
-
-    @classmethod
-    def monomial(cls, exponents: tuple[int, ...], coef: float = 1.0) -> "Polynomial":
-        return cls(len(exponents), {tuple(exponents): coef})
 
     # -- basic queries -------------------------------------------------------
 

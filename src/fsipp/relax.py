@@ -50,12 +50,8 @@ from .extract import (RankCertificate, extract_atoms, flat_truncation_check,
 from .moment import (IntervalUnivariate, MomentFunctional, MomentVarMap, QModule,
                      SLemma, SosBounded, dual_cone_blocks, poly_image_in_y_sym,
                      sos_membership_blocks)
-from .poly import BivariatePoly, Polynomial
+from .poly import BivariatePoly, Polynomial, ceil_half
 from .sdp import LinExpr, SdpBuilder, SdpProblem, solve
-
-
-def _ceil_half(deg: int) -> int:
-    return (int(deg) + 1) // 2
 
 
 # --------------------------------------------------------------------------
@@ -266,10 +262,6 @@ class FsippProblem:
     def s(self) -> int:
         return len(self.psis)
 
-    def ratio(self, u) -> float:
-        """The objective value f(u)/g(u)."""
-        return self.f(u) / self.g(u)
-
 
 class CaseTag(Enum):
     CASE1 = "Case1"
@@ -421,7 +413,7 @@ def _aux_min(prob: FsippProblem, numerator: Polynomial, bound) -> float:
             "a bound on the feasible region is needed for the auxiliary solve")
     else:
         opts = RelaxOptions(R=1.5 * float(bound), g_star=0.5)
-        k0 = max(_ceil_half(aux.d), 1)
+        k0 = max(ceil_half(aux.d), 1)
         orders = (k0, k0 + 1)
     rows = [_solve_order(aux, opts, tag, k) for k in orders]
     values = [row.r_dual for row in rows if row.dual_status == "Optimal"]
@@ -493,7 +485,7 @@ def _ball_poly(m: int, R: float) -> Polynomial:
 def _y_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
     d_y = max(int(prob.p.d_y), 0)
     if tag in (CaseTag.CASE1, CaseTag.CASE3):
-        return IntervalUnivariate(2 * _ceil_half(d_y))
+        return IntervalUnivariate(2 * ceil_half(d_y))
     if tag in (CaseTag.CASE2, CaseTag.CASE4):
         return SLemma(prob.index_set.phi)
     if opts.k is None:
@@ -510,8 +502,8 @@ def _y_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
 def _x_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
     if tag in (CaseTag.CASE1, CaseTag.CASE2):
         return SosBounded(2 * prob.d)
-    if opts.k is None or opts.k < _ceil_half(prob.d):
-        raise ValueError(f"relaxation order must be at least {_ceil_half(prob.d)}")
+    if opts.k is None or opts.k < ceil_half(prob.d):
+        raise ValueError(f"relaxation order must be at least {ceil_half(prob.d)}")
     if opts.R is None:
         raise MissingHintError("the quadratic-module cones need the radius R")
     gens = [_ball_poly(prob.m, opts.R)]
@@ -725,7 +717,7 @@ def solve_hierarchy(prob: FsippProblem, opts: RelaxOptions,
     else:
         check_tag(prob, tag)
     trace = HierarchyTrace(tag=tag)
-    d_half = max(_ceil_half(prob.d), 1)
+    d_half = max(ceil_half(prob.d), 1)
     if tag in (CaseTag.CASE1, CaseTag.CASE2):
         orders = [prob.d]
     else:

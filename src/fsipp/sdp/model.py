@@ -44,10 +44,8 @@ class SparseRows:
     each (row, column) pair once.
 
     A product adds the terms of each output entry in the order the
-    nonzeros are stored, starting from zero.  The builder and the solver
-    store them in row-major order, so ``A @ x`` and ``A.T @ y`` are the
-    same floating-point sums as CSR matrix-vector products with A and with
-    its transpose.
+    nonzeros are stored, starting from zero, so repeated products are the
+    same floating-point sums.  The builder stores them in row-major order.
     """
 
     rows: np.ndarray

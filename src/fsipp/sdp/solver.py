@@ -22,10 +22,11 @@ scaled form (dX + sym(Z^-1 dZ X) = rhs), i.e. the HKM direction, driven by
 a Mehrotra predictor-corrector from x = z = xi I (the identity of every
 cone, tau = kappa = 1), where xi = max(1, |c| / sqrt(nu)) gives z the size
 of a large objective.  The Schur complement M = A W A^T is a
-dense p x p matrix, assembled per PSD block over only the constraint rows
-that touch the block (Fujisawa-Kojima-Nakata 1997): each block keeps its
-constraint matrices for those rows, forms Z^-1 A_j X for them with batched
-matrix products and adds their r x r product into M, so blocks touched by
+dense p x p matrix, assembled per PSD block over only the r constraint
+rows that touch the block (Fujisawa-Kojima-Nakata 1997): each block keeps
+its symmetric constraint matrices T_j for those rows, forms Z^-1 T_j X for
+them with batched matrix products and adds the r x r matrix of their inner
+products with the T_i into M as one matrix product, so blocks touched by
 few rows cost little.  M is factored by numpy's Cholesky, M = L L^T, and
 every solve with M is two products with the inverse factor L^-1, formed
 once per iteration (see :func:`_tri_inv`).  The linear algebra is numpy's
@@ -117,21 +118,18 @@ class _PsdData:
     diagonal block of an LMI, whose rows are the entries a of w and whose
     constraint matrices are the F_a.  Only the ``rows`` that touch the
     block enter its part of the Schur complement (M, or H for an LMI):
-    ``Asp`` and the symmetric constraint matrices ``T`` are kept for those
-    rows alone.  ``runs`` splits the rows into maximal
-    ranges of consecutive indices, (lo, hi, position of lo in ``rows``), and
-    ``rix`` indexes the rows in M (a slice when the block touches them all).
-    ``cols`` and ``vals`` hold the block's constraint entries pass by
-    pass, the k-th nonzero of each row in pass k and the rows of a pass in
-    ``rank`` order; ``passes`` counts the entries of each pass.
+    the symmetric constraint matrices ``T`` are kept for those rows alone.
+    ``runs`` splits the rows into maximal ranges of consecutive indices,
+    (lo, hi, position of lo in ``rows``), and ``rix`` indexes the rows in M
+    (a slice when the block touches them all).
     """
 
     __slots__ = ("sl", "dim", "ti", "tj", "w", "fij", "fji", "rows", "rix",
-                 "runs", "T", "rank", "cols", "vals", "passes")
+                 "runs", "T")
 
     def __init__(self, sl, dim, p, rows, cols, vals):
         """``rows``, ``cols``, ``vals``: the entries of the p-row internal
-        constraint matrix, in row-major order."""
+        constraint matrix, each (row, column) pair once."""
         self.sl = sl
         self.dim = dim
         self.ti, self.tj = tri_indices(dim)
@@ -149,16 +147,6 @@ class _PsdData:
         self.rix = slice(None) if r == p else rows
         self.runs = [(int(rows[a]), int(rows[e - 1]) + 1, int(a))
                      for a, e in zip(starts, ends)]
-        # the k-th nonzero of every row that has one, for k = 0, 1, ...,
-        # with the rows ranked by falling nonzero count, so that the rows
-        # of pass k are the first ones in rank order
-        kth = np.arange(at.size) - np.searchsorted(at, at)
-        self.rank = np.empty(r, dtype=np.intp)
-        self.rank[np.argsort(-np.bincount(at, minlength=r), kind="stable")] = \
-            np.arange(r)
-        order = np.lexsort((self.rank[at], kth))
-        self.cols, self.vals = c[order], v[order]
-        self.passes = np.bincount(kth).tolist()
         vw = v / self.w[c]
         T = np.zeros((r, dim, dim))
         T[at, self.ti[c], self.tj[c]] = vw
@@ -322,7 +310,7 @@ class _Internal:
     After them come the LMI slots, one svec block per diagonal block of
     each LMI, which hold Z_S in x and S in z (see the module docstring).
     Numerically empty rows are dropped and the others equilibrated.
-    Everything is assembled from the model's CSR arrays by numpy, A and A^T
+    Everything is assembled from the model's sparse rows by numpy, A and A^T
     once each.
     """
 
@@ -390,8 +378,6 @@ class _Internal:
         self.p = p = scale.size
         rows = (np.cumsum(keep) - 1)[rows]
         vals = vals * (1.0 / scale)[rows]
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
         self.A = SparseRows(rows, cols, vals, (p, ntot))
 
         self.psd = [_PsdData(slice(o, o + d * (d + 1) // 2), d, p, rows, cols, vals)
@@ -399,15 +385,14 @@ class _Internal:
         self.groups = _groups(self.psd)
         self.lp = np.flatnonzero(np.append(is_lp, np.ones(self.free.size, bool)))
         if self.lp.size:
-            # per nonnegative coordinate, its rows (as positions in
-            # lp_rows, the rows any of them touches) and coefficients
+            # the columns of the nonnegative coordinates, dense over lp_rows,
+            # the rows any of them touches
             lp_col = np.full(ntot, -1)
             lp_col[self.lp] = np.arange(self.lp.size)
             mine = lp_col[cols] >= 0
-            self.lp_rows = np.unique(rows[mine])
-            at = np.searchsorted(self.lp_rows, rows[mine])
-            lc, lv = lp_col[cols[mine]], vals[mine]
-            self.lp_cols = [(at[lc == k], lv[lc == k]) for k in range(self.lp.size)]
+            self.lp_rows, at = np.unique(rows[mine], return_inverse=True)
+            self.A_lp = np.zeros((self.lp_rows.size, self.lp.size))
+            self.A_lp[at, lp_col[cols[mine]]] = vals[mine]
 
         self.lmi = []
         if lmis:
@@ -419,8 +404,6 @@ class _Internal:
             self.BT = np.zeros((nw, p))
             self.BT[wpos[cols[on_w]], rows[on_w]] = vals[on_w]
             frows, fcols, fvals = (np.concatenate(v) for v in (frows, fcols, fvals))
-            order = np.lexsort((fcols, frows))
-            frows, fcols, fvals = frows[order], fcols[order], fvals[order]
             self.F = np.zeros((ns, nw))  # dense: a few hundred columns at most
             self.F[fcols - n, frows] = fvals
             self.lmi = [_PsdData(slice(o, o + d * (d + 1) // 2), d, nw,
@@ -466,26 +449,16 @@ def _add_products(M: np.ndarray, blocks, blk_state) -> None:
     """Add each block's A_j W_j A_j^T into M over the rows that touch it.
 
     ``blk_state`` holds (X, Z^-1) per block, where W maps V to
-    sym(Z^-1 V X).  The blocks add in order, so every entry is the same sum
-    as over all rows.  The product is added one run of consecutive columns
-    at a time: a slice on one axis of M is much cheaper than an index array
-    on both.
+    sym(Z^-1 V X).  Entry (a, b) of a block's product is
+    <T_a, sym(Z^-1 T_b X)> = <T_a, Z^-1 T_b X>, as T_a is symmetric, so the
+    product is one matrix product of the flattened T and Z^-1 T X.  It is
+    added one run of consecutive columns at a time: a slice on one axis of
+    M is much cheaper than an index array on both.
     """
     for blk, (X, Zinv) in zip(blocks, blk_state):
-        G = np.matmul(np.matmul(Zinv, blk.T), X).reshape(-1, blk.dim ** 2)
-        # (a + b) (w / 2) is 0.5 (a + b) w to the bit: halving is exact
-        rows_sv = (G.take(blk.fij, 1) + G.take(blk.fji, 1)) * (0.5 * blk.w)
-        # B = A_j rows_sv^T, one nonzero of each row per pass, so that each
-        # entry is summed in column order like a CSR product; B's rows are
-        # in rank order until B[blk.rank] puts them back
-        terms = rows_sv.T.take(blk.cols, 0)
-        terms *= blk.vals[:, None]
-        B = terms[:len(G)]  # pass 0: every row the block touches
-        at = len(G)
-        for m in blk.passes[1:]:
-            B[:m] += terms[at:at + m]
-            at += m
-        B = B[blk.rank]
+        r, dd = len(blk.T), blk.dim ** 2
+        G = np.matmul(np.matmul(Zinv, blk.T), X)
+        B = blk.T.reshape(r, dd) @ G.reshape(r, dd).T
         for lo, hi, at in blk.runs:
             M[blk.rix, lo:hi] += B[:, at:at + hi - lo]
 
@@ -514,11 +487,8 @@ def _schur(ii: _Internal, blk_state, d_lp: np.ndarray) -> np.ndarray:
     M = np.zeros((p, p))
     _add_products(M, ii.psd, blk_state)
     if ii.lp.size:
-        # A_lp diag(d) A_lp^T over the rows it touches, one coordinate at a
-        # time in increasing order, the order of a CSR sparse product
-        L = np.zeros((ii.lp_rows.size, ii.lp_rows.size))
-        for k, (at, v) in enumerate(ii.lp_cols):
-            L[np.ix_(at, at)] += np.outer(v * d_lp[k], v)
+        # A_lp diag(d) A_lp^T over the rows the nonnegative coordinates touch
+        L = (ii.A_lp * d_lp) @ ii.A_lp.T
         M[np.ix_(ii.lp_rows, ii.lp_rows)] += L
     return _symmetrize(M)
 

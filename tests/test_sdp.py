@@ -8,7 +8,9 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from fsipp import instances
+from fsipp.moment import MomentVarMap
 from fsipp.multiobj import scalarize
+from fsipp.poly import Polynomial
 from fsipp.relax import (RelaxOptions, build_dual_sdp, build_primal_sdp,
                          classify_case)
 from fsipp.sdp import (LinExpr, LmiBlock, NonnegBlock, SdpBuilder, SdpProblem,
@@ -389,7 +391,9 @@ def full_row_schur(ii, blk_state, d_lp):
     return 0.5 * (M + M.T)
 
 
-def test_schur_over_touched_rows_equals_the_full_row_formula():
+def touched_rows_case():
+    """The problem above, whose PSD blocks are touched by every row, by four
+    runs of rows and by no row, at one random (X, Z^-1) per block."""
     ii = solver._Internal(schur_test_problem())
     touched = [blk.rows.size for blk in ii.psd]
     assert touched == [ii.p, 63, 0] and ii.p == 150
@@ -401,15 +405,12 @@ def test_schur_over_touched_rows_equals_the_full_row_formula():
         X = R @ R.T + np.eye(blk.dim)
         Zinv = np.linalg.inv(S @ S.T + np.eye(blk.dim))
         blk_state.append((X, Zinv))
-    d_lp = rng.uniform(0.1, 10.0, size=ii.lp.size)
-    M = solver._schur(ii, blk_state, d_lp)
-    assert np.array_equal(M, full_row_schur(ii, blk_state, d_lp))
+    return ii, [(blk_state, rng.uniform(0.1, 10.0, size=ii.lp.size))]
 
 
-def test_schur_sums_shared_nonnegative_columns_in_order():
-    # Rows sharing several nonnegative or free columns: the nonnegative part
-    # of M must be the same floating-point sum as scipy's sparse product,
-    # which adds a pair's terms in increasing column order.
+def shared_columns_case():
+    """Rows sharing several nonnegative or free columns, with x / z on them
+    spread over twelve decades."""
     rng = np.random.default_rng(29)
     b = SdpBuilder()
     X, v, f = b.psd_block(2), b.nonneg_block(9), b.free_block(3)
@@ -427,10 +428,69 @@ def test_schur_sums_shared_nonnegative_columns_in_order():
     np.fill_diagonal(shared, 0.0)
     assert shared.max() >= 5  # pairs of rows with several shared terms
     blk_state = [(np.eye(2), np.eye(2))]
-    for _ in range(5):
-        d_lp = 10.0 ** rng.uniform(-6, 6, size=ii.lp.size)
+    return ii, [(blk_state, 10.0 ** rng.uniform(-6, 6, size=ii.lp.size))
+                for _ in range(5)]
+
+
+@pytest.mark.parametrize("case", [touched_rows_case, shared_columns_case],
+                         ids=["blocks_and_runs", "shared_nonnegative_columns"])
+def test_schur_over_touched_rows_equals_the_full_row_formula(case):
+    """The solver adds each PSD block's product over its touched rows as one
+    dense matrix product, and the nonnegative coordinates' as another; the
+    oracle is scipy's sparse products over all rows.  Both form the same
+    terms and differ only in the order they are summed in, which moves M by
+    about 1e-16 of its largest entry, so 1e-13 of it is the bound."""
+    ii, draws = case()
+    for blk_state, d_lp in draws:
         M = solver._schur(ii, blk_state, d_lp)
-        assert np.array_equal(M, full_row_schur(ii, blk_state, d_lp))
+        M_ref = full_row_schur(ii, blk_state, d_lp)
+        assert abs(M - M_ref).max() <= 1e-13 * abs(M_ref).max()
+
+
+def quarter_circle_moment_sdp():
+    """The quarter circle's order-4 moment SDP."""
+    prob, opts = instances.quarter_circle_problem()
+    tag = classify_case(prob, opts.case_override)
+    return build_dual_sdp(prob, replace(opts, k=4), tag)[0]
+
+
+def half_disc_moment_sdp():
+    """An order-3 moment SDP on {y1 >= 0, 1 - |y|^2 >= 0}: the localizer of
+    y1 touches only the moments of y1 times a monomial of degree <= 4."""
+    b = SdpBuilder()
+    mv = MomentVarMap(b, 2, 3)
+    mv.add_localizing(Polynomial(2, {(1, 0): 1.0}))
+    mv.add_localizing(Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0}))
+    b.add_equality(mv.lin((0, 0)), 1.0)
+    b.set_objective(mv.lin_poly(Polynomial(2, {(1, 0): 1.0, (0, 1): 1.0})))
+    return b.build()
+
+
+@pytest.mark.parametrize("sdp, touched", [(quarter_circle_moment_sdp, [45, 45, 45]),
+                                          (half_disc_moment_sdp, [28, 15, 28])],
+                         ids=["quarter_circle", "localizer_on_a_subset"])
+def test_lmi_schur_equals_the_dense_formula(sdp, touched):
+    """H_ab = <F_a, sym(S^-1 F_b Z_S)>, summed over the LMI blocks and built
+    densely from F at random positive definite S and Z_S, bounds the
+    solver's H as the oracle above bounds M."""
+    ii = solver._Internal(sdp())
+    nw = ii.wcols.size
+    assert [blk.rows.size for blk in ii.lmi] == touched and max(touched) == nw
+    rng = np.random.default_rng(7)
+    lmi_state, H_ref = [], np.zeros((nw, nw))
+    for blk in ii.lmi:
+        R, Q = rng.normal(size=(2, blk.dim, blk.dim))
+        Z_S = R @ R.T + np.eye(blk.dim)
+        S_inv = np.linalg.inv(Q @ Q.T + np.eye(blk.dim))
+        lmi_state.append((Z_S, S_inv))
+        f = ii.F[blk.sl.start - ii.n:blk.sl.stop - ii.n].T / blk.w
+        Fa = np.zeros((nw, blk.dim, blk.dim))
+        Fa[:, blk.ti, blk.tj] = f
+        Fa[:, blk.tj, blk.ti] = f
+        G = S_inv @ Fa @ Z_S
+        H_ref += np.einsum("aij,bij->ab", Fa, 0.5 * (G + G.transpose(0, 2, 1)))
+    H = solver._lmi_schur(ii, lmi_state)
+    assert abs(H - H_ref).max() <= 1e-13 * abs(H_ref).max()
 
 
 def test_schur_cholesky_retries_factor_the_shifted_matrix():
