@@ -5,8 +5,8 @@ Subpackages and modules:
 * :mod:`fsipp.poly`     -- sparse polynomial arithmetic and calculus
 * :mod:`fsipp.sdp`      -- equality-form SDP model, builder and
   interior-point solver
-* :mod:`fsipp.moment`   -- monomial bases, moment matrices, sum-of-squares
-  cones and their duals
+* :mod:`fsipp.moment`   -- monomial bases, moment matrices, truncated
+  quadratic modules and their duals
 * :mod:`fsipp.extract`  -- rank tests and atomic-measure extraction
 * :mod:`fsipp.certify`  -- lower-level solves, KKT residuals, feasibility
   and convexity certificates

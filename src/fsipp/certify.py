@@ -93,9 +93,7 @@ def minimize_on_semialgebraic(h: Polynomial, gens, k: int,
     no larger than the solver tolerance would rest on rounding luck.
     """
     builder = SdpBuilder()
-    mv = MomentVarMap(builder, h.nvars, k)
-    for q in gens:
-        mv.add_localizing(q)
+    mv = MomentVarMap(builder, h.nvars, k, gens)
     one = (0,) * h.nvars
     builder.add_equality(mv.lin(one), 1.0)
     builder.set_objective(mv.lin_poly(h))

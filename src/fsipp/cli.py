@@ -34,8 +34,8 @@ from .multiobj import MultiFsippProblem, epsilon_constraint_solve, image_grid
 from .poly import BivariatePoly, Polynomial
 from .relax import (CaseTag, FsippProblem, Interval, QuadraticSet,
                     RelaxOptions, Semialgebraic, choose_R_gstar,
-                    classify_by, classify_case, convexity_findings,
-                    solve_hierarchy)
+                    classify_by, classify_case, convex_shape,
+                    convexity_findings, solve_hierarchy)
 
 _SCHEMAS: dict[str, dict] = {}
 
@@ -342,8 +342,7 @@ def run_classify(args) -> int:
     findings = None
     if override is not None:
         lines.append(f"override: {override.value}")
-    elif isinstance(prob.index_set, Interval) or (
-            isinstance(prob.index_set, QuadraticSet) and prob.p.d_y <= 2):
+    elif convex_shape(prob) is not None:
         findings = convexity_findings(prob)
         for name, ok in findings:
             lines.append(

@@ -1,12 +1,19 @@
 """Moment and sum-of-squares machinery.
 
 Monomial bases, truncated moment functionals with their moment
-matrices, cone descriptions for the reformulations, and the
-compilers that turn cone membership (Gram side) or dual-cone membership
-(moment side) into blocks and equality rows of an SDP.
+matrices, the one cone class of the reformulations, and the compilers
+that turn cone membership (Gram side) or dual-cone membership (moment
+side) into blocks and equality rows of an SDP.
 
-Each cone names the Gram basis of every generator (``gram_structure``),
-and :func:`sos_membership_blocks` alone writes Gram blocks from them.
+Every cone is a truncated quadratic module :class:`QModule` of some
+generators at some order k.  Plain sums of squares of degree <= 2k are
+QModule((), k) (Lasserre 2001), the interval cone
+theta0 + theta1*(1 - y^2) is QModule((1 - y^2,), k), and the S-lemma cone
+theta + lam*phi is QModule((phi,), 1), its multiplier lam a 1x1 Gram block
+(Polik-Terlaky 2007).  The cone names the Gram basis of every generator
+(``gram_structure``), and :func:`sos_membership_blocks` alone writes Gram
+blocks from them; on the moment side the same generators give the
+localizing matrices.
 
 On the moment side the truncated moment vector (L(x^a) for |a| <= 2k) is
 a vector of free SDP variables, as in Lasserre's formulation and
@@ -122,87 +129,12 @@ def moment_matrix(L: MomentFunctional, k: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SosBounded:
-    """Sums of squares intersected with polynomials of degree <= degree."""
-
-    degree: int  # even
-
-    def member_degree_bound(self) -> int:
-        return self.degree
-
-    def gram_structure(self, nvars: int):
-        return [(Polynomial.constant(nvars, 1.0),
-                 monomials_up_to(nvars, self.degree // 2))]
-
-    def scalar_multipliers(self, nvars: int):
-        return []
-
-    def dual_order(self) -> int:
-        return self.degree // 2
-
-    def dual_generators(self, nvars: int):
-        return []
-
-
-@dataclass(frozen=True)
-class IntervalUnivariate:
-    """theta0 + theta1*(1-y^2) with deg theta0 <= cap, deg theta1*(1-y^2) <= cap.
-
-    One variable; exact for polynomials nonnegative on [-1, 1] when cap
-    covers their degree (even cap).
-    """
-
-    cap: int  # even
-
-    def member_degree_bound(self) -> int:
-        return self.cap
-
-    def _weight(self) -> Polynomial:
-        return Polynomial(1, {(0,): 1.0, (2,): -1.0})
-
-    def gram_structure(self, nvars: int):
-        if nvars != 1:
-            raise ValueError("interval cone is univariate")
-        out = [(Polynomial.constant(1, 1.0), monomials_up_to(1, self.cap // 2))]
-        if self.cap >= 2:
-            out.append((self._weight(), monomials_up_to(1, (self.cap - 2) // 2)))
-        return out
-
-    def scalar_multipliers(self, nvars: int):
-        return []
-
-    def dual_order(self) -> int:
-        return self.cap // 2
-
-    def dual_generators(self, nvars: int):
-        return [self._weight()] if self.cap >= 2 else []
-
-
-@dataclass(frozen=True)
-class SLemma:
-    """theta + lam*phi with theta SOS of degree <= 2 and scalar lam >= 0."""
-
-    phi: Polynomial
-
-    def member_degree_bound(self) -> int:
-        return 2
-
-    def gram_structure(self, nvars: int):
-        return [(Polynomial.constant(nvars, 1.0), monomials_up_to(nvars, 1))]
-
-    def scalar_multipliers(self, nvars: int):
-        return [self.phi]
-
-    def dual_order(self) -> int:
-        return 1
-
-    def dual_generators(self, nvars: int):
-        return [self.phi]
-
-
-@dataclass(frozen=True)
 class QModule:
     """Truncated quadratic module: sigma_0 + sum_i sigma_i q_i, degree <= 2k.
+
+    Each sigma is a sum of squares with deg(sigma_i q_i) <= 2k.  Its dual
+    cone holds the functionals of order k whose moment matrix and
+    localizing matrices of the q_i are PSD.
 
     With ``nz`` > 0 only squares linear in the last nz variables z enter:
     q's Gram basis is each z_i times the monomials in the other variables
@@ -212,9 +144,6 @@ class QModule:
     generators: tuple
     order: int  # k
     nz: int = 0
-
-    def member_degree_bound(self) -> int:
-        return 2 * self.order
 
     def gram_structure(self, nvars: int):
         out = []
@@ -227,18 +156,6 @@ class QModule:
             if basis:
                 out.append((q, basis))
         return out
-
-    def scalar_multipliers(self, nvars: int):
-        return []
-
-    def dual_order(self) -> int:
-        return self.order
-
-    def dual_generators(self, nvars: int):
-        return list(self.generators)
-
-
-ConeSpec = SosBounded | IntervalUnivariate | SLemma | QModule
 
 
 # --------------------------------------------------------------------------
@@ -255,18 +172,19 @@ def _as_affine(target, nvars: int) -> dict:
     return dict(target)
 
 
-def sos_membership_blocks(builder: SdpBuilder, target, cone: ConeSpec,
-                          nvars: int, margin: LinExpr | None = None) -> dict:
+def sos_membership_blocks(builder: SdpBuilder, target, cone: QModule,
+                          nvars: int, margin: LinExpr | None = None) -> list:
     """Emit blocks and rows forcing ``target`` into ``cone``.
 
     ``target`` is a Polynomial or a map monomial -> LinExpr (affine in other
     SDP variables).  With ``margin`` = t, the identity becomes
     target = gram(+ t on the leading Gram diagonal) + ..., i.e. the leading
     Gram matrix is shifted to G - t*I; maximizing t measures how deep the
-    target sits inside the cone.
+    target sits inside the cone.  Returns the Gram blocks' handles, one per
+    generator with a nonempty Gram basis.
     """
     aff = _as_affine(target, nvars)
-    bound = cone.member_degree_bound()
+    bound = 2 * cone.order
     for mono in aff:
         if sum(mono) > bound:
             raise ValueError(
@@ -290,22 +208,14 @@ def sos_membership_blocks(builder: SdpBuilder, target, cone: ConeSpec,
                 for k, v in margin.coeffs.items():
                     rows[sq].add_term(k, v)
 
-    lam_handle = None
-    mults = cone.scalar_multipliers(nvars)
-    if mults:
-        lam_handle = builder.nonneg_block(len(mults))
-        for li, mult in enumerate(mults):
-            for dexp, dcoef in mult.terms.items():
-                rows[dexp].add_term(lam_handle.index(li), dcoef)
-
     for mono in monomials_up_to(nvars, bound):
         expr = rows[mono] - aff.get(mono, LinExpr())
         if not expr.is_zero():
             builder.add_equality(expr, 0.0)
-    return {"gram": gram_handles, "lam": lam_handle}
+    return gram_handles
 
 
-def membership_margin(target: Polynomial, cone: ConeSpec,
+def membership_margin(target: Polynomial, cone: QModule,
                       tol: float = 1e-8, max_iter: int = 100):
     """Maximal t with (target - t * sum of squared Gram basis) in the cone.
 
@@ -329,7 +239,7 @@ def membership_margin(target: Polynomial, cone: ConeSpec,
             "DualInfeasible": float("inf")}.get(sol.status, float("nan")), sol
 
 
-def is_member(target: Polynomial, cone: ConeSpec, threshold: float = 1e-7) -> bool:
+def is_member(target: Polynomial, cone: QModule, threshold: float = 1e-7) -> bool:
     """Decide cone membership by the sign of the feasibility margin."""
     t_star, sol = membership_margin(target, cone)
     if np.isnan(t_star):
@@ -348,17 +258,21 @@ class MomentVarMap:
 
     The moments L(x^a), |a| <= 2k, are the free vector of one LMI block, in
     graded-lex order of a.  Its first diagonal block is the order-k moment
-    matrix, entry (i, j) = L(b_i * b_j); :meth:`add_localizing` appends
-    localizing matrices.
+    matrix, entry (i, j) = L(b_i * b_j), and the localizing matrix of each
+    of ``localizers`` follows, so L lies in the dual of
+    ``QModule(localizers, order)``; :meth:`add_localizing` appends more.
     """
 
-    def __init__(self, builder: SdpBuilder, nvars: int, order: int):
+    def __init__(self, builder: SdpBuilder, nvars: int, order: int,
+                 localizers=()):
         self.nvars = nvars
         self.order = order
         self.monomials = monomials_up_to(nvars, 2 * order)
         self.position = {m: i for i, m in enumerate(self.monomials)}
         self.block = builder.lmi_block(len(self.monomials))
-        self.add_localizing(Polynomial.constant(nvars, 1.0))
+        self.localizers = tuple(localizers)
+        for q in (Polynomial.constant(nvars, 1.0), *self.localizers):
+            self.add_localizing(q)
 
     def lin(self, mono: tuple) -> LinExpr:
         """The SDP variable carrying L(x^mono)."""
@@ -373,9 +287,13 @@ class MomentVarMap:
 
     def add_localizing(self, q: Polynomial) -> None:
         """Append the localizing matrix of q, entry (i, j) = L(q b_i b_j)
-        over N^m_{order - ceil(deg q / 2)}, to the LMI."""
+        over N^m_{order - ceil(deg q / 2)}, to the LMI.  When that basis is
+        empty (deg q > 2 * order) there is no constraint and nothing is
+        appended."""
         half = ceil_half(q.degree)
         rows = MonomialBasis(self.nvars, self.order - half).monomials
+        if not rows:
+            return
         entries = {}
         for j, bj in enumerate(rows):
             for i in range(j, len(rows)):
@@ -394,15 +312,6 @@ class MomentVarMap:
     def read_solution(self, prob, sol) -> MomentFunctional:
         """Recover the functional from a solved problem's block values."""
         return self.read(prob.scalarize(sol.primal_point))
-
-
-def dual_cone_blocks(momvar: MomentVarMap, cone: ConeSpec) -> None:
-    """Localizing blocks realizing  (momvar functional) in (cone)*."""
-    if cone.dual_order() != momvar.order:
-        raise ValueError(
-            f"moment variable order {momvar.order} != cone dual order {cone.dual_order()}")
-    for q in cone.dual_generators(momvar.nvars):
-        momvar.add_localizing(q)
 
 
 def poly_image_in_y_sym(momvar: MomentVarMap, p) -> dict:

@@ -18,19 +18,22 @@ duals, so the driver solves only the moment SDP and reads rho from its
 multipliers; the certificate-side compiler is an independent check of
 that value.
 
-Cone choices by tag: with d = max(deg f, deg g, deg psi_j, deg_x p),
+Cone choices by tag: with d = max(deg f, deg g, deg psi_j, deg_x p) and
+d_y = deg_y p, every cone is a truncated quadratic module Q_k(G) of
+generators G at order k (``moment.QModule``):
 
 * Case1 -- one parameter, Y = [-1, 1], all data s.o.s-convex in x:
-  C[x] = sums of squares of degree <= 2d, C[y] = weighted interval cone
-  theta0 + theta1*(1 - y^2).  A single exact solve.
-* Case2 -- Y a quadratic sublevel set with interior, p quadratic in y,
-  data s.o.s-convex: same C[x]; C[y] = theta + lam*phi (S-procedure).
-* Case3/Case4 -- same index sets but merely convex data; C[x] becomes
-  the truncated quadratic module of {R^2 - |x|^2} at order k, iterated
-  over k with a moment-matrix rank test as stopping rule.
-* General -- Y semialgebraic; C[x] = quadratic module of
-  {R^2 - |x|^2, g - g_star}, C[y] = quadratic module of the Y
-  generators, both at order k, with a feasibility/stationarity check at
+  C[x] = Q_d({}), sums of squares of degree <= 2d; C[y] =
+  Q_ceil(d_y/2)({1 - y^2}), the interval cone theta0 + theta1*(1 - y^2).
+  A single exact solve.
+* Case2 -- Y = {phi >= 0} with interior, p quadratic in y, data
+  s.o.s-convex: C[x] = Q_d({}); C[y] = Q_1({phi}), theta + lam*phi with
+  lam >= 0 (S-procedure).  A single exact solve.
+* Case3/Case4 -- the index sets of Case1/Case2 with merely convex data:
+  C[x] = Q_k({R^2 - |x|^2}), C[y] as in Case1/Case2, iterated over k with
+  a moment-matrix rank test as stopping rule.
+* General -- Y semialgebraic: C[x] = Q_k({R^2 - |x|^2, g - g_star}),
+  C[y] = Q_k(Y's generators), with a feasibility/stationarity check at
   the recovered point as stopping rule.
 """
 
@@ -47,8 +50,7 @@ from .certify import (KktReport, certify_point, hessian_form,
 from .errors import MissingHintError, NumericalTroubleError, OptimumKnownSignal
 from .extract import (RankCertificate, extract_atoms, flat_truncation_check,
                       point_from_functional)
-from .moment import (IntervalUnivariate, MomentFunctional, MomentVarMap, QModule,
-                     SLemma, SosBounded, dual_cone_blocks, poly_image_in_y_sym,
+from .moment import (MomentFunctional, MomentVarMap, QModule, poly_image_in_y_sym,
                      sos_membership_blocks)
 from .poly import BivariatePoly, Polynomial, ceil_half
 from .sdp import LinExpr, SdpBuilder, SdpProblem, solve
@@ -275,11 +277,11 @@ class CaseTag(Enum):
 class RelaxOptions:
     """Knobs for one relaxation run.
 
-    R and g_star feed the ball and denominator generators of the
-    quadratic-module cones (unused by Case1/Case2).  k is the target
-    relaxation order.  tau is the feasibility/stationarity tolerance of
-    the stop criterion, rank_tol the relative rank threshold of the
-    moment-matrix test, sdp_tol the interior-point accuracy.
+    R and g_star feed the ball and denominator generators of the x-cone
+    (unused by Case1/Case2).  k is the target relaxation order.  tau is
+    the feasibility/stationarity tolerance of the stop criterion, rank_tol
+    the relative rank threshold of the moment-matrix test, sdp_tol the
+    interior-point accuracy.
     """
 
     R: float | None = None
@@ -375,16 +377,21 @@ def classify_case(prob: FsippProblem,
     return classify_by(prob, convexity_findings)
 
 
+def convex_shape(prob: FsippProblem) -> CaseTag | None:
+    """Case1 or Case2 when the index set has that tag's shape (the interval;
+    a quadratic set with p at most quadratic in y), else None."""
+    if isinstance(prob.index_set, Interval):
+        return CaseTag.CASE1
+    if isinstance(prob.index_set, QuadraticSet) and prob.p.d_y <= 2:
+        return CaseTag.CASE2
+    return None
+
+
 def classify_by(prob: FsippProblem, findings) -> CaseTag:
     """:func:`classify_case` without an override, ``findings(prob)`` standing
     in for :func:`convexity_findings` (called only on a Case1/Case2 shape)."""
-    if isinstance(prob.index_set, Interval):
-        shape = CaseTag.CASE1
-    elif isinstance(prob.index_set, QuadraticSet) and prob.p.d_y <= 2:
-        shape = CaseTag.CASE2
-    else:
-        return CaseTag.GENERAL
-    if all(ok for _, ok in findings(prob)):
+    shape = convex_shape(prob)
+    if shape is not None and all(ok for _, ok in findings(prob)):
         return shape
     return CaseTag.GENERAL
 
@@ -407,7 +414,7 @@ def _aux_min(prob: FsippProblem, numerator: Polynomial, bound) -> float:
     aux = FsippProblem(numerator, one, prob.psis, prob.p, prob.index_set)
     tag = classify_case(aux)
     if tag in (CaseTag.CASE1, CaseTag.CASE2):
-        opts, orders = RelaxOptions(), (aux.d,)  # order-free cones
+        opts, orders = RelaxOptions(), (aux.d,)  # cone orders fixed by the data
     elif bound is None:
         raise MissingHintError(
             "a bound on the feasible region is needed for the auxiliary solve")
@@ -482,30 +489,30 @@ def _ball_poly(m: int, R: float) -> Polynomial:
     return Polynomial(m, terms)
 
 
-def _y_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
+def _y_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag) -> QModule:
     d_y = max(int(prob.p.d_y), 0)
     if tag in (CaseTag.CASE1, CaseTag.CASE3):
-        return IntervalUnivariate(2 * ceil_half(d_y))
-    if tag in (CaseTag.CASE2, CaseTag.CASE4):
-        return SLemma(prob.index_set.phi)
-    if opts.k is None:
+        order = ceil_half(d_y)
+    elif tag in (CaseTag.CASE2, CaseTag.CASE4):
+        order = 1
+    elif opts.k is None:
         raise ValueError("the general cones need a relaxation order k")
-    gens = tuple(prob.index_set.as_generators())
-    cone = QModule(gens, order=opts.k)
-    if d_y > cone.member_degree_bound():
+    else:
+        order = opts.k
+    if d_y > 2 * order:
         raise ValueError(f"degree overflow: the constraint family has degree "
                          f"{d_y} in the index variables, above the cone bound "
-                         f"{cone.member_degree_bound()}")
-    return cone
+                         f"{2 * order}")
+    return QModule(tuple(prob.index_set.as_generators()), order)
 
 
-def _x_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
+def _x_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag) -> QModule:
     if tag in (CaseTag.CASE1, CaseTag.CASE2):
-        return SosBounded(2 * prob.d)
+        return QModule((), prob.d)
     if opts.k is None or opts.k < ceil_half(prob.d):
         raise ValueError(f"relaxation order must be at least {ceil_half(prob.d)}")
     if opts.R is None:
-        raise MissingHintError("the quadratic-module cones need the radius R")
+        raise MissingHintError("the ball generator needs the radius R")
     gens = [_ball_poly(prob.m, opts.R)]
     if tag is CaseTag.GENERAL and prob.g.degree >= 1:
         if opts.g_star is None:
@@ -521,18 +528,14 @@ def _x_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
 
 @dataclass
 class DualSdpMap:
-    """Handles into the moment-side SDP."""
+    """Handles into the moment-side SDP; ``moment.localizers`` are the
+    generators of the x-cone."""
 
     moment: MomentVarMap
-    order: int
     slack: object = None
-    y_membership: dict = field(default_factory=dict)
 
     def functional(self, sdp: SdpProblem, sol) -> MomentFunctional:
         return self.moment.read_solution(sdp, sol)
-
-    def point(self, sdp: SdpProblem, sol) -> np.ndarray:
-        return self.functional(sdp, sol).point()
 
 
 def build_dual_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
@@ -544,12 +547,10 @@ def build_dual_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
     check_tag(prob, tag)
     cone_x = _x_cone(prob, opts, tag)
     cone_y = _y_cone(prob, opts, tag)
-    korder = cone_x.dual_order()
 
     builder = SdpBuilder()
-    mv = MomentVarMap(builder, prob.m, korder)
-    vmap = DualSdpMap(moment=mv, order=korder)
-    dual_cone_blocks(mv, cone_x)
+    mv = MomentVarMap(builder, prob.m, cone_x.order, cone_x.generators)
+    vmap = DualSdpMap(moment=mv)
     builder.add_equality(mv.lin_poly(prob.g), 1.0)
     if prob.psis:
         vmap.slack = builder.nonneg_block(prob.s)
@@ -557,8 +558,7 @@ def build_dual_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
             builder.add_equality(mv.lin_poly(psi) + vmap.slack.entry(j))
     image = poly_image_in_y_sym(mv, prob.p)
     negated = {mono: expr.scaled(-1.0) for mono, expr in image.items()}
-    vmap.y_membership = sos_membership_blocks(builder, negated, cone_y,
-                                              prob.p.n_y)
+    sos_membership_blocks(builder, negated, cone_y, prob.p.n_y)
     builder.set_objective(mv.lin_poly(prob.f))
     return builder.build(), vmap
 
@@ -570,7 +570,6 @@ class PrimalSdpMap:
     rho: object
     h_moments: MomentVarMap
     eta: object = None
-    x_membership: dict = field(default_factory=dict)
 
 
 def build_primal_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
@@ -587,9 +586,8 @@ def build_primal_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
     builder = SdpBuilder()
     rho = builder.free_block(1)
     eta = builder.nonneg_block(prob.s) if prob.psis else None
-    hm = MomentVarMap(builder, prob.p.n_y, cone_y.dual_order())
+    hm = MomentVarMap(builder, prob.p.n_y, cone_y.order, cone_y.generators)
     vmap = PrimalSdpMap(rho=rho, h_moments=hm, eta=eta)
-    dual_cone_blocks(hm, cone_y)
 
     target: dict[tuple, LinExpr] = {}
 
@@ -610,11 +608,10 @@ def build_primal_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
             bump(mono, eta.index(j), c)
 
     top = max((sum(mono) for mono in target), default=0)
-    if top > cone_x.member_degree_bound():
+    if top > 2 * cone_x.order:
         raise ValueError(f"degree overflow: certificate target has degree {top}, "
-                         f"above the cone bound {cone_x.member_degree_bound()}")
-    vmap.x_membership = sos_membership_blocks(builder, target, cone_x,
-                                              prob.m)
+                         f"above the cone bound {2 * cone_x.order}")
+    sos_membership_blocks(builder, target, cone_x, prob.m)
     builder.set_objective(rho.entry(0, -1.0))
     return builder.build(), vmap
 
@@ -632,6 +629,7 @@ class HierarchyRow:
     r_primal: float = float("-inf")
     r_dual: float = float("inf")
     dual_functional: MomentFunctional | None = None
+    localizers: tuple = ()  # the x-cone generators localizing dual_functional
     dual_status: str = ""
     primal_status: str = ""
     dual_iterations: int = 0
@@ -688,6 +686,7 @@ def _solve_order(prob, opts, tag, k):
             row.r_dual = float(sol.primal_value)
             row.r_primal = float(sol.dual_value)
             row.dual_functional = vmap.functional(sdp, sol)
+            row.localizers = vmap.moment.localizers
     except Exception as exc:  # noqa: BLE001 - recorded, not fatal
         row.error = f"moment side: {exc}"
     return row
@@ -702,9 +701,9 @@ def solve_hierarchy(prob: FsippProblem, opts: RelaxOptions,
                     k_range: tuple | None = None) -> HierarchyTrace:
     """Walk relaxation orders, recording values and stopping on a certificate.
 
-    Case1/Case2 need a single solve (their cones are order-free).  For the
-    iterated tags, each order k in ``k_range`` (inclusive; default from
-    ceil(d/2) to opts.k) is compiled and solved once, on the moment side,
+    Case1/Case2 need a single solve (the data fix their cones' orders).
+    For the iterated tags, each order k in ``k_range`` (inclusive; default
+    from ceil(d/2) to opts.k) is compiled and solved once, on the moment side,
     whose multipliers also give the certificate-side value; the walk
     stops once the moment matrix passes the rank test (Case3/Case4 and
     General) or the recovered point passes feasibility plus stationarity
@@ -742,7 +741,7 @@ def solve_hierarchy(prob: FsippProblem, opts: RelaxOptions,
                                      rel_tol=opts.rank_tol)
         if cert is not None:
             try:
-                trace.atoms = extract_atoms(L, cert)
+                trace.atoms = extract_atoms(L, cert, gens=row.localizers)
             except NumericalTroubleError:
                 cert = None
         if cert is not None:

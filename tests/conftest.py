@@ -14,7 +14,7 @@ from fsipp import instances
 from fsipp.certify import certify_point
 from fsipp.moment import MonomialBasis, QModule, membership_margin
 from fsipp.multiobj import epsilon_constraint_solve, scalarize
-from fsipp.poly import Polynomial, monomials_up_to
+from fsipp.poly import Polynomial, ceil_half, monomials_up_to
 from fsipp.relax import solve_hierarchy
 from fsipp.sdp import LinExpr, SdpBuilder, solve
 
@@ -45,7 +45,7 @@ def apply_functional(L, poly):
 def localizing_matrix(L, q, k):
     """Matrix with entry (alpha, beta) = L(q * x^(alpha+beta)), rows and
     columns indexed by N^m_{k - ceil(deg q / 2)}."""
-    basis = MonomialBasis(L.nvars, k - (int(q.degree) + 1) // 2)
+    basis = MonomialBasis(L.nvars, k - ceil_half(q.degree))
     M = np.empty((basis.size, basis.size))
     for i, a in enumerate(basis.monomials):
         for j in range(i + 1):
@@ -102,7 +102,7 @@ def full_basis_family_margin(prob):
     gens = tuple(Polynomial(form.nvars, {(0,) * m + e + (0,) * m: c
                                          for e, c in q.terms.items()})
                  for q in prob.index_set.as_generators())
-    t_star, _ = membership_margin(form, QModule(gens, (int(form.degree) + 1) // 2))
+    t_star, _ = membership_margin(form, QModule(gens, ceil_half(form.degree)))
     return t_star
 
 

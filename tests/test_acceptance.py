@@ -16,7 +16,7 @@ import pytest
 from fsipp import instances
 from fsipp.certify import nnls, sos_convexity_check
 from fsipp.extract import extract_atoms, flat_truncation_check
-from fsipp.moment import MomentFunctional, SosBounded, is_member
+from fsipp.moment import MomentFunctional, QModule, is_member
 from fsipp.multiobj import efficiency_audit
 from fsipp.poly import Polynomial
 from fsipp.relax import CaseTag
@@ -206,8 +206,8 @@ def test_10_hessian_form_discriminator():
     h1 = instances.convex_octic_form()
     h2 = instances.convex_sextic_poly()
     assert sos_convexity_check(h2) is False
-    assert is_member(h1, SosBounded(8))
-    assert is_member(h2, SosBounded(6))
+    assert is_member(h1, QModule((), 4))
+    assert is_member(h2, QModule((), 3))
     print("[PASS] 10 discriminator: convex quadratics accepted, the convex "
           "sextic rejected; both bundled polynomials admit plain "
           "sum-of-squares decompositions")

@@ -11,7 +11,7 @@ from fsipp import certify, instances
 from fsipp.certify import (active_sets, certify_point, feasibility_check,
                            kkt_residual, lower_level_solve, nnls,
                            sos_convexity_check)
-from fsipp.moment import MomentFunctional, SosBounded, membership_margin
+from fsipp.moment import MomentFunctional, QModule, membership_margin
 from fsipp.poly import Polynomial
 
 from conftest import apply_functional
@@ -226,7 +226,7 @@ def _hessian_form(h: Polynomial) -> Polynomial:
 
 def test_quadratic_sos_convexity_margin_matches_the_membership_sdp():
     # A quadratic's margin is read off the normalized Hessian without an
-    # SDP.  The moment-layer SDP for the Hessian form in SosBounded(2) has
+    # SDP.  The moment-layer SDP for the Hessian form in QModule((), 1) has
     # the same normalization, but its Gram basis also holds the constant
     # monomial, whose diagonal entry is -t: its margin is min(t*, 0).
     quads = _packaged_quadratics()
@@ -234,7 +234,7 @@ def test_quadratic_sos_convexity_margin_matches_the_membership_sdp():
     signs = set()
     for h in quads + _random_quadratics(50):
         margin = certify._sos_convexity_margin(h)
-        t_ref, _ = membership_margin(_hessian_form(h), SosBounded(2))
+        t_ref, _ = membership_margin(_hessian_form(h), QModule((), 1))
         assert abs(min(margin, 0.0) - t_ref) <= 1e-6, h
         assert sos_convexity_check(h) is bool(t_ref >= -1e-7)
         signs.add(margin > 0)

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsipp.moment import (IntervalUnivariate, MomentFunctional, MomentVarMap,
-                          MonomialBasis, QModule, SLemma, SosBounded, is_member,
-                          membership_margin, moment_matrix, poly_image_in_y_sym,
-                          sos_membership_blocks)
+from fsipp.moment import (MomentFunctional, MomentVarMap, MonomialBasis,
+                          QModule, is_member, membership_margin, moment_matrix,
+                          poly_image_in_y_sym, sos_membership_blocks)
 from fsipp.poly import BivariatePoly, Polynomial
 from fsipp.sdp import SdpBuilder, solve
 
@@ -107,42 +106,38 @@ def test_localizing_matrix_flags_outside_atom():
 
 # ---------------------------------------------------------------- cones
 
-def test_interval_cone_membership():
-    cone = IntervalUnivariate(2)
-    inside = Polynomial(1, {(0,): 1.0, (2,): -1.0})       # 1 - y^2
-    shifted = Polynomial(1, {(0,): 4.0, (1,): -4.0, (2,): 1.0})  # (y-2)^2
-    sign_changing = Polynomial(1, {(1,): 1.0})             # y
-    assert is_member(inside, cone)
-    assert is_member(shifted, cone)
-    assert not is_member(sign_changing, cone)
+_INTERVAL = Polynomial(1, {(0,): 1.0, (2,): -1.0})               # 1 - y^2
+_DISC = Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})  # 1 - |y|^2
 
 
-def test_slemma_cone_membership():
-    phi = Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
-    cone = SLemma(phi)
-    assert is_member(Polynomial(2, {(0, 0): 2.0, (2, 0): -1.0, (0, 2): -1.0}),
-                     cone)  # 1 + phi
-    assert is_member(phi, cone)
-    assert not is_member(Polynomial(2, {(1, 0): 1.0}), cone)
-
-
-def test_qmodule_cone_membership():
-    gen = Polynomial(1, {(0,): 1.0, (2,): -1.0})
-    cone = QModule((gen,), 2)
-    assert is_member(gen, cone)
-    assert is_member(Polynomial(1, {(0,): 1.25, (1,): -1.0, (2,): 0.25}), cone)
-    assert not is_member(Polynomial(1, {(0,): -2.0, (1,): 1.0}), cone)
+@pytest.mark.parametrize("cone, members, outsider", [
+    # the interval cone theta0 + theta1*(1 - y^2) of degree <= 2
+    (QModule((_INTERVAL,), 1),
+     [_INTERVAL, Polynomial(1, {(0,): 4.0, (1,): -4.0, (2,): 1.0})],  # (y-2)^2
+     Polynomial(1, {(1,): 1.0})),                                     # y
+    # the S-lemma cone theta + lam*phi
+    (QModule((_DISC,), 1),
+     [Polynomial(2, {(0, 0): 2.0, (2, 0): -1.0, (0, 2): -1.0}), _DISC],  # 1 + phi
+     Polynomial(2, {(1, 0): 1.0})),
+    (QModule((_INTERVAL,), 2),
+     [_INTERVAL, Polynomial(1, {(0,): 1.25, (1,): -1.0, (2,): 0.25})],
+     Polynomial(1, {(0,): -2.0, (1,): 1.0})),
+], ids=["interval", "s-lemma", "order-2"])
+def test_qmodule_cone_membership(cone, members, outsider):
+    for target in members:
+        assert is_member(target, cone)
+    assert not is_member(outsider, cone)
 
 
 def test_sos_cone_rejects_nonneg_non_sos():
     motzkin = Polynomial(2, {(4, 2): 1.0, (2, 4): 1.0, (2, 2): -3.0,
                              (0, 0): 1.0})
-    assert not is_member(motzkin, SosBounded(6))
-    assert is_member(Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0}), SosBounded(2))
+    assert not is_member(motzkin, QModule((), 3))
+    assert is_member(Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0}), QModule((), 1))
 
 
 def test_membership_margin_sign_and_boundary():
-    cone = SosBounded(2)
+    cone = QModule((), 1)
     interior, _ = membership_margin(Polynomial(1, {(0,): 1.0, (2,): 1.0}), cone)
     boundary, _ = membership_margin(Polynomial(1, {(2,): 1.0}), cone)
     assert interior > 1e-3
@@ -153,15 +148,15 @@ def test_membership_degree_guard():
     builder = SdpBuilder()
     with pytest.raises(ValueError):
         sos_membership_blocks(builder, Polynomial(1, {(4,): 1.0}),
-                              SosBounded(2), 1)
+                              QModule((), 1), 1)
 
 
 def _moment_and_localizing(L, cone):
     """Moment matrix and one localizing matrix per dual generator of the
     cone: L lies in the dual cone iff all of them are PSD."""
-    k = cone.dual_order()
+    k = cone.order
     return [moment_matrix(L, k)] + [localizing_matrix(L, q, k)
-                                    for q in cone.dual_generators(L.nvars)]
+                                    for q in cone.generators]
 
 
 @settings(deadline=None, max_examples=20)
@@ -185,6 +180,24 @@ def test_dual_cone_matrices_flag_unsupported_measure():
 
 
 # ---------------------------------------------------------------- SDP side
+
+def test_localizer_above_the_order_adds_no_block():
+    # deg(1 - y^6) = 6 > 2 * order: the localizing basis is empty, so q
+    # constrains nothing and no (0 x 0) diagonal block reaches the solver
+    values = []
+    for localizers in ((), (Polynomial(1, {(0,): 1.0, (6,): -1.0}),)):
+        builder = SdpBuilder()
+        mv = MomentVarMap(builder, 1, 1, localizers)
+        builder.add_equality(mv.lin((0,)), 1.0)
+        builder.set_objective(mv.lin_poly(Polynomial(1, {(2,): 1.0, (1,): -1.0})))
+        prob = builder.build()
+        assert prob.blocks[0].dims == (2,)
+        sol = solve(prob, tol=1e-9)
+        assert sol.status == "Optimal"
+        values.append(sol.primal_value)
+    assert values[0] == pytest.approx(-0.25, abs=1e-7)  # min L(y)^2 - L(y)
+    assert values[1] == values[0]
+
 
 def test_moment_var_map_round_trip_and_localizing():
     builder = SdpBuilder()

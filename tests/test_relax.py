@@ -105,6 +105,50 @@ def test_convexity_findings_name_the_failing_polynomial():
     assert sos_convexity_check(quarter.f) is False
 
 
+# ---------------------------------------------------------------- cones
+
+def _poly2(terms):
+    return Polynomial(2, terms)
+
+
+_BALL_R2 = _poly2({(0, 0): 4.0, (2, 0): -1.0, (0, 2): -1.0})  # R = 2
+_INTERVAL = Polynomial(1, {(0,): 1.0, (2,): -1.0})
+_DISC = _poly2({(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
+_CIRCLE = _poly2({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
+
+
+@pytest.mark.parametrize("make, tag, x_cone, y_cone", [
+    (instances.case1_problem, CaseTag.CASE1, ((), 2), ((_INTERVAL,), 1)),
+    (instances.case2_problem, CaseTag.CASE2, ((), 2), ((_DISC,), 1)),
+    (instances.case3_problem, CaseTag.CASE3, ((_BALL_R2,), 4),
+     ((_INTERVAL,), 1)),
+    (instances.case4_problem, CaseTag.CASE4, ((_BALL_R2,), 4), ((_DISC,), 1)),
+    # x-cone: the ball and g - g_star; y-cone: the quarter circle
+    (instances.quarter_circle_problem, CaseTag.GENERAL,
+     ((_BALL_R2, _poly2({(2, 0): -1.0, (0, 2): -1.0, (0, 0): 3.0})), 4),
+     ((_poly2({(1, 0): 1.0}), _poly2({(0, 1): 1.0}), _CIRCLE,
+       _CIRCLE.scale(-1.0)), 4)),
+], ids=["case1", "case2", "case3", "case4", "quarter"])
+def test_each_tag_compiles_quadratic_modules(make, tag, x_cone, y_cone):
+    prob, opts = make()
+    assert classify_case(prob, opts.case_override) is tag
+    for cone, (gens, order) in ((relax._x_cone(prob, opts, tag), x_cone),
+                                (relax._y_cone(prob, opts, tag), y_cone)):
+        assert (cone.generators, cone.order, cone.nz) == (gens, order, 0)
+
+
+def test_y_cone_checks_its_degree_bound_on_every_tag():
+    # p = y1^4 - 1 over the disc is above the S-lemma cone's degree 2
+    joint = Polynomial(4, {(0, 0, 4, 0): 1.0, (0, 0, 0, 0): -1.0})
+    quartic = _toy(_poly2({(2, 0): 1.0}), _poly2({(0, 0): 1.0}), joint=joint,
+                   index_set=QuadraticSet(_DISC, (0.0, 0.0)), n_y=2)
+    with pytest.raises(ValueError, match="degree overflow"):
+        relax._y_cone(quartic, RelaxOptions(), CaseTag.CASE2)
+    quarter, opts = instances.quarter_circle_problem()  # degree 8 in y
+    with pytest.raises(ValueError, match="degree overflow"):
+        relax._y_cone(quarter, replace(opts, k=3), CaseTag.GENERAL)
+
+
 # ------------------------------------------------------- parameter choice
 
 def test_choose_R_gstar_constant_and_affine_denominators():
@@ -185,6 +229,24 @@ def test_hierarchy_records_iteration_counts():
     row = solve_hierarchy(prob, opts).rows[0]
     assert row.dual_iterations > 0
     assert row.primal_iterations > 0
+
+
+def test_hierarchy_extraction_checks_the_x_cone_localizers(monkeypatch):
+    # the atoms must satisfy the generators the moment SDP localized L by:
+    # on the quarter circle the ball and g - g_star
+    seen = []
+    real = relax.extract_atoms
+
+    def spy(L, cert, **kwargs):
+        seen.append(kwargs.get("gens"))
+        return real(L, cert, **kwargs)
+
+    monkeypatch.setattr(relax, "extract_atoms", spy)
+    prob, opts = instances.quarter_circle_problem()
+    trace = solve_hierarchy(prob, opts, k_range=(4, 4))
+    assert trace.stop_reason == "rank"
+    assert seen == [relax._x_cone(prob, opts, CaseTag.GENERAL).generators]
+    assert len(seen[0]) == 2
 
 
 def test_planted_instances_recover_the_planted_optimum():

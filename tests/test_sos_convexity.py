@@ -178,7 +178,7 @@ def test_family_sdps_have_their_z_bilinear_size(monkeypatch):
 
     def recorded(builder, target, cone, nvars, margin=None):
         out = real(builder, target, cone, nvars, margin)
-        sizes.append((len(builder.rows), [h.dim for h in out["gram"]]))
+        sizes.append((len(builder.rows), [h.dim for h in out]))
         return out
 
     monkeypatch.setattr(moment, "sos_membership_blocks", recorded)
