@@ -22,12 +22,11 @@ import re
 import sys
 import time
 from dataclasses import replace
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
-from jsonschema import Draft7Validator
 
+from . import schemacheck
 from .certify import certify_point, feasibility_check
 from .errors import OptimumKnownSignal
 from .multiobj import MultiFsippProblem, epsilon_constraint_solve, image_grid
@@ -37,9 +36,6 @@ from .relax import (CaseTag, FsippProblem, Interval, QuadraticSet,
                     classify_by, classify_case, convex_shape,
                     convexity_findings, solve_hierarchy)
 
-_SCHEMAS: dict[str, dict] = {}
-
-
 class CliError(Exception):
     """A user-facing failure; carries one message line per finding."""
 
@@ -48,23 +44,12 @@ class CliError(Exception):
         self.lines = list(lines)
 
 
-def _schema(name: str) -> dict:
-    if name not in _SCHEMAS:
-        text = (resources.files("fsipp") / "schemas" /
-                f"{name}.schema.json").read_text(encoding="utf-8")
-        _SCHEMAS[name] = json.loads(text)
-    return _SCHEMAS[name]
-
-
 def validate_document(doc, name: str) -> list[str]:
     """Schema findings as ``<json-pointer>: <message>`` lines (empty = valid)."""
-    validator = Draft7Validator(_schema(name))
-    out = []
-    for err in sorted(validator.iter_errors(doc),
-                      key=lambda e: [str(p) for p in e.absolute_path]):
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        out.append(f"{pointer}: {err.message}")
-    return out
+    findings = sorted(schemacheck.load(name).errors(doc),
+                      key=lambda f: [str(p) for p in f[0]])
+    return ["/" + "/".join(map(str, path)) + f": {message}"
+            for path, message in findings]
 
 
 # --------------------------------------------------------------------------

@@ -4,9 +4,10 @@ The problem
 
     min <c, x>   s.t.  A x = b,  x in K,  S = F(w) >= 0
 
-(K a product of PSD cones and a nonnegative orthant; free variables are
-split into differences of nonnegative pairs; w the free vectors of the LMI
-blocks, which the rows may touch too) is embedded in the standard
+(K a product of PSD cones of dimension 2 or more and a nonnegative orthant,
+which also holds each 1 x 1 PSD block; free variables are split into
+differences of nonnegative pairs; w the free vectors of the LMI blocks,
+which the rows may touch too) is embedded in the standard
 homogeneous self-dual model with variables (x, lam, z, tau, kappa), plus
 S and its dual Z_S for the LMI blocks:
 
@@ -320,7 +321,9 @@ class _Internal:
         is_lp = np.ones(nm, dtype=bool)
         psd_specs, free, wcols, lmis = [], [], [], []
         for bl, sl in zip(prob.blocks, prob.block_slices()):
-            if isinstance(bl, PsdBlock):
+            # a PsdBlock(1) is an orthant coordinate: the same direction and
+            # step, without the per-iteration matrix calls of a PSD group
+            if isinstance(bl, PsdBlock) and bl.dim > 1:
                 ti, tj = tri_indices(bl.dim)
                 w[sl] = np.where(ti == tj, 1.0, _SQRT2)
                 is_lp[sl] = False

@@ -7,13 +7,10 @@ import json
 
 import numpy as np
 import pytest
-from jsonschema import Draft7Validator
 
 from fsipp import instances, relax
-from fsipp.cli import (EXIT_BY_VERDICT, _schema, main, problem_sha256,
-                       problem_to_doc, render_report, validate_document)
-
-REPORT_VALIDATOR = Draft7Validator(_schema("report"))
+from fsipp.cli import (EXIT_BY_VERDICT, main, problem_sha256, problem_to_doc,
+                       render_report, validate_document)
 
 
 def run(argv):
@@ -26,8 +23,8 @@ def run(argv):
 
 def checked(text: str) -> dict:
     report = json.loads(text)
-    problems = list(REPORT_VALIDATOR.iter_errors(report))
-    assert not problems, problems[0].message
+    problems = validate_document(report, "report")
+    assert not problems, problems[0]
     return report
 
 

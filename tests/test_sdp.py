@@ -13,8 +13,8 @@ from fsipp.multiobj import scalarize
 from fsipp.poly import Polynomial
 from fsipp.relax import (RelaxOptions, build_dual_sdp, build_primal_sdp,
                          classify_case)
-from fsipp.sdp import (LinExpr, LmiBlock, NonnegBlock, SdpBuilder, SdpProblem,
-                       check_solution, solve, tri_index)
+from fsipp.sdp import (LinExpr, LmiBlock, NonnegBlock, PsdBlock, SdpBuilder,
+                       SdpProblem, check_solution, solve, tri_index)
 from fsipp.sdp import solver
 from fsipp.sdp.model import SdpSolution, tri_indices
 
@@ -129,6 +129,36 @@ def test_solve_mixed_blocks_and_offdiagonal_coupling():
     # minimize a+b+a s.t. ab >= 1: 2a+b with ab=1 -> b=1/a: min 2a+1/a at a=1/sqrt 2
     expect = 2 * np.sqrt(2.0)
     assert sol.primal_value == pytest.approx(expect, rel=1e-6)
+
+
+def _mixed_with_scalar_psd():
+    b = SdpBuilder()
+    X = b.psd_block(2)
+    s = b.psd_block(1)
+    b.set_objective(X.entry(0, 0) + X.entry(1, 1) + s.entry(0, 0))
+    b.add_equality(X.entry(0, 1), 1.0)
+    b.add_equality(s.entry(0, 0) - X.entry(0, 0), 0.0)
+    return b.build()
+
+
+def _case2_moment_sdp():
+    # the S-lemma multiplier of a Case2 moment SDP is a PsdBlock(1)
+    prob, opts = instances.case2_problem()
+    return build_dual_sdp(prob, opts, classify_case(prob, opts.case_override))[0]
+
+
+@pytest.mark.parametrize("build", [_mixed_with_scalar_psd, _case2_moment_sdp],
+                         ids=["mixed", "case2"])
+def test_scalar_psd_block_solves_as_its_nonneg_twin(build):
+    sdp = build()
+    assert PsdBlock(1) in sdp.blocks
+    twin = SdpProblem([NonnegBlock(1) if bl == PsdBlock(1) else bl
+                       for bl in sdp.blocks], sdp.objective, sdp.A, sdp.b)
+    a, b = solve(sdp), solve(twin)
+    assert a.status == b.status == "Optimal"
+    assert a.iterations == b.iterations
+    assert a.primal_value == pytest.approx(b.primal_value, abs=1e-10)
+    assert a.dual_value == pytest.approx(b.dual_value, abs=1e-10)
 
 
 # ---------------------------------------------------------------- checks
