@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalTroubleError
-from .extract import extract_atoms, flat_truncation_check, point_from_functional
+from .extract import certify_and_extract, point_from_functional
 from .moment import MomentVarMap, QModule, membership_margin
 from .poly import Polynomial, ceil_half
 from .sdp import SdpBuilder, solve
@@ -81,13 +81,15 @@ def nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None):
 # --------------------------------------------------------------------------
 
 
-def minimize_on_semialgebraic(h: Polynomial, gens, k: int,
+def minimize_on_semialgebraic(h: Polynomial, gens, k: int, k0: int,
                               sdp_tol: float = 1e-8, rank_tol: float = 1e-8):
     """One order of the moment hierarchy for  min h(y) s.t. gens >= 0.
 
     Returns (bound, L, cert, atoms): the relaxation lower bound, the optimal
-    functional, a flat-truncation certificate (or None), and extracted
-    atoms (or None).  The SDP is solved to a tenth of ``rank_tol`` when that
+    functional, and the flat-truncation certificate with its extracted
+    atoms, both None unless extraction succeeds.  ``k0`` is the
+    localizers' order, max ceil(deg q / 2) over ``gens`` (at least 1).
+    The SDP is solved to a tenth of ``rank_tol`` when that
     is tighter than ``sdp_tol``: the moment matrix's vanishing singular
     values are of the size of the solver's residuals, so a rank threshold
     no larger than the solver tolerance would rest on rounding luck.
@@ -106,15 +108,9 @@ def minimize_on_semialgebraic(h: Polynomial, gens, k: int,
         raise NumericalTroubleError(
             f"lower-level SDP ended with status {sol.status} at order {k}")
     L = mv.read_solution(prob_sdp, sol)
-    k0 = max([ceil_half(q.degree) for q in gens], default=1) or 1
     d_half = max(ceil_half(h.degree), 1) if not h.is_zero() else 1
-    cert = flat_truncation_check(L, k=k, k0=k0, d_half=d_half, rel_tol=rank_tol)
-    atoms = None
-    if cert is not None:
-        try:
-            atoms = extract_atoms(L, cert, gens=gens)
-        except NumericalTroubleError:
-            cert = None
+    cert, atoms = certify_and_extract(L, k=k, k0=k0, d_half=d_half,
+                                      rel_tol=rank_tol, gens=gens)
     return float(sol.primal_value), L, cert, atoms
 
 
@@ -153,8 +149,6 @@ def lower_level_solve(u, prob, k_range=None, sdp_tol: float = 1e-8,
     gens = index_set.as_generators()
     if h.degree <= 0:  # constant objective: minimum is the constant
         rep = index_set.representative_point()
-        if rep is None:
-            rep = np.zeros(prob.p.n_y)
         return float(h.coefficient((0,) * h.nvars)), [np.asarray(rep, dtype=float)], True
 
     k0 = max([ceil_half(q.degree) for q in gens], default=1) or 1
@@ -167,10 +161,10 @@ def lower_level_solve(u, prob, k_range=None, sdp_tol: float = 1e-8,
         if k < k_min:
             continue
         bound, L, cert, atoms = minimize_on_semialgebraic(
-            h, gens, k, sdp_tol=sdp_tol, rank_tol=rank_tol)
+            h, gens, k, k0, sdp_tol=sdp_tol, rank_tol=rank_tol)
         best = max(best, bound)
         last_L = L
-        if cert is not None and atoms is not None:
+        if cert is not None:
             return best, [pt for pt, _ in atoms], True
     try:
         y0 = point_from_functional(last_L)

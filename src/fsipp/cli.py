@@ -451,7 +451,10 @@ def _parse_box(text: str, m: int) -> list[tuple[float, float]]:
 def _write_grid_csv(out: str, mprob: MultiFsippProblem, box_text: str,
                     grid: int) -> None:
     box = _parse_box(box_text, mprob.m)
-    pts, feas, vals = image_grid(mprob, box, grid_size=grid)
+    try:
+        pts, feas, vals = image_grid(mprob, box, grid_size=grid)
+    except ValueError as exc:  # an empty y-sweep
+        raise CliError(f"--box: {exc}") from exc
     header = ([f"x{i + 1}" for i in range(mprob.m)] + ["feasible"]
               + [f"objective{i + 1}" for i in range(mprob.t)])
     rows = [[repr(float(c)) for c in pts[n]] + [int(feas[n])]

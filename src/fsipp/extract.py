@@ -8,12 +8,12 @@ diagonalization through a random convex combination).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateMassError, NumericalTroubleError
-from .moment import MomentFunctional, MonomialBasis, moment_matrix
+from .moment import MomentFunctional, moment_matrix
 from .poly import monomials_up_to
 
 
@@ -129,7 +129,8 @@ def extract_atoms(L: MomentFunctional, cert: RankCertificate,
     r = cert.rank_high
     if r == 0:
         return []
-    basis = MonomialBasis(m, k_prime)
+    basis = monomials_up_to(m, k_prime)
+    index = {mono: i for i, mono in enumerate(basis)}
     M = moment_matrix(L, k_prime)
     w, U = np.linalg.eigh(M)
     w = np.clip(w[-r:], 0.0, None)
@@ -139,7 +140,7 @@ def extract_atoms(L: MomentFunctional, cert: RankCertificate,
     if len(pivots) < r:
         raise NumericalTroubleError(
             f"rank factor collapsed: {len(pivots)} pivots for rank {r}")
-    piv_monos = [basis.monomials[c] for c in pivots]
+    piv_monos = [basis[c] for c in pivots]
     if any(sum(mono) > k_prime - 1 for mono in piv_monos):
         raise NumericalTroubleError("pivot monomials exceed degree k'-1")
 
@@ -149,7 +150,7 @@ def extract_atoms(L: MomentFunctional, cert: RankCertificate,
         for j, mono in enumerate(piv_monos):
             shifted = tuple(e + (1 if idx == i else 0)
                             for idx, e in enumerate(mono))
-            Ni[:, j] = R[:, basis.index_of(shifted)]
+            Ni[:, j] = R[:, index[shifted]]
         mult.append(Ni)
 
     rng = np.random.default_rng(0)
@@ -198,3 +199,18 @@ def extract_atoms(L: MomentFunctional, cert: RankCertificate,
         raise NumericalTroubleError(
             f"atomic reconstruction off by {worst:g} (tol {recon_tol:g})")
     return [(pt, float(wj)) for pt, wj in zip(points, weights)]
+
+
+def certify_and_extract(L: MomentFunctional, k: int, k0: int, d_half: int,
+                        rel_tol: float, gens=()):
+    """The rank test and atom extraction as one verdict: (certificate,
+    atoms), or (None, None) when no order passes flat truncation or the
+    passing certificate's atoms cannot be extracted.  A rank pass counts
+    only with its atoms."""
+    cert = flat_truncation_check(L, k=k, k0=k0, d_half=d_half, rel_tol=rel_tol)
+    if cert is None:
+        return None, None
+    try:
+        return cert, extract_atoms(L, cert, gens=gens)
+    except NumericalTroubleError:
+        return None, None

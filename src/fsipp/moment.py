@@ -1,9 +1,9 @@
 """Moment and sum-of-squares machinery.
 
-Monomial bases, truncated moment functionals with their moment
-matrices, the one cone class of the reformulations, and the compilers
-that turn cone membership (Gram side) or dual-cone membership (moment
-side) into blocks and equality rows of an SDP.
+Truncated moment functionals with their moment matrices, the one cone
+class of the reformulations, and the compilers that turn cone membership
+(Gram side) or dual-cone membership (moment side) into blocks and
+equality rows of an SDP.
 
 Every cone is a truncated quadratic module :class:`QModule` of some
 generators at some order k.  Plain sums of squares of degree <= 2k are
@@ -29,42 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalTroubleError
 from .poly import Polynomial, ceil_half, monomials_up_to
 from .sdp import LinExpr, SdpBuilder, solve
 
 # --------------------------------------------------------------------------
-# bases and functionals
+# functionals
 # --------------------------------------------------------------------------
 
 
 def _add(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
-
-
-class MonomialBasis:
-    """All monomials of degree <= max_degree in graded-lex order."""
-
-    __slots__ = ("nvars", "max_degree", "monomials", "index")
-
-    def __init__(self, nvars: int, max_degree: int):
-        self.nvars = nvars
-        self.max_degree = max_degree
-        self.monomials = monomials_up_to(nvars, max_degree)
-        self.index = {m: i for i, m in enumerate(self.monomials)}
-
-    @property
-    def size(self) -> int:
-        return len(self.monomials)
-
-    def __len__(self) -> int:
-        return len(self.monomials)
-
-    def __iter__(self):
-        return iter(self.monomials)
-
-    def index_of(self, mono: tuple) -> int:
-        return self.index[mono]
 
 
 class MomentFunctional:
@@ -79,20 +53,6 @@ class MomentFunctional:
         for m in self.values:
             if len(m) != nvars or sum(m) > 2 * order:
                 raise ValueError(f"monomial {m} outside N^{nvars}_{2 * order}")
-
-    @classmethod
-    def from_atoms(cls, nvars: int, order: int, atoms) -> "MomentFunctional":
-        """Moments of the atomic measure sum_j w_j * delta(u_j)."""
-        vals = {}
-        for mono in monomials_up_to(nvars, 2 * order):
-            acc = 0.0
-            for point, weight in atoms:
-                term = weight
-                for e, c in zip(mono, point):
-                    term *= float(c) ** e
-                acc += term
-            vals[mono] = acc
-        return cls(nvars, order, vals)
 
     def value(self, mono: tuple) -> float:
         return self.values.get(tuple(mono), 0.0)
@@ -114,11 +74,11 @@ def moment_matrix(L: MomentFunctional, k: int) -> np.ndarray:
     """Matrix with entry (alpha, beta) = L(x^(alpha+beta)), rows N^m_k."""
     if k > L.order:
         raise ValueError(f"moment matrix order {k} exceeds functional order {L.order}")
-    basis = MonomialBasis(L.nvars, k)
-    M = np.empty((basis.size, basis.size))
-    for i, a in enumerate(basis.monomials):
+    basis = monomials_up_to(L.nvars, k)
+    M = np.empty((len(basis), len(basis)))
+    for i, a in enumerate(basis):
         for j in range(i + 1):
-            v = L.value(_add(a, basis.monomials[j]))
+            v = L.value(_add(a, basis[j]))
             M[i, j] = M[j, i] = v
     return M
 
@@ -239,15 +199,6 @@ def membership_margin(target: Polynomial, cone: QModule,
             "DualInfeasible": float("inf")}.get(sol.status, float("nan")), sol
 
 
-def is_member(target: Polynomial, cone: QModule, threshold: float = 1e-7) -> bool:
-    """Decide cone membership by the sign of the feasibility margin."""
-    t_star, sol = membership_margin(target, cone)
-    if np.isnan(t_star):
-        raise NumericalTroubleError(
-            f"membership solve ended with status {sol.status}")
-    return t_star >= -threshold
-
-
 # --------------------------------------------------------------------------
 # moment side: dual-cone membership as SDP blocks
 # --------------------------------------------------------------------------
@@ -259,8 +210,10 @@ class MomentVarMap:
     The moments L(x^a), |a| <= 2k, are the free vector of one LMI block, in
     graded-lex order of a.  Its first diagonal block is the order-k moment
     matrix, entry (i, j) = L(b_i * b_j), and the localizing matrix of each
-    of ``localizers`` follows, so L lies in the dual of
-    ``QModule(localizers, order)``; :meth:`add_localizing` appends more.
+    of ``localizers`` follows, on the Gram basis that
+    ``QModule(localizers, order)`` gives it, so L lies in the dual of that
+    module.  A localizer whose basis is empty (deg q > 2 * order)
+    constrains nothing and adds no block.
     """
 
     def __init__(self, builder: SdpBuilder, nvars: int, order: int,
@@ -271,8 +224,8 @@ class MomentVarMap:
         self.position = {m: i for i, m in enumerate(self.monomials)}
         self.block = builder.lmi_block(len(self.monomials))
         self.localizers = tuple(localizers)
-        for q in (Polynomial.constant(nvars, 1.0), *self.localizers):
-            self.add_localizing(q)
+        for q, basis in QModule(self.localizers, order).gram_structure(nvars):
+            self._add_localizing(q, basis)
 
     def lin(self, mono: tuple) -> LinExpr:
         """The SDP variable carrying L(x^mono)."""
@@ -285,15 +238,9 @@ class MomentVarMap:
             expr.add_term(self.block.index(self.position[m]), c)
         return expr
 
-    def add_localizing(self, q: Polynomial) -> None:
-        """Append the localizing matrix of q, entry (i, j) = L(q b_i b_j)
-        over N^m_{order - ceil(deg q / 2)}, to the LMI.  When that basis is
-        empty (deg q > 2 * order) there is no constraint and nothing is
-        appended."""
-        half = ceil_half(q.degree)
-        rows = MonomialBasis(self.nvars, self.order - half).monomials
-        if not rows:
-            return
+    def _add_localizing(self, q: Polynomial, rows: list) -> None:
+        """Append the localizing matrix of q on the basis ``rows``, entry
+        (i, j) = L(q b_i b_j), to the LMI."""
         entries = {}
         for j, bj in enumerate(rows):
             for i in range(j, len(rows)):

@@ -17,18 +17,23 @@ The audit is a falsification test: it rasterizes a user-declared box,
 keeps the grid points that dominate the candidate componentwise and
 satisfy the scalar constraints, and only then sweeps y over those few to
 see whether one is clearly feasible for the semi-infinite constraint.
+That sweep (``_audit_y_points``) is the package's one sampler of index
+sets.  On a semialgebraic set whose grid misses Y, such as an arc, it has
+no point, and the audit and ``image_grid`` raise ValueError rather than
+let every point pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .certify import feasibility_check
 from .errors import NumericalTroubleError
-from .poly import BivariatePoly, Polynomial
-from .relax import (CaseTag, FsippProblem, IndexSetDesc, Interval, QuadraticSet,
+from .poly import BivariatePoly
+from .relax import (CaseTag, FsippProblem, IndexSet, Interval, QuadraticSet,
                     RelaxOptions, check_tag, classify_by,
                     convexity_findings, solve_hierarchy)
 
@@ -39,7 +44,7 @@ class MultiFsippProblem:
 
     objectives: tuple
     p: BivariatePoly
-    index_set: IndexSetDesc
+    index_set: IndexSet
     psis: tuple = ()
 
     def __post_init__(self):
@@ -184,17 +189,27 @@ def epsilon_constraint_solve(mprob: MultiFsippProblem, u0, opts: RelaxOptions,
 # --------------------------------------------------------------------------
 
 
-def _audit_y_points(index_set: IndexSetDesc) -> np.ndarray:
-    """A dense deterministic y-grid for the worst-case constraint sweep."""
+def _audit_y_points(index_set: IndexSet) -> np.ndarray:
+    """A dense deterministic y-grid for the worst-case constraint sweep:
+    2,001 even steps over the interval; on a quadratic set, y0 and points
+    on 2,000 rays from it; on a semialgebraic set, the points of its grid
+    that lie in Y, thinned to at most 4,096 (none when Y has no interior
+    the grid can hit)."""
     if isinstance(index_set, Interval):
         return np.linspace(-1.0, 1.0, 2001).reshape(-1, 1)
-    if isinstance(index_set, QuadraticSet) and index_set.n_y == 2:
-        # y0 and, along 2,000 directions d, four fractions of the distance
-        # t to the boundary: phi(y0 + t d) = a t^2 + b t + f0 is quadratic
+    if isinstance(index_set, QuadraticSet):
+        # y0 and, along 2,000 directions d (evenly spread angles in 2-D,
+        # seeded normal draws otherwise), four fractions of the distance t
+        # to the boundary: phi(y0 + t d) = a t^2 + b t + f0 is quadratic
         # in t, so phi at y0 +- d gives a and b
         y0 = index_set.representative_point()
-        angles = np.linspace(0.0, 2.0 * np.pi, 2000, endpoint=False)
-        dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+        n = index_set.n_y
+        if n == 2:
+            angles = np.linspace(0.0, 2.0 * np.pi, 2000, endpoint=False)
+            dirs = np.column_stack([np.cos(angles), np.sin(angles)])
+        else:
+            dirs = np.random.default_rng(2025).standard_normal((2000, n))
+            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         phi = index_set.phi
         f0 = phi(y0)
         fp, fm = phi.eval_many(y0 + dirs), phi.eval_many(y0 - dirs)
@@ -206,8 +221,17 @@ def _audit_y_points(index_set: IndexSetDesc) -> np.ndarray:
         t_edge[inward] = (-b[inward] - root[inward]) / (2.0 * a[inward])
         steps = np.array([0.5, 0.8, 0.95, 1.0])[None, :] * t_edge[:, None]
         pts = y0 + steps[:, :, None] * dirs[:, None, :]
-        return np.vstack([y0, pts.reshape(-1, 2)])
-    return index_set.sample_points(4096)
+        return np.vstack([y0, pts.reshape(-1, n)])
+    count = 4096
+    per_axis = max(3, int(math.ceil((4 * count) ** (1.0 / index_set.n_y))))
+    pts = index_set.grid(per_axis)
+    mask = np.ones(len(pts), dtype=bool)
+    for q in index_set.generators:
+        mask &= q.eval_many(pts) >= 0
+    inside = pts[mask]
+    if len(inside) > count:
+        inside = inside[np.linspace(0, len(inside) - 1, count).astype(int)]
+    return inside
 
 
 def _grid_points(mprob: MultiFsippProblem, box, grid_size: int) -> np.ndarray:
@@ -238,8 +262,13 @@ def _scalar_feasible(mprob: MultiFsippProblem, pts: np.ndarray):
 def _swept_feasible(mprob: MultiFsippProblem, pts: np.ndarray,
                     feas_margin: float) -> np.ndarray:
     """Mask of the points whose worst p(x, y) over the y-sweep stays below
-    ``-feas_margin`` (evaluated through the y-slices of p)."""
+    ``-feas_margin`` (evaluated through the y-slices of p).  Raises
+    ValueError when the sweep has no point: an empty sweep refutes
+    nothing, so it cannot pass the semi-infinite constraint."""
     ypts = _audit_y_points(mprob.index_set)
+    if not len(ypts):
+        raise ValueError("the y-sweep found no point of the index set: its "
+                         "grid misses Y, so no point can be checked feasible")
     slices = list(mprob.p.slices.items())
     svals = np.vstack([sx.eval_many(pts) for _, sx in slices])  # (nslice, N)
     ypows = np.column_stack([
@@ -263,6 +292,7 @@ def image_grid(mprob: MultiFsippProblem, box, grid_size: int = 200,
     denominators are positive.  Returns ``(points, feasible, values)`` of
     shapes (N, m), (N,), (N, t).  It alone sweeps y at every grid point;
     ``efficiency_audit`` sweeps only the points that dominate its candidate.
+    Raises ValueError when the y-sweep has no point.
     """
     pts = _grid_points(mprob, box, grid_size)
     ok, vals = _scalar_feasible(mprob, pts)
@@ -284,7 +314,8 @@ def efficiency_audit(mprob: MultiFsippProblem, u_star, grid_size: int = 200,
     the denominators and dominance of u_star.  The y-sweep then runs only
     on the points that pass them, and not at all when none does, so the
     verdict is that of ``image_grid``'s full mask at a fraction of its
-    cost.
+    cost.  Like ``image_grid``, it raises ValueError when it must sweep
+    and the y-sweep is empty.
     """
     if box is None:
         raise ValueError("a bounding box (one (lo, hi) pair per variable) "

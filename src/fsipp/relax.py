@@ -48,12 +48,12 @@ import numpy as np
 from .certify import (KktReport, certify_point, hessian_form,
                       hessian_form_margin, sos_convexity_check)
 from .errors import MissingHintError, NumericalTroubleError, OptimumKnownSignal
-from .extract import (RankCertificate, extract_atoms, flat_truncation_check,
+from .extract import (RankCertificate, certify_and_extract,
                       point_from_functional)
 from .moment import (MomentFunctional, MomentVarMap, QModule, poly_image_in_y_sym,
                      sos_membership_blocks)
 from .poly import BivariatePoly, Polynomial, ceil_half
-from .sdp import LinExpr, SdpBuilder, SdpProblem, solve
+from .sdp import LinExpr, SdpBuilder, solve
 
 
 # --------------------------------------------------------------------------
@@ -61,28 +61,16 @@ from .sdp import LinExpr, SdpBuilder, SdpProblem, solve
 # --------------------------------------------------------------------------
 
 
-class IndexSetDesc:
-    """A compact set Y of constraint indices, described semialgebraically."""
-
-    @property
-    def n_y(self) -> int:
-        raise NotImplementedError
-
-    def as_generators(self) -> list[Polynomial]:
-        """Polynomials q with Y = {y : q(y) >= 0 for all q}."""
-        raise NotImplementedError
-
-    def representative_point(self):
-        """Some point of Y, or None if none could be located."""
-        raise NotImplementedError
-
-    def sample_points(self, count: int) -> np.ndarray:
-        """A deterministic spread of points of Y, shape (<=count, n_y)."""
-        raise NotImplementedError
+def _ball_poly(m: int, r2: float) -> Polynomial:
+    """r2 - |x|^2 in m variables."""
+    terms = {(0,) * m: float(r2)}
+    for i in range(m):
+        terms[tuple(2 if j == i else 0 for j in range(m))] = -1.0
+    return Polynomial(m, terms)
 
 
 @dataclass(frozen=True)
-class Interval(IndexSetDesc):
+class Interval:
     """Y = [-1, 1] in a single parameter."""
 
     @property
@@ -90,17 +78,15 @@ class Interval(IndexSetDesc):
         return 1
 
     def as_generators(self) -> list[Polynomial]:
-        return [Polynomial(1, {(0,): 1.0, (2,): -1.0})]
+        """Polynomials q with Y = {y : q(y) >= 0 for all q}."""
+        return [_ball_poly(1, 1.0)]
 
     def representative_point(self):
         return np.zeros(1)
 
-    def sample_points(self, count: int) -> np.ndarray:
-        return np.linspace(-1.0, 1.0, count).reshape(-1, 1)
-
 
 @dataclass(frozen=True)
-class QuadraticSet(IndexSetDesc):
+class QuadraticSet:
     """Y = {y : phi(y) >= 0} for a quadratic phi positive somewhere."""
 
     phi: Polynomial
@@ -127,42 +113,9 @@ class QuadraticSet(IndexSetDesc):
     def representative_point(self):
         return np.asarray(self.interior_point, dtype=float)
 
-    def sample_points(self, count: int) -> np.ndarray:
-        """Points spread along rays from the interior point to the boundary."""
-        y0 = np.asarray(self.interior_point, dtype=float)
-        n = self.n_y
-        fractions = (0.35, 0.7, 0.95, 1.0)
-        ndirs = max(4, -(-count // (2 * len(fractions))))
-        if n == 2:
-            angles = 2.0 * np.pi * np.arange(ndirs) / ndirs
-            dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-        else:
-            rng = np.random.default_rng(2025)
-            dirs = rng.standard_normal((ndirs, n))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        pts = [y0]
-        for d in dirs:
-            # phi along the ray is quadratic; recover it from three samples
-            f0 = self.phi(y0)
-            fp = self.phi(y0 + d)
-            fm = self.phi(y0 - d)
-            a = 0.5 * (fp + fm) - f0
-            b = 0.5 * (fp - fm)
-            for sgn in (1.0, -1.0):
-                if a < -1e-12:
-                    disc = b * b - 4.0 * a * f0
-                    t_edge = (-b - sgn * math.sqrt(max(disc, 0.0))) / (2.0 * a)
-                else:  # flat direction: cap the ray
-                    t_edge = sgn * 10.0
-                for frac in fractions:
-                    pts.append(y0 + (frac * t_edge) * d)
-                    if len(pts) >= count:
-                        return np.array(pts)
-        return np.array(pts[:count])
-
 
 @dataclass(frozen=True)
-class Semialgebraic(IndexSetDesc):
+class Semialgebraic:
     """Y = {y : q_1(y) >= 0, ..., q_kappa(y) >= 0}.
 
     ``archimedean_hint``, when given, is a bound M such that
@@ -191,37 +144,29 @@ class Semialgebraic(IndexSetDesc):
     def as_generators(self) -> list[Polynomial]:
         gens = list(self.generators)
         if self.archimedean_hint is not None:
-            n = self.n_y
-            ball = {(0,) * n: float(self.archimedean_hint)}
-            for i in range(n):
-                ball[tuple(2 if j == i else 0 for j in range(n))] = -1.0
-            gens.append(Polynomial(n, ball))
+            gens.append(_ball_poly(self.n_y, self.archimedean_hint))
         return gens
 
-    def _grid(self, per_axis: int) -> np.ndarray:
+    def grid(self, per_axis: int) -> np.ndarray:
+        """The per_axis^n_y raster of the cube [-b, b]^n_y, b the square
+        root of the hint (1 without one), first axis slowest."""
         bound = math.sqrt(self.archimedean_hint) if self.archimedean_hint else 1.0
         axes = [np.linspace(-bound, bound, per_axis)] * self.n_y
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.column_stack([m.ravel() for m in mesh])
 
     def representative_point(self):
-        pts = self._grid(41)
+        """The point of the 41-per-axis grid deepest in Y, or the origin
+        when no grid point lies in Y."""
+        pts = self.grid(41)
         slack = np.min(np.column_stack([q.eval_many(pts)
                                         for q in self.generators]), axis=1)
         i = int(np.argmax(slack))
-        return pts[i] if slack[i] >= 0 else None
+        return pts[i] if slack[i] >= 0 else np.zeros(self.n_y)
 
-    def sample_points(self, count: int) -> np.ndarray:
-        per_axis = max(3, int(math.ceil((4 * count) ** (1.0 / self.n_y))))
-        pts = self._grid(per_axis)
-        mask = np.ones(len(pts), dtype=bool)
-        for q in self.generators:
-            mask &= q.eval_many(pts) >= 0
-        inside = pts[mask]
-        if len(inside) > count:
-            stride = np.linspace(0, len(inside) - 1, count).astype(int)
-            inside = inside[stride]
-        return inside
+
+# a compact set Y of constraint indices, described semialgebraically
+IndexSet = Interval | QuadraticSet | Semialgebraic
 
 
 # --------------------------------------------------------------------------
@@ -237,7 +182,7 @@ class FsippProblem:
     g: Polynomial
     psis: tuple
     p: BivariatePoly
-    index_set: IndexSetDesc
+    index_set: IndexSet
     d: int = field(init=False)
 
     def __post_init__(self):
@@ -336,8 +281,6 @@ def _p_sos_convex(prob: FsippProblem) -> bool:
     if all(not any(exp[m:m + n]) for exp in form.terms):
         # Hessian does not involve y: one slice decides
         rep = prob.index_set.representative_point()
-        if rep is None:
-            rep = np.zeros(n)
         return sos_convexity_check(prob.p.substitute_y(rep))
 
     gens = [Polynomial(form.nvars, {(0,) * m + e + (0,) * m: c
@@ -482,13 +425,6 @@ def choose_R_gstar(prob: FsippProblem, hints: dict | None = None):
 # --------------------------------------------------------------------------
 
 
-def _ball_poly(m: int, R: float) -> Polynomial:
-    terms = {(0,) * m: float(R) ** 2}
-    for i in range(m):
-        terms[tuple(2 if j == i else 0 for j in range(m))] = -1.0
-    return Polynomial(m, terms)
-
-
 def _y_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag) -> QModule:
     d_y = max(int(prob.p.d_y), 0)
     if tag in (CaseTag.CASE1, CaseTag.CASE3):
@@ -513,7 +449,7 @@ def _x_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag) -> QModule:
         raise ValueError(f"relaxation order must be at least {ceil_half(prob.d)}")
     if opts.R is None:
         raise MissingHintError("the ball generator needs the radius R")
-    gens = [_ball_poly(prob.m, opts.R)]
+    gens = [_ball_poly(prob.m, float(opts.R) ** 2)]
     if tag is CaseTag.GENERAL and prob.g.degree >= 1:
         if opts.g_star is None:
             raise MissingHintError("the general cone needs the floor g_star")
@@ -526,23 +462,12 @@ def _x_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag) -> QModule:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class DualSdpMap:
-    """Handles into the moment-side SDP; ``moment.localizers`` are the
-    generators of the x-cone."""
-
-    moment: MomentVarMap
-    slack: object = None
-
-    def functional(self, sdp: SdpProblem, sol) -> MomentFunctional:
-        return self.moment.read_solution(sdp, sol)
-
-
 def build_dual_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
     """Compile  min L(f) : L(g)=1, L(psi_j)<=0, L in C[x]*, -Lp in C[y].
 
-    Returns (SdpProblem, DualSdpMap).  The moment variables range over
-    monomials of degree <= 2d for Case1/Case2 and <= 2k otherwise.
+    Returns (SdpProblem, MomentVarMap), the map's localizers the x-cone's
+    generators.  The moment variables range over monomials of degree
+    <= 2d for Case1/Case2 and <= 2k otherwise.
     """
     check_tag(prob, tag)
     cone_x = _x_cone(prob, opts, tag)
@@ -550,17 +475,16 @@ def build_dual_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
 
     builder = SdpBuilder()
     mv = MomentVarMap(builder, prob.m, cone_x.order, cone_x.generators)
-    vmap = DualSdpMap(moment=mv)
     builder.add_equality(mv.lin_poly(prob.g), 1.0)
     if prob.psis:
-        vmap.slack = builder.nonneg_block(prob.s)
+        slack = builder.nonneg_block(prob.s)
         for j, psi in enumerate(prob.psis):
-            builder.add_equality(mv.lin_poly(psi) + vmap.slack.entry(j))
+            builder.add_equality(mv.lin_poly(psi) + slack.entry(j))
     image = poly_image_in_y_sym(mv, prob.p)
     negated = {mono: expr.scaled(-1.0) for mono, expr in image.items()}
     sos_membership_blocks(builder, negated, cone_y, prob.p.n_y)
     builder.set_objective(mv.lin_poly(prob.f))
-    return builder.build(), vmap
+    return builder.build(), mv
 
 
 @dataclass
@@ -677,7 +601,7 @@ def _solve_order(prob, opts, tag, k):
     """
     row = HierarchyRow(k=k)
     try:
-        sdp, vmap = build_dual_sdp(prob, replace(opts, k=k), tag)
+        sdp, mv = build_dual_sdp(prob, replace(opts, k=k), tag)
         sol = solve(sdp, tol=opts.sdp_tol)
         row.dual_status = sol.status
         row.primal_status = _CONIC_DUAL_STATUS.get(sol.status, sol.status)
@@ -685,8 +609,8 @@ def _solve_order(prob, opts, tag, k):
         if sol.status == "Optimal":
             row.r_dual = float(sol.primal_value)
             row.r_primal = float(sol.dual_value)
-            row.dual_functional = vmap.functional(sdp, sol)
-            row.localizers = vmap.moment.localizers
+            row.dual_functional = mv.read_solution(sdp, sol)
+            row.localizers = mv.localizers
     except Exception as exc:  # noqa: BLE001 - recorded, not fatal
         row.error = f"moment side: {exc}"
     return row
@@ -737,15 +661,11 @@ def solve_hierarchy(prob: FsippProblem, opts: RelaxOptions,
         except Exception:
             continue
 
-        cert = flat_truncation_check(L, k=k, k0=1, d_half=d_half,
-                                     rel_tol=opts.rank_tol)
+        cert, atoms = certify_and_extract(L, k=k, k0=1, d_half=d_half,
+                                          rel_tol=opts.rank_tol,
+                                          gens=row.localizers)
         if cert is not None:
-            try:
-                trace.atoms = extract_atoms(L, cert, gens=row.localizers)
-            except NumericalTroubleError:
-                cert = None
-        if cert is not None:
-            trace.certificate = cert
+            trace.certificate, trace.atoms = cert, atoms
             trace.hessian_pd = _hessian_pd(prob.f, trace.candidate)
         if tag in (CaseTag.CASE1, CaseTag.CASE2):
             trace.stop_reason = "single"

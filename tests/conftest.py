@@ -7,12 +7,16 @@ the acceptance suite.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from fsipp import instances
 from fsipp.certify import certify_point
-from fsipp.moment import MonomialBasis, QModule, membership_margin
+from fsipp.errors import NumericalTroubleError
+from fsipp.moment import MomentFunctional, QModule, membership_margin
 from fsipp.multiobj import epsilon_constraint_solve, scalarize
 from fsipp.poly import Polynomial, ceil_half, monomials_up_to
 from fsipp.relax import solve_hierarchy
@@ -42,14 +46,38 @@ def apply_functional(L, poly):
     return sum(c * L.value(m) for m, c in poly.terms.items())
 
 
+def from_atoms(nvars, order, atoms):
+    """The order-``order`` moment functional of the atomic measure
+    sum_j w_j * delta(u_j), from ``atoms`` = [(u_j, w_j), ...]."""
+    vals = {}
+    for mono in monomials_up_to(nvars, 2 * order):
+        acc = 0.0
+        for point, weight in atoms:
+            term = weight
+            for e, c in zip(mono, point):
+                term *= float(c) ** e
+            acc += term
+        vals[mono] = acc
+    return MomentFunctional(nvars, order, vals)
+
+
+def is_member(target, cone, threshold=1e-7):
+    """Cone membership decided by the sign of the feasibility margin."""
+    t_star, sol = membership_margin(target, cone)
+    if np.isnan(t_star):
+        raise NumericalTroubleError(
+            f"membership solve ended with status {sol.status}")
+    return t_star >= -threshold
+
+
 def localizing_matrix(L, q, k):
     """Matrix with entry (alpha, beta) = L(q * x^(alpha+beta)), rows and
     columns indexed by N^m_{k - ceil(deg q / 2)}."""
-    basis = MonomialBasis(L.nvars, k - ceil_half(q.degree))
-    M = np.empty((basis.size, basis.size))
-    for i, a in enumerate(basis.monomials):
+    basis = monomials_up_to(L.nvars, k - ceil_half(q.degree))
+    M = np.empty((len(basis), len(basis)))
+    for i, a in enumerate(basis):
         for j in range(i + 1):
-            prod = _add(a, basis.monomials[j])
+            prod = _add(a, basis[j])
             M[i, j] = M[j, i] = sum(c * L.value(_add(prod, d))
                                     for d, c in q.terms.items())
     return M
@@ -76,6 +104,24 @@ def audit_y_points_on_quadratic_set(index_set):
         for frac in (0.5, 0.8, 0.95, 1.0):
             pts.append(y0 + (frac * t_edge) * d)
     return np.array(pts)
+
+
+def audit_y_points_on_semialgebraic(index_set):
+    """The y-sweep of the grid audit on a semialgebraic set: the points of
+    an n-dimensional grid over [-b, b]^n (b the square root of the ball
+    hint, else 1) with ceil(16384^(1/n)) points per axis that satisfy
+    every generator, thinned by an even stride to at most 4,096."""
+    n = index_set.n_y
+    hint = index_set.archimedean_hint
+    bound = math.sqrt(hint) if hint else 1.0
+    per_axis = max(3, int(math.ceil(16384 ** (1.0 / n))))
+    axis = np.linspace(-bound, bound, per_axis)
+    pts = np.array(list(itertools.product(axis, repeat=n)))
+    keep = [all(q(y) >= 0 for q in index_set.generators) for y in pts]
+    inside = pts[np.array(keep, dtype=bool)]
+    if len(inside) > 4096:
+        inside = inside[np.linspace(0, len(inside) - 1, 4096).astype(int)]
+    return inside
 
 
 def full_hessian_form(prob):

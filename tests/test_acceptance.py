@@ -16,12 +16,12 @@ import pytest
 from fsipp import instances
 from fsipp.certify import nnls, sos_convexity_check
 from fsipp.extract import extract_atoms, flat_truncation_check
-from fsipp.moment import MomentFunctional, QModule, is_member
+from fsipp.moment import QModule
 from fsipp.multiobj import efficiency_audit
 from fsipp.poly import Polynomial
 from fsipp.relax import CaseTag
 
-from conftest import AUDIT_BOXES
+from conftest import AUDIT_BOXES, from_atoms, is_member
 
 
 def test_01_interval_route_exactness(case1_run):
@@ -145,7 +145,7 @@ def test_08_atom_extraction_oracle():
         natoms = 1 + trial % 4
         pts = rng.uniform(-1.0, 1.0, size=(natoms, 2))
         wts = rng.uniform(0.2, 1.5, size=natoms)
-        L = MomentFunctional.from_atoms(2, 3, list(zip(pts, wts)))
+        L = from_atoms(2, 3, list(zip(pts, wts)))
         cert = flat_truncation_check(L, k=3, k0=1, d_half=1)
         assert cert is not None and cert.passed
         assert cert.rank_high == natoms
@@ -158,7 +158,7 @@ def test_08_atom_extraction_oracle():
             j = int(np.argmin(dist))
             assert dist[j] <= 1e-6 and abs(gw[j] - w) <= 1e-6
         # brute-force oracle: moments rebuilt from the recovered measure
-        L2 = MomentFunctional.from_atoms(2, 3, atoms)
+        L2 = from_atoms(2, 3, atoms)
         assert max(abs(L2.value(mo) - L.value(mo)) for mo in L.values) <= 1e-6
         checked += natoms
     print(f"[PASS] 08 extraction recovered {checked} planted atoms within "

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsipp import certify, instances
+from fsipp import certify, extract, instances
 from fsipp.certify import (active_sets, certify_point, feasibility_check,
                            kkt_residual, lower_level_solve, nnls,
                            sos_convexity_check)
-from fsipp.moment import MomentFunctional, QModule, membership_margin
+from fsipp.moment import QModule, membership_margin
+from fsipp.multiobj import _audit_y_points
 from fsipp.poly import Polynomial
 
-from conftest import apply_functional
+from conftest import apply_functional, from_atoms
 
 # ---------------------------------------------------------------- nnls
 
@@ -72,13 +73,13 @@ def test_lower_level_minimizers_lie_on_the_index_set(monkeypatch):
     prob, _ = instances.quarter_circle_problem()
     gens = prob.index_set.as_generators()
     seen = []
-    extract = certify.extract_atoms
+    original = extract.extract_atoms
 
     def spy(L, cert, **kw):
         seen.append(kw.get("gens"))
-        return extract(L, cert, **kw)
+        return original(L, cert, **kw)
 
-    monkeypatch.setattr(certify, "extract_atoms", spy)
+    monkeypatch.setattr(extract, "extract_atoms", spy)
     p_star, Lambda, certified = lower_level_solve(np.array([0.7377, 0.6033]), prob)
     assert certified and seen and all(list(g) == list(gens) for g in seen)
     for y in Lambda:
@@ -178,7 +179,7 @@ def _packaged_quadratics():
     polys = []
     for f, g, psis, p, index_set in data:
         polys += [f, g.scale(-1.0), *psis]
-        polys += [p.substitute_y(y) for y in index_set.sample_points(3)]
+        polys += [p.substitute_y(y) for y in _audit_y_points(index_set)[::1000]]
     return [h for h in polys if h.degree == 2]
 
 
@@ -255,7 +256,7 @@ def test_jensen_inequality_for_sos_convex_polynomials(seed):
                        (1, 3): 4 * c[0] * c[1] ** 3, (0, 4): c[1] ** 4})
     atoms = [(rng.uniform(-1, 1, size=2), w)
              for w in rng.uniform(0.1, 1.0, size=int(rng.integers(1, 4)))]
-    L = MomentFunctional.from_atoms(2, 2, atoms)
+    L = from_atoms(2, 2, atoms)
     lhs = apply_functional(L, h)
     rhs = L.mass() * h(L.point())
     assert lhs >= rhs - 1e-9 * max(1.0, abs(rhs))

@@ -12,6 +12,8 @@ from fsipp import instances, relax
 from fsipp.cli import (EXIT_BY_VERDICT, main, problem_sha256, problem_to_doc,
                        render_report, validate_document)
 
+from test_multiobj import _arc_pair
+
 
 def run(argv):
     """Invoke the command line in-process, capturing both streams."""
@@ -79,6 +81,11 @@ def files(tmp_path_factory):
                          problem_to_doc(mprob,
                                         hints={"feasible_point": list(u0)}))
     out["pair_bare"] = _write(tmp, "pair_bare.json", problem_to_doc(mprob))
+
+    mprob, u0, opts = _arc_pair()
+    out["arc_pair"] = _write(tmp, "arc_pair.json",
+                             problem_to_doc(mprob, options=_options_doc(opts),
+                                            hints={"feasible_point": list(u0)}))
 
     text = tmp / "broken.txt"
     text.write_text("not json {", encoding="utf-8")
@@ -342,6 +349,17 @@ def test_pareto_box_validation(files):
                         "--out", str(files["dir"] / "x.json"),
                         "--box", "1,0,0,1"])
     assert code == 2 and "lo < hi" in err
+
+
+def test_pareto_box_refuses_an_index_set_the_sweep_misses(files):
+    # the arc {y >= 0, |y| = 1} has no interior, so the y-sweep is empty
+    # and no grid point could be flagged feasible honestly
+    out_path = files["dir"] / "arc_report.json"
+    code, _, err = run(["pareto", files["arc_pair"], "--out", str(out_path),
+                        "--box", "-2,2,-2,2", "--grid", "41"])
+    assert code == 2 and "--box" in err and "y-sweep" in err
+    assert checked(out_path.read_text(encoding="utf-8"))["verdict"] != "ERROR"
+    assert not (files["dir"] / "arc_report.csv").exists()
 
 
 # ------------------------------------------------------------- exit codes

@@ -12,6 +12,8 @@ from fsipp.extract import (RankCertificate, extract_atoms,
 from fsipp.moment import MomentFunctional
 from fsipp.poly import Polynomial
 
+from conftest import from_atoms
+
 
 def test_numeric_rank_thresholds_relative_to_top_singular_value():
     mat = np.diag([1.0, 1e-3, 1e-12])
@@ -23,7 +25,7 @@ def test_numeric_rank_thresholds_relative_to_top_singular_value():
 
 
 def test_point_from_functional_normalizes_and_guards_mass():
-    L = MomentFunctional.from_atoms(2, 1, [((0.5, -1.0), 4.0)])
+    L = from_atoms(2, 1, [((0.5, -1.0), 4.0)])
     np.testing.assert_allclose(point_from_functional(L), [0.5, -1.0])
     zero = MomentFunctional(2, 1, {})
     with pytest.raises(DegenerateMassError):
@@ -32,7 +34,7 @@ def test_point_from_functional_normalizes_and_guards_mass():
 
 def test_flat_truncation_passes_at_first_stable_order():
     atoms = [((0.3, -0.4), 1.0), ((-0.8, 0.2), 0.5)]
-    L = MomentFunctional.from_atoms(2, 3, atoms)
+    L = from_atoms(2, 3, atoms)
     cert = flat_truncation_check(L, k=3, k0=1, d_half=1)
     assert cert is not None and cert.passed
     assert cert.rank_low == cert.rank_high == 2
@@ -42,13 +44,13 @@ def test_flat_truncation_passes_at_first_stable_order():
 def test_flat_truncation_fails_when_rank_keeps_growing():
     rng = np.random.default_rng(3)
     atoms = [(p, 1.0) for p in rng.uniform(-1, 1, size=(5, 2))]
-    L = MomentFunctional.from_atoms(2, 2, atoms)
+    L = from_atoms(2, 2, atoms)
     # ranks are 1, 3, 5 at orders 0, 1, 2: no plateau inside the window
     assert flat_truncation_check(L, k=2, k0=1, d_half=1) is None
 
 
 def test_extract_atoms_requires_a_passing_certificate():
-    L = MomentFunctional.from_atoms(2, 2, [((0.0, 0.0), 1.0)])
+    L = from_atoms(2, 2, [((0.0, 0.0), 1.0)])
     cert = RankCertificate(k_prime=2, rank_low=1, rank_high=2,
                            singular_values_low=np.ones(1),
                            singular_values_high=np.ones(2), passed=False)
@@ -58,7 +60,7 @@ def test_extract_atoms_requires_a_passing_certificate():
 
 def test_extract_single_dirac_is_exact():
     point = (0.123456789, -0.987654321)
-    L = MomentFunctional.from_atoms(2, 2, [(point, 1.0)])
+    L = from_atoms(2, 2, [(point, 1.0)])
     cert = flat_truncation_check(L, k=2, k0=1, d_half=1)
     atoms = extract_atoms(L, cert)
     assert len(atoms) == 1
@@ -68,7 +70,7 @@ def test_extract_single_dirac_is_exact():
 
 def test_extract_recovers_distinct_weights():
     planted = [((0.6, 0.1), 0.25), ((-0.5, -0.7), 1.75)]
-    L = MomentFunctional.from_atoms(2, 3, planted)
+    L = from_atoms(2, 3, planted)
     atoms = extract_atoms(L, flat_truncation_check(L, k=3, k0=1, d_half=1))
     got = sorted(atoms, key=lambda a: a[1])
     for (pt, w), (ept, ew) in zip(got, planted):
@@ -92,13 +94,13 @@ def test_extract_rejects_an_atom_off_the_localized_set():
     gens = (Polynomial(2, {(1, 0): 1.0}), Polynomial(2, {(0, 1): 1.0}),
             circle, circle.scale(-1.0))
     on_arc = (np.cos(0.7), np.sin(0.7))
-    L = MomentFunctional.from_atoms(2, 3, [(on_arc, 1.0), ((0.8235, 0.298), 1e-4)])
+    L = from_atoms(2, 3, [(on_arc, 1.0), ((0.8235, 0.298), 1e-4)])
     cert = flat_truncation_check(L, k=3, k0=1, d_half=1)
     assert cert is not None and cert.rank_high == 2
     assert len(extract_atoms(L, cert)) == 2  # a valid 2-atomic measure on R^2
     with pytest.raises(NumericalTroubleError, match="localizer"):
         extract_atoms(L, cert, gens=gens)
-    L = MomentFunctional.from_atoms(2, 3, [(on_arc, 1.0), ((0.6, 0.8), 1e-4)])
+    L = from_atoms(2, 3, [(on_arc, 1.0), ((0.6, 0.8), 1e-4)])
     cert = flat_truncation_check(L, k=3, k0=1, d_half=1)
     assert len(extract_atoms(L, cert, gens=gens)) == 2
 
@@ -113,9 +115,9 @@ def test_random_atomic_measures_round_trip(natoms, seed):
              for i in range(natoms) for j in range(i)]) < 1e-2:
         return  # skip near-coincident draws: rank drops below natoms
     wts = rng.uniform(0.2, 1.0, size=natoms)
-    L = MomentFunctional.from_atoms(2, 3, list(zip(pts, wts)))
+    L = from_atoms(2, 3, list(zip(pts, wts)))
     cert = flat_truncation_check(L, k=3, k0=1, d_half=1)
     assert cert is not None and cert.rank_high == natoms
     atoms = extract_atoms(L, cert)
-    recon = MomentFunctional.from_atoms(2, 3, atoms)
+    recon = from_atoms(2, 3, atoms)
     assert max(abs(recon.value(m) - L.value(m)) for m in L.values) <= 1e-7

@@ -6,36 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsipp.moment import (MomentFunctional, MomentVarMap, MonomialBasis,
-                          QModule, is_member, membership_margin, moment_matrix,
+from fsipp.moment import (MomentFunctional, MomentVarMap, QModule,
+                          membership_margin, moment_matrix,
                           poly_image_in_y_sym, sos_membership_blocks)
-from fsipp.poly import BivariatePoly, Polynomial
+from fsipp.poly import BivariatePoly, Polynomial, monomials_up_to
 from fsipp.sdp import SdpBuilder, solve
 
-from conftest import apply_functional, localizing_matrix
+from conftest import apply_functional, from_atoms, is_member, localizing_matrix
 
 points = st.lists(
     st.tuples(st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False)),
     min_size=1, max_size=3)
 
 
-# ---------------------------------------------------------------- bases
-
-def test_monomial_basis_graded_and_indexed():
-    basis = MonomialBasis(2, 2)
-    assert basis.monomials[0] == (0, 0)
-    assert basis.size == 6
-    degrees = [sum(m) for m in basis.monomials]
-    assert degrees == sorted(degrees)
-    for i, m in enumerate(basis.monomials):
-        assert basis.index_of(m) == i
-
-
 # ---------------------------------------------------------------- functionals
 
 def test_from_atoms_matches_direct_sum():
     atoms = [((0.5, -0.25), 2.0), ((-1.0, 0.75), 0.5)]
-    L = MomentFunctional.from_atoms(2, 2, atoms)
+    L = from_atoms(2, 2, atoms)
     for mono in [(0, 0), (1, 0), (2, 1), (0, 4)]:
         direct = sum(w * p[0] ** mono[0] * p[1] ** mono[1] for p, w in atoms)
         assert L.value(mono) == pytest.approx(direct, abs=1e-14)
@@ -45,7 +33,7 @@ def test_from_atoms_matches_direct_sum():
 
 
 def test_apply_is_linear_in_the_polynomial():
-    L = MomentFunctional.from_atoms(2, 2, [((0.3, 0.7), 1.25)])
+    L = from_atoms(2, 2, [((0.3, 0.7), 1.25)])
     p = Polynomial(2, {(2, 0): 1.0, (1, 1): -2.0, (0, 0): 3.0})
     q = Polynomial(2, {(0, 2): 4.0})
     assert apply_functional(L, p + q) == pytest.approx(
@@ -56,7 +44,7 @@ def test_apply_is_linear_in_the_polynomial():
 def test_functional_degree_guards():
     with pytest.raises(ValueError):
         MomentFunctional(1, 1, {(3,): 1.0})
-    L = MomentFunctional.from_atoms(1, 1, [((0.5,), 1.0)])
+    L = from_atoms(1, 1, [((0.5,), 1.0)])
     with pytest.raises(ValueError):
         moment_matrix(L, 2)
 
@@ -64,10 +52,10 @@ def test_functional_degree_guards():
 @settings(deadline=None, max_examples=25)
 @given(st.tuples(st.floats(-2, 2), st.floats(-2, 2)))
 def test_dirac_moment_matrix_is_rank_one(point):
-    L = MomentFunctional.from_atoms(2, 2, [(point, 1.0)])
+    L = from_atoms(2, 2, [(point, 1.0)])
     M = moment_matrix(L, 2)
-    basis = MonomialBasis(2, 2)
-    v = np.array([point[0] ** a * point[1] ** b for a, b in basis.monomials])
+    v = np.array([point[0] ** a * point[1] ** b
+                  for a, b in monomials_up_to(2, 2)])
     np.testing.assert_allclose(M, np.outer(v, v), atol=1e-10)
 
 
@@ -75,7 +63,7 @@ def test_dirac_moment_matrix_is_rank_one(point):
 @given(points)
 def test_atomic_moment_matrix_is_psd_with_atom_count_rank(atom_pts):
     atoms = [(p, 1.0) for p in atom_pts]
-    L = MomentFunctional.from_atoms(2, 3, atoms)
+    L = from_atoms(2, 3, atoms)
     M = moment_matrix(L, 3)
     w = np.linalg.eigvalsh(M)
     assert w.min() >= -1e-9
@@ -86,12 +74,12 @@ def test_atomic_moment_matrix_is_psd_with_atom_count_rank(atom_pts):
 def test_localizing_matrix_against_direct_sum():
     q = Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
     atoms = [((0.5, 0.25), 1.5), ((-0.3, 0.1), 0.75)]
-    L = MomentFunctional.from_atoms(2, 2, atoms)
+    L = from_atoms(2, 2, atoms)
     Mq = localizing_matrix(L, q, 2)
-    basis = MonomialBasis(2, 1)
-    direct = np.zeros((basis.size, basis.size))
+    basis = monomials_up_to(2, 1)
+    direct = np.zeros((len(basis), len(basis)))
     for p, w in atoms:
-        v = np.array([p[0] ** a * p[1] ** b for a, b in basis.monomials])
+        v = np.array([p[0] ** a * p[1] ** b for a, b in basis])
         direct += w * q(p) * np.outer(v, v)
     np.testing.assert_allclose(Mq, direct, atol=1e-12)
     # atoms inside {q >= 0}, so the localizing matrix is PSD
@@ -100,7 +88,7 @@ def test_localizing_matrix_against_direct_sum():
 
 def test_localizing_matrix_flags_outside_atom():
     q = Polynomial(1, {(0,): 1.0, (2,): -1.0})
-    L = MomentFunctional.from_atoms(1, 2, [((2.0,), 1.0)])  # q(2) = -3 < 0
+    L = from_atoms(1, 2, [((2.0,), 1.0)])  # q(2) = -3 < 0
     assert np.linalg.eigvalsh(localizing_matrix(L, q, 2)).min() < -1e-6
 
 
@@ -165,7 +153,7 @@ def test_dual_cone_matrices_psd_for_supported_measures(atom_pts):
     phi = Polynomial(2, {(0, 0): 2.0, (2, 0): -1.0, (0, 2): -1.0})
     cone = QModule((phi,), 2)
     atoms = [(p, 0.5) for p in atom_pts]  # all atoms satisfy phi >= 0
-    L = MomentFunctional.from_atoms(2, 2, atoms)
+    L = from_atoms(2, 2, atoms)
     mats = _moment_and_localizing(L, cone)
     assert len(mats) == 2
     for mat in mats:
@@ -174,7 +162,7 @@ def test_dual_cone_matrices_psd_for_supported_measures(atom_pts):
 
 def test_dual_cone_matrices_flag_unsupported_measure():
     phi = Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
-    L = MomentFunctional.from_atoms(2, 2, [((2.0, 0.0), 1.0)])
+    L = from_atoms(2, 2, [((2.0, 0.0), 1.0)])
     mats = _moment_and_localizing(L, QModule((phi,), 2))
     assert min(np.linalg.eigvalsh(m).min() for m in mats) < -1e-6
 
@@ -201,9 +189,8 @@ def test_localizer_above_the_order_adds_no_block():
 
 def test_moment_var_map_round_trip_and_localizing():
     builder = SdpBuilder()
-    mv = MomentVarMap(builder, 1, 2)
     gen = Polynomial(1, {(0,): 1.0, (2,): -1.0})
-    mv.add_localizing(gen)
+    mv = MomentVarMap(builder, 1, 2, (gen,))
     builder.add_equality(mv.lin((0,)), 1.0)
     builder.set_objective(mv.lin_poly(Polynomial(1, {(2,): -1.0})))
     prob = builder.build()
@@ -228,10 +215,9 @@ def test_moment_vector_carries_the_moment_and_localizing_matrices():
     # Writing the moments of an atomic measure into the moment vector gives
     # exactly its moment and localizing matrices, and read() returns them.
     phi = Polynomial(2, {(0, 0): 2.0, (2, 0): -1.0, (0, 2): -1.0, (1, 1): 0.5})
-    L = MomentFunctional.from_atoms(2, 3, [((0.4, -0.2), 1.0), ((0.1, 0.9), 2.0)])
+    L = from_atoms(2, 3, [((0.4, -0.2), 1.0), ((0.1, 0.9), 2.0)])
     builder = SdpBuilder()
-    mv = MomentVarMap(builder, 2, 3)
-    mv.add_localizing(phi)
+    mv = MomentVarMap(builder, 2, 3, (phi,))
     prob = builder.build()
     x = np.zeros(prob.num_scalars)
     for mono in mv.monomials:
@@ -246,7 +232,7 @@ def test_poly_image_in_y_matches_direct_evaluation():
     joint = Polynomial(3, {(2, 0, 1): 1.0, (0, 1, 2): -2.0, (1, 0, 0): 0.5})
     p = BivariatePoly.from_joint(joint, n_x=2, n_y=1)
     atoms = [((0.4, -0.2), 1.0), ((0.1, 0.9), 2.0)]
-    L = MomentFunctional.from_atoms(2, 2, atoms)
+    L = from_atoms(2, 2, atoms)
     builder = SdpBuilder()
     mv = MomentVarMap(builder, 2, 2)
     x = np.array([L.value(m) for m in mv.monomials])  # the moment vector

@@ -9,9 +9,10 @@ from fsipp import multiobj
 from fsipp.multiobj import (MultiFsippProblem, efficiency_audit,
                             epsilon_constraint_solve, image_grid, scalarize)
 from fsipp.poly import BivariatePoly, Polynomial
-from fsipp.relax import Interval, QuadraticSet, RelaxOptions
+from fsipp.relax import Interval, QuadraticSet, RelaxOptions, Semialgebraic
 
-from conftest import AUDIT_BOXES, audit_y_points_on_quadratic_set
+from conftest import (AUDIT_BOXES, audit_y_points_on_quadratic_set,
+                      audit_y_points_on_semialgebraic)
 
 
 def _identical_pair_problem():
@@ -182,6 +183,60 @@ def test_audit_y_points_match_the_scalar_sweep():
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
         unbounded = np.isclose(np.linalg.norm(want - c, axis=1), 10.0)
         assert unbounded.any() == (trial % 3 == 0)
+
+
+def test_audit_y_points_on_a_three_dimensional_quadratic_set():
+    """Off the plane the rays follow 2,000 seeded directions: y0, then four
+    points per ray, all in Y, the same on every call."""
+    phi = Polynomial(3, {(0, 0, 0): 1.5, (2, 0, 0): -1.0, (0, 2, 0): -2.0,
+                         (0, 0, 2): -0.5, (1, 1, 0): 0.3, (0, 0, 1): 0.2})
+    y0 = (0.1, -0.2, 0.3)
+    index_set = QuadraticSet(phi, y0)
+    ys = multiobj._audit_y_points(index_set)
+    assert ys.shape == (8001, 3)
+    np.testing.assert_array_equal(ys[0], y0)
+    assert phi.eval_many(ys).min() >= -1e-12
+    assert np.array_equal(ys, multiobj._audit_y_points(index_set))
+
+
+@pytest.mark.parametrize("index_set", [
+    Semialgebraic((Polynomial(3, {(1, 0, 0): 1.0}),), archimedean_hint=2.0),
+    Semialgebraic((Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0}),)),
+    Semialgebraic((Polynomial(1, {(0,): 1.0, (2,): -1.0}),)),
+    instances.quarter_circle_problem()[0].index_set,
+], ids=["half-ball-3d", "disc", "interval", "arc"])
+def test_audit_y_points_on_semialgebraic_sets(index_set):
+    got = multiobj._audit_y_points(index_set)
+    want = audit_y_points_on_semialgebraic(index_set)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def _arc_pair():
+    """The quarter circle's data with a second, affine objective x1 + 3.
+    Its index set {y >= 0, |y| = 1} has no interior."""
+    prob, opts = instances.quarter_circle_problem()
+    second = (Polynomial(2, {(1, 0): 1.0, (0, 0): 3.0}),
+              Polynomial.constant(2, 1.0))
+    mprob = MultiFsippProblem(((prob.f, prob.g), second), prob.p,
+                              prob.index_set, prob.psis)
+    return mprob, np.array([0.7377, 0.6033]), opts
+
+
+def test_an_empty_y_sweep_refuses_to_check_feasibility():
+    # The grid misses the arc, so the sweep has no point.  An empty sweep
+    # used to make the worst p -inf and pass 315 of the 41 x 41 points,
+    # 189 of them infeasible somewhere on the arc.
+    mprob, u0, _ = _arc_pair()
+    assert len(multiobj._audit_y_points(mprob.index_set)) == 0
+    with pytest.raises(ValueError, match="y-sweep"):
+        image_grid(mprob, [(-2.0, 2.0), (-2.0, 2.0)], grid_size=41)
+    # (1, 0) is dominated by grid points, so the audit must sweep
+    with pytest.raises(ValueError, match="y-sweep"):
+        efficiency_audit(mprob, np.array([1.0, 0.0]), grid_size=41,
+                         box=[(-2.0, 2.0), (-2.0, 2.0)])
+    # no grid point dominates u0: nothing to sweep, nothing refuted
+    assert efficiency_audit(mprob, u0, grid_size=41,
+                            box=[(-2.0, 2.0), (-2.0, 2.0)])
 
 
 def test_image_grid_shapes_flags_and_determinism():

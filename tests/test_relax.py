@@ -7,10 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fsipp import instances, relax
+from fsipp import extract, instances, relax
 from fsipp.certify import feasibility_check
 from fsipp.errors import (MissingHintError, NumericalTroubleError,
                           OptimumKnownSignal)
+from fsipp.multiobj import _audit_y_points
 from fsipp.poly import BivariatePoly, Polynomial
 from fsipp.relax import (CaseTag, FsippProblem, Interval, QuadraticSet,
                          RelaxOptions, Semialgebraic, build_primal_sdp,
@@ -40,14 +41,14 @@ def test_problem_degree_is_the_max_over_numerator_denominator_psis_p():
 def test_index_set_descriptions():
     iv = Interval()
     assert [q((0.5,)) for q in iv.as_generators()] == [pytest.approx(0.75)]
-    pts = iv.sample_points(64)
-    assert pts.shape == (64, 1) and np.all(np.abs(pts) <= 1.0)
+    pts = _audit_y_points(iv)
+    assert pts.shape == (2001, 1) and np.all(np.abs(pts) <= 1.0)
 
     phi = Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
     disc = QuadraticSet(phi=phi, interior_point=(0.0, 0.0))
     np.testing.assert_allclose(disc.representative_point(), [0.0, 0.0])
-    sampled = disc.sample_points(128)
-    assert min(phi(y) for y in sampled) >= -1e-12
+    sampled = _audit_y_points(disc)
+    assert phi.eval_many(sampled).min() >= -1e-12
 
     gens = (Polynomial(1, {(0,): 1.0, (2,): -1.0}),)
     semi = Semialgebraic(generators=gens, archimedean_hint=1.0)
@@ -235,13 +236,13 @@ def test_hierarchy_extraction_checks_the_x_cone_localizers(monkeypatch):
     # the atoms must satisfy the generators the moment SDP localized L by:
     # on the quarter circle the ball and g - g_star
     seen = []
-    real = relax.extract_atoms
+    real = extract.extract_atoms
 
     def spy(L, cert, **kwargs):
         seen.append(kwargs.get("gens"))
         return real(L, cert, **kwargs)
 
-    monkeypatch.setattr(relax, "extract_atoms", spy)
+    monkeypatch.setattr(extract, "extract_atoms", spy)
     prob, opts = instances.quarter_circle_problem()
     trace = solve_hierarchy(prob, opts, k_range=(4, 4))
     assert trace.stop_reason == "rank"
@@ -322,7 +323,7 @@ def test_quarter_circle_moment_sdp_has_only_coefficient_rows(k, rows):
                                                    tag).generators)
     assert lmi.dims[0] == math.comb(prob.m + k, prob.m)
     # only the normalization L(g) = 1 lives on the moments alone
-    offset = vmap.moment.block.offset
+    offset = vmap.block.offset
     A = sdp.A
     on_moments = (A.cols >= offset) & (A.cols < offset + lmi.nvars)
     only = [bool(on_moments[A.rows == r].all()) for r in range(rows)]

@@ -488,9 +488,9 @@ def half_disc_moment_sdp():
     """An order-3 moment SDP on {y1 >= 0, 1 - |y|^2 >= 0}: the localizer of
     y1 touches only the moments of y1 times a monomial of degree <= 4."""
     b = SdpBuilder()
-    mv = MomentVarMap(b, 2, 3)
-    mv.add_localizing(Polynomial(2, {(1, 0): 1.0}))
-    mv.add_localizing(Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0}))
+    mv = MomentVarMap(b, 2, 3, (Polynomial(2, {(1, 0): 1.0}),
+                                Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0,
+                                               (0, 2): -1.0})))
     b.add_equality(mv.lin((0, 0)), 1.0)
     b.set_objective(mv.lin_poly(Polynomial(2, {(1, 0): 1.0, (0, 1): 1.0})))
     return b.build()
