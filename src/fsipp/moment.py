@@ -21,6 +21,15 @@ GloptiPoly: the moment matrix and every localizing matrix are linear in
 it, so they are the diagonal blocks of one linear matrix inequality (an
 ``LmiBlock``), and no equality row is spent on restating that a matrix
 entry is a moment.
+
+An equality written as the pair q >= 0, -q >= 0 is compiled as the ideal
+(q) (Parrilo 2005; Nie 2013).  A single q is a Groebner basis under the
+package's graded lex order, so the reduced cone equals
+Q_k(inequalities) + {h*q : deg h <= 2k - deg q}.  The Gram side reduces
+Gram products, target and margin squares modulo q: its rows and Gram
+bases are standard monomials (not divisible by LM(q)), and the pair adds
+no block.  The moment side keeps the full moment matrix and writes
+L(q*m) = 0 for deg m <= 2k - deg q instead of the pair's two localizers.
 """
 
 from __future__ import annotations
@@ -39,6 +48,11 @@ from .sdp import LinExpr, SdpBuilder, solve
 
 def _add(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
+
+
+def _leading(q: Polynomial) -> tuple:
+    """q's leading monomial in graded lex order, the first variable largest."""
+    return max(q.terms, key=lambda e: (sum(e), e))
 
 
 class MomentFunctional:
@@ -99,23 +113,61 @@ class QModule:
     With ``nz`` > 0 only squares linear in the last nz variables z enter:
     q's Gram basis is each z_i times the monomials in the other variables
     of degree <= k - ceil(deg q / 2) - 1 (see certify.hessian_form_margin).
+
+    A generator q of degree >= 1 whose negation is also a generator is the
+    equality q = 0 (module docstring); the z-linear cones reduce alike.
+    Several pairs are reduced only when their leading monomials are
+    pairwise coprime, a Groebner basis by Buchberger's first criterion;
+    otherwise every pair stays two inequalities.
     """
 
     generators: tuple
     order: int  # k
     nz: int = 0
 
-    def gram_structure(self, nvars: int):
+    @property
+    def equalities(self) -> tuple:
+        """One q of each pair q, -q of generators, or () (class docstring)."""
+        gens = self.generators
+        eqs = [q for i, q in enumerate(gens) if q.degree >= 1 and -q in gens[i + 1:]]
+        coprime = all(sum(map(bool, col)) <= 1 for col in zip(*map(_leading, eqs)))
+        return tuple(eqs) if coprime else ()
+
+    def gram_structure(self, nvars: int, quotient: bool = False):
+        """(q, Gram basis) for 1 and each inequality, standard if ``quotient``."""
+        eqs = self.equalities
+        leads = [_leading(q) for q in eqs] if quotient else []
         out = []
         for q in (Polynomial.constant(nvars, 1.0), *self.generators):
+            if q in eqs or -q in eqs:
+                continue
             rest = self.order - ceil_half(q.degree)
             basis = monomials_up_to(nvars, rest) if not self.nz else [
                 mono + tuple(int(t == i) for t in range(self.nz))
                 for i in range(self.nz)
                 for mono in monomials_up_to(nvars - self.nz, rest - 1)]
+            basis = [b for b in basis
+                     if not any(all(x <= y for x, y in zip(a, b)) for a in leads)]
             if basis:
                 out.append((q, basis))
         return out
+
+
+def _reduce(rows: dict, equalities) -> None:
+    """Reduce {monomial: LinExpr} modulo the equalities (a Groebner basis)
+    in place, largest monomial first: x^a = x^s LM(q) is replaced by
+    x^s (LM(q) - q / lc(q)), whose monomials are smaller and already keys.
+    The standard monomials are left, in their order."""
+    steps = [(_leading(q), q) for q in equalities]
+    for mono in sorted(rows, key=lambda e: (sum(e), e), reverse=True):
+        for lead, q in steps:
+            if all(x <= y for x, y in zip(lead, mono)):
+                expr = rows.pop(mono).scaled(-1.0 / q.terms[lead])
+                shift = tuple(x - y for x, y in zip(mono, lead))
+                for t, c in q.terms.items():
+                    if t != lead:
+                        rows[_add(shift, t)] += expr.scaled(c)
+                break
 
 
 # --------------------------------------------------------------------------
@@ -141,7 +193,7 @@ def sos_membership_blocks(builder: SdpBuilder, target, cone: QModule,
     target = gram(+ t on the leading Gram diagonal) + ..., i.e. the leading
     Gram matrix is shifted to G - t*I; maximizing t measures how deep the
     target sits inside the cone.  Returns the Gram blocks' handles, one per
-    generator with a nonempty Gram basis.
+    generator with a nonempty Gram basis outside the equality pairs.
     """
     aff = _as_affine(target, nvars)
     bound = 2 * cone.order
@@ -152,7 +204,7 @@ def sos_membership_blocks(builder: SdpBuilder, target, cone: QModule,
     rows: dict[tuple, LinExpr] = {m: LinExpr() for m in monomials_up_to(nvars, bound)}
 
     gram_handles = []
-    for gi, (gen, basis) in enumerate(cone.gram_structure(nvars)):
+    for gi, (gen, basis) in enumerate(cone.gram_structure(nvars, quotient=True)):
         h = builder.psd_block(len(basis))
         gram_handles.append(h)
         for j, bj in enumerate(basis):
@@ -168,8 +220,11 @@ def sos_membership_blocks(builder: SdpBuilder, target, cone: QModule,
                 for k, v in margin.coeffs.items():
                     rows[sq].add_term(k, v)
 
-    for mono in monomials_up_to(nvars, bound):
-        expr = rows[mono] - aff.get(mono, LinExpr())
+    for mono, expr in aff.items():
+        rows[mono] = rows[mono] - expr
+    if cone.equalities:  # one row per standard monomial
+        _reduce(rows, cone.equalities)
+    for expr in rows.values():
         if not expr.is_zero():
             builder.add_equality(expr, 0.0)
     return gram_handles
@@ -213,7 +268,8 @@ class MomentVarMap:
     of ``localizers`` follows, on the Gram basis that
     ``QModule(localizers, order)`` gives it, so L lies in the dual of that
     module.  A localizer whose basis is empty (deg q > 2 * order)
-    constrains nothing and adds no block.
+    constrains nothing and adds no block.  An equality pair q, -q adds
+    rows L(q * m) = 0 instead (module docstring).
     """
 
     def __init__(self, builder: SdpBuilder, nvars: int, order: int,
@@ -224,30 +280,30 @@ class MomentVarMap:
         self.position = {m: i for i, m in enumerate(self.monomials)}
         self.block = builder.lmi_block(len(self.monomials))
         self.localizers = tuple(localizers)
-        for q, basis in QModule(self.localizers, order).gram_structure(nvars):
+        cone = QModule(self.localizers, order)
+        for q, basis in cone.gram_structure(nvars):
             self._add_localizing(q, basis)
+        for q in cone.equalities:
+            for mono in monomials_up_to(nvars, 2 * order - q.degree):
+                builder.add_equality(self.lin_poly(q, mono))
 
     def lin(self, mono: tuple) -> LinExpr:
         """The SDP variable carrying L(x^mono)."""
         return self.block.entry(self.position[tuple(mono)])
 
-    def lin_poly(self, poly: Polynomial) -> LinExpr:
-        """Linear expression for L(poly)."""
+    def lin_poly(self, poly: Polynomial, shift: tuple = ()) -> LinExpr:
+        """Linear expression for L(poly * x^shift)."""
         expr = LinExpr()
         for m, c in poly.terms.items():
+            m = _add(shift, m) if shift else m
             expr.add_term(self.block.index(self.position[m]), c)
         return expr
 
     def _add_localizing(self, q: Polynomial, rows: list) -> None:
         """Append the localizing matrix of q on the basis ``rows``, entry
         (i, j) = L(q b_i b_j), to the LMI."""
-        entries = {}
-        for j, bj in enumerate(rows):
-            for i in range(j, len(rows)):
-                prod = _add(rows[i], bj)
-                expr = entries[i, j] = LinExpr()
-                for d, c in q.terms.items():
-                    expr.add_term(self.block.index(self.position[_add(prod, d)]), c)
+        entries = {(i, j): self.lin_poly(q, _add(rows[i], bj))
+                   for j, bj in enumerate(rows) for i in range(j, len(rows))}
         self.block.add_matrix(len(rows), entries)
 
     def read(self, x: np.ndarray) -> MomentFunctional:

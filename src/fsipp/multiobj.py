@@ -201,7 +201,8 @@ def _audit_y_points(index_set: IndexSet) -> np.ndarray:
         # y0 and, along 2,000 directions d (evenly spread angles in 2-D,
         # seeded normal draws otherwise), four fractions of the distance t
         # to the boundary: phi(y0 + t d) = a t^2 + b t + f0 is quadratic
-        # in t, so phi at y0 +- d gives a and b
+        # in t, so phi at y0 +- d gives a and b.  A ray leaves Y at its
+        # first positive root; one that never does is cut at t = 10.
         y0 = index_set.representative_point()
         n = index_set.n_y
         if n == 2:
@@ -219,6 +220,8 @@ def _audit_y_points(index_set: IndexSet) -> np.ndarray:
         root = np.sqrt(np.maximum(b * b - 4.0 * a * f0, 0.0))
         t_edge = np.full(len(dirs), 10.0)
         t_edge[inward] = (-b[inward] - root[inward]) / (2.0 * a[inward])
+        exits = ~inward & (b < 0.0) & (b * b - 4.0 * a * f0 >= 0.0)
+        t_edge[exits] = 2.0 * f0 / (root[exits] - b[exits])
         steps = np.array([0.5, 0.8, 0.95, 1.0])[None, :] * t_edge[:, None]
         pts = y0 + steps[:, :, None] * dirs[:, None, :]
         return np.vstack([y0, pts.reshape(-1, n)])

@@ -33,8 +33,9 @@ generators G at order k (``moment.QModule``):
   C[x] = Q_k({R^2 - |x|^2}), C[y] as in Case1/Case2, iterated over k with
   a moment-matrix rank test as stopping rule.
 * General -- Y semialgebraic: C[x] = Q_k({R^2 - |x|^2, g - g_star}),
-  C[y] = Q_k(Y's generators), with a feasibility/stationarity check at
-  the recovered point as stopping rule.
+  C[y] = Q_k(Y's generators), an equality written as q, -q compiled as
+  the ideal (q), with a feasibility/stationarity check at the recovered
+  point as stopping rule.
 """
 
 from __future__ import annotations

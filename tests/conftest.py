@@ -99,6 +99,9 @@ def audit_y_points_on_quadratic_set(index_set):
         b = 0.5 * (fp - fm)
         if a < -1e-12:
             t_edge = (-b - np.sqrt(max(b * b - 4.0 * a * f0, 0.0))) / (2.0 * a)
+        elif b < 0.0 and b * b - 4.0 * a * f0 >= 0.0:
+            # phi is not concave along d but still leaves Y: its first root
+            t_edge = 2.0 * f0 / (np.sqrt(b * b - 4.0 * a * f0) - b)
         else:
             t_edge = 10.0
         for frac in (0.5, 0.8, 0.95, 1.0):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsipp import certify, instances, moment
 from fsipp.moment import (MomentFunctional, MomentVarMap, QModule,
                           membership_margin, moment_matrix,
                           poly_image_in_y_sym, sos_membership_blocks)
 from fsipp.poly import BivariatePoly, Polynomial, monomials_up_to
-from fsipp.sdp import SdpBuilder, solve
+from fsipp.sdp import LinExpr, SdpBuilder, solve
 
 from conftest import apply_functional, from_atoms, is_member, localizing_matrix
 
@@ -96,6 +97,9 @@ def test_localizing_matrix_flags_outside_atom():
 
 _INTERVAL = Polynomial(1, {(0,): 1.0, (2,): -1.0})               # 1 - y^2
 _DISC = Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})  # 1 - |y|^2
+_CIRCLE = -_DISC                                                  # |y|^2 - 1
+_Y1 = Polynomial(2, {(1, 0): 1.0})
+_Y2 = Polynomial(2, {(0, 1): 1.0})
 
 
 @pytest.mark.parametrize("cone, members, outsider", [
@@ -110,11 +114,109 @@ _DISC = Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})  # 1 - |y|^2
     (QModule((_INTERVAL,), 2),
      [_INTERVAL, Polynomial(1, {(0,): 1.25, (1,): -1.0, (2,): 0.25})],
      Polynomial(1, {(0,): -2.0, (1,): 1.0})),
-], ids=["interval", "s-lemma", "order-2"])
+    # the equality circle = 0, written as the pair circle >= 0, -circle >= 0
+    (QModule((_CIRCLE, -_CIRCLE), 2),
+     [Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0}),    # 1 - y1^2 = y2^2 on it
+      (_Y1 - _Y2) * (_Y1 - _Y2) * _CIRCLE + _Y2 * _Y2],
+     _Y1),
+], ids=["interval", "s-lemma", "order-2", "equality"])
 def test_qmodule_cone_membership(cone, members, outsider):
     for target in members:
         assert is_member(target, cone)
     assert not is_member(outsider, cone)
+
+
+# q's leading monomial is y1^2 either way; the second's tail has a term
+# of the same degree, y1*y2, so one division step can need another
+_CURVE = Polynomial(2, {(2, 0): 1.0, (1, 1): 1.0, (0, 1): -1.0, (0, 0): 0.3})
+
+
+def _on_curve(q, rng):
+    """100 seeded points of {q = 0}: the circle by angle, the curve
+    y1^2 + y1*y2 - y2 + 0.3 = 0 as y2 = (y1^2 + 0.3) / (1 - y1)."""
+    if q == _CIRCLE:
+        t = rng.uniform(0.0, 2.0 * np.pi, 100)
+        return np.column_stack([np.cos(t), np.sin(t)])
+    y1 = rng.uniform(-1.0, 0.5, 100)
+    return np.column_stack([y1, (y1 * y1 + 0.3) / (1.0 - y1)])
+
+
+@pytest.mark.parametrize("q", [_CIRCLE, _CURVE], ids=["circle", "curve"])
+def test_equality_normal_form_is_standard_and_agrees_on_the_variety(q):
+    rng = np.random.default_rng(16)
+    assert moment._leading(q) == (2, 0)
+    for _ in range(5):
+        p = Polynomial(2, {m: rng.normal() for m in monomials_up_to(2, 8)})
+        rows = {m: LinExpr.constant(c) for m, c in p.terms.items()}
+        moment._reduce(rows, (q,))
+        assert not any(m[0] >= 2 for m in rows)  # y1^2 divides none
+        assert all(not e.coeffs for e in rows.values())
+        reduced = Polynomial(2, {m: e.const for m, e in rows.items()})
+        pts = _on_curve(q, rng)
+        np.testing.assert_allclose(q.eval_many(pts), 0.0, atol=1e-12)
+        np.testing.assert_allclose(reduced.eval_many(pts), p.eval_many(pts),
+                                   rtol=0.0, atol=1e-12)
+
+
+def _compile_both_sides(gens):
+    """y2^2 in QModule(gens, 2) on the Gram side, and a moment map whose
+    localizers are gens with L(1) = 1, in one SDP."""
+    builder = SdpBuilder()
+    sos_membership_blocks(builder, _Y2 * _Y2, QModule(gens, 2), 2)
+    mv = MomentVarMap(builder, 2, 2, gens)
+    builder.add_equality(mv.lin((0, 0)), 1.0)
+    return builder.build()
+
+
+def test_equality_pairs_compile_as_ideals_only_with_coprime_leads():
+    # circle and y1^2 - y2 both lead with y1^2: the two pairs are not a
+    # Groebner basis, so each stays two inequalities on both sides: five
+    # Gram blocks, one row per monomial of degree <= 4, five LMI blocks
+    parabola = Polynomial(2, {(2, 0): 1.0, (0, 1): -1.0})
+    gens = (_CIRCLE, -_CIRCLE, parabola, -parabola)
+    assert QModule(gens, 2).equalities == ()
+    sdp = _compile_both_sides(gens)
+    assert [bl.dim for bl in sdp.blocks[:-1]] == [6, 3, 3, 3, 3]
+    assert sdp.blocks[-1].dims == (6, 3, 3, 3, 3)
+    assert sdp.A.shape[0] == 15 + 1
+    # y2^2 - 0.5 leads with y2^2, coprime to y1^2: both pairs reduce.  The
+    # standard monomials are 1, y1, y2, y1*y2, so one Gram block of four
+    # and four coefficient rows; the moment side writes L(q * m) = 0 for
+    # both q and the six m of degree <= 2, and keeps only the moment matrix
+    line = _Y2 * _Y2 - Polynomial.constant(2, 0.5)
+    gens = (_CIRCLE, -_CIRCLE, -line, line)
+    assert QModule(gens, 2).equalities == (_CIRCLE, -line)
+    sdp = _compile_both_sides(gens)
+    assert [bl.dim for bl in sdp.blocks[:-1]] == [4]
+    assert sdp.blocks[-1].dims == (6,)
+    assert sdp.A.shape[0] == 4 + 2 * 6 + 1
+
+
+def test_lower_level_sdp_writes_the_arc_equality_as_rows(monkeypatch):
+    # min -p(u, y) over the arc {y1, y2 >= 0, circle = 0} at order 4: the
+    # LMI holds the moment matrix and the localizers of y1 and y2 only, and
+    # the rows are L(circle * m) = 0 for deg m <= 6 and L(1) = 1
+    prob, _ = instances.quarter_circle_problem()
+    seen = []
+    real_solve = certify.solve
+    monkeypatch.setattr(certify, "solve", lambda sdp, **kw: (
+        seen.append(sdp), real_solve(sdp, **kw))[1])
+    _, Lambda, certified = certify.lower_level_solve((0.7377, 0.6033), prob)
+    assert certified and abs(_CIRCLE(Lambda[0])) <= 1e-6
+    sdp = seen[0]
+    (lmi,) = sdp.blocks
+    assert lmi.dims == (15, 10, 10)
+    position = {m: i for i, m in enumerate(monomials_up_to(2, 8))}
+    shifts = monomials_up_to(2, 6)
+    want = np.zeros((len(shifts) + 1, lmi.nvars))
+    for r, mono in enumerate(shifts):
+        for d, c in _CIRCLE.terms.items():
+            want[r, position[(mono[0] + d[0], mono[1] + d[1])]] = c
+    want[-1, position[(0, 0)]] = 1.0
+    got = np.zeros_like(want)
+    got[sdp.A.rows, sdp.A.cols] = sdp.A.vals
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(sdp.b, [0.0] * len(shifts) + [1.0])
 
 
 def test_sos_cone_rejects_nonneg_non_sos():

@@ -185,6 +185,19 @@ def test_audit_y_points_match_the_scalar_sweep():
         assert unbounded.any() == (trial % 3 == 0)
 
 
+def test_audit_y_points_stop_where_a_convex_ray_leaves_the_set():
+    """phi = 1 - y2 + y1^2 is convex along every ray from 0, yet the rays
+    with tan(angle) >= 2 leave Y at their first root: the sweep ends
+    there instead of at t = 10, and matches the scalar loop."""
+    phi = Polynomial(2, {(0, 0): 1.0, (0, 1): -1.0, (2, 0): 1.0})
+    index_set = QuadraticSet(phi, (0.0, 0.0))
+    ys = multiobj._audit_y_points(index_set)
+    assert phi.eval_many(ys).min() >= -1e-12
+    np.testing.assert_allclose(ys, audit_y_points_on_quadratic_set(index_set),
+                               rtol=1e-12, atol=1e-12)
+    assert np.isclose(np.linalg.norm(ys, axis=1), 10.0).any()
+
+
 def test_audit_y_points_on_a_three_dimensional_quadratic_set():
     """Off the plane the rays follow 2,000 seeded directions: y0, then four
     points per ray, all in Y, the same on every call."""

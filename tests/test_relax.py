@@ -308,11 +308,14 @@ def test_hierarchy_solves_one_sdp_per_order(monkeypatch, make, k_range):
 
 # ------------------------------------------------- moments as free variables
 
-@pytest.mark.parametrize("k, rows", [(4, 47), (5, 68), (6, 93), (7, 122)])
+@pytest.mark.parametrize("k, rows", [(4, 19), (5, 23), (6, 27), (7, 31)])
 def test_quarter_circle_moment_sdp_has_only_coefficient_rows(k, rows):
     # The moments are the free vector of one LMI block whose diagonal blocks
-    # are the moment matrix and the localizers, so the rows are L(g) = 1 and
-    # the y-side coefficient rows: no row ties a matrix entry to a moment.
+    # are the moment matrix and the localizers, so the rows are L(g) = 1,
+    # L(psi) + slack = 0 and the y-side coefficient rows: no row ties a
+    # matrix entry to a moment.  The arc's pair circle >= 0, -circle >= 0 is
+    # the ideal (circle), so the y-side rows are its 4k + 1 standard
+    # monomials of degree <= 2k (y1 to at most the first power).
     prob, opts = instances.quarter_circle_problem()
     tag = classify_case(prob, opts.case_override)
     sdp, vmap = relax.build_dual_sdp(prob, replace(opts, k=k), tag)
