@@ -5,8 +5,9 @@ the s.o.s-convexity test of a Hessian form on z-linear Gram bases.
 The lower-level engine minimizes a polynomial over a semialgebraic set by
 the moment hierarchy (moment matrix plus localizing blocks, normalized
 mass).  When flat truncation certifies the solve, the extracted support is
-the exact active set; otherwise the best bound is returned together with a
-locally refined candidate and ``certified=False``.
+the exact active set; otherwise the best bound is returned together with
+the point L(y)/L(1) of the last Optimal order's functional and
+``certified=False``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalTroubleError
-from .extract import certify_and_extract, point_from_functional
+from .extract import certify_and_extract
 from .moment import MomentVarMap, QModule, membership_margin
 from .poly import Polynomial, ceil_half
 from .sdp import SdpBuilder, solve
@@ -85,9 +86,11 @@ def minimize_on_semialgebraic(h: Polynomial, gens, k: int, k0: int,
                               sdp_tol: float = 1e-8, rank_tol: float = 1e-8):
     """One order of the moment hierarchy for  min h(y) s.t. gens >= 0.
 
-    Returns (bound, L, cert, atoms): the relaxation lower bound, the optimal
-    functional, and the flat-truncation certificate with its extracted
-    atoms, both None unless extraction succeeds.  ``k0`` is the
+    Returns (status, bound, L, cert, atoms): the SDP's status, the
+    relaxation lower bound, the optimal functional, and the
+    flat-truncation certificate with its extracted atoms, both None unless
+    extraction succeeds.  A status other than Optimal leaves the last four
+    None; PrimalInfeasible (an empty index set) raises.  ``k0`` is the
     localizers' order, max ceil(deg q / 2) over ``gens`` (at least 1).
     The SDP is solved to a tenth of ``rank_tol`` when that
     is tighter than ``sdp_tol``: the moment matrix's vanishing singular
@@ -104,31 +107,13 @@ def minimize_on_semialgebraic(h: Polynomial, gens, k: int, k0: int,
     if sol.status == "PrimalInfeasible":
         raise NumericalTroubleError(
             f"moment relaxation infeasible at order {k}: empty index set?")
-    if sol.status not in ("Optimal",):
-        raise NumericalTroubleError(
-            f"lower-level SDP ended with status {sol.status} at order {k}")
+    if sol.status != "Optimal":
+        return sol.status, None, None, None, None
     L = mv.read_solution(prob_sdp, sol)
     d_half = max(ceil_half(h.degree), 1) if not h.is_zero() else 1
     cert, atoms = certify_and_extract(L, k=k, k0=k0, d_half=d_half,
                                       rel_tol=rank_tol, gens=gens)
-    return float(sol.primal_value), L, cert, atoms
-
-
-def _local_refine(h: Polynomial, gens, y0: np.ndarray) -> np.ndarray:
-    """Polish a candidate minimizer with a constrained local solver."""
-    from scipy.optimize import minimize
-
-    cons = [{"type": "ineq", "fun": (lambda y, q=q: q(y)),
-             "jac": (lambda y, q=q: q.gradient_at(y))} for q in gens]
-    try:
-        res = minimize(lambda y: h(y), np.asarray(y0, dtype=float),
-                       jac=lambda y: h.gradient_at(y), constraints=cons,
-                       method="SLSQP", options={"maxiter": 200, "ftol": 1e-12})
-        if res.success:
-            return np.asarray(res.x)
-    except Exception:
-        pass
-    return np.asarray(y0, dtype=float)
+    return sol.status, float(sol.primal_value), L, cert, atoms
 
 
 def lower_level_solve(u, prob, k_range=None, sdp_tol: float = 1e-8,
@@ -137,8 +122,11 @@ def lower_level_solve(u, prob, k_range=None, sdp_tol: float = 1e-8,
 
     Returns (p_star, Lambda, certified): the optimal value (always a valid
     lower bound), the minimizer set (exact support under flat truncation,
-    otherwise one locally refined candidate), and whether the value is
-    certified exact.
+    otherwise the one point L(y)/L(1) of the last Optimal order's
+    functional, which need not be a minimizer), and whether the value is
+    certified exact.  The bound is the best over the orders that end
+    Optimal; when none does, :class:`NumericalTroubleError` names each
+    order's status.
 
     A y-independent objective short-circuits: the value is exact and the
     index set's representative point stands in for the (whole-set) support.
@@ -157,20 +145,24 @@ def lower_level_solve(u, prob, k_range=None, sdp_tol: float = 1e-8,
         k_range = (k_min, k_min + 1)
     best = -np.inf
     last_L = None
+    failed = []
     for k in k_range:
         if k < k_min:
             continue
-        bound, L, cert, atoms = minimize_on_semialgebraic(
+        status, bound, L, cert, atoms = minimize_on_semialgebraic(
             h, gens, k, k0, sdp_tol=sdp_tol, rank_tol=rank_tol)
+        if status != "Optimal":
+            failed.append(f"order {k}: {status}")
+            continue
         best = max(best, bound)
         last_L = L
         if cert is not None:
             return best, [pt for pt, _ in atoms], True
-    try:
-        y0 = point_from_functional(last_L)
-    except Exception:
-        y0 = np.zeros(prob.p.n_y)
-    return best, [_local_refine(h, gens, y0)], False
+    if last_L is None:
+        raise NumericalTroubleError(
+            f"no lower-level order from {k_min} in {list(k_range)} ended "
+            f"Optimal ({'; '.join(failed) or 'none solved'})")
+    return best, [last_L.point()], False
 
 
 # --------------------------------------------------------------------------
@@ -178,10 +170,9 @@ def lower_level_solve(u, prob, k_range=None, sdp_tol: float = 1e-8,
 # --------------------------------------------------------------------------
 
 
-def active_sets(u, prob, tau: float = 1e-3, lower=None):
-    """(Lambda, J): active index points and active constraint indices."""
-    if lower is None:
-        lower = lower_level_solve(u, prob)
+def active_sets(u, prob, lower, tau: float = 1e-3):
+    """(Lambda, J): active index points and active constraint indices,
+    given ``lower``, the result of :func:`lower_level_solve` at u."""
     p_star, Lambda, _ = lower
     lam = list(Lambda) if p_star <= tau else []
     J = [j for j, psi in enumerate(prob.psis) if abs(psi(u)) <= tau]

@@ -128,8 +128,11 @@ class QModule:
     @property
     def equalities(self) -> tuple:
         """One q of each pair q, -q of generators, or () (class docstring)."""
-        gens = self.generators
-        eqs = [q for i, q in enumerate(gens) if q.degree >= 1 and -q in gens[i + 1:]]
+        gens, eqs = self.generators, []
+        for i, q in enumerate(gens):  # a repeated side adds no second pair
+            if (q.degree >= 1 and -q in gens[i + 1:]
+                    and q not in eqs and -q not in eqs):
+                eqs.append(q)
         coprime = all(sum(map(bool, col)) <= 1 for col in zip(*map(_leading, eqs)))
         return tuple(eqs) if coprime else ()
 

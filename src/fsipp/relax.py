@@ -157,13 +157,17 @@ class Semialgebraic:
         return np.column_stack([m.ravel() for m in mesh])
 
     def representative_point(self):
-        """The point of the 41-per-axis grid deepest in Y, or the origin
-        when no grid point lies in Y."""
+        """The point of the 41-per-axis grid deepest in Y.  Raises
+        ValueError when no grid point lies in Y (a set without interior,
+        such as a circle, is usually missed)."""
         pts = self.grid(41)
         slack = np.min(np.column_stack([q.eval_many(pts)
                                         for q in self.generators]), axis=1)
         i = int(np.argmax(slack))
-        return pts[i] if slack[i] >= 0 else np.zeros(self.n_y)
+        if slack[i] < 0:
+            raise ValueError("no point of the 41-per-axis grid lies in the "
+                             "index set, so none can represent it")
+        return pts[i]
 
 
 # a compact set Y of constraint indices, described semialgebraically
@@ -280,9 +284,8 @@ def _p_sos_convex(prob: FsippProblem) -> bool:
     if form.is_zero():
         return True
     if all(not any(exp[m:m + n]) for exp in form.terms):
-        # Hessian does not involve y: one slice decides
-        rep = prob.index_set.representative_point()
-        return sos_convexity_check(prob.p.substitute_y(rep))
+        # Hessian does not involve y: every slice has the same form
+        return sos_convexity_check(prob.p.substitute_y(np.zeros(n)))
 
     gens = [Polynomial(form.nvars, {(0,) * m + e + (0,) * m: c
                                     for e, c in q.terms.items()})

@@ -2,6 +2,8 @@
 solves over the index set, KKT residuals, feasibility and the s.o.s-convexity
 test."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,11 @@ from fsipp import certify, extract, instances
 from fsipp.certify import (active_sets, certify_point, feasibility_check,
                            kkt_residual, lower_level_solve, nnls,
                            sos_convexity_check)
+from fsipp.errors import NumericalTroubleError
 from fsipp.moment import QModule, membership_margin
 from fsipp.multiobj import _audit_y_points
-from fsipp.poly import Polynomial
+from fsipp.poly import BivariatePoly, Polynomial, ceil_half
+from fsipp.relax import FsippProblem, Semialgebraic
 
 from conftest import apply_functional, from_atoms
 
@@ -96,6 +100,57 @@ def test_lower_level_is_a_lower_bound_on_grids():
         joint = prob.p.substitute_x(u)
         grid_min = min(float(-joint(y)) for y in ys)
         assert p_star <= grid_min + 1e-6
+
+
+def test_lower_level_takes_the_bound_from_the_orders_that_end_optimal(
+        monkeypatch):
+    # the first order of the default pair stops at its iteration cap: the
+    # bound, support and certificate are the second order's alone
+    prob, _ = instances.quarter_circle_problem()
+    u = np.array([0.7377, 0.6033])
+    k_min = ceil_half(prob.p.substitute_x(u).degree)
+    expected = lower_level_solve(u, prob, k_range=(k_min + 1,))
+    real_solve = certify.solve
+    calls = []
+
+    def capped(first_only):
+        def solve(sdp, **kw):
+            calls.append(sdp)
+            sol = real_solve(sdp, **kw)
+            if first_only and len(calls) > 1:
+                return sol
+            return replace(sol, status="IterLimit")
+        return solve
+
+    monkeypatch.setattr(certify, "solve", capped(first_only=True))
+    p_star, Lambda, certified = lower_level_solve(u, prob)
+    assert len(calls) == 2
+    assert p_star == expected[0] and certified == expected[2]
+    np.testing.assert_array_equal(Lambda, expected[1])
+
+    # when no order ends Optimal there is no bound: the error names both
+    monkeypatch.setattr(certify, "solve", capped(first_only=False))
+    with pytest.raises(NumericalTroubleError) as err:
+        lower_level_solve(u, prob)
+    assert f"order {k_min}: IterLimit" in str(err.value)
+    assert f"order {k_min + 1}: IterLimit" in str(err.value)
+
+
+def test_lower_level_refuses_an_index_set_its_grid_misses():
+    # the circle {q = 0} of centre (0.3, 0.31) and radius 0.114 passes
+    # between the points of the 41-per-axis grid, and the origin is not on
+    # it.  At u = (0, 0.5), p(u, y) = x2 - 1 does not depend on y, so the
+    # solve needs a point of Y to report and must not make one up
+    q = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): -0.6,
+                       (0, 1): -0.62, (0, 0): 0.1731})
+    circle = Semialgebraic((q, q.scale(-1.0)))
+    joint = Polynomial(4, {(1, 0, 1, 0): 1.0, (0, 1, 0, 0): 1.0,
+                           (0, 0, 0, 0): -1.0})
+    prob = FsippProblem(Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0}),
+                        Polynomial.constant(2, 1.0), (),
+                        BivariatePoly.from_joint(joint, 2, 2), circle)
+    with pytest.raises(ValueError, match="no point of the 41-per-axis grid"):
+        lower_level_solve(np.array([0.0, 0.5]), prob)
 
 
 def test_active_sets_split_by_tau():

@@ -1,12 +1,14 @@
-"""Cold start: importing fsipp and solving with it load no scipy and no
-jsonschema.
+"""Cold start: fsipp runs without scipy and loads no jsonschema.
 
-scipy stays a dependency only for the SLSQP polish of a lower-level
-minimizer that no rank certificate covers, which imports it when it runs.
-Problem files are checked by ``fsipp.schemacheck``; jsonschema (with
-referencing, rpds and attrs) is a test dependency only.  A fresh
-interpreter imports the command line, solves and certifies the quarter
-circle, and must not have loaded any of these modules on the way.
+numpy is the only runtime dependency.  scipy is a test dependency (the
+tests' oracle for sparse products and nonnegative least squares), and so
+is jsonschema (with referencing, rpds and attrs): problem files are
+checked by ``fsipp.schemacheck``.  A fresh interpreter in which scipy
+cannot be imported runs the command line: it solves and certifies the
+quarter circle, classifies packaged walk II and runs it with a grid
+export.  Walk II is chosen because one of its lower-level solves ends
+without a rank certificate, so the uncertified outcome runs too.  None of
+the heavy modules may be loaded on the way.
 """
 
 import json
@@ -23,34 +25,50 @@ from test_cli import _options_doc
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPT = """
-import contextlib, io, json, sys
+import sys
+sys.modules["scipy"] = None  # any import of scipy raises ImportError
+import contextlib, io, json
 import fsipp.cli
+quarter, walk, walk_out = sys.argv[1:]
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
-    codes = [fsipp.cli.main(["solve", sys.argv[1]]),
-             fsipp.cli.main(["certify", sys.argv[1], "0.7377,0.6033"])]
+    codes = [fsipp.cli.main(["solve", quarter]),
+             fsipp.cli.main(["certify", quarter, "0.7377,0.6033"]),
+             fsipp.cli.main(["classify", walk]),
+             fsipp.cli.main(["pareto", walk, "--out", walk_out,
+                             "--box", "-1,1,-1,1", "--grid", "20"])]
 heavy = {"scipy", "jsonschema", "referencing", "rpds", "attrs"}
 print(json.dumps({"codes": codes,
-                  "heavy": sorted(m for m in sys.modules
-                                  if m.split(".")[0] in heavy)}))
+                  "heavy": sorted(m for m, mod in sys.modules.items()
+                                  if mod is not None
+                                  and m.split(".")[0] in heavy)}))
 """
 
 
-def test_solve_and_certify_load_no_scipy(tmp_path):
+def test_commands_run_without_scipy(tmp_path):
     prob, opts = instances.quarter_circle_problem()
     options = _options_doc(opts)
     options.pop("case_override")  # the route is inferred for this shape
     path = tmp_path / "quarter.json"
     path.write_text(json.dumps(problem_to_doc(prob, options=options)),
                     encoding="utf-8")
+    mprob, u0, opts = instances.biobjective_case2()
+    walk = tmp_path / "walk.json"
+    walk.write_text(json.dumps(problem_to_doc(
+        mprob, options=_options_doc(opts),
+        hints={"feasible_point": list(u0)})), encoding="utf-8")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                                else []))
-    done = subprocess.run([sys.executable, "-c", SCRIPT, str(path)],
+    done = subprocess.run([sys.executable, "-c", SCRIPT, str(path), str(walk),
+                           str(tmp_path / "walk_report.json")],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    assert result["codes"] == [0, 0]
+    assert result["codes"] == [0, 0, 0, 0]
     assert result["heavy"] == []
+    report = json.loads((tmp_path / "walk_report.json").read_text())
+    assert report["verdict"] == "CERTIFIED"
+    assert (tmp_path / "walk_report.csv").exists()

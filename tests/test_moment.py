@@ -192,6 +192,23 @@ def test_equality_pairs_compile_as_ideals_only_with_coprime_leads():
     assert sdp.A.shape[0] == 4 + 2 * 6 + 1
 
 
+def test_a_repeated_side_of_a_pair_keeps_the_ideal():
+    # (circle, -circle, circle) is the pair written with one side twice:
+    # one equality, and the same blocks and rows as the pair on both sides
+    gens = (_CIRCLE, -_CIRCLE, _CIRCLE)
+    assert QModule(gens, 2).equalities == (_CIRCLE,)
+    once, twice = _compile_both_sides(gens[:2]), _compile_both_sides(gens)
+    assert ([bl.dim for bl in twice.blocks[:-1]]
+            == [bl.dim for bl in once.blocks[:-1]])
+    assert twice.blocks[-1].dims == once.blocks[-1].dims
+    assert twice.A.shape == once.A.shape
+    for part in ("rows", "cols", "vals"):
+        np.testing.assert_array_equal(getattr(twice.A, part),
+                                      getattr(once.A, part))
+    np.testing.assert_array_equal(twice.b, once.b)
+    np.testing.assert_array_equal(twice.objective, once.objective)
+
+
 def test_lower_level_sdp_writes_the_arc_equality_as_rows(monkeypatch):
     # min -p(u, y) over the arc {y1, y2 >= 0, circle = 0} at order 4: the
     # LMI holds the moment matrix and the localizers of y1 and y2 only, and
