@@ -31,8 +31,8 @@ from .certify import certify_point, feasibility_check
 from .errors import OptimumKnownSignal
 from .multiobj import MultiFsippProblem, epsilon_constraint_solve, image_grid
 from .poly import BivariatePoly, Polynomial
-from .relax import (CaseTag, FsippProblem, Interval, QuadraticSet,
-                    RelaxOptions, Semialgebraic, choose_R_gstar,
+from .relax import (CaseTag, FsippProblem, HierarchyRow, Interval,
+                    QuadraticSet, RelaxOptions, Semialgebraic, choose_R_gstar,
                     classify_by, classify_case, convex_shape,
                     convexity_findings, solve_hierarchy)
 
@@ -387,15 +387,10 @@ def _resolved_options(parsed: ParsedProblem, prob: FsippProblem,
 
 
 def _write_rows_csv(out: str, rows) -> None:
-    _write_csv(_csv_path(out),
-               ["k", "r_primal", "r_dual", "dual_status", "primal_status",
-                "dual_iterations", "primal_iterations", "error"],
-               [[r.k,
-                 repr(r.r_primal) if np.isfinite(r.r_primal) else "",
-                 repr(r.r_dual) if np.isfinite(r.r_dual) else "",
-                 r.dual_status, r.primal_status, r.dual_iterations,
-                 r.primal_iterations, r.error or ""]
-                for r in rows])
+    """The report's rows as CSV: csv writes None as "" and a float as its
+    repr."""
+    _write_csv(_csv_path(out), list(_row_doc(HierarchyRow(k=0))),
+               [list(_row_doc(r).values()) for r in rows])
 
 
 def run_solve(parsed: ParsedProblem, args):

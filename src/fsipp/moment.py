@@ -246,10 +246,10 @@ def membership_margin(target: Polynomial, cone: QModule,
     if scale > 0:
         target = target.scale(1.0 / scale)
     builder = SdpBuilder()
-    t = builder.free_block(1)
-    sos_membership_blocks(builder, target, cone, target.nvars,
-                          margin=t.entry(0))
-    builder.set_objective(t.entry(0, -1.0))  # maximize t
+    pair = builder.nonneg_block(2)
+    t = pair.entry(0) - pair.entry(1)  # free
+    sos_membership_blocks(builder, target, cone, target.nvars, margin=t)
+    builder.set_objective(t.scaled(-1.0))  # maximize t
     sol = solve(builder.build(), tol=tol, max_iter=max_iter)
     if sol.status == "Optimal":
         return -sol.primal_value, sol

@@ -35,7 +35,7 @@ from .errors import NumericalTroubleError
 from .poly import BivariatePoly
 from .relax import (CaseTag, FsippProblem, IndexSet, Interval, QuadraticSet,
                     RelaxOptions, check_tag, classify_by,
-                    convexity_findings, solve_hierarchy)
+                    convexity_findings, raster, solve_hierarchy)
 
 
 @dataclass(frozen=True)
@@ -242,9 +242,7 @@ def _grid_points(mprob: MultiFsippProblem, box, grid_size: int) -> np.ndarray:
     box = [(float(lo), float(hi)) for lo, hi in box]
     if len(box) != mprob.m:
         raise ValueError(f"box has {len(box)} axes for {mprob.m} variables")
-    axes = [np.linspace(lo, hi, grid_size) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([g.ravel() for g in mesh])
+    return raster(box, grid_size)
 
 
 def _scalar_feasible(mprob: MultiFsippProblem, pts: np.ndarray):

@@ -9,6 +9,8 @@ relies on this order being deterministic.
 
 from __future__ import annotations
 
+import numpy as np
+
 
 #: Degree reported for the zero polynomial.  A distinct sentinel (never an int).
 ZERO_DEGREE = float("-inf")
@@ -198,8 +200,6 @@ class Polynomial:
 
     def eval_many(self, points) -> "np.ndarray":
         """Vectorized evaluation on an (N, nvars) array; returns shape (N,)."""
-        import numpy as np
-
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.nvars:
             raise ValueError(f"expected (N, {self.nvars}) array")
@@ -251,13 +251,9 @@ class Polynomial:
                 for i in range(self.nvars)]
 
     def gradient_at(self, point) -> "np.ndarray":
-        import numpy as np
-
         return np.array([g.eval(point) for g in self.gradient()])
 
     def hessian_at(self, point) -> "np.ndarray":
-        import numpy as np
-
         H = self.hessian()
         return np.array([[H[i][j].eval(point) for j in range(self.nvars)]
                          for i in range(self.nvars)])

@@ -70,6 +70,14 @@ def _ball_poly(m: int, r2: float) -> Polynomial:
     return Polynomial(m, terms)
 
 
+def raster(box, per_axis: int) -> np.ndarray:
+    """The (per_axis^n, n) raster of a box given as n (lo, hi) pairs,
+    first axis slowest."""
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.column_stack([m.ravel() for m in mesh])
+
+
 @dataclass(frozen=True)
 class Interval:
     """Y = [-1, 1] in a single parameter."""
@@ -152,9 +160,7 @@ class Semialgebraic:
         """The per_axis^n_y raster of the cube [-b, b]^n_y, b the square
         root of the hint (1 without one), first axis slowest."""
         bound = math.sqrt(self.archimedean_hint) if self.archimedean_hint else 1.0
-        axes = [np.linspace(-bound, bound, per_axis)] * self.n_y
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
+        return raster([(-bound, bound)] * self.n_y, per_axis)
 
     def representative_point(self):
         """The point of the 41-per-axis grid deepest in Y.  Raises
@@ -512,7 +518,8 @@ def build_primal_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
     cone_y = _y_cone(prob, opts, tag)
 
     builder = SdpBuilder()
-    rho = builder.free_block(1)
+    pair = builder.nonneg_block(2)
+    rho = pair.entry(0) - pair.entry(1)  # free
     eta = builder.nonneg_block(prob.s) if prob.psis else None
     hm = MomentVarMap(builder, prob.p.n_y, cone_y.order, cone_y.generators)
     vmap = PrimalSdpMap(rho=rho, h_moments=hm, eta=eta)
@@ -525,7 +532,8 @@ def build_primal_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
     for mono, c in prob.f.terms.items():
         target.setdefault(mono, LinExpr()).const += c
     for mono, c in prob.g.terms.items():
-        bump(mono, rho.index(0), -c)
+        for k, v in rho.coeffs.items():
+            bump(mono, k, -c * v)
     for ymono, slice_x in prob.p.slices.items():
         hidx = hm.lin(ymono)
         for mono, c in slice_x.terms.items():
@@ -540,7 +548,7 @@ def build_primal_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
         raise ValueError(f"degree overflow: certificate target has degree {top}, "
                          f"above the cone bound {2 * cone_x.order}")
     sos_membership_blocks(builder, target, cone_x, prob.m)
-    builder.set_objective(rho.entry(0, -1.0))
+    builder.set_objective(rho.scaled(-1.0))
     return builder.build(), vmap
 
 

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (FreeBlock, LmiBlock, NonnegBlock, PsdBlock, SdpProblem,
-                    SparseRows, tri_index)
+from .model import LmiBlock, PsdBlock, SdpProblem, SparseRows, tri_index
 
 
 class LinExpr:
@@ -89,7 +88,8 @@ class PsdHandle:
 
 
 class VecHandle:
-    """Addresses the entries of one Nonneg or Free block."""
+    """Addresses consecutive scalars: a run of nonnegative ones, or the free
+    vector of an LMI block."""
 
     __slots__ = ("offset", "dim")
 
@@ -155,14 +155,10 @@ class SdpBuilder:
         return h
 
     def nonneg_block(self, dim: int) -> VecHandle:
+        """dim nonnegative scalars, each a 1 x 1 PSD block.  A free scalar
+        is written as ``h.entry(0) - h.entry(1)`` of a pair."""
         h = VecHandle(self._offset, dim)
-        self.blocks.append(NonnegBlock(dim))
-        self._offset += dim
-        return h
-
-    def free_block(self, dim: int) -> VecHandle:
-        h = VecHandle(self._offset, dim)
-        self.blocks.append(FreeBlock(dim))
+        self.blocks.extend([PsdBlock(1)] * dim)
         self._offset += dim
         return h
 

@@ -8,14 +8,13 @@ A problem is
 where x is the concatenation of scalarized block variables and K is a
 product of cones:
 
-* ``PsdBlock(s)``  -- an s-by-s symmetric PSD matrix.  Its scalarization is
+* ``PsdBlock(s)`` -- an s-by-s symmetric PSD matrix.  Its scalarization is
   the lower triangle in row-major order: (0,0), (1,0), (1,1), (2,0), ...
   A linear functional with coefficient ``a`` on scalar slot (i,j), i > j,
   means ``a * X[i, j]`` counted once (X is symmetric, the two mirror
-  entries are a single variable).
-* ``NonnegBlock(r)`` -- a vector of r nonnegative scalars.
-* ``FreeBlock(t)``   -- a vector of t unconstrained scalars.
-* ``LmiBlock``       -- a vector w of unconstrained scalars subject to a
+  entries are a single variable).  A nonnegative scalar is a
+  ``PsdBlock(1)``; a free scalar is the difference of two of them.
+* ``LmiBlock``      -- a vector w of unconstrained scalars subject to a
   linear matrix inequality S(w) = sum_a w_a F_a >= 0, S block diagonal.
   There is no constant term: moment and localizing matrices are linear in
   the moments.  Each diagonal block is given by a sparse map from w to its
@@ -82,24 +81,6 @@ class PsdBlock:
         return self.dim * (self.dim + 1) // 2
 
 
-@dataclass(frozen=True)
-class NonnegBlock:
-    dim: int
-
-    @property
-    def scalar_size(self) -> int:
-        return self.dim
-
-
-@dataclass(frozen=True)
-class FreeBlock:
-    dim: int
-
-    @property
-    def scalar_size(self) -> int:
-        return self.dim
-
-
 @dataclass(frozen=True, eq=False)
 class LmiBlock:
     """Free vector w of length ``nvars`` with S(w) = sum_a w_a F_a >= 0.
@@ -119,13 +100,7 @@ class LmiBlock:
 
     def matrices(self, w: np.ndarray) -> list[np.ndarray]:
         """The diagonal blocks of S(w)."""
-        out = []
-        for d, F in zip(self.dims, self.maps):
-            m = np.zeros((d, d))
-            ti, tj = tri_indices(d)
-            m[ti, tj] = m[tj, ti] = F @ w
-            out.append(m)
-        return out
+        return [tri_to_sym(d, F @ w) for d, F in zip(self.dims, self.maps)]
 
     def adjoint(self, mats) -> np.ndarray:
         """F*(Z): the vector <F_a, Z> over the diagonal blocks Z."""
@@ -136,7 +111,7 @@ class LmiBlock:
         return out
 
 
-Block = PsdBlock | NonnegBlock | FreeBlock | LmiBlock
+Block = PsdBlock | LmiBlock
 
 
 @lru_cache(maxsize=None)
@@ -147,6 +122,15 @@ def tri_indices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     # np.tril_indices is already row-major over rows: (0,0),(1,0),(1,1),...
     i.flags.writeable = j.flags.writeable = False
     return i, j
+
+
+def tri_to_sym(dim: int, vals: np.ndarray) -> np.ndarray:
+    """The symmetric dim x dim matrix whose lower triangle, row-major, is
+    ``vals``."""
+    m = np.zeros((dim, dim))
+    ti, tj = tri_indices(dim)
+    m[ti, tj] = m[tj, ti] = vals
+    return m
 
 
 def tri_index(i: int, j: int) -> int:
@@ -193,14 +177,8 @@ class SdpProblem:
         vals = []
         for bl, sl in zip(self.blocks, self.block_slices()):
             seg = np.asarray(x[sl], dtype=float)
-            if isinstance(bl, PsdBlock):
-                m = np.zeros((bl.dim, bl.dim))
-                ti, tj = tri_indices(bl.dim)
-                m[ti, tj] = seg
-                m[tj, ti] = seg
-                vals.append(m)
-            else:
-                vals.append(seg)
+            vals.append(tri_to_sym(bl.dim, seg) if isinstance(bl, PsdBlock)
+                        else seg)
         return vals
 
     def scalarize(self, block_values) -> np.ndarray:
@@ -227,14 +205,9 @@ class SdpProblem:
         for bl, sl in zip(self.blocks, self.block_slices()):
             seg = np.asarray(coeffs[sl], dtype=float)
             if isinstance(bl, PsdBlock):
-                m = np.zeros((bl.dim, bl.dim))
                 ti, tj = tri_indices(bl.dim)
-                off = ti != tj
-                m[ti, tj] = np.where(off, 0.5 * seg, seg)
-                m[tj, ti] = m[ti, tj]
-                out.append(m)
-            else:
-                out.append(seg)
+                seg = tri_to_sym(bl.dim, np.where(ti != tj, 0.5 * seg, seg))
+            out.append(seg)
         return out
 
 
@@ -285,11 +258,6 @@ def check_solution(prob: SdpProblem, sol: SdpSolution) -> dict:
             continue
         if isinstance(bl, PsdBlock):
             wx, wz = psd_violation([val]), psd_violation([sv])
-        elif isinstance(bl, NonnegBlock):
-            wx = max(0.0, -float(np.min(val)))
-            wz = max(0.0, -float(np.min(sv)))
-        elif isinstance(bl, FreeBlock):  # dual slack must vanish
-            wx, wz = 0.0, float(np.max(np.abs(sv)))
         else:  # LmiBlock
             F = bl.matrices(np.asarray(val, dtype=float))
             Z = [next(duals) for _ in F]

@@ -4,10 +4,9 @@ The problem
 
     min <c, x>   s.t.  A x = b,  x in K,  S = F(w) >= 0
 
-(K a product of PSD cones of dimension 2 or more and a nonnegative orthant,
-which also holds each 1 x 1 PSD block; free variables are split into
-differences of nonnegative pairs; w the free vectors of the LMI blocks,
-which the rows may touch too) is embedded in the standard
+(K a product of PSD cones, the 1 x 1 ones taken together as a nonnegative
+orthant; w the free vectors of the LMI blocks, which the rows may touch
+too) is embedded in the standard
 homogeneous self-dual model with variables (x, lam, z, tau, kappa), plus
 S and its dual Z_S for the LMI blocks:
 
@@ -98,8 +97,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (FreeBlock, LmiBlock, PsdBlock, SdpProblem, SdpSolution,
-                    SparseRows, tri_indices)
+from .model import (LmiBlock, PsdBlock, SdpProblem, SdpSolution, SparseRows,
+                    tri_indices, tri_to_sym)
 
 _SQRT2 = float(np.sqrt(2.0))
 _REFINE_PASSES = 3    # GMRES corrections per Newton direction, at most
@@ -304,22 +303,21 @@ def _gmres(correct, e: np.ndarray, passes: int):
 class _Internal:
     """Problem in internal coordinates.
 
-    Internal column j < ``num_scalars`` is model column j, divided by the
-    svec weight on PSD slots; each free column then gets a negated copy
-    (u - v with u, v >= 0).  These n columns are the ones the equality rows
-    touch; an LMI block's vector w is among them, neither split nor signed.
-    After them come the LMI slots, one svec block per diagonal block of
-    each LMI, which hold Z_S in x and S in z (see the module docstring).
-    Numerically empty rows are dropped and the others equilibrated.
-    Everything is assembled from the model's sparse rows by numpy, A and A^T
-    once each.
+    Internal column j < n is model column j, divided by the svec weight on
+    PSD slots; the 1 x 1 PSD blocks are the nonnegative coordinates ``lp``.
+    These n columns are the ones the equality rows touch; an LMI block's
+    vector w is among them, unsigned.  After them come the LMI slots, one
+    svec block per diagonal block of each LMI, which hold Z_S in x and S in
+    z (see the module docstring).  Explicit zero entries and numerically
+    empty rows are dropped and the other rows equilibrated.  Everything is
+    assembled from the model's sparse rows by numpy, A and A^T once each.
     """
 
     def __init__(self, prob: SdpProblem):
-        nm = prob.num_scalars
-        w = np.ones(nm)  # svec weight of each model column
-        is_lp = np.ones(nm, dtype=bool)
-        psd_specs, free, wcols, lmis = [], [], [], []
+        self.n = n = prob.num_scalars
+        w = np.ones(n)  # svec weight of each model column
+        is_lp = np.ones(n, dtype=bool)
+        psd_specs, wcols, lmis = [], [], []
         for bl, sl in zip(prob.blocks, prob.block_slices()):
             # a PsdBlock(1) is an orthant coordinate: the same direction and
             # step, without the per-iteration matrix calls of a PSD group
@@ -328,16 +326,12 @@ class _Internal:
                 w[sl] = np.where(ti == tj, 1.0, _SQRT2)
                 is_lp[sl] = False
                 psd_specs.append((sl.start, bl.dim))
-            elif isinstance(bl, FreeBlock):
-                free.append(np.arange(sl.start, sl.stop))
             elif isinstance(bl, LmiBlock):
                 is_lp[sl] = False
                 wcols.append(np.arange(sl.start, sl.stop))
                 lmis.append(bl)
         self.w = w
-        self.free = np.concatenate(free) if free else np.zeros(0, np.intp)
         self.wcols = np.concatenate(wcols) if wcols else np.zeros(0, np.intp)
-        self.n = n = nm + self.free.size
 
         # LMI slots: F maps w to the slots' svec entries, F^T is its adjoint
         lmi_specs, frows, fcols, fvals = [], [], [], []
@@ -353,19 +347,13 @@ class _Internal:
             woff += bl.nvars
         self.ntot = ntot = off
         self.slots = slice(n, ntot)
-        self.c = np.concatenate([prob.objective / w, -prob.objective[self.free],
-                                 np.zeros(ntot - n)])
+        self.c = np.concatenate([prob.objective / w, np.zeros(ntot - n)])
 
         A = prob.A
         rows, cols = A.rows, A.cols
         vals = A.vals * (1.0 / w)[cols]
-        copy = np.full(nm, -1)
-        copy[self.free] = np.arange(nm, n)
-        dup = copy[cols] >= 0
-        live = np.concatenate([vals, vals[dup]]) != 0.0
-        rows = np.concatenate([rows, rows[dup]])[live]
-        cols = np.concatenate([cols, copy[cols[dup]]])[live]
-        vals = np.concatenate([vals, -vals[dup]])[live]
+        live = vals != 0.0
+        rows, cols, vals = rows[live], cols[live], vals[live]
 
         # drop numerically empty rows (builder cancellations), remember map
         row_max = np.zeros(A.shape[0])
@@ -386,7 +374,7 @@ class _Internal:
         self.psd = [_PsdData(slice(o, o + d * (d + 1) // 2), d, p, rows, cols, vals)
                     for o, d in psd_specs]
         self.groups = _groups(self.psd)
-        self.lp = np.flatnonzero(np.append(is_lp, np.ones(self.free.size, bool)))
+        self.lp = np.flatnonzero(is_lp)
         if self.lp.size:
             # the columns of the nonnegative coordinates, dense over lp_rows,
             # the rows any of them touches
@@ -418,10 +406,7 @@ class _Internal:
     # -- mappings back to model space --------------------------------------
 
     def model_x(self, x_int: np.ndarray) -> np.ndarray:
-        nm = self.w.size
-        xm = x_int[:nm] / self.w
-        xm[self.free] -= x_int[nm:self.n]
-        return xm
+        return x_int[:self.n] / self.w
 
     def model_lam(self, lam_int: np.ndarray) -> np.ndarray:
         lam = np.zeros(self.total_rows)
@@ -431,12 +416,7 @@ class _Internal:
     def lmi_mats(self, v: np.ndarray) -> list[np.ndarray]:
         """The LMI slots of an internal vector as matrices, one per LMI
         diagonal block (Z_S from x, S from z)."""
-        out = []
-        for blk in self.lmi:
-            m = np.zeros((blk.dim, blk.dim))
-            m[blk.ti, blk.tj] = m[blk.tj, blk.ti] = v[blk.sl] / blk.w
-            out.append(m)
-        return out
+        return [tri_to_sym(blk.dim, v[blk.sl] / blk.w) for blk in self.lmi]
 
 
 def _groups(blocks: list[_PsdData]) -> list[_PsdGroup]:

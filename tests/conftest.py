@@ -174,7 +174,8 @@ def zlinear_gram_margin(h):
              for i in range(m) for xm in monomials_up_to(m, dz)]
     builder = SdpBuilder()
     G = builder.psd_block(len(basis))
-    t = builder.free_block(1)
+    pair = builder.nonneg_block(2)
+    t = pair.entry(0) - pair.entry(1)  # free
     rows = {}
     for i1 in range(len(basis)):
         for i2 in range(i1, len(basis)):
@@ -182,11 +183,12 @@ def zlinear_gram_margin(h):
             rows.setdefault(prod, LinExpr()).add_term(
                 G.entry_index(i2, i1), 1.0 if i1 == i2 else 2.0)
     for b in basis:
-        rows.setdefault(_add(b, b), LinExpr()).add_term(t.index(0), 1.0)
+        for k, v in t.coeffs.items():
+            rows.setdefault(_add(b, b), LinExpr()).add_term(k, v)
     for mono in set(rows) | set(terms):
         builder.add_equality(rows.get(mono, LinExpr())
                              - LinExpr.constant(terms.get(mono, 0.0)), 0.0)
-    builder.set_objective(t.entry(0, -1.0))
+    builder.set_objective(t.scaled(-1.0))
     sol = solve(builder.build())
     assert sol.status == "Optimal", sol.status
     return -sol.primal_value

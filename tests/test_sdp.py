@@ -13,14 +13,20 @@ from fsipp.multiobj import scalarize
 from fsipp.poly import Polynomial
 from fsipp.relax import (RelaxOptions, build_dual_sdp, build_primal_sdp,
                          classify_case)
-from fsipp.sdp import (LinExpr, LmiBlock, NonnegBlock, PsdBlock, SdpBuilder,
-                       SdpProblem, check_solution, solve, tri_index)
+from fsipp.sdp import (LinExpr, LmiBlock, PsdBlock, SdpBuilder, SdpProblem,
+                       check_solution, solve, tri_index)
 from fsipp.sdp import solver
 from fsipp.sdp.model import SdpSolution, tri_indices
 
 from test_multiobj import _identical_pair_problem
 
 TOL = 1e-8
+
+
+def free_scalars(b, count):
+    """``count`` free scalars, each the difference of a nonnegative pair."""
+    pairs = b.nonneg_block(2 * count)
+    return [pairs.entry(2 * i) - pairs.entry(2 * i + 1) for i in range(count)]
 
 
 def diag_trace_problem():
@@ -106,14 +112,17 @@ def test_solve_detects_dual_infeasible():
 
 
 def test_solve_with_free_block():
+    # min t s.t. t = -5, the free t written as u - v with u, v >= 0
     b = SdpBuilder()
-    t = b.free_block(1)
-    b.set_objective(t.entry(0))
-    b.add_equality(t.entry(0), -5.0)
+    (t,) = free_scalars(b, 1)
+    b.set_objective(t)
+    b.add_equality(t, -5.0)
     sol = solve(b.build())
     assert sol.status == "Optimal"
     assert sol.primal_value == pytest.approx(-5.0, abs=1e-6)
-    assert sol.primal_point[0][0] == pytest.approx(-5.0, abs=1e-6)
+    u, v = sol.primal_point
+    assert min(u.item(), v.item()) >= 0.0
+    assert u.item() - v.item() == pytest.approx(-5.0, abs=1e-6)
 
 
 def test_solve_mixed_blocks_and_offdiagonal_coupling():
@@ -131,34 +140,25 @@ def test_solve_mixed_blocks_and_offdiagonal_coupling():
     assert sol.primal_value == pytest.approx(expect, rel=1e-6)
 
 
-def _mixed_with_scalar_psd():
+def test_nonneg_block_is_scalar_psd_blocks_on_the_orthant():
+    # nonneg_block(r) is r PsdBlock(1), which the solver keeps as
+    # nonnegative coordinates and never as PSD groups
     b = SdpBuilder()
     X = b.psd_block(2)
-    s = b.psd_block(1)
-    b.set_objective(X.entry(0, 0) + X.entry(1, 1) + s.entry(0, 0))
-    b.add_equality(X.entry(0, 1), 1.0)
-    b.add_equality(s.entry(0, 0) - X.entry(0, 0), 0.0)
-    return b.build()
-
-
-def _case2_moment_sdp():
-    # the S-lemma multiplier of a Case2 moment SDP is a PsdBlock(1)
-    prob, opts = instances.case2_problem()
-    return build_dual_sdp(prob, opts, classify_case(prob, opts.case_override))[0]
-
-
-@pytest.mark.parametrize("build", [_mixed_with_scalar_psd, _case2_moment_sdp],
-                         ids=["mixed", "case2"])
-def test_scalar_psd_block_solves_as_its_nonneg_twin(build):
-    sdp = build()
-    assert PsdBlock(1) in sdp.blocks
-    twin = SdpProblem([NonnegBlock(1) if bl == PsdBlock(1) else bl
-                       for bl in sdp.blocks], sdp.objective, sdp.A, sdp.b)
-    a, b = solve(sdp), solve(twin)
-    assert a.status == b.status == "Optimal"
-    assert a.iterations == b.iterations
-    assert a.primal_value == pytest.approx(b.primal_value, abs=1e-10)
-    assert a.dual_value == pytest.approx(b.dual_value, abs=1e-10)
+    v = b.nonneg_block(3)
+    Y = b.psd_block(2)
+    b.set_objective(X.entry(0, 0) + X.entry(1, 1) + v.entry(2) + Y.entry(1, 1))
+    b.add_equality(X.entry(0, 1) + v.entry(0) - v.entry(1), 1.0)
+    b.add_equality(v.entry(2) + Y.entry(0, 0) - X.entry(0, 0), 0.0)
+    prob = b.build()
+    assert prob.blocks == [PsdBlock(2)] + [PsdBlock(1)] * 3 + [PsdBlock(2)]
+    assert [v.index(i) for i in range(3)] == [3, 4, 5]
+    ii = solver._Internal(prob)
+    assert ii.lp.tolist() == [3, 4, 5]
+    assert [(blk.sl.start, blk.dim) for blk in ii.psd] == [(0, 2), (6, 2)]
+    sol = solve(prob)
+    assert sol.status == "Optimal"
+    assert [m.shape for m in sol.primal_point] == [(2, 2)] + [(1, 1)] * 3 + [(2, 2)]
 
 
 # ---------------------------------------------------------------- checks
@@ -183,10 +183,10 @@ def test_check_solution_flags_perturbation():
 
 
 def test_check_solution_zero_constraints():
-    blocks = [NonnegBlock(1)]
+    blocks = [PsdBlock(1)]
     prob = SdpProblem(blocks, [1.0], np.zeros((0, 1)), [])
     sol = SdpSolution(status="Optimal", primal_value=0.0, dual_value=0.0,
-                      primal_point=[np.array([0.0])], dual_point=np.zeros(0))
+                      primal_point=[np.zeros((1, 1))], dual_point=np.zeros(0))
     assert check_solution(prob, sol)["primal"] == 0.0
 
 
@@ -376,11 +376,12 @@ def test_quarter_circle_order_four_iterations_and_values():
 
 def schur_test_problem():
     """150 equalities over a PSD block in every row, a PSD block in four
-    runs of rows, a PSD block in no row, a nonnegative and a free block."""
+    runs of rows, a PSD block in no row, nonnegative scalars and free
+    scalars written as pairs."""
     rng = np.random.default_rng(11)
     b = SdpBuilder()
     X, Y, W = b.psd_block(5), b.psd_block(3), b.psd_block(2)
-    v, f = b.nonneg_block(3), b.free_block(2)
+    v, f = b.nonneg_block(3), free_scalars(b, 2)
     y_rows = set(range(10, 40)) | {70, 71, 100} | set(range(120, 150))
     obj = W.entry(0, 0) + W.entry(1, 1)
     for i in range(5):
@@ -395,7 +396,7 @@ def schur_test_problem():
         if r % 7 == 0:
             row += v.entry(r % 3, float(rng.normal()))
         if r % 11 == 0:
-            row += f.entry(r % 2, float(rng.normal()))
+            row += f[r % 2].scaled(float(rng.normal()))
         b.add_equality(row, float(rng.normal()))
     return b.build()
 
@@ -442,18 +443,19 @@ def touched_rows_case():
 
 
 def shared_columns_case():
-    """Rows sharing several nonnegative or free columns, with x / z on them
-    spread over twelve decades."""
+    """Rows sharing several nonnegative columns, of either sign when they
+    hold a free scalar's pair, with x / z on them spread over twelve
+    decades."""
     rng = np.random.default_rng(29)
     b = SdpBuilder()
-    X, v, f = b.psd_block(2), b.nonneg_block(9), b.free_block(3)
+    X, v, f = b.psd_block(2), b.nonneg_block(9), free_scalars(b, 3)
     b.set_objective(X.entry(0, 0) + X.entry(1, 1))
     for r in range(40):
         row = X.entry(r % 2, r % 2)
         for j in rng.choice(9, size=int(rng.integers(1, 8)), replace=False):
             row += v.entry(int(j), float(rng.normal() * 10.0 ** rng.integers(-3, 4)))
         if r % 3:
-            row += f.entry(r % 3, float(rng.normal()))
+            row += f[r % 3].scaled(float(rng.normal()))
         b.add_equality(row, float(rng.normal()))
     ii = solver._Internal(b.build())
     touches = (abs(scipy_rows(ii.A)[:, ii.lp]) > 0).astype(float)
