@@ -27,6 +27,16 @@ def ceil_half(deg) -> int:
     return (int(deg) + 1) // 2
 
 
+def _power(x, e: int):
+    """x ** e, e >= 1, by repeated multiplication: one rule for floats and
+    arrays, so that scalar and vectorized evaluation agree bit for bit
+    (Python's ``**`` and numpy's differ in the last bit)."""
+    out = x
+    for _ in range(e - 1):
+        out = out * x
+    return out
+
+
 def monomials_up_to(nvars: int, degree: int) -> list[tuple[int, ...]]:
     """All exponent vectors in ``nvars`` variables of total degree <= degree,
     in graded lex order."""
@@ -194,7 +204,7 @@ class Polynomial:
             prod = coef
             for x, e in zip(point, expo):
                 if e:
-                    prod *= float(x) ** e
+                    prod *= _power(float(x), e)
             total += prod
         return total
 
@@ -208,7 +218,7 @@ class Polynomial:
             term = np.full(pts.shape[0], coef)
             for i, e in enumerate(expo):
                 if e:
-                    term *= pts[:, i] ** e
+                    term *= _power(pts[:, i], e)
             out += term
         return out
 
@@ -349,7 +359,7 @@ class BivariatePoly:
             weight = 1.0
             for v, e in zip(ypoint, yexp):
                 if e:
-                    weight *= float(v) ** e
+                    weight *= _power(float(v), e)
             if weight != 0.0:
                 result = result + px.scale(weight)
         return result

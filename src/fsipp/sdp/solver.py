@@ -21,17 +21,20 @@ Search directions are Newton steps on the complementarity conditions in
 scaled form (dX + sym(Z^-1 dZ X) = rhs), i.e. the HKM direction, driven by
 a Mehrotra predictor-corrector from x = z = xi I (the identity of every
 cone, tau = kappa = 1), where xi = max(1, |c| / sqrt(nu)) gives z the size
-of a large objective.  The Schur complement M = A W A^T is a
-dense p x p matrix, assembled per PSD block over only the r constraint
-rows that touch the block (Fujisawa-Kojima-Nakata 1997): each block keeps
-its symmetric constraint matrices T_j for those rows, forms Z^-1 T_j X for
-them with batched matrix products and adds the r x r matrix of their inner
-products with the T_i into M as one matrix product, so blocks touched by
-few rows cost little.  M is factored by numpy's Cholesky, M = L L^T, and
-every solve with M is two products with the inverse factor L^-1, formed
-once per iteration (see :func:`_tri_inv`).  The linear algebra is numpy's
-alone.  Everything is deterministic -- repeated runs produce bit-identical
-iterates.
+of a large objective.
+
+The Schur complement M = A W A^T is a dense p x p matrix, assembled per
+PSD block over only the r constraint rows that touch the block
+(Fujisawa-Kojima-Nakata 1997).  With X = L_X L_X^T and Z = L_Z L_Z^T, entry
+(a, b) of a block's part is <T_a, Z^-1 T_b X> = <K_a, K_b> for
+K_a = L_Z^-1 T_a L_X, the T_a being the block's symmetric constraint
+matrices: the block forms K for its rows with two batched matrix products
+and adds K K^T into M, so blocks touched by few rows cost little.  The
+nonnegative coordinates add Q Q^T with Q = A_lp diag(sqrt(x / z)).  M is
+factored by numpy's Cholesky, M = L L^T, and every solve with M is two
+products with the inverse factor L^-1, formed once per iteration (see
+:func:`_tri_inv`).  The linear algebra is numpy's alone.  Everything is
+deterministic -- repeated runs produce bit-identical iterates.
 
 An LMI block is linearized the way SDPA treats its dual slack (the dual
 HKM direction): dZ_S = rc_S - sym(Z_S dS S^-1) with dS = F(dw) + (F(w) -
@@ -41,32 +44,41 @@ S), so the w rows read  H dw = F*(rc_S - sym(Z_S (F(w) - S) S^-1)) +
     H = sum_j F_j^T (Z_S (x) S^-1) F_j,   H_ab = <F_a, sym(S^-1 F_b Z_S)>,
 
 an N x N matrix (N the length of w) assembled per LMI diagonal block like
-M.  Then w enters the elimination as a column with W = H^-1, and only the
-reduced Schur matrix M = A_G W A_G^T + B H^-1 B^T over the p equality rows
-is factored; the LMI's own entries add no row.  Internally S and Z_S sit
-in slots after the columns the rows touch, with their roles swapped (Z_S
-in x, S in z): the dual HKM scaling of (S, Z_S) is the HKM scaling of
+M, with K_a = L_S^-1 F_a L_{Z_S}.  Then w enters the elimination as a
+column with W = H^-1, and only the reduced Schur matrix
+M = A_G W A_G^T + U^T U, U = L_H^-1 B^T, over the p equality rows is
+factored; the LMI's own entries add no row.  Internally S and Z_S sit in
+slots after the columns the rows touch, with their roles swapped (Z_S in
+x, S in z): the dual HKM scaling of (S, Z_S) is the HKM scaling of
 (Z_S, S), so the stacking, the cone test, the step bound and the corrector
 treat the slots as PSD blocks.
 
-Most SDPs fsipp solves are tiny, so the fixed cost of an iteration is kept
-small.  PSD blocks of equal dimension are stacked: reading them out of x
-or z, the Cholesky cone test, the W products and the corrector take one
-numpy call per dimension (LMI slots stacked apart from ordinary blocks).
-The step to the PSD boundary is -1 over the
-smallest eigenvalue of L^-1 dX L^-T (and of its Z counterpart), with L the
-accepted Cholesky factor; the inverse factors are formed once per
-iteration, one stacked call per dimension, and serve Z^-1 = L_Z^-T L_Z^-1,
-the predictor and the corrector; the eigenvalues come from one stacked
-``eigvalsh`` per dimension.  The stop test reads its residuals off r_p,
-S - F(w) and r_d (r_p / tau = A x / tau - b, -r_d / tau = A^T lam / tau +
-z / tau - c), and A, F and the rows each block touches are assembled once
-per solve.
+Most SDPs fsipp solves are tiny, so an iteration makes few, larger numpy
+calls.  The ordinary PSD blocks form one stack and the LMI slots another,
+each block bordered by the identity to the largest dimension D of its
+kind: X and Z read as (k, D, D) stacks of diag(X_j, I), and the Cholesky
+cone test, the inverse factors, the step limits, the W products and the
+corrector take one call per kind.  A border's factors are the identity
+and its directions zero, so it changes no block's values beyond rounding.
+The kinds stay apart: on the large moment SDPs the LMI slots are about
+twice the Gram blocks' size, and one stack would cost more than the call
+it saves.  The step to the PSD boundary is -1 over the smallest
+eigenvalue of L^-1 dX L^-T (and of its Z counterpart), L the accepted
+Cholesky factor.  The inverse factors are formed once per iteration and
+serve Z^-1 = L_Z^-T L_Z^-1, the K and both steps; the corrector reuses the
+predictor's reads of its direction.  The stop test reads its residuals
+off r_p, S - F(w) and r_d (r_p / tau = A x / tau - b, -r_d / tau =
+A^T lam / tau + z / tau - c).  A, F and the stacks are built once per
+solve.
 
 Near a degenerate optimum (no strict complementarity, as in the exact
 Case1 moment SDPs and the lower-level moment SDPs) W, H and M grow very
-ill-conditioned.  Three safeguards keep the iterates accurate there:
+ill-conditioned.  Four safeguards keep the iterates accurate there:
 
+* M and H are sums of Gram matrices (K K^T, Q Q^T, U^T U), each formed by
+  numpy as a symmetric rank-k update that computes one triangle and
+  mirrors it: they come out exactly symmetric, and positive semidefinite
+  up to the rounding of the factors K, however graded the iterate;
 * the elimination solves for M^-1 b apart from M^-1 A W c, and forms its
   tau pivot from b.M^-1 b and the W-norm of the projected objective
   c - A^T M^-1 A W c, two nonnegative terms, instead of differences of
@@ -95,6 +107,8 @@ converted on the way in and out.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import (LmiBlock, PsdBlock, SdpProblem, SdpSolution, SparseRows,
@@ -106,7 +120,6 @@ _REFINE_FRAC = 0.1    # refine while A dx - b dtau = -r_p is missed by more
                       # than this fraction of |r_p|
 _BACKTRACK = 0.5      # step shrink factor while a trial point leaves the cone
 _MIN_STEP = 1e-12     # below this, no step into the cone interior was found
-_PANEL = 64           # rows per panel when symmetrizing the Schur matrix
 _TRI_LEAF = 32        # triangular factors up to this size are inverted whole
 _EPS = float(np.finfo(float).eps)
 
@@ -124,8 +137,7 @@ class _PsdData:
     (a slice when the block touches them all).
     """
 
-    __slots__ = ("sl", "dim", "ti", "tj", "w", "fij", "fji", "rows", "rix",
-                 "runs", "T")
+    __slots__ = ("sl", "dim", "ti", "tj", "w", "rows", "rix", "runs", "T")
 
     def __init__(self, sl, dim, p, rows, cols, vals):
         """``rows``, ``cols``, ``vals``: the entries of the p-row internal
@@ -134,9 +146,6 @@ class _PsdData:
         self.dim = dim
         self.ti, self.tj = tri_indices(dim)
         self.w = np.where(self.ti == self.tj, 1.0, _SQRT2)
-        # flat positions of (ti, tj) and (tj, ti) in a row-major dim x dim
-        self.fij = self.ti * dim + self.tj
-        self.fji = self.tj * dim + self.ti
         mine = (cols >= sl.start) & (cols < sl.stop)
         c, v = cols[mine] - sl.start, vals[mine]
         rows, at = np.unique(rows[mine], return_inverse=True)
@@ -154,43 +163,49 @@ class _PsdData:
         self.T = T
 
 
-class _PsdGroup:
-    """The PSD blocks of one dimension and kind, stacked.
+class _Stack:
+    """The PSD blocks of one kind, each bordered to the largest dimension D
+    and stacked.
 
-    ``mats`` reads the blocks' symmetric matrices out of internal vectors as
-    one (k, dim, dim) array per vector and ``put`` writes such a stack back,
-    so the per-iteration matrix work takes one numpy call per dimension, not
-    one per block.  ``members`` are the blocks' positions in ``_Internal.psd``
-    (or ``_Internal.lmi``).
+    ``mats`` reads the blocks' symmetric matrices out of internal vectors,
+    zero on the border, whose svec weight inf divides any slot to 0.  Adding
+    ``eye``, the identity on the border, makes a read of X or Z a stack of
+    diag(X_j, I), whose Cholesky and inverse factors are the blocks' own
+    bordered by I.  ``put`` writes the blocks' part of a stack back.
     """
 
-    __slots__ = ("dim", "members", "idx", "full", "wfull", "fij", "w")
+    __slots__ = ("blocks", "dim", "full", "wfull", "eye", "idx", "flat", "w")
 
-    def __init__(self, members, blocks):
-        b0 = blocks[0]
-        d = self.dim = b0.dim
-        nsv = d * (d + 1) // 2
-        self.members = members
-        self.idx = np.array([np.arange(b.sl.start, b.sl.stop) for b in blocks],
-                            dtype=np.intp).reshape(len(blocks), nsv)
-        # svec slot of each entry of a row-major dim x dim matrix
-        slot = np.empty(d * d, dtype=np.intp)
-        slot[b0.fij] = np.arange(nsv)
-        slot[b0.fji] = np.arange(nsv)
-        self.full = self.idx[:, slot]
-        self.wfull = b0.w[slot]
-        self.fij = b0.fij
-        self.w = b0.w
+    def __init__(self, blocks: list[_PsdData]):
+        self.blocks = blocks
+        D = self.dim = max(b.dim for b in blocks)
+        shape = (len(blocks), D, D)
+        self.full = np.zeros(shape, dtype=np.intp)  # svec slot of each entry
+        self.wfull = np.full(shape, np.inf)         # svec weight of each entry
+        self.eye = np.zeros(shape)
+        for j, b in enumerate(blocks):
+            for a, c in ((b.ti, b.tj), (b.tj, b.ti)):
+                self.full[j, a, c] = np.arange(b.sl.start, b.sl.stop)
+                self.wfull[j, a, c] = b.w
+            self.eye[j, range(b.dim, D), range(b.dim, D)] = 1.0
+        self.idx = np.concatenate([np.arange(b.sl.start, b.sl.stop) for b in blocks])
+        self.flat = np.concatenate([(j * D + b.ti) * D + b.tj
+                                    for j, b in enumerate(blocks)])
+        self.w = np.concatenate([b.w for b in blocks])
 
     def mats(self, *vecs: np.ndarray) -> np.ndarray:
-        """The blocks' matrices in each of ``vecs`` in turn, (len(vecs) * k,
-        dim, dim)."""
-        vals = np.concatenate([v[self.full] for v in vecs]) / self.wfull
-        return vals.reshape(-1, self.dim, self.dim)
+        """The blocks' matrices in each of ``vecs``, (len(vecs), k, D, D)."""
+        return np.array([v[self.full] for v in vecs]) / self.wfull
 
     def put(self, out: np.ndarray, mats: np.ndarray) -> None:
-        """Write a (k, dim, dim) stack of symmetric matrices into ``out``."""
-        out[self.idx] = mats.reshape(len(self.idx), -1)[:, self.fij] * self.w
+        """Write the blocks' part of a (k, D, D) symmetric stack into ``out``."""
+        out[self.idx] = mats.reshape(-1)[self.flat] * self.w
+
+    def factors(self, L: np.ndarray, Linv: np.ndarray) -> list:
+        """(L_X, L_Z^-1) of each block, unbordered, from the stacked Cholesky
+        factors ``L`` and their inverses ``Linv`` (X first, then Z)."""
+        return [(L[0, j, :b.dim, :b.dim], Linv[1, j, :b.dim, :b.dim])
+                for j, b in enumerate(self.blocks)]
 
 
 def _chol(mat: np.ndarray) -> np.ndarray | None:
@@ -261,10 +276,16 @@ def _psd_step_limit(Linv: np.ndarray, delta: np.ndarray) -> float:
     """Largest step a with L L^T + a delta still PSD for every pair in the
     stacks, given the inverse Cholesky factors ``Linv``: -1 over the
     smallest eigenvalue of any L^-1 delta L^-T, or inf (no bound) when all
-    of them are PSD."""
-    S = Linv @ delta @ Linv.transpose(0, 2, 1)
-    lmin = float(np.linalg.eigvalsh(0.5 * (S + S.transpose(0, 2, 1)))[:, 0].min())
+    of them are PSD.  A border where delta is zero and L^-1 the identity
+    adds the eigenvalue 0, which bounds nothing."""
+    S = Linv @ delta @ Linv.swapaxes(-1, -2)
+    lmin = float(np.linalg.eigvalsh(0.5 * (S + S.swapaxes(-1, -2)))[..., 0].min())
     return -1.0 / lmin if lmin < 0 else np.inf
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, without ``np.linalg.norm``'s overhead."""
+    return math.sqrt(v @ v)
 
 
 def _gmres(correct, e: np.ndarray, passes: int):
@@ -280,7 +301,7 @@ def _gmres(correct, e: np.ndarray, passes: int):
     or once the residual left has norm at most 1.  Returns the combination
     coefficients and the corrections.
     """
-    beta = float(np.linalg.norm(e))
+    beta = _norm(e)
     basis, fixes = [e / beta], []
     hess = np.zeros((passes + 1, passes))
     for k in range(passes):
@@ -289,11 +310,11 @@ def _gmres(correct, e: np.ndarray, passes: int):
         for i, v in enumerate(basis):  # modified Gram-Schmidt
             hess[i, k] = w @ v
             w = w - hess[i, k] * v
-        hess[k + 1, k] = float(np.linalg.norm(w))
+        hess[k + 1, k] = _norm(w)
         rhs = np.zeros(k + 2)
         rhs[0] = beta
         coef = np.linalg.lstsq(hess[:k + 2, :k + 1], rhs, rcond=None)[0]
-        left = float(np.linalg.norm(rhs - hess[:k + 2, :k + 1] @ coef))
+        left = _norm(rhs - hess[:k + 2, :k + 1] @ coef)
         if left <= 1.0 or hess[k + 1, k] <= _EPS * beta:
             break
         basis.append(w / hess[k + 1, k])
@@ -320,7 +341,7 @@ class _Internal:
         psd_specs, wcols, lmis = [], [], []
         for bl, sl in zip(prob.blocks, prob.block_slices()):
             # a PsdBlock(1) is an orthant coordinate: the same direction and
-            # step, without the per-iteration matrix calls of a PSD group
+            # step, without the per-iteration matrix work of a PSD stack
             if isinstance(bl, PsdBlock) and bl.dim > 1:
                 ti, tj = tri_indices(bl.dim)
                 w[sl] = np.where(ti == tj, 1.0, _SQRT2)
@@ -373,7 +394,6 @@ class _Internal:
 
         self.psd = [_PsdData(slice(o, o + d * (d + 1) // 2), d, p, rows, cols, vals)
                     for o, d in psd_specs]
-        self.groups = _groups(self.psd)
         self.lp = np.flatnonzero(is_lp)
         if self.lp.size:
             # the columns of the nonnegative coordinates, dense over lp_rows,
@@ -384,6 +404,7 @@ class _Internal:
             self.lp_rows, at = np.unique(rows[mine], return_inverse=True)
             self.A_lp = np.zeros((self.lp_rows.size, self.lp.size))
             self.A_lp[at, lp_col[cols[mine]]] = vals[mine]
+            self.lp_ix = np.ix_(self.lp_rows, self.lp_rows)
 
         self.lmi = []
         if lmis:
@@ -399,7 +420,8 @@ class _Internal:
             self.F[fcols - n, frows] = fvals
             self.lmi = [_PsdData(slice(o, o + d * (d + 1) // 2), d, nw,
                                  frows, fcols, fvals) for o, d in lmi_specs]
-        self.lmi_groups = _groups(self.lmi)
+        # one stack per kind, ordinary blocks first, then the LMI slots
+        self.stacks = [_Stack(blocks) for blocks in (self.psd, self.lmi) if blocks]
         self.nu = (sum(d for _, d in psd_specs) + self.lp.size
                    + sum(d for _, d in lmi_specs))
 
@@ -419,70 +441,40 @@ class _Internal:
         return [tri_to_sym(blk.dim, v[blk.sl] / blk.w) for blk in self.lmi]
 
 
-def _groups(blocks: list[_PsdData]) -> list[_PsdGroup]:
-    """The blocks stacked by dimension."""
-    by_dim: dict[int, list[int]] = {}
-    for pos, blk in enumerate(blocks):
-        by_dim.setdefault(blk.dim, []).append(pos)
-    return [_PsdGroup(members, [blocks[m] for m in members])
-            for members in by_dim.values()]
-
-
 def _add_products(M: np.ndarray, blocks, blk_state) -> None:
     """Add each block's A_j W_j A_j^T into M over the rows that touch it.
 
-    ``blk_state`` holds (X, Z^-1) per block, where W maps V to
-    sym(Z^-1 V X).  Entry (a, b) of a block's product is
-    <T_a, sym(Z^-1 T_b X)> = <T_a, Z^-1 T_b X>, as T_a is symmetric, so the
-    product is one matrix product of the flattened T and Z^-1 T X.  It is
-    added one run of consecutive columns at a time: a slice on one axis of
-    M is much cheaper than an index array on both.
+    ``blk_state`` holds (L_X, L_Z^-1) per block, and the product is K K^T
+    with K_a = L_Z^-1 T_a L_X (see the module docstring).  It is added one
+    run of consecutive columns at a time: a slice on one axis of M is much
+    cheaper than an index array on both.
     """
-    for blk, (X, Zinv) in zip(blocks, blk_state):
-        r, dd = len(blk.T), blk.dim ** 2
-        G = np.matmul(np.matmul(Zinv, blk.T), X)
-        B = blk.T.reshape(r, dd) @ G.reshape(r, dd).T
+    for blk, (LX, R) in zip(blocks, blk_state):
+        K = (R @ blk.T @ LX).reshape(len(blk.T), blk.dim ** 2)
+        B = K @ K.T
         for lo, hi, at in blk.runs:
             M[blk.rix, lo:hi] += B[:, at:at + hi - lo]
 
 
-def _symmetrize(M: np.ndarray) -> np.ndarray:
-    """(M + M^T) / 2 in place.
-
-    A panel of rows and its mirrored columns at a time: a whole transpose
-    would read M a full row apart.
-    """
-    for a in range(0, M.shape[0], _PANEL):
-        S = M[a:a + _PANEL, a:] + M[a:, a:a + _PANEL].T
-        S *= 0.5
-        M[a:a + _PANEL, a:] = S
-        M[a:, a:a + _PANEL] = S.T
-    return M
-
-
 def _schur(ii: _Internal, blk_state, d_lp: np.ndarray) -> np.ndarray:
-    """Schur complement M_G = A W A^T over the ordinary blocks, symmetrized.
-
-    ``blk_state`` holds (X, Z^-1) per PSD block (see :func:`_add_products`);
-    ``d_lp`` is x / z on the nonnegative coordinates.
-    """
-    p = ii.p
-    M = np.zeros((p, p))
+    """Schur complement M_G = A W A^T over the ordinary blocks, from
+    (L_X, L_Z^-1) per PSD block and ``d_lp`` = x / z on the nonnegative
+    coordinates."""
+    M = np.zeros((ii.p, ii.p))
     _add_products(M, ii.psd, blk_state)
     if ii.lp.size:
-        # A_lp diag(d) A_lp^T over the rows the nonnegative coordinates touch
-        L = (ii.A_lp * d_lp) @ ii.A_lp.T
-        M[np.ix_(ii.lp_rows, ii.lp_rows)] += L
-    return _symmetrize(M)
+        Q = ii.A_lp * np.sqrt(d_lp)
+        M[ii.lp_ix] += Q @ Q.T
+    return M
 
 
 def _lmi_schur(ii: _Internal, lmi_state) -> np.ndarray:
     """H = sum_j F_j^T (Z_S (x) S^-1) F_j, H_ab = <F_a, sym(S^-1 F_b Z_S)>,
-    over the LMI blocks.  ``lmi_state`` holds
-    (Z_S, S^-1) per LMI diagonal block."""
+    over the LMI blocks.  ``lmi_state`` holds (L_{Z_S}, L_S^-1) per LMI
+    diagonal block."""
     H = np.zeros((ii.wcols.size, ii.wcols.size))
     _add_products(H, ii.lmi, lmi_state)
-    return _symmetrize(H)
+    return H
 
 
 def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSolution:
@@ -500,7 +492,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     # start from xi times the identity of every cone in both x and z; xi
     # = max(1, |c| / sqrt(nu)) makes |z| match a large objective, so that
     # the first dual residual c - z is not the objective alone
-    xi = max(1.0, float(np.linalg.norm(c)) / np.sqrt(max(ii.nu, 1)))
+    xi = max(1.0, _norm(c) / math.sqrt(max(ii.nu, 1)))
     x = np.zeros(ntot)
     for blk in ii.psd + ii.lmi:
         x[blk.sl] = np.where(blk.ti == blk.tj, xi, 0.0)
@@ -510,10 +502,10 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     tau = kappa = 1.0
     nu1 = ii.nu + 1.0
     mu0 = (x @ z + tau * kappa) / nu1
-    norm_b = 1.0 + np.linalg.norm(b)
-    norm_c = 1.0 + np.linalg.norm(c)
-    cones = ii.groups + ii.lmi_groups  # ordinary blocks first, then LMI slots
-    n_ord = len(ii.groups)
+    norm_b = 1.0 + _norm(b)
+    norm_c = 1.0 + _norm(c)
+    stacks = ii.stacks  # ordinary blocks first, then LMI slots
+    n_ord = 1 if ii.psd else 0
 
     def finish(status: str, iters: int, res: dict) -> SdpSolution:
         zero = np.zeros(ntot)
@@ -544,42 +536,38 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
                            ii.lmi_mats(zs), ii.lmi_mats(xs))
 
     def cone_factors(xv, zv):
-        """Per dimension group, the blocks' X and the plain Cholesky factors
-        of their X and then their Z, stacked; None if any fails."""
+        """Per stack, the blocks' X and the plain Cholesky factors of their
+        X and their Z, (2, k, D, D), bordered by I; None if any fails."""
         out = []
-        for grp in cones:
-            XZ = grp.mats(xv, zv)
+        for st in stacks:
+            XZ = st.mats(xv, zv) + st.eye
             L = _chol(XZ)
             if L is None:
                 return None
-            out.append((XZ[:len(grp.members)], L))
+            out.append((XZ[0], L))
         return out
 
-    def sym_products(groups, scal_part, v, out):
-        """out <- sym(Z^-1 V X) block by block, for the blocks in groups."""
-        for grp, (X, Zinv, _) in zip(groups, scal_part):
-            G = Zinv @ grp.mats(v) @ X
-            grp.put(out, 0.5 * (G + G.transpose(0, 2, 1)))
+    def sym_products(st, scal_st, v, out):
+        """out <- sym(Z^-1 V X) for the blocks of stack ``st``."""
+        X, Zinv, _ = scal_st
+        G = Zinv @ st.mats(v)[0] @ X
+        st.put(out, 0.5 * (G + G.swapaxes(-1, -2)))
 
     facs = cone_factors(x, z)
     res = {"primal": float("inf"), "dual": float("inf"), "gap": float("inf")}
     stalls = 0
     for it in range(1, max_iter + 1):
         # scaling data at the current iterate, from the accepted factors:
-        # per dimension group X, Z^-1 and the inverse factors of X and Z,
-        # which bound the predictor's and the corrector's steps (for the
-        # LMI slots X is Z_S and Z^-1 is S^-1)
+        # per stack X, Z^-1 and the inverse factors of X and Z, which bound
+        # the predictor's and the corrector's steps, and per block the
+        # factors its part of M or H is built from (for the LMI slots X is
+        # Z_S and Z^-1 is S^-1)
         scal = []  # (X, Zinv, Linv) stacks
-        blk_state = [None] * len(ii.psd)  # (X, Zinv) per block, for _schur
-        lmi_state = [None] * len(ii.lmi)
-        for gi, (grp, (X, L)) in enumerate(zip(cones, facs)):
+        states = []  # (L_X, L_Z^-1) per block, per stack
+        for st, (X, L) in zip(stacks, facs):
             Linv = _tri_inv(L)
-            LZinv = Linv[len(grp.members):]
-            Zinv = LZinv.transpose(0, 2, 1) @ LZinv
-            scal.append((X, Zinv, Linv))
-            state = blk_state if gi < n_ord else lmi_state
-            for j, m in enumerate(grp.members):
-                state[m] = (X[j], Zinv[j])
+            scal.append((X, Linv[1].swapaxes(-1, -2) @ Linv[1], Linv))
+            states.append(st.factors(L, Linv))
 
         r_p = A @ x - b * tau
         r_d = -(AT @ lam) + c * tau - z
@@ -595,11 +583,11 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
 
         # r_p / tau = A (x / tau) - b and -r_d / tau = A^T (lam / tau)
         # + z / tau - c: the stop test reads its residuals off them
-        norm_rp = float(np.linalg.norm(r_p))
-        norm_pr = float(np.hypot(norm_rp, np.linalg.norm(r_s))) if nw else norm_rp
+        norm_rp = _norm(r_p)
+        norm_pr = math.hypot(norm_rp, _norm(r_s)) if nw else norm_rp
         pv = float(c @ x / tau)
         dv = float(b @ lam / tau)
-        norm_rd = float(np.linalg.norm(r_d))
+        norm_rd = _norm(r_d)
         pres = norm_pr / (tau * norm_b)
         dres = norm_rd / (tau * norm_c)
         gap = abs(pv - dv) / (1.0 + abs(pv) + abs(dv))
@@ -615,12 +603,12 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
                 if nw:
                     ray[slots] = 0.0
                     ray[wc] += zw
-                if float(np.linalg.norm(ray)) <= 1e-7 * blam:
+                if _norm(ray) <= 1e-7 * blam:
                     return finish("PrimalInfeasible", it - 1, res)
             if cx < 0:
-                ax = float(np.linalg.norm(A @ x))
+                ax = _norm(A @ x)
                 if nw:
-                    ax = float(np.hypot(ax, np.linalg.norm(r_s)))
+                    ax = math.hypot(ax, _norm(r_s))
                 if ax <= 1e-7 * (-cx):
                     return finish("DualInfeasible", it - 1, res)
             if mu < 1e-12 * mu0:
@@ -632,18 +620,18 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         # M = A_G W A_G^T + B H^-1 B^T over the equality rows; a solve with
         # either is two products with the inverse of its Cholesky factor
         if nw:
-            Hw = _lmi_schur(ii, lmi_state)
+            Hw = _lmi_schur(ii, states[-1])
             LH = _chol_jitter(Hw)
             if LH is None:
                 return finish("NumericalTrouble", it - 1, res)
             LHinv = _tri_inv(LH)
-        d_lp = x[ii.lp] / z[ii.lp]
+        x_lp, z_lp = x[ii.lp], z[ii.lp]
+        d_lp = x_lp / z_lp
         if p:
-            M = _schur(ii, blk_state, d_lp)
+            M = _schur(ii, states[0] if n_ord else [], d_lp)
             if nw:
                 U = LHinv @ ii.BT
-                K = U.T @ U
-                M += 0.5 * (K + K.T)
+                M += U.T @ U
             LM = _chol_jitter(M)
             if LM is None:
                 return finish("NumericalTrouble", it - 1, res)
@@ -659,7 +647,8 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
 
         def w_apply(v):
             out = np.zeros_like(v)
-            sym_products(ii.groups, scal, v, out)
+            if n_ord:
+                sym_products(stacks[0], scal[0], v, out)
             out[ii.lp] = d_lp * v[ii.lp]
             if nw:
                 out[wc] = h_solve(v[wc])
@@ -670,7 +659,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             full = np.zeros(ntot)
             full[slots] = v_slots
             out = np.zeros(ntot)
-            sym_products(ii.lmi_groups, scal[n_ord:], full, out)
+            sym_products(stacks[-1], scal[-1], full, out)
             return out[slots]
 
         # An LMI slot's Newton rows: dS = F(dw) + r_s and dZ_S = rc_S - E(dS).
@@ -764,31 +753,36 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             # primal and gap rows carry the Schur solve's error and the w
             # rows (H dw + dz_w = g_w) H's.  Those are refined by GMRES.
             e = weight * np.concatenate([-r_p, [-r_g], g_w]) - rows(d)
-            if max(np.linalg.norm(e[:p]), np.linalg.norm(e[p + 1:])) > 1.0:
+            if max(_norm(e[:p]), _norm(e[p + 1:])) > 1.0:
                 coef, fixes = _gmres(correct, e, _REFINE_PASSES)
                 d = tuple(u + sum(a * f[i] for a, f in zip(coef, fixes))
                           for i, u in enumerate(d))
             return lmi_slots(d, rc) if nw else d
 
+        xz_lp = np.concatenate((x_lp, z_lp))
+
         def step_bound(dx, dz, dtau, dkap):
+            """The largest step inside the cones along a direction, and the
+            direction's (dX, dZ) per stack."""
             a = 1e10
             if dtau < 0:
                 a = min(a, -tau / dtau)
             if dkap < 0:
                 a = min(a, -kappa / dkap)
             if ii.lp.size:
-                for cur, dlt in ((x[ii.lp], dx[ii.lp]), (z[ii.lp], dz[ii.lp])):
-                    neg = dlt < 0
-                    if np.any(neg):
-                        a = min(a, float(np.min(-cur[neg] / dlt[neg])))
-            for grp, (_, _, Linv) in zip(cones, scal):
-                a = min(a, _psd_step_limit(Linv, grp.mats(dx, dz)))
-            return a
+                lo = float((np.concatenate((dx[ii.lp], dz[ii.lp])) / xz_lp).min())
+                if lo < 0:
+                    a = min(a, -1.0 / lo)
+            reads = [st.mats(dx, dz) for st in stacks]
+            for (_, _, Linv), dXZ in zip(scal, reads):
+                a = min(a, _psd_step_limit(Linv, dXZ))
+            return a, reads
 
         # predictor (affine scaling direction)
         rc_aff = with_lmi(-x)
         dxa, dla, dza, dta, dka = newton(rc_aff, -tau * kappa)
-        a_aff = min(1.0, step_bound(dxa, dza, dta, dka))
+        a_aff, reads = step_bound(dxa, dza, dta, dka)
+        a_aff = min(1.0, a_aff)
         mu_aff = ((x + a_aff * dxa) @ (z + a_aff * dza)
                   + (tau + a_aff * dta) * (kappa + a_aff * dka)) / nu1
         sigma = (max(mu_aff, 0.0) / mu) ** 3
@@ -796,20 +790,16 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
 
         # corrector (combined direction)
         rc = np.zeros(ntot)
-        for grp, (X, Zinv, _) in zip(cones, scal):
-            k = len(grp.members)
-            dZX = grp.mats(dza, dxa)
-            dZ, dX = dZX[:k], dZX[k:]
+        for st, (X, Zinv, _), (dX, dZ) in zip(stacks, scal, reads):
             corr = Zinv @ dZ @ dX
-            tgt = sigma * mu * Zinv - X - 0.5 * (corr + corr.transpose(0, 2, 1))
-            grp.put(rc, 0.5 * (tgt + tgt.transpose(0, 2, 1)))
+            tgt = sigma * mu * Zinv - X - 0.5 * (corr + corr.swapaxes(-1, -2))
+            st.put(rc, 0.5 * (tgt + tgt.swapaxes(-1, -2)))
         if ii.lp.size:
-            xl, zl = x[ii.lp], z[ii.lp]
-            rc[ii.lp] = (sigma * mu - xl * zl - dxa[ii.lp] * dza[ii.lp]) / zl
+            rc[ii.lp] = (sigma * mu - x_lp * z_lp - dxa[ii.lp] * dza[ii.lp]) / z_lp
         r_tau = sigma * mu - tau * kappa - dta * dka
 
         dx, dlam, dz, dtau, dkap = newton(with_lmi(rc), r_tau)
-        alpha = min(1.0, 0.99 * step_bound(dx, dz, dtau, dkap))
+        alpha = min(1.0, 0.99 * step_bound(dx, dz, dtau, dkap)[0])
         # backtrack until every PSD block of the trial point factors
         new_facs = None
         while alpha >= _MIN_STEP:

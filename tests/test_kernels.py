@@ -2,8 +2,10 @@
 
 ``OPENBLAS_CORETYPE`` makes OpenBLAS run another of its kernels for the
 same wheels, which sums and blocks differently.  The acceptance module, the
-Schur oracle tests (M and H are summed by the BLAS matrix product, so their
-rounding is the kernel's), the tests of equality pairs compiled as ideals
+Schur oracle tests (M and H are summed by the BLAS symmetric rank-k update,
+so their rounding is the kernel's), the mixed-dimension solve (whose
+bordered stacks go through batched LAPACK calls, which take other kernel
+paths per core type), the tests of equality pairs compiled as ideals
 (which move the quarter circle's SDPs off the face where both halves of a
 pair vanish) and the general-route demo (whose lower-level moment SDP runs
 to 1e-9) are run in subprocesses under kernels other than the one OpenBLAS
@@ -50,7 +52,8 @@ def test_acceptance_and_general_route_under_kernel(kernel, tmp_path):
     runs = [[sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              str(ROOT / "tests" / "test_acceptance.py"),
              sdp_tests + "::test_schur_over_touched_rows_equals_the_full_row_formula",
-             sdp_tests + "::test_lmi_schur_equals_the_dense_formula"],
+             sdp_tests + "::test_lmi_schur_equals_the_dense_formula",
+             sdp_tests + "::test_mixed_dimensions_stack_once_per_kind"],
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              str(ROOT / "tests" / "test_moment.py"), "-k", "equality"],
             [sys.executable, str(ROOT / "demos" / "03_general_route.py")]]

@@ -62,6 +62,15 @@ def test_eval_many_matches_scalar_eval():
     np.testing.assert_allclose(f.eval_many(pts), [f(p) for p in pts])
 
 
+@pytest.mark.parametrize("e", range(2, 7))
+def test_eval_and_eval_many_agree_bit_for_bit(e):
+    # Python's float ** e and numpy's array ** e differ in the last bit on
+    # some points; both evaluations raise coordinates one way.
+    pts = np.random.default_rng(e).normal(size=(100_000, 1)) * 3.0
+    f = P(1, ((e,), 0.7), ((1,), -1.3))
+    np.testing.assert_array_equal(f.eval_many(pts), [f.eval(p) for p in pts])
+
+
 # ---------------------------------------------------------------- arithmetic
 
 def test_difference_of_squares():

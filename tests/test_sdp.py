@@ -142,7 +142,7 @@ def test_solve_mixed_blocks_and_offdiagonal_coupling():
 
 def test_nonneg_block_is_scalar_psd_blocks_on_the_orthant():
     # nonneg_block(r) is r PsdBlock(1), which the solver keeps as
-    # nonnegative coordinates and never as PSD groups
+    # nonnegative coordinates and never in a PSD stack
     b = SdpBuilder()
     X = b.psd_block(2)
     v = b.nonneg_block(3)
@@ -355,6 +355,17 @@ def test_batched_step_bound_equals_the_per_block_eigenvalue():
         assert solver._psd_step_limit(Linv, deltas[:1]) == np.inf
         psd = S @ S.transpose(0, 2, 1)
         assert solver._psd_step_limit(Linv, psd) == np.inf
+        # bordered to a larger dimension as the solver stacks blocks: the
+        # identity on the border of L^-1 and zero on the border of delta
+        # bound nothing, so the limit is the unbordered one up to rounding
+        D = dim + 3
+        Lb, db = np.zeros((2, 4, D, D)), np.zeros((2, 4, D, D))
+        Lb[0, :, :dim, :dim], db[0, :, :dim, :dim] = Linv, deltas
+        Lb[1, :, :dim, :dim], db[1, :, :dim, :dim] = Linv, psd
+        Lb[:, :, range(dim, D), range(dim, D)] = 1.0
+        got = solver._psd_step_limit(Lb, db)
+        assert got == pytest.approx(min(limits), rel=1e-12)
+        assert solver._psd_step_limit(Lb[1], db[1]) == np.inf
 
 
 def test_quarter_circle_order_four_iterations_and_values():
@@ -408,11 +419,13 @@ def scipy_rows(A):
 
 def full_row_schur(ii, blk_state, d_lp):
     """Reference: M = A W A^T with every PSD block over all p rows, by
-    scipy's sparse products."""
+    scipy's sparse products, with X = L_X L_X^T and Z^-1 = R^T R for the
+    factors (L_X, R) in ``blk_state``."""
     A = scipy_rows(ii.A)
     A_lp = A[:, ii.lp]
     M = np.zeros((ii.p, ii.p))
-    for blk, (X, Zinv) in zip(ii.psd, blk_state):
+    for blk, (LX, R) in zip(ii.psd, blk_state):
+        X, Zinv = LX @ LX.T, R.T @ R
         Asp = A[:, blk.sl].tocsr()
         vals = Asp.toarray() / blk.w
         T = np.zeros((ii.p, blk.dim, blk.dim))
@@ -425,21 +438,33 @@ def full_row_schur(ii, blk_state, d_lp):
     return 0.5 * (M + M.T)
 
 
+def graded(rng, decades, size):
+    """``size`` values spread evenly in log over ``decades`` decades around 1."""
+    return 10.0 ** rng.uniform(-decades / 2, decades / 2, size=size)
+
+
+def random_factors(rng, dim, decades):
+    """(L_X, L_Z^-1), the Cholesky factor of a random X and the inverse
+    Cholesky factor of a random Z, whose eigenvalues spread over
+    ``decades`` decades."""
+    def spd():
+        Q = np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+        return (Q * graded(rng, decades, dim)) @ Q.T
+    return np.linalg.cholesky(spd()), np.linalg.inv(np.linalg.cholesky(spd()))
+
+
 def touched_rows_case():
     """The problem above, whose PSD blocks are touched by every row, by four
-    runs of rows and by no row, at one random (X, Z^-1) per block."""
+    runs of rows and by no row, at random factors (L_X, L_Z^-1) per block:
+    once with X, Z and x / z within a decade, once graded over twelve
+    decades, as near a degenerate optimum."""
     ii = solver._Internal(schur_test_problem())
     touched = [blk.rows.size for blk in ii.psd]
     assert touched == [ii.p, 63, 0] and ii.p == 150
     assert len(ii.psd[1].runs) == 4
     rng = np.random.default_rng(5)
-    blk_state = []
-    for blk in ii.psd:
-        R, S = rng.normal(size=(2, blk.dim, blk.dim))
-        X = R @ R.T + np.eye(blk.dim)
-        Zinv = np.linalg.inv(S @ S.T + np.eye(blk.dim))
-        blk_state.append((X, Zinv))
-    return ii, [(blk_state, rng.uniform(0.1, 10.0, size=ii.lp.size))]
+    return ii, [([random_factors(rng, blk.dim, decades) for blk in ii.psd],
+                 graded(rng, decades, ii.lp.size)) for decades in (1.0, 12.0)]
 
 
 def shared_columns_case():
@@ -470,15 +495,16 @@ def shared_columns_case():
 @pytest.mark.parametrize("case", [touched_rows_case, shared_columns_case],
                          ids=["blocks_and_runs", "shared_nonnegative_columns"])
 def test_schur_over_touched_rows_equals_the_full_row_formula(case):
-    """The solver adds each PSD block's product over its touched rows as one
-    dense matrix product, and the nonnegative coordinates' as another; the
-    oracle is scipy's sparse products over all rows.  Both form the same
-    terms and differ only in the order they are summed in, which moves M by
-    about 1e-16 of its largest entry, so 1e-13 of it is the bound."""
+    """The solver adds each PSD block's product over its touched rows as
+    K K^T, and the nonnegative coordinates' as Q Q^T; the oracle is scipy's
+    sparse products over all rows of <T_a, Z^-1 T_b X>.  Both form the same
+    sums, differently bracketed, which moves M by about 1e-16 of its largest
+    entry, so 1e-13 of it is the bound.  M is exactly symmetric."""
     ii, draws = case()
     for blk_state, d_lp in draws:
         M = solver._schur(ii, blk_state, d_lp)
         M_ref = full_row_schur(ii, blk_state, d_lp)
+        assert np.array_equal(M, M.T)
         assert abs(M - M_ref).max() <= 1e-13 * abs(M_ref).max()
 
 
@@ -506,26 +532,27 @@ def half_disc_moment_sdp():
                          ids=["quarter_circle", "localizer_on_a_subset"])
 def test_lmi_schur_equals_the_dense_formula(sdp, touched):
     """H_ab = <F_a, sym(S^-1 F_b Z_S)>, summed over the LMI blocks and built
-    densely from F at random positive definite S and Z_S, bounds the
-    solver's H as the oracle above bounds M."""
+    densely from F with Z_S = L L^T and S^-1 = R^T R for random factors
+    (L, R), bounds the solver's H as the oracle above bounds M, once with S
+    and Z_S within a decade and once graded over twelve decades."""
     ii = solver._Internal(sdp())
     nw = ii.wcols.size
     assert [blk.rows.size for blk in ii.lmi] == touched and max(touched) == nw
     rng = np.random.default_rng(7)
-    lmi_state, H_ref = [], np.zeros((nw, nw))
-    for blk in ii.lmi:
-        R, Q = rng.normal(size=(2, blk.dim, blk.dim))
-        Z_S = R @ R.T + np.eye(blk.dim)
-        S_inv = np.linalg.inv(Q @ Q.T + np.eye(blk.dim))
-        lmi_state.append((Z_S, S_inv))
-        f = ii.F[blk.sl.start - ii.n:blk.sl.stop - ii.n].T / blk.w
-        Fa = np.zeros((nw, blk.dim, blk.dim))
-        Fa[:, blk.ti, blk.tj] = f
-        Fa[:, blk.tj, blk.ti] = f
-        G = S_inv @ Fa @ Z_S
-        H_ref += np.einsum("aij,bij->ab", Fa, 0.5 * (G + G.transpose(0, 2, 1)))
-    H = solver._lmi_schur(ii, lmi_state)
-    assert abs(H - H_ref).max() <= 1e-13 * abs(H_ref).max()
+    for decades in (1.0, 12.0):
+        lmi_state, H_ref = [], np.zeros((nw, nw))
+        for blk in ii.lmi:
+            L, R = random_factors(rng, blk.dim, decades)
+            lmi_state.append((L, R))
+            f = ii.F[blk.sl.start - ii.n:blk.sl.stop - ii.n].T / blk.w
+            Fa = np.zeros((nw, blk.dim, blk.dim))
+            Fa[:, blk.ti, blk.tj] = f
+            Fa[:, blk.tj, blk.ti] = f
+            G = R.T @ R @ Fa @ L @ L.T
+            H_ref += np.einsum("aij,bij->ab", Fa, 0.5 * (G + G.transpose(0, 2, 1)))
+        H = solver._lmi_schur(ii, lmi_state)
+        assert np.array_equal(H, H.T)
+        assert abs(H - H_ref).max() <= 1e-13 * abs(H_ref).max()
 
 
 def test_schur_cholesky_retries_factor_the_shifted_matrix():
@@ -591,6 +618,76 @@ def test_solve_lmi_block():
     assert np.linalg.eigvalsh(sol.lmi_slacks[0])[0] > 0.0
     chk = check_solution(prob, sol)
     assert max(chk.values()) <= 10 * TOL
+
+
+def mixed_dimension_problem():
+    """Ordinary PSD blocks of dims 2, 3 and 5, nonnegative scalars and an
+    LMI whose diagonal blocks have dims 4, 2 and 1, coupled by their rows.
+    S(w) = diag(w0 I + w1 A1 + w2 A2, w0 I + w3 B, w0 + w1) with A1, A2
+    and B traceless, so w0 = 1 bounds w."""
+    rng = np.random.default_rng(31)
+    b = SdpBuilder()
+    Xs = [b.psd_block(d) for d in (2, 3, 5)]
+    v = b.nonneg_block(3)
+    w = b.lmi_block(4)
+
+    def traceless(d):
+        S = rng.normal(size=(d, d))
+        S = S + S.T
+        return S - np.trace(S) / d * np.eye(d)
+
+    def entries(d, mats):
+        """(i, j) -> sum_a w_a mats[a][i, j] over the lower triangle."""
+        out = {}
+        for i in range(d):
+            for j in range(i + 1):
+                expr = LinExpr()
+                for a, F in mats.items():
+                    if F[i, j]:
+                        expr += w.entry(a, float(F[i, j]))
+                out[(i, j)] = expr
+        return out
+
+    w.add_matrix(4, entries(4, {0: np.eye(4), 1: traceless(4), 2: traceless(4)}))
+    w.add_matrix(2, entries(2, {0: np.eye(2), 3: traceless(2)}))
+    w.add_matrix(1, entries(1, {0: np.eye(1), 1: np.eye(1)}))
+    obj = w.entry(1) - w.entry(2) + w.entry(3, 0.5)
+    for X, d in zip(Xs, (2, 3, 5)):
+        C = rng.normal(size=(d, d))
+        C = C @ C.T + np.eye(d)
+        trace = LinExpr()
+        for i in range(d):
+            trace += X.entry(i, i)
+            for j in range(i + 1):
+                obj += X.entry(i, j, float(C[i, j] * (1 if i == j else 2)))
+        b.add_equality(trace, 1.0)
+    for i in range(3):
+        obj += v.entry(i)
+    b.set_objective(obj)
+    b.add_equality(w.entry(0), 1.0)
+    b.add_equality(Xs[0].entry(1, 0) + v.entry(0) - v.entry(1) + w.entry(3), 0.3)
+    b.add_equality(Xs[2].entry(0, 0) - Xs[1].entry(1, 1) + v.entry(2), 0.1)
+    return b.build()
+
+
+def test_mixed_dimensions_stack_once_per_kind():
+    # Blocks of several dimensions share one stack per kind, bordered to
+    # the kind's largest dimension; the border must not leak into the
+    # solution, whose blocks keep their own dimensions.
+    prob = mixed_dimension_problem()
+    ii = solver._Internal(prob)
+    assert [blk.dim for blk in ii.psd] == [2, 3, 5]
+    assert [blk.dim for blk in ii.lmi] == [4, 2, 1]
+    assert ii.lp.size == 3
+    assert [(st.blocks, st.dim) for st in ii.stacks] == [(ii.psd, 5), (ii.lmi, 4)]
+    sol = solve(prob, tol=1e-9)  # check_solution's gap is absolute
+    assert sol.status == "Optimal"
+    assert max(check_solution(prob, sol).values()) <= 1e-8
+    assert [m.shape for m in sol.primal_point] == [(2, 2), (3, 3), (5, 5)] \
+        + [(1, 1)] * 3 + [(4,)]
+    for mats in (sol.lmi_duals, sol.lmi_slacks):
+        assert [m.shape for m in mats] == [(4, 4), (2, 2), (1, 1)]
+        assert all(np.linalg.eigvalsh(m)[0] > 0.0 for m in mats)
 
 
 def test_check_solution_reports_each_lmi_violation():
