@@ -237,6 +237,7 @@ def check_solution(prob: SdpProblem, sol: SdpSolution) -> dict:
                      an LmiBlock, of Z_S and the inf-norm residual of
                      B^T lam + F*(Z_S) = c_w
       gap         -- |<c, x> - <b, lam>|
+      gap_rel     -- gap / (1 + |<c, x>| + |<b, lam>|), the gap ``solve`` tests
       primal_cone -- worst cone violation of x; on an LmiBlock, of F(w)
                      built from the returned w
     """
@@ -269,9 +270,11 @@ def check_solution(prob: SdpProblem, sol: SdpSolution) -> dict:
                      float(np.max(np.abs(sv - bl.adjoint(Z)))))
         worst_x, worst_z = max(worst_x, wx), max(worst_z, wz)
 
+    pv, dv = float(prob.objective @ x), float(prob.b @ lam)
     return {
         "primal": primal,
         "dual": worst_z,
-        "gap": float(abs(prob.objective @ x - prob.b @ lam)),
+        "gap": abs(pv - dv),
+        "gap_rel": abs(pv - dv) / (1.0 + abs(pv) + abs(dv)),
         "primal_cone": worst_x,
     }

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fsipp import instances
-from fsipp.certify import certify_point
+from fsipp.certify import certify_point, minimize_on_semialgebraic
 from fsipp.errors import NumericalTroubleError
 from fsipp.moment import MomentFunctional, QModule, membership_margin
 from fsipp.multiobj import epsilon_constraint_solve, scalarize
@@ -192,6 +192,24 @@ def zlinear_gram_margin(h):
     sol = solve(builder.build())
     assert sol.status == "Optimal", sol.status
     return -sol.primal_value
+
+
+def hierarchy_lower_level(h, index_set, sdp_tol=1e-8):
+    """The moment hierarchy's bound for min h over the index set at the
+    orders lower_level_solve runs it: k_min, then k_min + 1 unless k_min
+    certifies; the best over the orders that end Optimal."""
+    gens = index_set.as_generators()
+    k0 = max(ceil_half(q.degree) for q in gens)
+    k_min = max(ceil_half(h.degree), k0, 1)
+    best = -math.inf
+    for k in (k_min, k_min + 1):
+        status, bound, _, cert, _ = minimize_on_semialgebraic(
+            h, gens, k, k0, sdp_tol=sdp_tol)
+        if status == "Optimal":
+            best = max(best, bound)
+            if cert is not None:
+                break
+    return best
 
 
 @pytest.fixture(scope="session")

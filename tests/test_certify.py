@@ -17,9 +17,9 @@ from fsipp.errors import NumericalTroubleError
 from fsipp.moment import QModule, membership_margin
 from fsipp.multiobj import _audit_y_points
 from fsipp.poly import BivariatePoly, Polynomial, ceil_half
-from fsipp.relax import FsippProblem, Semialgebraic
+from fsipp.relax import FsippProblem, Interval, QuadraticSet, Semialgebraic
 
-from conftest import apply_functional, from_atoms
+from conftest import apply_functional, from_atoms, hierarchy_lower_level
 
 # ---------------------------------------------------------------- nnls
 
@@ -196,6 +196,192 @@ def test_certify_point_feasible_but_not_stationary():
     round_trip = report.as_dict()
     assert round_trip["passes"] is False
     assert round_trip["omega"] == pytest.approx(report.omega)
+
+
+# ------------------------------------------------ exact lower level
+
+def _quadratic(n, c0, b, A):
+    """c0 + b.y + y.A y in n variables, A symmetric."""
+    terms = {(0,) * n: float(c0)}
+    for i in range(n):
+        terms[tuple(int(t == i) for t in range(n))] = float(b[i])
+        for j in range(i, n):
+            e = tuple(int(t == i) + int(t == j) for t in range(n))
+            terms[e] = float(A[i, j] if i == j else 2.0 * A[i, j])
+    return Polynomial(n, terms)
+
+
+def _univariate(coef):
+    """The polynomial of a numpy coefficient vector, highest power first."""
+    d = len(coef) - 1
+    return Polynomial(1, {(d - i,): float(c) for i, c in enumerate(coef)})
+
+
+def _ball_sample(n):
+    """Points of the closed unit ball, its sphere included: 101 radii on
+    4,000 directions in the plane, 41 radii on 3,000 Fibonacci directions
+    in space."""
+    if n == 2:
+        theta = np.linspace(0.0, 2.0 * np.pi, 4000, endpoint=False)
+        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+        radii = np.linspace(0.0, 1.0, 101)
+    else:
+        k = np.arange(3000) + 0.5
+        polar, azim = np.arccos(1.0 - k / 1500.0), np.pi * (1.0 + 5 ** 0.5) * k
+        dirs = np.column_stack([np.cos(azim) * np.sin(polar),
+                                np.sin(azim) * np.sin(polar), np.cos(polar)])
+        radii = np.linspace(0.0, 1.0, 41)
+    return (radii[:, None, None] * dirs[None]).reshape(-1, n)
+
+
+# (centre, semi-axes, rotation seed or None): the unit disc, an offset
+# disc, a rotated ellipse and a rotated ellipsoid in three variables
+ELLIPSOIDS = {"unit-disc": ((0.0, 0.0), (1.0, 1.0), None),
+              "offset-disc": ((0.2, -0.1), (0.7, 0.7), None),
+              "ellipse": ((0.3, -0.4), (1.8, 0.6), 5),
+              "ellipsoid-3d": ((0.1, -0.2, 0.3), (1.2, 0.5, 0.8), 6)}
+
+
+def _ellipsoid(name):
+    """The QuadraticSet 1 - (y - c).M(y - c) >= 0, M = R diag(a^-2) R^T,
+    the points of the dense ball sample mapped onto it by y = c + R (a z),
+    and the inverse map z(y) as n affine polynomials."""
+    c, axes, seed = (np.array(v) if v is not None else None
+                     for v in ELLIPSOIDS[name])
+    n = c.size
+    R = np.eye(n) if seed is None else np.linalg.qr(
+        np.random.default_rng(int(seed)).normal(size=(n, n)))[0]
+    M = R @ np.diag(axes ** -2.0) @ R.T
+    index_set = QuadraticSet(_quadratic(n, 1.0 - c @ M @ c, 2.0 * M @ c, -M),
+                             tuple(c))
+    W = R / axes  # z = W^T (y - c)
+    to_z = [_quadratic(n, -W[:, i] @ c, W[:, i], np.zeros((n, n)))
+            for i in range(n)]
+    return index_set, c + (_ball_sample(n) * axes) @ R.T, to_z
+
+
+def _check_exact(h, index_set, sample, certified=True):
+    """The oracle's value is no more than the sample's least, within 1e-9
+    of the hierarchy's solved to 1e-10, and attained in Y.  (Whether the
+    hierarchy's rank test certifies at that tolerance depends on the BLAS
+    kernel on the rotated hard case, so only its value is compared.)"""
+    value, minimizers, cert = certify._exact_lower_level(h, index_set)
+    assert cert is certified
+    assert value <= h.eval_many(sample).min() + 1e-12
+    ref = hierarchy_lower_level(h, index_set, sdp_tol=1e-10)
+    assert abs(value - ref) <= 1e-9
+    assert minimizers and value == min(h(y) for y in minimizers)
+    for y in minimizers:
+        assert min(q(y) for q in index_set.as_generators()) >= -1e-12
+        assert h(y) <= value + 1e-9 * (1.0 + abs(value))
+    return minimizers
+
+
+INTERVAL_CASES = {
+    **{f"seeded-degree-{d}": _univariate(np.random.default_rng(d).normal(
+        size=d + 1)) for d in range(1, 7)},
+    "quartic-(y-0.3)^4": _univariate(np.poly([0.3] * 4)),
+    "quartic-(y+0.77)^4": _univariate(np.poly([-0.77] * 4)),
+    "h'-double-root": _univariate(np.polyint(np.poly([-0.4, -0.4, 0.5]))),
+    "two-minimizers": _univariate(np.polyint(np.poly([-0.5, 0.0, 0.5]))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTERVAL_CASES))
+def test_exact_lower_level_on_the_interval(name):
+    h = INTERVAL_CASES[name]
+    sample = np.linspace(-1.0, 1.0, 200_001)[:, None]
+    minimizers = _check_exact(h, Interval(), sample)
+    assert len(minimizers) == (2 if name == "two-minimizers" else 1)
+
+
+@pytest.mark.parametrize("name", sorted(ELLIPSOIDS))
+def test_exact_lower_level_on_ellipsoids(name):
+    # six seeded quadratics per set: the even ones convex, the odd ones
+    # indefinite
+    index_set, sample, _ = _ellipsoid(name)
+    n = index_set.n_y
+    rng = np.random.default_rng(len(name))
+    for trial in range(6):
+        V = np.linalg.qr(rng.normal(size=(n, n)))[0]
+        lam = rng.uniform(0.2, 2.0, size=n)
+        lam[0] *= -1.0 if trial % 2 else 1.0
+        h = _quadratic(n, rng.normal(), rng.normal(size=n),
+                       V @ np.diag(lam) @ V.T)
+        _check_exact(h, index_set, sample)
+
+
+@pytest.mark.parametrize("name", ["unit-disc", "ellipse"])
+def test_exact_lower_level_interior_and_hard_case(name):
+    # each h is written in the coordinates z of the unit ball; on the
+    # rotated ellipse rounding leaves g a tiny part along E
+    index_set, sample, to_z = _ellipsoid(name)
+
+    def z_of(y):
+        return [q(y) for q in to_z]
+
+    # an interior minimizer near the sphere, at z = (0.6, 0.5)
+    bowl = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): -1.2,
+                          (0, 1): -1.0})
+    (y,) = _check_exact(bowl.compose(to_z), index_set, sample)
+    np.testing.assert_allclose(z_of(y), [0.6, 0.5], atol=1e-9)
+    # the hard case: g is orthogonal to the z1 axis, the eigenvector of the
+    # negative eigenvalue; the minimizers are z = (+-sqrt(1 - 0.15^2), -0.15)
+    h = Polynomial(2, {(2, 0): -1.0, (0, 1): 0.3}).compose(to_z)
+    minimizers = _check_exact(h, index_set, sample)
+    t = np.sqrt(1 - 0.15 ** 2)
+    np.testing.assert_allclose(sorted(z_of(y) for y in minimizers),
+                               [[-t, -0.15], [t, -0.15]], atol=1e-9)
+
+
+def test_exact_lower_level_continua():
+    # walk II's chord y1 = y2 and the whole circle
+    disc, sample, _ = _ellipsoid("unit-disc")
+    chord = Polynomial(2, {(0, 0): 0.5128, (2, 0): 0.1007, (1, 1): -0.2014,
+                           (0, 2): 0.1007})
+    (y,) = _check_exact(chord, disc, sample, certified=False)
+    assert abs(y[0] - y[1]) <= 1e-12
+    (y,) = _check_exact(Polynomial(2, {(2, 0): -1.0, (0, 2): -1.0}), disc,
+                        sample, certified=False)
+    assert abs(y @ y - 1.0) <= 1e-12
+
+
+def _family(h, index_set):
+    """A problem in one variable x whose p(x, y) = x - h(y), so that the
+    lower level at x = 0 minimizes h."""
+    n = index_set.n_y
+    joint = {(0,) + e: -c for e, c in h.terms.items()}
+    joint[(1,) + (0,) * n] = 1.0
+    p = BivariatePoly.from_joint(Polynomial(1 + n, joint), 1, n)
+    return FsippProblem(Polynomial(1, {(2,): 1.0}),
+                        Polynomial.constant(1, 1.0), (), p, index_set)
+
+
+def test_exact_lower_level_leaves_other_sets_to_the_hierarchy(monkeypatch):
+    # a non-concave phi (an unbounded Y) and a cubic in y on the disc keep
+    # the moment hierarchy
+    calls = []
+    real = certify.minimize_on_semialgebraic
+
+    def spy(h, gens, k, k0, **kw):
+        calls.append(k)
+        return real(h, gens, k, k0, **kw)
+
+    monkeypatch.setattr(certify, "minimize_on_semialgebraic", spy)
+    parabola = QuadraticSet(Polynomial(2, {(0, 0): 1.0, (0, 1): -1.0,
+                                           (2, 0): 1.0}), (0.0, 0.0))
+    disc, sample, _ = _ellipsoid("unit-disc")
+    cubic = Polynomial(2, {(3, 0): 1.0, (1, 1): 0.5, (0, 1): -0.2})
+    bowl = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 1): -6.0, (0, 0): 9.0})
+    values = []
+    for h, index_set in ((bowl, parabola), (cubic, disc)):
+        assert certify._exact_lower_level(h, index_set) is None
+        calls.clear()
+        values.append(lower_level_solve(np.zeros(1), _family(h, index_set))[0])
+        assert calls
+    # the bowl's least value over y2 <= 1 + y1^2 is 1.75, at y1^2 = 1.5
+    assert abs(values[0] - 1.75) <= 1e-8
+    assert values[1] <= cubic.eval_many(sample).min() + 1e-8
 
 
 # ------------------------------------------------------- s.o.s-convexity

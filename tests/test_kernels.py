@@ -7,9 +7,12 @@ so their rounding is the kernel's), the mixed-dimension solve (whose
 bordered stacks go through batched LAPACK calls, which take other kernel
 paths per core type), the tests of equality pairs compiled as ideals
 (which move the quarter circle's SDPs off the face where both halves of a
-pair vanish) and the general-route demo (whose lower-level moment SDP runs
-to 1e-9) are run in subprocesses under kernels other than the one OpenBLAS
-picks on a recent x86-64 CPU.  The README gives the command for the whole
+pair vanish), the exact lower-level oracle's tests (``np.roots`` and
+``eigh`` take kernel-dependent LAPACK paths, and the oracle's tie and
+hard-case tests compare their results with thresholds) and the
+general-route demo (whose lower-level moment SDP runs to 1e-9) are run in
+subprocesses under kernels other than the one OpenBLAS picks on a recent
+x86-64 CPU.  The README gives the command for the whole
 suite.
 """
 
@@ -56,6 +59,9 @@ def test_acceptance_and_general_route_under_kernel(kernel, tmp_path):
              sdp_tests + "::test_mixed_dimensions_stack_once_per_kind"],
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              str(ROOT / "tests" / "test_moment.py"), "-k", "equality"],
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             str(ROOT / "tests" / "test_certify.py"), "-k",
+             "exact_lower_level"],
             [sys.executable, str(ROOT / "demos" / "03_general_route.py")]]
     for cmd in runs:
         done = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True,

@@ -4,7 +4,7 @@ no-worsening constraints, walk bookkeeping, grid audits and image export."""
 import numpy as np
 import pytest
 
-from fsipp import instances
+from fsipp import certify, instances
 from fsipp import multiobj
 from fsipp.multiobj import (MultiFsippProblem, efficiency_audit,
                             epsilon_constraint_solve, image_grid, scalarize)
@@ -12,7 +12,7 @@ from fsipp.poly import BivariatePoly, Polynomial
 from fsipp.relax import Interval, QuadraticSet, RelaxOptions, Semialgebraic
 
 from conftest import (AUDIT_BOXES, audit_y_points_on_quadratic_set,
-                      audit_y_points_on_semialgebraic)
+                      audit_y_points_on_semialgebraic, hierarchy_lower_level)
 
 
 def _identical_pair_problem():
@@ -115,6 +115,39 @@ def test_walk_rejects_infeasible_start():
     mprob, _, opts = instances.biobjective_case1()
     with pytest.raises(ValueError):
         epsilon_constraint_solve(mprob, np.array([5.0, 5.0]), opts)
+
+
+def test_walks_make_no_lower_level_sdp(monkeypatch):
+    """The packaged walks index p by the interval or the unit disc, where
+    the lower level is exact: their feasibility checks solve no SDP, and
+    each value is the hierarchy's, at the orders it ran, within 1e-8."""
+    lower, sdps = [], []
+    real_lower, real_solve = certify.lower_level_solve, certify.solve
+
+    def spy_lower(u, prob, **kw):
+        out = real_lower(u, prob, **kw)
+        h = prob.p.substitute_x(np.asarray(u, dtype=float)).scale(-1.0)
+        lower.append((h, prob.index_set, out[0]))
+        return out
+
+    def spy_solve(sdp, **kw):
+        sdps.append(sdp)
+        return real_solve(sdp, **kw)
+
+    monkeypatch.setattr(certify, "lower_level_solve", spy_lower)
+    monkeypatch.setattr(certify, "solve", spy_solve)
+    for make in (instances.biobjective_case1, instances.biobjective_case2,
+                 instances.biobjective_case3, instances.biobjective_case4):
+        epsilon_constraint_solve(*make())
+    epsilon_constraint_solve(_identical_pair_problem(), np.zeros(2),
+                             RelaxOptions())
+    monkeypatch.undo()
+    # two calls on walk I, two on II, one each on III and IV, two on the
+    # identical pair; the hierarchy solved six SDPs for them
+    assert len(lower) == 8 and sdps == []
+    for h, index_set, p_star in lower:
+        if h.degree > 0:
+            assert abs(p_star - hierarchy_lower_level(h, index_set)) <= 1e-8
 
 
 # ---------------------------------------------------------------- audits

@@ -683,6 +683,11 @@ def test_mixed_dimensions_stack_once_per_kind():
     sol = solve(prob, tol=1e-9)  # check_solution's gap is absolute
     assert sol.status == "Optimal"
     assert max(check_solution(prob, sol).values()) <= 1e-8
+    # at the default tol the absolute gap may exceed tol; the relative gap,
+    # which solve stops on, may not
+    sol = solve(prob)
+    assert sol.status == "Optimal"
+    assert check_solution(prob, sol)["gap_rel"] <= 1e-8
     assert [m.shape for m in sol.primal_point] == [(2, 2), (3, 3), (5, 5)] \
         + [(1, 1)] * 3 + [(4,)]
     for mats in (sol.lmi_duals, sol.lmi_slacks):
