@@ -29,12 +29,13 @@ from .sdp import SdpBuilder, solve
 # --------------------------------------------------------------------------
 
 
-def nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None):
+def nnls(A: np.ndarray, b: np.ndarray):
     """Minimize ||A x - b||_2 over x >= 0 (Lawson-Hanson active set).
 
     Returns (x, residual_norm).  The iterate satisfies the NNLS KKT system
     to ~1e-10: x >= 0, gradient >= -tol on the active set, complementary
-    slackness on the passive set.
+    slackness on the passive set.  At most 6 n + 30 passes, n = A's
+    column count.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     b = np.asarray(b, dtype=float).ravel()
@@ -43,13 +44,11 @@ def nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None):
         raise ValueError("shape mismatch between matrix and target")
     if n == 0:
         return np.zeros(0), float(np.linalg.norm(b))
-    if max_iter is None:
-        max_iter = 6 * n + 30
     x = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
     scale = max(1.0, float(np.max(np.abs(A.T @ b))) if m else 1.0)
     tol = 1e-11 * scale
-    budget = max_iter
+    budget = 6 * n + 30
 
     while budget > 0:
         w = A.T @ (b - A @ x)
@@ -84,19 +83,21 @@ def nnls(A: np.ndarray, b: np.ndarray, max_iter: int | None = None):
 
 
 def minimize_on_semialgebraic(h: Polynomial, gens, k: int, k0: int,
-                              sdp_tol: float = 1e-8, rank_tol: float = 1e-8):
+                              sdp_tol: float = 1e-8):
     """One order of the moment hierarchy for  min h(y) s.t. gens >= 0.
 
     Returns (status, bound, L, cert, atoms): the SDP's status, the
-    relaxation lower bound, the optimal functional, and the
-    flat-truncation certificate with its extracted atoms, both None unless
-    extraction succeeds.  A status other than Optimal leaves the last four
-    None; PrimalInfeasible (an empty index set) raises.  ``k0`` is the
-    localizers' order, max ceil(deg q / 2) over ``gens`` (at least 1).
-    The SDP is solved to a tenth of ``rank_tol`` when that
-    is tighter than ``sdp_tol``: the moment matrix's vanishing singular
-    values are of the size of the solver's residuals, so a rank threshold
-    no larger than the solver tolerance would rest on rounding luck.
+    relaxation's value (a lower bound up to the solver's accuracy, ROADMAP
+    item 3), the optimal functional, and the flat-truncation certificate
+    with its extracted atoms, both None unless extraction succeeds.  A
+    status other than Optimal leaves the last four None; PrimalInfeasible
+    (an empty index set) raises.  ``k0`` is the localizers' order,
+    max ceil(deg q / 2) over ``gens`` (at least 1).
+    The rank test's relative threshold is 1e-8, and the SDP is solved to a
+    tenth of it when that is tighter than ``sdp_tol``: the moment matrix's
+    vanishing singular values are of the size of the solver's residuals, so
+    a rank threshold no larger than the solver tolerance would rest on
+    rounding luck.
     """
     builder = SdpBuilder()
     mv = MomentVarMap(builder, h.nvars, k, gens)
@@ -104,7 +105,7 @@ def minimize_on_semialgebraic(h: Polynomial, gens, k: int, k0: int,
     builder.add_equality(mv.lin(one), 1.0)
     builder.set_objective(mv.lin_poly(h))
     prob_sdp = builder.build()
-    sol = solve(prob_sdp, tol=min(sdp_tol, 0.1 * rank_tol))
+    sol = solve(prob_sdp, tol=min(sdp_tol, 1e-9))
     if sol.status == "PrimalInfeasible":
         raise NumericalTroubleError(
             f"moment relaxation infeasible at order {k}: empty index set?")
@@ -113,7 +114,7 @@ def minimize_on_semialgebraic(h: Polynomial, gens, k: int, k0: int,
     L = mv.read_solution(prob_sdp, sol)
     d_half = max(ceil_half(h.degree), 1) if not h.is_zero() else 1
     cert, atoms = certify_and_extract(L, k=k, k0=k0, d_half=d_half,
-                                      rel_tol=rank_tol, gens=gens)
+                                      rel_tol=1e-8, gens=gens)
     return sol.status, float(sol.primal_value), L, cert, atoms
 
 
@@ -199,18 +200,18 @@ def _exact_lower_level(h: Polynomial, index_set):
     return min(float(h(y)) for y in ys), ys, certified
 
 
-def lower_level_solve(u, prob, k_range=None, sdp_tol: float = 1e-8,
-                      rank_tol: float = 1e-8):
+def lower_level_solve(u, prob, k_range=None, sdp_tol: float = 1e-8):
     """Globally minimize  -p(u, y)  over the index set.
 
     Returns (p_star, Lambda, certified): the optimal value, the minimizer
     set, and whether both are exact.  On the interval and on an ellipsoid,
     p_star is h at the minimizers of :func:`_exact_lower_level`, exact up to
-    rounding.  Elsewhere the hierarchy's p_star is a valid lower bound, the
-    best over the orders that end Optimal (when none does,
-    :class:`NumericalTroubleError` names each order's status), and Lambda
-    is the exact support under flat truncation, else the point L(y)/L(1)
-    of the last Optimal order's functional (maybe not a minimizer).
+    rounding.  Elsewhere the hierarchy's p_star is a lower bound up to the
+    solver's accuracy (ROADMAP item 3), the best over the orders that end
+    Optimal (when none does, :class:`NumericalTroubleError` names each
+    order's status), and Lambda is the exact support under flat
+    truncation, else the point L(y)/L(1) of the last Optimal order's
+    functional (maybe not a minimizer).
 
     A y-independent objective short-circuits: the value is exact and the
     index set's representative point stands in for the (whole-set) support.
@@ -237,7 +238,7 @@ def lower_level_solve(u, prob, k_range=None, sdp_tol: float = 1e-8,
         if k < k_min:
             continue
         status, bound, L, cert, atoms = minimize_on_semialgebraic(
-            h, gens, k, k0, sdp_tol=sdp_tol, rank_tol=rank_tol)
+            h, gens, k, k0, sdp_tol=sdp_tol)
         if status != "Optimal":
             failed.append(f"order {k}: {status}")
             continue
@@ -311,14 +312,13 @@ def feasibility_check(u, prob, tau: float = 1e-3, lower=None):
 # --------------------------------------------------------------------------
 
 
-def sos_convexity_check(h: Polynomial, tol: float = 1e-8,
-                        threshold: float = 1e-7) -> bool:
+def sos_convexity_check(h: Polynomial) -> bool:
     """Is the Hessian form z^T grad^2 h(x) z a sum of squares in (x, z)?
 
     Decided by the sign of :func:`_sos_convexity_margin`: the form passes
-    when its margin is at least ``-threshold``.
+    when its margin is at least -1e-7.
     """
-    return _sos_convexity_margin(h, tol) >= -threshold
+    return _sos_convexity_margin(h) >= -1e-7
 
 
 def hessian_form(p: Polynomial, m: int) -> Polynomial:
@@ -335,8 +335,7 @@ def hessian_form(p: Polynomial, m: int) -> Polynomial:
     return Polynomial(p.nvars + m, terms)
 
 
-def hessian_form_margin(form: Polynomial, m: int, gens=(),
-                        tol: float = 1e-8) -> float:
+def hessian_form_margin(form: Polynomial, m: int, gens=()) -> float:
     """The membership margin (``moment.membership_margin``) of a Hessian
     form, whose last m variables are z, in the quadratic module of
     ``gens`` (which do not involve z) at order ceil(deg form / 2),
@@ -355,14 +354,14 @@ def hessian_form_margin(form: Polynomial, m: int, gens=(),
     turn a pass into a refusal, so one path serves every index set.
     """
     cone = QModule(tuple(gens), order=ceil_half(form.degree), nz=m)
-    t_star, sol = membership_margin(form, cone, tol=tol)
+    t_star, sol = membership_margin(form, cone)
     if np.isnan(t_star):
         raise NumericalTroubleError(
             f"s.o.s-convexity SDP ended with status {sol.status}")
     return t_star
 
 
-def _sos_convexity_margin(h: Polynomial, tol: float = 1e-8) -> float:
+def _sos_convexity_margin(h: Polynomial) -> float:
     """The margin of the Hessian form in the z-linear cone
     (:func:`hessian_form_margin` with no generators): the maximal t with
     Gram - t*I still PSD on the basis {x^alpha z_i}.  The form is
@@ -378,7 +377,7 @@ def _sos_convexity_margin(h: Polynomial, tol: float = 1e-8) -> float:
     if form.is_zero():
         return 0.0
     if h.degree > 2:
-        return hessian_form_margin(form, m, tol=tol)
+        return hessian_form_margin(form, m)
     scale = max(abs(c) for c in form.terms.values())
     H = np.zeros((m, m))
     for exp, c in form.terms.items():
@@ -431,11 +430,10 @@ class KktReport:
         }
 
 
-def certify_point(u, prob, tau: float = 1e-3, k_range=None,
-                  sdp_tol: float = 1e-8, rank_tol: float = 1e-8) -> KktReport:
+def certify_point(u, prob, tau: float = 1e-3,
+                  sdp_tol: float = 1e-8) -> KktReport:
     """Run the full stop criterion at a candidate point."""
-    lower = lower_level_solve(u, prob, k_range=k_range, sdp_tol=sdp_tol,
-                              rank_tol=rank_tol)
+    lower = lower_level_solve(u, prob, sdp_tol=sdp_tol)
     p_star, _, certified = lower
     feasible, margin = feasibility_check(u, prob, tau=tau, lower=lower)
     Lambda, J = active_sets(u, prob, tau=tau, lower=lower)

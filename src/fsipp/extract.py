@@ -53,11 +53,12 @@ class RankCertificate:
         }
 
 
-def point_from_functional(L: MomentFunctional, tol: float = 1e-10) -> np.ndarray:
-    """The normalized first-moment vector (L(x_1), ..., L(x_m)) / L(1)."""
+def point_from_functional(L: MomentFunctional) -> np.ndarray:
+    """The normalized first-moment vector (L(x_1), ..., L(x_m)) / L(1);
+    a mass of at most 1e-10 raises DegenerateMassError."""
     mass = L.mass()
-    if mass <= tol:
-        raise DegenerateMassError(f"functional mass {mass} below {tol}")
+    if mass <= 1e-10:
+        raise DegenerateMassError(f"functional mass {mass} below 1e-10")
     return L.point()
 
 
@@ -108,13 +109,13 @@ def _column_echelon(V: np.ndarray, piv_tol: float):
     return R, pivots
 
 
-def extract_atoms(L: MomentFunctional, cert: RankCertificate,
-                  recon_tol: float = 1e-6, gens=()):
+def extract_atoms(L: MomentFunctional, cert: RankCertificate, gens=()):
     """Recover the atoms of a flat functional as [(point, weight), ...].
 
     ``gens`` are the polynomials q >= 0 of the localizing matrices L was
-    constrained by; every atom must satisfy them, to ``recon_tol`` relative
-    to the size of q's terms at the atom.
+    constrained by; every atom must satisfy them, to 1e-6 relative to the
+    size of q's terms at the atom, and the atoms must give L's moments to
+    1e-6 relative.
 
     Raises NumericalTrouble when the pivot structure, the joint
     eigendecomposition, the weights, the localizers, or the moment
@@ -184,7 +185,7 @@ def extract_atoms(L: MomentFunctional, cert: RankCertificate,
         big = max(1.0, float(np.max(np.abs(pt))))
         for q in gens:
             size = sum(abs(c) * big ** sum(mono) for mono, c in q.terms.items())
-            if q(pt) < -recon_tol * max(1.0, size):
+            if q(pt) < -1e-6 * max(1.0, size):
                 raise NumericalTroubleError(
                     f"atom {pt} violates a localizer by {-q(pt):g}")
 
@@ -195,9 +196,9 @@ def extract_atoms(L: MomentFunctional, cert: RankCertificate,
         recon = sum(wj * float(np.prod(pt ** np.array(mono)))
                     for pt, wj in zip(points, weights))
         worst = max(worst, abs(recon - L.value(mono)))
-    if worst > recon_tol * scale:
+    if worst > 1e-6 * scale:
         raise NumericalTroubleError(
-            f"atomic reconstruction off by {worst:g} (tol {recon_tol:g})")
+            f"atomic reconstruction off by {worst:g} (tol 1e-06)")
     return [(pt, float(wj)) for pt, wj in zip(points, weights)]
 
 

@@ -25,11 +25,11 @@ entry is a moment.
 An equality written as the pair q >= 0, -q >= 0 is compiled as the ideal
 (q) (Parrilo 2005; Nie 2013).  A single q is a Groebner basis under the
 package's graded lex order, so the reduced cone equals
-Q_k(inequalities) + {h*q : deg h <= 2k - deg q}.  The Gram side reduces
-Gram products, target and margin squares modulo q: its rows and Gram
-bases are standard monomials (not divisible by LM(q)), and the pair adds
-no block.  The moment side keeps the full moment matrix and writes
-L(q*m) = 0 for deg m <= 2k - deg q instead of the pair's two localizers.
+Q_k(inequalities) + {h*q : deg h <= 2k - deg q}.  Both sides work in the
+quotient ring (Laurent 2009) on the standard monomials, those not divisible
+by LM(q), and the pair adds no block: :func:`_reduce` reduces the Gram
+side's rows modulo q, and gives the moment side, which keeps the standard
+moments only, L(x^a) = L(NF(x^a)).
 """
 
 from __future__ import annotations
@@ -136,10 +136,10 @@ class QModule:
         coprime = all(sum(map(bool, col)) <= 1 for col in zip(*map(_leading, eqs)))
         return tuple(eqs) if coprime else ()
 
-    def gram_structure(self, nvars: int, quotient: bool = False):
-        """(q, Gram basis) for 1 and each inequality, standard if ``quotient``."""
+    def gram_structure(self, nvars: int):
+        """(q, standard Gram basis) for 1 and each inequality."""
         eqs = self.equalities
-        leads = [_leading(q) for q in eqs] if quotient else []
+        leads = [_leading(q) for q in eqs]
         out = []
         for q in (Polynomial.constant(nvars, 1.0), *self.generators):
             if q in eqs or -q in eqs:
@@ -207,7 +207,7 @@ def sos_membership_blocks(builder: SdpBuilder, target, cone: QModule,
     rows: dict[tuple, LinExpr] = {m: LinExpr() for m in monomials_up_to(nvars, bound)}
 
     gram_handles = []
-    for gi, (gen, basis) in enumerate(cone.gram_structure(nvars, quotient=True)):
+    for gi, (gen, basis) in enumerate(cone.gram_structure(nvars)):
         h = builder.psd_block(len(basis))
         gram_handles.append(h)
         for j, bj in enumerate(basis):
@@ -233,13 +233,12 @@ def sos_membership_blocks(builder: SdpBuilder, target, cone: QModule,
     return gram_handles
 
 
-def membership_margin(target: Polynomial, cone: QModule,
-                      tol: float = 1e-8, max_iter: int = 100):
+def membership_margin(target: Polynomial, cone: QModule):
     """Maximal t with (target - t * sum of squared Gram basis) in the cone.
 
     Returns (t_star, solution).  The target is normalized by its largest
     coefficient magnitude first, so t_star is scale-free; membership holds
-    iff t_star >= 0 up to solver accuracy (-inf: infeasible, +inf:
+    iff t_star >= 0 up to solver accuracy, 1e-8 (-inf: infeasible, +inf:
     unbounded, nan: any other status).
     """
     scale = max((abs(c) for c in target.terms.values()), default=0.0)
@@ -250,7 +249,7 @@ def membership_margin(target: Polynomial, cone: QModule,
     t = pair.entry(0) - pair.entry(1)  # free
     sos_membership_blocks(builder, target, cone, target.nvars, margin=t)
     builder.set_objective(t.scaled(-1.0))  # maximize t
-    sol = solve(builder.build(), tol=tol, max_iter=max_iter)
+    sol = solve(builder.build(), tol=1e-8)
     if sol.status == "Optimal":
         return -sol.primal_value, sol
     return {"PrimalInfeasible": float("-inf"),  # the target is outside the cone
@@ -265,55 +264,59 @@ def membership_margin(target: Polynomial, cone: QModule,
 class MomentVarMap:
     """A truncated moment functional as SDP variables.
 
-    The moments L(x^a), |a| <= 2k, are the free vector of one LMI block, in
-    graded-lex order of a.  Its first diagonal block is the order-k moment
-    matrix, entry (i, j) = L(b_i * b_j), and the localizing matrix of each
-    of ``localizers`` follows, on the Gram basis that
-    ``QModule(localizers, order)`` gives it, so L lies in the dual of that
-    module.  A localizer whose basis is empty (deg q > 2 * order)
-    constrains nothing and adds no block.  An equality pair q, -q adds
-    rows L(q * m) = 0 instead (module docstring).
+    The moments L(x^a) of the standard monomials x^a, |a| <= 2k (all of
+    them without an equality pair), are the free vector of one LMI block,
+    in graded-lex order of a; any other is L(NF(x^a)), so L vanishes on the
+    equalities' ideal (module docstring).  The LMI's first diagonal block
+    is the order-k moment matrix, entry (i, j) = L(b_i * b_j), and the
+    localizing matrix of each of ``localizers``, entry L(q b_i b_j),
+    follows, on the standard Gram basis that ``QModule(localizers, order)``
+    gives it, so L lies in the dual of that module.  A localizer whose
+    basis is empty (deg q > 2 * order) constrains nothing and adds no block.
     """
 
     def __init__(self, builder: SdpBuilder, nvars: int, order: int,
                  localizers=()):
         self.nvars = nvars
         self.order = order
-        self.monomials = monomials_up_to(nvars, 2 * order)
-        self.position = {m: i for i, m in enumerate(self.monomials)}
-        self.block = builder.lmi_block(len(self.monomials))
+        every = monomials_up_to(nvars, 2 * order)
+        rows = {m: LinExpr.term(i) for i, m in enumerate(every)}
         self.localizers = tuple(localizers)
         cone = QModule(self.localizers, order)
+        _reduce(rows, cone.equalities)  # row s holds NF(x^m)[s] at m's index
+        self.monomials = list(rows)
+        self.position = {m: i for i, m in enumerate(self.monomials)}
+        self.block = builder.lmi_block(len(self.monomials))
+        self.normal_form = {m: LinExpr() for m in every}  # L(NF(x^m))
+        for s, expr in rows.items():
+            for i, c in expr.coeffs.items():
+                self.normal_form[every[i]].add_term(
+                    self.block.index(self.position[s]), c)
         for q, basis in cone.gram_structure(nvars):
-            self._add_localizing(q, basis)
-        for q in cone.equalities:
-            for mono in monomials_up_to(nvars, 2 * order - q.degree):
-                builder.add_equality(self.lin_poly(q, mono))
+            self.block.add_matrix(len(basis), {
+                (i, j): self.lin_poly(q, _add(basis[i], bj))
+                for j, bj in enumerate(basis) for i in range(j, len(basis))})
 
     def lin(self, mono: tuple) -> LinExpr:
-        """The SDP variable carrying L(x^mono)."""
-        return self.block.entry(self.position[tuple(mono)])
+        """The SDP expression for L(x^mono): one variable if standard."""
+        return LinExpr(self.normal_form[tuple(mono)].coeffs)
 
     def lin_poly(self, poly: Polynomial, shift: tuple = ()) -> LinExpr:
         """Linear expression for L(poly * x^shift)."""
         expr = LinExpr()
         for m, c in poly.terms.items():
             m = _add(shift, m) if shift else m
-            expr.add_term(self.block.index(self.position[m]), c)
+            if m in self.position:
+                expr.add_term(self.block.index(self.position[m]), c)
+            else:
+                expr += self.normal_form[m].scaled(c)
         return expr
 
-    def _add_localizing(self, q: Polynomial, rows: list) -> None:
-        """Append the localizing matrix of q on the basis ``rows``, entry
-        (i, j) = L(q b_i b_j), to the LMI."""
-        entries = {(i, j): self.lin_poly(q, _add(rows[i], bj))
-                   for j, bj in enumerate(rows) for i in range(j, len(rows))}
-        self.block.add_matrix(len(rows), entries)
-
     def read(self, x: np.ndarray) -> MomentFunctional:
-        """Recover the functional from a scalarized solution vector."""
-        w = x[self.block.offset:self.block.offset + self.block.dim]
-        return MomentFunctional(self.nvars, self.order,
-                                dict(zip(self.monomials, w)))
+        """Recover the functional, every monomial, from a scalarized vector."""
+        return MomentFunctional(self.nvars, self.order, {
+            m: sum(c * x[i] for i, c in expr.coeffs.items())
+            for m, expr in self.normal_form.items()})
 
     def read_solution(self, prob, sol) -> MomentFunctional:
         """Recover the functional from a solved problem's block values."""

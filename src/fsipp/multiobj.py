@@ -260,12 +260,12 @@ def _scalar_feasible(mprob: MultiFsippProblem, pts: np.ndarray):
     return ok, vals
 
 
-def _swept_feasible(mprob: MultiFsippProblem, pts: np.ndarray,
-                    feas_margin: float) -> np.ndarray:
+def _swept_feasible(mprob: MultiFsippProblem, pts: np.ndarray) -> np.ndarray:
     """Mask of the points whose worst p(x, y) over the y-sweep stays below
-    ``-feas_margin`` (evaluated through the y-slices of p).  Raises
-    ValueError when the sweep has no point: an empty sweep refutes
-    nothing, so it cannot pass the semi-infinite constraint."""
+    -1e-4, a margin for the sweep's discretization slack (evaluated
+    through the y-slices of p).  Raises ValueError when the sweep has no
+    point: an empty sweep refutes nothing, so it cannot pass the
+    semi-infinite constraint."""
     ypts = _audit_y_points(mprob.index_set)
     if not len(ypts):
         raise ValueError("the y-sweep found no point of the index set: its "
@@ -279,17 +279,15 @@ def _swept_feasible(mprob: MultiFsippProblem, pts: np.ndarray,
     for start in range(0, len(ypts), 256):
         chunk = ypows[start:start + 256] @ svals  # (chunk, N)
         worst = np.maximum(worst, chunk.max(axis=0))
-    return worst <= -feas_margin
+    return worst <= -1e-4
 
 
-def image_grid(mprob: MultiFsippProblem, box, grid_size: int = 200,
-               feas_margin: float = 1e-4):
+def image_grid(mprob: MultiFsippProblem, box, grid_size: int = 200):
     """Rasterize the box: grid points, a feasibility mask and the t
     objective values per point.
 
     A point counts as feasible when its worst constraint value over a
-    dense y-sweep stays below ``-feas_margin`` (the margin absorbs the
-    sweep's discretization slack), every scalar constraint holds, and all
+    dense y-sweep stays below -1e-4, every scalar constraint holds, and all
     denominators are positive.  Returns ``(points, feasible, values)`` of
     shapes (N, m), (N,), (N, t).  It alone sweeps y at every grid point;
     ``efficiency_audit`` sweeps only the points that dominate its candidate.
@@ -297,17 +295,16 @@ def image_grid(mprob: MultiFsippProblem, box, grid_size: int = 200,
     """
     pts = _grid_points(mprob, box, grid_size)
     ok, vals = _scalar_feasible(mprob, pts)
-    return pts, ok & _swept_feasible(mprob, pts, feas_margin), vals
+    return pts, ok & _swept_feasible(mprob, pts), vals
 
 
 def efficiency_audit(mprob: MultiFsippProblem, u_star, grid_size: int = 200,
-                     box=None, feas_margin: float = 1e-4,
-                     tol: float = 1e-6) -> bool:
+                     box=None) -> bool:
     """Search a grid over ``box`` for a feasible point dominating u_star.
 
     Returns False iff some grid point that is feasible with margin at
-    least ``feas_margin`` (guarding against the finite y-sweep) improves
-    every component within ``tol`` and at least one strictly beyond it.
+    least 1e-4 (guarding against the finite y-sweep) improves every
+    component within 1e-6 and at least one strictly beyond it.
     True means the falsification attempt found nothing -- evidence, not
     proof, of efficiency.
 
@@ -324,8 +321,8 @@ def efficiency_audit(mprob: MultiFsippProblem, u_star, grid_size: int = 200,
     pts = _grid_points(mprob, box, grid_size)
     ok, vals = _scalar_feasible(mprob, pts)
     star = mprob.objective_vector(u_star)
-    cand = ok & np.all(vals <= star + tol, axis=1) \
-        & np.any(vals < star - tol, axis=1)
+    cand = ok & np.all(vals <= star + 1e-6, axis=1) \
+        & np.any(vals < star - 1e-6, axis=1)
     if not cand.any():
         return True
-    return not bool(np.any(_swept_feasible(mprob, pts[cand], feas_margin)))
+    return not bool(np.any(_swept_feasible(mprob, pts[cand])))

@@ -235,9 +235,8 @@ class RelaxOptions:
 
     R and g_star feed the ball and denominator generators of the x-cone
     (unused by Case1/Case2).  k is the target relaxation order.  tau is
-    the feasibility/stationarity tolerance of the stop criterion, rank_tol
-    the relative rank threshold of the moment-matrix test, sdp_tol the
-    interior-point accuracy.
+    the feasibility/stationarity tolerance of the stop criterion, sdp_tol
+    the interior-point accuracy.
     """
 
     R: float | None = None
@@ -245,7 +244,6 @@ class RelaxOptions:
     k: int | None = None
     case_override: CaseTag | None = None
     tau: float = 1e-3
-    rank_tol: float = 1e-6
     sdp_tol: float = 1e-8
 
     def __post_init__(self):
@@ -674,7 +672,7 @@ def solve_hierarchy(prob: FsippProblem, opts: RelaxOptions,
             continue
 
         cert, atoms = certify_and_extract(L, k=k, k0=1, d_half=d_half,
-                                          rel_tol=opts.rank_tol,
+                                          rel_tol=1e-6,
                                           gens=row.localizers)
         if cert is not None:
             trace.certificate, trace.atoms = cert, atoms

@@ -1,5 +1,7 @@
-"""Every module of the package uses each name it imports, and every
-top-level function or class of the package is named outside the tests.
+"""Every module of the package uses each name it imports, every
+top-level function or class of the package is named outside the tests,
+and every defaulted parameter of a top-level function is passed by some
+call.
 
 The package ``__init__.py`` files import names only to re-export them, so
 they are left out.  Names are found with ``ast``: a name counts as used
@@ -13,6 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fsipp"
 BENCH = ROOT / "bench"
+CALLERS = [ROOT / d for d in ("src", "tests", "demos", "bench")]
 
 # The independent residual check of a solve: nothing in the package calls
 # it yet, and the per-order observability report (ROADMAP item 2) will.
@@ -133,3 +136,69 @@ def test_scan_flags_a_definition_only_tests_name(tmp_path):
 def test_every_definition_is_named_outside_the_tests():
     found = unnamed_definitions(SRC, sorted(BENCH.glob("*.py")))
     assert [f for f in found if f not in UNNAMED_ALLOWED] == []
+
+
+def _defaulted(fn: ast.FunctionDef) -> list[tuple]:
+    """(position, name) of each parameter with a default; a keyword-only
+    parameter has position None."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    return ([(i, a.arg) for i, a in enumerate(pos) if i >= first]
+            + [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+               if d is not None])
+
+
+def uncalled_defaults(src: Path, callers) -> list[str]:
+    """``module:function(parameter)`` for each defaulted parameter of a
+    top-level function of the package at ``src`` that no call in the
+    directories ``callers`` passes, by keyword or by position.  A call
+    counts by the name it calls, bare or as an attribute; ``*args`` passes
+    every position and ``**kwargs`` every keyword."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in sorted(p for d in callers for p in d.rglob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", getattr(n.func, "attr", None))
+                calls.setdefault(name, []).append(n)
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        for fn in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for i, arg in _defaulted(fn):
+                if not any(
+                        any(k.arg in (arg, None) for k in c.keywords)
+                        or (i is not None and (
+                            len(c.args) > i
+                            or any(isinstance(a, ast.Starred) for a in c.args)))
+                        for c in calls.get(fn.name, [])):
+                    found.append(f"{path.relative_to(src).as_posix()}:"
+                                 f"{fn.name}({arg})")
+    return found
+
+
+def test_scan_flags_a_default_no_call_passes(tmp_path):
+    pkg, use = tmp_path / "pkg", tmp_path / "use"
+    pkg.mkdir()
+    use.mkdir()
+    (pkg / "a.py").write_text(
+        "def f(x, tol=1e-8, cap=10, *, scale=1.0, loud=False):\n"
+        "    return x\n\n"
+        "def g(x, y=0):\n    return x\n\n"
+        "def h(x, y=0):\n    return x\n\n"
+        "class C:\n    def m(self, z=1):\n        return z\n",
+        encoding="utf-8")
+    (use / "b.py").write_text(
+        "from pkg.a import f, g, h\n"
+        "f(1, 1e-9)\nf(2, scale=2.0)\n"
+        "g(*(1, 2))\nh(1, **{'y': 2})\n",
+        encoding="utf-8")
+    assert uncalled_defaults(pkg, [use]) == ["a.py:f(cap)", "a.py:f(loud)"]
+    assert uncalled_defaults(pkg, [pkg]) == [
+        "a.py:f(tol)", "a.py:f(cap)", "a.py:f(scale)", "a.py:f(loud)",
+        "a.py:g(y)", "a.py:h(y)"]
+
+
+def test_every_default_is_passed_by_some_call():
+    assert uncalled_defaults(SRC, CALLERS) == []

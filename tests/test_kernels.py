@@ -5,9 +5,12 @@ same wheels, which sums and blocks differently.  The acceptance module, the
 Schur oracle tests (M and H are summed by the BLAS symmetric rank-k update,
 so their rounding is the kernel's), the mixed-dimension solve (whose
 bordered stacks go through batched LAPACK calls, which take other kernel
-paths per core type), the tests of equality pairs compiled as ideals
-(which move the quarter circle's SDPs off the face where both halves of a
-pair vanish), the exact lower-level oracle's tests (``np.roots`` and
+paths per core type), the tests of equality pairs compiled as ideals,
+``test_moment.py -k equality`` (among them
+``test_equality_pairs_compile_as_ideals_only_with_coprime_leads`` and
+``test_lower_level_sdp_compiles_the_arc_equality_in_the_quotient``, whose
+SDPs live in the quotient ring on standard monomials), the exact
+lower-level oracle's tests (``np.roots`` and
 ``eigh`` take kernel-dependent LAPACK paths, and the oracle's tie and
 hard-case tests compare their results with thresholds) and the
 general-route demo (whose lower-level moment SDP runs to 1e-9) are run in

@@ -181,15 +181,15 @@ def test_equality_pairs_compile_as_ideals_only_with_coprime_leads():
     assert sdp.A.shape[0] == 15 + 1
     # y2^2 - 0.5 leads with y2^2, coprime to y1^2: both pairs reduce.  The
     # standard monomials are 1, y1, y2, y1*y2, so one Gram block of four
-    # and four coefficient rows; the moment side writes L(q * m) = 0 for
-    # both q and the six m of degree <= 2, and keeps only the moment matrix
+    # and four coefficient rows; the moment side keeps the four standard
+    # moments, and its moment matrix on the same four is all of its LMI
     line = _Y2 * _Y2 - Polynomial.constant(2, 0.5)
     gens = (_CIRCLE, -_CIRCLE, -line, line)
     assert QModule(gens, 2).equalities == (_CIRCLE, -line)
     sdp = _compile_both_sides(gens)
     assert [bl.dim for bl in sdp.blocks[:-1]] == [4]
-    assert sdp.blocks[-1].dims == (6,)
-    assert sdp.A.shape[0] == 4 + 2 * 6 + 1
+    assert (sdp.blocks[-1].nvars, sdp.blocks[-1].dims) == (4, (4,))
+    assert sdp.A.shape[0] == 4 + 1
 
 
 def test_a_repeated_side_of_a_pair_keeps_the_ideal():
@@ -209,31 +209,41 @@ def test_a_repeated_side_of_a_pair_keeps_the_ideal():
     np.testing.assert_array_equal(twice.objective, once.objective)
 
 
-def test_lower_level_sdp_writes_the_arc_equality_as_rows(monkeypatch):
+def test_lower_level_sdp_compiles_the_arc_equality_in_the_quotient(monkeypatch):
     # min -p(u, y) over the arc {y1, y2 >= 0, circle = 0} at order 4: the
-    # LMI holds the moment matrix and the localizers of y1 and y2 only, and
-    # the rows are L(circle * m) = 0 for deg m <= 6 and L(1) = 1
+    # moments are those of the 17 standard monomials (y1^2 divides none),
+    # the LMI holds the moment matrix and the localizers of y1 and y2 on
+    # standard bases, and the one row is L(1) = 1
     prob, _ = instances.quarter_circle_problem()
-    seen = []
-    real_solve = certify.solve
+    u = (0.7377, 0.6033)
+    sdps, orders = [], []
+    real_solve, real_order = certify.solve, certify.minimize_on_semialgebraic
     monkeypatch.setattr(certify, "solve", lambda sdp, **kw: (
-        seen.append(sdp), real_solve(sdp, **kw))[1])
-    _, Lambda, certified = certify.lower_level_solve((0.7377, 0.6033), prob)
+        sdps.append(sdp), real_solve(sdp, **kw))[1])
+    monkeypatch.setattr(certify, "minimize_on_semialgebraic", lambda *a, **kw: (
+        orders.append(real_order(*a, **kw)), orders[-1])[1])
+    p_star, Lambda, certified = certify.lower_level_solve(u, prob)
     assert certified and abs(_CIRCLE(Lambda[0])) <= 1e-6
-    sdp = seen[0]
+    sdp = sdps[0]
     (lmi,) = sdp.blocks
-    assert lmi.dims == (15, 10, 10)
-    position = {m: i for i, m in enumerate(monomials_up_to(2, 8))}
-    shifts = monomials_up_to(2, 6)
-    want = np.zeros((len(shifts) + 1, lmi.nvars))
-    for r, mono in enumerate(shifts):
-        for d, c in _CIRCLE.terms.items():
-            want[r, position[(mono[0] + d[0], mono[1] + d[1])]] = c
-    want[-1, position[(0, 0)]] = 1.0
-    got = np.zeros_like(want)
+    assert (lmi.nvars, lmi.dims) == (17, (9, 7, 7))
+    got = np.zeros((1, lmi.nvars))
     got[sdp.A.rows, sdp.A.cols] = sdp.A.vals
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(sdp.b, [0.0] * len(shifts) + [1.0])
+    np.testing.assert_array_equal(got, np.eye(1, lmi.nvars))
+    np.testing.assert_array_equal(sdp.b, [1.0])
+    # read() expands the functional to every monomial, and it vanishes on
+    # the ideal: L(circle * m) = 0 for deg m <= 6
+    L = orders[0][2]
+    assert L.order == 4
+    for m in monomials_up_to(2, 6):
+        terms = [c * L.value((m[0] + d[0], m[1] + d[1]))
+                 for d, c in _CIRCLE.terms.items()]
+        assert abs(sum(terms)) <= 1e-12 * sum(map(abs, terms))
+    # the bound is the arc's minimum up to solver accuracy
+    t = np.linspace(0.0, np.pi / 2, 10_000)
+    h = prob.p.substitute_x(np.array(u)).scale(-1.0)
+    arc_min = h.eval_many(np.column_stack([np.cos(t), np.sin(t)])).min()
+    assert abs(p_star - arc_min) <= 1e-8
 
 
 def test_sos_cone_rejects_nonneg_non_sos():
