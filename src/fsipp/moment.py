@@ -27,27 +27,64 @@ An equality written as the pair q >= 0, -q >= 0 is compiled as the ideal
 package's graded lex order, so the reduced cone equals
 Q_k(inequalities) + {h*q : deg h <= 2k - deg q}.  Both sides work in the
 quotient ring (Laurent 2009) on the standard monomials, those not divisible
-by LM(q), and the pair adds no block: :func:`_reduce` reduces the Gram
-side's rows modulo q, and gives the moment side, which keeps the standard
-moments only, L(x^a) = L(NF(x^a)).
+by LM(q), and the pair adds no block.
+
+Both compilers run by index arithmetic on exponent arrays, as GloptiPoly 3
+does (Henrion-Lasserre-Loefberg 2009).  The monomials of degree <= 2k are
+an integer array in the graded-lex order of ``monomials_up_to`` with a rank
+lookup, so the terms of q * b_i * b_j are index sums.  The division steps
+modulo the equalities run on sparse rows, one per monomial
+(:func:`_reduce`): on the identity they give the moment side's normal-form
+table (every monomial by the standard ones), whose rows its LMI entries
+L(q b_i b_j) = sum_t q_t NF[b_i + b_j + t] and ``read`` sum; on the Gram
+side's coefficient rows, one column per SDP variable, they give its
+equality rows.  Every sum is a numpy sum in a fixed order (``np.bincount``
+adds in input order), never a BLAS product, so the SDPs do not depend on
+the BLAS kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from itertools import chain, compress
 
 import numpy as np
 
 from .poly import Polynomial, ceil_half, monomials_up_to
-from .sdp import LinExpr, SdpBuilder, solve
+from .sdp import LinExpr, SdpBuilder, solve, tri_indices
+from .sdp.model import SparseRows
 
 # --------------------------------------------------------------------------
-# functionals
+# monomials and functionals
 # --------------------------------------------------------------------------
 
 
-def _add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+@lru_cache(maxsize=32)
+def _monomials(nvars: int, degree: int):
+    """(tuples, exponent array, code, rank) of the monomials of degree
+    <= degree, in the order of ``monomials_up_to``.  ``code`` maps exponent
+    vectors of degree <= degree to integers (mixed radix degree + 1, so
+    codes add as monomials multiply), and ``rank`` maps codes to positions."""
+    tuples = monomials_up_to(nvars, degree)
+    exps = np.array(tuples, dtype=np.intp).reshape(-1, nvars)
+    exps.flags.writeable = False  # shared by every compile of this size
+    radix = (degree + 1) ** np.arange(nvars)
+    by_code = np.argsort(exps @ radix)
+    codes = (exps @ radix)[by_code]
+
+    def code(e):
+        return np.asarray(e, dtype=np.intp) @ radix
+
+    def rank(c):
+        return by_code[np.searchsorted(codes, c)]
+    return tuples, exps, code, rank
+
+
+def _negates(p: Polynomial, q: Polynomial) -> bool:
+    """p == -q, without building -q."""
+    return p.terms.keys() == q.terms.keys() and all(
+        p.terms[t] == -c for t, c in q.terms.items())
 
 
 def _leading(q: Polynomial) -> tuple:
@@ -88,13 +125,9 @@ def moment_matrix(L: MomentFunctional, k: int) -> np.ndarray:
     """Matrix with entry (alpha, beta) = L(x^(alpha+beta)), rows N^m_k."""
     if k > L.order:
         raise ValueError(f"moment matrix order {k} exceeds functional order {L.order}")
-    basis = monomials_up_to(L.nvars, k)
-    M = np.empty((len(basis), len(basis)))
-    for i, a in enumerate(basis):
-        for j in range(i + 1):
-            v = L.value(_add(a, basis[j]))
-            M[i, j] = M[j, i] = v
-    return M
+    tuples, exps, code, rank = _monomials(L.nvars, 2 * k)
+    basis = code(exps[:len(_monomials(L.nvars, k)[0])])  # a graded prefix
+    return np.array([L.value(m) for m in tuples])[rank(basis[:, None] + basis)]
 
 
 # --------------------------------------------------------------------------
@@ -125,66 +158,149 @@ class QModule:
     order: int  # k
     nz: int = 0
 
-    @property
+    @cached_property
     def equalities(self) -> tuple:
         """One q of each pair q, -q of generators, or () (class docstring)."""
         gens, eqs = self.generators, []
         for i, q in enumerate(gens):  # a repeated side adds no second pair
-            if (q.degree >= 1 and -q in gens[i + 1:]
-                    and q not in eqs and -q not in eqs):
+            if (q.degree >= 1 and any(_negates(p, q) for p in gens[i + 1:])
+                    and not any(p == q or _negates(p, q) for p in eqs)):
                 eqs.append(q)
         coprime = all(sum(map(bool, col)) <= 1 for col in zip(*map(_leading, eqs)))
         return tuple(eqs) if coprime else ()
 
     def gram_structure(self, nvars: int):
-        """(q, standard Gram basis) for 1 and each inequality."""
+        """(q, standard Gram basis as an exponent array) for 1 and each
+        inequality whose basis is not empty."""
         eqs = self.equalities
-        leads = [_leading(q) for q in eqs]
+        leads = np.array([_leading(q) for q in eqs], dtype=np.intp).reshape(-1, nvars)
         out = []
         for q in (Polynomial.constant(nvars, 1.0), *self.generators):
-            if q in eqs or -q in eqs:
+            if any(p == q or _negates(p, q) for p in eqs):
                 continue
             rest = self.order - ceil_half(q.degree)
-            basis = monomials_up_to(nvars, rest) if not self.nz else [
-                mono + tuple(int(t == i) for t in range(self.nz))
-                for i in range(self.nz)
-                for mono in monomials_up_to(nvars - self.nz, rest - 1)]
-            basis = [b for b in basis
-                     if not any(all(x <= y for x, y in zip(a, b)) for a in leads)]
-            if basis:
+            basis = _monomials(nvars, rest)[1] if not self.nz else np.vstack([
+                np.hstack([base, np.tile(z, (len(base), 1))])
+                for base in [_monomials(nvars - self.nz, rest - 1)[1]]
+                for z in np.eye(self.nz, dtype=np.intp)])
+            if eqs:
+                basis = basis[~(basis[:, None] >= leads).all(axis=2).any(axis=1)]
+            if len(basis):
                 out.append((q, basis))
         return out
 
 
-def _reduce(rows: dict, equalities) -> None:
-    """Reduce {monomial: LinExpr} modulo the equalities (a Groebner basis)
-    in place, largest monomial first: x^a = x^s LM(q) is replaced by
-    x^s (LM(q) - q / lc(q)), whose monomials are smaller and already keys.
-    The standard monomials are left, in their order."""
-    steps = [(_leading(q), q) for q in equalities]
-    for mono in sorted(rows, key=lambda e: (sum(e), e), reverse=True):
-        for lead, q in steps:
-            if all(x <= y for x, y in zip(lead, mono)):
-                expr = rows.pop(mono).scaled(-1.0 / q.terms[lead])
-                shift = tuple(x - y for x, y in zip(mono, lead))
-                for t, c in q.terms.items():
-                    if t != lead:
-                        rows[_add(shift, t)] += expr.scaled(c)
-                break
+def _sum_by_key(keys: np.ndarray, vals: np.ndarray, then=None):
+    """The distinct keys, ascending, and each one's values summed from zero
+    in input order, or in the order of ``then`` first when it is given."""
+    order = (np.argsort(keys, kind="stable") if then is None
+             else np.lexsort((then, keys)))
+    keys = keys[order]
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    sums = np.bincount(np.cumsum(first) - 1, vals[order])
+    return keys[first], sums.astype(float, copy=False)
+
+
+def _reduce(entries, nvars: int, degree: int, equalities, width: int):
+    """Reduce sparse rows, one per monomial of degree <= degree, modulo the
+    equalities (a Groebner basis), and return the standard rows' nonzeros
+    (rows, cols, vals), row-major.  ``entries`` are (rows, cols, vals) over
+    ``width`` columns, in the order their terms arrive.
+
+    Largest monomial first, x^a = x^s LM(q) is x^s (LM(q) - q / lc(q)): row
+    a, times -1 / lc(q) and then times each other q_t, is added to row
+    x^s t, for the first q whose LM(q) divides x^a.  A row is summed from
+    zero in the order its terms arrived, the given ones and then step by
+    step (``np.bincount`` adds in input order); a step runs once all steps
+    adding to its row have, so the steps run in levels."""
+    def summed(keep):
+        r, c, v, made = (np.concatenate(x) for x in zip(*parts))
+        sel = keep[r]
+        keys, sums = _sum_by_key(r[sel] * width + c[sel], v[sel], made[sel])
+        live = sums != 0
+        return keys[live] // width, keys[live] % width, sums[live]
+
+    parts = [(*entries, np.full(entries[0].size, -1))]  # last: the step
+    _, exps, code, rank = _monomials(nvars, degree)
+    if not equalities:
+        return summed(np.ones(len(exps), dtype=bool))
+    width_q = max(len(q.terms) - 1 for q in equalities)
+    steps = [(np.zeros(0, dtype=np.intp), np.zeros(0),
+              np.zeros((0, width_q), dtype=np.intp), np.zeros((0, width_q)))]
+    free = np.ones(len(exps), dtype=bool)
+    for q in equalities:
+        lead = _leading(q)
+        hits = np.flatnonzero(free & (exps >= lead).all(axis=1))
+        free[hits] = False
+        tail = [t for t in q.terms if t != lead]
+        targets = np.full((hits.size, width_q), -1)
+        targets[:, :len(tail)] = rank(code(exps[hits])[:, None] - code(lead)
+                                      + code(np.reshape(tail, (-1, nvars))))
+        coefs = np.zeros((hits.size, width_q))
+        coefs[:, :len(tail)] = [q.terms[t] for t in tail]
+        steps.append((hits, np.full(hits.size, -1.0 / q.terms[lead]), targets,
+                      coefs))
+    source, factor, targets, coefs = (np.concatenate(x) for x in zip(*steps))
+    # degrees down, and within one degree positions up, which is lex down
+    order = np.lexsort((source, -exps[source].sum(axis=1)))
+    source, factor, targets, coefs = (x[order] for x in (source, factor,
+                                                         targets, coefs))
+    step_of = np.full(len(exps), -1)
+    step_of[source] = np.arange(source.size)
+    level, ready = [], [0] * len(exps)
+    for a, row in zip(source.tolist(), targets.tolist()):
+        level.append(ready[a])
+        for r in row:
+            if r >= 0 and ready[r] <= level[-1]:
+                ready[r] = level[-1] + 1
+    level = np.array(level, dtype=np.intp)
+    for lv in range(level.max() + 1 if level.size else 0):
+        keep = np.zeros(len(exps), dtype=bool)
+        keep[source[level == lv]] = True
+        r, c, v = summed(keep)
+        step = step_of[r]
+        for t in range(width_q):
+            to = targets[step, t]
+            ok = to >= 0
+            parts.append((to[ok], c[ok], (v * factor[step] * coefs[step, t])[ok],
+                          step[ok]))
+    return summed(step_of < 0)
+
+
+def _terms(polys, nvars: int):
+    """The polynomials' terms, in their order, as flat arrays (owner,
+    exponents, coefficients), the owner a polynomial's position."""
+    sizes = [len(p.terms) for p in polys]
+    exps = np.fromiter(chain.from_iterable(chain.from_iterable(
+        p.terms for p in polys)), dtype=np.intp, count=sum(sizes) * nvars)
+    coefs = np.fromiter(chain.from_iterable(p.terms.values() for p in polys),
+                        dtype=float, count=sum(sizes))
+    return np.repeat(np.arange(len(polys)), sizes), exps.reshape(-1, nvars), coefs
+
+
+def _products(structure, nvars: int, code):
+    """The terms of q * b_i * b_j for each (q, basis) of ``structure`` and
+    pair i >= j of its basis, row-major, as flat arrays (pair, monomial
+    code, coefficient), q's terms in order and the pairs numbered on across
+    the blocks; and whether each pair is diagonal."""
+    owner, q_exps, q_coefs = _terms([q for q, _ in structure], nvars)
+    tri = [tri_indices(len(basis)) for _, basis in structure]
+    sizes = np.bincount(owner, minlength=len(structure))
+    per_pair = np.repeat(sizes, [ti.size for ti, _ in tri])
+    pair = np.repeat(np.arange(per_pair.size), per_pair)
+    term = np.arange(pair.size) + np.repeat(
+        np.repeat(np.cumsum(sizes) - sizes, [ti.size for ti, _ in tri])
+        - np.cumsum(per_pair) + per_pair, per_pair)
+    sums = np.concatenate([c[ti] + c[tj] for c, (ti, tj) in
+                           zip((code(basis) for _, basis in structure), tri)])
+    return (pair, sums[pair] + code(q_exps)[term], q_coefs[term],
+            np.concatenate([ti == tj for ti, tj in tri]))
 
 
 # --------------------------------------------------------------------------
 # Gram side: cone membership as SDP blocks
 # --------------------------------------------------------------------------
-
-
-def _as_affine(target, nvars: int) -> dict:
-    """Normalize a Polynomial or {monomial: LinExpr} map to the latter."""
-    if isinstance(target, Polynomial):
-        if target.nvars != nvars:
-            raise ValueError("variable count mismatch")
-        return {m: LinExpr.constant(c) for m, c in target.terms.items()}
-    return dict(target)
 
 
 def sos_membership_blocks(builder: SdpBuilder, target, cone: QModule,
@@ -196,40 +312,49 @@ def sos_membership_blocks(builder: SdpBuilder, target, cone: QModule,
     target = gram(+ t on the leading Gram diagonal) + ..., i.e. the leading
     Gram matrix is shifted to G - t*I; maximizing t measures how deep the
     target sits inside the cone.  Returns the Gram blocks' handles, one per
-    generator with a nonempty Gram basis outside the equality pairs.
+    generator with a nonempty Gram basis outside the equality pairs.  The
+    identity's coefficients are sparse rows, one per monomial of degree
+    <= 2k with a column per SDP variable and the constant last; reduced,
+    each standard monomial's nonzero row is an equality row, in order.
     """
-    aff = _as_affine(target, nvars)
+    if isinstance(target, Polynomial):
+        if target.nvars != nvars:
+            raise ValueError("variable count mismatch")
+        target = {m: LinExpr.constant(c) for m, c in target.terms.items()}
     bound = 2 * cone.order
-    for mono in aff:
+    for mono in target:
         if sum(mono) > bound:
             raise ValueError(
                 f"target degree {sum(mono)} exceeds cone bound {bound}")
-    rows: dict[tuple, LinExpr] = {m: LinExpr() for m in monomials_up_to(nvars, bound)}
-
-    gram_handles = []
-    for gi, (gen, basis) in enumerate(cone.gram_structure(nvars)):
-        h = builder.psd_block(len(basis))
-        gram_handles.append(h)
-        for j, bj in enumerate(basis):
-            for i in range(j, len(basis)):
-                prod = _add(basis[i], bj)
-                w = 1.0 if i == j else 2.0
-                idx = h.entry_index(i, j)
-                for dexp, dcoef in gen.terms.items():
-                    rows[_add(prod, dexp)].add_term(idx, w * dcoef)
-        if gi == 0 and margin is not None:
-            for bmono in basis:
-                sq = _add(bmono, bmono)
-                for k, v in margin.coeffs.items():
-                    rows[sq].add_term(k, v)
-
-    for mono, expr in aff.items():
-        rows[mono] = rows[mono] - expr
-    if cone.equalities:  # one row per standard monomial
-        _reduce(rows, cone.equalities)
-    for expr in rows.values():
-        if not expr.is_zero():
-            builder.add_equality(expr, 0.0)
+    _, _, code, rank = _monomials(nvars, bound)
+    structure = cone.gram_structure(nvars)
+    gram_handles = [builder.psd_block(len(basis)) for _, basis in structure]
+    width = builder.num_scalars + 1
+    parts = []  # (rows, cols, vals) in the order the identity adds them
+    if structure:  # Gram entry (i, j) times 2 q_t (1 q_t on the diagonal)
+        pair, codes, coefs, diagonal = _products(structure, nvars, code)
+        parts.append((rank(codes), gram_handles[0].offset + pair,
+                      np.where(diagonal[pair], 1.0, 2.0) * coefs))
+        if margin is not None:
+            squares = rank(2 * code(structure[0][1]))
+            parts += [(squares, np.full(squares.size, k), np.full(squares.size, v))
+                      for k, v in margin.coeffs.items()]
+    rows, cols, vals = [], [], []
+    for r, expr in zip(rank(code(np.array(list(target), dtype=np.intp)
+                                 .reshape(-1, nvars))).tolist(), target.values()):
+        rows += [r] * (len(expr.coeffs) + 1)
+        cols += [*expr.coeffs, width - 1]
+        vals += [*expr.coeffs.values(), expr.const]
+    parts.append((np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
+                  -np.array(vals)))
+    rows, cols, vals = _reduce([np.concatenate(x) for x in zip(*parts)],
+                               nvars, bound, cone.equalities, width)
+    labels, row = np.unique(rows, return_inverse=True)
+    const = cols == width - 1
+    rhs = np.zeros(labels.size)
+    rhs[row[const]] = vals[const]
+    builder.add_rows(SparseRows(row[~const], cols[~const], vals[~const],
+                                (labels.size, width - 1)), 0.0 - rhs)
     return gram_handles
 
 
@@ -267,63 +392,93 @@ class MomentVarMap:
     The moments L(x^a) of the standard monomials x^a, |a| <= 2k (all of
     them without an equality pair), are the free vector of one LMI block,
     in graded-lex order of a; any other is L(NF(x^a)), so L vanishes on the
-    equalities' ideal (module docstring).  The LMI's first diagonal block
+    equalities' ideal (module docstring).  The normal form is a table, the
+    division steps run on the identity: row a holds NF(x^a) over the
+    standard monomials as its nonzeros (``nf_cols``, ``nf_vals``, in column
+    order, padded with zeros to one width).  The LMI's first diagonal block
     is the order-k moment matrix, entry (i, j) = L(b_i * b_j), and the
-    localizing matrix of each of ``localizers``, entry L(q b_i b_j),
-    follows, on the standard Gram basis that ``QModule(localizers, order)``
-    gives it, so L lies in the dual of that module.  A localizer whose
-    basis is empty (deg q > 2 * order) constrains nothing and adds no block.
+    localizing matrix of each of ``localizers``, entry L(q b_i b_j) =
+    sum_t q_t NF[b_i + b_j + t] summed in q's term order, follows, on the
+    standard Gram basis that ``QModule(localizers, order)`` gives it, so L
+    lies in the dual of that module.  A localizer whose basis is empty
+    (deg q > 2 * order) constrains nothing and adds no block.
     """
 
     def __init__(self, builder: SdpBuilder, nvars: int, order: int,
                  localizers=()):
         self.nvars = nvars
         self.order = order
-        every = monomials_up_to(nvars, 2 * order)
-        rows = {m: LinExpr.term(i) for i, m in enumerate(every)}
         self.localizers = tuple(localizers)
         cone = QModule(self.localizers, order)
-        _reduce(rows, cone.equalities)  # row s holds NF(x^m)[s] at m's index
-        self.monomials = list(rows)
-        self.position = {m: i for i, m in enumerate(self.monomials)}
+        self.tuples, _, self.code, self.rank = _monomials(nvars, 2 * order)
+        n = len(self.tuples)
+        self.nf_cols, self.nf_vals = np.arange(n)[:, None], np.ones((n, 1))
+        standard = np.ones(n, dtype=bool)
+        if cone.equalities:  # else the table is the identity
+            s, m, v = _reduce((np.arange(n), np.arange(n), np.ones(n)),
+                              nvars, 2 * order, cone.equalities, n)
+            standard[:] = False
+            standard[s] = True
+            by_mono = np.lexsort((s, m))
+            s, m, v = (np.cumsum(standard) - 1)[s[by_mono]], m[by_mono], v[by_mono]
+            count = np.bincount(m, minlength=n)
+            slot = np.arange(m.size) - np.repeat(np.cumsum(count) - count, count)
+            self.nf_cols = np.zeros((n, count.max()), dtype=np.intp)
+            self.nf_vals = np.zeros((n, count.max()))
+            self.nf_cols[m, slot], self.nf_vals[m, slot] = s, v
+        self.monomials = list(compress(self.tuples, standard.tolist()))
         self.block = builder.lmi_block(len(self.monomials))
-        self.normal_form = {m: LinExpr() for m in every}  # L(NF(x^m))
-        for s, expr in rows.items():
-            for i, c in expr.coeffs.items():
-                self.normal_form[every[i]].add_term(
-                    self.block.index(self.position[s]), c)
-        for q, basis in cone.gram_structure(nvars):
-            self.block.add_matrix(len(basis), {
-                (i, j): self.lin_poly(q, _add(basis[i], bj))
-                for j, bj in enumerate(basis) for i in range(j, len(basis))})
+        structure = cone.gram_structure(nvars)
+        if structure:  # every block's lower triangle, one row per pair
+            pair, codes, coefs, _ = _products(structure, nvars, self.code)
+            rows, cols, vals = self._apply(pair, codes, coefs)
+        start = 0
+        for _, basis in structure:
+            size = len(basis) * (len(basis) + 1) // 2
+            a, b = np.searchsorted(rows, [start, start + size])
+            self.block.add_matrix(len(basis), SparseRows(
+                rows[a:b] - start, cols[a:b], vals[a:b], (size, self.block.dim)))
+            start += size
+
+    def _apply(self, owner: np.ndarray, codes: np.ndarray, coefs: np.ndarray):
+        """The nonzeros (rows, cols, vals), row-major, of the rows
+        sum_t coefs[t] * NF[codes[t]] over the terms t with owner[t] = row,
+        each entry summed in term order from zero."""
+        dim, ranks = self.block.dim, self.rank(codes)
+        keys, sums = _sum_by_key(
+            (owner[:, None] * dim + self.nf_cols[ranks]).ravel(),
+            (self.nf_vals[ranks] * coefs[:, None]).ravel())
+        live = sums != 0
+        return keys[live] // dim, keys[live] % dim, sums[live]
+
+    def lin_polys(self, polys) -> list[LinExpr]:
+        """Linear expressions for L(poly), one per polynomial."""
+        if max((p.degree for p in polys), default=0) > 2 * self.order:
+            raise KeyError(f"a monomial above degree {2 * self.order}")
+        owner, exps, coefs = _terms(polys, self.nvars)
+        out = [LinExpr() for _ in polys]
+        for r, k, v in zip(*(x.tolist() for x in self._apply(
+                owner, self.code(exps), coefs))):
+            out[r].coeffs[self.block.offset + k] = v
+        return out
+
+    def lin_poly(self, poly: Polynomial) -> LinExpr:
+        """Linear expression for L(poly)."""
+        return self.lin_polys([poly])[0]
 
     def lin(self, mono: tuple) -> LinExpr:
         """The SDP expression for L(x^mono): one variable if standard."""
-        return LinExpr(self.normal_form[tuple(mono)].coeffs)
-
-    def lin_poly(self, poly: Polynomial, shift: tuple = ()) -> LinExpr:
-        """Linear expression for L(poly * x^shift)."""
-        expr = LinExpr()
-        for m, c in poly.terms.items():
-            m = _add(shift, m) if shift else m
-            if m in self.position:
-                expr.add_term(self.block.index(self.position[m]), c)
-            else:
-                expr += self.normal_form[m].scaled(c)
-        return expr
+        return self.lin_poly(Polynomial(self.nvars, {mono: 1.0}))
 
     def read(self, x: np.ndarray) -> MomentFunctional:
         """Recover the functional, every monomial, from a scalarized vector."""
-        return MomentFunctional(self.nvars, self.order, {
-            m: sum(c * x[i] for i, c in expr.coeffs.items())
-            for m, expr in self.normal_form.items()})
+        w = x[self.block.offset:self.block.offset + self.block.dim]
+        n, width = self.nf_cols.shape
+        values = np.bincount(np.repeat(np.arange(n), width),
+                             (self.nf_vals * w[self.nf_cols]).ravel(), n)
+        return MomentFunctional(self.nvars, self.order,
+                                dict(zip(self.tuples, values.tolist())))
 
     def read_solution(self, prob, sol) -> MomentFunctional:
         """Recover the functional from a solved problem's block values."""
         return self.read(prob.scalarize(sol.primal_point))
-
-
-def poly_image_in_y_sym(momvar: MomentVarMap, p) -> dict:
-    """Map y-monomial -> LinExpr over the moments: y -> L(p(., y))."""
-    return {ymono: momvar.lin_poly(slice_x)
-            for ymono, slice_x in p.slices.items()}

@@ -47,12 +47,12 @@ from enum import Enum
 import numpy as np
 
 from .certify import (KktReport, certify_point, hessian_form,
-                      hessian_form_margin, sos_convexity_check)
+                      hessian_form_margin, minimize_on_semialgebraic,
+                      sos_convexity_check)
 from .errors import MissingHintError, NumericalTroubleError, OptimumKnownSignal
 from .extract import (RankCertificate, certify_and_extract,
                       point_from_functional)
-from .moment import (MomentFunctional, MomentVarMap, QModule, poly_image_in_y_sym,
-                     sos_membership_blocks)
+from .moment import MomentFunctional, MomentVarMap, QModule, sos_membership_blocks
 from .poly import BivariatePoly, Polynomial, ceil_half
 from .sdp import LinExpr, SdpBuilder, solve
 
@@ -163,17 +163,23 @@ class Semialgebraic:
         return raster([(-bound, bound)] * self.n_y, per_axis)
 
     def representative_point(self):
-        """The point of the 41-per-axis grid deepest in Y.  Raises
-        ValueError when no grid point lies in Y (a set without interior,
-        such as a circle, is usually missed)."""
-        pts = self.grid(41)
-        slack = np.min(np.column_stack([q.eval_many(pts)
-                                        for q in self.generators]), axis=1)
-        i = int(np.argmax(slack))
-        if slack[i] < 0:
-            raise ValueError("no point of the 41-per-axis grid lies in the "
-                             "index set, so none can represent it")
-        return pts[i]
+        """A point of Y: the first atom of the minimizer over Y of the unit
+        linear form along (3, 4, 5, ...) (0.6 y1 + 0.8 y2 in the plane),
+        from the first of the moment hierarchy's orders k0 and k0 + 1 that
+        certifies one, k0 the generators' max ceil(deg / 2).  A set without
+        interior, such as a circle, is found too.  Raises ValueError when
+        neither order certifies (NumericalTroubleError when Y is empty)."""
+        w = np.arange(3.0, 3.0 + self.n_y)
+        form = Polynomial(self.n_y, dict(zip(
+            map(tuple, np.eye(self.n_y, dtype=int).tolist()), w / np.linalg.norm(w))))
+        gens = self.as_generators()
+        k0 = max(max(ceil_half(q.degree) for q in gens), 1)
+        for k in (k0, k0 + 1):
+            atoms = minimize_on_semialgebraic(form, gens, k, k0)[4]
+            if atoms:
+                return atoms[0][0]
+        raise ValueError("no order of the moment hierarchy certified a point "
+                         "of the index set, so none can represent it")
 
 
 # a compact set Y of constraint indices, described semialgebraically
@@ -483,15 +489,17 @@ def build_dual_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
 
     builder = SdpBuilder()
     mv = MomentVarMap(builder, prob.m, cone_x.order, cone_x.generators)
-    builder.add_equality(mv.lin_poly(prob.g), 1.0)
+    L_g, L_f, *rest = mv.lin_polys([prob.g, prob.f, *prob.psis,
+                                    *prob.p.slices.values()])
+    builder.add_equality(L_g, 1.0)
     if prob.psis:
         slack = builder.nonneg_block(prob.s)
-        for j, psi in enumerate(prob.psis):
-            builder.add_equality(mv.lin_poly(psi) + slack.entry(j))
-    image = poly_image_in_y_sym(mv, prob.p)
-    negated = {mono: expr.scaled(-1.0) for mono, expr in image.items()}
+        for j, L_psi in enumerate(rest[:prob.s]):
+            builder.add_equality(L_psi + slack.entry(j))
+    negated = {ymono: expr.scaled(-1.0)
+               for ymono, expr in zip(prob.p.slices, rest[prob.s:])}
     sos_membership_blocks(builder, negated, cone_y, prob.p.n_y)
-    builder.set_objective(mv.lin_poly(prob.f))
+    builder.set_objective(L_f)
     return builder.build(), mv
 
 

@@ -2,10 +2,13 @@
 
 ``SdpBuilder`` hands out block handles whose entries are addressed by
 global scalar indices (see :mod:`.model` for the layout), collects sparse
-equality rows and an objective as ``LinExpr`` affine expressions, and
-finally assembles an :class:`~.model.SdpProblem`.  An LMI block's handle
-also collects the diagonal blocks of its matrix inequality, each entry a
-``LinExpr`` over the block's own variables.
+equality rows and an objective, and finally assembles an
+:class:`~.model.SdpProblem`.  A row written by hand (a normalization, a
+slack, an objective) is a ``LinExpr`` affine expression; a compiler hands
+over many rows at once as :class:`~.model.SparseRows` (``add_rows``).  An
+LMI block's handle collects the diagonal blocks of its matrix inequality,
+each given by ``add_matrix`` as the ``SparseRows`` map from the block's own
+variables to the block's lower triangle.
 """
 
 from __future__ import annotations
@@ -65,9 +68,6 @@ class LinExpr:
         return LinExpr({k: v * factor for k, v in self.coeffs.items()},
                        self.const * factor)
 
-    def is_zero(self) -> bool:
-        return not self.coeffs and self.const == 0.0
-
 
 class PsdHandle:
     """Addresses the entries of one PSD block."""
@@ -117,64 +117,64 @@ class LmiHandle(VecHandle):
         self.dims: list[int] = []
         self.maps: list[SparseRows] = []
 
-    def add_matrix(self, dim: int, entries: dict) -> None:
-        """Append a dim x dim diagonal block; ``entries`` maps (i, j),
-        i >= j, to a LinExpr over this block's entries (constant zero)."""
-        rows, cols, vals = [], [], []
-        for (i, j), expr in entries.items():
-            if expr.const != 0.0:
-                raise ValueError("LMI entries are linear in w (no constant)")
-            for k, v in expr.coeffs.items():
-                rows.append(tri_index(i, j))
-                cols.append(k - self.offset)
-                vals.append(v)
-        if cols and not 0 <= min(cols) <= max(cols) < self.dim:
-            raise IndexError("LMI entry refers to a variable outside its block")
-        order = np.lexsort((cols, rows))
+    def add_matrix(self, dim: int, F: SparseRows) -> None:
+        """Append a dim x dim diagonal block; ``F`` takes this block's
+        variables to the block's lower triangle, its nonzeros in row-major
+        order."""
+        if F.shape != (dim * (dim + 1) // 2, self.dim):
+            raise ValueError(f"LMI map of shape {F.shape} for a {dim} x {dim} "
+                             f"block over {self.dim} variables")
         self.dims.append(dim)
-        self.maps.append(SparseRows(np.array(rows, dtype=np.intp)[order],
-                                    np.array(cols, dtype=np.intp)[order],
-                                    np.array(vals, dtype=float)[order],
-                                    (dim * (dim + 1) // 2, self.dim)))
+        self.maps.append(F)
 
 
 class SdpBuilder:
     def __init__(self):
         self.blocks = []
-        self._offset = 0
-        self.rows: list[dict[int, float]] = []
+        self.num_scalars = 0
+        self.rows: list[tuple[np.ndarray, np.ndarray]] = []  # (cols, vals)
         self.rhs: list[float] = []
         self._objective: dict[int, float] = {}
 
     # -- variables --------------------------------------------------------
 
     def psd_block(self, dim: int) -> PsdHandle:
-        h = PsdHandle(self._offset, dim)
+        h = PsdHandle(self.num_scalars, dim)
         self.blocks.append(PsdBlock(dim))
-        self._offset += dim * (dim + 1) // 2
+        self.num_scalars += dim * (dim + 1) // 2
         return h
 
     def nonneg_block(self, dim: int) -> VecHandle:
         """dim nonnegative scalars, each a 1 x 1 PSD block.  A free scalar
         is written as ``h.entry(0) - h.entry(1)`` of a pair."""
-        h = VecHandle(self._offset, dim)
+        h = VecHandle(self.num_scalars, dim)
         self.blocks.extend([PsdBlock(1)] * dim)
-        self._offset += dim
+        self.num_scalars += dim
         return h
 
     def lmi_block(self, nvars: int) -> LmiHandle:
         """A free vector whose matrix inequality is added on the handle."""
-        h = LmiHandle(self._offset, nvars)
+        h = LmiHandle(self.num_scalars, nvars)
         self.blocks.append(h)  # becomes an LmiBlock in build()
-        self._offset += nvars
+        self.num_scalars += nvars
         return h
 
     # -- rows and objective -------------------------------------------------
 
     def add_equality(self, expr: LinExpr, rhs: float = 0.0) -> None:
         """Impose  expr == rhs  (the expression's constant moves to the rhs)."""
-        self.rows.append(dict(expr.coeffs))
+        cols = sorted(expr.coeffs)
+        self.rows.append((np.array(cols, dtype=np.intp),
+                          np.array([expr.coeffs[k] for k in cols], dtype=float)))
         self.rhs.append(float(rhs) - expr.const)
+
+    def add_rows(self, rows: SparseRows, rhs: np.ndarray) -> None:
+        """Impose  rows @ x == rhs, ``rows`` in row-major order over the
+        first columns."""
+        cut = np.searchsorted(rows.rows, np.arange(rows.shape[0] + 1)).tolist()
+        self.rows += [(rows.cols[a:b], rows.vals[a:b])
+                      for a, b in zip(cut[:-1], cut[1:])]
+        self.rhs.extend(rhs.tolist())
 
     def set_objective(self, expr: LinExpr) -> None:
         """Minimize the expression (its constant is dropped from the model)."""
@@ -183,18 +183,16 @@ class SdpBuilder:
     # -- assembly -----------------------------------------------------------
 
     def build(self) -> SdpProblem:
-        n = self._offset
+        n = self.num_scalars
         c = np.zeros(n)
         for k, v in self._objective.items():
             c[k] = v
-        rows, cols, vals = [], [], []
-        for r, row in enumerate(self.rows):
-            for k in sorted(row):
-                rows.append(r)
-                cols.append(k)
-                vals.append(row[k])
-        A = SparseRows(np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
-                       np.array(vals, dtype=float), (len(self.rows), n))
+        parts = [(np.zeros(0, dtype=np.intp), np.zeros(0))] + self.rows
+        sizes = np.array([cols.size for cols, _ in self.rows], dtype=np.intp)
+        A = SparseRows(np.repeat(np.arange(len(self.rows)), sizes),
+                       np.concatenate([cols for cols, _ in parts]),
+                       np.concatenate([vals for _, vals in parts]),
+                       (len(self.rows), n))
         blocks = [LmiBlock(bl.dim, tuple(bl.dims), tuple(bl.maps))
                   if isinstance(bl, LmiHandle) else bl for bl in self.blocks]
         return SdpProblem(blocks, c, A, np.array(self.rhs, dtype=float))

@@ -136,20 +136,43 @@ def test_lower_level_takes_the_bound_from_the_orders_that_end_optimal(
     assert f"order {k_min + 1}: IterLimit" in str(err.value)
 
 
-def test_lower_level_refuses_an_index_set_its_grid_misses():
-    # the circle {q = 0} of centre (0.3, 0.31) and radius 0.114 passes
-    # between the points of the 41-per-axis grid, and the origin is not on
-    # it.  At u = (0, 0.5), p(u, y) = x2 - 1 does not depend on y, so the
-    # solve needs a point of Y to report and must not make one up
+def _constant_in_y(index_set):
+    """A problem whose p(u, .) is the constant x2 - 1 wherever
+    x1 (|y|^2 - 0.49) vanishes: at x1 = 0, or on the circle |y|^2 = 0.49."""
+    joint = Polynomial(4, {(1, 0, 2, 0): 1.0, (1, 0, 0, 2): 1.0,
+                           (1, 0, 0, 0): -0.49, (0, 1, 0, 0): 1.0,
+                           (0, 0, 0, 0): -1.0})
+    return FsippProblem(Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0}),
+                        Polynomial.constant(2, 1.0), (),
+                        BivariatePoly.from_joint(joint, 2, 2), index_set)
+
+
+def test_lower_level_locates_a_point_of_an_index_set_without_interior():
+    # Y is a circle, which no grid hits.  At u = (0, 0.5), p(u, y) = -0.5
+    # does not depend on y, so the solve reports a point of Y that the
+    # moment hierarchy locates as the minimizer of 0.6 y1 + 0.8 y2
+    q = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -0.49})
+    prob = _constant_in_y(Semialgebraic((q, q.scale(-1.0))))
+    p_star, Lambda, certified = lower_level_solve(np.array([0.0, 0.5]), prob)
+    assert (p_star, certified) == (0.5, True) and len(Lambda) == 1
+    assert abs(Lambda[0] @ Lambda[0] - 0.49) <= 1e-6
+    np.testing.assert_allclose(Lambda[0], [-0.42, -0.56], atol=1e-6)
+    # off the origin too: the circle of centre (0.3, 0.31) and radius 0.114
+    # passes between the points of a 41-per-axis grid of the unit square
     q = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (1, 0): -0.6,
                        (0, 1): -0.62, (0, 0): 0.1731})
-    circle = Semialgebraic((q, q.scale(-1.0)))
-    joint = Polynomial(4, {(1, 0, 1, 0): 1.0, (0, 1, 0, 0): 1.0,
-                           (0, 0, 0, 0): -1.0})
-    prob = FsippProblem(Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0}),
-                        Polynomial.constant(2, 1.0), (),
-                        BivariatePoly.from_joint(joint, 2, 2), circle)
-    with pytest.raises(ValueError, match="no point of the 41-per-axis grid"):
+    point = Semialgebraic((q, q.scale(-1.0))).representative_point()
+    assert abs(q(point)) <= 1e-6
+
+
+def test_lower_level_refuses_an_index_set_no_linear_form_locates():
+    # on the chord {0.6 y1 + 0.8 y2 = 0} of the unit disc the linear form
+    # is constant, so no order certifies a minimizer: the solve needs a
+    # point of Y to report and must not make one up
+    line = Polynomial(2, {(1, 0): 0.6, (0, 1): 0.8})
+    disc = Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0})
+    prob = _constant_in_y(Semialgebraic((line, line.scale(-1.0), disc)))
+    with pytest.raises(ValueError, match="no order of the moment hierarchy"):
         lower_level_solve(np.array([0.0, 0.5]), prob)
 
 

@@ -9,7 +9,10 @@ paths per core type), the tests of equality pairs compiled as ideals,
 ``test_moment.py -k equality`` (among them
 ``test_equality_pairs_compile_as_ideals_only_with_coprime_leads`` and
 ``test_lower_level_sdp_compiles_the_arc_equality_in_the_quotient``, whose
-SDPs live in the quotient ring on standard monomials), the exact
+SDPs live in the quotient ring on standard monomials), the compilers
+against their per-entry reference (``test_compile.py``: every compile sum
+is a plain numpy sum in a fixed order, so an SDP that went through a BLAS
+product would differ from the reference on some kernel), the exact
 lower-level oracle's tests (``np.roots`` and
 ``eigh`` take kernel-dependent LAPACK paths, and the oracle's tie and
 hard-case tests compare their results with thresholds) and the
@@ -62,6 +65,8 @@ def test_acceptance_and_general_route_under_kernel(kernel, tmp_path):
              sdp_tests + "::test_mixed_dimensions_stack_once_per_kind"],
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              str(ROOT / "tests" / "test_moment.py"), "-k", "equality"],
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             str(ROOT / "tests" / "test_compile.py")],
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              str(ROOT / "tests" / "test_certify.py"), "-k",
              "exact_lower_level"],

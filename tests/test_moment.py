@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from fsipp import certify, instances, moment
 from fsipp.moment import (MomentFunctional, MomentVarMap, QModule,
                           membership_margin, moment_matrix,
-                          poly_image_in_y_sym, sos_membership_blocks)
+                          sos_membership_blocks)
 from fsipp.poly import BivariatePoly, Polynomial, monomials_up_to
-from fsipp.sdp import LinExpr, SdpBuilder, solve
+from fsipp.sdp import SdpBuilder, solve
 
 from conftest import apply_functional, from_atoms, is_member, localizing_matrix
 
@@ -147,11 +147,13 @@ def test_equality_normal_form_is_standard_and_agrees_on_the_variety(q):
     assert moment._leading(q) == (2, 0)
     for _ in range(5):
         p = Polynomial(2, {m: rng.normal() for m in monomials_up_to(2, 8)})
-        rows = {m: LinExpr.constant(c) for m, c in p.terms.items()}
-        moment._reduce(rows, (q,))
-        assert not any(m[0] >= 2 for m in rows)  # y1^2 divides none
-        assert all(not e.coeffs for e in rows.values())
-        reduced = Polynomial(2, {m: e.const for m, e in rows.items()})
+        tuples, _, code, rank = moment._monomials(2, 8)
+        ranks = rank(code(list(p.terms)))
+        rows, _, vals = moment._reduce(
+            (ranks, np.zeros_like(ranks), np.array(list(p.terms.values()))),
+            2, 8, (q,), 1)
+        reduced = Polynomial(2, {tuples[r]: v for r, v in zip(rows, vals)})
+        assert not any(m[0] >= 2 for m in reduced.terms)  # y1^2 divides none
         pts = _on_curve(q, rng)
         np.testing.assert_allclose(q.eval_many(pts), 0.0, atol=1e-12)
         np.testing.assert_allclose(reduced.eval_many(pts), p.eval_many(pts),
@@ -365,8 +367,9 @@ def test_poly_image_in_y_matches_direct_evaluation():
     builder = SdpBuilder()
     mv = MomentVarMap(builder, 2, 2)
     x = np.array([L.value(m) for m in mv.monomials])  # the moment vector
+    image = mv.lin_polys(list(p.slices.values()))
     img = Polynomial(1, {ymono: sum(c * x[k] for k, c in expr.coeffs.items())
-                         for ymono, expr in poly_image_in_y_sym(mv, p).items()})
+                         for ymono, expr in zip(p.slices, image)})
     for y in (-0.7, 0.0, 1.3):
         direct = sum(w * joint((x1, x2, y)) for (x1, x2), w in atoms)
         assert img((y,)) == pytest.approx(direct, abs=1e-12)

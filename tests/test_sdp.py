@@ -16,7 +16,7 @@ from fsipp.relax import (RelaxOptions, build_dual_sdp, build_primal_sdp,
 from fsipp.sdp import (LinExpr, LmiBlock, PsdBlock, SdpBuilder, SdpProblem,
                        check_solution, solve, tri_index)
 from fsipp.sdp import solver
-from fsipp.sdp.model import SdpSolution, tri_indices
+from fsipp.sdp.model import SdpSolution, SparseRows, tri_indices
 
 from test_multiobj import _identical_pair_problem
 
@@ -599,7 +599,7 @@ def lmi_problem():
     lam = (-1/2, -1/2) meets B^T lam + F*(Z_S) = c_w = (0, 1, 0)."""
     b = SdpBuilder()
     w = b.lmi_block(3)
-    w.add_matrix(2, {(0, 0): w.entry(0), (1, 0): w.entry(1), (1, 1): w.entry(2)})
+    w.add_matrix(2, SparseRows.from_dense(np.eye(3)))  # F(w) = (w0, w1, w2)
     b.add_equality(w.entry(0), 1.0)
     b.add_equality(w.entry(2), 1.0)
     b.set_objective(w.entry(1))
@@ -638,16 +638,12 @@ def mixed_dimension_problem():
         return S - np.trace(S) / d * np.eye(d)
 
     def entries(d, mats):
-        """(i, j) -> sum_a w_a mats[a][i, j] over the lower triangle."""
-        out = {}
-        for i in range(d):
-            for j in range(i + 1):
-                expr = LinExpr()
-                for a, F in mats.items():
-                    if F[i, j]:
-                        expr += w.entry(a, float(F[i, j]))
-                out[(i, j)] = expr
-        return out
+        """The map w -> sum_a w_a mats[a] onto the lower triangle."""
+        F = np.zeros((d * (d + 1) // 2, 4))
+        ti, tj = tri_indices(d)
+        for a, M in mats.items():
+            F[:, a] = M[ti, tj]
+        return SparseRows.from_dense(F)
 
     w.add_matrix(4, entries(4, {0: np.eye(4), 1: traceless(4), 2: traceless(4)}))
     w.add_matrix(2, entries(2, {0: np.eye(2), 3: traceless(2)}))
