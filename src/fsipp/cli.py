@@ -115,6 +115,8 @@ class ParsedProblem:
             tau=options.get("tau", 1e-3),
             sdp_tol=options.get("sdp_tol", 1e-8))
         k_min, k_max = options.get("k_min"), options.get("k_max")
+        if k_min is not None and k_min < 1:
+            raise ValueError("k_min must be at least 1")
         if k_min is not None:
             self.k_range = (int(k_min), int(max(k_min, k_max or k_min)))
         else:

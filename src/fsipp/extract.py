@@ -4,17 +4,22 @@ Point map L(x)/L(1), the flat-truncation rank certificate, and atomic
 measure extraction via the column-echelon / multiplication-matrix
 procedure (shift operators on a rank factor of the moment matrix, joint
 diagonalization through a random convex combination).
+
+Every step indexes the functional's moment vector (``MomentFunctional``)
+by the rank lookup of ``fsipp.moment``.  The atoms' Vandermonde matrix and
+the reconstruction check are elementwise products and sums, never BLAS
+products, so they round alike on every BLAS build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .errors import DegenerateMassError, NumericalTroubleError
-from .moment import MomentFunctional, moment_matrix
-from .poly import monomials_up_to
+from .moment import MomentFunctional, _monomials, moment_matrix
 
 
 def numeric_rank(mat: np.ndarray, rel_tol: float = 1e-8):
@@ -125,13 +130,10 @@ def extract_atoms(L: MomentFunctional, cert: RankCertificate, gens=()):
     """
     if not cert.passed:
         raise ValueError("rank certificate did not pass")
-    m = L.nvars
-    k_prime = cert.k_prime
-    r = cert.rank_high
+    m, k_prime, r = L.nvars, cert.k_prime, cert.rank_high
     if r == 0:
         return []
-    basis = monomials_up_to(m, k_prime)
-    index = {mono: i for i, mono in enumerate(basis)}
+    _, exps, code, rank = _monomials(m, 2 * L.order)
     M = moment_matrix(L, k_prime)
     w, U = np.linalg.eigh(M)
     w = np.clip(w[-r:], 0.0, None)
@@ -141,18 +143,13 @@ def extract_atoms(L: MomentFunctional, cert: RankCertificate, gens=()):
     if len(pivots) < r:
         raise NumericalTroubleError(
             f"rank factor collapsed: {len(pivots)} pivots for rank {r}")
-    piv_monos = [basis[c] for c in pivots]
-    if any(sum(mono) > k_prime - 1 for mono in piv_monos):
+    piv = exps[pivots]
+    if piv.sum(axis=1).max() > k_prime - 1:
         raise NumericalTroubleError("pivot monomials exceed degree k'-1")
-
-    mult = []
-    for i in range(m):
-        Ni = np.empty((r, r))
-        for j, mono in enumerate(piv_monos):
-            shifted = tuple(e + (1 if idx == i else 0)
-                            for idx, e in enumerate(mono))
-            Ni[:, j] = R[:, index[shifted]]
-        mult.append(Ni)
+    # column j of N_i is the column of x_i times pivot monomial j; take
+    # keeps N_i C-ordered (R[:, idx] is not), so q @ N_i @ q rounds alike
+    shifted = rank(code(piv)[:, None] + code(np.eye(m, dtype=np.intp)))
+    mult = [np.take(R, shifted[:, i], axis=1) for i in range(m)]
 
     rng = np.random.default_rng(0)
     coeffs = rng.random(m)
@@ -165,20 +162,11 @@ def extract_atoms(L: MomentFunctional, cert: RankCertificate, gens=()):
         raise NumericalTroubleError(
             "joint eigenproblem has complex pairs; operators do not commute")
     Q = np.linalg.qr(V.real)[0]
+    points = np.array([[float(q @ Ni @ q) for Ni in mult] for q in Q.T])
 
-    points = []
-    for j in range(r):
-        q = Q[:, j]
-        points.append(np.array([float(q @ Ni @ q) for Ni in mult]))
-
-    monos = monomials_up_to(m, 2 * k_prime)
-    A = np.empty((len(monos), r))
-    bvec = np.empty(len(monos))
-    for a, mono in enumerate(monos):
-        for j, pt in enumerate(points):
-            A[a, j] = float(np.prod(pt ** np.array(mono)))
-        bvec[a] = L.value(mono)
-    weights, *_ = np.linalg.lstsq(A, bvec, rcond=None)
+    # the Vandermonde matrix of the points on N^m_{2k'}, a prefix of L's
+    A = np.prod(points ** exps[:comb(m + 2 * k_prime, m), None], axis=2)
+    weights, *_ = np.linalg.lstsq(A, L.values[:len(A)], rcond=None)
     if np.min(weights) < -1e-7:
         raise NumericalTroubleError(f"negative atomic weight {np.min(weights)}")
     for pt in points:
@@ -189,16 +177,14 @@ def extract_atoms(L: MomentFunctional, cert: RankCertificate, gens=()):
                 raise NumericalTroubleError(
                     f"atom {pt} violates a localizer by {-q(pt):g}")
 
-    check_monos = monomials_up_to(m, 2 * (k_prime - cert.k0))
-    scale = max(1.0, max(abs(L.value(mo)) for mo in check_monos))
-    worst = 0.0
-    for mono in check_monos:
-        recon = sum(wj * float(np.prod(pt ** np.array(mono)))
-                    for pt, wj in zip(points, weights))
-        worst = max(worst, abs(recon - L.value(mono)))
+    # on N^m_{2(k'-k0)}, summed atom by atom elementwise (no BLAS product)
+    check = L.values[:comb(m + 2 * (k_prime - cert.k0), m)]
+    scale = max(1.0, float(np.max(np.abs(check))))
+    recon = sum(wj * col for wj, col in zip(weights, A[:len(check)].T))
+    worst = float(np.max(np.abs(recon - check)))
     if worst > 1e-6 * scale:
         raise NumericalTroubleError(
-            f"atomic reconstruction off by {worst:g} (tol 1e-06)")
+            f"atomic reconstruction off by {worst:.17g} (tol 1e-06)")
     return [(pt, float(wj)) for pt, wj in zip(points, weights)]
 
 

@@ -15,12 +15,12 @@ theta + lam*phi is QModule((phi,), 1), its multiplier lam a 1x1 Gram block
 blocks from them; on the moment side the same generators give the
 localizing matrices.
 
-On the moment side the truncated moment vector (L(x^a) for |a| <= 2k) is
-a vector of free SDP variables, as in Lasserre's formulation and
-GloptiPoly: the moment matrix and every localizing matrix are linear in
-it, so they are the diagonal blocks of one linear matrix inequality (an
-``LmiBlock``), and no equality row is spent on restating that a matrix
-entry is a moment.
+On the moment side the moments L(x^a) of the standard monomials (below;
+every a with |a| <= 2k when there is no equality) are a vector of free SDP
+variables, as in Lasserre's formulation and GloptiPoly: the moment matrix
+and every localizing matrix are linear in it, so they are the diagonal
+blocks of one linear matrix inequality (an ``LmiBlock``), and no equality
+row is spent on restating that a matrix entry is a moment.
 
 An equality written as the pair q >= 0, -q >= 0 is compiled as the ideal
 (q) (Parrilo 2005; Nie 2013).  A single q is a Groebner basis under the
@@ -48,6 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, compress
+from math import comb
 
 import numpy as np
 
@@ -93,41 +94,44 @@ def _leading(q: Polynomial) -> tuple:
 
 
 class MomentFunctional:
-    """Truncated linear functional on R[x]_{2k}: monomial -> value."""
+    """Truncated linear functional on R[x]_{2k}, held as its moment vector:
+    ``values[i]`` is L(x^a) for the i-th monomial a of degree <= 2k in the
+    order of ``monomials_up_to`` (graded, so the mass comes first and
+    L(x_1), ..., L(x_n) next), which ``_monomials``' rank lookup indexes."""
 
     __slots__ = ("nvars", "order", "values")
 
-    def __init__(self, nvars: int, order: int, values: dict):
+    def __init__(self, nvars: int, order: int, values):
         self.nvars = nvars
         self.order = order
-        self.values = {tuple(m): float(v) for m, v in values.items()}
-        for m in self.values:
-            if len(m) != nvars or sum(m) > 2 * order:
-                raise ValueError(f"monomial {m} outside N^{nvars}_{2 * order}")
+        self.values = np.asarray(values, dtype=float)
+        if self.values.shape != (comb(nvars + 2 * order, nvars),):
+            raise ValueError(f"{self.values.shape} values for the monomials "
+                             f"of N^{nvars}_{2 * order}")
 
     def value(self, mono: tuple) -> float:
-        return self.values.get(tuple(mono), 0.0)
+        e = np.asarray(mono)
+        if e.shape != (self.nvars,) or e.min() < 0 or e.sum() > 2 * self.order:
+            raise ValueError(f"monomial {tuple(mono)} outside "
+                             f"N^{self.nvars}_{2 * self.order}")
+        _, _, code, rank = _monomials(self.nvars, 2 * self.order)
+        return float(self.values[rank(code(e))])
 
     def mass(self) -> float:
-        return self.value((0,) * self.nvars)
+        return float(self.values[0])
 
     def point(self) -> np.ndarray:
         """The normalized first-order vector (value on x_i over mass)."""
-        m = self.mass()
-        out = np.zeros(self.nvars)
-        for i in range(self.nvars):
-            e = tuple(1 if j == i else 0 for j in range(self.nvars))
-            out[i] = self.value(e) / m
-        return out
+        return self.values[1:self.nvars + 1] / self.mass()
 
 
 def moment_matrix(L: MomentFunctional, k: int) -> np.ndarray:
     """Matrix with entry (alpha, beta) = L(x^(alpha+beta)), rows N^m_k."""
     if k > L.order:
         raise ValueError(f"moment matrix order {k} exceeds functional order {L.order}")
-    tuples, exps, code, rank = _monomials(L.nvars, 2 * k)
-    basis = code(exps[:len(_monomials(L.nvars, k)[0])])  # a graded prefix
-    return np.array([L.value(m) for m in tuples])[rank(basis[:, None] + basis)]
+    _, exps, code, rank = _monomials(L.nvars, 2 * L.order)
+    basis = code(exps[:comb(L.nvars + k, k)])  # degree <= k, a graded prefix
+    return L.values[rank(basis[:, None] + basis)]
 
 
 # --------------------------------------------------------------------------
@@ -474,10 +478,8 @@ class MomentVarMap:
         """Recover the functional, every monomial, from a scalarized vector."""
         w = x[self.block.offset:self.block.offset + self.block.dim]
         n, width = self.nf_cols.shape
-        values = np.bincount(np.repeat(np.arange(n), width),
-                             (self.nf_vals * w[self.nf_cols]).ravel(), n)
-        return MomentFunctional(self.nvars, self.order,
-                                dict(zip(self.tuples, values.tolist())))
+        return MomentFunctional(self.nvars, self.order, np.bincount(
+            np.repeat(np.arange(n), width), (self.nf_vals * w[self.nf_cols]).ravel(), n))
 
     def read_solution(self, prob, sol) -> MomentFunctional:
         """Recover the functional from a solved problem's block values."""

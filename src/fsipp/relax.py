@@ -259,6 +259,8 @@ class RelaxOptions:
             raise ValueError("g_star must be positive")
         if self.k is not None and self.k < 1:
             raise ValueError("the relaxation order must be at least 1")
+        if self.tau <= 0 or self.sdp_tol <= 0:
+            raise ValueError("tau and sdp_tol must be positive")
 
 
 def check_tag(prob: FsippProblem, tag: CaseTag) -> None:

@@ -49,7 +49,7 @@ def apply_functional(L, poly):
 def from_atoms(nvars, order, atoms):
     """The order-``order`` moment functional of the atomic measure
     sum_j w_j * delta(u_j), from ``atoms`` = [(u_j, w_j), ...]."""
-    vals = {}
+    vals = []
     for mono in monomials_up_to(nvars, 2 * order):
         acc = 0.0
         for point, weight in atoms:
@@ -57,8 +57,8 @@ def from_atoms(nvars, order, atoms):
             for e, c in zip(mono, point):
                 term *= float(c) ** e
             acc += term
-        vals[mono] = acc
-    return MomentFunctional(nvars, order, vals)
+        vals.append(acc)
+    return MomentFunctional(nvars, order, np.array(vals))
 
 
 def is_member(target, cone, threshold=1e-7):

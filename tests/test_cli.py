@@ -262,6 +262,19 @@ def test_solve_handles_unreadable_and_malformed_files(files):
     assert code == 2 and "not JSON" in checked(out)["error"]
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "-1", "sdp_tol must be positive"),
+    ("--tau", "-1", "tau and sdp_tol must be positive"),
+    ("--k-min", "0", "k_min must be at least 1")])
+def test_solve_flags_are_checked_as_the_schema_checks_options(files, flag, value,
+                                                              message):
+    # the same values in a file's options are schema errors
+    code, out, _ = run(["solve", files["case1"], flag, value])
+    report = checked(out)
+    assert code == 2 and report["verdict"] == "ERROR"
+    assert message in report["error"]
+
+
 # ------------------------------------------------------------- certify
 
 def test_certify_at_the_reported_minimizer(files):

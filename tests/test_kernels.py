@@ -12,7 +12,12 @@ paths per core type), the tests of equality pairs compiled as ideals,
 SDPs live in the quotient ring on standard monomials), the compilers
 against their per-entry reference (``test_compile.py``: every compile sum
 is a plain numpy sum in a fixed order, so an SDP that went through a BLAS
-product would differ from the reference on some kernel), the exact
+product would differ from the reference on some kernel), extraction
+against its per-monomial reference (``test_extract_reference.py``: the
+moment matrices, multiplication matrices, Vandermonde matrix and
+reconstruction are copies and elementwise products and sums, so an
+extraction that went through a BLAS product or took another BLAS path
+would differ from the reference), the exact
 lower-level oracle's tests (``np.roots`` and
 ``eigh`` take kernel-dependent LAPACK paths, and the oracle's tie and
 hard-case tests compare their results with thresholds) and the
@@ -66,7 +71,8 @@ def test_acceptance_and_general_route_under_kernel(kernel, tmp_path):
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              str(ROOT / "tests" / "test_moment.py"), "-k", "equality"],
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             str(ROOT / "tests" / "test_compile.py")],
+             str(ROOT / "tests" / "test_compile.py"),
+             str(ROOT / "tests" / "test_extract_reference.py")],
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              str(ROOT / "tests" / "test_certify.py"), "-k",
              "exact_lower_level"],

@@ -44,7 +44,7 @@ def test_apply_is_linear_in_the_polynomial():
 
 def test_functional_degree_guards():
     with pytest.raises(ValueError):
-        MomentFunctional(1, 1, {(3,): 1.0})
+        MomentFunctional(1, 1, np.ones(4))  # the moments up to degree 3
     L = from_atoms(1, 1, [((0.5,), 1.0)])
     with pytest.raises(ValueError):
         moment_matrix(L, 2)
@@ -353,7 +353,7 @@ def test_moment_vector_carries_the_moment_and_localizing_matrices():
     x = np.zeros(prob.num_scalars)
     for mono in mv.monomials:
         x[mv.lin(mono).coeffs.popitem()[0]] = L.value(mono)
-    assert mv.read(x).values == L.values
+    np.testing.assert_array_equal(mv.read(x).values, L.values)
     S_mom, S_loc = prob.blocks[0].matrices(x)
     np.testing.assert_array_equal(S_mom, moment_matrix(L, 3))
     np.testing.assert_allclose(S_loc, localizing_matrix(L, phi, 3), atol=1e-14)

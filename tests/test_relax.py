@@ -100,7 +100,8 @@ def test_convexity_findings_name_the_failing_polynomial():
     assert findings["f"] and findings["-g"] and findings["psi[0]"]
     assert findings["p"] is False
     # check the quarter-circle numerator directly: full findings on that
-    # instance would sample the index variable 25 times (y-dependent Hessian)
+    # instance would solve its family SDP, 3,720 rows with Gram blocks of
+    # 408, 280 and 280 (p's Hessian depends on y)
     from fsipp.certify import sos_convexity_check
     quarter, _ = instances.quarter_circle_problem()
     assert sos_convexity_check(quarter.f) is False
