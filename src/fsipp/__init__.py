@@ -10,6 +10,8 @@ Subpackages and modules:
 * :mod:`fsipp.extract`  -- rank tests and atomic-measure extraction
 * :mod:`fsipp.certify`  -- lower-level solves, KKT residuals, feasibility
   and convexity certificates
+* :mod:`fsipp.indexset` -- the index-set kinds with their generators,
+  exact lower levels, y-sweeps and file forms
 * :mod:`fsipp.relax`    -- problem classes, conic reformulations and the
   relaxation hierarchy driver
 * :mod:`fsipp.multiobj` -- scalarization loop for multi-objective instances
@@ -21,11 +23,11 @@ each capability with one of them.
 """
 
 from .certify import KktReport, certify_point
+from .indexset import Interval, QuadraticSet, Semialgebraic
 from .multiobj import (MultiFsippProblem, efficiency_audit,
                        epsilon_constraint_solve, image_grid)
 from .poly import BivariatePoly, Polynomial
-from .relax import (CaseTag, FsippProblem, HierarchyTrace, Interval,
-                    QuadraticSet, RelaxOptions, Semialgebraic,
+from .relax import (CaseTag, FsippProblem, HierarchyTrace, RelaxOptions,
                     choose_R_gstar, classify_case, convexity_findings,
                     solve_hierarchy)
 

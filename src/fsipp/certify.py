@@ -2,13 +2,13 @@
 sets, nonnegative least-squares KKT residuals, feasibility margins and
 the s.o.s-convexity test of a Hessian form on z-linear Gram bases.
 
-The lower level is exact, by numpy alone, on the paper's index sets: the
-interval, and an ellipsoid when the objective is at most quadratic.  On any
-other set it runs the moment hierarchy (moment matrix plus localizing
-blocks, normalized mass).  When flat truncation certifies the solve, the
-extracted support is the exact active set; otherwise the best bound is
-returned with the point L(y)/L(1) of the last Optimal order's functional
-and ``certified=False``.
+The lower level is exact where the index set's kind has an exact minimum
+(``indexset``: the interval, and an ellipsoid when the objective is at
+most quadratic).  On any other set it runs the moment hierarchy (moment
+matrix plus localizing blocks, normalized mass).  When flat truncation
+certifies the solve, the extracted support is the exact active set;
+otherwise the best bound is returned with the point L(y)/L(1) of the last
+Optimal order's functional and ``certified=False``.
 """
 
 from __future__ import annotations
@@ -118,94 +118,13 @@ def minimize_on_semialgebraic(h: Polynomial, gens, k: int, k0: int,
     return sol.status, float(sol.primal_value), L, cert, atoms
 
 
-# minimizers closer than _MERGE (in z, on an ellipsoid) count once; on the
-# interval, candidates within _TIE * (1 + |value|) of the least tie
-_MERGE, _TIE = 1e-3, 1e-9
-
-
-def _exact_lower_level(h: Polynomial, index_set):
-    """min h over Y as (value, minimizers, certified), or None unless Y is
-    the interval, or an ellipsoid and deg h <= 2.  The value is h at the
-    best computed minimizer.
-
-    Interval (Edelman-Murakami 1995): the candidates are +-1 and the real
-    parts of the roots of h' (companion eigenvalues), clipped to [-1, 1];
-    those that tie are the minimizers, always certified.  Ellipsoid
-    {phi >= 0}, phi with a negative definite Hessian (More-Sorensen 1983):
-    y = c + T z maps the unit ball onto Y, h(c + T z) = h(c) + g.z + z.Qz/2
-    and Q = U diag(lam) U^T.  The minimizer is interior when Q > 0 and it
-    lies in the ball, else z(mu) = -(Q + mu I)^{-1} g at the root
-    mu >= max(0, -lam_1) of |z(mu)| = 1, by Newton on 1/|z(mu)| from the
-    left.  In the hard case, g orthogonal to the lam_1 eigenspace E and
-    |z(-lam_1)| <= 1, the minimizers are z(-lam_1) + t v, v in E, on the
-    sphere (or in the ball if lam_1 = 0): two points when lam_1 < 0 and E
-    is a line, else a continuum, returned as one point, uncertified.
-    """
-    from .relax import Interval, QuadraticSet  # relax imports this module
-
-    if isinstance(index_set, Interval):
-        coef = [h.coefficient((e,)) for e in range(h.degree, -1, -1)]
-        roots = np.roots(np.polyder(coef)).real
-        cand = np.clip(np.concatenate([[-1.0, 1.0], roots]), -1.0, 1.0)
-        vals = h.eval_many(cand[:, None])
-        best = float(vals.min())
-        kept = []
-        for i in np.argsort(vals, kind="stable"):
-            if vals[i] <= best + _TIE * (1.0 + abs(best)) and all(
-                    abs(cand[i] - cand[j]) >= _MERGE for j in kept):
-                kept.append(i)
-        return best, [cand[[i]] for i in kept], True
-    if not isinstance(index_set, QuadraticSet) or h.degree > 2:
-        return None
-    phi, origin = index_set.phi, np.zeros(index_set.n_y)
-    P = phi.hessian_at(origin)
-    w, V = np.linalg.eigh(-P)
-    if w[0] <= 0:
-        return None
-    centre = np.linalg.solve(P, -phi.gradient_at(origin))
-    T = V * np.sqrt(2.0 * phi(centre) / w)
-    lam, U = np.linalg.eigh(T.T @ h.hessian_at(centre) @ T)
-    g = U.T @ (T.T @ h.gradient_at(centre))
-    tol = 1e-12 * max(np.abs(lam).max(), np.linalg.norm(g))
-    E = lam <= lam[0] + tol
-    g_E = float(np.linalg.norm(g[E]))
-    hard = g_E <= tol
-    if hard:
-        g[E] = 0.0
-    live = g != 0.0
-
-    def z_at(mu):
-        return np.divide(-g, lam + mu, out=np.zeros_like(g), where=live)
-    finite = lam[0] > tol or hard  # z(max(0, -lam_1)) is finite
-    mu = max(0.0, -lam[0]) if finite else g_E - lam[0]
-    z = z_at(mu)
-    zs, certified = [z], True
-    if finite and z @ z <= 1.0:
-        if lam[0] <= tol:  # the hard case
-            v = np.sqrt(1.0 - z @ z) * np.eye(z.size)[0]
-            zs = [z + v] if 2.0 * v[0] < _MERGE else [z + v, z - v]
-            if len(zs) == 2 and (lam[0] >= -tol or E.sum() > 1):
-                zs, certified = zs[:1], False
-    else:
-        for _ in range(100):
-            r = lam[live] + mu
-            n2 = np.sum(g[live] ** 2 / r ** 2)
-            step = n2 * (np.sqrt(n2) - 1.0) / np.sum(g[live] ** 2 / r ** 3)
-            mu += step
-            if step <= 1e-15 * mu:
-                break
-        z = z_at(mu)
-        zs = [z / np.linalg.norm(z)]
-    ys = [centre + T @ (U @ z) for z in zs]
-    return min(float(h(y)) for y in ys), ys, certified
-
-
 def lower_level_solve(u, prob, k_range=None, sdp_tol: float = 1e-8):
     """Globally minimize  -p(u, y)  over the index set.
 
     Returns (p_star, Lambda, certified): the optimal value, the minimizer
-    set, and whether both are exact.  On the interval and on an ellipsoid,
-    p_star is h at the minimizers of :func:`_exact_lower_level`, exact up to
+    set, and whether both are exact.  Where the index set's
+    ``exact_minimum`` gives one (the interval, and an ellipsoid when h is
+    at most quadratic), p_star is h at its minimizers, exact up to
     rounding.  Elsewhere the hierarchy's p_star is a lower bound up to the
     solver's accuracy (ROADMAP item 3), the best over the orders that end
     Optimal (when none does, :class:`NumericalTroubleError` names each
@@ -223,7 +142,7 @@ def lower_level_solve(u, prob, k_range=None, sdp_tol: float = 1e-8):
     if h.degree <= 0:  # constant objective: minimum is the constant
         rep = index_set.representative_point()
         return float(h.coefficient((0,) * h.nvars)), [np.asarray(rep, dtype=float)], True
-    exact = _exact_lower_level(h, index_set)
+    exact = index_set.exact_minimum(h)
     if exact is not None:
         return exact
 

@@ -26,14 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import schemacheck
+from . import indexset, schemacheck
 from .certify import certify_point, feasibility_check
 from .errors import OptimumKnownSignal
 from .multiobj import MultiFsippProblem, epsilon_constraint_solve, image_grid
 from .poly import BivariatePoly, Polynomial
-from .relax import (CaseTag, FsippProblem, HierarchyRow, Interval,
-                    QuadraticSet, RelaxOptions, Semialgebraic, choose_R_gstar,
-                    classify_by, classify_case, convex_shape,
+from .relax import (CaseTag, FsippProblem, HierarchyRow, RelaxOptions,
+                    choose_R_gstar, classify_by, classify_case, convex_shape,
                     convexity_findings, solve_hierarchy)
 
 class CliError(Exception):
@@ -73,21 +72,6 @@ def _family(items, n_x: int, n_y: int) -> BivariatePoly:
     return BivariatePoly(n_x, n_y, slices)
 
 
-def _index_set(doc, n_y: int, options: dict):
-    kind = doc["kind"]
-    if kind == "interval":
-        if n_y != 1:
-            raise CliError("/index_set: the interval index set is univariate "
-                           f"but vars_y is {n_y}")
-        return Interval()
-    if kind == "quadratic":
-        return QuadraticSet(_poly(n_y, doc["phi"]),
-                            tuple(float(c) for c in doc["interior_point"]))
-    gens = tuple(_poly(n_y, g) for g in doc["generators"])
-    hint = doc.get("archimedean_hint", options.get("archimedean_hint"))
-    return Semialgebraic(gens, archimedean_hint=hint)
-
-
 class ParsedProblem:
     """A problem document resolved into solver inputs."""
 
@@ -101,7 +85,10 @@ class ParsedProblem:
         self.hints = dict(doc.get("hints", {}))
         psis = tuple(_poly(n_x, q) for q in doc.get("psis", []))
         p = _family(doc["p"], n_x, n_y)
-        index_set = _index_set(doc["index_set"], n_y, options)
+        if doc["index_set"]["kind"] == "interval" and n_y != 1:
+            raise CliError("/index_set: the interval index set is univariate "
+                           f"but vars_y is {n_y}")
+        index_set = indexset.from_doc(doc["index_set"], n_y, options)
 
         for field in ("k_min", "k_max", "tau", "tol"):
             flag = getattr(args, field, None) if args is not None else None
@@ -146,19 +133,6 @@ class ParsedProblem:
         return self.multi
 
 
-def _index_set_doc(index_set) -> dict:
-    if isinstance(index_set, Interval):
-        return {"kind": "interval"}
-    if isinstance(index_set, QuadraticSet):
-        return {"kind": "quadratic", "phi": index_set.phi.to_pairs(),
-                "interior_point": [float(c) for c in index_set.interior_point]}
-    doc = {"kind": "semialgebraic",
-           "generators": [g.to_pairs() for g in index_set.generators]}
-    if index_set.archimedean_hint is not None:
-        doc["archimedean_hint"] = float(index_set.archimedean_hint)
-    return doc
-
-
 def problem_to_doc(problem, options: dict | None = None,
                    hints: dict | None = None) -> dict:
     """Encode a single- or multi-objective problem as a problem-file
@@ -170,7 +144,7 @@ def problem_to_doc(problem, options: dict | None = None,
         "psis": [q.to_pairs() for q in problem.psis],
         "p": [{"y_monomial": list(ymono), "coeffs": px.to_pairs()}
               for ymono, px in sorted(p.slices.items())],
-        "index_set": _index_set_doc(problem.index_set),
+        "index_set": problem.index_set.to_doc(),
     }
     if isinstance(problem, MultiFsippProblem):
         doc["objectives"] = [{"f": f.to_pairs(), "g": g.to_pairs()}
@@ -259,6 +233,13 @@ def _finish(report: dict, out: str | None) -> int:
     return EXIT_BY_VERDICT[report["verdict"]]
 
 
+def _message(exc: Exception) -> str:
+    """A failure's message; a :class:`CliError` carries its own."""
+    if isinstance(exc, CliError):
+        return str(exc)
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _error_report(command: str, doc, message: str, started: float) -> dict:
     sha = problem_sha256(doc) if isinstance(doc, dict) else "0" * 64
     return {"command": command, "problem_sha256": sha, "verdict": "ERROR",
@@ -334,7 +315,7 @@ def run_classify(args) -> int:
         for name, ok in findings:
             lines.append(
                 f"{name}: {'sos-convex' if ok else 'not sos-convex'}")
-    elif isinstance(prob.index_set, Semialgebraic):
+    elif isinstance(prob.index_set, indexset.Semialgebraic):
         hint = prob.index_set.archimedean_hint
         lines.append("index set: semialgebraic, archimedean hint "
                      + (f"M={hint}" if hint is not None else "not declared"))
@@ -362,11 +343,8 @@ def _run(args) -> int:
     except Exception as exc:  # noqa: BLE001 - surfaced as ERROR verdict
         if isinstance(exc, CliError):
             print(exc, file=sys.stderr)
-            message = str(exc)
-        else:
-            message = f"{type(exc).__name__}: {exc}"
-        return _finish(_error_report(args.command, doc, message, started),
-                       args.out)
+        report = _error_report(args.command, doc, _message(exc), started)
+        return _finish(report, args.out)
     report = {"command": args.command, "problem_sha256": problem_sha256(doc),
               **fields, "timing_seconds": time.perf_counter() - started}
     code = _finish(report, args.out)
@@ -462,6 +440,8 @@ def _write_grid_csv(out: str, mprob: MultiFsippProblem, box_text: str,
 
 def run_pareto(parsed: ParsedProblem, args):
     mprob = parsed.require_multi("pareto")
+    if args.grid < 1:
+        raise CliError(f"--grid must be at least 1; got {args.grid}")
     if args.u0 is not None:
         u0 = _parse_point(args.u0, mprob.m, "u0")
     elif "feasible_point" in parsed.hints:
@@ -557,8 +537,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except CliError as exc:
-        print(exc, file=sys.stderr)
+    except Exception as exc:  # noqa: BLE001 - any failure exits 2 (ERROR)
+        print(_message(exc), file=sys.stderr)
         return 2
 
 

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from .indexset import Interval, QuadraticSet, Semialgebraic
 from .multiobj import MultiFsippProblem
 from .poly import BivariatePoly, Polynomial
-from .relax import (CaseTag, FsippProblem, Interval, QuadraticSet,
-                    RelaxOptions, Semialgebraic)
+from .relax import CaseTag, FsippProblem, RelaxOptions
 
 
 def convex_octic_form() -> Polynomial:

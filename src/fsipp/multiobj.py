@@ -17,25 +17,25 @@ The audit is a falsification test: it rasterizes a user-declared box,
 keeps the grid points that dominate the candidate componentwise and
 satisfy the scalar constraints, and only then sweeps y over those few to
 see whether one is clearly feasible for the semi-infinite constraint.
-That sweep (``_audit_y_points``) is the package's one sampler of index
-sets.  On a semialgebraic set whose grid misses Y, such as an arc, it has
-no point, and the audit and ``image_grid`` raise ValueError rather than
-let every point pass.
+That sweep is the index set's ``y_sweep`` (``indexset``), the package's
+one sampler of index sets.  On a semialgebraic set whose grid misses Y,
+such as an arc, it has no point, and one without an ``archimedean_hint``
+has no cube to grid; the audit and ``image_grid`` then raise ValueError
+rather than let every point pass.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .certify import feasibility_check
 from .errors import NumericalTroubleError
+from .indexset import IndexSet, raster
 from .poly import BivariatePoly
-from .relax import (CaseTag, FsippProblem, IndexSet, Interval, QuadraticSet,
-                    RelaxOptions, check_tag, classify_by,
-                    convexity_findings, raster, solve_hierarchy)
+from .relax import (CaseTag, FsippProblem, RelaxOptions, check_tag,
+                    classify_by, convexity_findings, solve_hierarchy)
 
 
 @dataclass(frozen=True)
@@ -190,51 +190,8 @@ def epsilon_constraint_solve(mprob: MultiFsippProblem, u0, opts: RelaxOptions,
 
 
 def _audit_y_points(index_set: IndexSet) -> np.ndarray:
-    """A dense deterministic y-grid for the worst-case constraint sweep:
-    2,001 even steps over the interval; on a quadratic set, y0 and points
-    on 2,000 rays from it; on a semialgebraic set, the points of its grid
-    that lie in Y, thinned to at most 4,096 (none when Y has no interior
-    the grid can hit)."""
-    if isinstance(index_set, Interval):
-        return np.linspace(-1.0, 1.0, 2001).reshape(-1, 1)
-    if isinstance(index_set, QuadraticSet):
-        # y0 and, along 2,000 directions d (evenly spread angles in 2-D,
-        # seeded normal draws otherwise), four fractions of the distance t
-        # to the boundary: phi(y0 + t d) = a t^2 + b t + f0 is quadratic
-        # in t, so phi at y0 +- d gives a and b.  A ray leaves Y at its
-        # first positive root; one that never does is cut at t = 10.
-        y0 = index_set.representative_point()
-        n = index_set.n_y
-        if n == 2:
-            angles = np.linspace(0.0, 2.0 * np.pi, 2000, endpoint=False)
-            dirs = np.column_stack([np.cos(angles), np.sin(angles)])
-        else:
-            dirs = np.random.default_rng(2025).standard_normal((2000, n))
-            dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        phi = index_set.phi
-        f0 = phi(y0)
-        fp, fm = phi.eval_many(y0 + dirs), phi.eval_many(y0 - dirs)
-        a = 0.5 * (fp + fm) - f0
-        b = 0.5 * (fp - fm)
-        inward = a < -1e-12
-        root = np.sqrt(np.maximum(b * b - 4.0 * a * f0, 0.0))
-        t_edge = np.full(len(dirs), 10.0)
-        t_edge[inward] = (-b[inward] - root[inward]) / (2.0 * a[inward])
-        exits = ~inward & (b < 0.0) & (b * b - 4.0 * a * f0 >= 0.0)
-        t_edge[exits] = 2.0 * f0 / (root[exits] - b[exits])
-        steps = np.array([0.5, 0.8, 0.95, 1.0])[None, :] * t_edge[:, None]
-        pts = y0 + steps[:, :, None] * dirs[:, None, :]
-        return np.vstack([y0, pts.reshape(-1, n)])
-    count = 4096
-    per_axis = max(3, int(math.ceil((4 * count) ** (1.0 / index_set.n_y))))
-    pts = index_set.grid(per_axis)
-    mask = np.ones(len(pts), dtype=bool)
-    for q in index_set.generators:
-        mask &= q.eval_many(pts) >= 0
-    inside = pts[mask]
-    if len(inside) > count:
-        inside = inside[np.linspace(0, len(inside) - 1, count).astype(int)]
-    return inside
+    """The index set's y-sweep, by the name ``bench/spans.py`` calls."""
+    return index_set.y_sweep()
 
 
 def _grid_points(mprob: MultiFsippProblem, box, grid_size: int) -> np.ndarray:
@@ -266,7 +223,7 @@ def _swept_feasible(mprob: MultiFsippProblem, pts: np.ndarray) -> np.ndarray:
     through the y-slices of p).  Raises ValueError when the sweep has no
     point: an empty sweep refutes nothing, so it cannot pass the
     semi-infinite constraint."""
-    ypts = _audit_y_points(mprob.index_set)
+    ypts = mprob.index_set.y_sweep()
     if not len(ypts):
         raise ValueError("the y-sweep found no point of the index set: its "
                          "grid misses Y, so no point can be checked feasible")

@@ -47,143 +47,14 @@ from enum import Enum
 import numpy as np
 
 from .certify import (KktReport, certify_point, hessian_form,
-                      hessian_form_margin, minimize_on_semialgebraic,
-                      sos_convexity_check)
+                      hessian_form_margin, sos_convexity_check)
 from .errors import MissingHintError, NumericalTroubleError, OptimumKnownSignal
 from .extract import (RankCertificate, certify_and_extract,
                       point_from_functional)
+from .indexset import IndexSet, Interval, QuadraticSet, ball_poly
 from .moment import MomentFunctional, MomentVarMap, QModule, sos_membership_blocks
 from .poly import BivariatePoly, Polynomial, ceil_half
 from .sdp import LinExpr, SdpBuilder, solve
-
-
-# --------------------------------------------------------------------------
-# index set descriptions
-# --------------------------------------------------------------------------
-
-
-def _ball_poly(m: int, r2: float) -> Polynomial:
-    """r2 - |x|^2 in m variables."""
-    terms = {(0,) * m: float(r2)}
-    for i in range(m):
-        terms[tuple(2 if j == i else 0 for j in range(m))] = -1.0
-    return Polynomial(m, terms)
-
-
-def raster(box, per_axis: int) -> np.ndarray:
-    """The (per_axis^n, n) raster of a box given as n (lo, hi) pairs,
-    first axis slowest."""
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Y = [-1, 1] in a single parameter."""
-
-    @property
-    def n_y(self) -> int:
-        return 1
-
-    def as_generators(self) -> list[Polynomial]:
-        """Polynomials q with Y = {y : q(y) >= 0 for all q}."""
-        return [_ball_poly(1, 1.0)]
-
-    def representative_point(self):
-        return np.zeros(1)
-
-
-@dataclass(frozen=True)
-class QuadraticSet:
-    """Y = {y : phi(y) >= 0} for a quadratic phi positive somewhere."""
-
-    phi: Polynomial
-    interior_point: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "interior_point",
-                           tuple(float(c) for c in self.interior_point))
-        if self.phi.degree != 2:
-            raise ValueError(f"defining polynomial has degree {self.phi.degree}, "
-                             "expected 2")
-        if len(self.interior_point) != self.phi.nvars:
-            raise ValueError("interior point has wrong dimension")
-        if self.phi(self.interior_point) <= 0:
-            raise ValueError("the given point is not interior to the set")
-
-    @property
-    def n_y(self) -> int:
-        return self.phi.nvars
-
-    def as_generators(self) -> list[Polynomial]:
-        return [self.phi]
-
-    def representative_point(self):
-        return np.asarray(self.interior_point, dtype=float)
-
-
-@dataclass(frozen=True)
-class Semialgebraic:
-    """Y = {y : q_1(y) >= 0, ..., q_kappa(y) >= 0}.
-
-    ``archimedean_hint``, when given, is a bound M such that
-    M - |y|^2 >= 0 on Y; the redundant ball constraint is appended to the
-    generator list wherever a quadratic module over Y is formed.
-    """
-
-    generators: tuple
-    archimedean_hint: float | None = None
-
-    def __post_init__(self):
-        gens = tuple(self.generators)
-        object.__setattr__(self, "generators", gens)
-        if not gens:
-            raise ValueError("at least one generator is required")
-        n = gens[0].nvars
-        if any(q.nvars != n for q in gens):
-            raise ValueError("generators must share their variables")
-        if self.archimedean_hint is not None and self.archimedean_hint <= 0:
-            raise ValueError("the ball bound must be positive")
-
-    @property
-    def n_y(self) -> int:
-        return self.generators[0].nvars
-
-    def as_generators(self) -> list[Polynomial]:
-        gens = list(self.generators)
-        if self.archimedean_hint is not None:
-            gens.append(_ball_poly(self.n_y, self.archimedean_hint))
-        return gens
-
-    def grid(self, per_axis: int) -> np.ndarray:
-        """The per_axis^n_y raster of the cube [-b, b]^n_y, b the square
-        root of the hint (1 without one), first axis slowest."""
-        bound = math.sqrt(self.archimedean_hint) if self.archimedean_hint else 1.0
-        return raster([(-bound, bound)] * self.n_y, per_axis)
-
-    def representative_point(self):
-        """A point of Y: the first atom of the minimizer over Y of the unit
-        linear form along (3, 4, 5, ...) (0.6 y1 + 0.8 y2 in the plane),
-        from the first of the moment hierarchy's orders k0 and k0 + 1 that
-        certifies one, k0 the generators' max ceil(deg / 2).  A set without
-        interior, such as a circle, is found too.  Raises ValueError when
-        neither order certifies (NumericalTroubleError when Y is empty)."""
-        w = np.arange(3.0, 3.0 + self.n_y)
-        form = Polynomial(self.n_y, dict(zip(
-            map(tuple, np.eye(self.n_y, dtype=int).tolist()), w / np.linalg.norm(w))))
-        gens = self.as_generators()
-        k0 = max(max(ceil_half(q.degree) for q in gens), 1)
-        for k in (k0, k0 + 1):
-            atoms = minimize_on_semialgebraic(form, gens, k, k0)[4]
-            if atoms:
-                return atoms[0][0]
-        raise ValueError("no order of the moment hierarchy certified a point "
-                         "of the index set, so none can represent it")
-
-
-# a compact set Y of constraint indices, described semialgebraically
-IndexSet = Interval | QuadraticSet | Semialgebraic
 
 
 # --------------------------------------------------------------------------
@@ -264,16 +135,16 @@ class RelaxOptions:
 
 
 def check_tag(prob: FsippProblem, tag: CaseTag) -> None:
-    """Validate that the tag's structural preconditions hold for the instance."""
-    if tag in (CaseTag.CASE1, CaseTag.CASE3):
-        if not isinstance(prob.index_set, Interval):
-            raise ValueError(f"{tag.value} needs the interval index set")
-    elif tag in (CaseTag.CASE2, CaseTag.CASE4):
-        if not isinstance(prob.index_set, QuadraticSet):
-            raise ValueError(f"{tag.value} needs a quadratic index set")
-        if prob.p.d_y > 2:
-            raise ValueError(f"{tag.value} needs the constraint family quadratic "
-                             f"in the index variables (degree {prob.p.d_y})")
+    """Validate that the tag's structural preconditions hold for the
+    instance: Case1/Case3 need the shape :func:`convex_shape` calls Case1,
+    Case2/Case4 the one it calls Case2."""
+    shape = convex_shape(prob)
+    if tag in (CaseTag.CASE1, CaseTag.CASE3) and shape is not CaseTag.CASE1:
+        raise ValueError(f"{tag.value} needs the interval index set")
+    if tag in (CaseTag.CASE2, CaseTag.CASE4) and shape is not CaseTag.CASE2:
+        raise ValueError(f"{tag.value} needs a quadratic index set and the "
+                         "constraint family at most quadratic in the index "
+                         f"variables (it has degree {prob.p.d_y} in them)")
 
 
 # --------------------------------------------------------------------------
@@ -465,7 +336,7 @@ def _x_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag) -> QModule:
         raise ValueError(f"relaxation order must be at least {ceil_half(prob.d)}")
     if opts.R is None:
         raise MissingHintError("the ball generator needs the radius R")
-    gens = [_ball_poly(prob.m, float(opts.R) ** 2)]
+    gens = [ball_poly(prob.m, float(opts.R) ** 2)]
     if tag is CaseTag.GENERAL and prob.g.degree >= 1:
         if opts.g_star is None:
             raise MissingHintError("the general cone needs the floor g_star")

@@ -14,10 +14,11 @@ from fsipp.certify import (active_sets, certify_point, feasibility_check,
                            kkt_residual, lower_level_solve, nnls,
                            sos_convexity_check)
 from fsipp.errors import NumericalTroubleError
+from fsipp.indexset import Interval, QuadraticSet, Semialgebraic
 from fsipp.moment import QModule, membership_margin
 from fsipp.multiobj import _audit_y_points
 from fsipp.poly import BivariatePoly, Polynomial, ceil_half
-from fsipp.relax import FsippProblem, Interval, QuadraticSet, Semialgebraic
+from fsipp.relax import FsippProblem
 
 from conftest import apply_functional, from_atoms, hierarchy_lower_level
 
@@ -288,7 +289,7 @@ def _check_exact(h, index_set, sample, certified=True):
     of the hierarchy's solved to 1e-10, and attained in Y.  (Whether the
     hierarchy's rank test certifies at that tolerance depends on the BLAS
     kernel on the rotated hard case, so only its value is compared.)"""
-    value, minimizers, cert = certify._exact_lower_level(h, index_set)
+    value, minimizers, cert = index_set.exact_minimum(h)
     assert cert is certified
     assert value <= h.eval_many(sample).min() + 1e-12
     ref = hierarchy_lower_level(h, index_set, sdp_tol=1e-10)
@@ -398,7 +399,7 @@ def test_exact_lower_level_leaves_other_sets_to_the_hierarchy(monkeypatch):
     bowl = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 1): -6.0, (0, 0): 9.0})
     values = []
     for h, index_set in ((bowl, parabola), (cubic, disc)):
-        assert certify._exact_lower_level(h, index_set) is None
+        assert index_set.exact_minimum(h) is None
         calls.clear()
         values.append(lower_level_solve(np.zeros(1), _family(h, index_set))[0])
         assert calls
@@ -442,6 +443,8 @@ def _packaged_quadratics():
             data.append((f, g, mprob.psis, mprob.p, mprob.index_set))
     polys = []
     for f, g, psis, p, index_set in data:
+        if isinstance(index_set, Semialgebraic):  # sweep [-1, 1]^n
+            index_set = replace(index_set, archimedean_hint=1.0)
         polys += [f, g.scale(-1.0), *psis]
         polys += [p.substitute_y(y) for y in _audit_y_points(index_set)[::1000]]
     return [h for h in polys if h.degree == 2]

@@ -4,13 +4,18 @@ report schemas, exit codes and CSV exports."""
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fsipp import instances, relax
-from fsipp.cli import (EXIT_BY_VERDICT, main, problem_sha256, problem_to_doc,
-                       render_report, validate_document)
+from fsipp.cli import (EXIT_BY_VERDICT, ParsedProblem, main, problem_sha256,
+                       problem_to_doc, render_report, validate_document)
 
 from test_multiobj import _arc_pair
 
@@ -122,6 +127,28 @@ def test_problem_sha_is_canonical(files):
     assert len(problem_sha256(doc)) == 64
 
 
+@pytest.mark.parametrize("make, where", [
+    (instances.case1_problem, None),
+    (instances.case2_problem, None),
+    (instances.quarter_circle_problem, None),
+    (instances.quarter_circle_problem, "index_set"),
+    (instances.quarter_circle_problem, "options"),
+], ids=["interval", "quadratic", "semialgebraic", "hint-in-index-set",
+        "hint-in-options"])
+def test_the_index_set_round_trips_through_the_file_form(make, where):
+    prob = make()[0]
+    if where is not None:
+        prob = replace(prob, index_set=replace(prob.index_set,
+                                               archimedean_hint=2.5))
+    doc = problem_to_doc(prob)
+    if where == "options":  # the hint may also stand in the options
+        doc["options"] = {"archimedean_hint":
+                          doc["index_set"].pop("archimedean_hint")}
+    assert validate_document(doc, "problem") == []
+    parsed = ParsedProblem(doc).single.index_set
+    assert parsed == prob.index_set
+
+
 # ------------------------------------------------------------- classify
 
 def test_classify_prints_findings_then_tag(files):
@@ -169,6 +196,30 @@ def test_classify_schema_error_names_the_pointer(files):
     code, _, err = run(["classify", files["bad"]])
     assert code == 2
     assert "/objective/f/0/0" in err
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("interior_point", [5.0, 5.0], "the given point is not interior to the set"),
+    ("phi", [[[0, 0, 0], 1.0], [[2, 0], -1.0], [[0, 2], -1.0]],
+     "exponent vector [0, 0, 0] does not have length 2")],
+    ids=["interior-point", "phi-exponent"])
+def test_classify_reports_a_bad_index_set_as_an_error(tmp_path, field, value,
+                                                      message):
+    # exit 1 is the INFEASIBLE code: a file that does not describe an
+    # instance exits 2 with its message, as solve's ERROR report does
+    doc = problem_to_doc(instances.case2_problem()[0])
+    doc["index_set"][field] = value
+    path = _write(tmp_path, "case2.json", doc)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+                 else [])))
+    done = subprocess.run([sys.executable, "-m", "fsipp.cli", "classify", path],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2 and done.stdout == ""
+    assert message in done.stderr and "Traceback" not in done.stderr
+    code, out, _ = run(["solve", path])
+    assert code == 2 and message in checked(out)["error"]
 
 
 # ------------------------------------------------------------- solve
@@ -373,6 +424,22 @@ def test_pareto_box_refuses_an_index_set_the_sweep_misses(files):
     assert code == 2 and "--box" in err and "y-sweep" in err
     assert checked(out_path.read_text(encoding="utf-8"))["verdict"] != "ERROR"
     assert not (files["dir"] / "arc_report.csv").exists()
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_pareto_rejects_a_grid_below_one_before_solving(files, grid,
+                                                        monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr("fsipp.cli.epsilon_constraint_solve", walk)
+    out_path = files["dir"] / f"grid{grid}.json"
+    code, _, err = run(["pareto", files["pair"], "-1,1", "--out",
+                        str(out_path), "--box", "-1,1,-1,1", "--grid", grid])
+    report = checked(out_path.read_text(encoding="utf-8"))
+    assert code == 2 and report["verdict"] == "ERROR"
+    assert "--grid" in report["error"] and "--grid" in err
+    assert not out_path.with_suffix(".csv").exists()
 
 
 # ------------------------------------------------------------- exit codes

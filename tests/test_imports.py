@@ -202,3 +202,82 @@ def test_scan_flags_a_default_no_call_passes(tmp_path):
 
 def test_every_default_is_passed_by_some_call():
     assert uncalled_defaults(SRC, CALLERS) == []
+
+
+# The index-set kinds answer for themselves (``indexset.py``); outside it,
+# only the Case1/Case2 shape test and the classify listing's note on a
+# semialgebraic set's hint ask which kind a set is.
+KIND_TESTS_ALLOWED = ["cli.py:run_classify", "relax.py:convex_shape",
+                      "relax.py:convex_shape"]
+
+
+def _scoped(tree: ast.AST):
+    """(scope, node) for every node of a module, scope the name of the
+    outermost function holding it (``Class.method`` for a method), or ""
+    outside every function."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if not scope and isinstance(child, (ast.FunctionDef,
+                                                ast.AsyncFunctionDef)):
+                inner = (f"{node.name}.{child.name}"
+                         if isinstance(node, ast.ClassDef) else child.name)
+            yield inner, child
+            yield from visit(child, inner)
+    return visit(tree, "")
+
+
+def kind_tests(src: Path, home: str = "indexset.py") -> list[str]:
+    """``module:function`` for each ``isinstance`` test, outside the module
+    ``home``, against a class ``home`` defines at top level; one entry per
+    test, sorted."""
+    kinds = {n.name for n in ast.parse((src / home).read_text(
+        encoding="utf-8")).body if isinstance(n, ast.ClassDef)}
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        if path.name == home:
+            continue
+        for scope, n in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(n, ast.Call) and getattr(n.func, "id", None)
+                    == "isinstance" and len(n.args) == 2
+                    and _names(n.args[1]) & kinds):
+                found.append(f"{path.relative_to(src).as_posix()}:"
+                             f"{scope or '<module>'}")
+    return sorted(found)
+
+
+def function_imports(src: Path) -> list[str]:
+    """``module:function (line n)`` for each import inside a function."""
+    return [f"{path.relative_to(src).as_posix()}:{scope} (line {n.lineno})"
+            for path in sorted(src.rglob("*.py"))
+            for scope, n in _scoped(ast.parse(path.read_text(encoding="utf-8")))
+            if scope and isinstance(n, (ast.Import, ast.ImportFrom))]
+
+
+def test_scans_flag_kind_tests_and_imports_in_functions(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "indexset.py").write_text(
+        "class Box:\n    pass\n\nclass Ball:\n    pass\n\n"
+        "def own(y):\n    return isinstance(y, Box)\n", encoding="utf-8")
+    (pkg / "a.py").write_text(
+        "import math\nfrom . import indexset\nfrom .indexset import Box\n\n"
+        "def f(y):\n    return isinstance(y, (int, Box))\n\n"
+        "def g(y):\n    from .indexset import Ball\n"
+        "    return isinstance(y, indexset.Ball) or isinstance(y, int)\n\n"
+        "class C:\n    def m(self, y):\n"
+        "        def inner():\n            import json\n"
+        "            return isinstance(y, Box)\n"
+        "        return inner()\n\n"
+        "TOP = isinstance(None, Box)\n", encoding="utf-8")
+    assert kind_tests(pkg) == ["a.py:<module>", "a.py:C.m", "a.py:f",
+                               "a.py:g"]
+    assert function_imports(pkg) == ["a.py:g (line 9)", "a.py:C.m (line 15)"]
+
+
+def test_only_the_kinds_ask_which_kind_an_index_set_is():
+    assert kind_tests(SRC) == KIND_TESTS_ALLOWED
+
+
+def test_no_function_imports_a_module():
+    assert function_imports(SRC) == []

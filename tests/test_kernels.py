@@ -17,14 +17,14 @@ against its per-monomial reference (``test_extract_reference.py``: the
 moment matrices, multiplication matrices, Vandermonde matrix and
 reconstruction are copies and elementwise products and sums, so an
 extraction that went through a BLAS product or took another BLAS path
-would differ from the reference), the exact
-lower-level oracle's tests (``np.roots`` and
-``eigh`` take kernel-dependent LAPACK paths, and the oracle's tie and
-hard-case tests compare their results with thresholds) and the
-general-route demo (whose lower-level moment SDP runs to 1e-9) are run in
-subprocesses under kernels other than the one OpenBLAS picks on a recent
-x86-64 CPU.  The README gives the command for the whole
-suite.
+would differ from the reference), the tests of the index sets' exact
+lower-level oracles, ``Interval.exact_minimum`` and
+``QuadraticSet.exact_minimum`` (``test_certify.py -k exact_lower_level``:
+``np.roots`` and ``eigh`` take kernel-dependent LAPACK paths, and the
+oracles' tie and hard-case tests compare their results with thresholds)
+and the general-route demo (whose lower-level moment SDP runs to 1e-9) are
+run in subprocesses under kernels other than the one OpenBLAS picks on a
+recent x86-64 CPU.  The README gives the command for the whole suite.
 """
 
 import os

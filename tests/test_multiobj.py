@@ -1,15 +1,18 @@
 """Tests for the sequential efficient-point scheme: scalarization with
 no-worsening constraints, walk bookkeeping, grid audits and image export."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from fsipp import certify, instances
 from fsipp import multiobj
+from fsipp.indexset import Interval, QuadraticSet, Semialgebraic
 from fsipp.multiobj import (MultiFsippProblem, efficiency_audit,
                             epsilon_constraint_solve, image_grid, scalarize)
 from fsipp.poly import BivariatePoly, Polynomial
-from fsipp.relax import Interval, QuadraticSet, RelaxOptions, Semialgebraic
+from fsipp.relax import RelaxOptions
 
 from conftest import (AUDIT_BOXES, audit_y_points_on_quadratic_set,
                       audit_y_points_on_semialgebraic, hierarchy_lower_level)
@@ -247,9 +250,12 @@ def test_audit_y_points_on_a_three_dimensional_quadratic_set():
 
 @pytest.mark.parametrize("index_set", [
     Semialgebraic((Polynomial(3, {(1, 0, 0): 1.0}),), archimedean_hint=2.0),
-    Semialgebraic((Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0}),)),
-    Semialgebraic((Polynomial(1, {(0,): 1.0, (2,): -1.0}),)),
-    instances.quarter_circle_problem()[0].index_set,
+    Semialgebraic((Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0}),),
+                  archimedean_hint=1.0),
+    Semialgebraic((Polynomial(1, {(0,): 1.0, (2,): -1.0}),),
+                  archimedean_hint=1.0),
+    replace(instances.quarter_circle_problem()[0].index_set,
+            archimedean_hint=1.0),
 ], ids=["half-ball-3d", "disc", "interval", "arc"])
 def test_audit_y_points_on_semialgebraic_sets(index_set):
     got = multiobj._audit_y_points(index_set)
@@ -271,8 +277,11 @@ def _arc_pair():
 def test_an_empty_y_sweep_refuses_to_check_feasibility():
     # The grid misses the arc, so the sweep has no point.  An empty sweep
     # used to make the worst p -inf and pass 315 of the 41 x 41 points,
-    # 189 of them infeasible somewhere on the arc.
+    # 189 of them infeasible somewhere on the arc.  The hint 1 grids the
+    # cube [-1, 1]^2 around it.
     mprob, u0, _ = _arc_pair()
+    mprob = replace(mprob, index_set=replace(mprob.index_set,
+                                             archimedean_hint=1.0))
     assert len(multiobj._audit_y_points(mprob.index_set)) == 0
     with pytest.raises(ValueError, match="y-sweep"):
         image_grid(mprob, [(-2.0, 2.0), (-2.0, 2.0)], grid_size=41)
@@ -283,6 +292,26 @@ def test_an_empty_y_sweep_refuses_to_check_feasibility():
     # no grid point dominates u0: nothing to sweep, nothing refuted
     assert efficiency_audit(mprob, u0, grid_size=41,
                             box=[(-2.0, 2.0), (-2.0, 2.0)])
+
+
+def test_a_semialgebraic_sweep_needs_the_archimedean_hint():
+    # Y = {4 - y^2 >= 0} and p = y - x1, so x is feasible iff x1 >= 2.
+    # Without a hint the sweep used to grid [-1, 1] only and flag 620 of
+    # the 31 x 31 points, 279 of them with x1 < 2.
+    disc = Semialgebraic((Polynomial(1, {(0,): 4.0, (2,): -1.0}),))
+    p = BivariatePoly.from_joint(
+        Polynomial(3, {(0, 0, 1): 1.0, (1, 0, 0): -1.0}), 2, 1)
+    one = Polynomial.constant(2, 1.0)
+    objectives = ((Polynomial(2, {(1, 0): 1.0}), one),
+                  (Polynomial(2, {(0, 1): 1.0}), one))
+    box = [(0.0, 3.0), (0.0, 1.0)]
+    with pytest.raises(ValueError, match="archimedean_hint") as raised:
+        image_grid(MultiFsippProblem(objectives, p, disc), box, grid_size=31)
+    assert "y-sweep" in str(raised.value)
+    hinted = MultiFsippProblem(objectives, p,
+                               replace(disc, archimedean_hint=4.0))
+    pts, feas, _ = image_grid(hinted, box, grid_size=31)
+    assert feas.any() and pts[feas, 0].min() >= 2.0
 
 
 def test_image_grid_shapes_flags_and_determinism():

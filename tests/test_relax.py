@@ -11,12 +11,12 @@ from fsipp import extract, instances, relax
 from fsipp.certify import feasibility_check
 from fsipp.errors import (MissingHintError, NumericalTroubleError,
                           OptimumKnownSignal)
+from fsipp.indexset import Interval, QuadraticSet, Semialgebraic
 from fsipp.multiobj import _audit_y_points
 from fsipp.poly import BivariatePoly, Polynomial
-from fsipp.relax import (CaseTag, FsippProblem, Interval, QuadraticSet,
-                         RelaxOptions, Semialgebraic, build_primal_sdp,
-                         check_tag, choose_R_gstar, classify_case,
-                         convexity_findings, solve_hierarchy)
+from fsipp.relax import (CaseTag, FsippProblem, RelaxOptions,
+                         build_primal_sdp, check_tag, choose_R_gstar,
+                         classify_case, convexity_findings, solve_hierarchy)
 from fsipp.sdp import LmiBlock, solve
 
 

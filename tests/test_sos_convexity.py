@@ -9,11 +9,11 @@ import pytest
 from fsipp import certify, cli, instances, moment, relax
 from fsipp.certify import hessian_form, hessian_form_margin
 from fsipp.errors import NumericalTroubleError
+from fsipp.indexset import Interval, QuadraticSet, Semialgebraic
 from fsipp.moment import QModule, membership_margin
 from fsipp.multiobj import epsilon_constraint_solve, scalarize
 from fsipp.poly import BivariatePoly, Polynomial
-from fsipp.relax import (FsippProblem, Interval, QuadraticSet, Semialgebraic,
-                         classify_case)
+from fsipp.relax import FsippProblem, classify_case
 
 from conftest import full_basis_family_margin, zlinear_gram_margin
 
