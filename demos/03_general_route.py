@@ -9,6 +9,8 @@ candidate: solve the inner problem over the index set, collect near-active
 constraints, and measure how far the candidate is from stationarity.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from fsipp import instances
@@ -26,7 +28,7 @@ R, g_star = choose_R_gstar(prob, {"bound": 4.0 / 3.0,
 print(f"derived from hints:   R = {R},  g* = {g_star}")
 print(f"packaged options use: R = {opts.R},  g* = {opts.g_star}")
 
-trace = solve_hierarchy(prob, opts, k_range=(4, 4))
+trace = solve_hierarchy(prob, replace(opts, k_min=4, k=4))
 print(f"\nk = 4:  r_dual = {trace.r_dual:.6f}")
 print("candidate minimizer:", np.round(trace.candidate, 4))
 

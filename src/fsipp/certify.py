@@ -118,19 +118,19 @@ def minimize_on_semialgebraic(h: Polynomial, gens, k: int, k0: int,
     return sol.status, float(sol.primal_value), L, cert, atoms
 
 
-def lower_level_solve(u, prob, k_range=None, sdp_tol: float = 1e-8):
+def lower_level_solve(u, prob, sdp_tol: float = 1e-8):
     """Globally minimize  -p(u, y)  over the index set.
 
     Returns (p_star, Lambda, certified): the optimal value, the minimizer
     set, and whether both are exact.  Where the index set's
     ``exact_minimum`` gives one (the interval, and an ellipsoid when h is
     at most quadratic), p_star is h at its minimizers, exact up to
-    rounding.  Elsewhere the hierarchy's p_star is a lower bound up to the
-    solver's accuracy (ROADMAP item 3), the best over the orders that end
-    Optimal (when none does, :class:`NumericalTroubleError` names each
-    order's status), and Lambda is the exact support under flat
-    truncation, else the point L(y)/L(1) of the last Optimal order's
-    functional (maybe not a minimizer).
+    rounding.  Elsewhere the hierarchy runs at its first two orders; its
+    p_star is a lower bound up to the solver's accuracy (ROADMAP item 3),
+    the best over the orders that end Optimal (when none does,
+    :class:`NumericalTroubleError` names each order's status), and Lambda
+    is the exact support under flat truncation, else the point L(y)/L(1)
+    of the last Optimal order's functional (maybe not a minimizer).
 
     A y-independent objective short-circuits: the value is exact and the
     index set's representative point stands in for the (whole-set) support.
@@ -148,14 +148,11 @@ def lower_level_solve(u, prob, k_range=None, sdp_tol: float = 1e-8):
 
     k0 = max([ceil_half(q.degree) for q in gens], default=1) or 1
     k_min = max(ceil_half(h.degree), k0, 1)
-    if k_range is None:
-        k_range = (k_min, k_min + 1)
+    orders = [k_min, k_min + 1]
     best = -np.inf
     last_L = None
     failed = []
-    for k in k_range:
-        if k < k_min:
-            continue
+    for k in orders:
         status, bound, L, cert, atoms = minimize_on_semialgebraic(
             h, gens, k, k0, sdp_tol=sdp_tol)
         if status != "Optimal":
@@ -167,7 +164,7 @@ def lower_level_solve(u, prob, k_range=None, sdp_tol: float = 1e-8):
             return best, [pt for pt, _ in atoms], True
     if last_L is None:
         raise NumericalTroubleError(
-            f"no lower-level order from {k_min} in {list(k_range)} ended "
+            f"no lower-level order from {k_min} in {orders} ended "
             f"Optimal ({'; '.join(failed) or 'none solved'})")
     return best, [last_L.point()], False
 

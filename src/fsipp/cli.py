@@ -95,19 +95,14 @@ class ParsedProblem:
             if flag is not None:
                 options[field if field != "tol" else "sdp_tol"] = flag
         override = options.get("case_override")
+        orders = {key: int(options[key]) for key in ("k_min", "k_max")
+                  if key in options}  # the schema admits integral floats
         self.opts = RelaxOptions(
             R=options.get("R"), g_star=options.get("g_star"),
-            k=options.get("k_max"),
+            k_min=orders.get("k_min"), k=orders.get("k_max"),
             case_override=CaseTag(override) if override else None,
             tau=options.get("tau", 1e-3),
             sdp_tol=options.get("sdp_tol", 1e-8))
-        k_min, k_max = options.get("k_min"), options.get("k_max")
-        if k_min is not None and k_min < 1:
-            raise ValueError("k_min must be at least 1")
-        if k_min is not None:
-            self.k_range = (int(k_min), int(max(k_min, k_max or k_min)))
-        else:
-            self.k_range = None  # default span up to opts.k
 
         self.single: FsippProblem | None = None
         self.multi: MultiFsippProblem | None = None
@@ -260,8 +255,7 @@ def _row_doc(row) -> dict:
 
 
 def _solve_verdict(trace) -> str:
-    if ((trace.certificate is not None and trace.certificate.passed)
-            or (trace.kkt is not None and trace.kkt.passes)):
+    if trace.certified:
         return "CERTIFIED"
     if trace.rows and all(r.dual_status == "PrimalInfeasible"
                           for r in trace.rows):
@@ -377,8 +371,7 @@ def run_solve(parsed: ParsedProblem, args):
     prob = parsed.require_single("solve")
     tag = classify_case(prob, parsed.opts.case_override)
     try:
-        trace = solve_hierarchy(prob, _resolved_options(parsed, prob, tag),
-                                parsed.k_range)
+        trace = solve_hierarchy(prob, _resolved_options(parsed, prob, tag))
     except OptimumKnownSignal as sig:
         return {"tag": tag.value, "rows": [], "r_dual": sig.r_star,
                 "r_primal": sig.r_star, "candidate": sig.point,
@@ -454,10 +447,9 @@ def run_pareto(parsed: ParsedProblem, args):
     if not ok:
         raise CliError(f"initial point infeasible: constraint margin "
                        f"{margin:.3e} > {parsed.opts.tau}")
-    result = epsilon_constraint_solve(mprob, u0, parsed.opts, parsed.k_range)
+    result = epsilon_constraint_solve(mprob, u0, parsed.opts)
     certified = (result.stopped_by == "Uniqueness"
-                 or all(t.stop_reason in ("single", "rank", "kkt")
-                        for t in result.traces))
+                 or all(t.certified for t in result.traces))
     fields = {
         "stages": [{"stage": i, "point": u,
                     "value": r if np.isfinite(r) else None,

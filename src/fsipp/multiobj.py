@@ -122,12 +122,14 @@ class EfficiencyReport:
     traces: list = field(default_factory=list)
 
 
-def epsilon_constraint_solve(mprob: MultiFsippProblem, u0, opts: RelaxOptions,
-                             k_range: tuple | None = None) -> EfficiencyReport:
+def epsilon_constraint_solve(mprob: MultiFsippProblem, u0,
+                             opts: RelaxOptions) -> EfficiencyReport:
     """Run the stages from the initial feasible point u0.
 
-    Each stage scalarizes at the previous point, solves the relaxation,
-    and extracts the new point.  The walk returns after a stage whose
+    Each stage scalarizes at the previous point, solves the relaxation
+    with the settings ``opts``, and extracts the new point.  A
+    ``case_override`` that does not fit the index set raises ValueError,
+    as in :func:`relax.classify_case`.  The walk returns after a stage whose
     minimizer is verified unique (rank-one certificate plus positive
     definite numerator Hessian under a Case3/Case4 tag), or after all t
     stages.  Failures carry the stage index.
@@ -141,11 +143,8 @@ def epsilon_constraint_solve(mprob: MultiFsippProblem, u0, opts: RelaxOptions,
         raise ValueError(
             f"initial point infeasible: constraint margin {margin:.3e} > {opts.tau}")
     override = opts.case_override
-    if override is not None:
-        try:  # the shape check reads only p and the index set
-            check_tag(mprob.base_problem(1), override)
-        except ValueError:  # override does not fit this walk's shape
-            override = None
+    if override is not None:  # the shape check reads only p and the index set
+        check_tag(mprob.base_problem(1), override)
     family = None  # p's s.o.s-convexity verdict, shared by every stage
 
     def findings(sub):
@@ -161,8 +160,7 @@ def epsilon_constraint_solve(mprob: MultiFsippProblem, u0, opts: RelaxOptions,
             sub = scalarize(mprob, i, u_prev, tau=opts.tau,
                             check_feasible=(i > 1))
             tag = override if override is not None else classify_by(sub, findings)
-            trace = solve_hierarchy(sub, replace(opts, case_override=tag),
-                                    k_range)
+            trace = solve_hierarchy(sub, replace(opts, case_override=tag))
             if trace.candidate is None:
                 statuses = [(row.k, row.dual_status, row.error)
                             for row in trace.rows]
@@ -256,7 +254,7 @@ def image_grid(mprob: MultiFsippProblem, box, grid_size: int = 200):
 
 
 def efficiency_audit(mprob: MultiFsippProblem, u_star, grid_size: int = 200,
-                     box=None) -> bool:
+                     *, box) -> bool:
     """Search a grid over ``box`` for a feasible point dominating u_star.
 
     Returns False iff some grid point that is feasible with margin at
@@ -272,9 +270,6 @@ def efficiency_audit(mprob: MultiFsippProblem, u_star, grid_size: int = 200,
     cost.  Like ``image_grid``, it raises ValueError when it must sweep
     and the y-sweep is empty.
     """
-    if box is None:
-        raise ValueError("a bounding box (one (lo, hi) pair per variable) "
-                         "is required")
     pts = _grid_points(mprob, box, grid_size)
     ok, vals = _scalar_feasible(mprob, pts)
     star = mprob.objective_vector(u_star)

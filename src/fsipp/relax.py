@@ -41,7 +41,7 @@ generators G at order k (``moment.QModule``):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -108,16 +108,18 @@ class CaseTag(Enum):
 
 @dataclass(frozen=True)
 class RelaxOptions:
-    """Knobs for one relaxation run.
+    """The settings of one hierarchy run.
 
     R and g_star feed the ball and denominator generators of the x-cone
-    (unused by Case1/Case2).  k is the target relaxation order.  tau is
-    the feasibility/stationarity tolerance of the stop criterion, sdp_tol
-    the interior-point accuracy.
+    (unused by Case1/Case2).  k_min and k (k_max in problem files and
+    flags) bound the relaxation orders; :func:`solve_hierarchy` says which
+    run.  tau is the feasibility/stationarity tolerance of the stop
+    criterion, sdp_tol the interior-point accuracy.
     """
 
     R: float | None = None
     g_star: float | None = None
+    k_min: int | None = None
     k: int | None = None
     case_override: CaseTag | None = None
     tau: float = 1e-3
@@ -128,8 +130,12 @@ class RelaxOptions:
             raise ValueError("R must be positive")
         if self.g_star is not None and self.g_star <= 0:
             raise ValueError("g_star must be positive")
+        if self.k_min is not None and self.k_min < 1:
+            raise ValueError("k_min must be at least 1")
         if self.k is not None and self.k < 1:
             raise ValueError("the relaxation order must be at least 1")
+        if None not in (self.k_min, self.k) and self.k_min > self.k:
+            raise ValueError(f"k_min {self.k_min} is above k_max {self.k}")
         if self.tau <= 0 or self.sdp_tol <= 0:
             raise ValueError("tau and sdp_tol must be positive")
 
@@ -312,16 +318,14 @@ def choose_R_gstar(prob: FsippProblem, hints: dict | None = None):
 # --------------------------------------------------------------------------
 
 
-def _y_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag) -> QModule:
+def _y_cone(prob: FsippProblem, tag: CaseTag, k: int | None) -> QModule:
     d_y = max(int(prob.p.d_y), 0)
     if tag in (CaseTag.CASE1, CaseTag.CASE3):
         order = ceil_half(d_y)
     elif tag in (CaseTag.CASE2, CaseTag.CASE4):
         order = 1
-    elif opts.k is None:
-        raise ValueError("the general cones need a relaxation order k")
-    else:
-        order = opts.k
+    else:  # General: the compilers check k in _x_cone first
+        order = k
     if d_y > 2 * order:
         raise ValueError(f"degree overflow: the constraint family has degree "
                          f"{d_y} in the index variables, above the cone bound "
@@ -329,10 +333,11 @@ def _y_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag) -> QModule:
     return QModule(tuple(prob.index_set.as_generators()), order)
 
 
-def _x_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag) -> QModule:
+def _x_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag,
+            k: int | None) -> QModule:
     if tag in (CaseTag.CASE1, CaseTag.CASE2):
         return QModule((), prob.d)
-    if opts.k is None or opts.k < ceil_half(prob.d):
+    if k is None or k < ceil_half(prob.d):
         raise ValueError(f"relaxation order must be at least {ceil_half(prob.d)}")
     if opts.R is None:
         raise MissingHintError("the ball generator needs the radius R")
@@ -341,7 +346,7 @@ def _x_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag) -> QModule:
         if opts.g_star is None:
             raise MissingHintError("the general cone needs the floor g_star")
         gens.append(prob.g - Polynomial.constant(prob.m, opts.g_star))
-    return QModule(tuple(gens), order=opts.k)
+    return QModule(tuple(gens), order=k)
 
 
 # --------------------------------------------------------------------------
@@ -349,16 +354,17 @@ def _x_cone(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag) -> QModule:
 # --------------------------------------------------------------------------
 
 
-def build_dual_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
+def build_dual_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag,
+                   k: int | None):
     """Compile  min L(f) : L(g)=1, L(psi_j)<=0, L in C[x]*, -Lp in C[y].
 
     Returns (SdpProblem, MomentVarMap), the map's localizers the x-cone's
     generators.  The moment variables range over monomials of degree
-    <= 2d for Case1/Case2 and <= 2k otherwise.
+    <= 2d for Case1/Case2 (k unused) and <= 2k otherwise, k the order.
     """
     check_tag(prob, tag)
-    cone_x = _x_cone(prob, opts, tag)
-    cone_y = _y_cone(prob, opts, tag)
+    cone_x = _x_cone(prob, opts, tag, k)
+    cone_y = _y_cone(prob, tag, k)
 
     builder = SdpBuilder()
     mv = MomentVarMap(builder, prob.m, cone_x.order, cone_x.generators)
@@ -385,16 +391,17 @@ class PrimalSdpMap:
     eta: object = None
 
 
-def build_primal_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag):
+def build_primal_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag,
+                     k: int | None):
     """Compile  max rho : f - rho*g + H(p) + sum eta_j psi_j in C[x],
-    H in C[y]*, eta >= 0.
+    H in C[y]*, eta >= 0, at relaxation order k (as :func:`build_dual_sdp`).
 
     Returns (SdpProblem, PrimalSdpMap); the reported objective of the
     emitted minimization problem is -rho.
     """
     check_tag(prob, tag)
-    cone_x = _x_cone(prob, opts, tag)
-    cone_y = _y_cone(prob, opts, tag)
+    cone_x = _x_cone(prob, opts, tag, k)
+    cone_y = _y_cone(prob, tag, k)
 
     builder = SdpBuilder()
     pair = builder.nonneg_block(2)
@@ -466,6 +473,14 @@ class HierarchyTrace:
     stop_reason: str = "exhausted"
 
     @property
+    def certified(self) -> bool:
+        """The one CERTIFIED rule of a hierarchy run: a passed rank
+        certificate or a passing stop test.  A Case1/Case2 ``single`` stop
+        without either rests on classification alone (ROADMAP item 9)."""
+        return ((self.certificate is not None and self.certificate.passed)
+                or (self.kkt is not None and self.kkt.passes))
+
+    @property
     def r_dual(self) -> float:
         """Best (lowest finite) moment-side value seen."""
         vals = [row.r_dual for row in self.rows if np.isfinite(row.r_dual)]
@@ -492,7 +507,7 @@ def _solve_order(prob, opts, tag, k):
     """
     row = HierarchyRow(k=k)
     try:
-        sdp, mv = build_dual_sdp(prob, replace(opts, k=k), tag)
+        sdp, mv = build_dual_sdp(prob, opts, tag, k)
         sol = solve(sdp, tol=opts.sdp_tol)
         row.dual_status = sol.status
         row.primal_status = _CONIC_DUAL_STATUS.get(sol.status, sol.status)
@@ -512,18 +527,18 @@ def _hessian_pd(f: Polynomial, u: np.ndarray) -> bool:
     return bool(w.min() > 0)
 
 
-def solve_hierarchy(prob: FsippProblem, opts: RelaxOptions,
-                    k_range: tuple | None = None) -> HierarchyTrace:
+def solve_hierarchy(prob: FsippProblem, opts: RelaxOptions) -> HierarchyTrace:
     """Walk relaxation orders, recording values and stopping on a certificate.
 
-    Case1/Case2 need a single solve (the data fix their cones' orders).
-    For the iterated tags, each order k in ``k_range`` (inclusive; default
-    from ceil(d/2) to opts.k) is compiled and solved once, on the moment side,
-    whose multipliers also give the certificate-side value; the walk
-    stops once the moment matrix passes the rank test (Case3/Case4 and
-    General) or the recovered point passes feasibility plus stationarity
-    (General).  Per-order failures are recorded in the row and the walk
-    continues.
+    Case1/Case2 solve order d alone, whatever the settings (the data fix
+    their cones' orders).  The iterated tags run opts.k_min (default
+    ceil(d/2)) up to opts.k (default k_min when set, else ceil(d/2) + 2),
+    never below the first order, each compiled and solved once, on the
+    moment side, whose multipliers also give the certificate-side value;
+    the walk stops once the moment matrix passes the rank test
+    (Case3/Case4 and General) or the recovered point passes feasibility
+    plus stationarity (General).  Per-order failures are recorded in the
+    row and the walk continues.
     """
     tag = opts.case_override
     if tag is None:
@@ -535,11 +550,10 @@ def solve_hierarchy(prob: FsippProblem, opts: RelaxOptions,
     if tag in (CaseTag.CASE1, CaseTag.CASE2):
         orders = [prob.d]
     else:
-        if k_range is None:
-            lo = d_half
-            hi = opts.k if opts.k is not None else d_half + 2
-            k_range = (lo, max(lo, hi))
-        orders = list(range(k_range[0], k_range[1] + 1))
+        lo = opts.k_min if opts.k_min is not None else d_half
+        hi = (opts.k if opts.k is not None
+              else lo if opts.k_min is not None else d_half + 2)
+        orders = range(lo, max(lo, hi) + 1)
 
     for k in orders:
         row = _solve_order(prob, opts, tag, k)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,19 +228,19 @@ def case2_run():
 @pytest.fixture(scope="session")
 def case3_run():
     prob, opts = instances.case3_problem()
-    return prob, opts, solve_hierarchy(prob, opts, k_range=(4, 4))
+    return prob, opts, solve_hierarchy(prob, replace(opts, k_min=4, k=4))
 
 
 @pytest.fixture(scope="session")
 def case4_run():
     prob, opts = instances.case4_problem()
-    return prob, opts, solve_hierarchy(prob, opts, k_range=(4, 4))
+    return prob, opts, solve_hierarchy(prob, replace(opts, k_min=4, k=4))
 
 
 @pytest.fixture(scope="session")
 def quarter_run():
     prob, opts = instances.quarter_circle_problem()
-    return prob, opts, solve_hierarchy(prob, opts, k_range=(4, 4))
+    return prob, opts, solve_hierarchy(prob, replace(opts, k_min=4, k=4))
 
 
 @pytest.fixture(scope="session")
@@ -273,7 +274,8 @@ def bio_runs():
 
 def _order_rows(make, orders):
     prob, opts = make()
-    return [solve_hierarchy(prob, opts, k_range=(k, k)).rows[0] for k in orders]
+    return [solve_hierarchy(prob, replace(opts, k_min=k, k=k)).rows[0]
+            for k in orders]
 
 
 @pytest.fixture(scope="session")
@@ -303,7 +305,7 @@ def planted_runs():
         if seed % 2 == 0:
             rows = solve_hierarchy(prob, opts).rows
         else:
-            rows = [solve_hierarchy(prob, opts, k_range=(k, k)).rows[0]
+            rows = [solve_hierarchy(prob, replace(opts, k_min=k, k=k)).rows[0]
                     for k in (1, 2, 3)]
         out.append((seed, prob, c0, np.asarray(argmin), rows))
     return out

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from fsipp import certify, extract, instances
 from fsipp.certify import (active_sets, certify_point, feasibility_check,
-                           kkt_residual, lower_level_solve, nnls,
+                           kkt_residual, lower_level_solve,
+                           minimize_on_semialgebraic, nnls,
                            sos_convexity_check)
 from fsipp.errors import NumericalTroubleError
 from fsipp.indexset import Interval, QuadraticSet, Semialgebraic
@@ -109,8 +110,13 @@ def test_lower_level_takes_the_bound_from_the_orders_that_end_optimal(
     # bound, support and certificate are the second order's alone
     prob, _ = instances.quarter_circle_problem()
     u = np.array([0.7377, 0.6033])
-    k_min = ceil_half(prob.p.substitute_x(u).degree)
-    expected = lower_level_solve(u, prob, k_range=(k_min + 1,))
+    h = prob.p.substitute_x(u).scale(-1.0)
+    gens = prob.index_set.as_generators()
+    k_min = ceil_half(h.degree)
+    _, bound, L, cert, atoms = minimize_on_semialgebraic(
+        h, gens, k_min + 1, max(ceil_half(q.degree) for q in gens))
+    expected = (bound, [pt for pt, _ in atoms] if cert else [L.point()],
+                cert is not None)
     real_solve = certify.solve
     calls = []
 

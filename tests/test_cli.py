@@ -16,6 +16,7 @@ import pytest
 from fsipp import instances, relax
 from fsipp.cli import (EXIT_BY_VERDICT, ParsedProblem, main, problem_sha256,
                        problem_to_doc, render_report, validate_document)
+from fsipp.multiobj import scalarize
 
 from test_multiobj import _arc_pair
 
@@ -316,14 +317,48 @@ def test_solve_handles_unreadable_and_malformed_files(files):
 @pytest.mark.parametrize("flag, value, message", [
     ("--tol", "-1", "sdp_tol must be positive"),
     ("--tau", "-1", "tau and sdp_tol must be positive"),
-    ("--k-min", "0", "k_min must be at least 1")])
+    ("--k-min", "0", "k_min must be at least 1"),
+    ("--k-min", "5 --k-max 4", "k_min 5 is above k_max 4")])
 def test_solve_flags_are_checked_as_the_schema_checks_options(files, flag, value,
                                                               message):
-    # the same values in a file's options are schema errors
-    code, out, _ = run(["solve", files["case1"], flag, value])
+    # the same values in a file's options are refused too: the first three
+    # by the schema, the last as in the test below
+    code, out, _ = run(["solve", files["case1"], flag, *value.split()])
     report = checked(out)
     assert code == 2 and report["verdict"] == "ERROR"
     assert message in report["error"]
+
+
+@pytest.mark.parametrize("options, flags", [
+    ({"k_min": 5, "k_max": 4}, []), ({"k_max": 4}, ["--k-min", "5"])])
+def test_k_min_above_k_max_is_an_error_in_file_options_too(files, options,
+                                                            flags):
+    doc = problem_to_doc(instances.quarter_circle_problem()[0],
+                         options={"R": 2.0, "g_star": 1.0, **options})
+    path = _write(files["dir"], "k_order.json", doc)
+    code, out, _ = run(["solve", path, *flags])
+    report = checked(out)
+    assert code == 2 and report["verdict"] == "ERROR"
+    assert "k_min 5 is above k_max 4" in report["error"]
+
+
+def test_integral_float_orders_in_file_options_are_read_as_integers():
+    # the schema's integer type admits 4.0; range() over the orders does not
+    doc = problem_to_doc(instances.case3_problem()[0],
+                         options={"R": 2.0, "k_min": 3.0, "k_max": 4.0})
+    opts = ParsedProblem(doc).opts
+    assert (opts.k_min, opts.k) == (3, 4)
+    assert type(opts.k_min) is type(opts.k) is int
+
+
+@pytest.mark.parametrize("flags", [["--k-min", "5"],
+                                   ["--k-min", "5", "--k-max", "6"]])
+def test_single_solve_routes_ignore_the_order_settings(files, flags):
+    # Case1 solves order d = 2 whatever k_min and k_max say
+    code, out, _ = run(["solve", files["case1"], *flags])
+    report = checked(out)
+    assert code == 0 and report["verdict"] == "CERTIFIED"
+    assert [row["k"] for row in report["rows"]] == [2]
 
 
 # ------------------------------------------------------------- certify
@@ -383,6 +418,47 @@ def test_pareto_walk_report_and_grid_export(files):
     assert len(first.splitlines()) == 1 + 25 * 25
     run(argv)  # the export is deterministic
     assert csv_path.read_text(encoding="utf-8") == first
+
+
+def test_solve_and_pareto_judge_a_stage_by_the_same_rule(files):
+    # walk I's stages are Case1 single solves without a rank certificate:
+    # classification alone does not certify them, in pareto as in solve
+    code, out, _ = run(["pareto", files["pair"]])
+    report = checked(out)
+    assert code == 0 and report["verdict"] == "INCONCLUSIVE"
+    assert [(s["tag"], s["stop_reason"]) for s in report["stages"]] == [
+        ("Case1", "single")] * 2
+
+    mprob, u0, _ = instances.biobjective_case1()
+    stage1 = problem_to_doc(scalarize(mprob, 1, u0, check_feasible=False))
+    code, out, _ = run(["solve", _write(files["dir"], "stage1.json", stage1)])
+    report = checked(out)
+    assert code == 0 and report["verdict"] == "INCONCLUSIVE"
+    assert (report["tag"], report["stop_reason"]) == ("Case1", "single")
+    assert report["certificate"] is None
+
+    # walk II's stages pass the rank test
+    mprob, u0, _ = instances.biobjective_case2()
+    doc = problem_to_doc(mprob, hints={"feasible_point": list(u0)})
+    code, out, _ = run(["pareto", _write(files["dir"], "walk2.json", doc)])
+    assert code == 0 and checked(out)["verdict"] == "CERTIFIED"
+
+
+def test_pareto_checks_a_case_override_as_solve_does(files):
+    mprob, u0, _ = instances.biobjective_case1()
+    options = {"case_override": "Case2"}  # walk I's index set is the interval
+    base = problem_to_doc(mprob.base_problem(1), options=options)
+    walk = problem_to_doc(mprob, options=options,
+                          hints={"feasible_point": list(u0)})
+    reports = []
+    for command, name, doc in (("solve", "override1.json", base),
+                               ("pareto", "override2.json", walk)):
+        code, out, _ = run([command, _write(files["dir"], name, doc)])
+        report = checked(out)
+        assert code == 2 and report["verdict"] == "ERROR"
+        reports.append(report["error"])
+    assert reports[0] == reports[1]
+    assert "Case2 needs a quadratic index set" in reports[0]
 
 
 def test_pareto_uses_the_feasible_point_hint(files):

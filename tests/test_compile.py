@@ -13,8 +13,6 @@ whose coefficients make every division step round.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -251,9 +249,9 @@ def _same(monkeypatch, call, label: str) -> int:
 # ---------------------------------------------------------------- cases
 
 
-def _both_sides(monkeypatch, prob, opts, tag, label):
+def _both_sides(monkeypatch, prob, opts, tag, k, label):
     for build in (build_dual_sdp, build_primal_sdp):
-        assert _same(monkeypatch, lambda: build(prob, opts, tag),
+        assert _same(monkeypatch, lambda: build(prob, opts, tag, k),
                      f"{label} {build.__name__}") > 0
 
 
@@ -263,14 +261,14 @@ def _both_sides(monkeypatch, prob, opts, tag, label):
 def test_packaged_instances_compile_as_the_reference(monkeypatch, make):
     prob, opts = make()
     tag = classify_case(prob, opts.case_override)
-    _both_sides(monkeypatch, prob, opts, tag, make.__name__)
+    _both_sides(monkeypatch, prob, opts, tag, opts.k, make.__name__)
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])
 def test_quarter_circle_compiles_as_the_reference(monkeypatch, k):
     prob, opts = instances.quarter_circle_problem()
     tag = classify_case(prob, opts.case_override)
-    _both_sides(monkeypatch, prob, replace(opts, k=k), tag, f"quarter k={k}")
+    _both_sides(monkeypatch, prob, opts, tag, k, f"quarter k={k}")
 
 
 def test_planted_seeds_compile_as_the_reference(monkeypatch):
@@ -278,7 +276,7 @@ def test_planted_seeds_compile_as_the_reference(monkeypatch):
         prob, opts, _, _ = instances.planted_convex_quadratic(seed)
         tag = classify_case(prob, opts.case_override)
         for k in ((1, 2, 3) if seed % 2 else (None,)):
-            _both_sides(monkeypatch, prob, replace(opts, k=k), tag,
+            _both_sides(monkeypatch, prob, opts, tag, k,
                         f"planted {seed} k={k}")
 
 
@@ -289,8 +287,8 @@ def test_walk_stages_compile_as_the_reference(monkeypatch, bio_runs):
             sub = scalarize(mprob, stage, u_prev, tau=opts.tau,
                             check_feasible=False)
             for row in trace.rows:
-                _both_sides(monkeypatch, sub, replace(opts, k=row.k),
-                            trace.tag, f"walk {name}/{stage} k={row.k}")
+                _both_sides(monkeypatch, sub, opts, trace.tag, row.k,
+                            f"walk {name}/{stage} k={row.k}")
             u_prev = point
 
 

@@ -17,6 +17,7 @@ packaged walks, and while it certifies the quarter circle's minimizer.
 from __future__ import annotations
 
 import inspect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -228,7 +229,7 @@ def test_packaged_instances_extract_as_the_reference(monkeypatch, make):
 def test_quarter_circle_extracts_as_the_reference(monkeypatch, k):
     prob, opts = instances.quarter_circle_problem()
     seen = _recorded(monkeypatch, lambda: solve_hierarchy(
-        prob, opts, k_range=(k, k)))
+        prob, replace(opts, k_min=k, k=k)))
     assert _same(monkeypatch, seen, f"quarter k={k}") == (1, 1)
 
 

@@ -204,6 +204,22 @@ def test_every_default_is_passed_by_some_call():
     assert uncalled_defaults(SRC, CALLERS) == []
 
 
+# Defaults that only tests pass, each with its reason; any other test-only
+# knob belongs in the tests, not in the package.
+TEST_ONLY_DEFAULTS = {
+    # the iteration cap that tests lower to force IterLimit
+    "sdp/solver.py:solve(max_iter)",
+    # writes the file form's hints, which cli.ParsedProblem reads
+    "cli.py:problem_to_doc(hints)",
+}
+
+
+def test_no_default_is_passed_by_tests_alone():
+    callers = [ROOT / d for d in ("src", "demos", "bench")]
+    found = uncalled_defaults(SRC, callers)
+    assert [f for f in found if f not in TEST_ONLY_DEFAULTS] == []
+
+
 # The index-set kinds answer for themselves (``indexset.py``); outside it,
 # only the Case1/Case2 shape test and the classify listing's note on a
 # semialgebraic set's hint ask which kind a set is.

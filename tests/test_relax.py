@@ -134,8 +134,9 @@ _CIRCLE = _poly2({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
 def test_each_tag_compiles_quadratic_modules(make, tag, x_cone, y_cone):
     prob, opts = make()
     assert classify_case(prob, opts.case_override) is tag
-    for cone, (gens, order) in ((relax._x_cone(prob, opts, tag), x_cone),
-                                (relax._y_cone(prob, opts, tag), y_cone)):
+    cones = (relax._x_cone(prob, opts, tag, opts.k),
+             relax._y_cone(prob, tag, opts.k))
+    for cone, (gens, order) in zip(cones, (x_cone, y_cone)):
         assert (cone.generators, cone.order, cone.nz) == (gens, order, 0)
 
 
@@ -145,10 +146,10 @@ def test_y_cone_checks_its_degree_bound_on_every_tag():
     quartic = _toy(_poly2({(2, 0): 1.0}), _poly2({(0, 0): 1.0}), joint=joint,
                    index_set=QuadraticSet(_DISC, (0.0, 0.0)), n_y=2)
     with pytest.raises(ValueError, match="degree overflow"):
-        relax._y_cone(quartic, RelaxOptions(), CaseTag.CASE2)
-    quarter, opts = instances.quarter_circle_problem()  # degree 8 in y
+        relax._y_cone(quartic, CaseTag.CASE2, None)
+    quarter, _ = instances.quarter_circle_problem()  # degree 8 in y
     with pytest.raises(ValueError, match="degree overflow"):
-        relax._y_cone(quarter, replace(opts, k=3), CaseTag.GENERAL)
+        relax._y_cone(quarter, CaseTag.GENERAL, 3)
 
 
 # ------------------------------------------------------- parameter choice
@@ -220,7 +221,7 @@ def test_single_solve_routes_report_exact_values_and_feasible_points():
 
 def test_hierarchy_respects_requested_orders():
     prob, opts = instances.case3_problem()
-    trace = solve_hierarchy(prob, opts, k_range=(4, 5))
+    trace = solve_hierarchy(prob, replace(opts, k_min=4, k=5))
     assert [row.k for row in trace.rows] == [4]  # certificate stops the walk
     assert trace.stop_reason == "rank"
     assert trace.hessian_pd is True
@@ -245,9 +246,9 @@ def test_hierarchy_extraction_checks_the_x_cone_localizers(monkeypatch):
 
     monkeypatch.setattr(extract, "extract_atoms", spy)
     prob, opts = instances.quarter_circle_problem()
-    trace = solve_hierarchy(prob, opts, k_range=(4, 4))
+    trace = solve_hierarchy(prob, replace(opts, k_min=4, k=4))
     assert trace.stop_reason == "rank"
-    assert seen == [relax._x_cone(prob, opts, CaseTag.GENERAL).generators]
+    assert seen == [relax._x_cone(prob, opts, CaseTag.GENERAL, 4).generators]
     assert len(seen[0]) == 2
 
 
@@ -300,7 +301,9 @@ def test_hierarchy_solves_one_sdp_per_order(monkeypatch, make, k_range):
     real_solve = relax.solve
     monkeypatch.setattr(relax, "solve", counted)
     prob, opts = make()
-    trace = solve_hierarchy(prob, opts, k_range)
+    if k_range is not None:
+        opts = replace(opts, k_min=k_range[0], k=k_range[1])
+    trace = solve_hierarchy(prob, opts)
     assert len(trace.rows) == 1
     assert len(calls) == len(trace.rows)
     row = trace.rows[0]
@@ -319,12 +322,12 @@ def test_quarter_circle_moment_sdp_has_only_coefficient_rows(k, rows):
     # monomials of degree <= 2k (y1 to at most the first power).
     prob, opts = instances.quarter_circle_problem()
     tag = classify_case(prob, opts.case_override)
-    sdp, vmap = relax.build_dual_sdp(prob, replace(opts, k=k), tag)
+    sdp, vmap = relax.build_dual_sdp(prob, opts, tag, k)
     assert sdp.A.shape[0] == rows
     (lmi,) = [bl for bl in sdp.blocks if isinstance(bl, LmiBlock)]
     assert lmi.nvars == math.comb(prob.m + 2 * k, prob.m)
-    assert len(lmi.dims) == 1 + len(relax._x_cone(prob, replace(opts, k=k),
-                                                   tag).generators)
+    assert len(lmi.dims) == 1 + len(relax._x_cone(prob, opts, tag,
+                                                   k).generators)
     assert lmi.dims[0] == math.comb(prob.m + k, prob.m)
     # only the normalization L(g) = 1 lives on the moments alone
     offset = vmap.block.offset
@@ -339,7 +342,7 @@ def test_quarter_circle_orders_five_and_six_keep_value_and_certificate(k, r_dual
     # r_dual as the canonical-entry formulation (one equality row per
     # moment-matrix alias and localizer entry) computed it
     prob, opts = instances.quarter_circle_problem()
-    trace = solve_hierarchy(prob, opts, k_range=(k, k))
+    trace = solve_hierarchy(prob, replace(opts, k_min=k, k=k))
     (row,) = trace.rows
     assert row.dual_status == "Optimal"
     assert abs(row.r_dual - r_dual) <= 1e-7
@@ -355,7 +358,7 @@ def test_multiplier_value_matches_the_certificate_sdp(request, run):
     prob, opts, trace = request.getfixturevalue(run)
     for row in trace.rows:
         assert row.primal_status == row.dual_status == "Optimal"
-        sdp, _ = build_primal_sdp(prob, replace(opts, k=row.k), trace.tag)
+        sdp, _ = build_primal_sdp(prob, opts, trace.tag, row.k)
         sol = solve(sdp, tol=opts.sdp_tol)
         assert sol.status == "Optimal"
         assert row.r_primal == pytest.approx(-sol.primal_value, abs=1e-7)
