@@ -22,8 +22,7 @@ prob, opts = instances.case1_problem()
 print("convexity findings:")
 for name, ok in convexity_findings(prob):
     print(f"  {name}: {'sos-convex' if ok else 'not sos-convex'}")
-tag = classify_case(prob)
-print("tag:", tag.value)
+print("tag:", classify_case(prob).tag.value)
 
 trace = solve_hierarchy(prob, opts)
 row = trace.rows[0]
@@ -40,7 +39,7 @@ print("  stop:", trace.stop_reason)
 # ---------------------------------------------------------------------------
 prob, opts = instances.case2_problem()
 print()
-print("tag:", classify_case(prob).value)
+print("tag:", classify_case(prob).tag.value)
 
 trace = solve_hierarchy(prob, opts)
 print(f"  optimal value  = {trace.r_dual:.6f}   (exact: 0.5)")

@@ -15,16 +15,17 @@ import numpy as np
 
 from fsipp import instances
 from fsipp.certify import certify_point
-from fsipp.relax import choose_R_gstar, classify_case, solve_hierarchy
+from fsipp.relax import choose_g_star, classify_case, solve_hierarchy
 
 prob, opts = instances.quarter_circle_problem()
-print("tag:", classify_case(prob).value)
+print("tag:", classify_case(prob).tag.value)
 
 # The two augmentation parameters can be preset (as in the packaged options)
-# or derived from hints: a norm bound on some minimizer and, because the
-# denominator here is nonlinear, one known feasible point.
-R, g_star = choose_R_gstar(prob, {"bound": 4.0 / 3.0,
-                                  "feasible_point": [0.5, 0.5]})
+# or derived from hints: a norm bound on some minimizer gives R = 1.5 * bound
+# and, because the denominator here is nonlinear, one known feasible point
+# gives the floor g*.
+hints = {"bound": 4.0 / 3.0, "feasible_point": [0.5, 0.5]}
+R, g_star = 1.5 * hints["bound"], choose_g_star(prob, hints)
 print(f"derived from hints:   R = {R},  g* = {g_star}")
 print(f"packaged options use: R = {opts.R},  g* = {opts.g_star}")
 

@@ -28,7 +28,7 @@ from .multiobj import (MultiFsippProblem, efficiency_audit,
                        epsilon_constraint_solve, image_grid)
 from .poly import BivariatePoly, Polynomial
 from .relax import (CaseTag, FsippProblem, HierarchyTrace, RelaxOptions,
-                    choose_R_gstar, classify_case, convexity_findings,
+                    choose_g_star, classify_case, convexity_findings,
                     solve_hierarchy)
 
 __all__ = [
@@ -44,7 +44,7 @@ __all__ = [
     "RelaxOptions",
     "Semialgebraic",
     "certify_point",
-    "choose_R_gstar",
+    "choose_g_star",
     "classify_case",
     "convexity_findings",
     "efficiency_audit",

@@ -21,19 +21,16 @@ import json
 import re
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import indexset, schemacheck
 from .certify import certify_point, feasibility_check
-from .errors import OptimumKnownSignal
 from .multiobj import MultiFsippProblem, epsilon_constraint_solve, image_grid
 from .poly import BivariatePoly, Polynomial
 from .relax import (CaseTag, FsippProblem, HierarchyRow, RelaxOptions,
-                    choose_R_gstar, classify_by, classify_case, convex_shape,
-                    convexity_findings, solve_hierarchy)
+                    classify_case, solve_hierarchy)
 
 class CliError(Exception):
     """A user-facing failure; carries one message line per finding."""
@@ -301,22 +298,16 @@ def run_classify(args) -> int:
     if parsed.multi is not None:
         lines.append(f"classifying objective 1 of {parsed.multi.t}")
     override = parsed.opts.case_override
-    findings = None
+    cls = classify_case(prob, override)
     if override is not None:
         lines.append(f"override: {override.value}")
-    elif convex_shape(prob) is not None:
-        findings = convexity_findings(prob)
-        for name, ok in findings:
-            lines.append(
-                f"{name}: {'sos-convex' if ok else 'not sos-convex'}")
     elif isinstance(prob.index_set, indexset.Semialgebraic):
         hint = prob.index_set.archimedean_hint
         lines.append("index set: semialgebraic, archimedean hint "
                      + (f"M={hint}" if hint is not None else "not declared"))
-    # the listed findings decide the tag; they are not computed twice
-    tag = (classify_case(prob, override) if findings is None
-           else classify_by(prob, lambda _: findings))
-    lines.append(tag.value)
+    lines += [f"{name}: {'sos-convex' if ok else 'not sos-convex'}"
+              for name, ok in cls.findings]
+    lines.append(cls.tag.value)
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -347,19 +338,6 @@ def _run(args) -> int:
     return code
 
 
-def _resolved_options(parsed: ParsedProblem, prob: FsippProblem,
-                      tag: CaseTag) -> RelaxOptions:
-    """Pin the route to ``tag`` and fill R/g_star from the hint recipes
-    when the route needs them."""
-    opts = replace(parsed.opts, case_override=tag)
-    if (opts.R is not None or "bound" not in parsed.hints
-            or tag in (CaseTag.CASE1, CaseTag.CASE2)):
-        return opts
-    R, g_star = choose_R_gstar(prob, parsed.hints)
-    return replace(opts, R=R, g_star=opts.g_star if opts.g_star is not None
-                   else g_star)
-
-
 def _write_rows_csv(out: str, rows) -> None:
     """The report's rows as CSV: csv writes None as "" and a float as its
     repr."""
@@ -368,17 +346,8 @@ def _write_rows_csv(out: str, rows) -> None:
 
 
 def run_solve(parsed: ParsedProblem, args):
-    prob = parsed.require_single("solve")
-    tag = classify_case(prob, parsed.opts.case_override)
-    try:
-        trace = solve_hierarchy(prob, _resolved_options(parsed, prob, tag))
-    except OptimumKnownSignal as sig:
-        return {"tag": tag.value, "rows": [], "r_dual": sig.r_star,
-                "r_primal": sig.r_star, "candidate": sig.point,
-                "atoms": None, "certificate": None, "kkt": None,
-                "hessian_pd": None, "stop_reason": "known-optimum",
-                "solver": {"orders_solved": 0, "total_iterations": 0},
-                "verdict": "CERTIFIED"}, None
+    trace = solve_hierarchy(parsed.require_single("solve"), parsed.opts,
+                            parsed.hints)
     return ({**_trace_doc(trace), "verdict": _solve_verdict(trace)},
             lambda out: _write_rows_csv(out, trace.rows))
 
@@ -447,7 +416,7 @@ def run_pareto(parsed: ParsedProblem, args):
     if not ok:
         raise CliError(f"initial point infeasible: constraint margin "
                        f"{margin:.3e} > {parsed.opts.tau}")
-    result = epsilon_constraint_solve(mprob, u0, parsed.opts)
+    result = epsilon_constraint_solve(mprob, u0, parsed.opts, parsed.hints)
     certified = (result.stopped_by == "Uniqueness"
                  or all(t.certified for t in result.traces))
     fields = {

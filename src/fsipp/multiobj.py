@@ -26,7 +26,7 @@ rather than let every point pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .errors import NumericalTroubleError
 from .indexset import IndexSet, raster
 from .poly import BivariatePoly
 from .relax import (CaseTag, FsippProblem, RelaxOptions, check_tag,
-                    classify_by, convexity_findings, solve_hierarchy)
+                    solve_hierarchy)
 
 
 @dataclass(frozen=True)
@@ -123,16 +123,21 @@ class EfficiencyReport:
 
 
 def epsilon_constraint_solve(mprob: MultiFsippProblem, u0,
-                             opts: RelaxOptions) -> EfficiencyReport:
+                             opts: RelaxOptions,
+                             hints: dict | None = None) -> EfficiencyReport:
     """Run the stages from the initial feasible point u0.
 
-    Each stage scalarizes at the previous point, solves the relaxation
-    with the settings ``opts``, and extracts the new point.  A
-    ``case_override`` that does not fit the index set raises ValueError,
-    as in :func:`relax.classify_case`.  The walk returns after a stage whose
-    minimizer is verified unique (rank-one certificate plus positive
-    definite numerator Hessian under a Case3/Case4 tag), or after all t
-    stages.  Failures carry the stage index.
+    Each stage scalarizes at the previous point and is set up and solved
+    by :func:`relax.solve_hierarchy` as ``fsipp solve`` sets up one
+    problem: the settings ``opts``, and the problem file's ``hints`` with
+    the stage's anchor as their feasible point (the floor recipe needs a
+    point of the stage's feasible set, and a later stage's
+    cross-constraints may exclude u0).  A
+    ``case_override`` that does not fit the index set raises ValueError
+    before any stage, as in :func:`relax.classify_case`.  The walk returns
+    after a stage whose minimizer is verified unique (rank-one certificate
+    plus positive definite numerator Hessian under a Case3/Case4 tag), or
+    after all t stages.  Failures carry the stage index.
 
     Stages share p and the index set, so the s.o.s-convexity of p, the
     one SDP of classification, is decided once per walk.
@@ -142,25 +147,18 @@ def epsilon_constraint_solve(mprob: MultiFsippProblem, u0,
     if not ok:
         raise ValueError(
             f"initial point infeasible: constraint margin {margin:.3e} > {opts.tau}")
-    override = opts.case_override
-    if override is not None:  # the shape check reads only p and the index set
-        check_tag(mprob.base_problem(1), override)
+    if opts.case_override is not None:  # reads only p and the index set
+        check_tag(mprob.base_problem(1), opts.case_override)
     family = None  # p's s.o.s-convexity verdict, shared by every stage
-
-    def findings(sub):
-        nonlocal family
-        out = convexity_findings(sub, family)
-        family = out[-1][1]
-        return out
-
     path, traces = [], []
     stopped_by = "Exhausted_t"
     for i in range(1, mprob.t + 1):
         try:
             sub = scalarize(mprob, i, u_prev, tau=opts.tau,
                             check_feasible=(i > 1))
-            tag = override if override is not None else classify_by(sub, findings)
-            trace = solve_hierarchy(sub, replace(opts, case_override=tag))
+            trace = solve_hierarchy(
+                sub, opts, {**(hints or {}), "feasible_point": u_prev}, family)
+            family = trace.family
             if trace.candidate is None:
                 statuses = [(row.k, row.dual_status, row.error)
                             for row in trace.rows]

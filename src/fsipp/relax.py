@@ -41,7 +41,7 @@ generators G at order k (``moment.QModule``):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -199,20 +199,6 @@ def convexity_findings(prob: FsippProblem,
     return out
 
 
-def classify_case(prob: FsippProblem,
-                  case_override: CaseTag | None = None) -> CaseTag:
-    """The most specific tag whose checkable conditions pass.
-
-    Case3/Case4 are only reachable through ``case_override`` (their extra
-    hypothesis concerns an unknown minimizer); anything unverified falls
-    back to General.
-    """
-    if case_override is not None:
-        check_tag(prob, case_override)
-        return case_override
-    return classify_by(prob, convexity_findings)
-
-
 def convex_shape(prob: FsippProblem) -> CaseTag | None:
     """Case1 or Case2 when the index set has that tag's shape (the interval;
     a quadratic set with p at most quadratic in y), else None."""
@@ -223,13 +209,35 @@ def convex_shape(prob: FsippProblem) -> CaseTag | None:
     return None
 
 
-def classify_by(prob: FsippProblem, findings) -> CaseTag:
-    """:func:`classify_case` without an override, ``findings(prob)`` standing
-    in for :func:`convexity_findings` (called only on a Case1/Case2 shape)."""
+@dataclass(frozen=True)
+class Classification:
+    """A route tag with the findings that decided it, in
+    :func:`convexity_findings` order (none under an override or off the
+    Case1/Case2 shapes), and p's verdict when it is known."""
+
+    tag: CaseTag
+    findings: tuple = ()
+    family: bool | None = None
+
+
+def classify_case(prob: FsippProblem, case_override: CaseTag | None = None,
+                  family: bool | None = None) -> Classification:
+    """The most specific tag whose checkable conditions pass.
+
+    Case3/Case4 are only reachable through ``case_override`` (their extra
+    hypothesis concerns an unknown minimizer); anything unverified falls
+    back to General.  ``family``, when given, is p's verdict, already
+    decided for the same p and index set.
+    """
+    if case_override is not None:
+        check_tag(prob, case_override)
+        return Classification(case_override, (), family)
     shape = convex_shape(prob)
-    if shape is not None and all(ok for _, ok in findings(prob)):
-        return shape
-    return CaseTag.GENERAL
+    if shape is None:
+        return Classification(CaseTag.GENERAL, (), family)
+    findings = tuple(convexity_findings(prob, family))
+    tag = shape if all(ok for _, ok in findings) else CaseTag.GENERAL
+    return Classification(tag, findings, findings[-1][1])
 
 
 # --------------------------------------------------------------------------
@@ -244,11 +252,12 @@ def _round_down_sig(v: float) -> float:
     return math.floor(v / 10.0 ** e) * 10.0 ** e
 
 
-def _aux_min(prob: FsippProblem, numerator: Polynomial, bound) -> float:
+def _aux_min(prob: FsippProblem, numerator: Polynomial, bound,
+             family: bool | None) -> float:
     """Minimize ``numerator`` over the feasible set (denominator one)."""
     one = Polynomial.constant(prob.m, 1.0)
     aux = FsippProblem(numerator, one, prob.psis, prob.p, prob.index_set)
-    tag = classify_case(aux)
+    tag = classify_case(aux, family=family).tag
     if tag in (CaseTag.CASE1, CaseTag.CASE2):
         opts, orders = RelaxOptions(), (aux.d,)  # cone orders fixed by the data
     elif bound is None:
@@ -267,50 +276,46 @@ def _aux_min(prob: FsippProblem, numerator: Polynomial, bound) -> float:
     return max(values)
 
 
-def choose_R_gstar(prob: FsippProblem, hints: dict | None = None):
-    """Pick the ball radius R and denominator floor g_star.
+def choose_g_star(prob: FsippProblem, hints: dict,
+                  family: bool | None = None) -> float:
+    """The floor recipe: a positive g_star below the denominator g at the
+    minimizers, for the General route with a non-constant g.
 
     ``hints`` may carry ``bound`` (a radius enclosing the feasible set or
-    its minimizers; R = 1.5 * bound) and ``feasible_point`` (a point u' of
-    the feasible set, needed when g is neither constant nor affine).
+    its minimizers) and ``feasible_point`` (a point u' of the feasible
+    set, needed when g is not affine); ``family`` is p's verdict when it
+    is known, for the auxiliary problems' classification.
 
-    Recipes: g constant c gives g_star = c/2; g affine gives half the
-    minimum of g over the feasible set; otherwise g_star is a rounded-down
-    positive number below (g(u')/f(u')) * min f.  A feasible point with
-    f(u') = 0 pins the optimal value at zero and raises
+    g affine gives half the minimum of g over the feasible set.
+    Otherwise the recipe needs f >= 0 on the feasible set: it minimizes f
+    first and refuses a negative minimum, then returns a rounded-down
+    positive number below (g(u')/f(u')) * min f.  A zero of f at u', or a
+    zero minimum, pins the optimal value at zero and raises
     :class:`OptimumKnownSignal` instead of returning.
     """
-    hints = dict(hints or {})
     bound = hints.get("bound")
-    u_prime = hints.get("feasible_point")
-    if bound is None:
-        raise MissingHintError("no bound on the minimizers was supplied")
-    R = 1.5 * float(bound)
-
-    g = prob.g
-    if g.degree <= 0:
-        g_star = g.coefficient((0,) * prob.m) / 2.0
-        if g_star <= 0:
-            raise ValueError("the denominator must be positive")
-        return R, g_star
-    if g.degree == 1:
-        g_min = _aux_min(prob, g, bound)
+    if prob.g.degree == 1:
+        g_min = _aux_min(prob, prob.g, bound, family)
         if g_min <= 0:
             raise NumericalTroubleError(
                 f"denominator minimum {g_min} is not positive")
-        return R, 0.5 * g_min
+        return 0.5 * g_min
+    u_prime = hints.get("feasible_point")
     if u_prime is None:
         raise MissingHintError(
             "a feasible point is needed when the denominator is nonlinear")
+    f_min = _aux_min(prob, prob.f, bound, family)
+    if f_min < -1e-9:
+        raise MissingHintError(
+            f"the floor recipe needs f >= 0 on the feasible set, but its "
+            f"minimum is {f_min:.6g}; set g_star")
     u_prime = np.asarray(u_prime, dtype=float)
     f_u = prob.f(u_prime)
     if f_u == 0.0:
         raise OptimumKnownSignal(0.0, point=u_prime)
-    f_min = _aux_min(prob, prob.f, bound)
     if f_min <= 1e-9:
         raise OptimumKnownSignal(0.0, point=None)
-    g_star = _round_down_sig(0.5 * (prob.g(u_prime) / f_u) * f_min)
-    return R, g_star
+    return _round_down_sig(0.5 * (prob.g(u_prime) / f_u) * f_min)
 
 
 # --------------------------------------------------------------------------
@@ -471,23 +476,31 @@ class HierarchyTrace:
     kkt: KktReport | None = None
     hessian_pd: bool | None = None
     stop_reason: str = "exhausted"
+    family: bool | None = None  # p's s.o.s-convexity verdict, when decided
+    known_optimum: float | None = None  # pinned by the floor recipe
 
     @property
     def certified(self) -> bool:
-        """The one CERTIFIED rule of a hierarchy run: a passed rank
-        certificate or a passing stop test.  A Case1/Case2 ``single`` stop
-        without either rests on classification alone (ROADMAP item 9)."""
-        return ((self.certificate is not None and self.certificate.passed)
+        """The one CERTIFIED rule of a hierarchy run: an optimum pinned by
+        the floor recipe, a passed rank certificate or a passing stop test.
+        A Case1/Case2 ``single`` stop without one of these rests on
+        classification alone (ROADMAP item 9)."""
+        return (self.known_optimum is not None
+                or (self.certificate is not None and self.certificate.passed)
                 or (self.kkt is not None and self.kkt.passes))
 
     @property
     def r_dual(self) -> float:
-        """Best (lowest finite) moment-side value seen."""
+        """Best (lowest finite) moment-side value seen, or the pinned one."""
+        if self.known_optimum is not None:
+            return self.known_optimum
         vals = [row.r_dual for row in self.rows if np.isfinite(row.r_dual)]
         return min(vals) if vals else float("inf")
 
     @property
     def r_primal(self) -> float:
+        if self.known_optimum is not None:
+            return self.known_optimum
         vals = [row.r_primal for row in self.rows if np.isfinite(row.r_primal)]
         return max(vals) if vals else float("-inf")
 
@@ -527,8 +540,18 @@ def _hessian_pd(f: Polynomial, u: np.ndarray) -> bool:
     return bool(w.min() > 0)
 
 
-def solve_hierarchy(prob: FsippProblem, opts: RelaxOptions) -> HierarchyTrace:
-    """Walk relaxation orders, recording values and stopping on a certificate.
+def solve_hierarchy(prob: FsippProblem, opts: RelaxOptions,
+                    hints: dict | None = None,
+                    family: bool | None = None) -> HierarchyTrace:
+    """Set up one hierarchy run, then walk relaxation orders, recording
+    values and stopping on a certificate.
+
+    Set-up classifies once (``family`` is p's verdict when already
+    decided) and, when the problem file's ``hints`` carry a ``bound``,
+    fills what the route needs and ``opts`` lacks: R = 1.5 * bound on
+    Case3, Case4 and General, g_star by :func:`choose_g_star` on General
+    with a non-constant g.  An optimum that recipe pins is returned as a
+    trace with no rows and stop reason ``known-optimum``.
 
     Case1/Case2 solve order d alone, whatever the settings (the data fix
     their cones' orders).  The iterated tags run opts.k_min (default
@@ -540,17 +563,26 @@ def solve_hierarchy(prob: FsippProblem, opts: RelaxOptions) -> HierarchyTrace:
     plus stationarity (General).  Per-order failures are recorded in the
     row and the walk continues.
     """
-    tag = opts.case_override
-    if tag is None:
-        tag = classify_case(prob)
-    else:
-        check_tag(prob, tag)
-    trace = HierarchyTrace(tag=tag)
+    cls = classify_case(prob, opts.case_override, family)
+    tag = cls.tag
+    trace = HierarchyTrace(tag=tag, family=cls.family)
+    hints = hints or {}
+    if "bound" in hints and tag not in (CaseTag.CASE1, CaseTag.CASE2):
+        g_star = opts.g_star
+        if g_star is None and tag is CaseTag.GENERAL and prob.g.degree >= 1:
+            try:
+                g_star = choose_g_star(prob, hints, cls.family)
+            except OptimumKnownSignal as sig:
+                trace.known_optimum, trace.candidate = sig.r_star, sig.point
+                trace.stop_reason = "known-optimum"
+                return trace
+        R = opts.R if opts.R is not None else 1.5 * float(hints["bound"])
+        opts = replace(opts, R=R, g_star=g_star)
     d_half = max(ceil_half(prob.d), 1)
     if tag in (CaseTag.CASE1, CaseTag.CASE2):
         orders = [prob.d]
     else:
-        lo = opts.k_min if opts.k_min is not None else d_half
+        lo = max(opts.k_min or d_half, d_half)
         hi = (opts.k if opts.k is not None
               else lo if opts.k_min is not None else d_half + 2)
         orders = range(lo, max(lo, hi) + 1)

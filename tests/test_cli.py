@@ -16,7 +16,10 @@ import pytest
 from fsipp import instances, relax
 from fsipp.cli import (EXIT_BY_VERDICT, ParsedProblem, main, problem_sha256,
                        problem_to_doc, render_report, validate_document)
+from fsipp.indexset import Interval
 from fsipp.multiobj import scalarize
+from fsipp.poly import BivariatePoly, Polynomial
+from fsipp.relax import FsippProblem
 
 from test_multiobj import _arc_pair
 
@@ -289,9 +292,9 @@ def test_solve_classifies_the_problem_once(files, monkeypatch):
     calls = []
     findings = relax.convexity_findings
 
-    def counted(prob):
+    def counted(prob, family):
         calls.append(prob)
-        return findings(prob)
+        return findings(prob, family)
 
     monkeypatch.setattr(relax, "convexity_findings", counted)
     code, out, _ = run(["solve", path])
@@ -359,6 +362,110 @@ def test_single_solve_routes_ignore_the_order_settings(files, flags):
     report = checked(out)
     assert code == 0 and report["verdict"] == "CERTIFIED"
     assert [row["k"] for row in report["rows"]] == [2]
+
+
+def _report_fields(report: dict) -> dict:
+    """A report without the fields that name the file or time the run."""
+    return {k: v for k, v in report.items()
+            if k not in ("problem_sha256", "timing_seconds")}
+
+
+def _solved(tmp, name, doc, *flags):
+    code, out, _ = run(["solve", _write(tmp, name, doc), *flags])
+    return code, checked(out)
+
+
+def test_solve_orders_start_at_the_first_order(files):
+    # the quarter circle's first order is 4: lower k_min are raised to it,
+    # as k_max already is
+    doc = json.loads(open(files["quarter"], encoding="utf-8").read())
+    del doc["options"]["k_min"], doc["options"]["k_max"]
+    both = _solved(files["dir"], "quarter_k.json", doc, "--k-min", "1",
+                   "--k-max", "2")
+    alone = _solved(files["dir"], "quarter_k.json", doc, "--k-max", "2")
+    assert _report_fields(both[1]) == _report_fields(alone[1])
+    assert both[0] == 0 and both[1]["verdict"] == "CERTIFIED"
+    assert [row["k"] for row in both[1]["rows"]] == [4]
+    bare = problem_to_doc(instances.quarter_circle_problem()[0])
+    code, report = _solved(files["dir"], "quarter_bare.json", bare,
+                           "--k-min", "2", "--k-max", "5")
+    assert [row["k"] for row in report["rows"]] == [4, 5]
+
+
+def _pinned_problem(f, psis=()):
+    """f/(2 - x1^2) subject to psis and the family -1 <= 0."""
+    g = Polynomial(2, {(0, 0): 2.0, (2, 0): -1.0})
+    p = BivariatePoly.from_joint(Polynomial(3, {(0, 0, 0): -1.0}), 2, 1)
+    return FsippProblem(f, g, tuple(psis), p, Interval())
+
+
+def test_solve_reports_an_optimum_the_floor_recipe_pins(files):
+    # f = x1^2 + x2^2 vanishes at the feasible point: the optimum is 0
+    f = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0})
+    doc = problem_to_doc(_pinned_problem(f),
+                         options={"case_override": "General"},
+                         hints={"bound": 1, "feasible_point": [0, 0]})
+    out_path = files["dir"] / "pinned_report.json"
+    code, _, _ = run(["solve", _write(files["dir"], "pinned.json", doc),
+                      "--out", str(out_path)])
+    report = checked(out_path.read_text(encoding="utf-8"))
+    assert code == 0 and report["verdict"] == "CERTIFIED"
+    assert report["stop_reason"] == "known-optimum"
+    assert report["rows"] == [] and report["tag"] == "General"
+    assert report["r_dual"] == report["r_primal"] == 0.0
+    assert report["candidate"] == [0.0, 0.0]
+    rows = (files["dir"] / "pinned_report.csv").read_text().splitlines()
+    assert len(rows) == 1 and rows[0].startswith("k,r_primal,r_dual")
+
+
+@pytest.mark.parametrize("point", [[0.5, 0.0], [-0.5, 0.0]])
+def test_the_floor_recipe_refuses_a_numerator_that_can_be_negative(files,
+                                                                  point):
+    # min (x1 + 0.5)/(2 - x1^2) over the unit disc is -0.5 at (-1, 0); the
+    # recipe's pinned zero would be wrong, so it asks for g_star
+    disc = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
+    prob = _pinned_problem(Polynomial(2, {(1, 0): 1.0, (0, 0): 0.5}), [disc])
+    options = {"case_override": "General", "k_max": 3}
+    hints = {"bound": 1, "feasible_point": point}
+    code, report = _solved(files["dir"], "negative.json",
+                           problem_to_doc(prob, options, hints))
+    assert code == 2 and report["verdict"] == "ERROR"
+    assert "g_star" in report["error"] and "-0.5" in report["error"]
+    code, report = _solved(files["dir"], "negative_g.json",
+                           problem_to_doc(prob, {**options, "g_star": 0.5},
+                                          hints))
+    assert code == 0 and report["verdict"] == "CERTIFIED"
+    assert report["r_dual"] == pytest.approx(-0.5, abs=1e-6)
+
+
+def _quarter_doc(options, hints=None):
+    return problem_to_doc(instances.quarter_circle_problem()[0],
+                          {"k_max": 4, "case_override": "General", **options},
+                          hints)
+
+
+def test_a_hint_fills_only_the_value_the_options_lack(files):
+    tmp, quarter = files["dir"], {"bound": 4.0 / 3.0,
+                                  "feasible_point": [0.5, 0.5]}
+    # R set, g_star from the floor recipe: as with the hints alone
+    with_r = _solved(tmp, "r_hints.json", _quarter_doc({"R": 2}, quarter))
+    hints_only = _solved(tmp, "hints.json", _quarter_doc({}, quarter))
+    assert with_r[0] == 0 and with_r[1]["verdict"] == "CERTIFIED"
+    assert _report_fields(with_r[1]) == _report_fields(hints_only[1])
+    # g_star set: the recipe does not run, R = 1.5 * bound
+    with_g = _solved(tmp, "g_bound.json",
+                     _quarter_doc({"g_star": 1}, {"bound": 4.0 / 3.0}))
+    both = _solved(tmp, "r_g.json", _quarter_doc({"R": 2, "g_star": 1}))
+    assert with_g[0] == 0 and with_g[1]["verdict"] == "CERTIFIED"
+    assert _report_fields(with_g[1]) == _report_fields(both[1])
+    # Case4 never uses g_star
+    case4 = problem_to_doc(instances.case4_problem()[0],
+                           {"k_min": 4, "k_max": 4, "case_override": "Case4"},
+                           {"bound": 4.0 / 3.0})
+    from_hint = _solved(tmp, "case4_bound.json", case4)
+    code, out, _ = run(["solve", files["case4"]])
+    assert from_hint[0] == code == 0
+    assert _report_fields(from_hint[1]) == _report_fields(checked(out))
 
 
 # ------------------------------------------------------------- certify
@@ -459,6 +566,24 @@ def test_pareto_checks_a_case_override_as_solve_does(files):
         reports.append(report["error"])
     assert reports[0] == reports[1]
     assert "Case2 needs a quadratic index set" in reports[0]
+
+
+def test_pareto_fills_R_from_the_bound_hint_as_solve_does(files):
+    mprob, u0, _ = instances.biobjective_case3()
+    options = {"k_max": 4, "case_override": "Case3"}
+    reports = []
+    for name, opts, hints in (
+            ("walk3_bound.json", options,
+             {"bound": 4.0 / 3.0, "feasible_point": list(u0)}),
+            ("walk3_R.json", {**options, "R": 2.0},
+             {"feasible_point": list(u0)})):
+        code, out, _ = run(["pareto", _write(files["dir"], name,
+                                             problem_to_doc(mprob, opts,
+                                                            hints))])
+        assert code == 0
+        reports.append(_report_fields(checked(out)))
+    assert reports[0] == reports[1]
+    assert reports[0]["verdict"] == "CERTIFIED"
 
 
 def test_pareto_uses_the_feasible_point_hint(files):

@@ -260,21 +260,21 @@ def _both_sides(monkeypatch, prob, opts, tag, k, label):
     instances.case4_problem], ids=["case1", "case2", "case3", "case4"])
 def test_packaged_instances_compile_as_the_reference(monkeypatch, make):
     prob, opts = make()
-    tag = classify_case(prob, opts.case_override)
+    tag = classify_case(prob, opts.case_override).tag
     _both_sides(monkeypatch, prob, opts, tag, opts.k, make.__name__)
 
 
 @pytest.mark.parametrize("k", [4, 5, 6])
 def test_quarter_circle_compiles_as_the_reference(monkeypatch, k):
     prob, opts = instances.quarter_circle_problem()
-    tag = classify_case(prob, opts.case_override)
+    tag = classify_case(prob, opts.case_override).tag
     _both_sides(monkeypatch, prob, opts, tag, k, f"quarter k={k}")
 
 
 def test_planted_seeds_compile_as_the_reference(monkeypatch):
     for seed in range(40):
         prob, opts, _, _ = instances.planted_convex_quadratic(seed)
-        tag = classify_case(prob, opts.case_override)
+        tag = classify_case(prob, opts.case_override).tag
         for k in ((1, 2, 3) if seed % 2 else (None,)):
             _both_sides(monkeypatch, prob, opts, tag, k,
                         f"planted {seed} k={k}")

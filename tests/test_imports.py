@@ -297,3 +297,54 @@ def test_only_the_kinds_ask_which_kind_an_index_set_is():
 
 def test_no_function_imports_a_module():
     assert function_imports(SRC) == []
+
+
+# A hierarchy run is set up in ``relax.solve_hierarchy`` alone: no other
+# module classifies through classification's parts, runs the hint
+# recipes or catches the pinned-optimum signal (``errors.py`` defines it
+# without naming it), and none pins a route by rewriting the settings.
+SETUP_NAMES = {"convexity_findings", "convex_shape", "_aux_min",
+               "choose_g_star", "OptimumKnownSignal"}
+
+
+def setup_outside_relax(src: Path) -> list[str]:
+    """``module:name`` for each set-up name a module other than
+    ``relax.py`` names, and ``module:replace(case_override) (line n)``
+    for each ``replace`` call that passes ``case_override``."""
+    found = []
+    for path in sorted(p for p in src.rglob("*.py")
+                       if p.name not in ("__init__.py", "relax.py")):
+        module = path.relative_to(src).as_posix()
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{module}:{name}"
+                  for name in sorted(_names(tree) & SETUP_NAMES)]
+        found += [f"{module}:replace(case_override) (line {n.lineno})"
+                  for n in ast.walk(tree)
+                  if isinstance(n, ast.Call)
+                  and getattr(n.func, "id", getattr(n.func, "attr", None))
+                  == "replace"
+                  and any(k.arg == "case_override" for k in n.keywords)]
+    return found
+
+
+def test_scan_flags_run_set_up_outside_relax(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "relax.py").write_text(
+        "def convex_shape(p):\n    return None\n\n"
+        "def solve(p, o):\n    return convex_shape(p)\n", encoding="utf-8")
+    (pkg / "errors.py").write_text(
+        "class OptimumKnownSignal(Exception):\n    pass\n",
+        encoding="utf-8")
+    (pkg / "a.py").write_text(
+        "from dataclasses import replace\n"
+        "from .relax import convex_shape\n\n"
+        "def f(p, o, t):\n"
+        "    return convex_shape(p), replace(o, case_override=t)\n\n"
+        "def g(o):\n    return replace(o, k=2)\n", encoding="utf-8")
+    assert setup_outside_relax(pkg) == [
+        "a.py:convex_shape", "a.py:replace(case_override) (line 5)"]
+
+
+def test_only_relax_sets_up_a_hierarchy_run():
+    assert setup_outside_relax(SRC) == []

@@ -15,7 +15,7 @@ from fsipp.indexset import Interval, QuadraticSet, Semialgebraic
 from fsipp.multiobj import _audit_y_points
 from fsipp.poly import BivariatePoly, Polynomial
 from fsipp.relax import (CaseTag, FsippProblem, RelaxOptions,
-                         build_primal_sdp, check_tag, choose_R_gstar,
+                         build_primal_sdp, check_tag, choose_g_star,
                          classify_case, convexity_findings, solve_hierarchy)
 from fsipp.sdp import LmiBlock, solve
 
@@ -83,13 +83,13 @@ def test_classification_of_bundled_instances():
     }
     for name, tag in expected.items():
         prob, _ = getattr(instances, name)()
-        assert classify_case(prob) is tag, name
+        assert classify_case(prob).tag is tag, name
 
 
 def test_case_override_is_validated_then_honored():
     prob, opts = instances.case3_problem()
     assert opts.case_override is CaseTag.CASE3
-    assert classify_case(prob, opts.case_override) is CaseTag.CASE3
+    assert classify_case(prob, opts.case_override).tag is CaseTag.CASE3
     with pytest.raises(ValueError):
         classify_case(prob, CaseTag.CASE4)  # wrong index-set shape
 
@@ -133,7 +133,7 @@ _CIRCLE = _poly2({(2, 0): 1.0, (0, 2): 1.0, (0, 0): -1.0})
 ], ids=["case1", "case2", "case3", "case4", "quarter"])
 def test_each_tag_compiles_quadratic_modules(make, tag, x_cone, y_cone):
     prob, opts = make()
-    assert classify_case(prob, opts.case_override) is tag
+    assert classify_case(prob, opts.case_override).tag is tag
     cones = (relax._x_cone(prob, opts, tag, opts.k),
              relax._y_cone(prob, tag, opts.k))
     for cone, (gens, order) in zip(cones, (x_cone, y_cone)):
@@ -154,32 +154,25 @@ def test_y_cone_checks_its_degree_bound_on_every_tag():
 
 # ------------------------------------------------------- parameter choice
 
-def test_choose_R_gstar_constant_and_affine_denominators():
+def test_choose_g_star_affine_denominators():
     prob1, _ = instances.case1_problem()  # g affine
-    R, g_star = choose_R_gstar(prob1, {"bound": 2.0})
-    assert R == pytest.approx(3.0)
+    g_star = choose_g_star(prob1, {"bound": 2.0})
     assert g_star > 0.0
     prob3, _ = instances.case3_problem()  # g affine, general route solve
-    R3, gs3 = choose_R_gstar(prob3, {"bound": 4.0 / 3.0})
-    assert R3 == pytest.approx(2.0)
+    gs3 = choose_g_star(prob3, {"bound": 4.0 / 3.0})
     assert gs3 == pytest.approx(1.1242, abs=1e-3)
 
-    planted, *_ = instances.planted_convex_quadratic(2)
-    _, gs_const = choose_R_gstar(planted, {"bound": 2.0})
-    assert gs_const == pytest.approx(0.5)  # g == 1 gives the floor 1/2
 
-
-def test_choose_R_gstar_nonlinear_denominator_needs_a_point():
+def test_choose_g_star_nonlinear_denominator_needs_a_point():
     quarter, _ = instances.quarter_circle_problem()
     with pytest.raises(MissingHintError):
-        choose_R_gstar(quarter, {"bound": 4.0 / 3.0})
-    R, g_star = choose_R_gstar(quarter, {"bound": 4.0 / 3.0,
-                                         "feasible_point": [0.5, 0.5]})
-    assert R == pytest.approx(2.0)
+        choose_g_star(quarter, {"bound": 4.0 / 3.0})
+    g_star = choose_g_star(quarter, {"bound": 4.0 / 3.0,
+                                     "feasible_point": [0.5, 0.5]})
     # any positive floor below g at the minimizer (about 3.09) is valid
     assert 0.0 < g_star <= 3.0
     with pytest.raises(MissingHintError):
-        choose_R_gstar(quarter, {})
+        choose_g_star(quarter, {})
 
 
 def test_failed_auxiliary_solve_raises_with_its_status(monkeypatch):
@@ -187,20 +180,20 @@ def test_failed_auxiliary_solve_raises_with_its_status(monkeypatch):
     monkeypatch.setattr(relax, "solve",
                         lambda sdp, tol: solve(sdp, tol=tol, max_iter=1))
     with pytest.raises(NumericalTroubleError, match="IterLimit"):
-        choose_R_gstar(prob, {"bound": 2.0})
+        choose_g_star(prob, {"bound": 2.0})
     prob3, _ = instances.case3_problem()  # g affine, two General orders
     with pytest.raises(NumericalTroubleError, match="k=3: IterLimit; k=4: IterLimit"):
-        choose_R_gstar(prob3, {"bound": 4.0 / 3.0})
+        choose_g_star(prob3, {"bound": 4.0 / 3.0})
 
 
-def test_choose_R_gstar_detects_a_zero_of_the_numerator():
+def test_choose_g_star_detects_a_zero_of_the_numerator():
     x1 = Polynomial.variable(2, 0)
     x2 = Polynomial.variable(2, 1)
     f = x1 * x1 + x2 * x2
     g = Polynomial(2, {(0, 0): 2.0, (2, 0): -1.0})  # nonlinear, positive near 0
     prob = _toy(f, g)
     with pytest.raises(OptimumKnownSignal) as info:
-        choose_R_gstar(prob, {"bound": 1.0, "feasible_point": [0.0, 0.0]})
+        choose_g_star(prob, {"bound": 1.0, "feasible_point": [0.0, 0.0]})
     assert info.value.r_star == 0.0
     np.testing.assert_allclose(info.value.point, [0.0, 0.0])
 
@@ -321,7 +314,7 @@ def test_quarter_circle_moment_sdp_has_only_coefficient_rows(k, rows):
     # the ideal (circle), so the y-side rows are its 4k + 1 standard
     # monomials of degree <= 2k (y1 to at most the first power).
     prob, opts = instances.quarter_circle_problem()
-    tag = classify_case(prob, opts.case_override)
+    tag = classify_case(prob, opts.case_override).tag
     sdp, vmap = relax.build_dual_sdp(prob, opts, tag, k)
     assert sdp.A.shape[0] == rows
     (lmi,) = [bl for bl in sdp.blocks if isinstance(bl, LmiBlock)]

@@ -259,8 +259,8 @@ def identical_stage1_sdp():
     sub = scalarize(_identical_pair_problem(), 1, np.zeros(2),
                     check_feasible=False)
     opts = RelaxOptions()
-    sdp, _ = build_dual_sdp(sub, opts, classify_case(sub, opts.case_override),
-                            sub.d)
+    sdp, _ = build_dual_sdp(sub, opts,
+                            classify_case(sub, opts.case_override).tag, sub.d)
     return sdp, opts.sdp_tol
 
 
@@ -285,7 +285,7 @@ def test_degenerate_case1_moment_sdps_converge_past_the_default_tolerance():
     sdps = [identical_stage1_sdp()[0]]
     for seed in (0, 2, 4, 384, 434, 464, 632, 652, 686, 756):
         prob, opts, _, _ = instances.planted_convex_quadratic(seed)
-        tag = classify_case(prob, opts.case_override)
+        tag = classify_case(prob, opts.case_override).tag
         sdps.append(build_dual_sdp(prob, opts, tag, prob.d)[0])
     for sdp in sdps:
         assert solve(sdp, tol=1e-10).status == "Optimal"
@@ -374,7 +374,7 @@ def test_quarter_circle_order_four_iterations_and_values():
     # Sandybridge kernels alike; the certificate SDP, whose y-moments live
     # in the quotient by the arc's equality (45 rows), takes 13 alike.
     prob, opts = instances.quarter_circle_problem()
-    tag = classify_case(prob, opts.case_override)
+    tag = classify_case(prob, opts.case_override).tag
     sols = [solve(build(prob, opts, tag, 4)[0], tol=opts.sdp_tol)
             for build in (build_dual_sdp, build_primal_sdp)]
     assert [(s.status, s.iterations) for s in sols] == [("Optimal", 14),
@@ -509,7 +509,7 @@ def test_schur_over_touched_rows_equals_the_full_row_formula(case):
 def quarter_circle_moment_sdp():
     """The quarter circle's order-4 moment SDP."""
     prob, opts = instances.quarter_circle_problem()
-    tag = classify_case(prob, opts.case_override)
+    tag = classify_case(prob, opts.case_override).tag
     return build_dual_sdp(prob, opts, tag, 4)[0]
 
 

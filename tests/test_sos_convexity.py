@@ -236,7 +236,7 @@ def test_walk_decides_the_family_once(monkeypatch):
     anchors = [u0] + [u for _, u, _ in report.path[:-1]]
     for i, (trace, anchor) in enumerate(zip(report.traces, anchors), start=1):
         sub = scalarize(mprob, i, anchor, check_feasible=False)
-        assert trace.tag is classify_case(sub)
+        assert trace.tag is classify_case(sub).tag
     # classified on their own, the two stages make one family SDP each
     assert len(calls) == 3
 
@@ -244,6 +244,18 @@ def test_walk_decides_the_family_once(monkeypatch):
 def test_solve_makes_one_family_sdp(monkeypatch, tmp_path):
     path = tmp_path / "case2.json"
     path.write_text(json.dumps(cli.problem_to_doc(instances.case2_problem()[0])))
+    calls = _count_family_sdps(monkeypatch)
+    assert cli.main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    assert len(calls) == 1
+
+
+def test_solve_with_a_bound_hint_makes_one_family_sdp(monkeypatch, tmp_path):
+    # case3 classifies as General; its affine g sends the floor recipe to
+    # an auxiliary problem with the same p, whose verdict is passed along
+    path = tmp_path / "case3.json"
+    doc = cli.problem_to_doc(instances.case3_problem()[0],
+                             hints={"bound": 4.0 / 3.0})
+    path.write_text(json.dumps(doc))
     calls = _count_family_sdps(monkeypatch)
     assert cli.main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 0
     assert len(calls) == 1
@@ -269,7 +281,7 @@ def test_numerical_trouble_is_a_refusal(monkeypatch):
     monkeypatch.setattr(relax, "hessian_form_margin", trouble)
     prob = instances.case2_problem()[0]
     assert relax._p_sos_convex(prob) is False
-    assert classify_case(prob) is relax.CaseTag.GENERAL
+    assert classify_case(prob).tag is relax.CaseTag.GENERAL
 
 
 def test_family_failing_between_sample_points_is_general():
@@ -285,4 +297,4 @@ def test_family_failing_between_sample_points_is_general():
     assert all(certify.sos_convexity_check(s) for s in slices)
     assert not certify.sos_convexity_check(prob.p.substitute_y(np.array([c])))
     assert relax._p_sos_convex(prob) is False
-    assert classify_case(prob) is relax.CaseTag.GENERAL
+    assert classify_case(prob).tag is relax.CaseTag.GENERAL
