@@ -228,13 +228,19 @@ def feasibility_check(u, prob, tau: float = 1e-3, lower=None):
 # --------------------------------------------------------------------------
 
 
-def sos_convexity_check(h: Polynomial) -> bool:
-    """Is the Hessian form z^T grad^2 h(x) z a sum of squares in (x, z)?
+def sos_convexity_check(h: Polynomial, m: int | None = None, gens=()) -> bool:
+    """Is h s.o.s-convex in x, uniformly over Y = {gens >= 0}?
 
-    Decided by the sign of :func:`_sos_convexity_margin`: the form passes
-    when its margin is at least -1e-7.
+    The one verdict of the package, for every datum and the family p
+    (``relax.convexity_findings``): a pass needs a
+    :func:`sos_convexity_margin` of at least -1e-7, and a test that ends
+    without a margin refuses.  Slices sampled from Y cannot stand in for
+    a failed family test, since a family may fail between the samples.
     """
-    return _sos_convexity_margin(h) >= -1e-7
+    try:
+        return sos_convexity_margin(h, m, gens) >= -1e-7
+    except NumericalTroubleError:
+        return False
 
 
 def hessian_form(p: Polynomial, m: int) -> Polynomial:
@@ -251,55 +257,58 @@ def hessian_form(p: Polynomial, m: int) -> Polynomial:
     return Polynomial(p.nvars + m, terms)
 
 
-def hessian_form_margin(form: Polynomial, m: int, gens=()) -> float:
-    """The membership margin (``moment.membership_margin``) of a Hessian
-    form, whose last m variables are z, in the quadratic module of
-    ``gens`` (which do not involve z) at order ceil(deg form / 2),
-    restricted to squares linear in z.  +inf when the margin is unbounded,
-    -inf when the form is outside the cone; any other solver outcome
+def sos_convexity_margin(h: Polynomial, m: int | None = None,
+                         gens=()) -> float:
+    """The margin of the Hessian form z^T grad_x^2 h z, x the first m of
+    h's variables (all of them by default) and y the rest, in the
+    quadratic module of ``gens`` (polynomials in y) at order
+    ceil(deg form / 2), restricted to squares linear in z: the maximal t
+    with Gram - t*I still PSD on the bases {y^beta x^alpha z_i}
+    (``moment.membership_margin``).  The form is normalized by its largest
+    coefficient, so the margin is scale-free; +inf when it is unbounded,
+    -inf when the form is outside the cone, and any other solver outcome
     raises :class:`NumericalTroubleError`.
 
+    A zero form has margin 0.  A Hessian free of y is that of h's y^0
+    part, p(., 0) of a family, tested alone without generators.  A
+    quadratic needs no SDP.  Its basis is {z_1, ..., z_m}, and the rows
+    fix every Gram entry: G = H - t*I with H the normalized Hessian (the
+    form's coefficient of z_i z_j, i != j, is 2 H_ij).  The largest t
+    keeping G PSD is the smallest eigenvalue of H.
+
     A pass is always a certificate: the restricted cone lies inside the
-    full module.  It is exact when Y = {gens >= 0} has interior.  Split
-    each square of a full-module certificate sum_i q_i sigma_i (q_0 = 1)
-    by z-degree, (s_0 + ... + s_D)^2.  The z-degree-0 part, sum q_i s_0^2,
-    is nonnegative on Y and equals the form's, zero, so each term vanishes
+    full module.  It is exact when Y has interior.  Split each square of
+    a full-module certificate sum_i q_i sigma_i (q_0 = 1) by z-degree,
+    (s_0 + ... + s_D)^2.  The z-degree-0 part, sum q_i s_0^2, is
+    nonnegative on Y and equals the form's, zero, so each term vanishes
     on int Y, hence identically: s_0 = 0.  Likewise s_D = 0 while 2D > 2.
     So every square is linear in z.  Interval and QuadraticSet have
     interior; on a Semialgebraic Y without it the restriction can only
     turn a pass into a refusal, so one path serves every index set.
     """
-    cone = QModule(tuple(gens), order=ceil_half(form.degree), nz=m)
+    m = h.nvars if m is None else m
+    form = hessian_form(h, m)
+    if form.is_zero():
+        return 0.0
+    if m < h.nvars and not any(any(e[m:h.nvars]) for e in form.terms):
+        return sos_convexity_margin(Polynomial(m, {
+            e[:m]: c for e, c in h.terms.items() if not any(e[m:])}))
+    if h.degree <= 2:  # free of y: a y-dependent Hessian has degree >= 3
+        scale = max(abs(c) for c in form.terms.values())
+        H = np.zeros((m, m))
+        for exp, c in form.terms.items():
+            i, j = np.repeat(np.arange(m), exp[m:])
+            H[i, j] = H[j, i] = c / scale if i == j else 0.5 * c / scale
+        return float(np.linalg.eigvalsh(H)[0])
+    padded = [Polynomial(form.nvars, {(0,) * m + e + (0,) * m: c
+                                      for e, c in q.terms.items()})
+              for q in gens]  # in (x, y, z)
+    cone = QModule(tuple(padded), order=ceil_half(form.degree), nz=m)
     t_star, sol = membership_margin(form, cone)
     if np.isnan(t_star):
         raise NumericalTroubleError(
             f"s.o.s-convexity SDP ended with status {sol.status}")
     return t_star
-
-
-def _sos_convexity_margin(h: Polynomial) -> float:
-    """The margin of the Hessian form in the z-linear cone
-    (:func:`hessian_form_margin` with no generators): the maximal t with
-    Gram - t*I still PSD on the basis {x^alpha z_i}.  The form is
-    normalized by its largest coefficient, so the margin is scale-free.
-
-    A quadratic needs no SDP.  Its basis is {z_1, ..., z_m}, and the rows
-    fix every Gram entry: G = H - t*I with H the normalized Hessian (the
-    form's coefficient of z_i z_j, i != j, is 2 H_ij).  The largest t
-    keeping G PSD is the smallest eigenvalue of H.
-    """
-    m = h.nvars
-    form = hessian_form(h, m)
-    if form.is_zero():
-        return 0.0
-    if h.degree > 2:
-        return hessian_form_margin(form, m)
-    scale = max(abs(c) for c in form.terms.values())
-    H = np.zeros((m, m))
-    for exp, c in form.terms.items():
-        i, j = np.repeat(np.arange(m), exp[m:])
-        H[i, j] = H[j, i] = c / scale if i == j else 0.5 * c / scale
-    return float(np.linalg.eigvalsh(H)[0])
 
 
 # --------------------------------------------------------------------------

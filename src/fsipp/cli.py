@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import re
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import indexset, schemacheck
-from .certify import certify_point, feasibility_check
+from .certify import certify_point
 from .multiobj import MultiFsippProblem, epsilon_constraint_solve, image_grid
 from .poly import BivariatePoly, Polynomial
 from .relax import (CaseTag, FsippProblem, HierarchyRow, RelaxOptions,
@@ -317,8 +318,8 @@ def _run(args) -> int:
 
     The body returns the command's report fields and an optional export,
     called with ``args.out`` once the report is written.  Any failure
-    before that becomes an ERROR report; a :class:`CliError` also prints
-    its lines to stderr.
+    before that becomes an ERROR report, whose message is also printed
+    to stderr.
     """
     started = time.perf_counter()
     doc = None
@@ -326,9 +327,9 @@ def _run(args) -> int:
         doc = _load(args.problem)
         fields, export = args.body(ParsedProblem(doc, args), args)
     except Exception as exc:  # noqa: BLE001 - surfaced as ERROR verdict
-        if isinstance(exc, CliError):
-            print(exc, file=sys.stderr)
-        report = _error_report(args.command, doc, _message(exc), started)
+        message = _message(exc)
+        print(message, file=sys.stderr)
+        report = _error_report(args.command, doc, message, started)
         return _finish(report, args.out)
     report = {"command": args.command, "problem_sha256": problem_sha256(doc),
               **fields, "timing_seconds": time.perf_counter() - started}
@@ -411,11 +412,6 @@ def run_pareto(parsed: ParsedProblem, args):
     else:
         raise CliError("pareto needs an initial point: pass u0 on the "
                        "command line or hints.feasible_point in the file")
-    ok, margin = feasibility_check(u0, mprob.base_problem(1),
-                                   tau=parsed.opts.tau)
-    if not ok:
-        raise CliError(f"initial point infeasible: constraint margin "
-                       f"{margin:.3e} > {parsed.opts.tau}")
     result = epsilon_constraint_solve(mprob, u0, parsed.opts, parsed.hints)
     certified = (result.stopped_by == "Uniqueness"
                  or all(t.certified for t in result.traces))
@@ -440,7 +436,10 @@ def run_pareto(parsed: ParsedProblem, args):
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: the handlers
+    it binds here are the ones every later :func:`main` call runs."""
     parser = argparse.ArgumentParser(
         prog="fsipp",
         description="Solve fractional semi-infinite polynomial programs "

@@ -149,7 +149,7 @@ class QModule:
 
     With ``nz`` > 0 only squares linear in the last nz variables z enter:
     q's Gram basis is each z_i times the monomials in the other variables
-    of degree <= k - ceil(deg q / 2) - 1 (see certify.hessian_form_margin).
+    of degree <= k - ceil(deg q / 2) - 1 (see certify.sos_convexity_margin).
 
     A generator q of degree >= 1 whose negation is also a generator is the
     equality q = 0 (module docstring); the z-linear cones reduce alike.

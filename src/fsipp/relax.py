@@ -46,8 +46,7 @@ from enum import Enum
 
 import numpy as np
 
-from .certify import (KktReport, certify_point, hessian_form,
-                      hessian_form_margin, sos_convexity_check)
+from .certify import KktReport, certify_point, sos_convexity_check
 from .errors import MissingHintError, NumericalTroubleError, OptimumKnownSignal
 from .extract import (RankCertificate, certify_and_extract,
                       point_from_functional)
@@ -158,31 +157,10 @@ def check_tag(prob: FsippProblem, tag: CaseTag) -> None:
 # --------------------------------------------------------------------------
 
 
-def _p_sos_convex(prob: FsippProblem) -> bool:
-    """Is p(., y) s.o.s-convex in x for every y in the index set?
-
-    The Hessian form is tested as a member of the quadratic module
-    generated by the index-set constraints, on squares linear in z
-    (``certify.hessian_form_margin`` says when that is exact); a pass is a
-    certificate valid uniformly in y.  A refusal or numerical trouble is a
-    refusal: slices sampled from the index set cannot stand in for it,
-    since a family may fail between the samples.
-    """
-    m, n = prob.m, prob.p.n_y
-    form = hessian_form(prob.p.to_joint(), m)
-    if form.is_zero():
-        return True
-    if all(not any(exp[m:m + n]) for exp in form.terms):
-        # Hessian does not involve y: every slice has the same form
-        return sos_convexity_check(prob.p.substitute_y(np.zeros(n)))
-
-    gens = [Polynomial(form.nvars, {(0,) * m + e + (0,) * m: c
-                                    for e, c in q.terms.items()})
-            for q in prob.index_set.as_generators()]  # in (x, y, z)
-    try:
-        return hessian_form_margin(form, m, gens) >= -1e-7
-    except NumericalTroubleError:
-        return False
+def _family_sos_convex(prob: FsippProblem) -> bool:
+    """Is p(., y) s.o.s-convex in x for every y in the index set?"""
+    return sos_convexity_check(prob.p.to_joint(), prob.m,
+                               prob.index_set.as_generators())
 
 
 def convexity_findings(prob: FsippProblem,
@@ -195,7 +173,7 @@ def convexity_findings(prob: FsippProblem,
            ("-g", sos_convexity_check(prob.g.scale(-1.0)))]
     for j, psi in enumerate(prob.psis):
         out.append((f"psi[{j}]", sos_convexity_check(psi)))
-    out.append(("p", _p_sos_convex(prob) if family is None else family))
+    out.append(("p", _family_sos_convex(prob) if family is None else family))
     return out
 
 
@@ -550,7 +528,9 @@ def solve_hierarchy(prob: FsippProblem, opts: RelaxOptions,
     decided) and, when the problem file's ``hints`` carry a ``bound``,
     fills what the route needs and ``opts`` lacks: R = 1.5 * bound on
     Case3, Case4 and General, g_star by :func:`choose_g_star` on General
-    with a non-constant g.  An optimum that recipe pins is returned as a
+    with a non-constant g.  On a Case1/Case2 shape that recipe gets p's
+    verdict, decided here when still unknown and kept on the trace, so a
+    walk decides it once.  An optimum the recipe pins is returned as a
     trace with no rows and stop reason ``known-optimum``.
 
     Case1/Case2 solve order d alone, whatever the settings (the data fix
@@ -570,8 +550,11 @@ def solve_hierarchy(prob: FsippProblem, opts: RelaxOptions,
     if "bound" in hints and tag not in (CaseTag.CASE1, CaseTag.CASE2):
         g_star = opts.g_star
         if g_star is None and tag is CaseTag.GENERAL and prob.g.degree >= 1:
+            if trace.family is None and convex_shape(prob) is not None:
+                # the recipe's auxiliary problems would each decide p
+                trace.family = _family_sos_convex(prob)
             try:
-                g_star = choose_g_star(prob, hints, cls.family)
+                g_star = choose_g_star(prob, hints, trace.family)
             except OptimumKnownSignal as sig:
                 trace.known_optimum, trace.candidate = sig.r_star, sig.point
                 trace.stop_reason = "known-optimum"

@@ -480,7 +480,7 @@ def _random_quadratics(count: int):
                 e[j] += 1
                 terms[tuple(e)] = float(H[i, i] / 2 if i == j else H[i, j])
         h = Polynomial(m, terms)
-        if abs(certify._sos_convexity_margin(h)) >= 0.05:
+        if abs(certify.sos_convexity_margin(h)) >= 0.05:
             out.append(h)
     return out
 
@@ -507,7 +507,7 @@ def test_quadratic_sos_convexity_margin_matches_the_membership_sdp():
     assert len(quads) >= 40
     signs = set()
     for h in quads + _random_quadratics(50):
-        margin = certify._sos_convexity_margin(h)
+        margin = certify.sos_convexity_margin(h)
         t_ref, _ = membership_margin(_hessian_form(h), QModule((), 1))
         assert abs(min(margin, 0.0) - t_ref) <= 1e-6, h
         assert sos_convexity_check(h) is bool(t_ref >= -1e-7)

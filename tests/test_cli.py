@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fsipp import instances, relax
+from fsipp import cli, instances, relax
 from fsipp.cli import (EXIT_BY_VERDICT, ParsedProblem, main, problem_sha256,
                        problem_to_doc, render_report, validate_document)
 from fsipp.indexset import Interval
@@ -604,6 +604,35 @@ def test_pareto_rejects_infeasible_initial_point(files):
     code, out, err = run(["pareto", files["pair"], "5,5"])
     assert code == 2 and checked(out)["verdict"] == "ERROR"
     assert "infeasible" in err
+
+
+def test_pareto_checks_the_initial_point_once(files, monkeypatch):
+    # the walk checks u0 itself; stage 2's anchor check is the other solve
+    from fsipp import certify
+    mprob, u0, _ = instances.biobjective_case2()
+    path = _write(files["dir"], "walk2_u0.json", problem_to_doc(mprob))
+    code, out, err = run(["pareto", path, "2,2"])
+    report = checked(out)
+    assert code == 2 and report["verdict"] == "ERROR"
+    assert report["error"] == ("ValueError: initial point infeasible: "
+                               "constraint margin 1.500e+01 > 0.001")
+    assert report["error"] in err
+
+    calls = []
+    real = certify.lower_level_solve
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(certify, "lower_level_solve", counted)
+    code, out, _ = run(["pareto", path, ",".join(map(str, u0))])
+    assert code == 0 and checked(out)["verdict"] == "CERTIFIED"
+    assert len(calls) == 2
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_pareto_box_validation(files):

@@ -302,11 +302,12 @@ def test_zlinear_classification_cones_compile_as_the_reference(monkeypatch):
         probs.append(make()[0].base_problem(1))
     compiled = 0
     for i, prob in enumerate(probs):
-        compiled += _same(monkeypatch, lambda: relax._p_sos_convex(prob),
-                          f"family {i}") > 0
+        compiled += _same(monkeypatch, lambda: certify.sos_convexity_check(
+            prob.p.to_joint(), prob.m, prob.index_set.as_generators()),
+            f"family {i}") > 0
         for h in (prob.f, prob.g.scale(-1.0), *prob.psis):
             compiled += _same(
-                monkeypatch, lambda: certify._sos_convexity_margin(h),
+                monkeypatch, lambda: certify.sos_convexity_margin(h),
                 f"datum {i} {h}") > 0
     assert compiled >= 6
 

@@ -348,3 +348,45 @@ def test_scan_flags_run_set_up_outside_relax(tmp_path):
 
 def test_only_relax_sets_up_a_hierarchy_run():
     assert setup_outside_relax(SRC) == []
+
+
+# The s.o.s-convexity test has one home, ``certify.py``: no other module
+# names its parts (``moment.py`` defines the membership margin without
+# being one of its callers).
+CONVEXITY_NAMES = {"hessian_form", "sos_convexity_margin", "membership_margin"}
+
+
+def convexity_outside_certify(src: Path) -> list[str]:
+    """``module:name`` for each part of the s.o.s-convexity test that a
+    module other than ``certify.py`` and ``moment.py`` names."""
+    return [f"{path.relative_to(src).as_posix()}:{name}"
+            for path in sorted(src.rglob("*.py"))
+            if path.name not in ("certify.py", "moment.py")
+            for name in sorted(_names(ast.parse(path.read_text(
+                encoding="utf-8"))) & CONVEXITY_NAMES)]
+
+
+def test_scan_flags_convexity_tested_outside_certify(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "moment.py").write_text(
+        "def membership_margin(t, c):\n    return 0.0\n", encoding="utf-8")
+    (pkg / "certify.py").write_text(
+        "from .moment import membership_margin\n\n"
+        "def hessian_form(p, m):\n    return p\n\n"
+        "def sos_convexity_margin(h):\n"
+        "    return membership_margin(hessian_form(h, 1), None)\n\n"
+        "def sos_convexity_check(h):\n"
+        "    return sos_convexity_margin(h) >= 0\n", encoding="utf-8")
+    (pkg / "relax.py").write_text(
+        "from . import certify\nfrom .certify import hessian_form\n\n"
+        "def ok(h):\n    return certify.sos_convexity_check(h)\n\n"
+        "def family(h):\n"
+        "    return certify.sos_convexity_margin(hessian_form(h, 1))\n",
+        encoding="utf-8")
+    assert convexity_outside_certify(pkg) == ["relax.py:hessian_form",
+                                              "relax.py:sos_convexity_margin"]
+
+
+def test_only_certify_tests_sos_convexity():
+    assert convexity_outside_certify(SRC) == []

@@ -2,12 +2,14 @@
 the full-basis SDPs they replace, and the walk's single family test."""
 
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from fsipp import certify, cli, instances, moment, relax
-from fsipp.certify import hessian_form, hessian_form_margin
+from fsipp.certify import hessian_form
 from fsipp.errors import NumericalTroubleError
 from fsipp.indexset import Interval, QuadraticSet, Semialgebraic
 from fsipp.moment import QModule, membership_margin
@@ -71,12 +73,14 @@ def _y_dependent(prob) -> bool:
 def _restricted_margin(prob):
     """The family test on z-linear Gram bases, with the generators of the
     index set placed in (x, y, z)."""
-    m = prob.m
-    form = hessian_form(prob.p.to_joint(), m)
-    gens = [Polynomial(form.nvars, {(0,) * m + e + (0,) * m: c
-                                    for e, c in q.terms.items()})
-            for q in prob.index_set.as_generators()]
-    return hessian_form_margin(form, m, gens)
+    return certify.sos_convexity_margin(prob.p.to_joint(), prob.m,
+                                        prob.index_set.as_generators())
+
+
+def _family_sos_convex(prob) -> bool:
+    """The verdict on the family p that fsipp's classification reads."""
+    return certify.sos_convexity_check(prob.p.to_joint(), prob.m,
+                                       prob.index_set.as_generators())
 
 
 def _slice(prob):
@@ -105,7 +109,7 @@ def families():
 
 def _checked(prob):
     """(margin of the test fsipp runs, oracle margin, verdict of
-    relax._p_sos_convex) for the family of prob, or None when p is affine
+    _family_sos_convex) for the family of prob, or None when p is affine
     in x.
 
     A y-dependent Hessian runs the restricted family SDP, against the
@@ -113,19 +117,19 @@ def _checked(prob):
     against the entry-by-entry Gram loop when the slice has degree >= 3
     (its full-basis SDP has a 56- or 70-dim Gram block), and against the
     full-basis family SDP when it is quadratic.  The verdict of
-    _p_sos_convex is left out (None) where the family SDP refuses, since
+    _family_sos_convex is left out (None) where the family SDP refuses, since
     25 sampled slices then follow."""
     if hessian_form(prob.p.to_joint(), prob.m).is_zero():
-        assert relax._p_sos_convex(prob)
+        assert _family_sos_convex(prob)
         return None
     if _y_dependent(prob):
         new = _restricted_margin(prob)
         return (new, full_basis_family_margin(prob),
-                None if new < -THRESHOLD else relax._p_sos_convex(prob))
+                None if new < -THRESHOLD else _family_sos_convex(prob))
     h = _slice(prob)
     oracle = zlinear_gram_margin(h) if h.degree >= 3 \
         else full_basis_family_margin(prob)
-    return certify._sos_convexity_margin(h), oracle, relax._p_sos_convex(prob)
+    return certify.sos_convexity_margin(h), oracle, _family_sos_convex(prob)
 
 
 @pytest.fixture(scope="module")
@@ -183,7 +187,7 @@ def test_family_sdps_have_their_z_bilinear_size(monkeypatch):
 
     monkeypatch.setattr(moment, "sos_membership_blocks", recorded)
     for make in (instances.case1_problem, instances.case2_problem):
-        assert relax._p_sos_convex(make()[0])
+        assert _family_sos_convex(make()[0])
     # 126 rows (blocks 21 + 6) and 210 rows (28 + 7) on the full bases
     assert sizes == [(30, [8, 2]), (45, [10, 2])]
 
@@ -194,13 +198,13 @@ def test_slice_margins_match_the_gram_loop_they_replace():
              Polynomial(2, {(4, 0): 1.0, (2, 2): -3.0, (0, 4): 1.0}),
              Polynomial(1, {(3,): 1.0})]
     for h in polys:
-        assert abs(certify._sos_convexity_margin(h) - zlinear_gram_margin(h)) <= 1e-8
+        assert abs(certify.sos_convexity_margin(h) - zlinear_gram_margin(h)) <= 1e-8
     # the sextic is convex but not s.o.s-convex: the full-basis SOS test
     # of its Hessian form refuses it too
     sextic = instances.convex_sextic_poly()
     form = hessian_form(sextic, 2)
     full, _ = membership_margin(form, QModule((), 3))
-    assert full < -THRESHOLD and certify._sos_convexity_margin(sextic) < -THRESHOLD
+    assert full < -THRESHOLD and certify.sos_convexity_margin(sextic) < -THRESHOLD
 
 
 def test_semialgebraic_disc_takes_the_same_path_as_the_quadratic_set(
@@ -210,7 +214,7 @@ def test_semialgebraic_disc_takes_the_same_path_as_the_quadratic_set(
         new, oracle, _ = margins[name]
         assert _restricted_margin(_on(families[name].p, semi)) == new
         assert (new >= -THRESHOLD) == (oracle >= -THRESHOLD)
-    assert relax._p_sos_convex(_on(families["walk-II/1"].p, semi)) is True
+    assert _family_sos_convex(_on(families["walk-II/1"].p, semi)) is True
 
 
 # ---------------------------------------------------- one family test per walk
@@ -241,6 +245,22 @@ def test_walk_decides_the_family_once(monkeypatch):
     assert len(calls) == 3
 
 
+@pytest.mark.parametrize("override", [None, relax.CaseTag.GENERAL])
+def test_walk_running_the_floor_recipe_decides_the_family_once(monkeypatch,
+                                                               override):
+    # walk IV's General stages run the floor recipe, whose auxiliary
+    # problems have its Case2 shape; an override leaves p undecided by
+    # classification, so the set-up decides it and the walk carries it
+    mprob, u0, opts = instances.biobjective_case4()
+    opts = replace(opts, R=None, g_star=None, case_override=override)
+    calls = _count_family_sdps(monkeypatch)
+    try:
+        epsilon_constraint_solve(mprob, u0, opts, {"bound": 4.0 / 3.0})
+    except NumericalTroubleError:
+        pass  # the outcome is not what this test is about
+    assert len(calls) == 1
+
+
 def test_solve_makes_one_family_sdp(monkeypatch, tmp_path):
     path = tmp_path / "case2.json"
     path.write_text(json.dumps(cli.problem_to_doc(instances.case2_problem()[0])))
@@ -269,7 +289,7 @@ def test_compiler_errors_propagate_from_the_family_test(monkeypatch):
 
     monkeypatch.setattr(moment, "sos_membership_blocks", broken)
     with pytest.raises(ValueError, match="compiler bug"):
-        relax._p_sos_convex(instances.case2_problem()[0])
+        _family_sos_convex(instances.case2_problem()[0])
 
 
 def test_numerical_trouble_is_a_refusal(monkeypatch):
@@ -278,10 +298,32 @@ def test_numerical_trouble_is_a_refusal(monkeypatch):
     def trouble(*args, **kwargs):
         raise NumericalTroubleError("stalled")
 
-    monkeypatch.setattr(relax, "hessian_form_margin", trouble)
+    monkeypatch.setattr(certify, "membership_margin", trouble)
     prob = instances.case2_problem()[0]
-    assert relax._p_sos_convex(prob) is False
+    assert _family_sos_convex(prob) is False
     assert classify_case(prob).tag is relax.CaseTag.GENERAL
+
+
+def test_a_datum_whose_test_ends_without_a_margin_is_refused(monkeypatch,
+                                                             tmp_path):
+    # f + x1^4 needs an SDP; one that ends without a margin (NaN, as a
+    # NumericalTrouble or IterLimit solve gives) refuses f, as it does p.
+    def no_margin(*args, **kwargs):
+        return float("nan"), SimpleNamespace(status="NumericalTrouble")
+
+    monkeypatch.setattr(certify, "membership_margin", no_margin)
+    base = instances.case1_problem()[0]
+    prob = FsippProblem(base.f + Polynomial(2, {(4, 0): 1.0}), base.g,
+                        base.psis, base.p, base.index_set)
+    cls = classify_case(prob)
+    assert cls.tag is relax.CaseTag.GENERAL
+    assert dict(cls.findings)["f"] is False
+    path = tmp_path / "case1_quartic.json"
+    path.write_text(json.dumps(cli.problem_to_doc(prob)))
+    assert cli.main(["solve", str(path), "--out", str(tmp_path / "r.json")]) == 0
+    listing = tmp_path / "classify.txt"
+    assert cli.main(["classify", str(path), "--out", str(listing)]) == 0
+    assert "f: not sos-convex" in listing.read_text().splitlines()
 
 
 def test_family_failing_between_sample_points_is_general():
@@ -296,5 +338,5 @@ def test_family_failing_between_sample_points_is_general():
     slices = [prob.p.substitute_y(y) for y in np.linspace(-1.0, 1.0, 25)[:, None]]
     assert all(certify.sos_convexity_check(s) for s in slices)
     assert not certify.sos_convexity_check(prob.p.substitute_y(np.array([c])))
-    assert relax._p_sos_convex(prob) is False
+    assert _family_sos_convex(prob) is False
     assert classify_case(prob).tag is relax.CaseTag.GENERAL
