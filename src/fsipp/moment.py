@@ -206,30 +206,13 @@ def _sum_by_key(keys: np.ndarray, vals: np.ndarray, then=None):
     return keys[first], sums.astype(float, copy=False)
 
 
-def _reduce(entries, nvars: int, degree: int, equalities, width: int):
-    """Reduce sparse rows, one per monomial of degree <= degree, modulo the
-    equalities (a Groebner basis), and return the standard rows' nonzeros
-    (rows, cols, vals), row-major.  ``entries`` are (rows, cols, vals) over
-    ``width`` columns, in the order their terms arrive.
-
-    Largest monomial first, x^a = x^s LM(q) is x^s (LM(q) - q / lc(q)): row
-    a, times -1 / lc(q) and then times each other q_t, is added to row
-    x^s t, for the first q whose LM(q) divides x^a.  A row is summed from
-    zero in the order its terms arrived, the given ones and then step by
-    step (``np.bincount`` adds in input order); a step runs once all steps
-    adding to its row have, so the steps run in levels."""
-    def summed(keep):
-        r, c, v, made = (np.concatenate(x) for x in zip(*parts))
-        sel = keep[r]
-        keys, sums = _sum_by_key(r[sel] * width + c[sel], v[sel], made[sel])
-        live = sums != 0
-        return keys[live] // width, keys[live] % width, sums[live]
-
-    parts = [(*entries, np.full(entries[0].size, -1))]  # last: the step
+@lru_cache(maxsize=32)
+def _division_steps(nvars: int, degree: int, equalities: tuple):
+    """:func:`_reduce`'s steps (factors, targets, coefficients), each row's step (-1:
+    none) and level masks, read-only; each equality as its terms' items, in order."""
     _, exps, code, rank = _monomials(nvars, degree)
-    if not equalities:
-        return summed(np.ones(len(exps), dtype=bool))
-    width_q = max(len(q.terms) - 1 for q in equalities)
+    equalities = [Polynomial(nvars, dict(terms)) for terms in equalities]
+    width_q = max((len(q.terms) - 1 for q in equalities), default=0)
     steps = [(np.zeros(0, dtype=np.intp), np.zeros(0),
               np.zeros((0, width_q), dtype=np.intp), np.zeros((0, width_q)))]
     free = np.ones(len(exps), dtype=bool)
@@ -258,13 +241,39 @@ def _reduce(entries, nvars: int, degree: int, equalities, width: int):
         for r in row:
             if r >= 0 and ready[r] <= level[-1]:
                 ready[r] = level[-1] + 1
-    level = np.array(level, dtype=np.intp)
-    for lv in range(level.max() + 1 if level.size else 0):
-        keep = np.zeros(len(exps), dtype=bool)
-        keep[source[level == lv]] = True
+    levels = np.zeros((max(level, default=-1) + 1, len(exps)), dtype=bool)
+    levels[level, source] = True
+    for x in (factor, targets, coefs, step_of, levels):
+        x.flags.writeable = False
+    return factor, targets, coefs, step_of, levels
+
+
+def _reduce(entries, nvars: int, degree: int, equalities, width: int):
+    """Reduce sparse rows, one per monomial of degree <= degree, modulo the
+    equalities (a Groebner basis), and return the standard rows' nonzeros
+    (rows, cols, vals), row-major.  ``entries`` are (rows, cols, vals) over
+    ``width`` columns, in the order their terms arrive.
+
+    Largest monomial first, x^a = x^s LM(q) is x^s (LM(q) - q / lc(q)): row
+    a, times -1 / lc(q) and then times each other q_t, is added to row
+    x^s t, for the first q whose LM(q) divides x^a.  A row is summed from
+    zero in the order its terms arrived, the given ones and then step by
+    step (``np.bincount`` adds in input order); a step runs once all steps
+    adding to its row have, so the steps run in levels."""
+    def summed(keep):
+        r, c, v, made = (np.concatenate(x) for x in zip(*parts))
+        sel = keep[r]
+        keys, sums = _sum_by_key(r[sel] * width + c[sel], v[sel], made[sel])
+        live = sums != 0
+        return keys[live] // width, keys[live] % width, sums[live]
+
+    parts = [(*entries, np.full(entries[0].size, -1))]  # last: the step
+    factor, targets, coefs, step_of, levels = _division_steps(
+        nvars, degree, tuple(tuple(q.terms.items()) for q in equalities))
+    for keep in levels:
         r, c, v = summed(keep)
         step = step_of[r]
-        for t in range(width_q):
+        for t in range(targets.shape[1]):
             to = targets[step, t]
             ok = to >= 0
             parts.append((to[ok], c[ok], (v * factor[step] * coefs[step, t])[ok],

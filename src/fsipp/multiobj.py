@@ -17,6 +17,7 @@ The audit is a falsification test: it rasterizes a user-declared box,
 keeps the grid points that dominate the candidate componentwise and
 satisfy the scalar constraints, and only then sweeps y over those few to
 see whether one is clearly feasible for the semi-infinite constraint.
+Audits and grids are evaluated on the raster's axes (``eval_raster``).
 That sweep is the index set's ``y_sweep`` (``indexset``), the package's
 one sampler of index sets.  On a semialgebraic set whose grid misses Y,
 such as an arc, it has no point, and one without an ``archimedean_hint``
@@ -190,48 +191,44 @@ def _audit_y_points(index_set: IndexSet) -> np.ndarray:
     return index_set.y_sweep()
 
 
-def _grid_points(mprob: MultiFsippProblem, box, grid_size: int) -> np.ndarray:
-    """The (grid_size^m, m) raster of the box, first axis slowest."""
-    box = [(float(lo), float(hi)) for lo, hi in box]
+def _slabs(mprob: MultiFsippProblem, box, grid_size: int):
+    """The box's raster (first axis slowest) in slabs of 2^13 points or one row of the
+    first axis: each slab's axes, the mask where every psi_j <= 0 and every denominator
+    is positive, and each objective's values.  Slabs keep temporaries small enough for
+    the heap to reuse; whole 200 x 200 ones page-faulted 1 ms into every audit."""
+    if grid_size < 1:
+        raise ValueError(f"grid_size must be at least 1; got {grid_size}")
     if len(box) != mprob.m:
         raise ValueError(f"box has {len(box)} axes for {mprob.m} variables")
-    return raster(box, grid_size)
-
-
-def _scalar_feasible(mprob: MultiFsippProblem, pts: np.ndarray):
-    """Mask of the points where every psi_j <= 0 and every denominator is
-    positive, and the (N, t) objective values."""
-    ok = np.ones(len(pts), dtype=bool)
-    for psi in mprob.psis:
-        ok &= psi.eval_many(pts) <= 0.0
-    vals = np.empty((len(pts), mprob.t))
-    for idx, (f, g) in enumerate(mprob.objectives):
-        den = g.eval_many(pts)
-        ok &= den > 0.0
+    axes = [np.linspace(float(lo), float(hi), grid_size) for lo, hi in box]
+    rows = max(1, 2 ** 13 // grid_size ** (mprob.m - 1))
+    for start in range(0, grid_size, rows):
+        sub = [axes[0][start:start + rows], *axes[1:]]
+        dens = [g.eval_raster(sub) for _, g in mprob.objectives]
+        ok = np.logical_and.reduce([den > 0.0 for den in dens] + [
+            psi.eval_raster(sub) <= 0.0 for psi in mprob.psis])
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals[:, idx] = f.eval_many(pts) / den
-    return ok, vals
+            vals = [np.divide(f.eval_raster(sub), den, out=den)
+                    for (f, _), den in zip(mprob.objectives, dens)]
+        yield sub, ok, vals
 
 
-def _swept_feasible(mprob: MultiFsippProblem, pts: np.ndarray) -> np.ndarray:
-    """Mask of the points whose worst p(x, y) over the y-sweep stays below
-    -1e-4, a margin for the sweep's discretization slack (evaluated
-    through the y-slices of p).  Raises ValueError when the sweep has no
-    point: an empty sweep refutes nothing, so it cannot pass the
-    semi-infinite constraint."""
+def _swept_feasible(mprob: MultiFsippProblem, evaluate) -> np.ndarray:
+    """Mask of the points whose worst p(x, y) over the y-sweep, in chunks of 2^20
+    products, stays below -1e-4, a margin for the sweep's discretization slack
+    (``evaluate`` gives a y-slice of p at the points).  Raises ValueError on an empty
+    sweep: it refutes nothing, so no point can pass the semi-infinite constraint."""
     ypts = mprob.index_set.y_sweep()
     if not len(ypts):
         raise ValueError("the y-sweep found no point of the index set: its "
                          "grid misses Y, so no point can be checked feasible")
-    slices = list(mprob.p.slices.items())
-    svals = np.vstack([sx.eval_many(pts) for _, sx in slices])  # (nslice, N)
-    ypows = np.column_stack([
-        np.prod(ypts ** np.array(ymono, dtype=float), axis=1)
-        for ymono, _ in slices])  # (ny, nslice)
-    worst = np.full(len(pts), -np.inf)
-    for start in range(0, len(ypts), 256):
-        chunk = ypows[start:start + 256] @ svals  # (chunk, N)
-        worst = np.maximum(worst, chunk.max(axis=0))
+    svals = np.vstack([evaluate(sx) for sx in mprob.p.slices.values()])
+    ypows = np.column_stack([np.prod(ypts ** np.array(ymono, dtype=float),
+                                     axis=1) for ymono in mprob.p.slices])
+    worst = np.full(svals.shape[1], -np.inf)
+    step = max(1, 2 ** 20 // svals.shape[1])
+    for start in range(0, len(ypts), step):  # one (step, N) product alive
+        np.maximum(worst, (ypows[start:start + step] @ svals).max(axis=0), out=worst)
     return worst <= -1e-4
 
 
@@ -244,11 +241,12 @@ def image_grid(mprob: MultiFsippProblem, box, grid_size: int = 200):
     denominators are positive.  Returns ``(points, feasible, values)`` of
     shapes (N, m), (N,), (N, t).  It alone sweeps y at every grid point;
     ``efficiency_audit`` sweeps only the points that dominate its candidate.
-    Raises ValueError when the y-sweep has no point.
+    Raises ValueError when the y-sweep has no point or grid_size < 1.
     """
-    pts = _grid_points(mprob, box, grid_size)
-    ok, vals = _scalar_feasible(mprob, pts)
-    return pts, ok & _swept_feasible(mprob, pts), vals
+    feasible, values = zip(*[(ok & _swept_feasible(mprob, lambda q: q.eval_raster(sub)),
+                              np.column_stack(vals))
+                             for sub, ok, vals in _slabs(mprob, box, grid_size)])
+    return raster(box, grid_size), np.concatenate(feasible), np.concatenate(values)
 
 
 def efficiency_audit(mprob: MultiFsippProblem, u_star, grid_size: int = 200,
@@ -266,13 +264,15 @@ def efficiency_audit(mprob: MultiFsippProblem, u_star, grid_size: int = 200,
     on the points that pass them, and not at all when none does, so the
     verdict is that of ``image_grid``'s full mask at a fraction of its
     cost.  Like ``image_grid``, it raises ValueError when it must sweep
-    and the y-sweep is empty.
+    and the y-sweep is empty, and when grid_size < 1.
     """
-    pts = _grid_points(mprob, box, grid_size)
-    ok, vals = _scalar_feasible(mprob, pts)
-    star = mprob.objective_vector(u_star)
-    cand = ok & np.all(vals <= star + 1e-6, axis=1) \
-        & np.any(vals < star - 1e-6, axis=1)
-    if not cand.any():
-        return True
-    return not bool(np.any(_swept_feasible(mprob, pts[cand])))
+    star, pts = mprob.objective_vector(u_star), []
+    for sub, ok, vals in _slabs(mprob, box, grid_size):
+        better = np.zeros_like(ok)
+        for v, s in zip(vals, star):
+            ok &= v <= s + 1e-6
+            better |= v < s - 1e-6
+        cand = np.unravel_index(np.flatnonzero(ok & better), [len(a) for a in sub])
+        pts.append(np.column_stack([a[i] for a, i in zip(sub, cand)]))
+    pts = np.concatenate(pts)
+    return not (len(pts) and _swept_feasible(mprob, lambda q: q.eval_many(pts)).any())

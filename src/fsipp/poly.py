@@ -222,6 +222,22 @@ class Polynomial:
             out += term
         return out
 
+    def eval_raster(self, axes) -> "np.ndarray":
+        """``eval_many`` on ``indexset.raster``'s points of the 1-D ``axes``, bit for
+        bit: the same terms in the same order, each axis's powers broadcast."""
+        if len(axes) != self.nvars:
+            raise ValueError(f"expected {self.nvars} axes")
+        grid = np.ix_(*(np.asarray(a, dtype=float) for a in axes))
+        shape = tuple(x.size for x in grid)
+        out = 0.0  # grows to the raster's shape only as the terms need it
+        for expo, coef in self.terms.items():
+            term = coef
+            for x, e in zip(grid, expo):
+                term = term * _power(x, e) if e else term
+            out = out + term
+        out = out if np.shape(out) == shape else np.broadcast_to(out, shape).copy()
+        return out.ravel()
+
     def compose(self, args: list["Polynomial"]) -> "Polynomial":
         """Substitute args[i] for variable i; all args share a variable count."""
         if len(args) != self.nvars:

@@ -341,3 +341,18 @@ def test_inexact_equalities_compile_as_the_reference(monkeypatch, k):
             y1.scale(0.6) + y2.scale(0.8), gens, k, 1), f"moment {q}") == 1
         assert _same(monkeypatch, lambda: moment.membership_margin(
             target, QModule(gens, k)), f"gram {q}") > 0
+
+
+def test_division_steps_are_cached_read_only_per_term_order():
+    # the steps add q's other terms in q's order, so an equal q in another
+    # term order has steps of its own
+    q = Polynomial(2, {(2, 0): 1.7, (1, 1): 0.3, (0, 2): 2.9, (0, 0): -1.1})
+    flipped = Polynomial(2, dict(reversed(q.terms.items())))
+    assert flipped == q
+    steps = moment._division_steps(2, 6, (tuple(q.terms.items()),))
+    assert steps is moment._division_steps(2, 6, (tuple(q.terms.items()),))
+    assert len(steps[-1]) and not any(x.flags.writeable for x in steps)
+    with pytest.raises(ValueError):
+        steps[0][0] = 1.0
+    other = moment._division_steps(2, 6, (tuple(flipped.terms.items()),))
+    assert not np.array_equal(other[1], steps[1])

@@ -21,8 +21,12 @@ would differ from the reference), the tests of the index sets' exact
 lower-level oracles, ``Interval.exact_minimum`` and
 ``QuadraticSet.exact_minimum`` (``test_certify.py -k exact_lower_level``:
 ``np.roots`` and ``eigh`` take kernel-dependent LAPACK paths, and the
-oracles' tie and hard-case tests compare their results with thresholds)
-and the general-route demo (whose lower-level moment SDP runs to 1e-9) are
+oracles' tie and hard-case tests compare their results with thresholds),
+the grid audits and the image export (``test_multiobj.py -k "audit or
+grid or sweep"``: the y-sweep is a BLAS product over chunks whose row
+count depends on the number of points, and the tests hold its mask and
+verdicts to per-point references) and the general-route demo (whose
+lower-level moment SDP runs to 1e-9) are
 run in subprocesses under kernels other than the one OpenBLAS picks on a
 recent x86-64 CPU.  The README gives the command for the whole suite.
 """
@@ -76,6 +80,9 @@ def test_acceptance_and_general_route_under_kernel(kernel, tmp_path):
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              str(ROOT / "tests" / "test_certify.py"), "-k",
              "exact_lower_level"],
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             str(ROOT / "tests" / "test_multiobj.py"), "-k",
+             "audit or grid or sweep"],
             [sys.executable, str(ROOT / "demos" / "03_general_route.py")]]
     for cmd in runs:
         done = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True,

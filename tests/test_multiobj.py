@@ -8,7 +8,7 @@ import pytest
 
 from fsipp import certify, instances
 from fsipp import multiobj
-from fsipp.indexset import Interval, QuadraticSet, Semialgebraic
+from fsipp.indexset import Interval, QuadraticSet, Semialgebraic, raster
 from fsipp.multiobj import (MultiFsippProblem, efficiency_audit,
                             epsilon_constraint_solve, image_grid, scalarize)
 from fsipp.poly import BivariatePoly, Polynomial
@@ -172,7 +172,9 @@ def test_audit_matches_the_full_sweep_verdict(bio_runs):
     for name, (mprob, _, _, report) in bio_runs.items():
         box = AUDIT_BOXES[name]
         pts, feas, vals = image_grid(mprob, box, grid_size=60)
-        scalar_ok, _ = multiobj._scalar_feasible(mprob, pts)
+        scalar_ok = np.all([psi.eval_many(pts) <= 0.0 for psi in mprob.psis]
+                           + [g.eval_many(pts) > 0.0
+                              for _, g in mprob.objectives], axis=0)
         for u in [report.final_point, *pts[::97]]:
             star = mprob.objective_vector(u)
             dominates = (np.all(vals <= star + 1e-6, axis=1)
@@ -185,6 +187,44 @@ def test_audit_matches_the_full_sweep_verdict(bio_runs):
     # candidates survived the scalar checks, and the sweep both kept one
     # (verdict False) and rejected them all (verdict True)
     assert sweep_decided == {False, True}
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_audit_and_image_grid_refuse_a_grid_below_one(size):
+    # at grid 0 the audit used to check no point and pass (0.3, 0.3), which
+    # grid 120 refutes; a negative size leaked numpy's linspace message
+    mprob, _, _ = instances.biobjective_case3()
+    box = AUDIT_BOXES["III"]
+    refused = f"grid_size must be at least 1; got {size}"
+    with pytest.raises(ValueError, match=refused):
+        efficiency_audit(mprob, np.array([0.3, 0.3]), grid_size=size, box=box)
+    with pytest.raises(ValueError, match=refused):
+        image_grid(mprob, box, grid_size=size)
+
+
+@pytest.mark.parametrize("name, make", [("I", instances.biobjective_case1),
+                                        ("II", instances.biobjective_case2)])
+def test_image_grid_equals_the_per_point_reference(name, make):
+    """Points and values equal eval_many on the raster's points bit for
+    bit, and the mask is the scalar tests and a per-y maximum of p over
+    the y-sweep, point by point."""
+    mprob, _, _ = make()
+    box = AUDIT_BOXES[name]
+    pts, feas, vals = image_grid(mprob, box, grid_size=31)
+    want = raster([(float(lo), float(hi)) for lo, hi in box], 31)
+    assert pts.shape == want.shape and pts.tobytes() == want.tobytes()
+    ok = np.ones(len(want), dtype=bool)
+    for psi in mprob.psis:
+        ok &= psi.eval_many(want) <= 0.0
+    for idx, (f, g) in enumerate(mprob.objectives):
+        den = g.eval_many(want)
+        ok &= den > 0.0
+        assert vals[:, idx].tobytes() == (f.eval_many(want) / den).tobytes()
+    worst = np.full(len(want), -np.inf)
+    for y in mprob.index_set.y_sweep():
+        worst = np.maximum(worst, mprob.p.substitute_y(y).eval_many(want))
+    assert np.array_equal(feas, ok & (worst <= -1e-4))
+    assert 0 < int(feas.sum()) < len(want)
 
 
 def test_audit_y_points_match_the_scalar_sweep():

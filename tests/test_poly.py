@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fsipp.indexset import raster
 from fsipp.poly import (ZERO_DEGREE, BivariatePoly, Polynomial, grlex_key,
                         monomials_up_to)
 
@@ -220,6 +221,24 @@ def poly_strategy(nvars, max_deg=3, max_terms=6):
 
 points2 = st.tuples(st.floats(-2, 2, allow_nan=False),
                     st.floats(-2, 2, allow_nan=False))
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_eval_raster_equals_eval_many_on_the_raster(nvars, data):
+    # negative and non-integral coefficients, a constant term placed
+    # anywhere in the term order, and boxes of either orientation
+    terms = dict(data.draw(poly_strategy(nvars, max_deg=4)).terms)
+    terms[(0,) * nvars] = data.draw(coef.filter(bool))
+    order = data.draw(st.permutations(list(terms)))
+    f = Polynomial(nvars, {e: terms[e] for e in order})
+    end = st.floats(-3, 3, allow_nan=False)
+    box = [data.draw(st.tuples(end, end)) for _ in range(nvars)]
+    n = data.draw(st.sampled_from([1, 2, 7, 30]))
+    got = f.eval_raster([np.linspace(lo, hi, n) for lo, hi in box])
+    want = f.eval_many(raster(box, n))
+    assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=50, deadline=None)
