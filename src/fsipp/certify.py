@@ -2,13 +2,8 @@
 sets, nonnegative least-squares KKT residuals, feasibility margins and
 the s.o.s-convexity test of a Hessian form on z-linear Gram bases.
 
-The lower level is exact where the index set's kind has an exact minimum
-(``indexset``: the interval, and an ellipsoid when the objective is at
-most quadratic).  On any other set it runs the moment hierarchy (moment
-matrix plus localizing blocks, normalized mass).  When flat truncation
-certifies the solve, the extracted support is the exact active set;
-otherwise the best bound is returned with the point L(y)/L(1) of the last
-Optimal order's functional and ``certified=False``.
+The lower level's min over Y is the index set's to decide (``indexset``,
+each kind's ``minimum``); ``lower_level_solve`` fixes x and asks it.
 """
 
 from __future__ import annotations
@@ -18,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalTroubleError
-from .extract import certify_and_extract
-from .moment import MomentVarMap, QModule, membership_margin
+from .moment import QModule, membership_margin
 from .poly import Polynomial, ceil_half
-from .sdp import SdpBuilder, solve
 
 
 # --------------------------------------------------------------------------
@@ -82,91 +75,20 @@ def nnls(A: np.ndarray, b: np.ndarray):
 # --------------------------------------------------------------------------
 
 
-def minimize_on_semialgebraic(h: Polynomial, gens, k: int, k0: int,
-                              sdp_tol: float = 1e-8):
-    """One order of the moment hierarchy for  min h(y) s.t. gens >= 0.
-
-    Returns (status, bound, L, cert, atoms): the SDP's status, the
-    relaxation's value (a lower bound up to the solver's accuracy, ROADMAP
-    item 3), the optimal functional, and the flat-truncation certificate
-    with its extracted atoms, both None unless extraction succeeds.  A
-    status other than Optimal leaves the last four None; PrimalInfeasible
-    (an empty index set) raises.  ``k0`` is the localizers' order,
-    max ceil(deg q / 2) over ``gens`` (at least 1).
-    The rank test's relative threshold is 1e-8, and the SDP is solved to a
-    tenth of it when that is tighter than ``sdp_tol``: the moment matrix's
-    vanishing singular values are of the size of the solver's residuals, so
-    a rank threshold no larger than the solver tolerance would rest on
-    rounding luck.
-    """
-    builder = SdpBuilder()
-    mv = MomentVarMap(builder, h.nvars, k, gens)
-    one = (0,) * h.nvars
-    builder.add_equality(mv.lin(one), 1.0)
-    builder.set_objective(mv.lin_poly(h))
-    prob_sdp = builder.build()
-    sol = solve(prob_sdp, tol=min(sdp_tol, 1e-9))
-    if sol.status == "PrimalInfeasible":
-        raise NumericalTroubleError(
-            f"moment relaxation infeasible at order {k}: empty index set?")
-    if sol.status != "Optimal":
-        return sol.status, None, None, None, None
-    L = mv.read_solution(prob_sdp, sol)
-    d_half = max(ceil_half(h.degree), 1) if not h.is_zero() else 1
-    cert, atoms = certify_and_extract(L, k=k, k0=k0, d_half=d_half,
-                                      rel_tol=1e-8, gens=gens)
-    return sol.status, float(sol.primal_value), L, cert, atoms
-
-
 def lower_level_solve(u, prob, sdp_tol: float = 1e-8):
-    """Globally minimize  -p(u, y)  over the index set.
-
-    Returns (p_star, Lambda, certified): the optimal value, the minimizer
-    set, and whether both are exact.  Where the index set's
-    ``exact_minimum`` gives one (the interval, and an ellipsoid when h is
-    at most quadratic), p_star is h at its minimizers, exact up to
-    rounding.  Elsewhere the hierarchy runs at its first two orders; its
-    p_star is a lower bound up to the solver's accuracy (ROADMAP item 3),
-    the best over the orders that end Optimal (when none does,
-    :class:`NumericalTroubleError` names each order's status), and Lambda
-    is the exact support under flat truncation, else the point L(y)/L(1)
-    of the last Optimal order's functional (maybe not a minimizer).
+    """Globally minimize  -p(u, y)  over the index set: (p_star, Lambda,
+    certified), the optimal value, the minimizer set and whether both are
+    exact, as the index set's ``minimum`` (``indexset``) decides them.
 
     A y-independent objective short-circuits: the value is exact and the
     index set's representative point stands in for the (whole-set) support.
     """
     u = np.asarray(u, dtype=float)
     h = prob.p.substitute_x(u).scale(-1.0)
-    index_set = prob.index_set
-    gens = index_set.as_generators()
     if h.degree <= 0:  # constant objective: minimum is the constant
-        rep = index_set.representative_point()
+        rep = prob.index_set.representative_point()
         return float(h.coefficient((0,) * h.nvars)), [np.asarray(rep, dtype=float)], True
-    exact = index_set.exact_minimum(h)
-    if exact is not None:
-        return exact
-
-    k0 = max([ceil_half(q.degree) for q in gens], default=1) or 1
-    k_min = max(ceil_half(h.degree), k0, 1)
-    orders = [k_min, k_min + 1]
-    best = -np.inf
-    last_L = None
-    failed = []
-    for k in orders:
-        status, bound, L, cert, atoms = minimize_on_semialgebraic(
-            h, gens, k, k0, sdp_tol=sdp_tol)
-        if status != "Optimal":
-            failed.append(f"order {k}: {status}")
-            continue
-        best = max(best, bound)
-        last_L = L
-        if cert is not None:
-            return best, [pt for pt, _ in atoms], True
-    if last_L is None:
-        raise NumericalTroubleError(
-            f"no lower-level order from {k_min} in {orders} ended "
-            f"Optimal ({'; '.join(failed) or 'none solved'})")
-    return best, [last_L.point()], False
+    return prob.index_set.minimum(h, sdp_tol)
 
 
 # --------------------------------------------------------------------------

@@ -153,12 +153,17 @@ def problem_to_doc(problem, options: dict | None = None,
 
 
 def _load(path: str) -> dict:
+    """The file's document; NaN, Infinity and -Infinity are not JSON."""
     try:
         raw = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
+
+    def refuse(literal):
+        raise CliError(f"{path} is not JSON: {literal} is not a JSON number")
+
     try:
-        return json.loads(raw)
+        return json.loads(raw, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not JSON: {exc}") from exc
 
@@ -353,11 +358,19 @@ def run_solve(parsed: ParsedProblem, args):
             lambda out: _write_rows_csv(out, trace.rows))
 
 
-def _parse_point(text: str, m: int, what: str) -> np.ndarray:
+def _numbers(text: str, what: str) -> list[float]:
+    """The finite numbers of a comma-separated list ``what``."""
     try:
         values = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise CliError(f"{what} must be comma-separated numbers") from exc
+    if not np.isfinite(values).all():
+        raise CliError(f"{what} must be finite numbers; got {text}")
+    return values
+
+
+def _parse_point(text: str, m: int, what: str) -> np.ndarray:
+    values = _numbers(text, what)
     if len(values) != m:
         raise CliError(f"{what} has {len(values)} coordinates; expected {m}")
     return np.array(values)
@@ -373,10 +386,7 @@ def run_certify(parsed: ParsedProblem, args):
 
 
 def _parse_box(text: str, m: int) -> list[tuple[float, float]]:
-    try:
-        values = [float(tok) for tok in text.split(",")]
-    except ValueError as exc:
-        raise CliError("--box must be comma-separated numbers") from exc
+    values = _numbers(text, "--box")
     if len(values) != 2 * m:
         raise CliError(f"--box needs {2 * m} numbers (lo,hi per variable); "
                        f"got {len(values)}")
@@ -395,9 +405,9 @@ def _write_grid_csv(out: str, mprob: MultiFsippProblem, box_text: str,
         raise CliError(f"--box: {exc}") from exc
     header = ([f"x{i + 1}" for i in range(mprob.m)] + ["feasible"]
               + [f"objective{i + 1}" for i in range(mprob.t)])
-    rows = [[repr(float(c)) for c in pts[n]] + [int(feas[n])]
-            + [repr(float(v)) for v in vals[n]]
-            for n in range(len(pts))]
+    # csv writes each float as its repr
+    rows = [x + [f] + v for x, f, v in zip(pts.tolist(), feas.astype(int).tolist(),
+                                            vals.tolist())]
     _write_csv(_csv_path(out), header, rows)
 
 

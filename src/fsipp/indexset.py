@@ -1,9 +1,9 @@
 """The index set Y, one class per kind the routes tell apart: the interval
 (Case1/Case3), a quadratic set (Case2/Case4) and a semialgebraic set
-(General).  Each kind owns its generators, a point of Y,
-``exact_minimum(h)`` (min h over Y as (value, minimizers, certified), the
-value h at the best computed minimizer, or None), the audit's ``y_sweep``
-and its file form (``to_doc``)."""
+(General).  Each kind owns its generators, a point of Y, the audit's
+``y_sweep``, its file form (``to_doc``) and ``minimum(h, sdp_tol)``: min h
+over Y as (value, minimizers, certified), the package's one lower level,
+by an exact oracle or by :func:`hierarchy_minimum`, the one order walk."""
 
 from __future__ import annotations
 
@@ -12,8 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import minimize_on_semialgebraic
+from .errors import NumericalTroubleError
+from .extract import certify_and_extract
+from .moment import MomentVarMap
 from .poly import Polynomial, ceil_half
+from .sdp import SdpBuilder, solve
 
 
 def ball_poly(m: int, r2: float) -> Polynomial:
@@ -37,6 +40,69 @@ def raster(box, per_axis: int) -> np.ndarray:
 _MERGE, _TIE = 1e-3, 1e-9
 
 
+def minimize_on_semialgebraic(h: Polynomial, gens, k: int, k0: int,
+                              sdp_tol: float = 1e-8):
+    """Order k of the moment hierarchy for  min h(y) s.t. gens >= 0, its
+    localizers at order k0: (status, bound, L, cert, atoms), the SDP's
+    status, the relaxation's value (a lower bound up to the solver's
+    accuracy, ROADMAP item 3), the optimal functional, and the
+    flat-truncation certificate with its extracted atoms, both None unless
+    extraction succeeds.  A status other than Optimal leaves the last four
+    None; PrimalInfeasible (an empty index set) raises.
+    The rank test's relative threshold is 1e-8, and the SDP is solved to a
+    tenth of it when that is tighter than ``sdp_tol``: the moment matrix's
+    vanishing singular values are of the size of the solver's residuals, so
+    a rank threshold no larger than the solver tolerance would rest on
+    rounding luck.
+    """
+    builder = SdpBuilder()
+    mv = MomentVarMap(builder, h.nvars, k, gens)
+    builder.add_equality(mv.lin((0,) * h.nvars), 1.0)
+    builder.set_objective(mv.lin_poly(h))
+    prob_sdp = builder.build()
+    sol = solve(prob_sdp, tol=min(sdp_tol, 1e-9))
+    if sol.status == "PrimalInfeasible":
+        raise NumericalTroubleError(
+            f"moment relaxation infeasible at order {k}: empty index set?")
+    if sol.status != "Optimal":
+        return sol.status, None, None, None, None
+    L = mv.read_solution(prob_sdp, sol)
+    d_half = max(ceil_half(h.degree), 1) if not h.is_zero() else 1
+    cert, atoms = certify_and_extract(L, k=k, k0=k0, d_half=d_half,
+                                      rel_tol=1e-8, gens=gens)
+    return sol.status, float(sol.primal_value), L, cert, atoms
+
+
+def hierarchy_minimum(h: Polynomial, gens, sdp_tol: float):
+    """min h over Y = {gens >= 0} at the orders k_min = max(ceil(deg h / 2),
+    k0) and k_min + 1, k0 = max ceil(deg q / 2) (at least 1) the
+    localizers' order: the package's one walk over lower-level orders.
+    The value is the best bound of the orders that end Optimal
+    (:class:`NumericalTroubleError` naming each status when none does);
+    the first order that certifies gives its atoms, certified, else the
+    last Optimal order's point L(y)/L(1), uncertified (maybe not a
+    minimizer)."""
+    k0 = max([ceil_half(q.degree) for q in gens], default=1) or 1
+    k_min = max(ceil_half(h.degree), k0, 1)
+    orders = [k_min, k_min + 1]
+    best, last_L, failed = -np.inf, None, []
+    for k in orders:
+        status, bound, L, cert, atoms = minimize_on_semialgebraic(
+            h, gens, k, k0, sdp_tol=sdp_tol)
+        if status != "Optimal":
+            failed.append(f"order {k}: {status}")
+            continue
+        best = max(best, bound)
+        last_L = L
+        if cert is not None:
+            return best, [pt for pt, _ in atoms], True
+    if last_L is None:
+        raise NumericalTroubleError(
+            f"no lower-level order from {k_min} in {orders} ended "
+            f"Optimal ({'; '.join(failed) or 'none solved'})")
+    return best, [last_L.point()], False
+
+
 @dataclass(frozen=True)
 class Interval:
     """Y = [-1, 1] in a single parameter."""
@@ -52,10 +118,10 @@ class Interval:
     def representative_point(self):
         return np.zeros(1)
 
-    def exact_minimum(self, h: Polynomial):
-        """Edelman-Murakami 1995: the candidates are +-1 and the real parts
-        of the roots of h' (companion eigenvalues), clipped to [-1, 1];
-        those that tie are the minimizers, always certified."""
+    def minimum(self, h: Polynomial, sdp_tol: float):
+        """Exact (Edelman-Murakami 1995): the candidates are +-1 and the
+        real parts of the roots of h' (companion eigenvalues), clipped to
+        [-1, 1]; those that tie are the minimizers, always certified."""
         coef = [h.coefficient((e,)) for e in range(h.degree, -1, -1)]
         roots = np.roots(np.polyder(coef)).real
         cand = np.clip(np.concatenate([[-1.0, 1.0], roots]), -1.0, 1.0)
@@ -104,9 +170,11 @@ class QuadraticSet:
     def representative_point(self):
         return np.asarray(self.interior_point, dtype=float)
 
-    def exact_minimum(self, h: Polynomial):
-        """None unless Y is an ellipsoid, phi with a negative definite
-        Hessian, and deg h <= 2 (More-Sorensen 1983): y = c + T z maps the unit ball onto Y, h(c + T z) = h(c) + g.z +
+    def minimum(self, h: Polynomial, sdp_tol: float):
+        """The hierarchy's (:func:`hierarchy_minimum`) unless Y is an
+        ellipsoid, phi with a negative definite Hessian, and deg h <= 2;
+        then exact (More-Sorensen 1983), the value h at the best minimizer:
+        y = c + T z maps the unit ball onto Y, h(c + T z) = h(c) + g.z +
         z.Qz/2 and Q = U diag(lam) U^T.  The minimizer is interior when
         Q > 0 and it lies in the ball, else z(mu) = -(Q + mu I)^{-1} g at
         the root mu >= max(0, -lam_1) of |z(mu)| = 1, by Newton on
@@ -116,13 +184,11 @@ class QuadraticSet:
         lam_1 = 0): two points when lam_1 < 0 and E is a line, else a
         continuum, returned as one point, uncertified.
         """
-        if h.degree > 2:
-            return None
         phi, origin = self.phi, np.zeros(self.n_y)
         P = phi.hessian_at(origin)
         w, V = np.linalg.eigh(-P)
-        if w[0] <= 0:
-            return None
+        if h.degree > 2 or w[0] <= 0:
+            return hierarchy_minimum(h, [phi], sdp_tol)
         centre = np.linalg.solve(P, -phi.gradient_at(origin))
         T = V * np.sqrt(2.0 * phi(centre) / w)
         lam, U = np.linalg.eigh(T.T @ h.hessian_at(centre) @ T)
@@ -228,27 +294,24 @@ class Semialgebraic:
         return gens
 
     def representative_point(self):
-        """A point of Y: the first atom of the minimizer over Y of the unit
-        linear form along (3, 4, 5, ...) (0.6 y1 + 0.8 y2 in the plane),
-        from the first of the moment hierarchy's orders k0 and k0 + 1 that
-        certifies one, k0 the generators' max ceil(deg / 2).  A set without
-        interior, such as a circle, is found too.  Raises ValueError when
-        neither order certifies (NumericalTroubleError when Y is empty)."""
+        """A point of Y: the first minimizer over Y of the unit linear form
+        along (3, 4, 5, ...) (0.6 y1 + 0.8 y2 in the plane) that the moment
+        hierarchy certifies (:func:`hierarchy_minimum`, solved to 1e-9).  A
+        set without interior, such as a circle, is found too.  Raises
+        ValueError when no order certifies one (NumericalTroubleError when
+        Y is empty or no order ends Optimal)."""
         w = np.arange(3.0, 3.0 + self.n_y)
         form = Polynomial(self.n_y, dict(zip(
             map(tuple, np.eye(self.n_y, dtype=int).tolist()), w / np.linalg.norm(w))))
-        gens = self.as_generators()
-        k0 = max(max(ceil_half(q.degree) for q in gens), 1)
-        for k in (k0, k0 + 1):
-            atoms = minimize_on_semialgebraic(form, gens, k, k0)[4]
-            if atoms:
-                return atoms[0][0]
-        raise ValueError("no order of the moment hierarchy certified a point "
-                         "of the index set, so none can represent it")
+        _, points, certified = hierarchy_minimum(form, self.as_generators(), 1e-9)
+        if not certified:
+            raise ValueError("no order of the moment hierarchy certified a "
+                             "point of the index set, so none can represent it")
+        return points[0]
 
-    def exact_minimum(self, h: Polynomial):
-        """None: the moment hierarchy solves over Y."""
-        return None
+    def minimum(self, h: Polynomial, sdp_tol: float):
+        """The hierarchy's on the generators, the hint's ball included."""
+        return hierarchy_minimum(h, self.as_generators(), sdp_tol)
 
     def y_sweep(self) -> np.ndarray:
         """The points in Y of a raster of [-b, b]^n_y, b the hint's square

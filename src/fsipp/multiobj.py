@@ -84,24 +84,18 @@ class MultiFsippProblem:
         return np.array([f(u) / g(u) for f, g in self.objectives])
 
 
-def scalarize(mprob: MultiFsippProblem, i: int, u_prev,
-              tau: float = 1e-3, check_feasible: bool = True) -> FsippProblem:
+def scalarize(mprob: MultiFsippProblem, i: int, u_prev) -> FsippProblem:
     """The stage-i single-objective instance anchored at the point u_prev.
 
     Component i (1-based) becomes the objective; every other component j
     contributes the cross-constraint
     g_j(u_prev) f_j(x) - f_j(u_prev) g_j(x) <= 0, appended after any
-    original constraints.  The anchor point must be feasible within tau.
+    original constraints.  The anchor is not checked here: the walk
+    checks it (:func:`epsilon_constraint_solve`).
     """
     if not 1 <= i <= mprob.t:
         raise ValueError(f"stage index {i} outside 1..{mprob.t}")
     u_prev = np.asarray(u_prev, dtype=float)
-    base = mprob.base_problem(i)
-    if check_feasible:
-        ok, margin = feasibility_check(u_prev, base, tau=tau)
-        if not ok:
-            raise ValueError(
-                f"anchor point infeasible: constraint margin {margin:.3e} > {tau}")
     cross = []
     for j, (fj, gj) in enumerate(mprob.objectives, start=1):
         if j == i:
@@ -123,6 +117,14 @@ class EfficiencyReport:
     traces: list = field(default_factory=list)
 
 
+def _check_anchor(mprob: MultiFsippProblem, u, tau: float, what: str):
+    """Raise ValueError unless u meets the original constraints within tau."""
+    ok, margin = feasibility_check(u, mprob.base_problem(1), tau=tau)
+    if not ok:
+        raise ValueError(
+            f"{what} infeasible: constraint margin {margin:.3e} > {tau}")
+
+
 def epsilon_constraint_solve(mprob: MultiFsippProblem, u0,
                              opts: RelaxOptions,
                              hints: dict | None = None) -> EfficiencyReport:
@@ -133,7 +135,8 @@ def epsilon_constraint_solve(mprob: MultiFsippProblem, u0,
     problem: the settings ``opts``, and the problem file's ``hints`` with
     the stage's anchor as their feasible point (the floor recipe needs a
     point of the stage's feasible set, and a later stage's
-    cross-constraints may exclude u0).  A
+    cross-constraints may exclude u0).  Each anchor, u0 first, must meet
+    the original constraints within tau, or ValueError names it.  A
     ``case_override`` that does not fit the index set raises ValueError
     before any stage, as in :func:`relax.classify_case`.  The walk returns
     after a stage whose minimizer is verified unique (rank-one certificate
@@ -144,10 +147,7 @@ def epsilon_constraint_solve(mprob: MultiFsippProblem, u0,
     one SDP of classification, is decided once per walk.
     """
     u_prev = np.asarray(u0, dtype=float)
-    ok, margin = feasibility_check(u_prev, mprob.base_problem(1), tau=opts.tau)
-    if not ok:
-        raise ValueError(
-            f"initial point infeasible: constraint margin {margin:.3e} > {opts.tau}")
+    _check_anchor(mprob, u_prev, opts.tau, "initial point")
     if opts.case_override is not None:  # reads only p and the index set
         check_tag(mprob.base_problem(1), opts.case_override)
     family = None  # p's s.o.s-convexity verdict, shared by every stage
@@ -155,8 +155,9 @@ def epsilon_constraint_solve(mprob: MultiFsippProblem, u0,
     stopped_by = "Exhausted_t"
     for i in range(1, mprob.t + 1):
         try:
-            sub = scalarize(mprob, i, u_prev, tau=opts.tau,
-                            check_feasible=(i > 1))
+            if i > 1:
+                _check_anchor(mprob, u_prev, opts.tau, "anchor point")
+            sub = scalarize(mprob, i, u_prev)
             trace = solve_hierarchy(
                 sub, opts, {**(hints or {}), "feasible_point": u_prev}, family)
             family = trace.family

@@ -125,18 +125,20 @@ class RelaxOptions:
     sdp_tol: float = 1e-8
 
     def __post_init__(self):
-        if self.R is not None and self.R <= 0:
-            raise ValueError("R must be positive")
-        if self.g_star is not None and self.g_star <= 0:
-            raise ValueError("g_star must be positive")
+        for name in ("R", "g_star"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite; "
+                                 f"got {value}")
         if self.k_min is not None and self.k_min < 1:
             raise ValueError("k_min must be at least 1")
         if self.k is not None and self.k < 1:
             raise ValueError("the relaxation order must be at least 1")
         if None not in (self.k_min, self.k) and self.k_min > self.k:
             raise ValueError(f"k_min {self.k_min} is above k_max {self.k}")
-        if self.tau <= 0 or self.sdp_tol <= 0:
-            raise ValueError("tau and sdp_tol must be positive")
+        if not (0 < self.tau < math.inf and 0 < self.sdp_tol < math.inf):
+            raise ValueError("tau and sdp_tol must be positive and finite; "
+                             f"got tau {self.tau}, sdp_tol {self.sdp_tol}")
 
 
 def check_tag(prob: FsippProblem, tag: CaseTag) -> None:

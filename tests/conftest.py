@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from fsipp import instances
-from fsipp.certify import certify_point, minimize_on_semialgebraic
+from fsipp.certify import certify_point
 from fsipp.errors import NumericalTroubleError
+from fsipp.indexset import minimize_on_semialgebraic
 from fsipp.moment import MomentFunctional, QModule, membership_margin
 from fsipp.multiobj import epsilon_constraint_solve, scalarize
 from fsipp.poly import Polynomial, ceil_half, monomials_up_to
@@ -253,7 +254,7 @@ def quarter_kkt(quarter_run):
 def stage1_run():
     """First scalarized stage of the biobjective interval fixture."""
     mprob, u0, opts = instances.biobjective_case1()
-    sub = scalarize(mprob, 1, u0, check_feasible=False)
+    sub = scalarize(mprob, 1, u0)
     return sub, opts, solve_hierarchy(sub, opts)
 
 

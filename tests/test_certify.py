@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsipp import certify, extract, instances
+from fsipp import certify, extract, indexset, instances
 from fsipp.certify import (active_sets, certify_point, feasibility_check,
-                           kkt_residual, lower_level_solve,
-                           minimize_on_semialgebraic, nnls,
+                           kkt_residual, lower_level_solve, nnls,
                            sos_convexity_check)
 from fsipp.errors import NumericalTroubleError
-from fsipp.indexset import Interval, QuadraticSet, Semialgebraic
+from fsipp.indexset import (Interval, QuadraticSet, Semialgebraic,
+                            minimize_on_semialgebraic)
 from fsipp.moment import QModule, membership_margin
 from fsipp.multiobj import _audit_y_points
 from fsipp.poly import BivariatePoly, Polynomial, ceil_half
@@ -117,7 +117,7 @@ def test_lower_level_takes_the_bound_from_the_orders_that_end_optimal(
         h, gens, k_min + 1, max(ceil_half(q.degree) for q in gens))
     expected = (bound, [pt for pt, _ in atoms] if cert else [L.point()],
                 cert is not None)
-    real_solve = certify.solve
+    real_solve = indexset.solve
     calls = []
 
     def capped(first_only):
@@ -129,14 +129,14 @@ def test_lower_level_takes_the_bound_from_the_orders_that_end_optimal(
             return replace(sol, status="IterLimit")
         return solve
 
-    monkeypatch.setattr(certify, "solve", capped(first_only=True))
+    monkeypatch.setattr(indexset, "solve", capped(first_only=True))
     p_star, Lambda, certified = lower_level_solve(u, prob)
     assert len(calls) == 2
     assert p_star == expected[0] and certified == expected[2]
     np.testing.assert_array_equal(Lambda, expected[1])
 
     # when no order ends Optimal there is no bound: the error names both
-    monkeypatch.setattr(certify, "solve", capped(first_only=False))
+    monkeypatch.setattr(indexset, "solve", capped(first_only=False))
     with pytest.raises(NumericalTroubleError) as err:
         lower_level_solve(u, prob)
     assert f"order {k_min}: IterLimit" in str(err.value)
@@ -295,7 +295,7 @@ def _check_exact(h, index_set, sample, certified=True):
     of the hierarchy's solved to 1e-10, and attained in Y.  (Whether the
     hierarchy's rank test certifies at that tolerance depends on the BLAS
     kernel on the rotated hard case, so only its value is compared.)"""
-    value, minimizers, cert = index_set.exact_minimum(h)
+    value, minimizers, cert = index_set.minimum(h, 1e-8)
     assert cert is certified
     assert value <= h.eval_many(sample).min() + 1e-12
     ref = hierarchy_lower_level(h, index_set, sdp_tol=1e-10)
@@ -391,13 +391,13 @@ def test_exact_lower_level_leaves_other_sets_to_the_hierarchy(monkeypatch):
     # a non-concave phi (an unbounded Y) and a cubic in y on the disc keep
     # the moment hierarchy
     calls = []
-    real = certify.minimize_on_semialgebraic
+    real = indexset.minimize_on_semialgebraic
 
     def spy(h, gens, k, k0, **kw):
         calls.append(k)
         return real(h, gens, k, k0, **kw)
 
-    monkeypatch.setattr(certify, "minimize_on_semialgebraic", spy)
+    monkeypatch.setattr(indexset, "minimize_on_semialgebraic", spy)
     parabola = QuadraticSet(Polynomial(2, {(0, 0): 1.0, (0, 1): -1.0,
                                            (2, 0): 1.0}), (0.0, 0.0))
     disc, sample, _ = _ellipsoid("unit-disc")
@@ -405,7 +405,6 @@ def test_exact_lower_level_leaves_other_sets_to_the_hierarchy(monkeypatch):
     bowl = Polynomial(2, {(2, 0): 1.0, (0, 2): 1.0, (0, 1): -6.0, (0, 0): 9.0})
     values = []
     for h, index_set in ((bowl, parabola), (cubic, disc)):
-        assert index_set.exact_minimum(h) is None
         calls.clear()
         values.append(lower_level_solve(np.zeros(1), _family(h, index_set))[0])
         assert calls

@@ -317,6 +317,46 @@ def test_solve_handles_unreadable_and_malformed_files(files):
     assert code == 2 and "not JSON" in checked(out)["error"]
 
 
+@pytest.mark.parametrize("literal, value", [
+    ("NaN", float("nan")), ("Infinity", float("inf")),
+    ("-Infinity", float("-inf"))])
+def test_files_with_non_finite_literals_are_refused(files, literal, value):
+    # Python's json reads these literals, which JSON has not; NaN would pass
+    # the schema, since it fails no bound test
+    doc = problem_to_doc(instances.case1_problem()[0], options={"R": value})
+    path = _write(files["dir"], "nonfinite.json", doc)
+    assert f'"R": {literal}' in Path(path).read_text(encoding="utf-8")
+    code, out, _ = run(["solve", path])
+    report = checked(out)
+    assert code == 2 and report["verdict"] == "ERROR"
+    assert f"{literal} is not a JSON number" in report["error"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["certify", "quarter", "0.1,0.1", "--tau", "inf"], "tau inf"),
+    (["solve", "case1", "--tol", "nan"], "sdp_tol nan"),
+    (["solve", "case1", "--tol", "inf"], "sdp_tol inf")])
+def test_settings_must_be_finite(files, argv, named):
+    # an infinite tau counts every constraint active, and NaN fails every
+    # comparison, so a test of sign alone lets both through
+    code, out, _ = run([argv[0], files[argv[1]], *argv[2:]])
+    report = checked(out)
+    assert code == 2 and report["verdict"] == "ERROR"
+    assert "must be positive and finite" in report["error"]
+    assert named in report["error"]
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["certify", "quarter", "0.1,nan"], "point"),
+    (["pareto", "pair", "inf,0"], "u0"),
+    (["pareto", "pair", "-1,1", "--box", "0,1,0,inf"], "--box")])
+def test_coordinates_must_be_finite(files, argv, what):
+    out_path = files["dir"] / "coordinates.json"
+    code, _, err = run([argv[0], files[argv[1]], *argv[2:],
+                        "--out", str(out_path)])
+    assert code == 2 and f"{what} must be finite numbers" in err
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--tol", "-1", "sdp_tol must be positive"),
     ("--tau", "-1", "tau and sdp_tol must be positive"),
@@ -537,7 +577,7 @@ def test_solve_and_pareto_judge_a_stage_by_the_same_rule(files):
         ("Case1", "single")] * 2
 
     mprob, u0, _ = instances.biobjective_case1()
-    stage1 = problem_to_doc(scalarize(mprob, 1, u0, check_feasible=False))
+    stage1 = problem_to_doc(scalarize(mprob, 1, u0))
     code, out, _ = run(["solve", _write(files["dir"], "stage1.json", stage1)])
     report = checked(out)
     assert code == 0 and report["verdict"] == "INCONCLUSIVE"

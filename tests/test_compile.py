@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fsipp import certify, instances, moment, relax
+from fsipp import certify, indexset, instances, moment, relax
 from fsipp.moment import QModule, _leading
 from fsipp.multiobj import scalarize
 from fsipp.poly import Polynomial, ceil_half, monomials_up_to
@@ -192,9 +192,9 @@ def _compile(monkeypatch, call, reference: bool):
             maps.append(self)
 
     with monkeypatch.context() as mp:
-        for module in (relax, certify):
+        for module in (relax, indexset):
             mp.setattr(module, "MomentVarMap", Recorded)
-        for module in (certify, moment):
+        for module in (indexset, moment):
             mp.setattr(module, "solve", _capture)
         if reference:
             for module in (relax, moment):
@@ -284,8 +284,7 @@ def test_walk_stages_compile_as_the_reference(monkeypatch, bio_runs):
     for name, (mprob, u0, opts, report) in bio_runs.items():
         u_prev = u0
         for (stage, point, _), trace in zip(report.path, report.traces):
-            sub = scalarize(mprob, stage, u_prev, tau=opts.tau,
-                            check_feasible=False)
+            sub = scalarize(mprob, stage, u_prev)
             for row in trace.rows:
                 _both_sides(monkeypatch, sub, opts, trace.tag, row.k,
                             f"walk {name}/{stage} k={row.k}")
@@ -322,7 +321,7 @@ def test_arc_lower_level_sdps_compile_as_the_reference(monkeypatch, k):
         u = np.array([0.7377, 0.6033])
         objectives.append(prob.p.substitute_x(u).scale(-1.0))
     for h in objectives:
-        assert _same(monkeypatch, lambda: certify.minimize_on_semialgebraic(
+        assert _same(monkeypatch, lambda: indexset.minimize_on_semialgebraic(
             h, gens, k, 1), f"arc k={k} {h}") == 1
 
 
@@ -337,7 +336,7 @@ def test_inexact_equalities_compile_as_the_reference(monkeypatch, k):
     for q in (Polynomial(2, {(2, 0): 1.7, (1, 1): 0.3, (0, 2): 2.9, (0, 0): -1.1}),
               Polynomial(2, {(2, 0): 3.0, (1, 1): 1.0, (0, 1): -1.0, (0, 0): 0.3})):
         gens = (q, q.scale(-1.0), y1)
-        assert _same(monkeypatch, lambda: certify.minimize_on_semialgebraic(
+        assert _same(monkeypatch, lambda: indexset.minimize_on_semialgebraic(
             y1.scale(0.6) + y2.scale(0.8), gens, k, 1), f"moment {q}") == 1
         assert _same(monkeypatch, lambda: moment.membership_margin(
             target, QModule(gens, k)), f"gram {q}") > 0

@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fsipp import certify, extract, instances, relax
+from fsipp import extract, indexset, instances, relax
 from fsipp.certify import certify_point
 from fsipp.errors import DegenerateMassError, NumericalTroubleError
 from fsipp.extract import (_column_echelon, extract_atoms,
@@ -170,7 +170,7 @@ def _recorded(monkeypatch, call) -> list:
         return real(*args, **kwargs)
 
     with monkeypatch.context() as mp:
-        for module in (relax, certify):
+        for module in (relax, indexset):
             mp.setattr(module, "certify_and_extract", spy)
         call()
     return seen

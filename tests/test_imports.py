@@ -390,3 +390,64 @@ def test_scan_flags_convexity_tested_outside_certify(tmp_path):
 
 def test_only_certify_tests_sos_convexity():
     assert convexity_outside_certify(SRC) == []
+
+
+# Min over Y has one home, ``indexset.py``: each kind's ``minimum``, which
+# falls back on the one walk over lower-level orders, ``hierarchy_minimum``.
+# ``indexset`` takes nothing from ``certify``, only that walk solves one
+# order, and no module keeps the answer-or-None ``exact_minimum``.
+def lower_level_outside_indexset(src: Path) -> list[str]:
+    """``module:scope what`` for each import of ``certify`` in
+    ``indexset.py``, each call of ``minimize_on_semialgebraic`` outside
+    ``indexset.py:hierarchy_minimum``, and each definition or use of the
+    name ``exact_minimum``, in order of the module and its syntax tree."""
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        module = path.relative_to(src).as_posix()
+        for scope, n in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{module}:{scope or '<module>'}"
+            if module == "indexset.py" and isinstance(n, (ast.Import,
+                                                          ast.ImportFrom)):
+                named = [a.name for a in n.names] + [getattr(n, "module", None)
+                                                     or ""]
+                if any("certify" in name.split(".") for name in named):
+                    found.append(f"{where} imports certify")
+            if (isinstance(n, ast.Call) and getattr(
+                    n.func, "id", getattr(n.func, "attr", None))
+                    == "minimize_on_semialgebraic"
+                    and where != "indexset.py:hierarchy_minimum"):
+                found.append(f"{where} calls minimize_on_semialgebraic")
+            if isinstance(n, ast.FunctionDef) and n.name == "exact_minimum":
+                found.append(f"{where} defines exact_minimum")
+            if "exact_minimum" in (getattr(n, "id", None),
+                                   getattr(n, "attr", None)):
+                found.append(f"{where} names exact_minimum")
+    return found
+
+
+def test_scan_flags_the_lower_level_outside_its_home(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "indexset.py").write_text(
+        "from .certify import nnls\nfrom . import certify\n\n"
+        "def minimize_on_semialgebraic(h):\n    return h\n\n"
+        "def hierarchy_minimum(h):\n    return minimize_on_semialgebraic(h)\n\n"
+        "class Box:\n    def exact_minimum(self, h):\n        return None\n\n"
+        "    def point(self):\n        return minimize_on_semialgebraic(0)\n",
+        encoding="utf-8")
+    (pkg / "certify.py").write_text(
+        "from . import indexset\n\n"
+        "def lower(h, y):\n    if y.exact_minimum(h) is None:\n"
+        "        return indexset.minimize_on_semialgebraic(h)\n"
+        "    return indexset.hierarchy_minimum(h)\n", encoding="utf-8")
+    assert lower_level_outside_indexset(pkg) == [
+        "certify.py:lower names exact_minimum",
+        "certify.py:lower calls minimize_on_semialgebraic",
+        "indexset.py:<module> imports certify",
+        "indexset.py:<module> imports certify",
+        "indexset.py:Box.exact_minimum defines exact_minimum",
+        "indexset.py:Box.point calls minimize_on_semialgebraic"]
+
+
+def test_only_indexset_decides_the_lower_level():
+    assert lower_level_outside_indexset(SRC) == []

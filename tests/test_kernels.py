@@ -17,9 +17,9 @@ against its per-monomial reference (``test_extract_reference.py``: the
 moment matrices, multiplication matrices, Vandermonde matrix and
 reconstruction are copies and elementwise products and sums, so an
 extraction that went through a BLAS product or took another BLAS path
-would differ from the reference), the tests of the index sets' exact
-lower-level oracles, ``Interval.exact_minimum`` and
-``QuadraticSet.exact_minimum`` (``test_certify.py -k exact_lower_level``:
+would differ from the reference), the tests of the exact lower-level
+oracles of ``Interval.minimum`` and ``QuadraticSet.minimum`` (18 tests,
+``test_certify.py -k exact_lower_level``:
 ``np.roots`` and ``eigh`` take kernel-dependent LAPACK paths, and the
 oracles' tie and hard-case tests compare their results with thresholds),
 the grid audits and the image export (``test_multiobj.py -k "audit or

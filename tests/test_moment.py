@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fsipp import certify, instances, moment
+from fsipp import certify, indexset, instances, moment
 from fsipp.moment import (MomentFunctional, MomentVarMap, QModule,
                           membership_margin, moment_matrix,
                           sos_membership_blocks)
@@ -219,10 +219,10 @@ def test_lower_level_sdp_compiles_the_arc_equality_in_the_quotient(monkeypatch):
     prob, _ = instances.quarter_circle_problem()
     u = (0.7377, 0.6033)
     sdps, orders = [], []
-    real_solve, real_order = certify.solve, certify.minimize_on_semialgebraic
-    monkeypatch.setattr(certify, "solve", lambda sdp, **kw: (
+    real_solve, real_order = indexset.solve, indexset.minimize_on_semialgebraic
+    monkeypatch.setattr(indexset, "solve", lambda sdp, **kw: (
         sdps.append(sdp), real_solve(sdp, **kw))[1])
-    monkeypatch.setattr(certify, "minimize_on_semialgebraic", lambda *a, **kw: (
+    monkeypatch.setattr(indexset, "minimize_on_semialgebraic", lambda *a, **kw: (
         orders.append(real_order(*a, **kw)), orders[-1])[1])
     p_star, Lambda, certified = certify.lower_level_solve(u, prob)
     assert certified and abs(_CIRCLE(Lambda[0])) <= 1e-6

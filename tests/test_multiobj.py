@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fsipp import certify, instances
+from fsipp import certify, indexset, instances
 from fsipp import multiobj
 from fsipp.indexset import Interval, QuadraticSet, Semialgebraic, raster
 from fsipp.multiobj import (MultiFsippProblem, efficiency_audit,
@@ -59,7 +59,7 @@ def test_base_problem_carries_shared_constraints():
 
 def test_scalarize_appends_no_worsening_constraints():
     mprob, u0, _ = instances.biobjective_case1()
-    sub = scalarize(mprob, 1, u0, check_feasible=False)
+    sub = scalarize(mprob, 1, u0)
     assert len(sub.psis) == len(mprob.psis) + 1
     # g2(u0) f2 - f2(u0) g2 with f2(u0) = -1, g2 = 1
     assert sub.psis[-1] == Polynomial(2, {(2, 0): 1.0, (1, 0): 1.0,
@@ -68,15 +68,9 @@ def test_scalarize_appends_no_worsening_constraints():
     assert sub.psis[-1](u0) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_scalarize_rejects_infeasible_anchor():
-    mprob, _, _ = instances.biobjective_case1()
-    with pytest.raises(ValueError):
-        scalarize(mprob, 1, np.array([5.0, 5.0]))
-
-
 def test_scalarize_stage_index_selects_the_objective():
     mprob, u0, _ = instances.biobjective_case2()
-    sub2 = scalarize(mprob, 2, u0, check_feasible=False)
+    sub2 = scalarize(mprob, 2, u0)
     assert sub2.f == mprob.objectives[1][0]
     assert len(sub2.psis) == len(mprob.psis) + 1
 
@@ -120,12 +114,28 @@ def test_walk_rejects_infeasible_start():
         epsilon_constraint_solve(mprob, np.array([5.0, 5.0]), opts)
 
 
+def test_walk_rejects_an_infeasible_anchor(monkeypatch):
+    # a stage whose candidate breaks the original constraints: the walk
+    # checks it as stage 2's anchor, before stage 2 is set up
+    real, stages = multiobj.solve_hierarchy, []
+
+    def outside(sub, *args):
+        stages.append(sub)
+        return replace(real(sub, *args), candidate=[5.0, 5.0])
+
+    monkeypatch.setattr(multiobj, "solve_hierarchy", outside)
+    with pytest.raises(ValueError, match="^stage 2: anchor point infeasible: "
+                       r"constraint margin .* > 0\.001$"):
+        epsilon_constraint_solve(*instances.biobjective_case1())
+    assert len(stages) == 1
+
+
 def test_walks_make_no_lower_level_sdp(monkeypatch):
     """The packaged walks index p by the interval or the unit disc, where
     the lower level is exact: their feasibility checks solve no SDP, and
     each value is the hierarchy's, at the orders it ran, within 1e-8."""
     lower, sdps = [], []
-    real_lower, real_solve = certify.lower_level_solve, certify.solve
+    real_lower, real_solve = certify.lower_level_solve, indexset.solve
 
     def spy_lower(u, prob, **kw):
         out = real_lower(u, prob, **kw)
@@ -138,7 +148,7 @@ def test_walks_make_no_lower_level_sdp(monkeypatch):
         return real_solve(sdp, **kw)
 
     monkeypatch.setattr(certify, "lower_level_solve", spy_lower)
-    monkeypatch.setattr(certify, "solve", spy_solve)
+    monkeypatch.setattr(indexset, "solve", spy_solve)
     for make in (instances.biobjective_case1, instances.biobjective_case2,
                  instances.biobjective_case3, instances.biobjective_case4):
         epsilon_constraint_solve(*make())

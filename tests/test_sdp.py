@@ -256,8 +256,7 @@ def identical_stage1_sdp():
     relax._solve_order compiles it.  Its optimum has a rank-1 moment matrix
     and a rank-2 Gram matrix: strict complementarity fails and the Schur
     matrix grows ill-conditioned as the iterates converge."""
-    sub = scalarize(_identical_pair_problem(), 1, np.zeros(2),
-                    check_feasible=False)
+    sub = scalarize(_identical_pair_problem(), 1, np.zeros(2))
     opts = RelaxOptions()
     sdp, _ = build_dual_sdp(sub, opts,
                             classify_case(sub, opts.case_override).tag, sub.d)

@@ -239,7 +239,7 @@ def test_walk_decides_the_family_once(monkeypatch):
     assert len(calls) == 1
     anchors = [u0] + [u for _, u, _ in report.path[:-1]]
     for i, (trace, anchor) in enumerate(zip(report.traces, anchors), start=1):
-        sub = scalarize(mprob, i, anchor, check_feasible=False)
+        sub = scalarize(mprob, i, anchor)
         assert trace.tag is classify_case(sub).tag
     # classified on their own, the two stages make one family SDP each
     assert len(calls) == 3
