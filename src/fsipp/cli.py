@@ -396,9 +396,7 @@ def _parse_box(text: str, m: int) -> list[tuple[float, float]]:
     return box
 
 
-def _write_grid_csv(out: str, mprob: MultiFsippProblem, box_text: str,
-                    grid: int) -> None:
-    box = _parse_box(box_text, mprob.m)
+def _write_grid_csv(out: str, mprob: MultiFsippProblem, box, grid: int) -> None:
     try:
         pts, feas, vals = image_grid(mprob, box, grid_size=grid)
     except ValueError as exc:  # an empty y-sweep
@@ -415,6 +413,7 @@ def run_pareto(parsed: ParsedProblem, args):
     mprob = parsed.require_multi("pareto")
     if args.grid < 1:
         raise CliError(f"--grid must be at least 1; got {args.grid}")
+    box = None if args.box is None else _parse_box(args.box, mprob.m)
     if args.u0 is not None:
         u0 = _parse_point(args.u0, mprob.m, "u0")
     elif "feasible_point" in parsed.hints:
@@ -436,9 +435,9 @@ def run_pareto(parsed: ParsedProblem, args):
         "stopped_by": result.stopped_by,
         "verdict": "CERTIFIED" if certified else "INCONCLUSIVE",
     }
-    if args.box is None:
+    if box is None:
         return fields, None
-    return fields, lambda out: _write_grid_csv(out, mprob, args.box, args.grid)
+    return fields, lambda out: _write_grid_csv(out, mprob, box, args.grid)
 
 
 # --------------------------------------------------------------------------

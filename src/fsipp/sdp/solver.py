@@ -68,8 +68,10 @@ Cholesky factor.  The inverse factors are formed once per iteration and
 serve Z^-1 = L_Z^-T L_Z^-1, the K and both steps; the corrector reuses the
 predictor's reads of its direction.  The stop test reads its residuals
 off r_p, S - F(w) and r_d (r_p / tau = A x / tau - b, -r_d / tau =
-A^T lam / tau + z / tau - c).  A, F and the stacks are built once per
-solve.
+A^T lam / tau + z / tau - c).  A, F, the stacks and one working set (a
+buffer for the largest block's K and two chunk buffers of 2^13 doubles,
+in which each block forms its K a chunk of rows at a time; see
+:class:`_PsdData`) are built once per solve.
 
 Near a degenerate optimum (no strict complementarity, as in the exact
 Case1 moment SDPs and the lower-level moment SDPs) W, H and M grow very
@@ -122,6 +124,7 @@ _BACKTRACK = 0.5      # step shrink factor while a trial point leaves the cone
 _MIN_STEP = 1e-12     # below this, no step into the cone interior was found
 _TRI_LEAF = 32        # triangular factors up to this size are inverted whole
 _EPS = float(np.finfo(float).eps)
+_CHUNK = 1 << 13      # doubles per chunk of a block's K, as in multiobj's slabs
 
 
 class _PsdData:
@@ -130,14 +133,21 @@ class _PsdData:
     A block is an ordinary PSD block, whose rows are equality rows, or a
     diagonal block of an LMI, whose rows are the entries a of w and whose
     constraint matrices are the F_a.  Only the ``rows`` that touch the
-    block enter its part of the Schur complement (M, or H for an LMI):
-    the symmetric constraint matrices ``T`` are kept for those rows alone.
+    block enter its part of the Schur complement (M, or H for an LMI).
     ``runs`` splits the rows into maximal ranges of consecutive indices,
     (lo, hi, position of lo in ``rows``), and ``rix`` indexes the rows in M
     (a slice when the block touches them all).
+
+    K = L_Z^-1 T_a L_X is formed ``_CHUNK`` doubles of rows at a time.  A
+    block whose (r, dim, dim) stack of the symmetric T_a fits in one chunk
+    keeps it as ``T``, since rebuilding every stack per chunk cost 3-8% of
+    solver time on the small SDPs.  A larger one keeps per chunk of rows
+    [lo, hi) only its entries' flat positions and values (``parts``),
+    written into a chunk buffer before the chunk's two products.
     """
 
-    __slots__ = ("sl", "dim", "ti", "tj", "w", "rows", "rix", "runs", "T")
+    __slots__ = ("sl", "dim", "ti", "tj", "w", "rows", "rix", "runs", "T",
+                 "parts", "chunks", "K")
 
     def __init__(self, sl, dim, p, rows, cols, vals):
         """``rows``, ``cols``, ``vals``: the entries of the p-row internal
@@ -156,11 +166,30 @@ class _PsdData:
         self.rix = slice(None) if r == p else rows
         self.runs = [(int(rows[a]), int(rows[e - 1]) + 1, int(a))
                      for a, e in zip(starts, ends)]
-        vw = v / self.w[c]
-        T = np.zeros((r, dim, dim))
-        T[at, self.ti[c], self.tj[c]] = vw
-        T[at, self.tj[c], self.ti[c]] = vw
-        self.T = T
+        vw = np.concatenate([v / self.w[c]] * 2)
+        pos = np.concatenate([(at * dim + self.ti[c]) * dim + self.tj[c],
+                              (at * dim + self.tj[c]) * dim + self.ti[c]])
+        dd, step = dim * dim, max(1, _CHUNK // dim ** 2)
+        self.T, self.parts = None, [(0, r, None, None)]
+        if r <= step:
+            self.T = np.zeros((r, dim, dim))
+            np.put(self.T, pos, vw)
+        else:
+            ch = pos // (step * dd)  # the chunk of each entry
+            self.parts = [(lo, lo + step, pos[ch == k] - lo * dd, vw[ch == k])
+                          for k, lo in enumerate(range(0, r, step))]
+
+    def bind(self, K: np.ndarray, T: np.ndarray, P: np.ndarray) -> None:
+        """Point the block's (r, dim^2) ``K`` and its ``chunks`` (T_a, positions,
+        values, R T_a, K per chunk) at the working set ``K``, ``T``, ``P``."""
+        r, d = self.rows.size, self.dim
+        self.K = K[:r * d * d].reshape(r, d * d)
+        K3 = self.K.reshape(r, d, d)
+        self.chunks = []
+        for lo, hi, loc, val in self.parts:
+            Kc = K3[lo:hi]
+            Tc = self.T if loc is None else T[:Kc.size].reshape(Kc.shape)
+            self.chunks.append((Tc, loc, val, P[:Kc.size].reshape(Kc.shape), Kc))
 
 
 class _Stack:
@@ -420,6 +449,13 @@ class _Internal:
             self.F[fcols - n, frows] = fvals
             self.lmi = [_PsdData(slice(o, o + d * (d + 1) // 2), d, nw,
                                  frows, fcols, fvals) for o, d in lmi_specs]
+        # one working set per solve: the largest block's K, two chunk buffers
+        blocks = self.psd + self.lmi
+        kbuf = max([b.rows.size * b.dim ** 2 for b in blocks], default=0)
+        cbuf = max([b.parts[0][1] * b.dim ** 2 for b in blocks], default=0)
+        work = np.empty(kbuf), np.empty(cbuf), np.empty(cbuf)
+        for b in blocks:
+            b.bind(*work)
         # one stack per kind, ordinary blocks first, then the LMI slots
         self.stacks = [_Stack(blocks) for blocks in (self.psd, self.lmi) if blocks]
         self.nu = (sum(d for _, d in psd_specs) + self.lp.size
@@ -450,8 +486,13 @@ def _add_products(M: np.ndarray, blocks, blk_state) -> None:
     cheaper than an index array on both.
     """
     for blk, (LX, R) in zip(blocks, blk_state):
-        K = (R @ blk.T @ LX).reshape(len(blk.T), blk.dim ** 2)
-        B = K @ K.T
+        for T, loc, val, RT, K in blk.chunks:
+            if loc is not None:
+                T.fill(0.0)
+                np.put(T, loc, val)
+            np.matmul(R, T, out=RT)
+            np.matmul(RT, LX, out=K)
+        B = blk.K @ blk.K.T
         for lo, hi, at in blk.runs:
             M[blk.rix, lo:hi] += B[:, at:at + hi - lo]
 

@@ -712,6 +712,27 @@ def test_pareto_rejects_a_grid_below_one_before_solving(files, grid,
     assert not out_path.with_suffix(".csv").exists()
 
 
+@pytest.mark.parametrize("box, message", [("0,1", "--box needs 4 numbers"),
+                                          ("1,0,0,1", "--box intervals")])
+@pytest.mark.parametrize("to_file", [True, False], ids=["out", "stdout"])
+def test_pareto_rejects_a_bad_box_before_solving(files, box, message, to_file,
+                                                 monkeypatch):
+    # without --out there is no export, but a bad box is still refused
+    def walk(*args, **kwargs):
+        raise AssertionError("the walk ran")
+
+    monkeypatch.setattr("fsipp.cli.epsilon_constraint_solve", walk)
+    out_path = files["dir"] / "bad_box.json"
+    out_path.unlink(missing_ok=True)
+    code, out, err = run(["pareto", files["pair"], "-1,1", "--box", box]
+                         + (["--out", str(out_path)] if to_file else []))
+    report = checked(out_path.read_text(encoding="utf-8") if to_file else out)
+    assert code == 2 and report["verdict"] == "ERROR"
+    assert message in report["error"] and message in err
+    assert "stages" not in report
+    assert not out_path.with_suffix(".csv").exists()
+
+
 # ------------------------------------------------------------- exit codes
 
 def test_exit_codes_are_a_function_of_the_verdict(files, quarter_solved):

@@ -3,7 +3,9 @@
 ``OPENBLAS_CORETYPE`` makes OpenBLAS run another of its kernels for the
 same wheels, which sums and blocks differently.  The acceptance module, the
 Schur oracle tests (M and H are summed by the BLAS symmetric rank-k update,
-so their rounding is the kernel's), the mixed-dimension solve (whose
+so their rounding is the kernel's), the test that forming K a chunk of
+rows at a time changes no bit of M and H (each chunk goes through the
+kernel's batched matrix products), the mixed-dimension solve (whose
 bordered stacks go through batched LAPACK calls, which take other kernel
 paths per core type), the tests of equality pairs compiled as ideals,
 ``test_moment.py -k equality`` (among them
@@ -71,6 +73,7 @@ def test_acceptance_and_general_route_under_kernel(kernel, tmp_path):
              str(ROOT / "tests" / "test_acceptance.py"),
              sdp_tests + "::test_schur_over_touched_rows_equals_the_full_row_formula",
              sdp_tests + "::test_lmi_schur_equals_the_dense_formula",
+             sdp_tests + "::test_schur_chunks_change_no_bit",
              sdp_tests + "::test_mixed_dimensions_stack_once_per_kind"],
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              str(ROOT / "tests" / "test_moment.py"), "-k", "equality"],

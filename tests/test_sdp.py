@@ -1,5 +1,7 @@
 """Tests for the SDP data model, builder and interior-point solver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -505,11 +507,11 @@ def test_schur_over_touched_rows_equals_the_full_row_formula(case):
         assert abs(M - M_ref).max() <= 1e-13 * abs(M_ref).max()
 
 
-def quarter_circle_moment_sdp():
-    """The quarter circle's order-4 moment SDP."""
+def quarter_circle_moment_sdp(k=4):
+    """The quarter circle's order-k moment SDP."""
     prob, opts = instances.quarter_circle_problem()
     tag = classify_case(prob, opts.case_override).tag
-    return build_dual_sdp(prob, opts, tag, 4)[0]
+    return build_dual_sdp(prob, opts, tag, k)[0]
 
 
 def half_disc_moment_sdp():
@@ -550,6 +552,102 @@ def test_lmi_schur_equals_the_dense_formula(sdp, touched):
         H = solver._lmi_schur(ii, lmi_state)
         assert np.array_equal(H, H.T)
         assert abs(H - H_ref).max() <= 1e-13 * abs(H_ref).max()
+
+
+def dense_stack(blk):
+    """A block's (r, dim, dim) stack of constraint matrices T_a, rebuilt
+    from its chunks' entries."""
+    parts = []
+    for T, loc, val, _, K in blk.chunks:
+        if loc is not None:
+            T = np.zeros(K.shape)
+            np.put(T, loc, val)
+        parts.append(T)
+    return np.concatenate(parts)
+
+
+def unchunked_products(ii, blocks, state, size):
+    """M (or H) as each block's K K^T with K = R T L_X formed whole."""
+    out = np.zeros((size, size))
+    for blk, (LX, R) in zip(blocks, state):
+        T = dense_stack(blk)
+        K = (R @ T @ LX).reshape(len(T), blk.dim ** 2)
+        out[np.ix_(blk.rows, blk.rows)] += K @ K.T
+    return out
+
+
+def test_schur_chunks_change_no_bit(monkeypatch):
+    """K is formed a chunk of rows at a time, each matrix by the same BLAS
+    calls on the same operands as the whole stack would take, so M and H
+    come out bit for bit as from the unchunked R T L_X, and the same at a
+    chunk budget of one row or of the whole block.  On the quarter
+    circle's order-6 moment SDP the LMI blocks span several chunks and the
+    PSD blocks fit in one."""
+    sdp = quarter_circle_moment_sdp(6)
+    ii = solver._Internal(sdp)
+    assert [(b.dim, b.rows.size, len(b.chunks)) for b in ii.lmi] == [
+        (28, 91, 10), (21, 91, 6), (21, 91, 6)]
+    assert [(b.dim, len(b.chunks)) for b in ii.psd] == [(13, 1), (11, 1), (11, 1)]
+    assert all(b.T is not None for b in ii.psd)
+    rng = np.random.default_rng(17)
+    draws = [([random_factors(rng, b.dim, decades) for b in ii.psd],
+              [random_factors(rng, b.dim, decades) for b in ii.lmi],
+              graded(rng, decades, ii.lp.size)) for decades in (1.0, 12.0)]
+
+    def products(ii):
+        return [(solver._schur(ii, psd, d_lp), solver._lmi_schur(ii, lmi))
+                for psd, lmi, d_lp in draws]
+
+    got = products(ii)
+    for (psd, lmi, d_lp), (M, H) in zip(draws, got):
+        M_ref = unchunked_products(ii, ii.psd, psd, ii.p)
+        if ii.lp.size:
+            Q = ii.A_lp * np.sqrt(d_lp)
+            M_ref[ii.lp_ix] += Q @ Q.T
+        assert np.array_equal(M, M_ref)
+        assert np.array_equal(H, unchunked_products(ii, ii.lmi, lmi, ii.wcols.size))
+    for budget, chunks in ((1, lambda b: b.rows.size), (1 << 40, lambda b: 1)):
+        monkeypatch.setattr(solver, "_CHUNK", budget)
+        other = solver._Internal(sdp)
+        assert all(len(b.chunks) == chunks(b) for b in other.psd + other.lmi)
+        for (M, H), (M2, H2) in zip(got, products(other)):
+            assert np.array_equal(M, M2) and np.array_equal(H, H2)
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_no_block_beyond_the_chunk_budget_keeps_a_dense_stack(k):
+    """A block whose (r, dim, dim) stack exceeds ``_CHUNK`` doubles keeps
+    only its entries; every block's chunks take at most ``_CHUNK`` doubles,
+    or one row where a row is larger, and its K lives in the solve's one K
+    buffer."""
+    ii = solver._Internal(quarter_circle_moment_sdp(k))
+    blocks = ii.psd + ii.lmi
+    kbuf = blocks[0].K.base
+    assert kbuf.size == max(b.rows.size * b.dim ** 2 for b in blocks)
+    for blk in blocks:
+        dd = blk.dim ** 2
+        assert blk.K.base is kbuf
+        assert all(RT.size <= max(solver._CHUNK, dd) for *_, RT, _ in blk.chunks)
+        if blk.rows.size * dd > solver._CHUNK:
+            assert blk.T is None
+            assert all(T.size <= max(solver._CHUNK, dd) for T, *_ in blk.chunks)
+
+
+@pytest.mark.parametrize("k", [6, 8])
+def test_lmi_schur_allocates_little_beyond_h(k):
+    """One H assembly allocates at most twice H plus 256 KB (H and one
+    block's K K^T, which are alike in size): the blocks' K are formed in
+    the solve's working set, not in stacks allocated per call."""
+    ii = solver._Internal(quarter_circle_moment_sdp(k))
+    rng = np.random.default_rng(3)
+    state = [random_factors(rng, b.dim, 1.0) for b in ii.lmi]
+    tracemalloc.start()
+    try:
+        H = solver._lmi_schur(ii, state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * H.nbytes + 256 * 1024
 
 
 def test_schur_cholesky_retries_factor_the_shifted_matrix():
