@@ -46,4 +46,4 @@ print("active index points   =",
 print("active psi indices    =", kkt.J)
 print(f"stationarity residual = {kkt.omega:.3e}")
 print("feasible within tau   =", kkt.feasible_within_tau)
-print("verdict:", "CERTIFIED" if kkt.passes else "INCONCLUSIVE")
+print("verdict:", kkt.verdict)

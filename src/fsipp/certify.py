@@ -8,7 +8,7 @@ each kind's ``minimum``); ``lower_level_solve`` fixes x and asks it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -257,24 +257,17 @@ class KktReport:
         return (self.lower_certified and self.feasible_within_tau
                 and self.omega <= self.tau)
 
+    @property
+    def verdict(self) -> str:
+        """CERTIFIED when the stop test passes, else INCONCLUSIVE."""
+        return "CERTIFIED" if self.passes else "INCONCLUSIVE"
+
     def as_dict(self) -> dict:
-        return {
-            "p_star": self.p_star,
-            "Lambda": [[float(c) for c in y] for y in self.Lambda],
-            "J": [int(j) for j in self.J],
-            "omega": self.omega,
-            "multipliers": {
-                "gamma": {",".join(repr(c) for c in k): v
-                          for k, v in self.multipliers.get("gamma", {}).items()},
-                "eta": {str(k): v
-                        for k, v in self.multipliers.get("eta", {}).items()},
-            },
-            "feasible_within_tau": self.feasible_within_tau,
-            "tau": self.tau,
-            "margin": self.margin,
-            "lower_certified": self.lower_certified,
-            "passes": self.passes,
-        }
+        """The fields, gamma's keys joined by commas, and ``passes``."""
+        gamma = self.multipliers.get("gamma", {})
+        return {**asdict(self), "passes": self.passes, "multipliers": {
+            "gamma": {",".join(map(repr, y)): v for y, v in gamma.items()},
+            "eta": self.multipliers.get("eta", {})}}
 
 
 def certify_point(u, prob, tau: float = 1e-3,

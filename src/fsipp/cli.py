@@ -7,9 +7,17 @@ package): ``classify`` prints the solver route for the instance,
 ``pareto`` runs the sequential efficient-point scheme for files with an
 objectives list.  Reports are canonical JSON (sorted keys, two-space
 indent, trailing newline) so that byte-identical round-trips hold; trace
-rows and image grids can additionally be exported as CSV.  Exit status is
-0 for the CERTIFIED and INCONCLUSIVE verdicts, 1 for INFEASIBLE and 2 for
-ERROR (bad files, bad arguments, failed runs).
+rows and image grids can additionally be exported as CSV.
+
+Each verdict is decided by the result it judges; this module renders it.
+``solve``: ``relax.HierarchyTrace.verdict``, CERTIFIED on a pinned
+optimum, a passed rank certificate or a passing stop test, INFEASIBLE
+when every order's moment SDP is PrimalInfeasible, else INCONCLUSIVE.
+``certify``: ``certify.KktReport.verdict``, CERTIFIED when the stop test
+passes.  ``pareto``: ``multiobj.EfficiencyReport.verdict``, CERTIFIED on
+a unique minimizer or when every stage's run is.  Exit status is 0 for
+CERTIFIED and INCONCLUSIVE, 1 for INFEASIBLE and 2 for ERROR (bad files,
+bad arguments, failed runs).
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import json
 import re
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -93,14 +102,14 @@ class ParsedProblem:
             if flag is not None:
                 options[field if field != "tol" else "sdp_tol"] = flag
         override = options.get("case_override")
-        orders = {key: int(options[key]) for key in ("k_min", "k_max")
-                  if key in options}  # the schema admits integral floats
+        # only the settings given, RelaxOptions holding the defaults; the
+        # schema admits integral floats as orders
+        given = {key: options[key] for key in ("R", "g_star", "tau", "sdp_tol")
+                 if key in options}
+        given.update((name, int(options[key])) for key, name
+                     in (("k_min", "k_min"), ("k_max", "k")) if key in options)
         self.opts = RelaxOptions(
-            R=options.get("R"), g_star=options.get("g_star"),
-            k_min=orders.get("k_min"), k=orders.get("k_max"),
-            case_override=CaseTag(override) if override else None,
-            tau=options.get("tau", 1e-3),
-            sdp_tol=options.get("sdp_tol", 1e-8))
+            case_override=CaseTag(override) if override else None, **given)
 
         self.single: FsippProblem | None = None
         self.multi: MultiFsippProblem | None = None
@@ -245,25 +254,18 @@ def _error_report(command: str, doc, message: str, started: float) -> dict:
 
 
 def _row_doc(row) -> dict:
+    """A row's report fields, non-finite values nulled for the CSV export."""
     return {
         "k": row.k,
         "r_primal": row.r_primal if np.isfinite(row.r_primal) else None,
         "r_dual": row.r_dual if np.isfinite(row.r_dual) else None,
         "dual_status": row.dual_status,
         "primal_status": row.primal_status,
+        # one interior-point solve per order gives both sides' count
         "dual_iterations": row.dual_iterations,
-        "primal_iterations": row.primal_iterations,
+        "primal_iterations": row.dual_iterations,
         "error": row.error,
     }
-
-
-def _solve_verdict(trace) -> str:
-    if trace.certified:
-        return "CERTIFIED"
-    if trace.rows and all(r.dual_status == "PrimalInfeasible"
-                          for r in trace.rows):
-        return "INFEASIBLE"
-    return "INCONCLUSIVE"
 
 
 def _trace_doc(trace) -> dict:
@@ -273,20 +275,19 @@ def _trace_doc(trace) -> dict:
     return {
         "tag": trace.tag.value,
         "rows": [_row_doc(r) for r in trace.rows],
-        "r_dual": trace.r_dual if np.isfinite(trace.r_dual) else None,
-        "r_primal": trace.r_primal if np.isfinite(trace.r_primal) else None,
+        "r_dual": trace.r_dual,
+        "r_primal": trace.r_primal,
         "candidate": trace.candidate,
         "atoms": atoms,
-        "certificate":
-            trace.certificate.as_dict() if trace.certificate else None,
+        "certificate": trace.certificate and asdict(trace.certificate),
         "kkt": trace.kkt.as_dict() if trace.kkt else None,
         "hessian_pd": trace.hessian_pd,
         "stop_reason": trace.stop_reason,
         "solver": {
             "orders_solved": len(trace.rows),
-            # one IPM solve per order; primal_iterations repeats its count
             "total_iterations": sum(r.dual_iterations for r in trace.rows),
         },
+        "verdict": trace.verdict,
     }
 
 
@@ -354,8 +355,7 @@ def _write_rows_csv(out: str, rows) -> None:
 def run_solve(parsed: ParsedProblem, args):
     trace = solve_hierarchy(parsed.require_single("solve"), parsed.opts,
                             parsed.hints)
-    return ({**_trace_doc(trace), "verdict": _solve_verdict(trace)},
-            lambda out: _write_rows_csv(out, trace.rows))
+    return _trace_doc(trace), lambda out: _write_rows_csv(out, trace.rows)
 
 
 def _numbers(text: str, what: str) -> list[float]:
@@ -381,8 +381,7 @@ def run_certify(parsed: ParsedProblem, args):
     point = _parse_point(args.point, prob.m, "point")
     kkt = certify_point(point, prob, tau=parsed.opts.tau,
                         sdp_tol=parsed.opts.sdp_tol)
-    return {"point": point, "kkt": kkt.as_dict(),
-            "verdict": "CERTIFIED" if kkt.passes else "INCONCLUSIVE"}, None
+    return {"point": point, "kkt": kkt.as_dict(), "verdict": kkt.verdict}, None
 
 
 def _parse_box(text: str, m: int) -> list[tuple[float, float]]:
@@ -422,18 +421,15 @@ def run_pareto(parsed: ParsedProblem, args):
         raise CliError("pareto needs an initial point: pass u0 on the "
                        "command line or hints.feasible_point in the file")
     result = epsilon_constraint_solve(mprob, u0, parsed.opts, parsed.hints)
-    certified = (result.stopped_by == "Uniqueness"
-                 or all(t.certified for t in result.traces))
     fields = {
-        "stages": [{"stage": i, "point": u,
-                    "value": r if np.isfinite(r) else None,
+        "stages": [{"stage": i, "point": u, "value": r,
                     "tag": result.traces[i - 1].tag.value,
                     "stop_reason": result.traces[i - 1].stop_reason}
                    for i, u, r in result.path],
         "final_point": result.final_point,
         "objective_vector": result.objective_vector,
         "stopped_by": result.stopped_by,
-        "verdict": "CERTIFIED" if certified else "INCONCLUSIVE",
+        "verdict": result.verdict,
     }
     if box is None:
         return fields, None

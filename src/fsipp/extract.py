@@ -45,18 +45,6 @@ class RankCertificate:
     k0: int = 1
     rel_tol: float = 1e-8
 
-    def as_dict(self) -> dict:
-        return {
-            "k_prime": self.k_prime,
-            "rank_low": self.rank_low,
-            "rank_high": self.rank_high,
-            "singular_values_low": [float(s) for s in self.singular_values_low],
-            "singular_values_high": [float(s) for s in self.singular_values_high],
-            "passed": self.passed,
-            "k0": self.k0,
-            "rel_tol": self.rel_tol,
-        }
-
 
 def point_from_functional(L: MomentFunctional) -> np.ndarray:
     """The normalized first-moment vector (L(x_1), ..., L(x_m)) / L(1);

@@ -116,6 +116,15 @@ class EfficiencyReport:
     objective_vector: np.ndarray
     traces: list = field(default_factory=list)
 
+    @property
+    def verdict(self) -> str:
+        """CERTIFIED when the walk stopped on a unique minimizer or every
+        stage's run is CERTIFIED, else INCONCLUSIVE."""
+        if (self.stopped_by == "Uniqueness"
+                or all(t.verdict == "CERTIFIED" for t in self.traces)):
+            return "CERTIFIED"
+        return "INCONCLUSIVE"
+
 
 def _check_anchor(mprob: MultiFsippProblem, u, tau: float, what: str):
     """Raise ValueError unless u meets the original constraints within tau."""

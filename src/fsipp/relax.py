@@ -430,7 +430,7 @@ def build_primal_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag,
 
 @dataclass
 class HierarchyRow:
-    """One relaxation order's outcome."""
+    """One relaxation order's outcome: the one solve of its moment SDP."""
 
     k: int
     r_primal: float = float("-inf")
@@ -438,10 +438,16 @@ class HierarchyRow:
     dual_functional: MomentFunctional | None = None
     localizers: tuple = ()  # the x-cone generators localizing dual_functional
     dual_status: str = ""
-    primal_status: str = ""
     dual_iterations: int = 0
-    primal_iterations: int = 0
     error: str | None = None
+
+    @property
+    def primal_status(self) -> str:
+        """The certificate SDP's status: it is the moment SDP's conic dual,
+        so each side's infeasibility is the other side's unboundedness."""
+        swapped = {"PrimalInfeasible": "DualInfeasible",
+                   "DualInfeasible": "PrimalInfeasible"}
+        return swapped.get(self.dual_status, self.dual_status)
 
 
 @dataclass
@@ -460,14 +466,19 @@ class HierarchyTrace:
     known_optimum: float | None = None  # pinned by the floor recipe
 
     @property
-    def certified(self) -> bool:
-        """The one CERTIFIED rule of a hierarchy run: an optimum pinned by
-        the floor recipe, a passed rank certificate or a passing stop test.
-        A Case1/Case2 ``single`` stop without one of these rests on
-        classification alone (ROADMAP item 9)."""
-        return (self.known_optimum is not None
+    def verdict(self) -> str:
+        """CERTIFIED on an optimum pinned by the floor recipe, a passed rank
+        certificate or a passing stop test (a Case1/Case2 ``single`` stop
+        rests on classification alone, ROADMAP item 9); else INFEASIBLE when
+        every order's moment SDP is PrimalInfeasible; else INCONCLUSIVE."""
+        if (self.known_optimum is not None
                 or (self.certificate is not None and self.certificate.passed)
-                or (self.kkt is not None and self.kkt.passes))
+                or (self.kkt is not None and self.kkt.passes)):
+            return "CERTIFIED"
+        if self.rows and all(row.dual_status == "PrimalInfeasible"
+                             for row in self.rows):
+            return "INFEASIBLE"
+        return "INCONCLUSIVE"
 
     @property
     def r_dual(self) -> float:
@@ -485,12 +496,6 @@ class HierarchyTrace:
         return max(vals) if vals else float("-inf")
 
 
-# the certificate SDP is the conic dual of the moment SDP, so each side's
-# infeasibility certificate is the other side's unboundedness
-_CONIC_DUAL_STATUS = {"PrimalInfeasible": "DualInfeasible",
-                      "DualInfeasible": "PrimalInfeasible"}
-
-
 def _solve_order(prob, opts, tag, k):
     """Build and solve the moment SDP at one order; never raises.
 
@@ -502,9 +507,7 @@ def _solve_order(prob, opts, tag, k):
     try:
         sdp, mv = build_dual_sdp(prob, opts, tag, k)
         sol = solve(sdp, tol=opts.sdp_tol)
-        row.dual_status = sol.status
-        row.primal_status = _CONIC_DUAL_STATUS.get(sol.status, sol.status)
-        row.dual_iterations = row.primal_iterations = sol.iterations
+        row.dual_status, row.dual_iterations = sol.status, sol.iterations
         if sol.status == "Optimal":
             row.r_dual = float(sol.primal_value)
             row.r_primal = float(sol.dual_value)

@@ -239,6 +239,10 @@ def test_solve_report_values_and_shape(files, quarter_solved):
                                atol=2e-3)
     assert [row["k"] for row in report["rows"]] == [4]
     assert report["solver"]["orders_solved"] == 1
+    # one interior-point solve per order gives both sides' iteration count
+    (row,) = report["rows"]
+    assert row["primal_iterations"] == row["dual_iterations"] > 0
+    assert report["solver"]["total_iterations"] == row["dual_iterations"]
     doc = json.loads(open(files["quarter"], encoding="utf-8").read())
     assert report["problem_sha256"] == problem_sha256(doc)
 
@@ -402,6 +406,8 @@ def test_single_solve_routes_ignore_the_order_settings(files, flags):
     report = checked(out)
     assert code == 0 and report["verdict"] == "CERTIFIED"
     assert [row["k"] for row in report["rows"]] == [2]
+    (row,) = report["rows"]
+    assert row["primal_iterations"] == row["dual_iterations"] > 0
 
 
 def _report_fields(report: dict) -> dict:

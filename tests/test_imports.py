@@ -451,3 +451,52 @@ def test_scan_flags_the_lower_level_outside_its_home(tmp_path):
 
 def test_only_indexset_decides_the_lower_level():
     assert lower_level_outside_indexset(SRC) == []
+
+
+# A verdict is decided by the result it judges, in its ``verdict``
+# property: the hierarchy run's trace, the stop test's report and the
+# walk's report.  ``cli.py`` only renders them; it names the literals again
+# only to map each verdict to its exit status.
+VERDICTS = {"CERTIFIED", "INCONCLUSIVE", "INFEASIBLE"}
+VERDICT_HOMES = ["certify.py:KktReport.verdict", "cli.py:EXIT_BY_VERDICT",
+                 "multiobj.py:EfficiencyReport.verdict",
+                 "relax.py:HierarchyTrace.verdict"]
+
+
+def verdict_literals(src: Path) -> list[str]:
+    """``module:scope`` for each place that writes a verdict literal,
+    sorted, scope as in :func:`_scoped` or, outside every function, the
+    name a top-level assignment binds (``<module>`` for other code)."""
+    found = set()
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {id(n): stmt.targets[0].id for stmt in tree.body
+                 if isinstance(stmt, ast.Assign)
+                 and isinstance(stmt.targets[0], ast.Name)
+                 for n in ast.walk(stmt)}
+        found |= {f"{path.relative_to(src).as_posix()}:"
+                  f"{scope or owner.get(id(n), '<module>')}"
+                  for scope, n in _scoped(tree)
+                  if isinstance(n, ast.Constant) and n.value in VERDICTS}
+    return sorted(found)
+
+
+def test_scan_flags_verdict_literals_outside_their_homes(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(
+        'EXITS = {"CERTIFIED": 0, "INFEASIBLE": 1}\n'
+        'NOTE = "INCONCLUSIVE"\n'
+        'print("INFEASIBLE")\n\n'
+        "class Trace:\n    @property\n    def verdict(self):\n"
+        '        """CERTIFIED when ok, else INCONCLUSIVE."""\n'
+        '        return "CERTIFIED" if self.ok else "INCONCLUSIVE"\n\n'
+        'def render(t):\n    return "CERTIFIED" if t.ok else "ERROR"\n\n'
+        'def note(t):\n    return f"CERTIFIED: {t}"\n', encoding="utf-8")
+    assert verdict_literals(pkg) == ["a.py:<module>", "a.py:EXITS",
+                                     "a.py:NOTE", "a.py:Trace.verdict",
+                                     "a.py:render"]
+
+
+def test_only_the_results_decide_their_verdicts():
+    assert verdict_literals(SRC) == VERDICT_HOMES

@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 from fsipp import extract, instances, relax
-from fsipp.certify import feasibility_check
+from fsipp.certify import KktReport, feasibility_check
 from fsipp.errors import (MissingHintError, NumericalTroubleError,
                           OptimumKnownSignal)
 from fsipp.indexset import Interval, QuadraticSet, Semialgebraic
 from fsipp.multiobj import _audit_y_points
 from fsipp.poly import BivariatePoly, Polynomial
-from fsipp.relax import (CaseTag, FsippProblem, RelaxOptions,
-                         build_primal_sdp, check_tag, choose_g_star,
-                         classify_case, convexity_findings, solve_hierarchy)
+from fsipp.relax import (CaseTag, FsippProblem, HierarchyRow, HierarchyTrace,
+                         RelaxOptions, build_primal_sdp, check_tag,
+                         choose_g_star, classify_case, convexity_findings,
+                         solve_hierarchy)
 from fsipp.sdp import LmiBlock, solve
 
 
@@ -224,7 +225,6 @@ def test_hierarchy_records_iteration_counts():
     prob, opts = instances.case1_problem()
     row = solve_hierarchy(prob, opts).rows[0]
     assert row.dual_iterations > 0
-    assert row.primal_iterations > 0
 
 
 def test_hierarchy_extraction_checks_the_x_cone_localizers(monkeypatch):
@@ -279,6 +279,44 @@ def test_infeasible_constraint_family_is_reported_not_raised():
     assert trace.r_dual == float("inf")
 
 
+def _rows(*statuses):
+    return [HierarchyRow(k=k, dual_status=s) for k, s in enumerate(statuses, 1)]
+
+
+def _certificate(passed):
+    return extract.RankCertificate(k_prime=2, rank_low=1, rank_high=1,
+                                   singular_values_low=np.ones(1),
+                                   singular_values_high=np.ones(1),
+                                   passed=passed)
+
+
+def _kkt(omega):
+    return KktReport(p_star=0.0, Lambda=[], J=[], omega=omega, multipliers={},
+                     feasible_within_tau=True, tau=1e-3, lower_certified=True)
+
+
+@pytest.mark.parametrize("fields, verdict", [
+    pytest.param({}, "INCONCLUSIVE", id="no-rows-nothing-pinned"),
+    pytest.param({"known_optimum": 0.0}, "CERTIFIED", id="pinned-optimum"),
+    pytest.param({"rows": _rows("PrimalInfeasible", "PrimalInfeasible")},
+                 "INFEASIBLE", id="every-row-infeasible"),
+    pytest.param({"rows": _rows("PrimalInfeasible", "NumericalTrouble")},
+                 "INCONCLUSIVE", id="mixed-rows"),
+    pytest.param({"rows": _rows("PrimalInfeasible", "")}, "INCONCLUSIVE",
+                 id="infeasible-then-failed-build"),
+    pytest.param({"rows": _rows("Optimal"), "certificate": _certificate(True)},
+                 "CERTIFIED", id="rank-certificate"),
+    pytest.param({"rows": _rows("Optimal"), "certificate": _certificate(False)},
+                 "INCONCLUSIVE", id="failed-rank-test"),
+    pytest.param({"rows": _rows("Optimal"), "kkt": _kkt(0.0)}, "CERTIFIED",
+                 id="stop-test-passes"),
+    pytest.param({"rows": _rows("Optimal"), "kkt": _kkt(1.0)}, "INCONCLUSIVE",
+                 id="stop-test-fails"),
+])
+def test_trace_verdict_on_hand_built_traces(fields, verdict):
+    assert HierarchyTrace(CaseTag.GENERAL, **fields).verdict == verdict
+
+
 # ------------------------------------------------- one solve per order
 
 @pytest.mark.parametrize("make, k_range", [(instances.case1_problem, None),
@@ -299,8 +337,7 @@ def test_hierarchy_solves_one_sdp_per_order(monkeypatch, make, k_range):
     trace = solve_hierarchy(prob, opts)
     assert len(trace.rows) == 1
     assert len(calls) == len(trace.rows)
-    row = trace.rows[0]
-    assert row.primal_iterations == row.dual_iterations > 0
+    assert trace.rows[0].dual_iterations > 0
 
 
 # ------------------------------------------------- moments as free variables
