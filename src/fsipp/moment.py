@@ -15,12 +15,17 @@ theta + lam*phi is QModule((phi,), 1), its multiplier lam a 1x1 Gram block
 blocks from them; on the moment side the same generators give the
 localizing matrices.
 
-On the moment side the moments L(x^a) of the standard monomials (below;
-every a with |a| <= 2k when there is no equality) are a vector of free SDP
-variables, as in Lasserre's formulation and GloptiPoly: the moment matrix
-and every localizing matrix are linear in it, so they are the diagonal
-blocks of one linear matrix inequality (an ``LmiBlock``), and no equality
-row is spent on restating that a matrix entry is a moment.
+On the moment side the functional is a vector of free SDP variables, as in
+Lasserre's formulation and GloptiPoly: the moment matrix and every
+localizing matrix are linear in it, so they are the diagonal blocks of one
+linear matrix inequality (an ``LmiBlock``), and no equality row is spent on
+restating that a matrix entry is a moment.  A module with a ball
+c - a|x|^2 and no equality pair takes as variables weights at U points
+unisolvent for degree <= 2k, L = sum_i c_i delta_{u_i} / |v(u_i)|^2 (v the
+monomials of degree <= k; Loefberg-Parrilo 2004, Papp-Yildiz 2019): each
+row L(q) is an evaluation at the points and every LMI constraint matrix
+has rank one.  Any other module takes the moments of the standard
+monomials (below; every monomial of degree <= 2k without an equality).
 
 An equality written as the pair q >= 0, -q >= 0 is compiled as the ideal
 (q) (Parrilo 2005; Nie 2013).  A single q is a Groebner basis under the
@@ -39,22 +44,24 @@ table (every monomial by the standard ones), whose rows its LMI entries
 L(q b_i b_j) = sum_t q_t NF[b_i + b_j + t] and ``read`` sum; on the Gram
 side's coefficient rows, one column per SDP variable, they give its
 equality rows.  Every sum is a numpy sum in a fixed order (``np.bincount``
-adds in input order), never a BLAS product, so the SDPs do not depend on
-the BLAS kernel.
+adds in input order), never a BLAS product, and every power a repeated
+product, so the SDPs do not depend on the BLAS kernel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 from functools import cached_property, lru_cache
 from itertools import chain, compress
 from math import comb
 
 import numpy as np
 
+from .errors import NumericalTroubleError
 from .poly import Polynomial, ceil_half, monomials_up_to
 from .sdp import LinExpr, SdpBuilder, solve, tri_indices
-from .sdp.model import SparseRows
+from .sdp.model import RankOneMap, SparseRows
 
 # --------------------------------------------------------------------------
 # monomials and functionals
@@ -312,6 +319,88 @@ def _products(structure, nvars: int, code):
 
 
 # --------------------------------------------------------------------------
+# unisolvent points
+# --------------------------------------------------------------------------
+
+
+def _at(points: np.ndarray, exps: np.ndarray, chebyshev: bool = False):
+    """(N, len(exps)) values of x^e, or with ``chebyshev`` of the products
+    of T_e(x), at the points: powers by repeated products (no ``pow``),
+    then their product over the coordinates in order."""
+    t = np.ones((exps.max(initial=0) + 1, *points.shape))
+    for e in range(1, len(t)):
+        t[e] = (2 * points * t[e - 1] - t[e - 2] if chebyshev and e > 1
+                else t[e - 1] * points)
+    out = t[exps[:, 0], :, 0].T
+    for c in range(1, points.shape[1]):
+        out = out * t[exps[:, c], :, c].T
+    return out
+
+
+def _candidates(count: int, nvars: int) -> np.ndarray:
+    """The first ``count`` Halton points (bases the first primes), each
+    coordinate t mapped to -cos(pi t) in [-1, 1], the density of the box's
+    Fekete points."""
+    base = np.array([p for p in range(2, 8 * nvars + 8)
+                     if all(p % d for d in range(2, p))][:nvars])
+    i, t, f = np.arange(1, count + 1)[:, None], np.zeros((count, nvars)), 1.0
+    while i.any():
+        f = f / base
+        t += f * (i % base)
+        i = i // base
+    return np.reshape([-math.cos(math.pi * v) for v in t.ravel().tolist()], t.shape)
+
+
+def _fekete(B: np.ndarray) -> np.ndarray:
+    """Greedy column pivoting on B^T (candidates by basis), as a pivoted
+    Cholesky factorization of B B^T: each step takes the first candidate
+    of those nearly farthest from the span of the ones taken.  Raises
+    when none is left outside it: the candidates hold no unisolvent set."""
+    G = B @ B.T
+    d = G.diagonal().copy()
+    floor, L, picks = 1e-12 * d.max(), np.zeros(B.shape[::-1]), []
+    for s in range(B.shape[1]):
+        j = int(np.argmax(d >= (1.0 - 1e-9) * d.max()))
+        if not d[j] > floor:
+            raise NumericalTroubleError(f"no {B.shape[1]} of the {len(B)} "
+                                        "candidate points are unisolvent")
+        L[s] = (G[j] - L[:s, j] @ L[:s]) / math.sqrt(d[j])
+        d -= L[s] ** 2
+        d[j] = -np.inf
+        picks.append(j)
+    return np.array(picks)
+
+
+@lru_cache(maxsize=32)
+def _points(nvars: int, order: int, radius: float):
+    """(points, values, scale), read-only: U approximate Fekete points in
+    [-radius, radius]^nvars unisolvent for degree <= 2 * order (U the
+    number of such monomials), picked by :func:`_fekete` in the box's
+    Chebyshev basis from 2U candidates; values[i, a], the a-th monomial
+    at point i; and scale[i] = 1 / |v(u_i)|^2, v those of degree <= order."""
+    exps = _monomials(nvars, 2 * order)[1]
+    cand = _candidates(2 * len(exps), nvars)
+    points = radius * cand[_fekete(_at(cand, exps, chebyshev=True))]
+    values = _at(points, exps)
+    scale = 1.0 / (values[:, :comb(nvars + order, nvars)] ** 2).sum(axis=1)
+    for x in (points, values, scale):
+        x.flags.writeable = False
+    return points, values, scale
+
+
+def _radius(gens) -> float | None:
+    """The least radius of the balls c - a|x|^2 (c, a > 0) among the
+    generators, or None."""
+    radii = []
+    for q in gens:
+        sq = [tuple(2 * (i == v) for i in range(q.nvars)) for v in range(q.nvars)]
+        a, c = {q.terms.get(e) for e in sq}, q.terms.get((0,) * q.nvars, 0.0)
+        if q.terms.keys() == {(0,) * q.nvars, *sq} and len(a) == 1 and c > 0 > min(a):
+            radii.append(math.sqrt(c / -min(a)))
+    return min(radii, default=None)
+
+
+# --------------------------------------------------------------------------
 # Gram side: cone membership as SDP blocks
 # --------------------------------------------------------------------------
 
@@ -400,21 +489,26 @@ def membership_margin(target: Polynomial, cone: QModule):
 
 
 class MomentVarMap:
-    """A truncated moment functional as SDP variables.
+    """A truncated moment functional as the free vector of one LMI block.
 
-    The moments L(x^a) of the standard monomials x^a, |a| <= 2k (all of
-    them without an equality pair), are the free vector of one LMI block,
-    in graded-lex order of a; any other is L(NF(x^a)), so L vanishes on the
-    equalities' ideal (module docstring).  The normal form is a table, the
-    division steps run on the identity: row a holds NF(x^a) over the
-    standard monomials as its nonzeros (``nf_cols``, ``nf_vals``, in column
-    order, padded with zeros to one width).  The LMI's first diagonal block
-    is the order-k moment matrix, entry (i, j) = L(b_i * b_j), and the
-    localizing matrix of each of ``localizers``, entry L(q b_i b_j) =
-    sum_t q_t NF[b_i + b_j + t] summed in q's term order, follows, on the
-    standard Gram basis that ``QModule(localizers, order)`` gives it, so L
-    lies in the dual of that module.  A localizer whose basis is empty
-    (deg q > 2 * order) constrains nothing and adds no block.
+    With a ball among the ``localizers`` and no equality pair the vector is
+    the weights c of L = sum_i c_i scale_i delta_{u_i} at the ``points`` of
+    :func:`_points` (``values[i, a]`` the a-th monomial at u_i), and
+    diagonal block j of the LMI is P_j^T diag(c scale q_j(u)) P_j, P_j the
+    first columns of ``values`` (q_j's monomial Gram basis).  Otherwise it
+    is the moments L(x^a) of the standard monomials x^a, |a| <= 2k (all of
+    them without an equality pair), in graded-lex order of a; any other is
+    L(NF(x^a)), so L vanishes on the equalities' ideal.  The normal form
+    is a table, the division steps run on the identity: row a holds
+    NF(x^a) over the standard monomials as its nonzeros (``nf_cols``,
+    ``nf_vals``, in column order, padded with zeros to one width), and an
+    LMI entry is L(q b_i b_j) = sum_t q_t NF[b_i + b_j + t], summed in q's
+    term order.  Either way the LMI's first diagonal block is the order-k
+    moment matrix, entry (i, j) = L(b_i * b_j), and the localizing matrix
+    of each of ``localizers`` follows, on the standard Gram basis that
+    ``QModule(localizers, order)`` gives it, so L lies in the dual of that
+    module.  A localizer whose basis is empty (deg q > 2 * order)
+    constrains nothing and adds no block.
     """
 
     def __init__(self, builder: SdpBuilder, nvars: int, order: int,
@@ -424,6 +518,16 @@ class MomentVarMap:
         self.localizers = tuple(localizers)
         cone = QModule(self.localizers, order)
         self.tuples, _, self.code, self.rank = _monomials(nvars, 2 * order)
+        structure = cone.gram_structure(nvars)
+        self.points, radius = None, _radius(self.localizers)
+        if radius is not None and not cone.equalities:
+            self.points, self.values, self.scale = _points(nvars, order, radius)
+            self.block = builder.lmi_block(len(self.points))
+            at = self._at_points([q for q, _ in structure])
+            for (_, basis), q in zip(structure, at):
+                self.block.add_matrix(len(basis), RankOneMap(
+                    self.values[:, :len(basis)], q))
+            return
         n = len(self.tuples)
         self.nf_cols, self.nf_vals = np.arange(n)[:, None], np.ones((n, 1))
         standard = np.ones(n, dtype=bool)
@@ -441,7 +545,6 @@ class MomentVarMap:
             self.nf_cols[m, slot], self.nf_vals[m, slot] = s, v
         self.monomials = list(compress(self.tuples, standard.tolist()))
         self.block = builder.lmi_block(len(self.monomials))
-        structure = cone.gram_structure(nvars)
         if structure:  # every block's lower triangle, one row per pair
             pair, codes, coefs, _ = _products(structure, nvars, self.code)
             rows, cols, vals = self._apply(pair, codes, coefs)
@@ -464,28 +567,43 @@ class MomentVarMap:
         live = sums != 0
         return keys[live] // dim, keys[live] % dim, sums[live]
 
+    def _at_points(self, polys) -> np.ndarray:
+        """scale_i poly(u_i) per polynomial and point, summed in term order."""
+        owner, exps, coefs = _terms(polys, self.nvars)
+        U = len(self.points)
+        at = np.bincount((owner * U + np.arange(U)[:, None]).ravel(), (
+            self.values[:, self.rank(self.code(exps))] * coefs).ravel(), len(polys) * U)
+        return at.reshape(len(polys), U) * self.scale
+
     def lin_polys(self, polys) -> list[LinExpr]:
         """Linear expressions for L(poly), one per polynomial."""
         if max((p.degree for p in polys), default=0) > 2 * self.order:
             raise KeyError(f"a monomial above degree {2 * self.order}")
-        owner, exps, coefs = _terms(polys, self.nvars)
-        out = [LinExpr() for _ in polys]
-        for r, k, v in zip(*(x.tolist() for x in self._apply(
-                owner, self.code(exps), coefs))):
-            out[r].coeffs[self.block.offset + k] = v
-        return out
+        if self.points is None:
+            owner, exps, coefs = _terms(polys, self.nvars)
+            r, k, v = self._apply(owner, self.code(exps), coefs)
+            cut = np.searchsorted(r, np.arange(len(polys) + 1)).tolist()
+            rows = [(k[a:b], v[a:b]) for a, b in zip(cut[:-1], cut[1:])]
+        else:
+            rows = [(np.flatnonzero(x), x[x != 0]) for x in self._at_points(polys)]
+        return [LinExpr(zip((k + self.block.offset).tolist(), v.tolist()))
+                for k, v in rows]
 
     def lin_poly(self, poly: Polynomial) -> LinExpr:
         """Linear expression for L(poly)."""
         return self.lin_polys([poly])[0]
 
     def lin(self, mono: tuple) -> LinExpr:
-        """The SDP expression for L(x^mono): one variable if standard."""
+        """The SDP expression for L(x^mono)."""
         return self.lin_poly(Polynomial(self.nvars, {mono: 1.0}))
 
     def read(self, x: np.ndarray) -> MomentFunctional:
         """Recover the functional, every monomial, from a scalarized vector."""
         w = x[self.block.offset:self.block.offset + self.block.dim]
+        if self.points is not None:  # sum_i u_i^a (scale_i c_i), point by point
+            return MomentFunctional(self.nvars, self.order, np.bincount(
+                np.tile(np.arange(w.size), w.size),
+                (self.values * (self.scale * w)[:, None]).ravel()))
         n, width = self.nf_cols.shape
         return MomentFunctional(self.nvars, self.order, np.bincount(
             np.repeat(np.arange(n), width), (self.nf_vals * w[self.nf_cols]).ravel(), n))

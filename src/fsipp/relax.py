@@ -360,9 +360,10 @@ def build_dual_sdp(prob: FsippProblem, opts: RelaxOptions, tag: CaseTag,
         slack = builder.nonneg_block(prob.s)
         for j, L_psi in enumerate(rest[:prob.s]):
             builder.add_equality(L_psi + slack.entry(j))
-    negated = {ymono: expr.scaled(-1.0)
-               for ymono, expr in zip(prob.p.slices, rest[prob.s:])}
-    sos_membership_blocks(builder, negated, cone_y, prob.p.n_y)
+    for expr in rest[prob.s:]:  # negated one at a time: dense over points
+        expr.coeffs = {k: -v for k, v in expr.coeffs.items()}
+    sos_membership_blocks(builder, dict(zip(prob.p.slices, rest[prob.s:])),
+                          cone_y, prob.p.n_y)
     builder.set_objective(L_f)
     return builder.build(), mv
 

@@ -8,14 +8,15 @@ slack, an objective) is a ``LinExpr`` affine expression; a compiler hands
 over many rows at once as :class:`~.model.SparseRows` (``add_rows``).  An
 LMI block's handle collects the diagonal blocks of its matrix inequality,
 each given by ``add_matrix`` as the ``SparseRows`` map from the block's own
-variables to the block's lower triangle.
+variables to the block's lower triangle, or as a ``RankOneMap``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .model import LmiBlock, PsdBlock, SdpProblem, SparseRows, tri_index
+from .model import (LmiBlock, PsdBlock, RankOneMap, SdpProblem, SparseRows,
+                    tri_index)
 
 
 class LinExpr:
@@ -115,12 +116,12 @@ class LmiHandle(VecHandle):
     def __init__(self, offset: int, dim: int):
         super().__init__(offset, dim)
         self.dims: list[int] = []
-        self.maps: list[SparseRows] = []
+        self.maps: list[SparseRows | RankOneMap] = []
 
-    def add_matrix(self, dim: int, F: SparseRows) -> None:
+    def add_matrix(self, dim: int, F: SparseRows | RankOneMap) -> None:
         """Append a dim x dim diagonal block; ``F`` takes this block's
         variables to the block's lower triangle, its nonzeros in row-major
-        order."""
+        order, or is the block's rank-one data."""
         if F.shape != (dim * (dim + 1) // 2, self.dim):
             raise ValueError(f"LMI map of shape {F.shape} for a {dim} x {dim} "
                              f"block over {self.dim} variables")

@@ -18,7 +18,9 @@ product of cones:
   linear matrix inequality S(w) = sum_a w_a F_a >= 0, S block diagonal.
   There is no constant term: moment and localizing matrices are linear in
   the moments.  Each diagonal block is given by a sparse map from w to its
-  entries, in the PsdBlock scalarization (entry values, not functionals).
+  entries, in the PsdBlock scalarization (entry values, not functionals),
+  or, when every F_a of the block has rank one, F_a = q_a p_a p_a^T, by
+  the rows p_a and the scalars q_a (a :class:`RankOneMap`).
 
 Sparse matrices (the equality rows, the LMI maps) are :class:`SparseRows`:
 their nonzeros as numpy arrays in row-major order.
@@ -72,6 +74,21 @@ class SparseRows:
         return np.bincount(self.rows, self.vals * x[self.cols], self.shape[0])
 
 
+@dataclass(frozen=True, eq=False)
+class RankOneMap:
+    """A diagonal block P^T diag(q w) P of an LMI, whose constraint matrices
+    F_a = q_a p_a p_a^T have rank one: ``P`` is (nvars, dim) with rows p_a,
+    ``q`` is (nvars,).  ``shape`` is that of the equivalent sparse map."""
+
+    P: np.ndarray
+    q: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        n, d = self.P.shape
+        return (d * (d + 1) // 2, n)
+
+
 @dataclass(frozen=True)
 class PsdBlock:
     dim: int
@@ -87,7 +104,8 @@ class LmiBlock:
 
     ``dims`` are the sizes of S's diagonal blocks; ``maps[i]`` is a
     (dims[i] (dims[i] + 1) / 2, nvars) :class:`SparseRows` taking w to the
-    lower triangle, row-major, of diagonal block i.
+    lower triangle, row-major, of diagonal block i, or a
+    :class:`RankOneMap`.
     """
 
     nvars: int
@@ -100,12 +118,16 @@ class LmiBlock:
 
     def matrices(self, w: np.ndarray) -> list[np.ndarray]:
         """The diagonal blocks of S(w)."""
-        return [tri_to_sym(d, F @ w) for d, F in zip(self.dims, self.maps)]
+        return [(F.P.T * (F.q * w)) @ F.P if isinstance(F, RankOneMap)
+                else tri_to_sym(d, F @ w) for d, F in zip(self.dims, self.maps)]
 
     def adjoint(self, mats) -> np.ndarray:
         """F*(Z): the vector <F_a, Z> over the diagonal blocks Z."""
         out = np.zeros(self.nvars)
         for d, F, Z in zip(self.dims, self.maps, mats):
+            if isinstance(F, RankOneMap):  # q_a p_a^T Z p_a
+                out += F.q * ((F.P @ np.asarray(Z)) * F.P).sum(axis=1)
+                continue
             ti, tj = tri_indices(d)
             out += F.T @ (np.where(ti == tj, 1.0, 2.0) * np.asarray(Z)[ti, tj])
         return out

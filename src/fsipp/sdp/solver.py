@@ -43,8 +43,12 @@ S), so the w rows read  H dw = F*(rc_S - sym(Z_S (F(w) - S) S^-1)) +
 
     H = sum_j F_j^T (Z_S (x) S^-1) F_j,   H_ab = <F_a, sym(S^-1 F_b Z_S)>,
 
-an N x N matrix (N the length of w) assembled per LMI diagonal block like
-M, with K_a = L_S^-1 F_a L_{Z_S}.  Then w enters the elimination as a
+an N x N matrix (N the length of w).  A diagonal block on a sparse map
+adds its part like M, with K_a = L_S^-1 F_a L_{Z_S}.  A rank-one block,
+F_a = q_a p_a p_a^T (weights at points, :class:`_RankOne`), adds
+(q q^T) o (P Z_S P^T) o (P S^-1 P^T), P the rows p_a, a Hadamard product
+with no K (Benson-Ye-Zhang 2000; Papp-Yildiz 2019), and takes F(dw) and
+F*(Z) from P, with no dense F.  Then w enters the elimination as a
 column with W = H^-1, and only the reduced Schur matrix
 M = A_G W A_G^T + U^T U, U = L_H^-1 B^T, over the p equality rows is
 factored; the LMI's own entries add no row.  Internally S and Z_S sit in
@@ -54,24 +58,23 @@ x, S in z): the dual HKM scaling of (S, Z_S) is the HKM scaling of
 treat the slots as PSD blocks.
 
 Most SDPs fsipp solves are tiny, so an iteration makes few, larger numpy
-calls.  The ordinary PSD blocks form one stack and the LMI slots another,
-each block bordered by the identity to the largest dimension D of its
-kind: X and Z read as (k, D, D) stacks of diag(X_j, I), and the Cholesky
-cone test, the inverse factors, the step limits, the W products and the
-corrector take one call per kind.  A border's factors are the identity
-and its directions zero, so it changes no block's values beyond rounding.
-The kinds stay apart: on the large moment SDPs the LMI slots are about
-twice the Gram blocks' size, and one stack would cost more than the call
-it saves.  The step to the PSD boundary is -1 over the smallest
-eigenvalue of L^-1 dX L^-T (and of its Z counterpart), L the accepted
-Cholesky factor.  The inverse factors are formed once per iteration and
-serve Z^-1 = L_Z^-T L_Z^-1, the K and both steps; the corrector reuses the
-predictor's reads of its direction.  The stop test reads its residuals
-off r_p, S - F(w) and r_d (r_p / tau = A x / tau - b, -r_d / tau =
-A^T lam / tau + z / tau - c).  A, F, the stacks and one working set (a
+calls.  The ordinary PSD blocks form one stack, the LMI slots on sparse
+maps another and the rank-one ones a third, each block bordered by the
+identity to the largest dimension D of its kind: X and Z read as
+(k, D, D) stacks of diag(X_j, I), and the Cholesky cone test, the inverse
+factors, the step limits, the W products and the corrector take one call
+per kind.  A border's factors are the identity and its directions zero,
+so it changes no block's values beyond rounding.  The step to the PSD
+boundary is -1 over the smallest eigenvalue of L^-1 dX L^-T (and of its
+Z counterpart), L the accepted Cholesky factor.  The inverse factors are
+formed once per iteration and serve Z^-1 = L_Z^-T L_Z^-1, the K and both
+steps; the corrector reuses the predictor's reads of its direction.  The
+stop test reads its residuals off r_p, S - F(w) and r_d (r_p / tau =
+A x / tau - b, -r_d / tau = A^T lam / tau + z / tau - c).  A, F (sparse
+blocks only), the stacks and one working set are built once per solve: a
 buffer for the largest block's K and two chunk buffers of 2^13 doubles,
-in which each block forms its K a chunk of rows at a time; see
-:class:`_PsdData`) are built once per solve.
+in which each block forms its K a chunk of rows at a time (see
+:class:`_PsdData`), and the rank-one blocks' P, their products and H.
 
 Near a degenerate optimum (no strict complementarity, as in the exact
 Case1 moment SDPs and the lower-level moment SDPs) W, H and M grow very
@@ -113,8 +116,8 @@ import math
 
 import numpy as np
 
-from .model import (LmiBlock, PsdBlock, SdpProblem, SdpSolution, SparseRows,
-                    tri_indices, tri_to_sym)
+from .model import (LmiBlock, PsdBlock, RankOneMap, SdpProblem, SdpSolution,
+                    SparseRows, tri_indices, tri_to_sym)
 
 _SQRT2 = float(np.sqrt(2.0))
 _REFINE_PASSES = 3    # GMRES corrections per Newton direction, at most
@@ -235,6 +238,61 @@ class _Stack:
         factors ``L`` and their inverses ``Linv`` (X first, then Z)."""
         return [(L[0, j, :b.dim, :b.dim], Linv[1, j, :b.dim, :b.dim])
                 for j, b in enumerate(self.blocks)]
+
+
+class _RankOne:
+    """The LMI diagonal blocks whose constraint matrices have rank one,
+    F_a = q_a p_a p_a^T (:class:`RankOneMap`), as one stack: ``P`` (k, U, D)
+    holds each block's p_a as rows (zero past its dimension and its LMI's
+    length), ``Pq`` = q P and ``wix`` each row's entry of w.  F(dw) is
+    P^T diag(q dw) P, F*(V)_a = q_a p_a^T V p_a, and with Z_S = L L^T and
+    S^-1 = R^T R a block adds (Pq L (Pq L)^T) o (P R^T (P R^T)^T) to H, U^2 D
+    flops and no K.  ``A``, ``B``, ``G`` and ``H`` are its working set."""
+
+    def __init__(self, specs, n: int, nw: int):
+        """``specs``: (slot offset, dim, RankOneMap, its LMI's offset in w)."""
+        k, D = len(specs), max(d for _, d, _, _ in specs)
+        U = max(len(F.q) for _, _, F, _ in specs)
+        none = np.zeros(0, dtype=np.intp)  # the slots, which no equality row touches
+        self.slots = [_PsdData(slice(o, o + d * (d + 1) // 2), d, nw, none, none, none)
+                      for o, d, _, _ in specs]
+        self.P, self.Pq = np.zeros((2, k, U, D))
+        self.A, self.B = np.empty((2, U, D))
+        self.wix, self.spans = np.zeros((k, U), dtype=np.intp), []
+        self.G, self.H = np.empty((2, U * U)), np.empty((nw, nw))
+        for j, (_, d, F, woff) in enumerate(specs):
+            u = len(F.q)
+            self.P[j, :u, :d], self.Pq[j, :u, :d] = F.P, F.q[:, None] * F.P
+            self.wix[j, :u] = np.arange(woff, woff + u)
+            self.spans.append((u, slice(woff, woff + u),
+                               *(g[:u * u].reshape(u, u) for g in self.G)))
+        self.stack = _Stack(self.slots)
+        self.sidx = self.stack.idx - n  # the stack in a vector of the slots,
+        self.sfull = np.maximum(self.stack.full - n, 0)  # its border read as 0
+
+    def apply(self, dw: np.ndarray, out: np.ndarray) -> None:
+        """Write F(dw) into the blocks' entries of the slot vector ``out``."""
+        S = (self.Pq.swapaxes(1, 2) * dw[self.wix][:, None, :]) @ self.P
+        out[self.sidx] = S.reshape(-1)[self.stack.flat] * self.stack.w
+
+    def adjoint(self, v: np.ndarray) -> np.ndarray:
+        """F*(V) over w, V the blocks' matrices in the slot vector ``v``."""
+        r = np.add.reduce((self.P @ (v[self.sfull] / self.stack.wfull)) * self.Pq, 2)
+        return np.bincount(self.wix.reshape(-1), r.reshape(-1), len(self.H))
+
+    def schur(self, LX: np.ndarray, R: np.ndarray) -> np.ndarray:
+        """H from the stacked factors L_{Z_S} (``LX``) and L_S^-1 (``R``),
+        bordered by I; each product is exactly symmetric."""
+        self.H.fill(0.0)
+        for P, Pq, L, Rj, (u, ws, G1, G2) in zip(self.P, self.Pq, LX, R, self.spans):
+            a, b = self.A[:u], self.B[:u]
+            np.matmul(Pq[:u], L, out=a)
+            np.matmul(P[:u], Rj.T, out=b)
+            np.matmul(a, a.T, out=G1)
+            np.matmul(b, b.T, out=G2)
+            G1 *= G2
+            self.H[ws, ws] += G1
+        return self.H
 
 
 def _chol(mat: np.ndarray) -> np.ndarray | None:
@@ -383,16 +441,20 @@ class _Internal:
         self.w = w
         self.wcols = np.concatenate(wcols) if wcols else np.zeros(0, np.intp)
 
-        # LMI slots: F maps w to the slots' svec entries, F^T is its adjoint
-        lmi_specs, frows, fcols, fvals = [], [], [], []
+        # LMI slots: F maps w to the slots' svec entries, F^T is its adjoint;
+        # a rank-one block keeps its (P, q) instead of a part of F
+        lmi_specs, r1_specs, frows, fcols, fvals = [], [], [], [], []
         off, woff = n, 0
         for bl in lmis:
             for d, Fm in zip(bl.dims, bl.maps):
-                ti, tj = tri_indices(d)
-                frows.append(Fm.cols + woff)
-                fcols.append(Fm.rows + off)
-                fvals.append(Fm.vals * np.where(ti == tj, 1.0, _SQRT2)[Fm.rows])
-                lmi_specs.append((off, d))
+                if isinstance(Fm, RankOneMap):
+                    r1_specs.append((off, d, Fm, woff))
+                else:
+                    ti, tj = tri_indices(d)
+                    frows.append(Fm.cols + woff)
+                    fcols.append(Fm.rows + off)
+                    fvals.append(Fm.vals * np.where(ti == tj, 1.0, _SQRT2)[Fm.rows])
+                    lmi_specs.append((off, d))
                 off += d * (d + 1) // 2
             woff += bl.nvars
         self.ntot = ntot = off
@@ -435,20 +497,21 @@ class _Internal:
             self.A_lp[at, lp_col[cols[mine]]] = vals[mine]
             self.lp_ix = np.ix_(self.lp_rows, self.lp_rows)
 
-        self.lmi = []
+        self.lmi, self.F, nw = [], None, self.wcols.size
         if lmis:
-            nw, ns = self.wcols.size, ntot - n
             # B^T, B the rows' w columns, for the reduced Schur matrix
             wpos = np.full(ntot, -1)
             wpos[self.wcols] = np.arange(nw)
             on_w = wpos[cols] >= 0
             self.BT = np.zeros((nw, p))
             self.BT[wpos[cols[on_w]], rows[on_w]] = vals[on_w]
+        if lmi_specs:
             frows, fcols, fvals = (np.concatenate(v) for v in (frows, fcols, fvals))
-            self.F = np.zeros((ns, nw))  # dense: a few hundred columns at most
+            self.F = np.zeros((ntot - n, nw))  # dense: a few hundred columns at most
             self.F[fcols - n, frows] = fvals
             self.lmi = [_PsdData(slice(o, o + d * (d + 1) // 2), d, nw,
                                  frows, fcols, fvals) for o, d in lmi_specs]
+        self.r1 = _RankOne(r1_specs, n, nw) if r1_specs else None
         # one working set per solve: the largest block's K, two chunk buffers
         blocks = self.psd + self.lmi
         kbuf = max([b.rows.size * b.dim ** 2 for b in blocks], default=0)
@@ -456,10 +519,13 @@ class _Internal:
         work = np.empty(kbuf), np.empty(cbuf), np.empty(cbuf)
         for b in blocks:
             b.bind(*work)
-        # one stack per kind, ordinary blocks first, then the LMI slots
+        # one stack per kind: ordinary blocks, LMI slots, rank-one LMI slots
         self.stacks = [_Stack(blocks) for blocks in (self.psd, self.lmi) if blocks]
+        self.stacks += [self.r1.stack] if self.r1 else []
+        self.slot_blocks = sorted(self.lmi + (self.r1.slots if self.r1 else []),
+                                  key=lambda b: b.sl.start)  # in the model's order
         self.nu = (sum(d for _, d in psd_specs) + self.lp.size
-                   + sum(d for _, d in lmi_specs))
+                   + sum(b.dim for b in self.slot_blocks))
 
     # -- mappings back to model space --------------------------------------
 
@@ -474,7 +540,19 @@ class _Internal:
     def lmi_mats(self, v: np.ndarray) -> list[np.ndarray]:
         """The LMI slots of an internal vector as matrices, one per LMI
         diagonal block (Z_S from x, S from z)."""
-        return [tri_to_sym(blk.dim, v[blk.sl] / blk.w) for blk in self.lmi]
+        return [tri_to_sym(blk.dim, v[blk.sl] / blk.w) for blk in self.slot_blocks]
+
+    def lmi_map(self, dw: np.ndarray) -> np.ndarray:
+        """F(dw) on the LMI slots."""
+        out = self.F @ dw if self.lmi else np.zeros(self.ntot - self.n)
+        if self.r1:
+            self.r1.apply(dw, out)
+        return out
+
+    def lmi_adjoint(self, v: np.ndarray) -> np.ndarray:
+        """F*(V) over w, V on the LMI slots."""
+        out = v @ self.F if self.lmi else 0.0
+        return out + self.r1.adjoint(v) if self.r1 else out
 
 
 def _add_products(M: np.ndarray, blocks, blk_state) -> None:
@@ -509,11 +587,12 @@ def _schur(ii: _Internal, blk_state, d_lp: np.ndarray) -> np.ndarray:
     return M
 
 
-def _lmi_schur(ii: _Internal, lmi_state) -> np.ndarray:
+def _lmi_schur(ii: _Internal, lmi_state, r1_state) -> np.ndarray:
     """H = sum_j F_j^T (Z_S (x) S^-1) F_j, H_ab = <F_a, sym(S^-1 F_b Z_S)>,
     over the LMI blocks.  ``lmi_state`` holds (L_{Z_S}, L_S^-1) per LMI
-    diagonal block."""
-    H = np.zeros((ii.wcols.size, ii.wcols.size))
+    diagonal block with a sparse map, ``r1_state`` the rank-one blocks'
+    stacked ones."""
+    H = ii.r1.schur(*r1_state) if ii.r1 else np.zeros((ii.wcols.size,) * 2)
     _add_products(H, ii.lmi, lmi_state)
     return H
 
@@ -535,7 +614,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     # the first dual residual c - z is not the objective alone
     xi = max(1.0, _norm(c) / math.sqrt(max(ii.nu, 1)))
     x = np.zeros(ntot)
-    for blk in ii.psd + ii.lmi:
+    for blk in ii.psd + ii.slot_blocks:
         x[blk.sl] = np.where(blk.ti == blk.tj, xi, 0.0)
     x[ii.lp] = xi
     z = x.copy()
@@ -547,6 +626,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
     norm_c = 1.0 + _norm(c)
     stacks = ii.stacks  # ordinary blocks first, then LMI slots
     n_ord = 1 if ii.psd else 0
+    r1_stack = ii.r1.stack if ii.r1 else None
 
     def finish(status: str, iters: int, res: dict) -> SdpSolution:
         zero = np.zeros(ntot)
@@ -602,21 +682,21 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         # per stack X, Z^-1 and the inverse factors of X and Z, which bound
         # the predictor's and the corrector's steps, and per block the
         # factors its part of M or H is built from (for the LMI slots X is
-        # Z_S and Z^-1 is S^-1)
+        # Z_S and Z^-1 is S^-1; the rank-one slots keep them stacked)
         scal = []  # (X, Zinv, Linv) stacks
         states = []  # (L_X, L_Z^-1) per block, per stack
         for st, (X, L) in zip(stacks, facs):
             Linv = _tri_inv(L)
             scal.append((X, Linv[1].swapaxes(-1, -2) @ Linv[1], Linv))
-            states.append(st.factors(L, Linv))
+            states.append((L[0], Linv[1]) if st is r1_stack else st.factors(L, Linv))
 
         r_p = A @ x - b * tau
         r_d = -(AT @ lam) + c * tau - z
         if nw:
             # the LMI rows S - F(w) = 0 and the w rows c_w tau - B^T lam
             # - F*(Z_S) = 0; the slots have no row of their own in r_d
-            zw = x[slots] @ ii.F
-            r_s = ii.F @ x[wc] - z[slots]  # F(w) - S
+            zw = ii.lmi_adjoint(x[slots])
+            r_s = ii.lmi_map(x[wc]) - z[slots]  # F(w) - S
             r_d[slots] = 0.0
             r_d[wc] -= zw
         r_g = float(b @ lam - c @ x - kappa)
@@ -661,7 +741,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         # M = A_G W A_G^T + B H^-1 B^T over the equality rows; a solve with
         # either is two products with the inverse of its Cholesky factor
         if nw:
-            Hw = _lmi_schur(ii, states[-1])
+            Hw = _lmi_schur(ii, states[n_ord] if ii.lmi else [], states[-1])
             LH = _chol_jitter(Hw)
             if LH is None:
                 return finish("NumericalTrouble", it - 1, res)
@@ -700,7 +780,8 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
             full = np.zeros(ntot)
             full[slots] = v_slots
             out = np.zeros(ntot)
-            sym_products(stacks[-1], scal[-1], full, out)
+            for st, scal_st in zip(stacks[n_ord:], scal[n_ord:]):
+                sym_products(st, scal_st, full, out)
             return out[slots]
 
         # An LMI slot's Newton rows: dS = F(dw) + r_s and dZ_S = rc_S - E(dS).
@@ -713,7 +794,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
 
         def with_lmi(rc):
             """rc with its w part set; g_w (empty without LMI blocks)."""
-            g_w = (rc[slots] - Er_s) @ ii.F if nw else np.zeros(0)
+            g_w = ii.lmi_adjoint(rc[slots] - Er_s) if nw else np.zeros(0)
             if nw:
                 rc[wc] = h_solve(g_w)
             return rc, g_w
@@ -721,7 +802,7 @@ def solve(prob: SdpProblem, tol: float = 1e-8, max_iter: int = 100) -> SdpSoluti
         def lmi_slots(d, rc):
             """Fill in the slots' (dZ_S, dS) from dw; w has no dual slack."""
             dx, _, dz, _, _ = d
-            dS = ii.F @ dx[wc] + r_s
+            dS = ii.lmi_map(dx[wc]) + r_s
             dz[slots] = dS
             dz[wc] = 0.0
             dx[slots] = rc[slots] - lmi_apply(dS)

@@ -3,9 +3,12 @@
 ``ReferenceMomentVarMap`` and ``reference_sos_membership_blocks`` write
 each LMI entry L(q b_i b_j) and each Gram row as a dict of ``LinExpr``
 keyed by monomial tuples, and reduce modulo the equalities one dict row at
-a time.  The package compiles the same SDPs by index arithmetic on
-exponent arrays (``fsipp.moment``); both must give the same SDP to the
-last bit (A, b, c, block dims and every LMI map) and the same ``read``,
+a time; on a module with a ball and no equality pair the reference
+evaluates every monomial and polynomial at the package's points one float
+at a time (the points themselves are tested in ``test_moment.py``).  The
+package compiles the same SDPs by index arithmetic on exponent arrays
+(``fsipp.moment``); both must give the same SDP to the last bit (A, b, c,
+block dims and every LMI map) and the same ``read``,
 on the packaged instances, planted seeds 0-39, the walk stages, the
 z-linear classification cones, the arc's lower-level SDPs, and equalities
 whose coefficients make every division step round.
@@ -22,7 +25,7 @@ from fsipp.multiobj import scalarize
 from fsipp.poly import Polynomial, ceil_half, monomials_up_to
 from fsipp.relax import build_dual_sdp, build_primal_sdp, classify_case
 from fsipp.sdp import LinExpr, LmiBlock, SdpBuilder, SdpProblem, tri_index
-from fsipp.sdp.model import SparseRows
+from fsipp.sdp.model import RankOneMap, SparseRows
 
 # ---------------------------------------------------------------- reference
 
@@ -103,8 +106,21 @@ def reference_sos_membership_blocks(builder, target, cone, nvars, margin=None):
     return gram_handles
 
 
+def _monomial_at(point, mono) -> float:
+    """x^mono at the point: each power by repeated products, then their
+    product in coordinate order."""
+    value = 1.0
+    for x, e in zip(point, mono):
+        power = 1.0
+        for _ in range(e):
+            power *= x
+        value *= power
+    return value
+
+
 class ReferenceMomentVarMap:
-    """moment.MomentVarMap, one LinExpr per moment and per LMI entry."""
+    """moment.MomentVarMap, one LinExpr per moment and per LMI entry, or
+    one float per point and monomial."""
 
     def __init__(self, builder: SdpBuilder, nvars: int, order: int,
                  localizers=()):
@@ -114,6 +130,16 @@ class ReferenceMomentVarMap:
         rows = {m: LinExpr.term(i) for i, m in enumerate(every)}
         self.localizers = tuple(localizers)
         cone = QModule(self.localizers, order)
+        radius = moment._radius(self.localizers)
+        self.points = None
+        if radius is not None and not cone.equalities:
+            self.points, _, self.scale = moment._points(nvars, order, radius)
+            self.block = builder.lmi_block(len(self.points))
+            for q, basis in _gram_structure(cone, nvars):
+                P = np.array([[_monomial_at(u, b) for b in basis]
+                              for u in self.points.tolist()])
+                self.block.add_matrix(len(basis), RankOneMap(P, self._at(q)))
+            return
         _reduce(rows, cone.equalities)  # row s holds NF(x^m)[s] at m's index
         self.monomials = list(rows)
         self.position = {m: i for i, m in enumerate(self.monomials)}
@@ -142,7 +168,20 @@ class ReferenceMomentVarMap:
                           np.array(vals, dtype=float)[order],
                           (dim * (dim + 1) // 2, self.block.dim))
 
+    def _at(self, poly: Polynomial) -> np.ndarray:
+        """scale_i * poly(u_i), each sum in term order from zero."""
+        out = []
+        for u, s in zip(self.points.tolist(), self.scale.tolist()):
+            acc = 0.0
+            for m, c in poly.terms.items():
+                acc += _monomial_at(u, m) * c
+            out.append(acc * s)
+        return np.array(out)
+
     def _lin_poly(self, poly: Polynomial, shift: tuple = ()) -> LinExpr:
+        if self.points is not None:
+            return LinExpr({self.block.offset + i: v
+                            for i, v in enumerate(self._at(poly).tolist()) if v})
         expr = LinExpr()
         for m, c in poly.terms.items():
             m = _add(shift, m) if shift else m
@@ -153,6 +192,8 @@ class ReferenceMomentVarMap:
         return expr
 
     def lin(self, mono: tuple) -> LinExpr:
+        if self.points is not None:
+            return self._lin_poly(Polynomial(self.nvars, {tuple(mono): 1.0}))
         return LinExpr(self.normal_form[tuple(mono)].coeffs)
 
     def lin_poly(self, poly: Polynomial) -> LinExpr:
@@ -162,6 +203,16 @@ class ReferenceMomentVarMap:
         return [self._lin_poly(p) for p in polys]
 
     def read(self, x: np.ndarray):
+        if self.points is not None:  # w_a = sum_i u_i^a (scale_i c_i)
+            c = x[self.block.offset:self.block.offset + self.block.dim]
+            weights = (self.scale * c).tolist()
+            values = []
+            for mono in monomials_up_to(self.nvars, 2 * self.order):
+                acc = 0.0
+                for u, v in zip(self.points.tolist(), weights):
+                    acc += _monomial_at(u, mono) * v
+                values.append(acc)
+            return moment.MomentFunctional(self.nvars, self.order, values)
         return moment.MomentFunctional(self.nvars, self.order, np.array([
             sum(c * x[i] for i, c in expr.coeffs.items())
             for expr in self.normal_form.values()], dtype=float))
@@ -214,7 +265,9 @@ def _bits(a) -> bytes:
     return a.dtype.str.encode() + str(a.shape).encode() + a.tobytes()
 
 
-def _sparse_bits(F: SparseRows) -> tuple:
+def _sparse_bits(F) -> tuple:
+    if isinstance(F, RankOneMap):
+        return (F.shape, _bits(F.P), _bits(F.q))
     return (F.shape, _bits(F.rows), _bits(F.cols), _bits(F.vals))
 
 
@@ -241,7 +294,10 @@ def _same(monkeypatch, call, label: str) -> int:
     assert len(new_maps) == len(ref_maps), label
     x = np.random.default_rng(7).normal(size=new.num_scalars)
     for got, want in zip(new_maps, ref_maps):
-        assert got.monomials == want.monomials, label
+        if want.points is None:
+            assert got.points is None and got.monomials == want.monomials, label
+        else:
+            assert _bits(got.points) == _bits(want.points), label
         assert _bits(got.read(x).values) == _bits(want.read(x).values), label
     return new.A.shape[0]
 

@@ -8,10 +8,13 @@ rows at a time changes no bit of M and H (each chunk goes through the
 kernel's batched matrix products), the mixed-dimension solve (whose
 bordered stacks go through batched LAPACK calls, which take other kernel
 paths per core type), the tests of equality pairs compiled as ideals,
-``test_moment.py -k equality`` (among them
+``test_moment.py -k "equality or point"`` (among them
 ``test_equality_pairs_compile_as_ideals_only_with_coprime_leads`` and
 ``test_lower_level_sdp_compiles_the_arc_equality_in_the_quotient``, whose
-SDPs live in the quotient ring on standard monomials), the compilers
+SDPs live in the quotient ring on standard monomials, and the point-set
+tests: the greedy point selection factors B B^T by BLAS, and must pick
+the same well-conditioned points under every kernel, which a digest of
+the point sets checks against the default kernel's), the compilers
 against their per-entry reference (``test_compile.py``: every compile sum
 is a plain numpy sum in a fixed order, so an SDP that went through a BLAS
 product would differ from the reference on some kernel), extraction
@@ -45,6 +48,10 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # kernel -> the CPU flag its instructions need
 KERNELS = {"Haswell": "avx2", "Sandybridge": "avx"}
+POINTS_DIGEST = ("import hashlib; from fsipp import moment; h = hashlib.sha256(); "
+                 "[h.update(a.tobytes()) for m in (1, 2, 3) for k in range(1, 7) "
+                 "for r in (1.0, 2.0) for a in moment._points(m, k, r)]; "
+                 "print(h.hexdigest())")
 
 
 def _cpu_flags() -> set[str]:
@@ -76,7 +83,7 @@ def test_acceptance_and_general_route_under_kernel(kernel, tmp_path):
              sdp_tests + "::test_schur_chunks_change_no_bit",
              sdp_tests + "::test_mixed_dimensions_stack_once_per_kind"],
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-             str(ROOT / "tests" / "test_moment.py"), "-k", "equality"],
+             str(ROOT / "tests" / "test_moment.py"), "-k", "equality or point"],
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
              str(ROOT / "tests" / "test_compile.py"),
              str(ROOT / "tests" / "test_extract_reference.py")],
@@ -91,3 +98,8 @@ def test_acceptance_and_general_route_under_kernel(kernel, tmp_path):
         done = subprocess.run(cmd, cwd=tmp_path, env=env, capture_output=True,
                               text=True, timeout=300)
         assert done.returncode == 0, done.stdout[-2000:] + done.stderr[-2000:]
+    default = {k: v for k, v in env.items() if k != "OPENBLAS_CORETYPE"}
+    digests = [subprocess.run([sys.executable, "-c", POINTS_DIGEST], cwd=tmp_path,
+                              env=e, capture_output=True, text=True,
+                              timeout=300).stdout for e in (env, default)]
+    assert digests[0] == digests[1] != ""

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from math import comb
+
 from fsipp import certify, indexset, instances, moment
+from fsipp.errors import NumericalTroubleError
 from fsipp.moment import (MomentFunctional, MomentVarMap, QModule,
                           membership_margin, moment_matrix,
                           sos_membership_blocks)
@@ -325,14 +328,17 @@ def test_moment_var_map_round_trip_and_localizing():
     builder.add_equality(mv.lin((0,)), 1.0)
     builder.set_objective(mv.lin_poly(Polynomial(1, {(2,): -1.0})))
     prob = builder.build()
-    # the moments are the only variables and no row ties them together
+    # 1 - y^2 is the unit ball: the weights at five points are the only
+    # variables and no row ties them together
     (lmi,) = prob.blocks
     assert (lmi.nvars, lmi.dims) == (5, (3, 2)) and prob.A.shape[0] == 1
     sol = solve(prob, tol=1e-9)
     assert sol.status == "Optimal"
     L = mv.read_solution(prob, sol)
-    np.testing.assert_array_equal([L.value(m) for m in mv.monomials],
-                                  sol.primal_point[0])
+    # read() gives the functional sum_i c_i scale_i delta(u_i)
+    atoms = [(u, c * s) for u, c, s in zip(mv.points, sol.primal_point[0], mv.scale)]
+    np.testing.assert_allclose(L.values, from_atoms(1, 2, atoms).values,
+                               rtol=0.0, atol=1e-12)
     # max L(y^2) subject to support in [-1, 1] is 1
     assert L.value((2,)) == pytest.approx(1.0, abs=1e-6)
     assert L.mass() == pytest.approx(1.0, abs=1e-8)
@@ -373,3 +379,57 @@ def test_poly_image_in_y_matches_direct_evaluation():
     for y in (-0.7, 0.0, 1.3):
         direct = sum(w * joint((x1, x2, y)) for (x1, x2), w in atoms)
         assert img((y,)) == pytest.approx(direct, abs=1e-12)
+
+
+# ---------------------------------------------------------------- points
+
+def test_point_sets_repeat_every_bit_and_stay_well_conditioned():
+    # A fresh computation repeats every bit (no random state).  The points
+    # lie in [-R, R]^m, one per monomial of degree <= 2k, and the monomial
+    # Vandermonde matrix V at them stays below 1e7 in condition for one to
+    # three variables up to degree 12, at R = 1 and R = 2 (at most 6.7e6,
+    # three variables at degree 12 and R = 2).
+    for nvars in (1, 2, 3):
+        for order in range(1, 7):
+            for radius in (1.0, 2.0):
+                got = moment._points(nvars, order, radius)
+                again = moment._points.__wrapped__(nvars, order, radius)
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, again))
+                points, values, scale = got
+                assert points.shape == (comb(nvars + 2 * order, nvars), nvars)
+                assert np.abs(points).max() <= radius
+                assert np.linalg.cond(values) < 1e7
+                # scale is 1 / |v(u)|^2 over the monomials of degree <= k
+                np.testing.assert_allclose(
+                    1.0 / scale, (values[:, :comb(nvars + order, nvars)] ** 2).sum(axis=1))
+
+
+def test_point_weights_round_trip_the_moments():
+    # The weights c with V diag(scale) c = w, w the moments of an atomic
+    # measure in the disc of radius 2, read back as w; the LMI's blocks are
+    # its moment and localizing matrices, and a row L(q) is its value on q.
+    disc = Polynomial(2, {(0, 0): 4.0, (2, 0): -1.0, (0, 2): -1.0})
+    L = from_atoms(2, 3, [((0.4, -1.2), 1.0), ((1.1, 0.9), 2.0)])
+    builder = SdpBuilder()
+    mv = MomentVarMap(builder, 2, 3, (disc,))
+    prob = builder.build()
+    assert np.abs(mv.points).max() <= 2.0 and prob.blocks[0].dims == (10, 6)
+    c = np.linalg.solve(mv.values.T * mv.scale, L.values)
+    np.testing.assert_allclose(mv.read(c).values, L.values, rtol=1e-10, atol=1e-10)
+    S_mom, S_loc = prob.blocks[0].matrices(c)
+    np.testing.assert_allclose(S_mom, moment_matrix(L, 3), rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(S_loc, localizing_matrix(L, disc, 3), rtol=1e-10,
+                               atol=1e-10)
+    for q in (disc, _Y2 * _Y2, Polynomial(2, {(3, 2): 1.5, (0, 1): -0.5})):
+        expr = mv.lin_poly(q)
+        got = sum(v * c[k - mv.block.offset] for k, v in expr.coeffs.items())
+        assert got == pytest.approx(apply_functional(L, q), rel=1e-10, abs=1e-10)
+
+
+def test_point_selection_raises_without_a_unisolvent_set():
+    # Candidates on a line fix only polynomials in one variable, so no six of
+    # them determine a quadratic in two: the selection raises rather than
+    # hand the solver a singular set of points.
+    line = np.column_stack([np.linspace(-1.0, 1.0, 12), np.zeros(12)])
+    with pytest.raises(NumericalTroubleError):
+        moment._fekete(moment._at(line, moment._monomials(2, 2)[1], chebyshev=True))

@@ -16,7 +16,7 @@ from fsipp.relax import (RelaxOptions, build_dual_sdp, build_primal_sdp,
 from fsipp.sdp import (LinExpr, LmiBlock, PsdBlock, SdpBuilder, SdpProblem,
                        check_solution, solve, tri_index)
 from fsipp.sdp import solver
-from fsipp.sdp.model import SdpSolution, SparseRows, tri_indices
+from fsipp.sdp.model import RankOneMap, SdpSolution, SparseRows, tri_indices, tri_to_sym
 
 from test_multiobj import _identical_pair_problem
 
@@ -508,50 +508,122 @@ def test_schur_over_touched_rows_equals_the_full_row_formula(case):
 
 
 def quarter_circle_moment_sdp(k=4):
-    """The quarter circle's order-k moment SDP."""
+    """The quarter circle's order-k moment SDP: its x-cone has the ball, so
+    its LMI is rank-one, over weights at points."""
     prob, opts = instances.quarter_circle_problem()
     tag = classify_case(prob, opts.case_override).tag
     return build_dual_sdp(prob, opts, tag, k)[0]
 
 
-def half_disc_moment_sdp():
-    """An order-3 moment SDP on {y1 >= 0, 1 - |y|^2 >= 0}: the localizer of
-    y1 touches only the moments of y1 times a monomial of degree <= 4."""
+def moment_sdp(k, gens):
+    """min L(y1 + y2) s.t. L(1) = 1, L in the dual of QModule(gens, k)."""
     b = SdpBuilder()
-    mv = MomentVarMap(b, 2, 3, (Polynomial(2, {(1, 0): 1.0}),
-                                Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0,
-                                               (0, 2): -1.0})))
+    mv = MomentVarMap(b, 2, k, gens)
     b.add_equality(mv.lin((0, 0)), 1.0)
     b.set_objective(mv.lin_poly(Polynomial(2, {(1, 0): 1.0, (0, 1): 1.0})))
     return b.build()
 
 
-@pytest.mark.parametrize("sdp, touched", [(quarter_circle_moment_sdp, [45, 45, 45]),
-                                          (half_disc_moment_sdp, [28, 15, 28])],
-                         ids=["quarter_circle", "localizer_on_a_subset"])
+def arc_lower_level_sdp(k):
+    """The quarter circle's lower-level moment SDP at order k: its LMI lives
+    in the quotient by the arc's equality, on sparse maps."""
+    return moment_sdp(k, instances.quarter_circle_problem()[0]
+                      .index_set.as_generators())
+
+
+def half_ellipse_moment_sdp():
+    """An order-3 moment SDP on {y1 >= 0, 1 - y1^2 - 2 y2^2 >= 0}, no ball,
+    so on sparse maps: the localizer of y1 touches only the moments of y1
+    times a monomial of degree <= 4."""
+    return moment_sdp(3, (Polynomial(2, {(1, 0): 1.0}),
+                          Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -2.0})))
+
+
+def ellipses_moment_sdp(k):
+    """An order-k moment SDP in two ellipses, no ball, so on sparse maps;
+    each localizer touches every moment."""
+    return moment_sdp(k, (Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -2.0}),
+                          Polynomial(2, {(0, 0): 2.0, (2, 0): -3.0, (0, 2): -1.0})))
+
+
+def explicit_matrices(prob):
+    """Every LMI diagonal block's constraint matrices F_a as a dense
+    (nw, d, d) stack, from the model's maps: a sparse map's columns, or
+    q_a p_a p_a^T."""
+    out = []
+    for bl in prob.blocks:
+        if isinstance(bl, LmiBlock):
+            for d, F in zip(bl.dims, bl.maps):
+                if isinstance(F, RankOneMap):
+                    out.append(F.q[:, None, None] * F.P[:, :, None] * F.P[:, None, :])
+                else:
+                    dense = np.zeros(F.shape)
+                    dense[F.rows, F.cols] = F.vals
+                    out.append(np.array([tri_to_sym(d, col) for col in dense.T]))
+    return out
+
+
+def lmi_states(rng, ii, decades):
+    """Random (L_{Z_S}, L_S^-1) per LMI slot, in the model's order, and
+    the solver's states from them: a list for the sparse blocks and the
+    rank-one blocks' stacks, bordered by I."""
+    factors = [random_factors(rng, b.dim, decades) for b in ii.slot_blocks]
+    by_slot = dict(zip((b.sl.start for b in ii.slot_blocks), factors))
+    sparse = [by_slot[b.sl.start] for b in ii.lmi]
+    stacked = None
+    if ii.r1:
+        k, _, D = ii.r1.P.shape
+        stacked = np.zeros((2, k, D, D))
+        stacked[:, :, range(D), range(D)] = 1.0
+        for j, b in enumerate(ii.r1.slots):
+            for i, f in enumerate(by_slot[b.sl.start]):
+                stacked[i, j, :b.dim, :b.dim] = f
+    return factors, sparse, stacked
+
+
+@pytest.mark.parametrize("sdp, touched", [(lambda: arc_lower_level_sdp(4), [17, 15, 13]),
+                                          (half_ellipse_moment_sdp, [28, 15, 28]),
+                                          (quarter_circle_moment_sdp, None)],
+                         ids=["quarter_circle", "localizer_on_a_subset", "rank_one"])
 def test_lmi_schur_equals_the_dense_formula(sdp, touched):
     """H_ab = <F_a, sym(S^-1 F_b Z_S)>, summed over the LMI blocks and built
-    densely from F with Z_S = L L^T and S^-1 = R^T R for random factors
-    (L, R), bounds the solver's H as the oracle above bounds M, once with S
-    and Z_S within a decade and once graded over twelve decades."""
-    ii = solver._Internal(sdp())
+    densely from the explicit F_a with Z_S = L L^T and S^-1 = R^T R for
+    random factors (L, R), bounds the solver's H as the oracle above bounds
+    M, once with S and Z_S within a decade and once graded over twelve
+    decades: on sparse maps (the arc's quotient, and a localizer touching a
+    subset of the moments) to 1e-13, and on rank-one maps F_a = q_a p_a
+    p_a^T, whose H is the Hadamard product, to 1e-12, with F(w) and F*(Z)
+    too."""
+    prob = sdp()
+    ii = solver._Internal(prob)
     nw = ii.wcols.size
-    assert [blk.rows.size for blk in ii.lmi] == touched and max(touched) == nw
+    if touched is None:
+        assert ii.lmi == [] and ii.F is None and len(ii.r1.slots) == 3
+    else:
+        assert ii.r1 is None
+        assert [blk.rows.size for blk in ii.lmi] == touched and max(touched) == nw
+    Fas = explicit_matrices(prob)
     rng = np.random.default_rng(7)
     for decades in (1.0, 12.0):
-        lmi_state, H_ref = [], np.zeros((nw, nw))
-        for blk in ii.lmi:
-            L, R = random_factors(rng, blk.dim, decades)
-            lmi_state.append((L, R))
-            f = ii.F[blk.sl.start - ii.n:blk.sl.stop - ii.n].T / blk.w
-            Fa = np.zeros((nw, blk.dim, blk.dim))
-            Fa[:, blk.ti, blk.tj] = f
-            Fa[:, blk.tj, blk.ti] = f
+        factors, sparse, stacked = lmi_states(rng, ii, decades)
+        H_ref = np.zeros((nw, nw))
+        for Fa, (L, R) in zip(Fas, factors):
             G = R.T @ R @ Fa @ L @ L.T
             H_ref += np.einsum("aij,bij->ab", Fa, 0.5 * (G + G.transpose(0, 2, 1)))
-        H = solver._lmi_schur(ii, lmi_state)
+        H = solver._lmi_schur(ii, sparse, stacked)
         assert np.array_equal(H, H.T)
-        assert abs(H - H_ref).max() <= 1e-13 * abs(H_ref).max()
+        bound = 1e-13 if touched else 1e-12
+        assert abs(H - H_ref).max() <= bound * abs(H_ref).max()
+    w = rng.normal(size=nw)
+    mats = [S @ S.T for S in (rng.normal(size=(b.dim, b.dim)) for b in ii.slot_blocks)]
+    v = np.zeros(ii.ntot - ii.n)
+    for blk, Z, Fa in zip(ii.slot_blocks, mats, Fas):
+        v[blk.sl.start - ii.n:blk.sl.stop - ii.n] = Z[blk.ti, blk.tj] * blk.w
+        S_ref = np.einsum("a,aij->ij", w, Fa)
+        S = ii.lmi_map(w)[blk.sl.start - ii.n:blk.sl.stop - ii.n] / blk.w
+        assert abs(S - S_ref[blk.ti, blk.tj]).max() <= 1e-12 * abs(S_ref).max()
+    adj_ref = sum(np.einsum("aij,ij->a", Fa, Z) for Fa, Z in zip(Fas, mats))
+    assert abs(ii.lmi_adjoint(v) - adj_ref).max() <= 1e-12 * abs(adj_ref).max()
 
 
 def dense_stack(blk):
@@ -581,36 +653,37 @@ def test_schur_chunks_change_no_bit(monkeypatch):
     calls on the same operands as the whole stack would take, so M and H
     come out bit for bit as from the unchunked R T L_X, and the same at a
     chunk budget of one row or of the whole block.  On the quarter
-    circle's order-6 moment SDP the LMI blocks span several chunks and the
-    PSD blocks fit in one."""
-    sdp = quarter_circle_moment_sdp(6)
-    ii = solver._Internal(sdp)
-    assert [(b.dim, b.rows.size, len(b.chunks)) for b in ii.lmi] == [
+    circle's order-6 moment SDP the PSD blocks fit in one chunk; on an
+    order-6 moment SDP in two ellipses, whose LMI has sparse maps, the LMI
+    blocks span several chunks."""
+    sdps = quarter_circle_moment_sdp(6), ellipses_moment_sdp(6)
+    ii, jj = (solver._Internal(sdp) for sdp in sdps)
+    assert [(b.dim, b.rows.size, len(b.chunks)) for b in jj.lmi] == [
         (28, 91, 10), (21, 91, 6), (21, 91, 6)]
     assert [(b.dim, len(b.chunks)) for b in ii.psd] == [(13, 1), (11, 1), (11, 1)]
     assert all(b.T is not None for b in ii.psd)
     rng = np.random.default_rng(17)
     draws = [([random_factors(rng, b.dim, decades) for b in ii.psd],
-              [random_factors(rng, b.dim, decades) for b in ii.lmi],
+              [random_factors(rng, b.dim, decades) for b in jj.lmi],
               graded(rng, decades, ii.lp.size)) for decades in (1.0, 12.0)]
 
-    def products(ii):
-        return [(solver._schur(ii, psd, d_lp), solver._lmi_schur(ii, lmi))
+    def products(ii, jj):
+        return [(solver._schur(ii, psd, d_lp), solver._lmi_schur(jj, lmi, None))
                 for psd, lmi, d_lp in draws]
 
-    got = products(ii)
+    got = products(ii, jj)
     for (psd, lmi, d_lp), (M, H) in zip(draws, got):
         M_ref = unchunked_products(ii, ii.psd, psd, ii.p)
         if ii.lp.size:
             Q = ii.A_lp * np.sqrt(d_lp)
             M_ref[ii.lp_ix] += Q @ Q.T
         assert np.array_equal(M, M_ref)
-        assert np.array_equal(H, unchunked_products(ii, ii.lmi, lmi, ii.wcols.size))
+        assert np.array_equal(H, unchunked_products(jj, jj.lmi, lmi, jj.wcols.size))
     for budget, chunks in ((1, lambda b: b.rows.size), (1 << 40, lambda b: 1)):
         monkeypatch.setattr(solver, "_CHUNK", budget)
-        other = solver._Internal(sdp)
-        assert all(len(b.chunks) == chunks(b) for b in other.psd + other.lmi)
-        for (M, H), (M2, H2) in zip(got, products(other)):
+        others = [solver._Internal(sdp) for sdp in sdps]
+        assert all(len(b.chunks) == chunks(b) for b in others[0].psd + others[1].lmi)
+        for (M, H), (M2, H2) in zip(got, products(*others)):
             assert np.array_equal(M, M2) and np.array_equal(H, H2)
 
 
@@ -619,35 +692,113 @@ def test_no_block_beyond_the_chunk_budget_keeps_a_dense_stack(k):
     """A block whose (r, dim, dim) stack exceeds ``_CHUNK`` doubles keeps
     only its entries; every block's chunks take at most ``_CHUNK`` doubles,
     or one row where a row is larger, and its K lives in the solve's one K
-    buffer."""
-    ii = solver._Internal(quarter_circle_moment_sdp(k))
-    blocks = ii.psd + ii.lmi
-    kbuf = blocks[0].K.base
-    assert kbuf.size == max(b.rows.size * b.dim ** 2 for b in blocks)
-    for blk in blocks:
-        dd = blk.dim ** 2
-        assert blk.K.base is kbuf
-        assert all(RT.size <= max(solver._CHUNK, dd) for *_, RT, _ in blk.chunks)
-        if blk.rows.size * dd > solver._CHUNK:
-            assert blk.T is None
-            assert all(T.size <= max(solver._CHUNK, dd) for T, *_ in blk.chunks)
+    buffer.  On the quarter circle's moment SDP only the Gram blocks hold
+    a K, and its rank-one LMI builds no dense F; the arc's lower-level SDP
+    keeps its LMI on sparse maps."""
+    qc = solver._Internal(quarter_circle_moment_sdp(k))
+    assert qc.lmi == [] and qc.F is None and qc.r1 is not None
+    arc = solver._Internal(arc_lower_level_sdp(k))
+    assert arc.r1 is None and arc.psd == [] and arc.F is not None
+    for blocks in (qc.psd, arc.lmi):
+        kbuf = blocks[0].K.base
+        assert kbuf.size == max(b.rows.size * b.dim ** 2 for b in blocks)
+        for blk in blocks:
+            dd = blk.dim ** 2
+            assert blk.K.base is kbuf
+            assert all(RT.size <= max(solver._CHUNK, dd) for *_, RT, _ in blk.chunks)
+            if blk.rows.size * dd > solver._CHUNK:
+                assert blk.T is None
+                assert all(T.size <= max(solver._CHUNK, dd) for T, *_ in blk.chunks)
+    assert any(b.T is None for b in arc.lmi) == (k == 8)
 
 
 @pytest.mark.parametrize("k", [6, 8])
 def test_lmi_schur_allocates_little_beyond_h(k):
     """One H assembly allocates at most twice H plus 256 KB (H and one
-    block's K K^T, which are alike in size): the blocks' K are formed in
-    the solve's working set, not in stacks allocated per call."""
-    ii = solver._Internal(quarter_circle_moment_sdp(k))
+    block's K K^T, which are alike in size): a sparse block's K is formed
+    in the solve's working set, not in stacks allocated per call, and the
+    rank-one blocks' Hadamard H and its products in theirs."""
     rng = np.random.default_rng(3)
-    state = [random_factors(rng, b.dim, 1.0) for b in ii.lmi]
+    for sdp in (quarter_circle_moment_sdp(k), arc_lower_level_sdp(k)):
+        ii = solver._Internal(sdp)
+        _, sparse, stacked = lmi_states(rng, ii, 1.0)
+        tracemalloc.start()
+        try:
+            H = solver._lmi_schur(ii, sparse, stacked)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * H.nbytes + 256 * 1024
+
+
+def test_quarter_circle_order_eight_solve_stays_in_its_working_set():
+    # The order-8 moment SDP (153 points, LMI blocks 45, 36 and 36) takes
+    # 14 iterations, and its whole solve, set-up included, peaks at 4.5 MB
+    # of traced memory: no dense LMI map and no LMI K buffer.
+    sdp = quarter_circle_moment_sdp(8)
     tracemalloc.start()
     try:
-        H = solver._lmi_schur(ii, state)
+        sol = solve(sdp, tol=1e-8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * H.nbytes + 256 * 1024
+    assert (sol.status, sol.iterations) == ("Optimal", 14)
+    assert peak <= 4.5e6
+
+
+def test_rank_one_and_sparse_lmis_solve_together():
+    # One SDP holding a rank-one LMI (moments in the unit disc) and an LMI on
+    # sparse maps (moments on the arc, in the quotient) takes both kinds in
+    # one solve, their slots in two stacks, and its value is the sum of the
+    # two solved apart.
+    disc = (Polynomial(2, {(0, 0): 1.0, (2, 0): -1.0, (0, 2): -1.0}),)
+    arc = instances.quarter_circle_problem()[0].index_set.as_generators()
+    objective = Polynomial(2, {(1, 0): 1.0, (0, 1): 1.0})
+    b = SdpBuilder()
+    maps = [MomentVarMap(b, 2, 3, gens) for gens in (disc, arc)]
+    for mv in maps:
+        b.add_equality(mv.lin((0, 0)), 1.0)
+    b.set_objective(maps[0].lin_poly(objective) + maps[1].lin_poly(objective))
+    prob = b.build()
+    ii = solver._Internal(prob)
+    assert ii.r1 is not None and ii.lmi and len(ii.stacks) == 2
+    sol = solve(prob, tol=1e-9)
+    apart = [solve(moment_sdp(3, gens), tol=1e-9) for gens in (disc, arc)]
+    assert sol.status == "Optimal" and all(s.status == "Optimal" for s in apart)
+    assert sol.primal_value == pytest.approx(sum(s.primal_value for s in apart), abs=1e-7)
+    assert max(check_solution(prob, sol)[key] for key in ("primal", "gap_rel")) <= 1e-8
+
+
+def _point_weight_sdps():
+    cases = []
+    for make, k in ((instances.case1_problem, None), (instances.case3_problem, 4),
+                    (instances.quarter_circle_problem, 4),
+                    (instances.quarter_circle_problem, 5),
+                    (instances.quarter_circle_problem, 6),
+                    (lambda: instances.planted_convex_quadratic(9)[:2], 2)):
+        prob, opts = make()
+        tag = classify_case(prob, opts.case_override).tag
+        cases.append((build_dual_sdp(prob, opts, tag, k)[0], opts.sdp_tol))
+    return cases
+
+
+def test_check_solution_recomputes_the_residuals_of_point_weight_sdps():
+    # check_solution reads the model's LMI maps, rank-one ones included, and
+    # recomputes the residuals from the returned points alone: the solver's
+    # reported primal and dual residuals and relative gap come within ten
+    # times the tolerance.  Case1's x-cone has no ball, so its LMI keeps
+    # sparse maps over the moments; the others are weights at points.
+    rank_one = []
+    for sdp, tol in _point_weight_sdps():
+        (lmi,) = [bl for bl in sdp.blocks if isinstance(bl, LmiBlock)]
+        rank_one.append(all(isinstance(F, RankOneMap) for F in lmi.maps))
+        sol = solve(sdp, tol=tol)
+        assert sol.status == "Optimal"
+        chk = check_solution(sdp, sol)
+        for key, reported in (("primal", "primal"), ("dual", "dual"), ("gap_rel", "gap")):
+            assert abs(chk[key] - sol.residuals[reported]) <= 10 * tol, key
+        assert chk["primal_cone"] <= 10 * tol
+    assert rank_one == [False] + [True] * 5
 
 
 def test_schur_cholesky_retries_factor_the_shifted_matrix():
