@@ -3,7 +3,7 @@
 Point map L(x)/L(1), the flat-truncation rank certificate, and atomic
 measure extraction via the column-echelon / multiplication-matrix
 procedure (shift operators on a rank factor of the moment matrix, joint
-diagonalization through a random convex combination).
+diagonalization through a fixed generic convex combination).
 
 Every step indexes the functional's moment vector (``MomentFunctional``)
 by the rank lookup of ``fsipp.moment``.  The atoms' Vandermonde matrix and
@@ -20,6 +20,11 @@ import numpy as np
 
 from .errors import DegenerateMassError, NumericalTroubleError
 from .moment import MomentFunctional, _monomials, moment_matrix
+
+# extraction weights: default_rng(0).random(8), then frac(i phi) for i >= 8
+_WEIGHTS = (0.6369616873214543, 0.2697867137638703, 0.04097352393619469,
+            0.016527635528529094, 0.8132702392002724, 0.9127555772777217,
+            0.6066357757671799, 0.7294965609839984)
 
 
 def numeric_rank(mat: np.ndarray, rel_tol: float = 1e-8):
@@ -115,6 +120,10 @@ def extract_atoms(L: MomentFunctional, cert: RankCertificate, gens=()):
     reconstruction do not behave like an r-atomic measure on that set.  An
     atom of nearly zero weight fits the moments wherever it lies, so only
     the localizers reject one that a rank test passed on noise.
+
+    The atoms come from the eigenvectors of one combination of the
+    multiplication matrices, whose eigenvalues generic weights keep apart.
+    They are fixed (``_WEIGHTS``): numpy's random streams may change.
     """
     if not cert.passed:
         raise ValueError("rank certificate did not pass")
@@ -139,8 +148,8 @@ def extract_atoms(L: MomentFunctional, cert: RankCertificate, gens=()):
     shifted = rank(code(piv)[:, None] + code(np.eye(m, dtype=np.intp)))
     mult = [np.take(R, shifted[:, i], axis=1) for i in range(m)]
 
-    rng = np.random.default_rng(0)
-    coeffs = rng.random(m)
+    coeffs = np.array([*_WEIGHTS, *(i * 0.6180339887498949 % 1.0
+                                    for i in range(8, m))][:m])
     coeffs /= coeffs.sum()
     N = sum(c * Ni for c, Ni in zip(coeffs, mult))
     # an orthonormal Schur basis of N: N V = V diag(lam) and V = Q R give

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericalTroubleError
 from .extract import certify_and_extract
-from .moment import MomentVarMap
+from .moment import MomentVarMap, _candidates
 from .poly import Polynomial, ceil_half
 from .sdp import SdpBuilder, solve
 
@@ -228,7 +228,8 @@ class QuadraticSet:
 
     def y_sweep(self) -> np.ndarray:
         """y0 and, along 2,000 directions d (evenly spread angles in 2-D,
-        seeded normal draws otherwise), four fractions of the distance t
+        normalized Halton points of the cube otherwise: fixed, so the audit
+        needs no random stream), four fractions of the distance t
         to the boundary: phi(y0 + t d) = a t^2 + b t + f0 is quadratic in
         t, so phi at y0 +- d gives a and b.  A ray leaves Y at its first
         positive root; one that never does is cut at t = 10."""
@@ -238,7 +239,7 @@ class QuadraticSet:
             angles = np.linspace(0.0, 2.0 * np.pi, 2000, endpoint=False)
             dirs = np.column_stack([np.cos(angles), np.sin(angles)])
         else:
-            dirs = np.random.default_rng(2025).standard_normal((2000, n))
+            dirs = _candidates(2000, n)
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         phi = self.phi
         f0 = phi(y0)

@@ -81,6 +81,12 @@ def files(tmp_path_factory):
     doc["p"] = [{"y_monomial": [0], "coeffs": [[[0, 0], 1.0]]}]
     out["infeasible"] = _write(tmp, "infeasible.json", doc)
 
+    prob = replace(instances.case1_problem()[0], psis=(
+        Polynomial(2, {(0, 0): 1.0, (1, 0): -1.0}),
+        Polynomial(2, {(0, 0): 1.0, (1, 0): 1.0})))
+    out["strongly_infeasible"] = _write(tmp, "strongly_infeasible.json",
+                                        problem_to_doc(prob))
+
     bad = problem_to_doc(instances.case1_problem()[0])
     bad["objective"]["f"][0][0] = [2, -1]
     out["bad"] = _write(tmp, "bad.json", bad)
@@ -269,6 +275,17 @@ def test_solve_infeasible_family(files):
     assert code == 1
     assert all(row["dual_status"] == "PrimalInfeasible"
                for row in report["rows"])
+
+
+def test_solve_strongly_infeasible_constraints(files):
+    # x1 >= 1 and x1 <= -1: a Farkas certificate exists, so the verdict
+    # does not rest on how close an approximate ray comes to the rule
+    code, out, _ = run(["solve", files["strongly_infeasible"]])
+    report = checked(out)
+    assert report["verdict"] == "INFEASIBLE"
+    assert code == 1
+    assert report["rows"] and all(row["dual_status"] == "PrimalInfeasible"
+                                  for row in report["rows"])
 
 
 def test_solve_writes_report_and_row_csv(files):

@@ -9,6 +9,10 @@ quarter circle, classifies packaged walk II and runs it with a grid
 export.  Walk II is chosen because one of its lower-level solves ends
 without a rank certificate, so the uncertified outcome runs too.  None of
 the heavy modules may be loaded on the way.
+
+Nor does a solve, a certify or a walk load ``numpy.random``: only the
+seeded generators of ``fsipp.instances`` draw from it.  pytest loads it
+itself, so that is checked in a fresh interpreter too.
 """
 
 import json
@@ -44,31 +48,61 @@ print(json.dumps({"codes": codes,
                                   and m.split(".")[0] in heavy)}))
 """
 
+NO_RANDOM_SCRIPT = """
+import contextlib, io, json, sys
+import fsipp.cli
+quarter, walk = sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [fsipp.cli.main(["solve", quarter]),
+             fsipp.cli.main(["certify", quarter, "0.7377,0.6033"]),
+             fsipp.cli.main(["pareto", walk])]
+print(json.dumps({"codes": codes, "random": "numpy.random" in sys.modules}))
+"""
 
-def test_commands_run_without_scipy(tmp_path):
+
+def _quarter_and_walk(tmp_path, make_walk):
+    """Problem files of the quarter circle (order 4) and a packaged walk."""
     prob, opts = instances.quarter_circle_problem()
     options = _options_doc(opts)
     options.pop("case_override")  # the route is inferred for this shape
     path = tmp_path / "quarter.json"
     path.write_text(json.dumps(problem_to_doc(prob, options=options)),
                     encoding="utf-8")
-    mprob, u0, opts = instances.biobjective_case2()
+    mprob, u0, opts = make_walk()
     walk = tmp_path / "walk.json"
     walk.write_text(json.dumps(problem_to_doc(
         mprob, options=_options_doc(opts),
         hints={"feasible_point": list(u0)})), encoding="utf-8")
+    return path, walk
+
+
+def _fresh(tmp_path, script, *args) -> dict:
+    """Run ``script`` in a fresh interpreter on the source tree; the JSON
+    object its last line of output prints."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
                                else []))
-    done = subprocess.run([sys.executable, "-c", SCRIPT, str(path), str(walk),
-                           str(tmp_path / "walk_report.json")],
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_commands_run_without_scipy(tmp_path):
+    path, walk = _quarter_and_walk(tmp_path, instances.biobjective_case2)
+    result = _fresh(tmp_path, SCRIPT, path, walk,
+                    tmp_path / "walk_report.json")
     assert result["codes"] == [0, 0, 0, 0]
     assert result["heavy"] == []
     report = json.loads((tmp_path / "walk_report.json").read_text())
     assert report["verdict"] == "CERTIFIED"
     assert (tmp_path / "walk_report.csv").exists()
+
+
+def test_solve_certify_and_walk_load_no_numpy_random(tmp_path):
+    path, walk = _quarter_and_walk(tmp_path, instances.biobjective_case1)
+    result = _fresh(tmp_path, NO_RANDOM_SCRIPT, path, walk)
+    assert result["codes"] == [0, 0, 0]
+    assert not result["random"]

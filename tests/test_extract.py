@@ -105,6 +105,21 @@ def test_extract_rejects_an_atom_off_the_localized_set():
     assert len(extract_atoms(L, cert, gens=gens)) == 2
 
 
+def test_extract_recovers_planted_atoms_in_ten_variables():
+    # beyond eight variables the extraction weights go on as frac(i phi);
+    # test_extract_reference.py checks the first eight against numpy's draws
+    rng = np.random.default_rng(10)
+    planted = [(rng.uniform(-1, 1, size=10), w) for w in (0.5, 1.0, 1.5)]
+    L = from_atoms(10, 2, planted)
+    cert = flat_truncation_check(L, k=2, k0=1, d_half=1)
+    assert cert is not None and cert.rank_high == 3
+    atoms = sorted(extract_atoms(L, cert), key=lambda a: a[1])
+    assert len(atoms) == 3
+    for (pt, w), (ept, ew) in zip(atoms, planted):
+        np.testing.assert_allclose(pt, ept, rtol=0, atol=1e-8)
+        assert abs(w - ew) <= 1e-8
+
+
 @settings(deadline=None, max_examples=12)
 @given(st.integers(1, 3), st.integers(0, 10_000))
 def test_random_atomic_measures_round_trip(natoms, seed):

@@ -12,6 +12,9 @@ atoms and weights, or fail with the same message, to the last bit, on
 every functional the package extracts from while it solves Case1-Case4,
 the quarter circle at k = 4 and 5, planted seeds 0-39 and the four
 packaged walks, and while it certifies the quarter circle's minimizer.
+The reference draws its combination weights from ``default_rng(0)``; on
+planted functionals in one to eight variables the package's fixed weights
+must give the same atoms.
 """
 
 from __future__ import annotations
@@ -283,6 +286,18 @@ def test_noisy_and_off_set_functionals_fail_as_the_reference(monkeypatch):
     assert sum(isinstance(o, str) and "reconstruction" in o for o in outcomes) >= 10
     assert "localizer" in outcomes[-1]
     _same(monkeypatch, seen, "noisy")
+
+
+def test_fixed_weights_extract_as_the_seeded_draws_in_up_to_eight_variables(
+        monkeypatch):
+    # the reference draws its weights from default_rng(0), the package
+    # reads them from a constant: the same atoms to the bit for m <= 8
+    rng = np.random.default_rng(8)
+    seen = [dict(L=from_atoms(m, 3, list(zip(rng.uniform(-1, 1, size=(3, m)),
+                                             (0.5, 1.0, 1.5)))),
+                 k=3, k0=1, d_half=1, rel_tol=1e-8, gens=())
+            for m in range(1, 9)]
+    assert _same(monkeypatch, seen, "m <= 8") == (8, 8)
 
 
 def test_value_refuses_a_monomial_outside_the_truncation():

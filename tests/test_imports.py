@@ -500,3 +500,55 @@ def test_scan_flags_verdict_literals_outside_their_homes(tmp_path):
 
 def test_only_the_results_decide_their_verdicts():
     assert verdict_literals(SRC) == VERDICT_HOMES
+
+
+# Only the seeded generators of ``instances.py`` draw random numbers: a
+# solve, certify or walk loads no ``numpy.random`` (``test_cold_start.py``
+# checks that in a fresh interpreter), so its results follow no random
+# stream that numpy may change between versions.
+def numpy_random_outside_instances(src: Path) -> list[str]:
+    """``module:line`` for each import of ``numpy.random`` and each
+    attribute ``np.random`` or ``numpy.random`` outside ``instances.py``."""
+    found = set()
+    for path in sorted(src.rglob("*.py")):
+        module = path.relative_to(src).as_posix()
+        if module == "instances.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            named = []
+            if isinstance(n, ast.Attribute) and n.attr == "random":
+                named = [getattr(n.value, "id", "") + ".random"]
+            elif isinstance(n, ast.Import):
+                named = [a.name for a in n.names]
+            elif isinstance(n, ast.ImportFrom):
+                named = [f"{n.module}.{a.name}" for a in n.names]
+            if any(name.split(".")[:2] in (["np", "random"],
+                                           ["numpy", "random"])
+                   for name in named):
+                found.add((module, n.lineno))
+    return [f"{module}:{line}" for module, line in sorted(found)]
+
+
+def test_scan_flags_numpy_random_outside_instances(tmp_path):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "instances.py").write_text(
+        "import numpy as np\n\n"
+        "def planted(seed):\n    return np.random.default_rng(seed)\n",
+        encoding="utf-8")
+    (pkg / "extract.py").write_text(
+        '"""Weights once drawn by np.random, now fixed."""\n'
+        "import numpy as np\nimport numpy.random\n"
+        "from numpy import random, linalg\n"
+        "from numpy.random import default_rng\n\n"
+        "def weights(m, rng=None):\n    rng = rng or random\n"
+        "    return np.random.default_rng(0).random(m)\n\n"
+        "def solve(a):\n    return linalg.solve(a, numpy.random.rand(2))\n",
+        encoding="utf-8")
+    assert numpy_random_outside_instances(pkg) == [
+        "extract.py:3", "extract.py:4", "extract.py:5", "extract.py:9",
+        "extract.py:12"]
+
+
+def test_only_the_instances_load_numpy_random():
+    assert numpy_random_outside_instances(SRC) == []

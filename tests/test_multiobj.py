@@ -285,7 +285,7 @@ def test_audit_y_points_stop_where_a_convex_ray_leaves_the_set():
 
 
 def test_audit_y_points_on_a_three_dimensional_quadratic_set():
-    """Off the plane the rays follow 2,000 seeded directions: y0, then four
+    """Off the plane the rays follow 2,000 fixed Halton directions: y0, four
     points per ray, all in Y, the same on every call."""
     phi = Polynomial(3, {(0, 0, 0): 1.5, (2, 0, 0): -1.0, (0, 2, 0): -2.0,
                          (0, 0, 2): -0.5, (1, 1, 0): 0.3, (0, 0, 1): 0.2})
